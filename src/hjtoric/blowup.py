@@ -10,10 +10,16 @@ intersection lattice:
   order-q corner from q/k with k = q - p mod q, joined by the proper
   transform E~ of the exceptional curve with E~^2 = -1;
 
-* the multiplicity route realizes the same surface by a sequence of ordinary
-  corner cuts of the quadrant, with multiplicities produced by the Euclidean
-  algorithm on (p, q) and cut labels walking the Stern-Brocot mediants from
-  (1, 1) to (q, p).
+* the multiplicity route realizes the same surface by a cascade of
+  ordinary corner cuts of the quadrant.  The Euclidean algorithm on (p, q)
+  gives the multiplicities and splits the cuts into blocks; each cut's
+  label is the Stern-Brocot mediant of the labels of the two edges flanking
+  its corner, starting from the axes (1, 0) and (0, 1), and the block
+  parity decides which flank the new cut replaces.  The labels end at
+  (q, p).  Every corner cut is smooth (its flanks have determinant 1) and
+  is an ordinary blowup at the classes of its flanking cuts.  The replay is
+  pure integer arithmetic (Graham-Knuth-Patashnik, *Concrete Mathematics*
+  sec. 4.5; Fulton, *Introduction to Toric Varieties* sec. 2.6).
 
 ``cross_check`` verifies that the two routes build isomorphic lattices; the
 sum of squared multiplicities always equals p*q (each multiplicity-m cut
@@ -41,7 +47,7 @@ from .homology import (
     empty_lattice,
     lattice_from_parts,
 )
-from .lattice2d import Point, Vec, corner_cut, quadrant
+from .lattice2d import Point, Vec, det2
 from .resolution import Chain, chain_from_terms
 
 log = logging.getLogger(__name__)
@@ -145,22 +151,55 @@ def fulton_config(
 
 @dataclass(frozen=True)
 class McDuffSequence:
-    """Multiplicities and cut labels realizing the blowup by ordinary cuts.
+    """The cut replay: multiplicities, labels and flanks of the ordinary cuts.
 
     ``multiplicities`` lists q_1 repeated a_1 times, q_2 repeated a_2 times,
     and so on, where q_1 = q and q_{i+1} = q_{i-1} - a_i * q_i (the Euclidean
     algorithm on (p, q), q_0 = p), stopping when the remainder vanishes.
     ``cut_directions`` are the corresponding cut labels (a, b), the negated
     outward conormal of each new edge; the last is always (q, p).
+    ``flanks`` names, per cut, the earlier cuts on its up and down side
+    (None for the vertical and the horizontal axis); ``lattice`` and
+    ``chords`` are built from them.
     """
 
     p: int
     q: int
     multiplicities: tuple[int, ...]
     cut_directions: tuple[Vec, ...]
+    flanks: tuple[tuple[int | None, int | None], ...]
 
     def __len__(self) -> int:
         return len(self.multiplicities)
+
+    def lattice(self, label_prefix: str = "") -> IntersectionLattice:
+        """One class e_i per cut: a blowup at the classes of its flanking
+        cuts (the axes carry no class)."""
+        lat = empty_lattice()
+        for i, flank in enumerate(self.flanks):
+            touched = [f"{label_prefix}e{j + 1}" for j in flank if j is not None]
+            lat = blow_up_at(lat, touched, f"{label_prefix}e{i + 1}")
+        return lat
+
+    def chords(self, unit: Fraction | int = 1) -> list[tuple[Vec, Point, Point]]:
+        """(label, start, end) per cut, cut i sized by multiplicity i.
+
+        Cut i sits where the lines of its flanks meet, u.x = c_u and
+        d.x = c_d with det(u, d) = 1, and runs from the up flank to the down
+        flank; its own line is (u + d).x = c_u + c_d + size.
+        """
+        unit = Fraction(unit)
+        levels: list[Fraction] = []
+        chords: list[tuple[Vec, Point, Point]] = []
+        labels = self.cut_directions
+        for label, m, (up, down) in zip(labels, self.multiplicities, self.flanks):
+            (ux, uy), cu = ((1, 0), Fraction(0)) if up is None else (labels[up], levels[up])
+            (dx, dy), cd = ((0, 1), Fraction(0)) if down is None else (labels[down], levels[down])
+            vx, vy = cu * dy - cd * uy, ux * cd - dx * cu  # the cut vertex
+            s = m * unit
+            chords.append((label, (vx - s * uy, vy + s * ux), (vx + s * dy, vy - s * dx)))
+            levels.append(cu + cd + s)
+        return chords
 
 
 def _euclid_blocks(p: int, q: int) -> tuple[list[int], list[int]]:
@@ -176,83 +215,43 @@ def _euclid_blocks(p: int, q: int) -> tuple[list[int], list[int]]:
     return blocks, values
 
 
-def _replay_cuts(q: int, p: int, visit):
-    """Drive the corner-cut replay on the quadrant.
-
-    Cuts alternate in blocks: within a block the cut happens at the vertex
-    between an "up" edge U and a "down" edge D; odd blocks slide the cut
-    downward (the new edge replaces U), even blocks upward (it replaces D).
-    Initially U is the vertical axis and D the horizontal axis.  ``visit``
-    is called as visit(step, up_label, down_label) before each cut; labels
-    'V'/'H' mark the axes and integers the earlier cuts.  Cut sizes shrink
-    geometrically (each a quarter of the previous, so later cuts always fit
-    inside earlier edges) and are pre-scaled to integers to keep all vertex
-    coordinates integral.  Returns the list of cut labels (a, b) = negated
-    new-edge conormals.
-    """
-    blocks, _ = _euclid_blocks(p, q)
-    total = sum(blocks)
-    poly = quadrant()
-    edge_ids: list[object] = ["V", "H"]  # parallel to poly's edge indices
-    up: object = "V"
-    down: object = "H"
-    labels: list[Vec] = []
-    step = 0
-    for bi, a in enumerate(blocks):
-        for _ in range(a):
-            iu = edge_ids.index(up)
-            idn = edge_ids.index(down)
-            if idn != iu + 1:
-                raise StructureError("cut site edges are not adjacent")
-            if visit is not None:
-                visit(step, up, down)
-            poly = corner_cut(poly, iu, 4 ** (total - 1 - step))
-            edge_ids.insert(iu + 1, step)
-            n = poly.conormal(iu + 1)
-            labels.append((-n[0], -n[1]))
-            if bi % 2 == 0:
-                up = step
-            else:
-                down = step
-            step += 1
-    return labels
-
-
 def mcduff_sequence(q: int, p: int) -> McDuffSequence:
-    """Multiplicity sequence and cut labels for weights (q, p), p > q.
+    """The cut replay for weights (q, p), p > q.
 
-    For (4, 7) this is multiplicities (4, 3, 1, 1, 1) and cuts
-    (1, 1), (1, 2), (2, 3), (3, 5), (4, 7).
+    Each cut's label is the mediant of its two flanking labels, starting
+    from the axes (1, 0) and (0, 1).  Block i of the Euclidean recursion
+    makes a_i cuts; in the first, third, ... block each new cut replaces the
+    up flank of the next cut, in the second, fourth, ... the down flank.
+    For (4, 7) this is multiplicities (4, 3, 1, 1, 1) and cuts (1, 1),
+    (1, 2), (2, 3), (3, 5), (4, 7).
     """
     _require_weights(p, q)
     blocks, values = _euclid_blocks(p, q)
-    multiplicities = tuple(v for a, v in zip(blocks, values) for _ in range(a))
-    labels = _replay_cuts(q, p, None)
-    if labels and labels[-1] != (q, p):
+    multiplicities: list[int] = []
+    labels: list[Vec] = []
+    flanks: list[tuple[int | None, int | None]] = []
+    up: int | None = None
+    down: int | None = None
+    u, d = (1, 0), (0, 1)
+    for block, (a, value) in enumerate(zip(blocks, values)):
+        for _ in range(a):
+            if det2(u, d) != 1:
+                raise StructureError(f"cut {len(labels) + 1} sits at a non-smooth corner {u}, {d}")
+            multiplicities.append(value)
+            labels.append((u[0] + d[0], u[1] + d[1]))
+            flanks.append((up, down))
+            if block % 2 == 0:
+                up, u = len(labels) - 1, labels[-1]
+            else:
+                down, d = len(labels) - 1, labels[-1]
+    if labels[-1] != (q, p):
         raise StructureError(f"cut replay ended at {labels[-1]}, expected {(q, p)}")
-    return McDuffSequence(p, q, multiplicities, tuple(labels))
-
-
-def _lattice_visitor(label_prefix: str):
-    """Visitor turning each cut into a blowup at the flanking intersection.
-
-    Axis edges carry no class, earlier cut edges do.
-    """
-    holder = {"lat": empty_lattice()}
-
-    def visit(step, upl, downl):
-        touched = [f"{label_prefix}e{i + 1}" for i in (upl, downl) if isinstance(i, int)]
-        holder["lat"] = blow_up_at(holder["lat"], touched, f"{label_prefix}e{step + 1}")
-
-    return visit, holder
+    return McDuffSequence(p, q, tuple(multiplicities), tuple(labels), tuple(flanks))
 
 
 def mcduff_lattice(q: int, p: int, label_prefix: str = "") -> IntersectionLattice:
     """Intersection lattice of the cut replay, one class per cut."""
-    _require_weights(p, q)
-    visit, holder = _lattice_visitor(label_prefix)
-    _replay_cuts(q, p, visit)
-    return holder["lat"]
+    return mcduff_sequence(q, p).lattice(label_prefix)
 
 
 def cut_chords(q: int, p: int, unit: Fraction | int = 1) -> list[tuple[Vec, Point, Point]]:
@@ -263,35 +262,7 @@ def cut_chords(q: int, p: int, unit: Fraction | int = 1) -> list[tuple[Vec, Poin
     from (0, q*unit) to (p*unit, 0), the boundary of the excised corner; this
     is the picture usually drawn for the resolution diagram.
     """
-    _require_weights(p, q)
-    unit = Fraction(unit)
-    seq = mcduff_sequence(q, p)
-    blocks, _ = _euclid_blocks(p, q)
-    chords: list[tuple[Vec, Point, Point]] = []
-    zero = Fraction(0)
-    # flanking edges of the current cut vertex: near endpoint (the vertex
-    # itself) plus the primitive direction leading away from it
-    up_near = (zero, zero)
-    up_dir = (Fraction(0), Fraction(1))  # vertical axis
-    down_near = (zero, zero)
-    down_dir = (Fraction(1), Fraction(0))  # horizontal axis
-    i = 0
-    for bi, a in enumerate(blocks):
-        for _ in range(a):
-            s = seq.multiplicities[i] * unit
-            a_pt = (up_near[0] + s * up_dir[0], up_near[1] + s * up_dir[1])
-            b_pt = (down_near[0] + s * down_dir[0], down_near[1] + s * down_dir[1])
-            chords.append((seq.cut_directions[i], a_pt, b_pt))
-            if bi % 2 == 0:
-                # next cut sits at b_pt: the chord is its new up flank and
-                # the old down edge continues past it
-                up_near, down_near = b_pt, b_pt
-                up_dir = ((a_pt[0] - b_pt[0]) / s, (a_pt[1] - b_pt[1]) / s)
-            else:
-                up_near, down_near = a_pt, a_pt
-                down_dir = ((b_pt[0] - a_pt[0]) / s, (b_pt[1] - a_pt[1]) / s)
-            i += 1
-    return chords
+    return mcduff_sequence(q, p).chords(unit)
 
 
 def _path_profile(lat: IntersectionLattice) -> list[tuple[int, int]] | None:
@@ -341,22 +312,19 @@ def lattices_isomorphic_as_chains(a: IntersectionLattice, b: IntersectionLattice
 def cross_check(p: int, q: int) -> bool:
     """Whether the vertex route and the cut replay agree for weights (p, q).
 
-    True iff the replay has exactly |chain_p| + |chain_q| + 1 cuts and its
-    lattice is isomorphic to the vertex-route lattice by a permutation
-    matching self-intersections and pairings.  A False return means an
+    True iff the replay lattice is isomorphic to the vertex-route lattice by
+    a permutation matching self-intersections and pairings (so the replay
+    has exactly |chain_p| + |chain_q| + 1 cuts).  A False return means an
     internal inconsistency, not a bad input.
     """
-    cfg = fulton_config(p, q)
-    blocks, _ = _euclid_blocks(p, q)
-    if sum(blocks) != len(cfg.class_labels):
-        log.debug("cross_check(%d, %d): length mismatch %d vs %d",
-                  p, q, sum(blocks), len(cfg.class_labels))
-        return False
-    visit, holder = _lattice_visitor("")
-    _replay_cuts(q, p, visit)
-    ok = lattices_isomorphic_as_chains(cfg.lattice(), holder["lat"])
+    return _routes_agree(fulton_config(p, q), mcduff_lattice(q, p))
+
+
+def _routes_agree(cfg: BlowupConfig, replayed: IntersectionLattice) -> bool:
+    ok = lattices_isomorphic_as_chains(cfg.lattice(), replayed)
     if not ok:
-        log.debug("cross_check(%d, %d): lattice mismatch", p, q)
+        log.debug("weights (%d, %d): the %d replayed classes do not match the %d "
+                  "vertex-route classes", cfg.p, cfg.q, len(replayed), len(cfg.class_labels))
     return ok
 
 

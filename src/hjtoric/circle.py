@@ -32,9 +32,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd
 
-from .blowup import BlowupConfig, fulton_config, weighted_blowdown
+from .blowup import BlowupConfig, _require_weights, fulton_config, weighted_blowdown
 from .errors import DomainError, StructureError
 from .homology import IntersectionLattice, empty_lattice
 from .rationals import rational_json
@@ -74,10 +73,7 @@ class FixedPointDatum:
             raise DomainError(f"level must lie in [0, 1), got {self.level}")
         if self.sign not in (1, -1):
             raise DomainError(f"sign must be +1 or -1, got {self.sign}")
-        if self.p < 1 or self.q < 1 or gcd(self.p, self.q) != 1:
-            raise DomainError(f"weights ({self.p}, {self.q}) must be coprime and positive")
-        if self.p <= self.q and not (self.p == self.q == 1):
-            raise DomainError(f"weights need p > q (or p = q = 1), got ({self.p}, {self.q})")
+        _require_weights(self.p, self.q)
 
     @property
     def weights(self) -> tuple[int, int]:
@@ -310,9 +306,6 @@ class ReducedSpaceState:
             raise DomainError("the simulator only moves counterclockwise")
         return replace(self, position=position)
 
-    def live_classes(self) -> tuple[str, ...]:
-        return self.lattice.classes
-
     def tracked_instance(self) -> Instance | None:
         return next((inst for inst in self.instances if inst.tracked), None)
 
@@ -412,8 +405,8 @@ def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
     return state
 
 
-def cross_level(state: ReducedSpaceState, datum: FixedPointDatum,
-                direction: str = "ccw", *, track: str | None = None) -> ReducedSpaceState:
+def cross_level(state: ReducedSpaceState, datum: FixedPointDatum, *,
+                track: str | None = None) -> ReducedSpaceState:
     """Cross one critical level counterclockwise.
 
     A +1 level installs the resolved (p, q)-weighted blowup: the chain
@@ -428,8 +421,6 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum,
     blowdown will touch), "mark" flags the dynamic instance itself as the
     tracked one.
     """
-    if direction not in ("ccw", "counterclockwise"):
-        raise DomainError("reduced spaces are evolved counterclockwise only")
     try:
         i = state.data.index(datum)
     except ValueError:

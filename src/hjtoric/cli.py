@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 
-from .blowup import cross_check, fulton_config, mcduff_sequence
+from .blowup import _routes_agree, fulton_config, mcduff_sequence
 from .circle import FixedPointDatum, build_cover, run_loop, validate
 from .errors import DomainError, StructureError
 from .hj import hj_expand, hj_reverse
@@ -27,7 +27,7 @@ from .resolution import (
     same_resolution,
     type_equivalent,
 )
-from .svg import cut_diagram_svg
+from .svg import _cut_diagram
 
 log = logging.getLogger(__name__)
 
@@ -68,9 +68,9 @@ def cmd_blowup(args) -> int:
     size = parse_rational(args.size)
     cfg = fulton_config(args.p, args.q, size=size)
     seq = mcduff_sequence(args.q, args.p)
-    ok = cross_check(args.p, args.q)
+    ok = _routes_agree(cfg, seq.lattice())
     if args.format == "svg":
-        _emit(cut_diagram_svg(args.p, args.q, scale=args.scale), args.out)
+        _emit(_cut_diagram(seq, args.scale), args.out)
         return 0 if ok else 1
     payload = cfg.to_json()
     payload.update(

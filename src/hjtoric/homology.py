@@ -97,20 +97,35 @@ class IntersectionLattice:
 
     @staticmethod
     def from_json(obj: dict | str) -> "IntersectionLattice":
+        """Read ``{"pairing": [[...]], "classes": [...], "c1": [...]}``.
+
+        ``classes`` and ``c1`` are optional.  Malformed JSON, a non-square
+        pairing and entries that are not integers (floats, booleans) raise
+        DomainError.
+        """
         if isinstance(obj, str):
-            obj = json.loads(obj)
-        pairing = obj["pairing"]
-        n = len(pairing)
+            try:
+                obj = json.loads(obj)
+            except json.JSONDecodeError as exc:
+                raise DomainError(f"malformed JSON input: {exc}") from None
+        if not isinstance(obj, dict) or not isinstance(obj.get("pairing"), list):
+            raise DomainError('a lattice is an object with a "pairing" matrix')
+        rows = tuple(_integers(row, "each pairing row") for row in obj["pairing"])
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise DomainError("pairing matrix must be square")
         classes = obj.get("classes") or [f"C{i + 1}" for i in range(n)]
         c1 = obj.get("c1")
         if c1 is None:
             # adjunction default for sphere classes
-            c1 = [2 + pairing[i][i] for i in range(n)]
-        return IntersectionLattice(
-            tuple(classes),
-            tuple(tuple(int(x) for x in row) for row in pairing),
-            tuple(int(x) for x in c1),
-        )
+            c1 = [2 + rows[i][i] for i in range(n)]
+        return IntersectionLattice(tuple(classes), rows, _integers(c1, "c1"))
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    if not isinstance(values, list) or any(type(x) is not int for x in values):
+        raise DomainError(f"{what} must be a list of integers, got {values!r}")
+    return tuple(values)
 
 
 def empty_lattice() -> IntersectionLattice:
@@ -169,9 +184,11 @@ def signature(form) -> tuple[int, int, int]:
 
     Computed by symmetric (congruence) diagonalization over exact rationals:
     pick a nonzero diagonal pivot, or repair a zero diagonal with a hyperbolic
-    row+column addition, and clear the pivot row/column.  Only nonzero entries
-    are touched, so near-tridiagonal chain forms diagonalize in linear-ish
-    time.  The triple is a congruence invariant, hence independent of basis.
+    row+column addition, and clear the pivot row/column.  The cost is
+    Theta(n^2) even for chain forms: a dense Fraction copy of the matrix,
+    then a scan of every column at each pivot (only nonzero entries are
+    updated).  The triple is a congruence invariant, hence independent of
+    basis.
     """
     if isinstance(form, IntersectionLattice):
         rows = form.pairing
@@ -215,10 +232,6 @@ def signature(form) -> tuple[int, int, int]:
                 if l != j:
                     M[l][j] = M[j][l]
     return (b_plus, b_minus, b_zero)
-
-
-def b2_plus(form) -> int:
-    return signature(form)[0]
 
 
 # -- blowups / blowdowns -----------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError
-from .hj import HJExpansion, ext_gcd, hj_expand, mod_inverse
+from .hj import ext_gcd, hj_expand, mod_inverse
 from .homology import IntersectionLattice, lattice_from_parts
 
 
@@ -112,14 +112,6 @@ def resolve_cyclic(s: CyclicSingularity) -> Chain:
         return Chain((), ())
     _, k = resolution_params(s)
     return chain_from_terms(hj_expand(r, k).terms)
-
-
-def resolution_expansion(s: CyclicSingularity) -> HJExpansion:
-    r = s.order
-    if r == 1:
-        return hj_expand(1, 0)
-    _, k = resolution_params(s)
-    return hj_expand(r, k)
 
 
 def type_equivalent(s1: CyclicSingularity, s2: CyclicSingularity, oriented: bool = False) -> bool:

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .blowup import cut_chords
+from .blowup import McDuffSequence, mcduff_sequence
+from .errors import DomainError
 from .lattice2d import Polygon, Wedge, wedge_polygon
 
 _STYLE = (
@@ -29,6 +30,8 @@ class _Canvas:
     """Collects SVG elements in lattice coordinates, rendering at the end."""
 
     def __init__(self, xmax: float, ymax: float, scale: int = 40, margin: float = 0.75):
+        if scale < 1:
+            raise DomainError(f"scale must be at least 1, got {scale}")
         self.scale = scale
         self.margin = margin
         self.xmax = xmax
@@ -76,12 +79,16 @@ def cut_diagram_svg(p: int, q: int, scale: int = 40) -> str:
     Draws the two quadrant edges and every cut chord at multiplicity size,
     ending in the hypotenuse from (0, q) to (p, 0).
     """
-    chords = cut_chords(q, p)
+    return _cut_diagram(mcduff_sequence(q, p), scale)
+
+
+def _cut_diagram(seq: McDuffSequence, scale: int) -> str:
+    p, q = seq.p, seq.q
     canvas = _Canvas(p + 1, q + 1, scale)
     canvas.grid()
     canvas.line((0, 0), (0, q + 1))
     canvas.line((0, 0), (p + 1, 0))
-    for label, a, b in chords:
+    for label, a, b in seq.chords():
         canvas.line(a, b, cls="cut")
         mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
         canvas.text((mid[0] + Fraction(1, 8), mid[1] + Fraction(1, 8)), f"({label[0]},{label[1]})")

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+import hjtoric.blowup
 from hjtoric.blowup import (
     cross_check,
     cut_chords,
@@ -13,7 +14,8 @@ from hjtoric.blowup import (
     weighted_blowdown,
 )
 from hjtoric.errors import DomainError, StructureError
-from hjtoric.homology import lattice_from_parts, signature
+from hjtoric.homology import blow_up_at, empty_lattice, lattice_from_parts, signature
+from hjtoric.lattice2d import corner_cut, quadrant
 from hjtoric.resolution import Chain
 
 
@@ -22,6 +24,53 @@ def coprime_pairs(limit):
         for q in range(1, p):
             if gcd(p, q) == 1:
                 yield p, q
+
+
+def polygon_replay(q, p):
+    """The cut replay on a real polygon, as an oracle for the mediant replay.
+
+    Cuts the quadrant's corners with ``corner_cut`` and reads each label off
+    the new edge's conormal.  Cut sizes shrink by a factor of 4 so that every
+    cut fits inside the earlier edges.  Returns the labels and the lattice of
+    blowups at the classes of the flanking cuts (the axes carry no class).
+    """
+    blocks = []
+    prev, cur = p, q
+    while cur:
+        blocks.append(prev // cur)
+        prev, cur = cur, prev % cur
+    total = sum(blocks)
+    poly = quadrant()
+    edges = ["V", "H"]  # edge ids in polygon order: the axes, then cut numbers
+    up, down = "V", "H"
+    labels = []
+    lat = empty_lattice()
+    for bi, a in enumerate(blocks):
+        for _ in range(a):
+            step = len(labels)
+            iu = edges.index(up)
+            assert edges[iu + 1] == down
+            touched = [f"e{i + 1}" for i in (up, down) if isinstance(i, int)]
+            lat = blow_up_at(lat, touched, f"e{step + 1}")
+            poly = corner_cut(poly, iu, 4 ** (total - 1 - step))
+            edges.insert(iu + 1, step)
+            n = poly.conormal(iu + 1)
+            labels.append((-n[0], -n[1]))
+            if bi % 2 == 0:
+                up = step
+            else:
+                down = step
+    return tuple(labels), lat
+
+
+@pytest.mark.parametrize("p", range(1, 41))
+def test_mediant_replay_matches_polygon_replay(p):
+    for q in range(1, p + 1):
+        if gcd(p, q) != 1 or p == q != 1:
+            continue
+        labels, lat = polygon_replay(q, p)
+        assert mcduff_sequence(q, p).cut_directions == labels, (p, q)
+        assert mcduff_lattice(q, p).to_json() == lat.to_json(), (p, q)
 
 
 class TestFultonConfig:
@@ -115,6 +164,12 @@ class TestMcDuffSequence:
         for p, q in coprime_pairs(30):
             assert mcduff_sequence(q, p).cut_directions[-1] == (q, p)
 
+    def test_replay_checks_its_last_label(self, monkeypatch):
+        # two cuts of one block stop at (1, 2), short of the weight vector
+        monkeypatch.setattr(hjtoric.blowup, "_euclid_blocks", lambda p, q: ([2], [1]))
+        with pytest.raises(StructureError):
+            mcduff_sequence(4, 7)
+
     def test_sum_of_squares(self):
         for p, q in coprime_pairs(30):
             seq = mcduff_sequence(q, p)
@@ -180,7 +235,7 @@ class TestWeightedBlowdown:
 
 class TestCutChords:
     def test_endpoints_of_final_chord(self):
-        for p, q in [(7, 4), (5, 3), (2, 1), (7, 5)]:
+        for p, q in coprime_pairs(40):
             chords = cut_chords(q, p)
             label, a, b = chords[-1]
             assert label == (q, p)
@@ -196,9 +251,22 @@ class TestCutChords:
     def test_sizes_are_multiplicities(self):
         # labels are primitive, so the chord vector is the multiplicity
         # times the perpendicular (label_y, -label_x)
-        seq = mcduff_sequence(4, 7)
-        for (label, a, b), m in zip(cut_chords(4, 7), seq.multiplicities):
-            assert (b[0] - a[0], b[1] - a[1]) == (m * label[1], -m * label[0])
+        for p, q in coprime_pairs(40):
+            seq = mcduff_sequence(q, p)
+            for (label, a, b), m in zip(cut_chords(q, p), seq.multiplicities):
+                assert (b[0] - a[0], b[1] - a[1]) == (m * label[1], -m * label[0])
+
+    def test_seven_four_chords(self):
+        assert [(a, b) for _, a, b in cut_chords(4, 7)] == [
+            ((0, 4), (4, 0)), ((1, 3), (7, 0)), ((0, 4), (3, 2)),
+            ((0, 4), (5, 1)), ((0, 4), (7, 0)),
+        ]
+
+    def test_unit_scales_every_chord(self):
+        half = cut_chords(4, 7, Fraction(1, 2))
+        for (label, a, b), (label1, a1, b1) in zip(half, cut_chords(4, 7)):
+            assert label == label1
+            assert (a, b) == ((a1[0] / 2, a1[1] / 2), (b1[0] / 2, b1[1] / 2))
 
 
 def test_replay_contracts_back_to_empty_in_reverse_cut_order():

@@ -232,8 +232,9 @@ class TestCrossLevel:
     def test_only_counterclockwise(self):
         data = pair_21()
         st = initial_state(data, base=Fraction(1, 4))
+        st = cross_level(st.at(Fraction(1, 2)), data[1])
         with pytest.raises(DomainError):
-            cross_level(st.at(Fraction(1, 2)), data[1], direction="cw")
+            st.at(Fraction(1, 4))
 
     def test_wrong_position(self):
         data = pair_21()

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -51,6 +52,10 @@ class TestBlowup:
     def test_needs_p_greater(self, capsys):
         assert main(["blowup", "--p", "4", "--q", "7"]) == 2
 
+    def test_svg_scale_below_one_exits_2(self, capsys):
+        assert run_cli(capsys, "blowup", "--p", "7", "--q", "4", "--format", "svg",
+                       "--scale", "0") == (2, "")
+
     def test_rational_size(self, capsys):
         code, obj = run_json(capsys, "blowup", "--p", "2", "--q", "1", "--size", "3/7")
         assert code == 0 and obj["size"] == "3/7"
@@ -96,6 +101,17 @@ class TestSignature:
 
     def test_missing_file(self, capsys):
         assert main(["signature", "/nonexistent/lat.json"]) == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"pairing": [[1.5, 0], [0, -1]]}',
+        '{"pairing": [[true, 0], [0, -1]]}',
+        '{"pairing": [[-2]], "c1": [0.5]}',
+        '{"pairing": [[0,1],[1,0]]',
+        '{"pairing": [[0,1],[1]]}',
+    ], ids=["float", "bool", "float-c1", "truncated-json", "ragged"])
+    def test_malformed_lattice_exits_2(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run_cli(capsys, "signature", "-") == (2, "")
 
 
 class TestSimulate:

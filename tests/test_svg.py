@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import pytest
+
+from hjtoric.errors import DomainError
 from hjtoric.lattice2d import Polygon, Wedge, corner_cut, quadrant
 from hjtoric.svg import cut_diagram_svg, polygon_svg
 
@@ -17,6 +20,8 @@ def test_cut_diagram_scale():
     big = cut_diagram_svg(2, 1, scale=100)
     assert 'width="45"' in small
     assert 'width="450"' in big
+    with pytest.raises(DomainError):
+        cut_diagram_svg(2, 1, scale=0)
 
 
 def test_polygon_svg_open_chain():
