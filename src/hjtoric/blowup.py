@@ -267,38 +267,23 @@ def cut_chords(q: int, p: int, unit: Fraction | int = 1) -> list[tuple[Vec, Poin
 
 def _path_profile(lat: IntersectionLattice) -> list[tuple[int, int]] | None:
     """(self-intersection, c1) along the path, or None if not a path graph."""
-    n = len(lat)
-    if n == 0:
+    if len(lat) == 0:
         return []
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = lat.pairing[i][j]
-            if v == 0:
-                continue
-            if v != 1:
-                return None
-            adj[i].append(j)
-            adj[j].append(i)
-    degs = [len(adj[i]) for i in range(n)]
-    if any(d > 2 for d in degs):
+    adj = {l: lat.neighbours(l) for l in lat.classes}
+    if any(len(row) > 2 or any(v != 1 for v in row.values()) for row in adj.values()):
         return None
-    if n == 1:
-        start = 0
-    else:
-        ends = [i for i in range(n) if degs[i] == 1]
-        if len(ends) != 2:
-            return None
-        start = min(ends)
-    order = [start]
+    ends = [l for l in lat.classes if len(adj[l]) == 1]
+    if len(lat) > 1 and len(ends) != 2:
+        return None
+    order = [ends[0] if ends else lat.classes[0]]
     prev = None
-    while len(order) < n:
-        nxts = [j for j in adj[order[-1]] if j != prev]
+    while len(order) < len(lat):
+        nxts = [l for l in adj[order[-1]] if l != prev]
         if len(nxts) != 1:
             return None
         prev = order[-1]
         order.append(nxts[0])
-    return [(lat.pairing[i][i], lat.c1[i]) for i in order]
+    return [(lat.self_intersection(l), lat.c1_of(l)) for l in order]
 
 
 def lattices_isomorphic_as_chains(a: IntersectionLattice, b: IntersectionLattice) -> bool:
@@ -338,22 +323,35 @@ def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> Interse
     means the configuration was corrupted.
     """
     for label in config.class_labels:
-        lat.index(label)  # presence check, raises DomainError
+        lat.self_intersection(label)  # presence check, raises DomainError
     etilde = config.exceptional_label
     if lat.self_intersection(etilde) != -1:
         raise StructureError(
             f"{etilde!r} has self-intersection {lat.self_intersection(etilde)}, not -1"
         )
     current = blow_down(lat, etilde)
-    remaining = list(config.chain_labels)
+    # a contraction changes only its neighbours, so only they can become
+    # ready or stop being ready; ties go to the earliest chain label
+    remaining = {l: i for i, l in enumerate(config.chain_labels)}
+    ready = {l for l in remaining if _contractible(current, l)}
     while remaining:
-        ready = [l for l in remaining
-                 if current.self_intersection(l) == -1 and current.c1_of(l) == 1]
         if not ready:
             raise StructureError(
                 "blowdown stalled: no remaining config class at -1 "
-                f"(remaining: {remaining})"
+                f"(remaining: {list(remaining)})"
             )
-        current = blow_down(current, ready[0])
-        remaining.remove(ready[0])
+        label = min(ready, key=remaining.__getitem__)
+        touched = current.neighbours(label)
+        current = blow_down(current, label)
+        del remaining[label]
+        ready.discard(label)
+        for l in touched:
+            if l in remaining and _contractible(current, l):
+                ready.add(l)
+            else:
+                ready.discard(l)
     return current
+
+
+def _contractible(lat: IntersectionLattice, label: str) -> bool:
+    return lat.self_intersection(label) == -1 and lat.c1_of(label) == 1

@@ -111,46 +111,64 @@ def cmd_signature(args) -> int:
     return 0
 
 
-def _parse_simulation_input(raw: str) -> dict:
+def _integer(value, what: str) -> int:
+    if type(value) is not int:  # rejects bool, float and str
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _parse_simulation_input(raw: str) -> tuple[list[FixedPointDatum], dict]:
+    """The fixed points and the ``run_loop`` options of a simulation input.
+
+    Every field is checked here, so a malformed input is a DomainError
+    before any work starts.
+    """
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DomainError(f"malformed JSON input: {exc}") from exc
-    if not isinstance(obj, dict) or "fixed_points" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("fixed_points"), list):
         raise DomainError('input must be an object with a "fixed_points" list')
-    return obj
+    data = []
+    for i, fp in enumerate(obj["fixed_points"]):
+        if not isinstance(fp, dict):
+            raise DomainError(f"fixed point {i} must be an object, got {fp!r}")
+        missing = [key for key in ("level", "sign", "p", "q") if key not in fp]
+        if missing:
+            raise DomainError(f"fixed point {i} lacks {', '.join(missing)}")
+        sign, p, q = (_integer(fp[key], f"fixed point {i}: {key}") for key in ("sign", "p", "q"))
+        match = fp.get("match")
+        if match is not None:
+            _integer(match, f"fixed point {i}: match")
+        data.append(FixedPointDatum(parse_rational(fp["level"]), sign, p, q, match))
+    bound = obj.get("bound")
+    if bound is not None and _integer(bound, "bound") < 0:
+        raise DomainError(f"bound must be >= 0, got {bound}")
+    tracked = obj.get("tracked_independent", True)
+    if type(tracked) is not bool:
+        raise DomainError(f"tracked_independent must be true or false, got {tracked!r}")
+    options = {
+        "loops": _integer(obj.get("loops", 5), "loops"),
+        "bound": bound,
+        "tracked_independent": tracked,
+    }
+    for key in ("eps", "base", "delta"):
+        options[key] = parse_rational(obj[key]) if key in obj else None
+    return data, options
 
 
 def cmd_simulate(args) -> int:
     raw = sys.stdin.read() if args.input == "-" else open(args.input).read()
-    obj = _parse_simulation_input(raw)
-    data = [
-        FixedPointDatum(
-            parse_rational(fp["level"]),
-            int(fp["sign"]),
-            int(fp["p"]),
-            int(fp["q"]),
-            fp.get("match"),
-        )
-        for fp in obj["fixed_points"]
-    ]
+    data, options = _parse_simulation_input(raw)
     report = validate(data)
     if not report.ok:
         _emit_json({"errors": list(report.errors)}, args.out)
         return 2
+    eps = options.pop("eps")
     payload = {}
-    if data:
-        eps = parse_rational(obj["eps"]) if "eps" in obj else None
-        if eps is not None:
-            payload["cover"] = build_cover(data, eps).to_json()
-    result = run_loop(
-        data,
-        loops=int(obj.get("loops", 5)),
-        bound=obj.get("bound"),
-        base=parse_rational(obj["base"]) if "base" in obj else None,
-        delta=parse_rational(obj["delta"]) if "delta" in obj else None,
-        tracked_independent=bool(obj.get("tracked_independent", True)),
-    )
+    if data and eps is not None:
+        payload["cover"] = build_cover(data, eps).to_json()
+    result = run_loop(data, **options)
     payload.update(result.to_json())
     _emit_json(payload, args.out)
     return 0

@@ -1,10 +1,19 @@
 """Intersection lattices of labeled sphere classes, with exact signature.
 
 A lattice is a finite ordered basis of labeled classes, a symmetric integer
-pairing matrix and an integer c1 label per class.  Embedded-sphere classes
-obey the adjunction rule ``c1 = 2 + self-intersection``, so a (-1)-class with
-c1 = 1 is an exceptional class and an element of a resolution chain has
+pairing and an integer c1 label per class.  Embedded-sphere classes obey the
+adjunction rule ``c1 = 2 + self-intersection``, so a (-1)-class with c1 = 1
+is an exceptional class and an element of a resolution chain has
 ``c1 = 2 - a`` for self-intersection ``-a``.
+
+Every lattice the package builds is a plumbing graph: a resolution chain,
+E~ joined to two chains, a direct sum of those, and their blowups and
+blowdowns.  Such a form has a few nonzero entries per class, so it is stored
+sparse: the labels in basis order, a self-intersection and a c1 per label,
+and an edge map holding only the nonzero pairings of distinct classes.
+Blowups, blowdowns and sums touch only the classes they change and are
+symmetric by construction; the dense ``pairing`` matrix is a read-only view
+built on demand, for JSON output and for callers that want rows.
 
 Operations never mutate: each returns a fresh lattice value, so values can be
 shared freely across threads.
@@ -12,85 +21,191 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import compress
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, StructureError
 
 
-@dataclass(frozen=True)
 class IntersectionLattice:
-    classes: tuple[str, ...]
-    pairing: tuple[tuple[int, ...], ...]
-    c1: tuple[int, ...]
+    """Labeled classes with a symmetric integer pairing and c1 labels.
 
-    def __post_init__(self):
-        n = len(self.classes)
-        if len(set(self.classes)) != n:
+    ``IntersectionLattice(classes, pairing, c1)`` reads a dense square
+    pairing matrix and checks it: distinct labels, a square shape, one c1 per
+    class and symmetry.  It is the entry point for outside input
+    (``from_json``, tests).  The functions of this module build the sparse
+    store directly and skip the O(n^2) checks, which hold by construction.
+
+    The store is ``classes`` (basis order), a self-intersection and a c1 per
+    label, and an edge map ``label -> {neighbour: pairing}`` with nonzero
+    entries only, each edge kept under both ends.  ``pair``,
+    ``self_intersection``, ``c1_of`` and ``neighbours`` are dict lookups.
+    ``pairing`` and ``c1`` are tuple views in basis order, each built at most
+    once per lattice.  Lattices are immutable values: two are equal when
+    their classes, in order, their pairings and their c1 labels agree.
+    """
+
+    __slots__ = ("_classes", "_self", "_c1", "_edges", "_index", "_pairing", "_c1_view")
+
+    def __init__(self, classes, pairing, c1):
+        classes = tuple(classes)
+        n = len(classes)
+        if len(set(classes)) != n:
             raise DomainError("class labels must be distinct")
-        if len(self.pairing) != n or any(len(row) != n for row in self.pairing):
+        if len(pairing) != n or any(len(row) != n for row in pairing):
             raise DomainError("pairing matrix shape does not match class count")
-        if len(self.c1) != n:
+        if len(c1) != n:
             raise DomainError("c1 labels do not match class count")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.pairing[i][j] != self.pairing[j][i]:
-                    raise DomainError(f"pairing not symmetric at ({i}, {j})")
+        rows = tuple(tuple(row) for row in pairing)
+        if rows != tuple(zip(*rows)):
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                        if rows[i][j] != rows[j][i])
+            raise DomainError(f"pairing not symmetric at ({i}, {j})")
+        self._init(
+            classes,
+            {l: rows[i][i] for i, l in enumerate(classes)},
+            dict(zip(classes, c1)),
+            {l: {classes[j]: rows[i][j] for j in compress(range(n), rows[i]) if j != i}
+             for i, l in enumerate(classes)},
+        )
+        self._pairing = rows
+        self._c1_view = tuple(c1)
+
+    def _init(self, classes, self_, c1, edges) -> None:
+        self._classes = classes
+        self._self = self_
+        self._c1 = c1
+        self._edges = edges
+        self._index = self._pairing = self._c1_view = None
+
+    @classmethod
+    def _sparse(cls, classes, self_, c1, edges) -> "IntersectionLattice":
+        """A lattice from a sparse store that is symmetric by construction."""
+        lat = cls.__new__(cls)
+        lat._init(classes, self_, c1, edges)
+        return lat
+
+    # -- value semantics ----------------------------------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, IntersectionLattice):
+            return NotImplemented
+        return (self._classes == other._classes and self._self == other._self
+                and self._c1 == other._c1 and self._edges == other._edges)
+
+    def __hash__(self) -> int:
+        return hash(self._classes)
+
+    def __repr__(self) -> str:
+        return (f"IntersectionLattice(classes={self._classes!r}, "
+                f"pairing={self.pairing!r}, c1={self.c1!r})")
 
     # -- basic queries ----------------------------------------------------
 
+    @property
+    def classes(self) -> tuple[str, ...]:
+        return self._classes
+
+    @property
+    def pairing(self) -> tuple[tuple[int, ...], ...]:
+        """The dense pairing matrix in basis order (built on first use)."""
+        if self._pairing is None:
+            n = len(self._classes)
+            pos = self._positions()
+            rows = []
+            for i, l in enumerate(self._classes):
+                row = [0] * n
+                row[i] = self._self[l]
+                for m, v in self._edges[l].items():
+                    row[pos[m]] = v
+                rows.append(tuple(row))
+            self._pairing = tuple(rows)
+        return self._pairing
+
+    @property
+    def c1(self) -> tuple[int, ...]:
+        """The c1 labels in basis order (built on first use)."""
+        if self._c1_view is None:
+            self._c1_view = tuple(map(self._c1.__getitem__, self._classes))
+        return self._c1_view
+
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self._classes)
+
+    def _positions(self) -> dict[str, int]:
+        if self._index is None:
+            self._index = {l: i for i, l in enumerate(self._classes)}
+        return self._index
 
     def index(self, label: str) -> int:
         try:
-            return self.classes.index(label)
-        except ValueError:
+            return self._positions()[label]
+        except KeyError:
             raise DomainError(f"no class labeled {label!r}") from None
 
+    def _check(self, label: str) -> None:
+        if label not in self._self:
+            raise DomainError(f"no class labeled {label!r}")
+
+    def neighbours(self, label: str) -> Mapping[str, int]:
+        """The classes meeting ``label``, with their nonzero pairings."""
+        self._check(label)
+        return MappingProxyType(self._edges[label])
+
     def pair(self, a: str, b: str) -> int:
-        return self.pairing[self.index(a)][self.index(b)]
+        self._check(a)
+        self._check(b)
+        return self._self[a] if a == b else self._edges[a].get(b, 0)
 
     def self_intersection(self, label: str) -> int:
-        i = self.index(label)
-        return self.pairing[i][i]
+        self._check(label)
+        return self._self[label]
 
     def c1_of(self, label: str) -> int:
-        return self.c1[self.index(label)]
+        self._check(label)
+        return self._c1[label]
 
     def is_exceptional(self, label: str) -> bool:
         """A (-1)-sphere class: self-intersection -1 and c1 = 1."""
-        i = self.index(label)
-        return self.pairing[i][i] == -1 and self.c1[i] == 1
+        return self.self_intersection(label) == -1 and self._c1[label] == 1
 
     def exceptional_classes(self) -> tuple[str, ...]:
-        return tuple(l for l in self.classes if self.is_exceptional(l))
+        return tuple(l for l in self._classes if self._self[l] == -1 and self._c1[l] == 1)
 
     # -- construction helpers ---------------------------------------------
 
     def direct_sum(self, other: "IntersectionLattice") -> "IntersectionLattice":
-        n, m = len(self), len(other)
-        classes = self.classes + other.classes
-        rows = [list(r) + [0] * m for r in self.pairing]
-        rows += [[0] * n + list(r) for r in other.pairing]
-        return IntersectionLattice(classes, tuple(tuple(r) for r in rows), self.c1 + other.c1)
+        if not self._self.keys().isdisjoint(other._self):
+            raise DomainError("class labels must be distinct")
+        return IntersectionLattice._sparse(
+            self._classes + other._classes,
+            {**self._self, **other._self},
+            {**self._c1, **other._c1},
+            {**self._edges, **other._edges},
+        )
 
     def without(self, labels: Iterable[str]) -> "IntersectionLattice":
-        drop = {self.index(l) for l in labels}
-        keep = [i for i in range(len(self)) if i not in drop]
-        return IntersectionLattice(
-            tuple(self.classes[i] for i in keep),
-            tuple(tuple(self.pairing[i][j] for j in keep) for i in keep),
-            tuple(self.c1[i] for i in keep),
+        drop = set(labels)
+        for l in drop:
+            self._check(l)
+        keep = tuple(l for l in self._classes if l not in drop)
+        return IntersectionLattice._sparse(
+            keep,
+            {l: self._self[l] for l in keep},
+            {l: self._c1[l] for l in keep},
+            {l: {m: v for m, v in self._edges[l].items() if m not in drop} for l in keep},
         )
 
     # -- JSON --------------------------------------------------------------
 
     def to_json(self) -> dict:
         return {
-            "classes": list(self.classes),
+            "classes": list(self._classes),
             "pairing": [list(r) for r in self.pairing],
             "c1": list(self.c1),
         }
@@ -100,8 +215,8 @@ class IntersectionLattice:
         """Read ``{"pairing": [[...]], "classes": [...], "c1": [...]}``.
 
         ``classes`` and ``c1`` are optional.  Malformed JSON, a non-square
-        pairing and entries that are not integers (floats, booleans) raise
-        DomainError.
+        pairing, entries that are not integers (floats, booleans) and class
+        labels that are not strings raise DomainError.
         """
         if isinstance(obj, str):
             try:
@@ -115,6 +230,8 @@ class IntersectionLattice:
         if any(len(row) != n for row in rows):
             raise DomainError("pairing matrix must be square")
         classes = obj.get("classes") or [f"C{i + 1}" for i in range(n)]
+        if not isinstance(classes, list) or any(type(l) is not str for l in classes):
+            raise DomainError(f"classes must be a list of strings, got {classes!r}")
         c1 = obj.get("c1")
         if c1 is None:
             # adjunction default for sphere classes
@@ -129,7 +246,7 @@ def _integers(values, what: str) -> tuple[int, ...]:
 
 
 def empty_lattice() -> IntersectionLattice:
-    return IntersectionLattice((), (), ())
+    return IntersectionLattice._sparse((), {}, {}, {})
 
 
 def add_class(
@@ -141,20 +258,21 @@ def add_class(
 ) -> IntersectionLattice:
     """Adjoin one labeled class with prescribed pairings (default c1 by
     adjunction).  Useful for synthetic configurations in tests and models."""
-    if label in lat.classes:
+    if label in lat._self:
         raise DomainError(f"label {label!r} already present")
     pairings = pairings or {}
-    n = len(lat)
-    cross = [0] * n
-    for other, v in pairings.items():
-        cross[lat.index(other)] = v
-    rows = [list(r) + [cross[i]] for i, r in enumerate(lat.pairing)]
-    rows.append(cross + [self_intersection])
-    c1v = (2 + self_intersection) if c1 is None else c1
-    return IntersectionLattice(
-        lat.classes + (label,),
-        tuple(tuple(r) for r in rows),
-        lat.c1 + (c1v,),
+    for other in pairings:
+        lat._check(other)
+    row = {other: v for other, v in pairings.items() if v}
+    edges = dict(lat._edges)
+    for other, v in row.items():
+        edges[other] = {**edges[other], label: v}
+    edges[label] = row
+    return IntersectionLattice._sparse(
+        lat._classes + (label,),
+        {**lat._self, label: self_intersection},
+        {**lat._c1, label: (2 + self_intersection) if c1 is None else c1},
+        edges,
     )
 
 
@@ -163,17 +281,25 @@ def lattice_from_parts(
     pairs: dict[tuple[str, str], int],
     self_intersections: dict[str, int],
 ) -> IntersectionLattice:
-    """Build a lattice from sparse data; c1 set by adjunction."""
-    idx = {l: i for i, l in enumerate(labels)}
-    n = len(labels)
-    rows = [[0] * n for _ in range(n)]
-    for l, s in self_intersections.items():
-        rows[idx[l]][idx[l]] = s
+    """Build a lattice from sparse data; c1 set by adjunction.  A pair
+    ``(a, a)`` sets the self-intersection of ``a``."""
+    classes = tuple(labels)
+    self_ = dict.fromkeys(classes, 0)
+    if len(self_) != len(classes):
+        raise DomainError("class labels must be distinct")
+    named = {l for pair in pairs for l in pair} | self_intersections.keys()
+    if not named <= self_.keys():
+        raise DomainError(f"no class labeled {next(iter(named - self_.keys()))!r}")
+    self_.update(self_intersections)
+    edges: dict[str, dict[str, int]] = {l: {} for l in classes}
     for (a, b), v in pairs.items():
-        rows[idx[a]][idx[b]] = v
-        rows[idx[b]][idx[a]] = v
-    c1 = tuple(2 + rows[i][i] for i in range(n))
-    return IntersectionLattice(tuple(labels), tuple(tuple(r) for r in rows), c1)
+        if a == b:
+            self_[a] = v
+        elif v:
+            edges[a][b] = edges[b][a] = v
+    return IntersectionLattice._sparse(
+        classes, self_, {l: 2 + s for l, s in self_.items()}, edges
+    )
 
 
 # -- signature --------------------------------------------------------------
@@ -182,56 +308,97 @@ def lattice_from_parts(
 def signature(form) -> tuple[int, int, int]:
     """Counts ``(b_plus, b_minus, b_zero)`` of a symmetric form.
 
-    Computed by symmetric (congruence) diagonalization over exact rationals:
-    pick a nonzero diagonal pivot, or repair a zero diagonal with a hyperbolic
-    row+column addition, and clear the pivot row/column.  The cost is
-    Theta(n^2) even for chain forms: a dense Fraction copy of the matrix,
-    then a scan of every column at each pivot (only nonzero entries are
-    updated).  The triple is a congruence invariant, hence independent of
-    basis.
+    ``form`` is a lattice, or a list of rows of integers or Fractions read
+    through the public constructor (so its shape and symmetry are checked).
+    Computed by symmetric (congruence) elimination over exact rationals on
+    the sparse form, always at a class of least remaining degree: a nonzero
+    diagonal entry is a 1x1 pivot; a zero one whose class meets another is
+    a 2x2 hyperbolic pivot with that class (determinant -m^2 < 0, so one
+    plus and one minus); a class meeting nothing counts by the sign of its
+    diagonal.  A pivot of degree k updates O(k^2) entries.  On a forest,
+    every plumbing graph included, each pivot is a leaf or an isolated class,
+    so nothing fills in and a lattice costs O(n log n) (on a chain this is
+    the continued fraction).  A list of rows is first read in Theta(n^2).
+    The triple is a congruence invariant, hence independent of basis.
     """
-    if isinstance(form, IntersectionLattice):
-        rows = form.pairing
-    else:
-        rows = form
-    n = len(rows)
-    M = [[Fraction(x) for x in row] for row in rows]
+    if not isinstance(form, IntersectionLattice):
+        form = IntersectionLattice(range(len(form)), form, [0] * len(form))
+    diag = dict(form._self)
+    edges = {l: dict(row) for l, row in form._edges.items()}
     b_plus = b_minus = b_zero = 0
-    for i in range(n):
-        if M[i][i] == 0:
-            j = next((j for j in range(i + 1, n) if M[j][j] != 0 and M[i][j] != 0), None)
-            if j is None:
-                j = next((j for j in range(i + 1, n) if M[j][j] != 0), None)
-            if j is not None:
-                for l in range(i, n):  # swap basis vectors i and j
-                    M[i][l], M[j][l] = M[j][l], M[i][l]
-                for l in range(i, n):
-                    M[l][i], M[l][j] = M[l][j], M[l][i]
-            else:
-                j = next((j for j in range(i + 1, n) if M[i][j] != 0), None)
-                if j is None:
-                    b_zero += 1
-                    continue
-                # all trailing diagonal entries are 0: basis_i += basis_j
-                # turns the hyperbolic pair into a usable pivot 2*M[i][j]
-                for l in range(i, n):
-                    M[i][l] += M[j][l]
-                for l in range(i, n):
-                    M[l][i] += M[l][j]
-        d = M[i][i]
-        if d > 0:
-            b_plus += 1
+    rank = {v: k for k, v in enumerate(diag)}  # tie-break: basis order
+    heap = [(len(row), rank[v], v) for v, row in edges.items()]
+    heapq.heapify(heap)
+
+    def add(i, j, x):  # M[i][j] += x
+        if i == j:
+            diag[i] += x
         else:
+            _add(edges[i], j, x)
+            _add(edges[j], i, x)
+
+    while heap:
+        deg, _, v = heapq.heappop(heap)
+        if v not in diag or len(edges[v]) != deg:
+            continue  # a stale entry: v is gone or its degree changed
+        d = diag.pop(v)
+        a = edges.pop(v)
+        for k in a:
+            del edges[k][v]
+        if not a:
+            if d > 0:
+                b_plus += 1
+            elif d < 0:
+                b_minus += 1
+            else:
+                b_zero += 1
+            continue
+        if d:
+            # M[k][l] -= a_k a_l / d over the neighbours of v
+            if d > 0:
+                b_plus += 1
+            else:
+                b_minus += 1
+            d = Fraction(d)
+            items = list(a.items())
+            for idx, (k, ak) in enumerate(items):
+                f = ak / d
+                for l, al in items[idx:]:
+                    add(k, l, -f * al)
+            touched = a
+        else:
+            # pivot on the block [[0, m], [m, dw]] of v and a neighbour w;
+            # its Schur complement subtracts (a c~^T + c~ a^T) / m, where a
+            # and c are the columns of v and w and c~ = c - dw/(2m) a, so
+            # nothing changes when v is a leaf
+            b_plus += 1
             b_minus += 1
-        cols = [j for j in range(i + 1, n) if M[i][j] != 0]
-        for a, j in enumerate(cols):
-            fj = M[i][j]
-            for l in cols[a:]:
-                delta = fj * M[i][l] / d
-                M[j][l] -= delta
-                if l != j:
-                    M[l][j] = M[j][l]
+            w = min(a, key=lambda u: (len(edges[u]), rank[u]))
+            m = Fraction(a.pop(w))
+            c = edges.pop(w)
+            for k in c:
+                del edges[k][w]
+            t = diag.pop(w) / (2 * m)
+            ct = dict(c)
+            for k, ak in a.items():
+                ct[k] = ct.get(k, 0) - t * ak
+            for k, ak in a.items():
+                for l, cl in ct.items():
+                    x = ak * cl / m
+                    add(k, l, -2 * x if k == l else -x)
+            touched = ct
+        for k in touched:
+            heapq.heappush(heap, (len(edges[k]), rank[k], k))
     return (b_plus, b_minus, b_zero)
+
+
+def _add(row: dict, key, x) -> None:
+    """``row[key] += x`` in an edge-map row, which holds nonzero entries only."""
+    v = row.get(key, 0) + x
+    if v:
+        row[key] = v
+    else:
+        row.pop(key, None)
 
 
 # -- blowups / blowdowns -----------------------------------------------------
@@ -245,12 +412,10 @@ def blow_up(lat: IntersectionLattice, label: str | None = None) -> IntersectionL
     """
     if label is None:
         k = 1
-        while f"E{k}" in lat.classes:
+        while f"E{k}" in lat._self:
             k += 1
         label = f"E{k}"
-    if label in lat.classes:
-        raise DomainError(f"label {label!r} already present")
-    return lat.direct_sum(IntersectionLattice((label,), ((-1,),), (1,)))
+    return blow_up_at(lat, (), label)
 
 
 def blow_down(lat: IntersectionLattice, label: str) -> IntersectionLattice:
@@ -260,20 +425,31 @@ def blow_down(lat: IntersectionLattice, label: str) -> IntersectionLattice:
     downstairs is C + m*e: self-intersection grows by m^2, c1 by m, and the
     pairing of survivors C, D grows by (C.e)(D.e).  This is the unique rule
     making contraction inverse to blowing up a transverse configuration.
+    Only e's neighbours change, so the cost beyond copying the store is
+    O(deg(e)^2).
     """
-    i = lat.index(label)
-    if lat.pairing[i][i] != -1 or lat.c1[i] != 1:
+    s, c = lat.self_intersection(label), lat.c1_of(label)
+    if s != -1 or c != 1:
         raise DomainError(
             f"cannot contract {label!r}: needs self-intersection -1 and c1 = 1, "
-            f"has {lat.pairing[i][i]} and c1 = {lat.c1[i]}"
+            f"has {s} and c1 = {c}"
         )
-    keep = [j for j in range(len(lat)) if j != i]
-    m = [lat.pairing[j][i] for j in range(len(lat))]
-    rows = tuple(
-        tuple(lat.pairing[j][l] + m[j] * m[l] for l in keep) for j in keep
+    i = lat._classes.index(label)
+    self_, c1, edges = dict(lat._self), dict(lat._c1), dict(lat._edges)
+    del self_[label], c1[label]
+    m = edges.pop(label)
+    for a, ma in m.items():
+        self_[a] += ma * ma
+        c1[a] += ma
+        row = dict(edges[a])
+        del row[label]
+        for b, mb in m.items():
+            if b != a:
+                _add(row, b, ma * mb)
+        edges[a] = row
+    return IntersectionLattice._sparse(
+        lat._classes[:i] + lat._classes[i + 1:], self_, c1, edges
     )
-    c1 = tuple(lat.c1[j] + m[j] for j in keep)
-    return IntersectionLattice(tuple(lat.classes[j] for j in keep), rows, c1)
 
 
 def blow_up_at(
@@ -284,29 +460,27 @@ def blow_up_at(
     Inverse of :func:`blow_down` for this configuration: the new class e has
     e^2 = -1 and c1 = 1, each touched class C is replaced by its proper
     transform C - e (self-intersection and c1 drop by 1, C.e = 1), and two
-    touched classes through the point lose one mutual intersection.
+    touched classes through the point lose one mutual intersection.  The
+    cost beyond copying the store is O(len(touched)^2).
     """
-    if label in lat.classes:
+    if label in lat._self:
         raise DomainError(f"label {label!r} already present")
-    n = len(lat)
-    idx = [lat.index(t) for t in touched]
-    if len(set(idx)) != len(idx):
+    for t in touched:
+        lat._check(t)
+    if len(set(touched)) != len(touched):
         raise DomainError("touched classes must be distinct")
-    rows = [list(r) + [0] for r in lat.pairing]
-    rows.append([0] * n + [-1])
-    c1 = list(lat.c1) + [1]
-    for a in idx:
-        rows[a][a] -= 1
-        rows[a][n] = rows[n][a] = 1
-        c1[a] -= 1
-    for x in range(len(idx)):
-        for y in range(x + 1, len(idx)):
-            a, b = idx[x], idx[y]
-            rows[a][b] -= 1
-            rows[b][a] -= 1
-    return IntersectionLattice(
-        lat.classes + (label,), tuple(tuple(r) for r in rows), tuple(c1)
-    )
+    self_, c1, edges = dict(lat._self), dict(lat._c1), dict(lat._edges)
+    for t in touched:
+        self_[t] -= 1
+        c1[t] -= 1
+        row = dict(edges[t])
+        for u in touched:
+            if u != t:
+                _add(row, u, -1)
+        row[label] = 1
+        edges[t] = row
+    self_[label], c1[label], edges[label] = -1, 1, dict.fromkeys(touched, 1)
+    return IntersectionLattice._sparse(lat._classes + (label,), self_, c1, edges)
 
 
 # -- b2+ = 1 criteria --------------------------------------------------------

@@ -8,10 +8,10 @@ from .errors import DomainError
 
 
 def parse_rational(value) -> Fraction:
-    """Accepts int, Fraction, or an exact string like "3", "-7/2"."""
+    """Accepts int (not bool), Fraction, or an exact string like "3", "-7/2"."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -278,3 +279,19 @@ def test_replay_contracts_back_to_empty_in_reverse_cut_order():
         assert lat.self_intersection(label) == -1
         lat = blow_down(lat, label)
     assert len(lat) == 0
+
+
+def test_thousand_class_replay_stays_fast():
+    """A 1000-cut replay, its signature and its blowdown within 3 s in total.
+
+    Each blowup and blowdown touches only its neighbours and copies the
+    sparse store once, and the signature pivots leaf first, so the three
+    take well under a second; a store that rebuilds or rescans an n x n
+    matrix per step makes them cubic, about a minute.
+    """
+    t0 = time.perf_counter()
+    assert cross_check(1000, 1)
+    cfg = fulton_config(1000, 1)
+    assert signature(cfg.lattice()) == (0, 1000, 0)
+    assert len(weighted_blowdown(cfg.lattice(), cfg)) == 0
+    assert time.perf_counter() - t0 < 3.0

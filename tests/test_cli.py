@@ -4,6 +4,8 @@ import json
 import pytest
 
 from hjtoric.cli import main
+from hjtoric.errors import DomainError
+from hjtoric.rationals import parse_rational
 
 
 def run_cli(capsys, *argv):
@@ -108,7 +110,9 @@ class TestSignature:
         '{"pairing": [[-2]], "c1": [0.5]}',
         '{"pairing": [[0,1],[1,0]]',
         '{"pairing": [[0,1],[1]]}',
-    ], ids=["float", "bool", "float-c1", "truncated-json", "ragged"])
+        '{"pairing": [[0]], "classes": [["A"]]}',
+        '{"pairing": [[0]], "classes": "A"}',
+    ], ids=["float", "bool", "float-c1", "truncated-json", "ragged", "list-label", "str-classes"])
     def test_malformed_lattice_exits_2(self, capsys, monkeypatch, text):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert run_cli(capsys, "signature", "-") == (2, "")
@@ -168,6 +172,78 @@ class TestSimulate:
         code, _ = run_cli(capsys, "simulate", str(f), "--out", str(out))
         assert code == 0
         assert json.loads(out.read_text())["verdict"] == "HAMILTONIAN"
+
+
+def _two_points(**extra):
+    obj = {
+        "fixed_points": [
+            {"level": "0", "sign": 1, "p": 2, "q": 1},
+            {"level": "1/2", "sign": -1, "p": 2, "q": 1},
+        ],
+        "loops": 5,
+        "bound": 3,
+    }
+    obj.update(extra)
+    return obj
+
+
+def _point_with(**fields):
+    obj = _two_points()
+    obj["fixed_points"][0].update(fields)
+    return obj
+
+
+def _point_without(key):
+    obj = _two_points()
+    del obj["fixed_points"][0][key]
+    return obj
+
+
+@pytest.mark.parametrize("obj", [
+    {"fixed_points": {"level": "0"}},
+    {"fixed_points": [1, 2]},
+    _point_without("level"),
+    _point_without("sign"),
+    _point_without("p"),
+    _point_without("q"),
+    _point_with(p=2.7),
+    _point_with(q=True),
+    _point_with(sign="1"),
+    _point_with(level=False),
+    dict(_two_points(), fixed_points=[
+        {"level": "0", "sign": 1, "p": 2, "q": 1, "match": "1"},
+        {"level": "1/2", "sign": -1, "p": 2, "q": 1, "match": "0"},
+    ]),
+    _two_points(loops=True),
+    _two_points(loops=2.0),
+    _two_points(bound="3"),
+    _two_points(bound=False),
+    _two_points(bound=-1),
+    _two_points(tracked_independent="false"),
+    _two_points(eps=True),
+    _two_points(base=True),
+], ids=[
+    "fixed-points-not-list", "fixed-point-not-object", "no-level", "no-sign",
+    "no-p", "no-q", "float-p", "bool-q", "str-sign", "bool-level", "str-match",
+    "bool-loops", "float-loops", "str-bound", "bool-bound", "negative-bound",
+    "str-tracked", "bool-eps", "bool-base",
+])
+def test_malformed_simulation_exits_2(capsys, monkeypatch, obj):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj)))
+    assert run_cli(capsys, "simulate", "-") == (2, "")
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_parse_rational_rejects_bool(value):
+    with pytest.raises(DomainError):
+        parse_rational(value)
+
+
+def test_bound_zero_and_null_are_accepted(capsys, monkeypatch):
+    for bound in (0, None):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_two_points(bound=bound))))
+        code, obj = run_json(capsys, "simulate", "-")
+        assert code == 0 and obj["verdict"] == "HAMILTONIAN"
 
 
 class TestHj:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense
 from hjtoric.blowup import fulton_config
 from hjtoric.errors import DomainError
 from hjtoric.homology import (
@@ -230,3 +231,106 @@ class TestCriteria:
         assert replay.pair_self_intersections == (-1, -1)
         assert replay.c1_sum == 2
         assert "Zp3" not in replay.contractions
+
+
+# -- the sparse routines against the dense oracles in tests/dense.py ----------
+
+
+@st.composite
+def symmetric_forms(draw, max_n=9):
+    """Small symmetric integer forms: sparse or dense, sometimes with an
+    all-zero diagonal, hyperbolic blocks, or classes that are sums of others
+    (corank > 0), in shuffled basis order."""
+    n = draw(st.integers(0, max_n))
+    entry = st.sampled_from(draw(st.sampled_from([(0, 0, 0, 1), (0, 1, -1, 2, -2)])))
+    zero_diag = draw(st.booleans())
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 0 if zero_diag else draw(st.integers(-3, 3))
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(entry)
+    for _ in range(draw(st.integers(0, 2))):
+        k = len(rows)
+        if draw(st.booleans()):  # a hyperbolic block
+            for row in rows:
+                row += [0, 0]
+            rows += [[0] * k + [0, 1], [0] * k + [1, 0]]
+        elif k >= 2:  # basis_a + basis_b, a dependent class
+            a, b = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+            new = [rows[a][l] + rows[b][l] for l in range(k)]
+            for row, x in zip(rows, new):
+                row.append(x)
+            rows.append(new + [new[a] + new[b]])
+    perm = draw(st.permutations(range(len(rows))))
+    return [[rows[i][j] for j in perm] for i in perm]
+
+
+def as_lattice(rows, prefix="C"):
+    n = len(rows)
+    return IntersectionLattice(
+        tuple(f"{prefix}{i}" for i in range(n)),
+        tuple(tuple(r) for r in rows),
+        tuple(2 + rows[i][i] for i in range(n)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_forms())
+def test_signature_matches_dense_oracle(rows):
+    expected = dense.signature(rows)
+    assert signature(rows) == expected
+    assert signature(as_lattice(rows)) == expected
+    assert sum(expected) == len(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_forms(max_n=7), st.data())
+def test_blow_up_at_matches_dense_oracle(rows, data):
+    lat = as_lattice(rows)
+    touched = data.draw(st.lists(st.sampled_from(lat.classes), unique=True)) if rows else []
+    up = blow_up_at(lat, touched, "E")
+    assert up.to_json() == dense.blow_up_at(lat, touched, "E").to_json()
+    assert up == dense.blow_up_at(lat, touched, "E")
+    assert blow_down(up, "E") == lat
+    b_plus, b_minus, b_zero = signature(lat)
+    assert signature(up) == (b_plus, b_minus + 1, b_zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_forms(max_n=7), st.data())
+def test_blow_down_matches_dense_oracle(rows, data):
+    if not rows:
+        return
+    k = data.draw(st.integers(0, len(rows) - 1))
+    rows[k][k] = -1
+    lat = as_lattice(rows)
+    label = lat.classes[k]
+    assert lat.is_exceptional(label)
+    down = blow_down(lat, label)
+    assert down.to_json() == dense.blow_down(lat, label).to_json()
+    assert down == dense.blow_down(lat, label)
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_forms(max_n=6), symmetric_forms(max_n=6))
+def test_direct_sum_matches_dense_oracle(rows_a, rows_b):
+    a, b = as_lattice(rows_a, "A"), as_lattice(rows_b, "B")
+    assert a.direct_sum(b).to_json() == dense.direct_sum(a, b).to_json()
+    assert a.direct_sum(b) == dense.direct_sum(a, b)
+
+
+def test_constructor_checks_and_views():
+    lat = IntersectionLattice(["A", "B"], [[0, 1], [1, -2]], [2, 0])
+    assert lat.classes == ("A", "B") and lat.pairing == ((0, 1), (1, -2)) and lat.c1 == (2, 0)
+    assert dict(lat.neighbours("A")) == {"B": 1} and dict(lat.neighbours("B")) == {"A": 1}
+    assert lat == lattice_from_parts(["A", "B"], {("A", "B"): 1}, {"A": 0, "B": -2})
+    for classes, pairing, c1 in [
+        (("A", "A"), ((0, 0), (0, 0)), (2, 2)),
+        (("A", "B"), ((0, 0),), (2, 2)),
+        (("A", "B"), ((0, 0), (0, 0)), (2,)),
+        (("A", "B"), ((0, 1), (2, 0)), (2, 2)),
+    ]:
+        with pytest.raises(DomainError):
+            IntersectionLattice(classes, pairing, c1)
+    with pytest.raises(AttributeError):
+        lat.classes = ("X", "Y")
