@@ -25,6 +25,10 @@ with b2+ > 1 could carry exceptional classes (the bound B), the premise
 With ``tracked_independent=False`` the tracked class is the dynamic
 instance itself instead; it then dies at its matched level and the run
 reports TRACKED_CLASS_DESTROYED.
+
+Configurations never interact, so the state is the set of live instances,
+each with its own small lattice, and the bookkeeping lattice is their direct
+sum, assembled only for output: a crossing costs the same at any loop count.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
 
 from .blowup import BlowupConfig, _require_weights, fulton_config, weighted_blowdown
 from .errors import DomainError, StructureError
@@ -262,19 +267,17 @@ class TrackedClassDestroyed(Exception):
 
 
 @dataclass(frozen=True)
-class AreaTrack:
-    kind: str  # "tent" | "ray" | "const"
-    start: Fraction
-    end: Fraction | None
-    rate_pq: int = 1
-    value: Fraction = Fraction(0)
-
-
-@dataclass(frozen=True)
 class Instance:
+    """A live blowup configuration with its own resolved lattice.
+
+    ``dies_at`` is the cumulative coordinate of its matched blowdown, or
+    None for the transported tracked copy, which no blowdown touches.
+    """
+
     uid: str
     pair: int
     config: BlowupConfig
+    lattice: IntersectionLattice
     created_at: Fraction
     dies_at: Fraction | None
     tracked: bool = False
@@ -282,12 +285,14 @@ class Instance:
 
 @dataclass(frozen=True)
 class ReducedSpaceState:
-    """The evolving bookkeeping state: lattice, orbifold books and areas.
+    """The evolving bookkeeping state: the live blowup instances.
 
+    ``lattice`` (their direct sum in install order) and ``books`` (their
+    orbifold points) are derived on demand.  ``pair_of`` and ``arcs``, built
+    once per run, map each datum to its pair and each pair to its life arc.
     ``position`` is a cumulative counterclockwise coordinate (it increases
     by 1 per loop; its value mod 1 is the circle level).  Transition
-    functions return fresh states; the dict of area records is shared
-    structurally but never mutated.
+    functions return fresh states.
     """
 
     data: tuple[FixedPointDatum, ...]
@@ -295,11 +300,26 @@ class ReducedSpaceState:
     base: Fraction
     position: Fraction
     delta: Fraction
-    lattice: IntersectionLattice
+    pair_of: dict[FixedPointDatum, int] = field(repr=False, compare=False)
+    arcs: tuple[Fraction, ...] = field(repr=False, compare=False)
     instances: tuple[Instance, ...] = ()
-    books: tuple[tuple[str, CyclicSingularity], ...] = ()
-    areas: dict = field(default_factory=dict)
     counter: int = 0
+
+    @property
+    def lattice(self) -> IntersectionLattice:
+        return reduce(IntersectionLattice.direct_sum,
+                      (inst.lattice for inst in self.instances), empty_lattice())
+
+    @property
+    def books(self) -> tuple[tuple[str, CyclicSingularity], ...]:
+        """(uid, point) for the order-p and order-q points of each live
+        instance; a point of order 1 is smooth and absent."""
+        books = []
+        for inst in self.instances:
+            p, q = inst.config.p, inst.config.q
+            books += [(inst.uid, CyclicSingularity(n, 1, (n - m) % n))
+                      for n, m in ((p, q), (q, p)) if n > 1]
+        return tuple(books)
 
     def at(self, position: Fraction) -> "ReducedSpaceState":
         if position < self.position:
@@ -332,43 +352,14 @@ def default_delta(data) -> Fraction:
     return min_gap / 1000
 
 
-def _pair_arc(data, pair: tuple[int, int]) -> Fraction:
-    plus, minus = pair
-    return arc_distance(data[plus].level, data[minus].level)
-
-
 def _install(state: ReducedSpaceState, pair_idx: int, created_at: Fraction,
              dies_at: Fraction | None, uid: str, tracked: bool) -> ReducedSpaceState:
     plus, _ = state.pairs[pair_idx]
-    d = state.data[plus]
-    p, q = d.weights
-    if dies_at is None:
-        size = Fraction(1)
-    else:
-        size = (dies_at - created_at) / (2 * p * q)  # tent peak area
+    p, q = state.data[plus].weights
+    size = ONE if dies_at is None else (dies_at - created_at) / (2 * p * q)  # tent peak area
     cfg = fulton_config(p, q, size=size, label_prefix=f"{uid}.")
-    lattice = state.lattice.direct_sum(cfg.lattice())
-    books = list(state.books)
-    if p > 1:
-        books.append((uid, CyclicSingularity(p, 1, (p - q) % p)))
-    if q > 1:
-        books.append((uid, CyclicSingularity(q, 1, (q - p) % q)))
-    areas = dict(state.areas)
-    if dies_at is None:
-        areas[cfg.exceptional_label] = AreaTrack("ray", created_at, None, p * q)
-    else:
-        areas[cfg.exceptional_label] = AreaTrack("tent", created_at, dies_at, p * q)
-    for label in cfg.chain_labels:
-        areas[label] = AreaTrack("const", created_at, dies_at, 1, state.delta)
-    inst = Instance(uid, pair_idx, cfg, created_at, dies_at, tracked)
-    return replace(
-        state,
-        lattice=lattice,
-        books=tuple(books),
-        areas=areas,
-        instances=state.instances + (inst,),
-        counter=state.counter + 1,
-    )
+    inst = Instance(uid, pair_idx, cfg, cfg.lattice(), created_at, dies_at, tracked)
+    return replace(state, instances=state.instances + (inst,), counter=state.counter + 1)
 
 
 def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
@@ -390,16 +381,17 @@ def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
     delta = default_delta(data) if delta is None else Fraction(delta)
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta}")
+    pairs = report.pairs
+    arcs = tuple(arc_distance(data[plus].level, data[minus].level) for plus, minus in pairs)
     state = ReducedSpaceState(
-        data=data, pairs=report.pairs, base=base, position=base,
-        delta=delta, lattice=empty_lattice(),
+        data=data, pairs=pairs, base=base, position=base, delta=delta, arcs=arcs,
+        pair_of={data[i]: k for k, pair in enumerate(pairs) for i in pair},
     )
-    for pair_idx, (plus, minus) in enumerate(report.pairs):
+    for pair_idx, (plus, _) in enumerate(pairs):
         back = arc_distance(data[plus].level, base)
-        length = _pair_arc(data, report.pairs[pair_idx])
-        if 0 < back < length:
+        if 0 < back < arcs[pair_idx]:
             state = _install(
-                state, pair_idx, base - back, base - back + length,
+                state, pair_idx, base - back, base - back + arcs[pair_idx],
                 uid=f"B{state.counter + 1}", tracked=False,
             )
     return state
@@ -409,80 +401,72 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum, *,
                 track: str | None = None) -> ReducedSpaceState:
     """Cross one critical level counterclockwise.
 
-    A +1 level installs the resolved (p, q)-weighted blowup: the chain
-    classes and exceptional class enter the lattice, the two new orbifold
-    points (orders p and q, absent when the order is 1) enter the books and
-    the exceptional area starts at zero with slope 1/(p*q).  A -1 level
-    identifies the matched configuration whose exceptional area vanishes at
-    this level and removes it by weighted blowdown.
+    A +1 level installs the resolved (p, q)-weighted blowup as a new
+    instance: its chain classes and exceptional class, whose area starts at
+    zero with slope 1/(p*q), and its two orbifold points (orders p and q,
+    absent when the order is 1).  A -1 level identifies the matched
+    instance whose exceptional area vanishes at this level and removes it
+    by weighted blowdown of its own lattice, which must leave nothing.
 
     ``track`` applies to +1 crossings: "copy" additionally installs the
     transported copy of the new class (an independent summand that no
     blowdown will touch), "mark" flags the dynamic instance itself as the
     tracked one.
     """
-    try:
-        i = state.data.index(datum)
-    except ValueError:
-        raise DomainError("datum is not part of this state's fixed-point data") from None
+    pair_idx = state.pair_of.get(datum)
+    if pair_idx is None:
+        raise DomainError("datum is not part of this state's fixed-point data")
     if arc_distance(datum.level, state.position) != 0:
         raise DomainError(
             f"state position {state.position} is not at level {datum.level}"
         )
     if datum.sign == 1:
-        pair_idx = next((k for k, (plus, _) in enumerate(state.pairs) if plus == i), None)
-        if pair_idx is None:
-            raise StructureError(f"fixed point {i} is not the blowup of any pair")
-        length = _pair_arc(state.data, state.pairs[pair_idx])
         uid = f"B{state.counter + 1}"
         state = _install(state, pair_idx, state.position,
-                         state.position + length, uid,
+                         state.position + state.arcs[pair_idx], uid,
                          tracked=(track == "mark"))
         if track == "copy":
             state = _install(state, pair_idx, state.position, None, "T", tracked=True)
         log.debug("blowup %s at %s: weights %s", uid, state.position, datum.weights)
         return state
-    pair_idx = next((k for k, (_, minus) in enumerate(state.pairs) if minus == i), None)
-    if pair_idx is None:
-        raise StructureError(f"fixed point {i} is not the blowdown of any pair")
-    victims = [inst for inst in state.instances
-               if inst.pair == pair_idx and inst.dies_at == state.position]
-    if not victims:
+    victim = next((inst for inst in state.instances
+                   if inst.pair == pair_idx and inst.dies_at == state.position), None)
+    if victim is None:
         raise StructureError(
             f"model inconsistency: no matched class with vanishing area at "
             f"level {datum.level} (position {state.position})"
         )
-    victim = victims[0]
     if victim.tracked:
         raise TrackedClassDestroyed(victim.uid)
-    lattice = weighted_blowdown(state.lattice, victim.config)
-    books = tuple(b for b in state.books if b[0] != victim.uid)
-    instances = tuple(inst for inst in state.instances if inst.uid != victim.uid)
+    left = weighted_blowdown(victim.lattice, victim.config)
+    if len(left):
+        raise StructureError(f"blowdown of {victim.uid} left classes {left.classes}")
     log.debug("blowdown %s at %s", victim.uid, state.position)
-    return replace(state, lattice=lattice, books=books, instances=instances)
+    return replace(state, instances=tuple(inst for inst in state.instances if inst is not victim))
 
 
 def area(state: ReducedSpaceState, label: str, lam: Fraction) -> Fraction:
-    """Exact area of a class at cumulative coordinate lam.
+    """Exact area of a live class at cumulative coordinate lam.
 
     Exceptional classes of matched configurations follow the tent over
     their life arc (slope +1/(p*q) from creation, -1/(p*q) into the matched
     blowdown); the transported tracked class grows at +1/(p*q) without
-    bound; chain classes sit at the constant delta.
+    bound; chain classes sit at the constant delta.  A blown-down class is
+    no longer part of the state.
     """
     lam = Fraction(lam)
-    rec = state.areas.get(label)
-    if rec is None:
-        raise DomainError(f"no class {label!r} was ever present")
-    t = lam - rec.start
-    if t < 0 or (rec.end is not None and lam > rec.end):
+    inst = next((inst for inst in state.instances if label in inst.lattice.classes), None)
+    if inst is None:
+        raise DomainError(f"no class {label!r} is live")
+    t = lam - inst.created_at
+    if t < 0 or (inst.dies_at is not None and lam > inst.dies_at):
         raise DomainError(f"class {label!r} not present at {lam}")
-    if rec.kind == "const":
-        return rec.value
-    if rec.kind == "ray":
-        return t / rec.rate_pq
-    length = rec.end - rec.start
-    return min(t, length - t) / rec.rate_pq
+    if label != inst.config.exceptional_label:
+        return state.delta
+    pq = inst.config.p * inst.config.q
+    if inst.dies_at is None:
+        return t / pq
+    return min(t, inst.dies_at - inst.created_at - t) / pq
 
 
 @dataclass(frozen=True)
@@ -519,6 +503,9 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
     number of exceptional-type classes in the lattice at the end of the
     first loop).  An empty fixed-point set reports NO_OBSTRUCTION; loops
     exhausted without contradiction report INCONCLUSIVE.
+
+    The data are validated once, by ``initial_state``; loop n crosses each
+    level n - 1 after its first-loop position, computed once.
     """
     data = tuple(data)
     if loops < 1:
@@ -528,22 +515,20 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
             "NO_OBSTRUCTION", (), None, empty_lattice(), None, None, bound,
             "no fixed points: the ledger argument needs a non-empty fixed-point set",
         )
-    report = validate(data)
-    if not report.ok:
-        raise DomainError("; ".join(report.errors))
     state = initial_state(data, base=base, delta=delta)
-    order = sorted(range(len(data)), key=lambda i: arc_distance(state.base, data[i].level))
+    crossings = sorted(((state.base + arc_distance(state.base, d.level), d) for d in data),
+                       key=lambda crossing: crossing[0])
     ledger: list[Fraction] = []
+    distinct: set[Fraction] = set()
     tracked_label: str | None = None
     bound_val = bound
     for loop in range(1, loops + 1):
-        for i in order:
-            pos = state.base + (loop - 1) + arc_distance(state.base, data[i].level)
+        for start, datum in crossings:
             track = None
-            if tracked_label is None and data[i].sign == 1:
+            if tracked_label is None and datum.sign == 1:
                 track = "copy" if tracked_independent else "mark"
             try:
-                state = cross_level(state.at(pos), data[i], track=track)
+                state = cross_level(state.at(start + (loop - 1)), datum, track=track)
             except TrackedClassDestroyed:
                 return RunResult(
                     "TRACKED_CLASS_DESTROYED", tuple(ledger), None,
@@ -553,19 +538,19 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
                     "to model its transported copy",
                 )
             if track is not None:
-                inst = state.tracked_instance()
-                tracked_label = inst.config.exceptional_label
+                tracked_label = state.tracked_instance().config.exceptional_label
         state = state.at(state.base + loop)
         ledger.append(area(state, tracked_label, state.position))
+        distinct.add(ledger[-1])
         if bound_val is None:
             bound_val = len(state.lattice.exceptional_classes())
             log.debug("bound defaulted to %d exceptional classes", bound_val)
-        if len(set(ledger)) > bound_val:
+        if len(distinct) > bound_val:
             return RunResult(
                 "HAMILTONIAN", tuple(ledger), loop, state.lattice,
                 state.base, tracked_label, bound_val,
                 f"contradiction at loop {loop}: the tracked class's area "
-                f"ledger holds {len(set(ledger))} distinct values, but a "
+                f"ledger holds {len(distinct)} distinct values, but a "
                 f"closed reduced space with b2+ > 1 carries at most "
                 f"{bound_val} exceptional classes, so the non-Hamiltonian "
                 "premise fails and the action must be Hamiltonian",

@@ -103,8 +103,18 @@ def cmd_equiv(args) -> int:
     return 0
 
 
+def _read_input(path: str) -> str:
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: input is not UTF-8 text: {exc}") from exc
+
+
 def cmd_signature(args) -> int:
-    raw = sys.stdin.read() if args.input == "-" else open(args.input).read()
+    raw = _read_input(args.input)
     lat = IntersectionLattice.from_json(raw)
     b_plus, b_minus, b_zero = signature(lat)
     _emit_json({"b_plus": b_plus, "b_minus": b_minus, "b_zero": b_zero}, args.out)
@@ -158,7 +168,7 @@ def _parse_simulation_input(raw: str) -> tuple[list[FixedPointDatum], dict]:
 
 
 def cmd_simulate(args) -> int:
-    raw = sys.stdin.read() if args.input == "-" else open(args.input).read()
+    raw = _read_input(args.input)
     data, options = _parse_simulation_input(raw)
     report = validate(data)
     if not report.ok:
@@ -246,10 +256,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, NotImplementedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (DomainError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StructureError as exc:

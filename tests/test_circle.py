@@ -1,7 +1,12 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+import global_sim
+from hjtoric import circle
 from hjtoric.circle import (
     FixedPointDatum,
     TrackedClassDestroyed,
@@ -15,6 +20,7 @@ from hjtoric.circle import (
     validate,
 )
 from hjtoric.errors import DomainError, StructureError
+from hjtoric.homology import lattice_from_parts
 from hjtoric.resolution import resolve_cyclic
 
 
@@ -229,6 +235,19 @@ class TestCrossLevel:
         with pytest.raises(StructureError):
             cross_level(st.at(Fraction(3, 2)), data[1])
 
+    def test_blowdown_checks_the_victims_own_lattice(self):
+        data = pair_74()
+        st = initial_state(data, base=Fraction(3, 4))
+        st = cross_level(st.at(Fraction(1)), data[0])
+        inst = st.instances[-1]
+        extra = lattice_from_parts(("X",), {}, {"X": -2})
+        label = inst.config.exceptional_label
+        bent = lattice_from_parts(inst.lattice.classes, {}, {label: -2})
+        for lattice in (inst.lattice.direct_sum(extra), bent):
+            broken = replace(st, instances=(replace(inst, lattice=lattice),))
+            with pytest.raises(StructureError):
+                cross_level(broken.at(Fraction(3, 2)), data[1])
+
     def test_only_counterclockwise(self):
         data = pair_21()
         st = initial_state(data, base=Fraction(1, 4))
@@ -342,20 +361,9 @@ class TestRunLoop:
 
 class TestInvariants:
     def loop_lattices(self, data, loops):
-        """Replicates run_loop's stepping, snapshotting each loop end."""
-        st = initial_state(data)
-        order = sorted(range(len(data)), key=lambda i: arc_distance(st.base, data[i].level))
-        tracked = False
-        snaps = []
-        for loop in range(1, loops + 1):
-            for i in order:
-                pos = st.base + (loop - 1) + arc_distance(st.base, data[i].level)
-                track = None
-                if not tracked and data[i].sign == 1:
-                    track, tracked = "copy", True
-                st = cross_level(st.at(pos), data[i], track=track)
-            snaps.append((st.lattice, canonical_components(st.lattice)))
-        return snaps
+        """The lattice at the end of each loop of run_loop's stepping."""
+        ends = list(crossings(circle, data, loops))[len(data)::len(data)]
+        return [(st.lattice, canonical_components(st.lattice)) for st in ends]
 
     def test_loop_to_loop_isomorphism_type(self):
         for data in (pair_21(), pair_74()):
@@ -401,3 +409,124 @@ class TestInvariants:
             FixedPointDatum(Fraction(3, 4), -1, 2, 1),
         ]
         assert default_base(data) == Fraction(3, 8)
+
+
+# -- the per-instance state against the global-lattice oracle ----------------
+
+WEIGHTS = [(1, 1), (2, 1), (3, 1), (3, 2), (5, 2), (5, 3), (7, 4)]
+
+
+@hst.composite
+def balanced_actions(draw, max_pairs=6):
+    """(data, base): k matched pairs at distinct levels, matched explicitly
+    or first-in-first-out, in a random order; base None or a regular level."""
+    k = draw(hst.integers(1, max_pairs))
+    den = draw(hst.integers(2 * k, 60))
+    nums = draw(hst.lists(hst.integers(0, den - 1), min_size=2 * k, max_size=2 * k, unique=True))
+    weights = draw(hst.lists(hst.sampled_from(WEIGHTS), min_size=k, max_size=k))
+    explicit = draw(hst.booleans())
+    order = draw(hst.permutations(range(2 * k)))  # order[n]: the point stored at n
+    where = {point: n for n, point in enumerate(order)}
+    data = []
+    for point in order:
+        p, q = weights[point // 2]
+        data.append(FixedPointDatum(Fraction(nums[point], den), 1 if point % 2 == 0 else -1,
+                                    p, q, where[point ^ 1] if explicit else None))
+    base = draw(hst.none() | hst.integers(0, den - 1).map(lambda n: Fraction(2 * n + 1, 2 * den)))
+    return data, base
+
+
+@settings(max_examples=150, deadline=None)
+@given(action=balanced_actions(), loops=hst.integers(1, 8),
+       bound=hst.none() | hst.integers(0, 8), tracked=hst.booleans())
+def test_run_loop_matches_global_lattice_oracle(action, loops, bound, tracked):
+    data, base = action
+    got = run_loop(data, loops, bound, base=base, tracked_independent=tracked)
+    want = global_sim.run_loop(data, loops, bound, base=base, tracked_independent=tracked)
+    assert (got.verdict, got.ledger, got.loop_of_contradiction, got.bound, got.tracked_label) == (
+        want.verdict, want.ledger, want.loop_of_contradiction, want.bound, want.tracked_label)
+    assert got.final_lattice.to_json() == want.final_lattice.to_json()
+
+
+def crossings(sim, data, loops):
+    """Every state of ``sim``'s stepping, as run_loop steps with a tracked copy."""
+    state = sim.initial_state(data)
+    order = sorted(data, key=lambda d: arc_distance(state.base, d.level))
+    tracked = False
+    yield state
+    for loop in range(loops):
+        for d in order:
+            track = None
+            if not tracked and d.sign == 1:
+                track, tracked = "copy", True
+            state = sim.cross_level(state.at(state.base + loop + arc_distance(state.base, d.level)),
+                                    d, track=track)
+            yield state
+
+
+@settings(max_examples=60, deadline=None)
+@given(action=balanced_actions(max_pairs=4))
+def test_each_crossing_matches_global_lattice_oracle(action):
+    data, _ = action
+    for got, want in zip(crossings(circle, data, 3), crossings(global_sim, data, 3)):
+        assert got.lattice.to_json() == want.lattice.to_json()
+        assert got.books == want.books
+        for label in got.lattice.classes:
+            assert area(got, label, got.position) == global_sim.area(want, label, want.position)
+
+
+def test_state_does_not_grow_with_loops():
+    data = [
+        FixedPointDatum(Fraction(0), +1, 7, 4),
+        FixedPointDatum(Fraction(1, 4), +1, 3, 2),
+        FixedPointDatum(Fraction(1, 2), -1, 7, 4),
+        FixedPointDatum(Fraction(3, 4), -1, 3, 2),
+    ]
+    states = list(crossings(circle, data, 100))
+    per_loop = len(data)
+    after_10, after_100 = states[10 * per_loop], states[100 * per_loop]
+    assert len(after_100.instances) == len(after_10.instances)
+    assert len(after_100.lattice) == len(after_10.lattice)
+
+
+def closed_form(data, loops, bound, base, tracked_independent):
+    """Verdict, ledger, contradiction loop and bound from the tracked class alone.
+
+    The tracked class is born at the first +1 level after the base, a
+    distance d past it.  Its transported copy is a ray of slope 1/(pq), so
+    the ledger after loop i + 1 is ((1 - d) + i)/(pq): all distinct, and
+    the verdict comes at loop B + 1.  The default B counts the exceptional
+    classes at the end of loop 1: one per pair whose life arc contains the
+    base, plus the copy.  Marked instead of copied, the class is a tent over
+    its pair's arc and dies at the matched blowdown, d + arc past the base.
+    """
+    pairs = validate(data).pairs
+    base = default_base(data) if base is None else base
+    arc = {plus: arc_distance(data[plus].level, data[minus].level) for plus, minus in pairs}
+    first = min(arc, key=lambda plus: arc_distance(base, data[plus].level))
+    d = arc_distance(base, data[first].level)
+    pq = data[first].p * data[first].q
+    live_at_base = sum(0 < arc_distance(data[plus].level, base) < arc[plus] for plus in arc)
+    if tracked_independent:
+        bound = live_at_base + 1 if bound is None else bound
+        ledger = tuple((1 - d + i) / pq for i in range(min(loops, bound + 1)))
+        if loops > bound:
+            return "HAMILTONIAN", ledger, bound + 1, bound
+        return "INCONCLUSIVE", ledger, None, bound
+    if d + arc[first] < 1:
+        return "TRACKED_CLASS_DESTROYED", (), None, bound
+    bound = live_at_base if bound is None else bound
+    ledger = (min(1 - d, d + arc[first] - 1) / pq,)
+    if bound < 1:
+        return "HAMILTONIAN", ledger, 1, bound
+    return "INCONCLUSIVE" if loops == 1 else "TRACKED_CLASS_DESTROYED", ledger, None, bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(action=balanced_actions(), loops=hst.integers(1, 8),
+       bound=hst.none() | hst.integers(0, 8), tracked=hst.booleans())
+def test_run_loop_matches_closed_form(action, loops, bound, tracked):
+    data, base = action
+    res = run_loop(data, loops, bound, base=base, tracked_independent=tracked)
+    assert (res.verdict, res.ledger, res.loop_of_contradiction, res.bound) == closed_form(
+        data, loops, bound, base, tracked)

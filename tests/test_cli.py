@@ -1,7 +1,13 @@
 import io
 import json
+import sys
+import time
+import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hjtoric.cli import main
 from hjtoric.errors import DomainError
@@ -233,6 +239,24 @@ def test_malformed_simulation_exits_2(capsys, monkeypatch, obj):
     assert run_cli(capsys, "simulate", "-") == (2, "")
 
 
+@pytest.mark.parametrize("command", ["signature", "simulate"])
+def test_directory_input_exits_2(capsys, tmp_path, command):
+    code = main([command, str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["signature", "simulate"])
+def test_non_utf8_input_exits_2(capsys, tmp_path, command):
+    f = tmp_path / "in.json"
+    f.write_bytes(b'{"pairing": [[-1]], "classes": ["\xff"]}')
+    code = main([command, str(f)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error:") and "UTF-8" in captured.err
+
+
 @pytest.mark.parametrize("value", [True, False])
 def test_parse_rational_rejects_bool(value):
     with pytest.raises(DomainError):
@@ -297,3 +321,125 @@ def test_simulate_message_present(capsys, tmp_path):
     assert code == 0
     assert obj["verdict"] == "HAMILTONIAN"
     assert "b2+" in obj["message"]
+
+
+# -- fuzz: random argv and stdin JSON, with integers bounded so no run is long
+
+def _mostly(valid, junk):
+    """Draws from ``valid`` three times as often as from ``junk``."""
+    return st.one_of(valid, valid, valid, junk)
+
+
+_JUNK = ("x", "1.5", "", "-0", "1/2", "1e3", " 7", "--p")
+_INT_ARG = st.integers(-3, 40 + len(_JUNK)).map(lambda n: _JUNK[n - 41] if n > 40 else str(n))
+_NUMBER = st.one_of(st.integers(-3, 40), st.booleans(), st.none(),
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from(["0", "1/2", "-3/4", "7/8", "1/0", "x", "", "2.5"]))
+_JSON = st.recursive(
+    _NUMBER | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_LEVELS = ["0", "1/8", "1/4", "3/8", "1/2", "5/8", "3/4", "7/8"]
+
+
+@st.composite
+def _balanced_points(draw):
+    """Valid fixed points: matched pairs at distinct levels, FIFO or explicit."""
+    k = draw(st.integers(1, 4))
+    levels = draw(st.permutations(_LEVELS))[:2 * k]
+    weights = draw(st.lists(st.sampled_from([(1, 1), (2, 1), (3, 2), (7, 4)]), min_size=k, max_size=k))
+    explicit = draw(st.booleans())
+    points = []
+    for i, (p, q) in enumerate(weights):
+        for j, sign in ((2 * i, 1), (2 * i + 1, -1)):
+            point = {"level": levels[j], "sign": sign, "p": p, "q": q}
+            if explicit:
+                point["match"] = j ^ 1
+            points.append(point)
+    return points
+
+
+_FIXED_POINT = st.fixed_dictionaries(
+    {"level": st.sampled_from(_LEVELS) | _NUMBER},
+    optional={"sign": st.sampled_from([1, -1, 0, "1", True]),
+              "p": st.integers(0, 8), "q": st.integers(0, 8), "match": st.integers(-1, 6)},
+)
+_SIMULATION = st.fixed_dictionaries(
+    {"fixed_points": _balanced_points() | st.lists(_FIXED_POINT, max_size=6)},
+    optional={"loops": _mostly(st.integers(1, 6), st.integers(-1, 0) | _NUMBER),
+              "bound": _mostly(st.integers(-1, 6) | st.none(), _NUMBER),
+              "tracked_independent": _mostly(st.booleans(), _NUMBER),
+              "eps": _mostly(st.sampled_from(["1/100", "1/16", "1/4"]), _NUMBER),
+              "base": _mostly(st.sampled_from(["1/16", "9/16"]), _NUMBER),
+              "delta": _mostly(st.sampled_from(["1/1000", "1"]), _NUMBER)},
+)
+
+
+@st.composite
+def _symmetric_lattice(draw):
+    n = draw(st.integers(0, 6))
+    upper = {(i, j): draw(st.integers(-3, 3)) for i in range(n) for j in range(i, n)}
+    pairing = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    return {"pairing": pairing, "classes": [f"C{i}" for i in range(n)],
+            "c1": draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))}
+
+
+_LATTICE = _symmetric_lattice() | st.fixed_dictionaries(
+    {"pairing": st.lists(st.lists(_NUMBER | st.integers(-3, 3), max_size=3), max_size=3)},
+    optional={"classes": _JSON, "c1": _JSON},
+)
+_STDIN_JUNK = _JSON.map(json.dumps) | st.text(max_size=20)
+
+
+def _args(*parts):
+    """(argv, no stdin) from words, word lists and strategies of either."""
+    strategies = [p if isinstance(p, st.SearchStrategy) else st.just(p) for p in parts]
+    flat = lambda words: [w for x in words for w in (x if isinstance(x, list) else [x])]
+    return st.tuples(*strategies).map(lambda words: (flat(words), ""))
+
+
+_CASE = st.one_of(
+    _args("resolve", "--r", _INT_ARG, "--p", _INT_ARG, "--q", _INT_ARG),
+    _args("blowup", "--p", _INT_ARG, "--q", _mostly(st.integers(1, 4).map(str), _INT_ARG),
+          "--size", _mostly(st.sampled_from(["1", "1/3"]), st.sampled_from(["0", "-1", "x"])),
+          "--format", st.sampled_from(["json", "svg", "png"]), "--scale", _INT_ARG),
+    _args("equiv", "--r", _INT_ARG, "--q1", _INT_ARG, "--q2", _INT_ARG,
+          st.sampled_from([[], ["--oriented"]])),
+    _args("hj", "--m", _INT_ARG, "--k", _INT_ARG),
+    _args(st.lists(st.sampled_from(["hj", "blowup", "--p", "3", "-", "--bogus", "nope"]),
+                   max_size=4)),
+    st.tuples(st.just(["signature", "-"]), _mostly(_LATTICE.map(json.dumps), _STDIN_JUNK)),
+    st.tuples(st.just(["simulate", "-"]), _mostly(_SIMULATION.map(json.dumps), _STDIN_JUNK)),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=_CASE)
+def _fuzz_main(case):
+    argv, stdin = case
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    assert code in (0, 2), (argv, stdin, code, err.getvalue())
+    if code == 0:
+        text = out.getvalue()
+        if text.startswith("<svg"):
+            ET.fromstring(text)
+        else:
+            json.loads(text)
+
+
+def test_fuzz_main_exits_0_or_2_with_parseable_output():
+    t0 = time.perf_counter()
+    _fuzz_main()
+    assert time.perf_counter() - t0 < 5.0

@@ -283,6 +283,41 @@ def test_signature_matches_dense_oracle(rows):
     assert sum(expected) == len(rows)
 
 
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def sympy_inertia(sympy, rows) -> tuple[int, int, int]:
+    """(b+, b-, b0) from sympy's exact characteristic polynomial.
+
+    A real symmetric matrix has only real eigenvalues, so Descartes' rule of
+    signs is exact: the sign changes of the coefficients of p(x) and p(-x),
+    once the factor x^b0 is divided out, count the positive and the negative
+    eigenvalues with multiplicity.
+    """
+    n = len(rows)
+    coeffs = sympy.Matrix(rows).charpoly().all_coeffs() if n else [1]  # leading first
+    b_zero = next(k for k, c in enumerate(reversed(coeffs)) if c != 0)
+    coeffs = coeffs[:len(coeffs) - b_zero]
+    deg = len(coeffs) - 1
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    b_plus = changes(coeffs)
+    b_minus = changes([c * (-1) ** (deg - i) for i, c in enumerate(coeffs)])
+    assert b_plus + b_minus + b_zero == n
+    return b_plus, b_minus, b_zero
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_forms())
+def test_signature_matches_sympy_inertia(sympy, rows):
+    assert signature(as_lattice(rows)) == sympy_inertia(sympy, rows)
+
+
 @settings(max_examples=150, deadline=None)
 @given(symmetric_forms(max_n=7), st.data())
 def test_blow_up_at_matches_dense_oracle(rows, data):
