@@ -40,13 +40,7 @@ from math import gcd
 
 from .errors import DomainError, StructureError
 from .hj import hj_expand
-from .homology import (
-    IntersectionLattice,
-    blow_down,
-    blow_up_at,
-    empty_lattice,
-    lattice_from_parts,
-)
+from .homology import IntersectionLattice, _blow_up, _contract, lattice_from_parts
 from .lattice2d import Point, Vec, det2
 from .resolution import Chain, chain_from_terms
 
@@ -100,6 +94,13 @@ class BlowupConfig:
                 pairs[(self.exceptional_label, ls[0])] = 1
         return lattice_from_parts(labels, pairs, selfs)
 
+    def prefixed(self, prefix: str) -> "BlowupConfig":
+        """The same config with ``prefix`` put before every class label."""
+        chain_p, chain_q = (Chain(c.self_intersections, tuple(prefix + l for l in c.labels))
+                            for c in (self.chain_p, self.chain_q))
+        return BlowupConfig(self.p, self.q, self.size, chain_p, chain_q,
+                            prefix + self.exceptional_label)
+
     def to_json(self) -> dict:
         # chains are reported from the axis end (the continued-fraction
         # reading order); the lattice block carries the actual wiring
@@ -124,7 +125,8 @@ def fulton_config(
     The order-p corner resolves by the expansion of p/(p - q) and the
     order-q corner by the expansion of q/k with k = q - p mod q (empty for
     q = 1); E~ meets the last class of each expansion, so the stored chains
-    are the reversed expansions.  Blowing up *at* an orbifold point
+    are the reversed expansions.  A ``label_prefix`` goes through
+    :meth:`BlowupConfig.prefixed`.  Blowing up *at* an orbifold point
     (``at_order > 1``) is not supported.
     """
     _require_weights(p, q)
@@ -144,9 +146,9 @@ def fulton_config(
         terms_q: tuple[int, ...] = ()
     else:
         terms_q = hj_expand(q, (q - p) % q).terms
-    chain_p = chain_from_terms(reversed(terms_p), prefix=f"{label_prefix}Zp")
-    chain_q = chain_from_terms(reversed(terms_q), prefix=f"{label_prefix}Zq")
-    return BlowupConfig(p, q, size, chain_p, chain_q, f"{label_prefix}E~")
+    cfg = BlowupConfig(p, q, size, chain_from_terms(reversed(terms_p), prefix="Zp"),
+                       chain_from_terms(reversed(terms_q), prefix="Zq"), "E~")
+    return cfg.prefixed(label_prefix) if label_prefix else cfg
 
 
 @dataclass(frozen=True)
@@ -174,12 +176,13 @@ class McDuffSequence:
 
     def lattice(self, label_prefix: str = "") -> IntersectionLattice:
         """One class e_i per cut: a blowup at the classes of its flanking
-        cuts (the axes carry no class)."""
-        lat = empty_lattice()
+        cuts (the axes carry no class).  The blowups edit one fresh store,
+        so the n cuts cost O(n) in total."""
+        store: tuple[dict, dict, dict] = ({}, {}, {})
         for i, flank in enumerate(self.flanks):
             touched = [f"{label_prefix}e{j + 1}" for j in flank if j is not None]
-            lat = blow_up_at(lat, touched, f"{label_prefix}e{i + 1}")
-        return lat
+            _blow_up(store, touched, f"{label_prefix}e{i + 1}")
+        return IntersectionLattice._sparse(*store)
 
     def chords(self, unit: Fraction | int = 1) -> list[tuple[Vec, Point, Point]]:
         """(label, start, end) per cut, cut i sized by multiplicity i.
@@ -320,7 +323,8 @@ def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> Interse
     self-intersection -1 at each stage (the reverse of the cut replay), and
     contracting in that forced order empties the configuration in
     |chain_p| + |chain_q| + 1 steps.  Any stage without a (-1) config class
-    means the configuration was corrupted.
+    means the configuration was corrupted.  The contractions edit one copy
+    of ``lat``'s store, so the whole blowdown costs O(n) beyond that copy.
     """
     for label in config.class_labels:
         lat.self_intersection(label)  # presence check, raises DomainError
@@ -329,11 +333,13 @@ def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> Interse
         raise StructureError(
             f"{etilde!r} has self-intersection {lat.self_intersection(etilde)}, not -1"
         )
-    current = blow_down(lat, etilde)
+    store = lat._store()
+    self_, c1, edges = store
+    _contract(store, etilde)
     # a contraction changes only its neighbours, so only they can become
     # ready or stop being ready; ties go to the earliest chain label
     remaining = {l: i for i, l in enumerate(config.chain_labels)}
-    ready = {l for l in remaining if _contractible(current, l)}
+    ready = {l for l in remaining if self_[l] == -1 and c1[l] == 1}
     while remaining:
         if not ready:
             raise StructureError(
@@ -341,17 +347,13 @@ def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> Interse
                 f"(remaining: {list(remaining)})"
             )
         label = min(ready, key=remaining.__getitem__)
-        touched = current.neighbours(label)
-        current = blow_down(current, label)
+        touched = edges[label]
+        _contract(store, label)
         del remaining[label]
         ready.discard(label)
         for l in touched:
-            if l in remaining and _contractible(current, l):
+            if l in remaining and self_[l] == -1 and c1[l] == 1:
                 ready.add(l)
             else:
                 ready.discard(l)
-    return current
-
-
-def _contractible(lat: IntersectionLattice, label: str) -> bool:
-    return lat.self_intersection(label) == -1 and lat.c1_of(label) == 1
+    return IntersectionLattice._sparse(*store)

@@ -288,8 +288,10 @@ class ReducedSpaceState:
     """The evolving bookkeeping state: the live blowup instances.
 
     ``lattice`` (their direct sum in install order) and ``books`` (their
-    orbifold points) are derived on demand.  ``pair_of`` and ``arcs``, built
-    once per run, map each datum to its pair and each pair to its life arc.
+    orbifold points) are derived on demand.  ``pair_of``, ``arcs`` and
+    ``templates``, built once per run, map each datum to its pair, and each
+    pair to its life arc and to its resolved config and lattice at its tent
+    size, with unprefixed labels.
     ``position`` is a cumulative counterclockwise coordinate (it increases
     by 1 per loop; its value mod 1 is the circle level).  Transition
     functions return fresh states.
@@ -302,6 +304,8 @@ class ReducedSpaceState:
     delta: Fraction
     pair_of: dict[FixedPointDatum, int] = field(repr=False, compare=False)
     arcs: tuple[Fraction, ...] = field(repr=False, compare=False)
+    templates: tuple[tuple[BlowupConfig, IntersectionLattice], ...] = field(
+        repr=False, compare=False)
     instances: tuple[Instance, ...] = ()
     counter: int = 0
 
@@ -354,11 +358,17 @@ def default_delta(data) -> Fraction:
 
 def _install(state: ReducedSpaceState, pair_idx: int, created_at: Fraction,
              dies_at: Fraction | None, uid: str, tracked: bool) -> ReducedSpaceState:
-    plus, _ = state.pairs[pair_idx]
-    p, q = state.data[plus].weights
-    size = ONE if dies_at is None else (dies_at - created_at) / (2 * p * q)  # tent peak area
-    cfg = fulton_config(p, q, size=size, label_prefix=f"{uid}.")
-    inst = Instance(uid, pair_idx, cfg, cfg.lattice(), created_at, dies_at, tracked)
+    """Add an instance of the pair's template, its labels prefixed ``uid.``.
+
+    A matched instance keeps the template's tent size; the transported copy
+    (``dies_at`` None) has size 1.
+    """
+    cfg, lat = state.templates[pair_idx]
+    if dies_at is None:
+        cfg = replace(cfg, size=ONE)
+    prefix = f"{uid}."
+    inst = Instance(uid, pair_idx, cfg.prefixed(prefix), lat.prefixed(prefix),
+                    created_at, dies_at, tracked)
     return replace(state, instances=state.instances + (inst,), counter=state.counter + 1)
 
 
@@ -367,7 +377,10 @@ def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
 
     Every matched pair whose counterclockwise life arc contains the base
     level contributes one live configuration, so the state is consistent
-    with the periodic dynamics from the very first crossing.
+    with the periodic dynamics from the very first crossing.  Each pair's
+    config and lattice are resolved here once per run, at the pair's tent
+    size (arc / (2*p*q), the peak area of its exceptional class); every
+    install relabels that template.
     """
     data = tuple(data)
     report = validate(data)
@@ -383,9 +396,15 @@ def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
         raise DomainError(f"delta must be positive, got {delta}")
     pairs = report.pairs
     arcs = tuple(arc_distance(data[plus].level, data[minus].level) for plus, minus in pairs)
+    templates = []
+    for (plus, _), arc in zip(pairs, arcs):
+        p, q = data[plus].weights
+        cfg = fulton_config(p, q, size=arc / (2 * p * q))
+        templates.append((cfg, cfg.lattice()))
     state = ReducedSpaceState(
         data=data, pairs=pairs, base=base, position=base, delta=delta, arcs=arcs,
         pair_of={data[i]: k for k, pair in enumerate(pairs) for i in pair},
+        templates=tuple(templates),
     )
     for pair_idx, (plus, _) in enumerate(pairs):
         back = arc_distance(data[plus].level, base)

@@ -15,8 +15,13 @@ Blowups, blowdowns and sums touch only the classes they change and are
 symmetric by construction; the dense ``pairing`` matrix is a read-only view
 built on demand, for JSON output and for callers that want rows.
 
-Operations never mutate: each returns a fresh lattice value, so values can be
-shared freely across threads.
+Public operations never mutate: each returns a fresh lattice value, so values
+can be shared freely across threads.  ``blow_up_at`` and ``blow_down`` copy
+the store once and edit the copy with the private kernels ``_blow_up`` and
+``_contract``; a construction of n steps (a cut replay, a weighted blowdown)
+copies once and runs the kernels n times on its own store, O(n) in total.
+A kernel copies an edge-map row before writing to it, so rows shared with
+other lattices are never written.
 """
 
 from __future__ import annotations
@@ -41,9 +46,10 @@ class IntersectionLattice:
     (``from_json``, tests).  The functions of this module build the sparse
     store directly and skip the O(n^2) checks, which hold by construction.
 
-    The store is ``classes`` (basis order), a self-intersection and a c1 per
-    label, and an edge map ``label -> {neighbour: pairing}`` with nonzero
-    entries only, each edge kept under both ends.  ``pair``,
+    The store is a self-intersection and a c1 per label, and an edge map
+    ``label -> {neighbour: pairing}`` with nonzero entries only, each edge
+    kept under both ends.  The three dicts keep their labels in basis order,
+    so ``classes`` is the key order of the self-intersections.  ``pair``,
     ``self_intersection``, ``c1_of`` and ``neighbours`` are dict lookups.
     ``pairing`` and ``c1`` are tuple views in basis order, each built at most
     once per lattice.  Lattices are immutable values: two are equal when
@@ -84,11 +90,18 @@ class IntersectionLattice:
         self._index = self._pairing = self._c1_view = None
 
     @classmethod
-    def _sparse(cls, classes, self_, c1, edges) -> "IntersectionLattice":
-        """A lattice from a sparse store that is symmetric by construction."""
+    def _sparse(cls, self_, c1, edges) -> "IntersectionLattice":
+        """A lattice from a sparse store that is symmetric by construction;
+        the keys of ``self_`` are the labels in basis order."""
         lat = cls.__new__(cls)
-        lat._init(classes, self_, c1, edges)
+        lat._init(tuple(self_), self_, c1, edges)
         return lat
+
+    def _store(self) -> tuple[dict, dict, dict]:
+        """A private copy of the store for the kernels to edit.  The edge
+        rows are still shared with this lattice; the kernels copy a row
+        before writing to it."""
+        return dict(self._self), dict(self._c1), dict(self._edges)
 
     # -- value semantics ----------------------------------------------------
 
@@ -183,7 +196,6 @@ class IntersectionLattice:
         if not self._self.keys().isdisjoint(other._self):
             raise DomainError("class labels must be distinct")
         return IntersectionLattice._sparse(
-            self._classes + other._classes,
             {**self._self, **other._self},
             {**self._c1, **other._c1},
             {**self._edges, **other._edges},
@@ -195,10 +207,18 @@ class IntersectionLattice:
             self._check(l)
         keep = tuple(l for l in self._classes if l not in drop)
         return IntersectionLattice._sparse(
-            keep,
             {l: self._self[l] for l in keep},
             {l: self._c1[l] for l in keep},
             {l: {m: v for m, v in self._edges[l].items() if m not in drop} for l in keep},
+        )
+
+    def prefixed(self, prefix: str) -> "IntersectionLattice":
+        """The same lattice with ``prefix`` put before every label."""
+        return IntersectionLattice._sparse(
+            {prefix + l: v for l, v in self._self.items()},
+            {prefix + l: v for l, v in self._c1.items()},
+            {prefix + l: {prefix + m: v for m, v in row.items()}
+             for l, row in self._edges.items()},
         )
 
     # -- JSON --------------------------------------------------------------
@@ -246,7 +266,7 @@ def _integers(values, what: str) -> tuple[int, ...]:
 
 
 def empty_lattice() -> IntersectionLattice:
-    return IntersectionLattice._sparse((), {}, {}, {})
+    return IntersectionLattice._sparse({}, {}, {})
 
 
 def add_class(
@@ -269,7 +289,6 @@ def add_class(
         edges[other] = {**edges[other], label: v}
     edges[label] = row
     return IntersectionLattice._sparse(
-        lat._classes + (label,),
         {**lat._self, label: self_intersection},
         {**lat._c1, label: (2 + self_intersection) if c1 is None else c1},
         edges,
@@ -297,9 +316,7 @@ def lattice_from_parts(
             self_[a] = v
         elif v:
             edges[a][b] = edges[b][a] = v
-    return IntersectionLattice._sparse(
-        classes, self_, {l: 2 + s for l, s in self_.items()}, edges
-    )
+    return IntersectionLattice._sparse(self_, {l: 2 + s for l, s in self_.items()}, edges)
 
 
 # -- signature --------------------------------------------------------------
@@ -425,17 +442,66 @@ def blow_down(lat: IntersectionLattice, label: str) -> IntersectionLattice:
     downstairs is C + m*e: self-intersection grows by m^2, c1 by m, and the
     pairing of survivors C, D grows by (C.e)(D.e).  This is the unique rule
     making contraction inverse to blowing up a transverse configuration.
-    Only e's neighbours change, so the cost beyond copying the store is
-    O(deg(e)^2).
+    One copy of the store, then O(deg(e)^2) for the contraction itself.
     """
-    s, c = lat.self_intersection(label), lat.c1_of(label)
+    store = lat._store()
+    _contract(store, label)
+    return IntersectionLattice._sparse(*store)
+
+
+def blow_up_at(
+    lat: IntersectionLattice, touched: Sequence[str], label: str
+) -> IntersectionLattice:
+    """Blow up a point lying on the listed classes (transversally, once each).
+
+    Inverse of :func:`blow_down` for this configuration: the new class e has
+    e^2 = -1 and c1 = 1, each touched class C is replaced by its proper
+    transform C - e (self-intersection and c1 drop by 1, C.e = 1), and two
+    touched classes through the point lose one mutual intersection.  One
+    copy of the store, then O(len(touched)^2) for the blowup itself.
+    """
+    store = lat._store()
+    _blow_up(store, touched, label)
+    return IntersectionLattice._sparse(*store)
+
+
+def _blow_up(store, touched: Sequence[str], label: str) -> None:
+    """The kernel of :func:`blow_up_at`: edit ``store`` (self-intersections,
+    c1 labels, edge map; owned by the caller) in place, with the same checks.
+    Rows are replaced by edited copies, never written."""
+    self_, c1, edges = store
+    if label in self_:
+        raise DomainError(f"label {label!r} already present")
+    for t in touched:
+        if t not in self_:
+            raise DomainError(f"no class labeled {t!r}")
+    if len(set(touched)) != len(touched):
+        raise DomainError("touched classes must be distinct")
+    for t in touched:
+        self_[t] -= 1
+        c1[t] -= 1
+        row = dict(edges[t])
+        for u in touched:
+            if u != t:
+                _add(row, u, -1)
+        row[label] = 1
+        edges[t] = row
+    self_[label], c1[label], edges[label] = -1, 1, dict.fromkeys(touched, 1)
+
+
+def _contract(store, label: str) -> None:
+    """The kernel of :func:`blow_down`: edit ``store`` (owned by the caller)
+    in place, with the same checks.  Rows are replaced by edited copies,
+    never written."""
+    self_, c1, edges = store
+    if label not in self_:
+        raise DomainError(f"no class labeled {label!r}")
+    s, c = self_[label], c1[label]
     if s != -1 or c != 1:
         raise DomainError(
             f"cannot contract {label!r}: needs self-intersection -1 and c1 = 1, "
             f"has {s} and c1 = {c}"
         )
-    i = lat._classes.index(label)
-    self_, c1, edges = dict(lat._self), dict(lat._c1), dict(lat._edges)
     del self_[label], c1[label]
     m = edges.pop(label)
     for a, ma in m.items():
@@ -447,40 +513,6 @@ def blow_down(lat: IntersectionLattice, label: str) -> IntersectionLattice:
             if b != a:
                 _add(row, b, ma * mb)
         edges[a] = row
-    return IntersectionLattice._sparse(
-        lat._classes[:i] + lat._classes[i + 1:], self_, c1, edges
-    )
-
-
-def blow_up_at(
-    lat: IntersectionLattice, touched: Sequence[str], label: str
-) -> IntersectionLattice:
-    """Blow up a point lying on the listed classes (transversally, once each).
-
-    Inverse of :func:`blow_down` for this configuration: the new class e has
-    e^2 = -1 and c1 = 1, each touched class C is replaced by its proper
-    transform C - e (self-intersection and c1 drop by 1, C.e = 1), and two
-    touched classes through the point lose one mutual intersection.  The
-    cost beyond copying the store is O(len(touched)^2).
-    """
-    if label in lat._self:
-        raise DomainError(f"label {label!r} already present")
-    for t in touched:
-        lat._check(t)
-    if len(set(touched)) != len(touched):
-        raise DomainError("touched classes must be distinct")
-    self_, c1, edges = dict(lat._self), dict(lat._c1), dict(lat._edges)
-    for t in touched:
-        self_[t] -= 1
-        c1[t] -= 1
-        row = dict(edges[t])
-        for u in touched:
-            if u != t:
-                _add(row, u, -1)
-        row[label] = 1
-        edges[t] = row
-    self_[label], c1[label], edges[label] = -1, 1, dict.fromkeys(touched, 1)
-    return IntersectionLattice._sparse(lat._classes + (label,), self_, c1, edges)
 
 
 # -- b2+ = 1 criteria --------------------------------------------------------

@@ -8,12 +8,17 @@ from .errors import DomainError
 
 
 def parse_rational(value) -> Fraction:
-    """Accepts int (not bool), Fraction, or an exact string like "3", "-7/2"."""
+    """Accepts int (not bool), Fraction, or an exact string like "3", "-7/2"
+    or "1.5".  Exponent notation is rejected: "1e-99999999" would ask for a
+    denominator of 10^99999999, so a few characters of input could take
+    gigabytes; a string's value is never much larger than the string."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value.lower():
+            raise DomainError(f"exponent notation is not accepted: {value!r}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -43,12 +43,12 @@ class _Canvas:
         return ((float(x) + self.margin) * s, (self.ymax + self.margin - float(y)) * s)
 
     def grid(self):
-        for i in range(int(self.xmax) + 1):
-            for j in range(int(self.ymax) + 1):
-                cx, cy = self._pt(i, j)
-                self.parts.append(
-                    f'<circle class="grid" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="1.6"/>'
-                )
+        """A dot at every lattice point, each column's x and each row's y
+        formatted once."""
+        xs = [_fmt(self._pt(i, 0)[0]) for i in range(int(self.xmax) + 1)]
+        ys = [_fmt(self._pt(0, j)[1]) for j in range(int(self.ymax) + 1)]
+        self.parts.extend(f'<circle class="grid" cx="{x}" cy="{y}" r="1.6"/>'
+                          for x in xs for y in ys)
 
     def line(self, a, b, cls: str = "edge"):
         x1, y1 = self._pt(*a)

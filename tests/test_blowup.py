@@ -5,7 +5,9 @@ from math import gcd
 import pytest
 
 import hjtoric.blowup
+import stepwise
 from hjtoric.blowup import (
+    BlowupConfig,
     cross_check,
     cut_chords,
     fulton_config,
@@ -15,7 +17,15 @@ from hjtoric.blowup import (
     weighted_blowdown,
 )
 from hjtoric.errors import DomainError, StructureError
-from hjtoric.homology import blow_up_at, empty_lattice, lattice_from_parts, signature
+from hjtoric.homology import (
+    IntersectionLattice,
+    add_class,
+    blow_down,
+    blow_up_at,
+    empty_lattice,
+    lattice_from_parts,
+    signature,
+)
 from hjtoric.lattice2d import corner_cut, quadrant
 from hjtoric.resolution import Chain
 
@@ -295,3 +305,81 @@ def test_thousand_class_replay_stays_fast():
     assert signature(cfg.lattice()) == (0, 1000, 0)
     assert len(weighted_blowdown(cfg.lattice(), cfg)) == 0
     assert time.perf_counter() - t0 < 3.0
+
+
+# -- the single-store constructions against their step-by-step oracles ------
+
+def with_neighbours(cfg):
+    """The config's lattice with two outside classes that its blowdown
+    pushes forward: X meets E~, Y meets the far end of chain_p twice."""
+    lat = add_class(cfg.lattice(), "X", -3, {cfg.exceptional_label: 1})
+    far = cfg.chain_p.labels[-1] if len(cfg.chain_p) else cfg.exceptional_label
+    return add_class(lat, "Y", -2, {far: 2})
+
+
+@pytest.mark.parametrize("p", range(1, 61))
+def test_constructions_match_stepwise_oracles(p):
+    for q in range(1, p + 1):
+        if gcd(p, q) != 1 or p == q != 1:
+            continue
+        seq = mcduff_sequence(q, p)
+        for prefix in ("", "B7."):
+            lat, ref = seq.lattice(prefix), stepwise.mcduff_lattice(seq, prefix)
+            assert lat == ref and lat.to_json() == ref.to_json(), (p, q)
+        cfg = fulton_config(p, q)
+        for lat in (cfg.lattice(), with_neighbours(cfg)):
+            down, ref = weighted_blowdown(lat, cfg), stepwise.weighted_blowdown(lat, cfg)
+            assert down == ref and down.to_json() == ref.to_json(), (p, q)
+
+
+def altered(lat, label, self_shift=0, c1_shift=0):
+    """``lat`` with one class's self-intersection and c1 shifted."""
+    rows = [list(row) for row in lat.pairing]
+    c1 = list(lat.c1)
+    i = lat.index(label)
+    rows[i][i] += self_shift
+    c1[i] += c1_shift
+    return IntersectionLattice(lat.classes, rows, c1)
+
+
+def tampered(cfg):
+    """(lattice, config) pairs that are not a config's own lattice."""
+    lat = cfg.lattice()
+    extra = Chain(cfg.chain_q.self_intersections + (-2,), cfg.chain_q.labels + ("Zx",))
+    yield lat, BlowupConfig(cfg.p, cfg.q, cfg.size, cfg.chain_p, extra, cfg.exceptional_label)
+    yield add_class(lat, "X", -1, {cfg.class_labels[-1]: 1}, c1=1), cfg
+    yield altered(lat, cfg.exceptional_label, self_shift=-1), cfg
+    yield altered(lat, cfg.exceptional_label, c1_shift=1), cfg
+    for label in cfg.chain_labels:
+        yield altered(lat, label, self_shift=-1), cfg
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (7, 4), (11, 3), (13, 8), (40, 1), (41, 29)])
+def test_tampered_configs_fail_like_the_oracle(p, q):
+    outcomes = set()
+    for lat, cfg in tampered(fulton_config(p, q)):
+        got = stepwise.outcome(weighted_blowdown, lat, cfg)
+        assert got == stepwise.outcome(stepwise.weighted_blowdown, lat, cfg)
+        outcomes.add(got if isinstance(got, type) else "lattice")
+    assert {DomainError, StructureError} <= outcomes
+
+
+def snapshot(lat):
+    """An independent copy of ``lat`` through its JSON."""
+    return IntersectionLattice.from_json(lat.to_json())
+
+
+@pytest.mark.parametrize("p,q", [(2, 1), (7, 4), (41, 29), (60, 1)])
+def test_operations_leave_their_inputs_unchanged(p, q):
+    cfg, seq = fulton_config(p, q), mcduff_sequence(q, p)
+    replay = seq.lattice()
+    lattices = [replay, cfg.lattice(), with_neighbours(cfg)]
+    before = [snapshot(lat) for lat in lattices]
+    up = blow_up_at(replay, replay.classes[-2:], "E")
+    blow_down(up, "E")
+    blow_down(replay, replay.classes[-1])
+    for lat in lattices[1:]:
+        weighted_blowdown(lat, cfg)
+    seq.lattice()
+    assert lattices == before
+    assert up == blow_up_at(snapshot(replay), replay.classes[-2:], "E")

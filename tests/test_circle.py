@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,9 @@ from hjtoric.circle import (
     run_loop,
     validate,
 )
+from hjtoric.blowup import fulton_config
 from hjtoric.errors import DomainError, StructureError
-from hjtoric.homology import lattice_from_parts
+from hjtoric.homology import IntersectionLattice, lattice_from_parts
 from hjtoric.resolution import resolve_cyclic
 
 
@@ -530,3 +532,61 @@ def test_run_loop_matches_closed_form(action, loops, bound, tracked):
     res = run_loop(data, loops, bound, base=base, tracked_independent=tracked)
     assert (res.verdict, res.ledger, res.loop_of_contradiction, res.bound) == closed_form(
         data, loops, bound, base, tracked)
+
+
+# -- per-run templates ---------------------------------------------------------
+
+
+def test_installs_equal_a_prefixed_fulton_config():
+    """An installed instance is the pair's template relabelled, which must
+    equal resolving the config afresh with the instance's label prefix."""
+    for p in range(1, 41):
+        for q in range(1, p + 1):
+            if gcd(p, q) != 1 or p == q != 1:
+                continue
+            data = [FixedPointDatum(Fraction(0), +1, p, q),
+                    FixedPointDatum(Fraction(3, 8), -1, p, q)]
+            st = initial_state(data, base=Fraction(1, 2))
+            st = circle._install(st, 0, Fraction(1), Fraction(11, 8), "B9", False)
+            st = circle._install(st, 0, Fraction(1), None, "T", True)
+            for inst, size in zip(st.instances, (Fraction(3, 16 * p * q), 1)):
+                want = fulton_config(p, q, size, label_prefix=f"{inst.uid}.")
+                assert inst.config == want, (p, q)
+                assert inst.lattice == want.lattice(), (p, q)
+                assert inst.lattice.to_json() == want.lattice().to_json(), (p, q)
+
+
+def three_pairs():
+    return [
+        FixedPointDatum(Fraction(0), +1, 7, 4),
+        FixedPointDatum(Fraction(1, 8), +1, 3, 2),
+        FixedPointDatum(Fraction(1, 4), +1, 1, 1),
+        FixedPointDatum(Fraction(1, 2), -1, 7, 4),
+        FixedPointDatum(Fraction(5, 8), -1, 3, 2),
+        FixedPointDatum(Fraction(3, 4), -1, 1, 1),
+    ]
+
+
+def test_configs_are_resolved_once_per_pair_and_run(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fulton_config(*args, **kwargs)
+
+    monkeypatch.setattr(circle, "fulton_config", counting)
+    res = run_loop(three_pairs(), 50, 1000)
+    assert res.verdict == "INCONCLUSIVE" and len(res.ledger) == 50
+    assert len(calls) <= 3 + 1
+
+
+def test_installs_and_blowdowns_leave_other_lattices_unchanged():
+    data = three_pairs()
+    st = initial_state(data, base=Fraction(7, 8))
+    snap = lambda lat: IntersectionLattice.from_json(lat.to_json())
+    templates = [snap(lat) for _, lat in st.templates]
+    for level, datum in sorted((d.level, d) for d in data):
+        live = [(inst.lattice, snap(inst.lattice)) for inst in st.instances]
+        st = cross_level(st.at(1 + level), datum, track="copy" if level == 0 else None)
+        assert all(lat == before for lat, before in live)
+    assert [lat for _, lat in st.templates] == templates

@@ -2,6 +2,7 @@ import io
 import json
 import sys
 import time
+from fractions import Fraction
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -261,6 +262,37 @@ def test_non_utf8_input_exits_2(capsys, tmp_path, command):
 def test_parse_rational_rejects_bool(value):
     with pytest.raises(DomainError):
         parse_rational(value)
+
+
+def test_parse_rational_keeps_exact_forms():
+    assert [parse_rational(v) for v in ("3", "-7/2", " 3 ", "1.5")] == [
+        3, Fraction(-7, 2), 3, Fraction(3, 2)]
+
+
+_HUGE = "1e-99999999"  # 11 characters for a 332-million-bit denominator
+
+
+def _huge_level():
+    obj = _two_points()
+    obj["fixed_points"][0]["level"] = _HUGE
+    return obj
+
+
+@pytest.mark.parametrize("argv,obj", [
+    (("blowup", "--p", "7", "--q", "4", "--size", _HUGE), None),
+    (("simulate", "-"), _huge_level()),
+    (("simulate", "-"), _two_points(eps=_HUGE)),
+    (("simulate", "-"), _two_points(base=_HUGE)),
+    (("simulate", "-"), _two_points(delta=_HUGE)),
+], ids=["size", "level", "eps", "base", "delta"])
+def test_exponent_notation_exits_2_at_once(capsys, monkeypatch, argv, obj):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj)))
+    t0 = time.perf_counter()
+    code = main(list(argv))
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "exponent notation" in captured.err
 
 
 def test_bound_zero_and_null_are_accepted(capsys, monkeypatch):

@@ -139,6 +139,11 @@ class TestBlowUpDown:
         with pytest.raises(DomainError):
             blow_down(lat, "Z")
 
+    def test_blow_down_requires_c1_one(self):
+        lat = IntersectionLattice(["Z"], [[-1]], [0])
+        with pytest.raises(DomainError, match="c1 = 1"):
+            blow_down(lat, "Z")
+
     def test_blow_up_then_down_is_identity(self):
         base = lattice_from_parts(
             ["A", "B"], {("A", "B"): 1}, {"A": -2, "B": -3}

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hjtoric import svg
 from hjtoric.errors import DomainError
 from hjtoric.lattice2d import Polygon, Wedge, corner_cut, quadrant
 from hjtoric.svg import cut_diagram_svg, polygon_svg
@@ -40,3 +41,27 @@ def test_polygon_svg_closed():
 def test_polygon_svg_wedge():
     doc = polygon_svg(Wedge((0, 0), ((-1, 0), (0, -1))))
     assert doc.count("<line") == 2
+
+
+def per_point_grid(canvas):
+    """The grid with both coordinates formatted at every point."""
+    for i in range(int(canvas.xmax) + 1):
+        for j in range(int(canvas.ymax) + 1):
+            cx, cy = canvas._pt(i, j)
+            canvas.parts.append(
+                f'<circle class="grid" cx="{svg._fmt(cx)}" cy="{svg._fmt(cy)}" r="1.6"/>'
+            )
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: cut_diagram_svg(119, 118),
+    lambda: cut_diagram_svg(7, 4),
+    lambda: cut_diagram_svg(120, 1, scale=10),
+    lambda: cut_diagram_svg(89, 55, scale=7),
+    lambda: polygon_svg(corner_cut(quadrant(), 0, Fraction(5, 3))),
+    lambda: polygon_svg(Polygon(((0, 0), (Fraction(7, 3), 0), (2, Fraction(9, 4)), (0, 2)))),
+], ids=["119-118", "7-4", "120-1", "89-55", "open", "closed"])
+def test_grid_matches_per_point_formatting(draw, monkeypatch):
+    doc = draw()
+    monkeypatch.setattr(svg._Canvas, "grid", per_point_grid)
+    assert doc == draw()
