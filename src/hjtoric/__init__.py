@@ -6,7 +6,6 @@ from .hj import HJExpansion, ext_gcd, hj_eval, hj_expand, hj_reverse, mod_invers
 from .homology import (
     IntersectionLattice,
     blow_down,
-    blow_up,
     blow_up_at,
     chain_contact_criterion,
     chain_contact_replay,

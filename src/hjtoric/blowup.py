@@ -96,10 +96,8 @@ class BlowupConfig:
 
     def prefixed(self, prefix: str) -> "BlowupConfig":
         """The same config with ``prefix`` put before every class label."""
-        chain_p, chain_q = (Chain(c.self_intersections, tuple(prefix + l for l in c.labels))
-                            for c in (self.chain_p, self.chain_q))
-        return BlowupConfig(self.p, self.q, self.size, chain_p, chain_q,
-                            prefix + self.exceptional_label)
+        return BlowupConfig(self.p, self.q, self.size, self.chain_p.prefixed(prefix),
+                            self.chain_q.prefixed(prefix), prefix + self.exceptional_label)
 
     def to_json(self) -> dict:
         # chains are reported from the axis end (the continued-fraction

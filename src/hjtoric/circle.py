@@ -29,6 +29,16 @@ reports TRACKED_CLASS_DESTROYED.
 Configurations never interact, so the state is the set of live instances,
 each with its own small lattice, and the bookkeeping lattice is their direct
 sum, assembled only for output: a crossing costs the same at any loop count.
+
+A run splits what it fixes from what it steps.  ``initial_state`` builds one
+frozen ``RunContext`` per run: the data, the pairs, base and delta, each
+pair's resolved template, and the run's grid, the lcm D of the base and
+level denominators.  Every position the run reaches is a multiple of 1/D,
+so a step value, ``ReducedSpaceState``, holds the context, an integer
+position numerator over D, the live instances and an install counter.  A
+crossing is then one lookup of its datum, an integer check of its position
+and the blowup or blowdown itself; Fractions are built only for areas, the
+ledger and the output, so every result stays exact.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ import logging
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 from .blowup import BlowupConfig, _require_weights, fulton_config, weighted_blowdown
 from .errors import DomainError, StructureError
@@ -79,6 +90,12 @@ class FixedPointDatum:
         if self.sign not in (1, -1):
             raise DomainError(f"sign must be +1 or -1, got {self.sign}")
         _require_weights(self.p, self.q)
+        # a run looks up its datum at every crossing; hashing the Fraction
+        # level each time would cost more than the rest of the lookup
+        object.__setattr__(self, "_hash", hash((self.level, self.sign, self.p, self.q, self.match)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def weights(self) -> tuple[int, int]:
@@ -240,6 +257,11 @@ def build_cover(data, eps) -> GeneralizedCover:
         raise DomainError("cannot cover the circle from an empty level set")
     if not report.ok:
         raise DomainError("; ".join(report.errors))
+    return _cover(data, eps)
+
+
+def _cover(data, eps) -> GeneralizedCover:
+    """``build_cover`` for non-empty data that ``validate`` has accepted."""
     eps = Fraction(eps)
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
@@ -267,47 +289,88 @@ class TrackedClassDestroyed(Exception):
 
 
 @dataclass(frozen=True)
+class RunContext:
+    """What a run fixes once, in ``initial_state``: shared by all its states.
+
+    ``den`` is the run's grid: the lcm of the base and level denominators,
+    so every position the run reaches, every level and every life arc is an
+    integer numerator over it.  ``levels`` maps each datum to its pair index
+    and its level numerator; ``arcs`` holds each pair's life arc as a
+    numerator.  ``templates`` holds each pair's config and lattice, resolved
+    at its tent size (arc / (2*p*q)) with unprefixed labels.
+    """
+
+    data: tuple[FixedPointDatum, ...]
+    pairs: tuple[tuple[int, int], ...]
+    base: Fraction
+    delta: Fraction
+    den: int
+    arcs: tuple[int, ...]
+    levels: dict[FixedPointDatum, tuple[int, int]] = field(repr=False, compare=False)
+    templates: tuple[tuple[BlowupConfig, IntersectionLattice], ...] = field(repr=False)
+
+
+@dataclass(frozen=True)
 class Instance:
     """A live blowup configuration with its own resolved lattice.
 
-    ``dies_at`` is the cumulative coordinate of its matched blowdown, or
-    None for the transported tracked copy, which no blowdown touches.
+    ``created`` and ``dies`` are cumulative coordinates as numerators over
+    ``den``: its blowup and its matched blowdown, ``dies`` None for the
+    transported tracked copy, which no blowdown touches.
     """
 
     uid: str
     pair: int
     config: BlowupConfig
     lattice: IntersectionLattice
-    created_at: Fraction
-    dies_at: Fraction | None
+    den: int
+    created: int
+    dies: int | None
     tracked: bool = False
+
+    @property
+    def created_at(self) -> Fraction:
+        return Fraction(self.created, self.den)
+
+    @property
+    def dies_at(self) -> Fraction | None:
+        return None if self.dies is None else Fraction(self.dies, self.den)
 
 
 @dataclass(frozen=True)
 class ReducedSpaceState:
-    """The evolving bookkeeping state: the live blowup instances.
+    """One step of a run: its context, its position and the live instances.
 
-    ``lattice`` (their direct sum in install order) and ``books`` (their
-    orbifold points) are derived on demand.  ``pair_of``, ``arcs`` and
-    ``templates``, built once per run, map each datum to its pair, and each
-    pair to its life arc and to its resolved config and lattice at its tent
-    size, with unprefixed labels.
-    ``position`` is a cumulative counterclockwise coordinate (it increases
-    by 1 per loop; its value mod 1 is the circle level).  Transition
-    functions return fresh states.
+    The run's fixed data sit in the shared ``context``; a state adds only
+    ``pos``, the position as an integer numerator over ``context.den``, the
+    live ``instances`` in install order and the install ``counter``.  The
+    position is a cumulative counterclockwise coordinate (it increases by 1
+    per loop; its value mod 1 is the circle level).  ``position`` reads it
+    as an exact Fraction; ``lattice`` (the instances' direct sum in install
+    order) and ``books`` (their orbifold points) are derived on demand.
+    Transition functions return fresh states and never write to their input.
     """
 
-    data: tuple[FixedPointDatum, ...]
-    pairs: tuple[tuple[int, int], ...]
-    base: Fraction
-    position: Fraction
-    delta: Fraction
-    pair_of: dict[FixedPointDatum, int] = field(repr=False, compare=False)
-    arcs: tuple[Fraction, ...] = field(repr=False, compare=False)
-    templates: tuple[tuple[BlowupConfig, IntersectionLattice], ...] = field(
-        repr=False, compare=False)
+    context: RunContext
+    pos: int
     instances: tuple[Instance, ...] = ()
     counter: int = 0
+
+    @property
+    def data(self) -> tuple[FixedPointDatum, ...]:
+        return self.context.data
+
+    @property
+    def base(self) -> Fraction:
+        return self.context.base
+
+    @property
+    def delta(self) -> Fraction:
+        return self.context.delta
+
+    @property
+    def position(self) -> Fraction:
+        return Fraction(self.pos, self.context.den)
 
     @property
     def lattice(self) -> IntersectionLattice:
@@ -325,10 +388,17 @@ class ReducedSpaceState:
                       for n, m in ((p, q), (q, p)) if n > 1]
         return tuple(books)
 
-    def at(self, position: Fraction) -> "ReducedSpaceState":
+    def at(self, position) -> "ReducedSpaceState":
+        """The same state at a later position, which must lie on the run's
+        grid of multiples of 1/``context.den``."""
+        position = Fraction(position)
         if position < self.position:
             raise DomainError("the simulator only moves counterclockwise")
-        return replace(self, position=position)
+        pos = position * self.context.den
+        if pos.denominator != 1:
+            raise DomainError(f"position {position} is off this run's grid of "
+                              f"multiples of 1/{self.context.den}")
+        return ReducedSpaceState(self.context, pos.numerator, self.instances, self.counter)
 
     def tracked_instance(self) -> Instance | None:
         return next((inst for inst in self.instances if inst.tracked), None)
@@ -356,20 +426,21 @@ def default_delta(data) -> Fraction:
     return min_gap / 1000
 
 
-def _install(state: ReducedSpaceState, pair_idx: int, created_at: Fraction,
-             dies_at: Fraction | None, uid: str, tracked: bool) -> ReducedSpaceState:
+def _install(state: ReducedSpaceState, pair_idx: int, created: int, dies: int | None,
+             uid: str, tracked: bool) -> ReducedSpaceState:
     """Add an instance of the pair's template, its labels prefixed ``uid.``.
 
     A matched instance keeps the template's tent size; the transported copy
-    (``dies_at`` None) has size 1.
+    (``dies`` None) has size 1.
     """
-    cfg, lat = state.templates[pair_idx]
-    if dies_at is None:
+    ctx = state.context
+    cfg, lat = ctx.templates[pair_idx]
+    if dies is None:
         cfg = replace(cfg, size=ONE)
     prefix = f"{uid}."
     inst = Instance(uid, pair_idx, cfg.prefixed(prefix), lat.prefixed(prefix),
-                    created_at, dies_at, tracked)
-    return replace(state, instances=state.instances + (inst,), counter=state.counter + 1)
+                    ctx.den, created, dies, tracked)
+    return ReducedSpaceState(ctx, state.pos, state.instances + (inst,), state.counter + 1)
 
 
 def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
@@ -377,10 +448,10 @@ def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
 
     Every matched pair whose counterclockwise life arc contains the base
     level contributes one live configuration, so the state is consistent
-    with the periodic dynamics from the very first crossing.  Each pair's
-    config and lattice are resolved here once per run, at the pair's tent
-    size (arc / (2*p*q), the peak area of its exceptional class); every
-    install relabels that template.
+    with the periodic dynamics from the very first crossing.  The run's
+    context, with each pair's config and lattice resolved once at the
+    pair's tent size (arc / (2*p*q), the peak area of its exceptional
+    class), is built here; every install relabels that template.
     """
     data = tuple(data)
     report = validate(data)
@@ -388,31 +459,35 @@ def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
         raise DomainError("; ".join(report.errors))
     if report.outcome == "no_obstruction":
         raise DomainError("cannot build a state from an empty fixed-point set")
+    return _initial_state(data, report.pairs, base, delta)
+
+
+def _initial_state(data, pairs, base, delta) -> ReducedSpaceState:
+    """``initial_state`` for data whose pairs ``validate`` has derived."""
     base = default_base(data) if base is None else _mod1(Fraction(base))
     if any(d.level == base for d in data):
         raise DomainError(f"base level {base} must be a regular level")
     delta = default_delta(data) if delta is None else Fraction(delta)
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta}")
-    pairs = report.pairs
-    arcs = tuple(arc_distance(data[plus].level, data[minus].level) for plus, minus in pairs)
+    den = lcm(base.denominator, *(d.level.denominator for d in data))
+    levels = [d.level.numerator * (den // d.level.denominator) for d in data]
+    arcs = tuple((levels[minus] - levels[plus]) % den for plus, minus in pairs)
     templates = []
     for (plus, _), arc in zip(pairs, arcs):
         p, q = data[plus].weights
-        cfg = fulton_config(p, q, size=arc / (2 * p * q))
+        cfg = fulton_config(p, q, size=Fraction(arc, 2 * p * q * den))
         templates.append((cfg, cfg.lattice()))
-    state = ReducedSpaceState(
-        data=data, pairs=pairs, base=base, position=base, delta=delta, arcs=arcs,
-        pair_of={data[i]: k for k, pair in enumerate(pairs) for i in pair},
-        templates=tuple(templates),
-    )
+    ctx = RunContext(data, pairs, base, delta, den, arcs,
+                     {data[i]: (k, levels[i]) for k, pair in enumerate(pairs) for i in pair},
+                     tuple(templates))
+    start = base.numerator * (den // base.denominator)
+    state = ReducedSpaceState(ctx, start)
     for pair_idx, (plus, _) in enumerate(pairs):
-        back = arc_distance(data[plus].level, base)
+        back = (start - levels[plus]) % den
         if 0 < back < arcs[pair_idx]:
-            state = _install(
-                state, pair_idx, base - back, base - back + arcs[pair_idx],
-                uid=f"B{state.counter + 1}", tracked=False,
-            )
+            state = _install(state, pair_idx, start - back, start - back + arcs[pair_idx],
+                             uid=f"B{state.counter + 1}", tracked=False)
     return state
 
 
@@ -432,25 +507,29 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum, *,
     blowdown will touch), "mark" flags the dynamic instance itself as the
     tracked one.
     """
-    pair_idx = state.pair_of.get(datum)
-    if pair_idx is None:
+    ctx = state.context
+    found = ctx.levels.get(datum)
+    if found is None:
         raise DomainError("datum is not part of this state's fixed-point data")
-    if arc_distance(datum.level, state.position) != 0:
+    pair_idx, level = found
+    pos = state.pos
+    if (pos - level) % ctx.den:
         raise DomainError(
             f"state position {state.position} is not at level {datum.level}"
         )
     if datum.sign == 1:
         uid = f"B{state.counter + 1}"
-        state = _install(state, pair_idx, state.position,
-                         state.position + state.arcs[pair_idx], uid,
+        state = _install(state, pair_idx, pos, pos + ctx.arcs[pair_idx], uid,
                          tracked=(track == "mark"))
         if track == "copy":
-            state = _install(state, pair_idx, state.position, None, "T", tracked=True)
-        log.debug("blowup %s at %s: weights %s", uid, state.position, datum.weights)
+            state = _install(state, pair_idx, pos, None, "T", tracked=True)
+        log.debug("blowup %s at position %d/%d: weights %s", uid, pos, ctx.den, datum.weights)
         return state
-    victim = next((inst for inst in state.instances
-                   if inst.pair == pair_idx and inst.dies_at == state.position), None)
-    if victim is None:
+    instances = state.instances
+    for i, victim in enumerate(instances):
+        if victim.pair == pair_idx and victim.dies == pos:
+            break
+    else:
         raise StructureError(
             f"model inconsistency: no matched class with vanishing area at "
             f"level {datum.level} (position {state.position})"
@@ -460,8 +539,8 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum, *,
     left = weighted_blowdown(victim.lattice, victim.config)
     if len(left):
         raise StructureError(f"blowdown of {victim.uid} left classes {left.classes}")
-    log.debug("blowdown %s at %s", victim.uid, state.position)
-    return replace(state, instances=tuple(inst for inst in state.instances if inst is not victim))
+    log.debug("blowdown %s at position %d/%d", victim.uid, pos, ctx.den)
+    return ReducedSpaceState(ctx, pos, instances[:i] + instances[i + 1:], state.counter)
 
 
 def area(state: ReducedSpaceState, label: str, lam: Fraction) -> Fraction:
@@ -477,15 +556,16 @@ def area(state: ReducedSpaceState, label: str, lam: Fraction) -> Fraction:
     inst = next((inst for inst in state.instances if label in inst.lattice.classes), None)
     if inst is None:
         raise DomainError(f"no class {label!r} is live")
-    t = lam - inst.created_at
-    if t < 0 or (inst.dies_at is not None and lam > inst.dies_at):
+    created, dies = inst.created_at, inst.dies_at
+    t = lam - created
+    if t < 0 or (dies is not None and lam > dies):
         raise DomainError(f"class {label!r} not present at {lam}")
     if label != inst.config.exceptional_label:
         return state.delta
     pq = inst.config.p * inst.config.q
-    if inst.dies_at is None:
+    if dies is None:
         return t / pq
-    return min(t, inst.dies_at - inst.created_at - t) / pq
+    return min(t, dies - created - t) / pq
 
 
 @dataclass(frozen=True)
@@ -524,9 +604,17 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
     exhausted without contradiction report INCONCLUSIVE.
 
     The data are validated once, by ``initial_state``; loop n crosses each
-    level n - 1 after its first-loop position, computed once.
+    level n - 1 loops after its first-loop position on the run's grid,
+    computed once.
     """
-    data = tuple(data)
+    return _run_loop(tuple(data), None, loops, bound, base=base, delta=delta,
+                     tracked_independent=tracked_independent)
+
+
+def _run_loop(data, pairs, loops, bound=None, *, base=None, delta=None,
+              tracked_independent=True) -> RunResult:
+    """``run_loop``, for data whose pairs ``validate`` has derived, or with
+    ``pairs`` None to validate them here."""
     if loops < 1:
         raise DomainError(f"loops must be >= 1, got {loops}")
     if not data:
@@ -534,20 +622,28 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
             "NO_OBSTRUCTION", (), None, empty_lattice(), None, None, bound,
             "no fixed points: the ledger argument needs a non-empty fixed-point set",
         )
-    state = initial_state(data, base=base, delta=delta)
-    crossings = sorted(((state.base + arc_distance(state.base, d.level), d) for d in data),
+    if pairs is None:
+        state = initial_state(data, base=base, delta=delta)
+    else:
+        state = _initial_state(data, pairs, base, delta)
+    ctx, start = state.context, state.pos
+    den = ctx.den
+    crossings = sorted(((start + (ctx.levels[d][1] - start) % den, d) for d in data),
                        key=lambda crossing: crossing[0])
     ledger: list[Fraction] = []
     distinct: set[Fraction] = set()
     tracked_label: str | None = None
     bound_val = bound
     for loop in range(1, loops + 1):
-        for start, datum in crossings:
+        shift = (loop - 1) * den
+        for pos, datum in crossings:
             track = None
             if tracked_label is None and datum.sign == 1:
                 track = "copy" if tracked_independent else "mark"
             try:
-                state = cross_level(state.at(start + (loop - 1)), datum, track=track)
+                state = cross_level(
+                    ReducedSpaceState(ctx, pos + shift, state.instances, state.counter),
+                    datum, track=track)
             except TrackedClassDestroyed:
                 return RunResult(
                     "TRACKED_CLASS_DESTROYED", tuple(ledger), None,
@@ -558,7 +654,7 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
                 )
             if track is not None:
                 tracked_label = state.tracked_instance().config.exceptional_label
-        state = state.at(state.base + loop)
+        state = ReducedSpaceState(ctx, start + loop * den, state.instances, state.counter)
         ledger.append(area(state, tracked_label, state.position))
         distinct.add(ledger[-1])
         if bound_val is None:

@@ -3,7 +3,9 @@
 Subcommands: resolve, blowup, equiv, signature, simulate, hj.  Numeric
 flags that are rational-valued accept exact "n/d" strings; output is JSON
 (or SVG for diagrams).  Exit codes: 0 success, 2 domain/validation error,
-1 internal inconsistency.  Set HJTORIC_LOG=debug for verbose logging.
+1 internal inconsistency.  Set HJTORIC_LOG=debug for verbose logging; any
+value other than a level name (debug, info, warning, error, critical, in
+any case) exits 2.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import sys
 
 from .blowup import _routes_agree, fulton_config, mcduff_sequence
-from .circle import FixedPointDatum, build_cover, run_loop, validate
+from .circle import FixedPointDatum, _cover, _run_loop, validate
 from .errors import DomainError, StructureError
 from .hj import hj_expand, hj_reverse
 from .homology import IntersectionLattice, signature
@@ -170,15 +172,15 @@ def _parse_simulation_input(raw: str) -> tuple[list[FixedPointDatum], dict]:
 def cmd_simulate(args) -> int:
     raw = _read_input(args.input)
     data, options = _parse_simulation_input(raw)
-    report = validate(data)
+    report = validate(data)  # the only validation: the pairs are passed on
     if not report.ok:
         _emit_json({"errors": list(report.errors)}, args.out)
         return 2
     eps = options.pop("eps")
     payload = {}
     if data and eps is not None:
-        payload["cover"] = build_cover(data, eps).to_json()
-    result = run_loop(data, **options)
+        payload["cover"] = _cover(data, eps).to_json()
+    result = _run_loop(tuple(data), report.pairs, **options)
     payload.update(result.to_json())
     _emit_json(payload, args.out)
     return 0
@@ -249,9 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+
+
 def main(argv=None) -> int:
-    level = os.environ.get("HJTORIC_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = os.environ.get("HJTORIC_LOG", "warning")
+    if level.lower() not in LOG_LEVELS:
+        print(f"error: HJTORIC_LOG must be one of {', '.join(LOG_LEVELS)}, got {level!r}",
+              file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level.upper())
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

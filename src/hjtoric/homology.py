@@ -421,20 +421,6 @@ def _add(row: dict, key, x) -> None:
 # -- blowups / blowdowns -----------------------------------------------------
 
 
-def blow_up(lat: IntersectionLattice, label: str | None = None) -> IntersectionLattice:
-    """Adjoin a fresh orthogonal (-1)-class with c1 = 1.
-
-    Orthogonality means the positive part of the form is untouched, so
-    ``b_plus`` is unchanged.
-    """
-    if label is None:
-        k = 1
-        while f"E{k}" in lat._self:
-            k += 1
-        label = f"E{k}"
-    return blow_up_at(lat, (), label)
-
-
 def blow_down(lat: IntersectionLattice, label: str) -> IntersectionLattice:
     """Contract an exceptional class, pushing forward every other class.
 
@@ -580,37 +566,48 @@ def chain_contact_replay(lat: IntersectionLattice, eprime: str, config) -> Chain
             True, etilde, (), (eprime, etilde), (-1, -1), k,
             lat.c1_of(eprime) + lat.c1_of(etilde),
         )
-    contacts = [l for l in chain_labels if lat.pair(eprime, l) != 0]
+    contacts = {l for l in chain_labels if lat.pair(eprime, l) != 0}
     if not contacts:
         return ChainContactReplay(False, None, (), None, None, None, None)
-    work = lat
-    remaining = [etilde, *chain_labels]
+    # Everything contracted is disjoint from E' (a -1 class meeting E' ends
+    # the replay first), so the pairings of E' never change, and only the
+    # neighbours of a contracted class can join or leave the hits or the
+    # ready set.  One store copy, one kernel call per contraction: O(n).
+    store = lat._store()
+    self_, c1, edges = store
+    order = {l: i for i, l in enumerate((etilde, *chain_labels))}
+    if len(order) != 1 + len(chain_labels):
+        raise DomainError("the configuration's class labels must be distinct")
+    hits = {l for l in contacts if self_[l] == -1}
+    ready = {l for l in order if self_[l] == -1 and c1[l] == 1}
     done: list[str] = []
-    while True:
-        hit = next(
-            (l for l in remaining
-             if work.self_intersection(l) == -1 and work.pair(eprime, l) != 0),
-            None,
-        )
-        if hit is not None:
-            k = work.pair(eprime, hit)
-            if k >= 1:
-                exceptional_pair_criterion(work, eprime, hit)
-            return ChainContactReplay(
-                True, hit, tuple(done), (eprime, hit),
-                (work.self_intersection(eprime), work.self_intersection(hit)),
-                k, work.c1_of(eprime) + work.c1_of(hit),
-            )
-        nxt = next(
-            (l for l in remaining
-             if work.self_intersection(l) == -1 and work.c1_of(l) == 1),
-            None,
-        )
-        if nxt is None:
+    while not hits:
+        if not ready:
             raise StructureError("blowdown replay stuck: no (-1)-class left")
-        work = blow_down(work, nxt)
-        remaining.remove(nxt)
+        nxt = min(ready, key=order.__getitem__)
+        touched = edges[nxt]
+        _contract(store, nxt)
+        del order[nxt]
+        ready.discard(nxt)
         done.append(nxt)
+        for l in touched:
+            if l in order and self_[l] == -1:
+                if l in contacts:
+                    hits.add(l)
+                if c1[l] == 1:
+                    ready.add(l)
+                    continue
+            ready.discard(l)
+    hit = min(hits, key=order.__getitem__)
+    work = IntersectionLattice._sparse(*store)
+    k = work.pair(eprime, hit)
+    if k >= 1:
+        exceptional_pair_criterion(work, eprime, hit)
+    return ChainContactReplay(
+        True, hit, tuple(done), (eprime, hit),
+        (work.self_intersection(eprime), work.self_intersection(hit)),
+        k, work.c1_of(eprime) + work.c1_of(hit),
+    )
 
 
 def chain_contact_criterion(lat: IntersectionLattice, eprime: str, config) -> bool:

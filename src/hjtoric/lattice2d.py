@@ -46,10 +46,6 @@ def primitive(v) -> Vec:
     return (x // g, y // g)
 
 
-def is_primitive(v: Vec) -> bool:
-    return gcd(v[0], v[1]) == 1
-
-
 def _point(p) -> Point:
     if type(p) is tuple and type(p[0]) is Fraction and type(p[1]) is Fraction:
         return p

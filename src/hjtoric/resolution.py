@@ -68,6 +68,15 @@ class Chain:
     def __len__(self) -> int:
         return len(self.self_intersections)
 
+    def prefixed(self, prefix: str) -> "Chain":
+        """The same chain with ``prefix`` put before every label.  A common
+        prefix keeps distinct labels distinct, so the checks of this chain
+        hold for the result and are not run again."""
+        chain = object.__new__(Chain)
+        object.__setattr__(chain, "self_intersections", self.self_intersections)
+        object.__setattr__(chain, "labels", tuple([prefix + l for l in self.labels]))
+        return chain
+
     def reversed(self) -> "Chain":
         """The same chain walked from the other end; labels reassigned
         left-to-right so label order always matches storage order."""

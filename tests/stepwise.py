@@ -1,9 +1,10 @@
 """Step-by-step constructions, kept as oracles for the single-store ones.
 
 These are how ``hjtoric.blowup`` built a cut-replay lattice and ran a
-weighted blowdown before the constructions edited one private copy of the
-sparse store: one public ``blow_up_at`` or ``blow_down`` per class, each
-returning a fresh lattice.  They use only the public lattice operations and
+weighted blowdown, and how ``hjtoric.homology`` replayed the chain-contact
+criterion, before the constructions edited one private copy of the sparse
+store: one public ``blow_up_at`` or ``blow_down`` per class, each returning
+a fresh lattice.  They use only the public lattice operations and
 queries.  Those operations run the same kernels (``_blow_up``,
 ``_contract``), so these oracles check what the constructions add: one
 shared store, the forced contraction order and the checks around it.  The
@@ -12,7 +13,14 @@ kernels themselves are checked against the dense routines in ``dense.py``.
 
 from hjtoric.blowup import BlowupConfig, McDuffSequence
 from hjtoric.errors import DomainError, StructureError
-from hjtoric.homology import IntersectionLattice, blow_down, blow_up_at, empty_lattice
+from hjtoric.homology import (
+    ChainContactReplay,
+    IntersectionLattice,
+    blow_down,
+    blow_up_at,
+    empty_lattice,
+    exceptional_pair_criterion,
+)
 
 
 def mcduff_lattice(seq: McDuffSequence, label_prefix: str = "") -> IntersectionLattice:
@@ -49,6 +57,56 @@ def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> Interse
             else:
                 ready.discard(l)
     return current
+
+
+def chain_contact_replay(lat: IntersectionLattice, eprime: str, config) -> ChainContactReplay:
+    """One ``blow_down`` per contraction, rescanning the remaining config
+    classes for a hit and for the next (-1)-class at every step."""
+    etilde = config.exceptional_label
+    chain_labels = tuple(config.chain_labels)
+    if eprime == etilde:
+        raise DomainError("E' must be distinct from the configuration's class")
+    if not lat.is_exceptional(eprime):
+        raise DomainError(f"{eprime!r} is not an exceptional class")
+    if lat.pair(eprime, etilde) != 0:
+        k = lat.pair(eprime, etilde)
+        if k >= 1:
+            exceptional_pair_criterion(lat, eprime, etilde)
+        return ChainContactReplay(
+            True, etilde, (), (eprime, etilde), (-1, -1), k,
+            lat.c1_of(eprime) + lat.c1_of(etilde),
+        )
+    contacts = [l for l in chain_labels if lat.pair(eprime, l) != 0]
+    if not contacts:
+        return ChainContactReplay(False, None, (), None, None, None, None)
+    work = lat
+    remaining = [etilde, *chain_labels]
+    done: list[str] = []
+    while True:
+        hit = next(
+            (l for l in remaining
+             if work.self_intersection(l) == -1 and work.pair(eprime, l) != 0),
+            None,
+        )
+        if hit is not None:
+            k = work.pair(eprime, hit)
+            if k >= 1:
+                exceptional_pair_criterion(work, eprime, hit)
+            return ChainContactReplay(
+                True, hit, tuple(done), (eprime, hit),
+                (work.self_intersection(eprime), work.self_intersection(hit)),
+                k, work.c1_of(eprime) + work.c1_of(hit),
+            )
+        nxt = next(
+            (l for l in remaining
+             if work.self_intersection(l) == -1 and work.c1_of(l) == 1),
+            None,
+        )
+        if nxt is None:
+            raise StructureError("blowdown replay stuck: no (-1)-class left")
+        work = blow_down(work, nxt)
+        remaining.remove(nxt)
+        done.append(nxt)
 
 
 def _contractible(lat: IntersectionLattice, label: str) -> bool:

@@ -22,6 +22,7 @@ from hjtoric.homology import (
     add_class,
     blow_down,
     blow_up_at,
+    chain_contact_replay,
     empty_lattice,
     lattice_from_parts,
     signature,
@@ -362,6 +363,20 @@ def test_tampered_configs_fail_like_the_oracle(p, q):
         assert got == stepwise.outcome(stepwise.weighted_blowdown, lat, cfg)
         outcomes.add(got if isinstance(got, type) else "lattice")
     assert {DomainError, StructureError} <= outcomes
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (7, 4), (11, 3), (13, 8), (40, 1), (41, 29)])
+def test_contact_replay_on_tampered_configs_matches_the_oracle(p, q):
+    """E' on each class of a tampered config, or of one whose chain class
+    sits at -1 beside E~ and stops being contractible when E~ goes."""
+    cfg = fulton_config(p, q)
+    cases = list(tampered(cfg))
+    cases += [(altered(cfg.lattice(), label, 1, 1), cfg) for label in cfg.chain_labels]
+    for lat, c in cases:
+        for label in lat.classes:
+            lat_e = add_class(lat, "E'", -1, {label: 1})
+            want = stepwise.outcome(stepwise.chain_contact_replay, lat_e, "E'", c)
+            assert stepwise.outcome(chain_contact_replay, lat_e, "E'", c) == want, (p, q, label)
 
 
 def snapshot(lat):

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -450,6 +451,61 @@ def test_run_loop_matches_global_lattice_oracle(action, loops, bound, tracked):
     assert got.final_lattice.to_json() == want.final_lattice.to_json()
 
 
+PRIMES_NEAR_1000 = (937, 941, 947, 953, 967, 971, 977, 983, 991, 997, 1009, 1013)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_run_loop_on_a_large_grid_matches_global_lattice_oracle(seed):
+    """Levels over pairwise-coprime denominators near 1000, so the run's
+    grid is the product of up to eleven of them."""
+    rng = random.Random(seed)
+    k = rng.randint(2, 5)
+    dens = rng.sample(PRIMES_NEAR_1000, 2 * k + 1)
+    levels = [Fraction(rng.randrange(1, den), den) for den in dens]
+    points = list(range(2 * k))
+    rng.shuffle(points)
+    where = {point: n for n, point in enumerate(points)}
+    explicit = rng.random() < 0.5
+    data = [FixedPointDatum(levels[point], 1 if point % 2 == 0 else -1,
+                            *WEIGHTS[(seed + point // 2) % len(WEIGHTS)],
+                            where[point ^ 1] if explicit else None)
+            for point in points]
+    base = None if seed % 2 else levels[-1]
+    assert initial_state(data, base=base).context.den > 900 ** (2 * k)
+    for loops, bound, tracked in ((6, None, True), (7, 5, True), (3, 2, False), (1, 0, True)):
+        got = run_loop(data, loops, bound, base=base, tracked_independent=tracked)
+        want = global_sim.run_loop(data, loops, bound, base=base, tracked_independent=tracked)
+        assert (got.verdict, got.ledger, got.loop_of_contradiction, got.bound,
+                got.tracked_label, got.base) == (
+            want.verdict, want.ledger, want.loop_of_contradiction, want.bound,
+            want.tracked_label, want.base)
+        assert got.final_lattice.to_json() == want.final_lattice.to_json()
+
+
+def test_at_moves_along_the_runs_grid():
+    """``at`` keeps the instances and counter and moves to any later position
+    on the grid of multiples of 1/D, D the lcm of the base and level
+    denominators; an earlier position or one off the grid is a DomainError."""
+    data = [FixedPointDatum(Fraction(1, 3), +1, 7, 4),
+            FixedPointDatum(Fraction(3, 4), -1, 7, 4)]
+    st = initial_state(data, base=Fraction(1, 10))
+    den = st.context.den
+    assert den == 60
+    st = cross_level(st.at(Fraction(1, 3)), data[0])
+    for x in (Fraction(1, 3), Fraction(2, 5), Fraction(7, 12), 1, Fraction(301, 60), 10 ** 30):
+        moved = st.at(x)
+        assert moved.position == x and isinstance(moved.position, Fraction)
+        assert (moved.context, moved.instances, moved.counter) == (
+            st.context, st.instances, st.counter)
+        assert moved.lattice == st.lattice and moved.books == st.books
+    with pytest.raises(DomainError, match="counterclockwise"):
+        st.at(Fraction(1, 4))
+    for x in (Fraction(1, 2) + Fraction(1, 7), Fraction(241, 120),
+              Fraction(2 * 10 ** 30 * den + 1, 2 * den)):
+        with pytest.raises(DomainError, match="grid"):
+            st.at(x)
+
+
 def crossings(sim, data, loops):
     """Every state of ``sim``'s stepping, as run_loop steps with a tracked copy."""
     state = sim.initial_state(data)
@@ -470,7 +526,12 @@ def crossings(sim, data, loops):
 @given(action=balanced_actions(max_pairs=4))
 def test_each_crossing_matches_global_lattice_oracle(action):
     data, _ = action
+    before = None
     for got, want in zip(crossings(circle, data, 3), crossings(global_sim, data, 3)):
+        if before is not None:  # cross_level never writes to its input
+            assert (before[0].pos, before[0].instances, before[0].counter) == before[1]
+        before = got, (got.pos, got.instances, got.counter)
+        assert got.position == want.position
         assert got.lattice.to_json() == want.lattice.to_json()
         assert got.books == want.books
         for label in got.lattice.classes:
@@ -547,8 +608,9 @@ def test_installs_equal_a_prefixed_fulton_config():
             data = [FixedPointDatum(Fraction(0), +1, p, q),
                     FixedPointDatum(Fraction(3, 8), -1, p, q)]
             st = initial_state(data, base=Fraction(1, 2))
-            st = circle._install(st, 0, Fraction(1), Fraction(11, 8), "B9", False)
-            st = circle._install(st, 0, Fraction(1), None, "T", True)
+            den = st.context.den  # created at 1, dying at 11/8
+            st = circle._install(st, 0, den, 11 * den // 8, "B9", False)
+            st = circle._install(st, 0, den, None, "T", True)
             for inst, size in zip(st.instances, (Fraction(3, 16 * p * q), 1)):
                 want = fulton_config(p, q, size, label_prefix=f"{inst.uid}.")
                 assert inst.config == want, (p, q)
@@ -584,9 +646,9 @@ def test_installs_and_blowdowns_leave_other_lattices_unchanged():
     data = three_pairs()
     st = initial_state(data, base=Fraction(7, 8))
     snap = lambda lat: IntersectionLattice.from_json(lat.to_json())
-    templates = [snap(lat) for _, lat in st.templates]
+    templates = [snap(lat) for _, lat in st.context.templates]
     for level, datum in sorted((d.level, d) for d in data):
         live = [(inst.lattice, snap(inst.lattice)) for inst in st.instances]
         st = cross_level(st.at(1 + level), datum, track="copy" if level == 0 else None)
         assert all(lat == before for lat, before in live)
-    assert [lat for _, lat in st.templates] == templates
+    assert [lat for _, lat in st.context.templates] == templates

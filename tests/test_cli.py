@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hjtoric import circle, cli
 from hjtoric.cli import main
 from hjtoric.errors import DomainError
 from hjtoric.rationals import parse_rational
@@ -151,6 +152,22 @@ class TestSimulate:
         assert obj["cover"]["relations"] == [
             ["I1", "U1"], ["I2", "U2"], ["I2", "U1"], ["I1", "U2"],
         ]
+
+    def test_validates_once(self, capsys, tmp_path, monkeypatch):
+        """The cover and the run reuse the pairs of the one validation."""
+        calls, validate = [], circle.validate
+
+        def counting(data):
+            calls.append(data)
+            return validate(data)
+
+        monkeypatch.setattr(circle, "validate", counting)
+        monkeypatch.setattr(cli, "validate", counting)
+        f = tmp_path / "sim.json"
+        f.write_text(json.dumps(self.input_obj()))
+        code, obj = run_json(capsys, "simulate", str(f))
+        assert code == 0 and "cover" in obj and obj["verdict"] == "HAMILTONIAN"
+        assert len(calls) == 1
 
     def test_empty_fixed_points(self, capsys, tmp_path):
         f = tmp_path / "sim.json"
@@ -318,6 +335,24 @@ def test_log_env_var(capsys, monkeypatch):
     monkeypatch.setenv("HJTORIC_LOG", "debug")
     code, _ = run_cli(capsys, "hj", "--m", "5", "--k", "2")
     assert code == 0
+
+
+@pytest.mark.parametrize("level", ["INFO", "Critical", "error"])
+def test_log_env_var_any_case(capsys, monkeypatch, level):
+    monkeypatch.setenv("HJTORIC_LOG", level)
+    code, _ = run_cli(capsys, "hj", "--m", "5", "--k", "2")
+    assert code == 0
+
+
+@pytest.mark.parametrize("level", ["basic_format", "root", "", "notset", "10"])
+def test_log_env_var_unknown_level_exits_2(capsys, monkeypatch, level):
+    """A name that is not a level (a logging attribute, a logger, a number)
+    is an input error, not a traceback or a silently ignored setting."""
+    monkeypatch.setenv("HJTORIC_LOG", level)
+    code = main(["hj", "--m", "5", "--k", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: HJTORIC_LOG") and "Traceback" not in err
 
 
 def test_equiv_gcd_violation_exits_2():

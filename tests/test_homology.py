@@ -1,18 +1,21 @@
 import random
+import time
+from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense
+import stepwise
 from hjtoric.blowup import fulton_config
 from hjtoric.errors import DomainError
 from hjtoric.homology import (
     IntersectionLattice,
     add_class,
     blow_down,
-    blow_up,
     blow_up_at,
     chain_contact_criterion,
     chain_contact_replay,
@@ -21,6 +24,21 @@ from hjtoric.homology import (
     lattice_from_parts,
     signature,
 )
+
+
+def blow_up(lat: IntersectionLattice, label: str | None = None) -> IntersectionLattice:
+    """Adjoin a fresh orthogonal (-1)-class with c1 = 1, labelled ``label``
+    or the first free ``E1``, ``E2``, ...
+
+    Orthogonality means the positive part of the form is untouched, so
+    ``b_plus`` is unchanged.
+    """
+    if label is None:
+        k = 1
+        while f"E{k}" in lat.classes:
+            k += 1
+        label = f"E{k}"
+    return blow_up_at(lat, (), label)
 
 
 def exact_det(rows):
@@ -236,6 +254,41 @@ class TestCriteria:
         assert replay.pair_self_intersections == (-1, -1)
         assert replay.c1_sum == 2
         assert "Zp3" not in replay.contractions
+
+    def test_replay_matches_stepwise_oracle(self):
+        """E' on each class of the config of every coprime pair with
+        p <= 40, and on none: the single-store replay and the one-blowdown-
+        per-step replay agree in every field."""
+        for p in range(1, 41):
+            for q in range(1, p + 1):
+                if gcd(p, q) != 1 or p == q != 1:
+                    continue
+                cfg = fulton_config(p, q)
+                for touched in ((), *((label,) for label in cfg.class_labels)):
+                    lat = add_class(cfg.lattice(), "E'", -1, dict.fromkeys(touched, 1))
+                    got = chain_contact_replay(lat, "E'", cfg)
+                    assert got == stepwise.chain_contact_replay(lat, "E'", cfg), (p, q, touched)
+                    assert got.triggered == bool(touched)
+
+    def test_replay_is_linear(self):
+        """E' on the far end of chain_p of fulton_config(p, 1), which every
+        other config class is contracted before; the replay that copies the
+        lattice per contraction takes about 2 s at p = 3200."""
+        cfg = fulton_config(3200, 1)
+        far = cfg.chain_p.labels[-1]
+        lat = add_class(cfg.lattice(), "E'", -1, {far: 1})
+        t0 = time.perf_counter()
+        replay = chain_contact_replay(lat, "E'", cfg)
+        elapsed = time.perf_counter() - t0
+        assert replay.via == far and len(replay.contractions) == len(cfg.class_labels) - 1
+        assert elapsed < 0.5, f"{elapsed:.3f} s"
+
+    def test_replay_rejects_repeated_config_labels(self):
+        cfg = fulton_config(7, 4)
+        lat = add_class(cfg.lattice(), "E'", -1, {"Zp1": 1})
+        twice = replace(cfg, chain_q=replace(cfg.chain_q, labels=cfg.chain_p.labels[:1]))
+        with pytest.raises(DomainError, match="distinct"):
+            chain_contact_replay(lat, "E'", twice)
 
 
 # -- the sparse routines against the dense oracles in tests/dense.py ----------
