@@ -1,7 +1,7 @@
 """hjtoric: exact combinatorics of cyclic quotient resolutions, weighted
 blowups and the circle of reduced spaces of a symplectic circle action."""
 
-from .errors import DomainError, EvaluationError, StructureError
+from .errors import DomainError, EvaluationError, StructureError, ValidationError
 from .hj import HJExpansion, ext_gcd, hj_eval, hj_expand, hj_reverse, mod_inverse
 from .homology import (
     IntersectionLattice,

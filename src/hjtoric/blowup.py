@@ -24,6 +24,8 @@ intersection lattice:
 ``cross_check`` verifies that the two routes build isomorphic lattices; the
 sum of squared multiplicities always equals p*q (each multiplicity-m cut
 removes m^2 half-unit triangles of the p*q-area corner being excised).
+``weighted_blowdown`` undoes a config along the one forced-contraction walk,
+``homology._forced_contractions``, that ``chain_contact_replay`` also drives.
 
 Both chains of a config are stored with class index 1 adjacent to E~ (the
 expansions above read from the opposite, axis-adjacent end; reversing an
@@ -33,18 +35,16 @@ orientation carries the same data).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, StructureError
 from .hj import hj_expand
-from .homology import IntersectionLattice, _blow_up, _contract, lattice_from_parts
+from .homology import (IntersectionLattice, _blow_up, _contract, _forced_contractions,
+                       lattice_from_parts)
 from .lattice2d import Point, Vec, det2
 from .resolution import Chain, chain_from_terms
-
-log = logging.getLogger(__name__)
 
 
 def _require_weights(p: int, q: int) -> None:
@@ -116,7 +116,6 @@ def fulton_config(
     q: int,
     size: Fraction | int = 1,
     label_prefix: str = "",
-    at_order: int = 1,
 ) -> BlowupConfig:
     """Resolved lattice of the (p, q)-weighted blowup via the vertex route.
 
@@ -124,15 +123,9 @@ def fulton_config(
     order-q corner by the expansion of q/k with k = q - p mod q (empty for
     q = 1); E~ meets the last class of each expansion, so the stored chains
     are the reversed expansions.  A ``label_prefix`` goes through
-    :meth:`BlowupConfig.prefixed`.  Blowing up *at* an orbifold point
-    (``at_order > 1``) is not supported.
+    :meth:`BlowupConfig.prefixed`.
     """
     _require_weights(p, q)
-    if at_order != 1:
-        raise NotImplementedError(
-            "unsupported: weighted blowup at an orbifold point (order "
-            f"{at_order} > 1) is an open problem"
-        )
     size = Fraction(size)
     if size <= 0:
         raise DomainError(f"size must be positive, got {size}")
@@ -303,15 +296,7 @@ def cross_check(p: int, q: int) -> bool:
     has exactly |chain_p| + |chain_q| + 1 cuts).  A False return means an
     internal inconsistency, not a bad input.
     """
-    return _routes_agree(fulton_config(p, q), mcduff_lattice(q, p))
-
-
-def _routes_agree(cfg: BlowupConfig, replayed: IntersectionLattice) -> bool:
-    ok = lattices_isomorphic_as_chains(cfg.lattice(), replayed)
-    if not ok:
-        log.debug("weights (%d, %d): the %d replayed classes do not match the %d "
-                  "vertex-route classes", cfg.p, cfg.q, len(replayed), len(cfg.class_labels))
-    return ok
+    return lattices_isomorphic_as_chains(fulton_config(p, q).lattice(), mcduff_lattice(q, p))
 
 
 def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> IntersectionLattice:
@@ -332,26 +317,11 @@ def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> Interse
             f"{etilde!r} has self-intersection {lat.self_intersection(etilde)}, not -1"
         )
     store = lat._store()
-    self_, c1, edges = store
     _contract(store, etilde)
-    # a contraction changes only its neighbours, so only they can become
-    # ready or stop being ready; ties go to the earliest chain label
-    remaining = {l: i for i, l in enumerate(config.chain_labels)}
-    ready = {l for l in remaining if self_[l] == -1 and c1[l] == 1}
-    while remaining:
-        if not ready:
-            raise StructureError(
-                "blowdown stalled: no remaining config class at -1 "
-                f"(remaining: {list(remaining)})"
-            )
-        label = min(ready, key=remaining.__getitem__)
-        touched = edges[label]
-        _contract(store, label)
-        del remaining[label]
-        ready.discard(label)
-        for l in touched:
-            if l in remaining and self_[l] == -1 and c1[l] == 1:
-                ready.add(l)
-            else:
-                ready.discard(l)
+    for _ in _forced_contractions(store, config.chain_labels):
+        pass
+    remaining = [l for l in config.chain_labels if l in store[0]]
+    if remaining:
+        raise StructureError("blowdown stalled: no remaining config class at -1 "
+                             f"(remaining: {remaining})")
     return IntersectionLattice._sparse(*store)

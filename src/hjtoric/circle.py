@@ -30,15 +30,17 @@ Configurations never interact, so the state is the set of live instances,
 each with its own small lattice, and the bookkeeping lattice is their direct
 sum, assembled only for output: a crossing costs the same at any loop count.
 
-A run splits what it fixes from what it steps.  ``initial_state`` builds one
-frozen ``RunContext`` per run: the data, the pairs, base and delta, each
-pair's resolved template, and the run's grid, the lcm D of the base and
-level denominators.  Every position the run reaches is a multiple of 1/D,
+A run splits what it fixes from what it steps.  ``initial_state`` validates
+the data once (``ValidationError`` lists every failure) and builds one
+frozen ``RunContext`` per run: the data, base and delta, each pair's
+resolved template, and the run's grid, the lcm D of the base and level
+denominators.  Every position the run reaches is a multiple of 1/D,
 so a step value, ``ReducedSpaceState``, holds the context, an integer
 position numerator over D, the live instances and an install counter.  A
 crossing is then one lookup of its datum, an integer check of its position
 and the blowup or blowdown itself; Fractions are built only for areas, the
-ledger and the output, so every result stays exact.
+ledger and the output, so every result stays exact.  The interval cover,
+``build_cover``, needs only the levels.
 """
 
 from __future__ import annotations
@@ -46,11 +48,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import reduce
 from math import lcm
 
 from .blowup import BlowupConfig, _require_weights, fulton_config, weighted_blowdown
-from .errors import DomainError, StructureError
+from .errors import DomainError, StructureError, ValidationError
 from .homology import IntersectionLattice, empty_lattice
 from .rationals import rational_json
 from .resolution import CyclicSingularity
@@ -247,25 +248,19 @@ class GeneralizedCover:
 def build_cover(data, eps) -> GeneralizedCover:
     """Cover by gap intervals U_i = (l_i, l_{i+1}) and I_i = (l_i - eps, l_i + eps).
 
-    Requires eps strictly below half the minimal level gap; at or above that
-    bound some point would lie in three sets.  The violation message reports
-    the supremum of admissible radii.
+    Needs only the levels, which must be non-empty and distinct.  Requires
+    eps strictly below half the minimal level gap; at or above that bound
+    some point would lie in three sets.  The violation message reports the
+    supremum of admissible radii.
     """
-    data = tuple(data)
-    report = validate(data)
-    if report.outcome == "no_obstruction":
+    levels = tuple(sorted(d.level for d in data))
+    if not levels:
         raise DomainError("cannot cover the circle from an empty level set")
-    if not report.ok:
-        raise DomainError("; ".join(report.errors))
-    return _cover(data, eps)
-
-
-def _cover(data, eps) -> GeneralizedCover:
-    """``build_cover`` for non-empty data that ``validate`` has accepted."""
+    if len(set(levels)) != len(levels):
+        raise DomainError("critical levels must be distinct")
     eps = Fraction(eps)
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
-    levels = tuple(sorted(d.level for d in data))
     n = len(levels)
     min_gap = min(arc_distance(levels[i], levels[(i + 1) % n]) for i in range(n))
     if eps >= min_gap / 2:
@@ -301,7 +296,6 @@ class RunContext:
     """
 
     data: tuple[FixedPointDatum, ...]
-    pairs: tuple[tuple[int, int], ...]
     base: Fraction
     delta: Fraction
     den: int
@@ -374,8 +368,7 @@ class ReducedSpaceState:
 
     @property
     def lattice(self) -> IntersectionLattice:
-        return reduce(IntersectionLattice.direct_sum,
-                      (inst.lattice for inst in self.instances), empty_lattice())
+        return empty_lattice().direct_sum(*(inst.lattice for inst in self.instances))
 
     @property
     def books(self) -> tuple[tuple[str, CyclicSingularity], ...]:
@@ -451,19 +444,15 @@ def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
     with the periodic dynamics from the very first crossing.  The run's
     context, with each pair's config and lattice resolved once at the
     pair's tent size (arc / (2*p*q), the peak area of its exceptional
-    class), is built here; every install relabels that template.
+    class), is built here; every install relabels that template.  Data that
+    fail ``validate`` raise a ``ValidationError`` carrying its errors.
     """
     data = tuple(data)
     report = validate(data)
     if not report.ok:
-        raise DomainError("; ".join(report.errors))
+        raise ValidationError(report.errors)
     if report.outcome == "no_obstruction":
         raise DomainError("cannot build a state from an empty fixed-point set")
-    return _initial_state(data, report.pairs, base, delta)
-
-
-def _initial_state(data, pairs, base, delta) -> ReducedSpaceState:
-    """``initial_state`` for data whose pairs ``validate`` has derived."""
     base = default_base(data) if base is None else _mod1(Fraction(base))
     if any(d.level == base for d in data):
         raise DomainError(f"base level {base} must be a regular level")
@@ -472,18 +461,18 @@ def _initial_state(data, pairs, base, delta) -> ReducedSpaceState:
         raise DomainError(f"delta must be positive, got {delta}")
     den = lcm(base.denominator, *(d.level.denominator for d in data))
     levels = [d.level.numerator * (den // d.level.denominator) for d in data]
-    arcs = tuple((levels[minus] - levels[plus]) % den for plus, minus in pairs)
+    arcs = tuple((levels[minus] - levels[plus]) % den for plus, minus in report.pairs)
     templates = []
-    for (plus, _), arc in zip(pairs, arcs):
+    for (plus, _), arc in zip(report.pairs, arcs):
         p, q = data[plus].weights
         cfg = fulton_config(p, q, size=Fraction(arc, 2 * p * q * den))
         templates.append((cfg, cfg.lattice()))
-    ctx = RunContext(data, pairs, base, delta, den, arcs,
-                     {data[i]: (k, levels[i]) for k, pair in enumerate(pairs) for i in pair},
+    ctx = RunContext(data, base, delta, den, arcs,
+                     {data[i]: (k, levels[i]) for k, pair in enumerate(report.pairs) for i in pair},
                      tuple(templates))
     start = base.numerator * (den // base.denominator)
     state = ReducedSpaceState(ctx, start)
-    for pair_idx, (plus, _) in enumerate(pairs):
+    for pair_idx, (plus, _) in enumerate(report.pairs):
         back = (start - levels[plus]) % den
         if 0 < back < arcs[pair_idx]:
             state = _install(state, pair_idx, start - back, start - back + arcs[pair_idx],
@@ -607,14 +596,7 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
     level n - 1 loops after its first-loop position on the run's grid,
     computed once.
     """
-    return _run_loop(tuple(data), None, loops, bound, base=base, delta=delta,
-                     tracked_independent=tracked_independent)
-
-
-def _run_loop(data, pairs, loops, bound=None, *, base=None, delta=None,
-              tracked_independent=True) -> RunResult:
-    """``run_loop``, for data whose pairs ``validate`` has derived, or with
-    ``pairs`` None to validate them here."""
+    data = tuple(data)
     if loops < 1:
         raise DomainError(f"loops must be >= 1, got {loops}")
     if not data:
@@ -622,10 +604,7 @@ def _run_loop(data, pairs, loops, bound=None, *, base=None, delta=None,
             "NO_OBSTRUCTION", (), None, empty_lattice(), None, None, bound,
             "no fixed points: the ledger argument needs a non-empty fixed-point set",
         )
-    if pairs is None:
-        state = initial_state(data, base=base, delta=delta)
-    else:
-        state = _initial_state(data, pairs, base, delta)
+    state = initial_state(data, base=base, delta=delta)
     ctx, start = state.context, state.pos
     den = ctx.den
     crossings = sorted(((start + (ctx.levels[d][1] - start) % den, d) for d in data),

@@ -16,9 +16,9 @@ import logging
 import os
 import sys
 
-from .blowup import _routes_agree, fulton_config, mcduff_sequence
-from .circle import FixedPointDatum, _cover, _run_loop, validate
-from .errors import DomainError, StructureError
+from .blowup import fulton_config, lattices_isomorphic_as_chains, mcduff_sequence
+from .circle import FixedPointDatum, build_cover, run_loop
+from .errors import DomainError, StructureError, ValidationError
 from .hj import hj_expand, hj_reverse
 from .homology import IntersectionLattice, signature
 from .rationals import parse_rational, rational_json
@@ -29,7 +29,7 @@ from .resolution import (
     same_resolution,
     type_equivalent,
 )
-from .svg import _cut_diagram
+from .svg import cut_diagram_svg
 
 log = logging.getLogger(__name__)
 
@@ -70,9 +70,13 @@ def cmd_blowup(args) -> int:
     size = parse_rational(args.size)
     cfg = fulton_config(args.p, args.q, size=size)
     seq = mcduff_sequence(args.q, args.p)
-    ok = _routes_agree(cfg, seq.lattice())
+    vertex, replayed = cfg.lattice(), seq.lattice()
+    ok = lattices_isomorphic_as_chains(vertex, replayed)
+    if not ok:
+        log.error("cross_check(%d, %d) failed: the %d replayed classes do not match the %d "
+                  "vertex-route classes", args.p, args.q, len(replayed), len(vertex))
     if args.format == "svg":
-        _emit(_cut_diagram(seq, args.scale), args.out)
+        _emit(cut_diagram_svg(args.p, args.q, args.scale), args.out)
         return 0 if ok else 1
     payload = cfg.to_json()
     payload.update(
@@ -84,10 +88,7 @@ def cmd_blowup(args) -> int:
         }
     )
     _emit_json(payload, args.out)
-    if not ok:
-        log.error("cross_check(%d, %d) failed: the two resolution routes disagree", args.p, args.q)
-        return 1
-    return 0
+    return 0 if ok else 1
 
 
 def cmd_equiv(args) -> int:
@@ -172,15 +173,15 @@ def _parse_simulation_input(raw: str) -> tuple[list[FixedPointDatum], dict]:
 def cmd_simulate(args) -> int:
     raw = _read_input(args.input)
     data, options = _parse_simulation_input(raw)
-    report = validate(data)  # the only validation: the pairs are passed on
-    if not report.ok:
-        _emit_json({"errors": list(report.errors)}, args.out)
-        return 2
     eps = options.pop("eps")
+    try:
+        result = run_loop(data, **options)  # validates the data, once
+    except ValidationError as exc:
+        _emit_json({"errors": list(exc.errors)}, args.out)
+        return 2
     payload = {}
-    if data and eps is not None:
-        payload["cover"] = _cover(data, eps).to_json()
-    result = _run_loop(tuple(data), report.pairs, **options)
+    if data and eps is not None:  # after the run, so validation errors come first
+        payload["cover"] = build_cover(data, eps).to_json()
     payload.update(result.to_json())
     _emit_json(payload, args.out)
     return 0
@@ -265,7 +266,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, NotImplementedError, OSError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StructureError as exc:

@@ -11,6 +11,14 @@ class DomainError(ValueError):
     """An argument violates a documented precondition."""
 
 
+class ValidationError(DomainError):
+    """A fixed-point set failed validation; ``errors`` lists every reason."""
+
+    def __init__(self, errors: tuple[str, ...]):
+        super().__init__("; ".join(errors))
+        self.errors = errors
+
+
 class EvaluationError(DomainError):
     """A continued-fraction evaluation hit an intermediate zero denominator."""
 

@@ -22,6 +22,9 @@ the store once and edit the copy with the private kernels ``_blow_up`` and
 copies once and runs the kernels n times on its own store, O(n) in total.
 A kernel copies an edge-map row before writing to it, so rows shared with
 other lattices are never written.
+
+One walk, ``_forced_contractions``, contracts a configuration in its forced
+order for both ``blowup.weighted_blowdown`` and ``chain_contact_replay``.
 """
 
 from __future__ import annotations
@@ -192,14 +195,16 @@ class IntersectionLattice:
 
     # -- construction helpers ---------------------------------------------
 
-    def direct_sum(self, other: "IntersectionLattice") -> "IntersectionLattice":
-        if not self._self.keys().isdisjoint(other._self):
+    def direct_sum(self, *others: "IntersectionLattice") -> "IntersectionLattice":
+        """The orthogonal sum of this lattice and ``others``, each merged once."""
+        self_, c1, edges = dict(self._self), dict(self._c1), dict(self._edges)
+        for other in others:
+            self_.update(other._self)
+            c1.update(other._c1)
+            edges.update(other._edges)
+        if len(self_) != len(self) + sum(map(len, others)):
             raise DomainError("class labels must be distinct")
-        return IntersectionLattice._sparse(
-            {**self._self, **other._self},
-            {**self._c1, **other._c1},
-            {**self._edges, **other._edges},
-        )
+        return IntersectionLattice._sparse(self_, c1, edges)
 
     def without(self, labels: Iterable[str]) -> "IntersectionLattice":
         drop = set(labels)
@@ -501,6 +506,28 @@ def _contract(store, label: str) -> None:
         edges[a] = row
 
 
+def _forced_contractions(store, labels: Sequence[str]):
+    """Contract ``labels`` in ``store`` in their forced order, one (-1)-class
+    with c1 = 1 at a time (ties to the earliest label), yielding each with
+    the classes it met; the walk ends when none is left.  Only neighbours of
+    a contraction can change readiness, so the walk is O(n)."""
+    self_, c1, edges = store
+    order = {l: i for i, l in enumerate(labels)}
+    ready = {l for l in order if self_[l] == -1 and c1[l] == 1}
+    while ready:
+        label = min(ready, key=order.__getitem__)
+        touched = edges[label]
+        _contract(store, label)
+        del order[label]
+        ready.discard(label)
+        for l in touched:
+            if l in order and self_[l] == -1 and c1[l] == 1:
+                ready.add(l)
+            else:
+                ready.discard(l)
+        yield label, touched
+
+
 # -- b2+ = 1 criteria --------------------------------------------------------
 
 
@@ -571,34 +598,23 @@ def chain_contact_replay(lat: IntersectionLattice, eprime: str, config) -> Chain
         return ChainContactReplay(False, None, (), None, None, None, None)
     # Everything contracted is disjoint from E' (a -1 class meeting E' ends
     # the replay first), so the pairings of E' never change, and only the
-    # neighbours of a contracted class can join or leave the hits or the
-    # ready set.  One store copy, one kernel call per contraction: O(n).
-    store = lat._store()
-    self_, c1, edges = store
-    order = {l: i for i, l in enumerate((etilde, *chain_labels))}
-    if len(order) != 1 + len(chain_labels):
+    # neighbours of a contracted class can join the hits.
+    labels = (etilde, *chain_labels)
+    if len(set(labels)) != len(labels):
         raise DomainError("the configuration's class labels must be distinct")
+    store = lat._store()
+    self_ = store[0]
     hits = {l for l in contacts if self_[l] == -1}
-    ready = {l for l in order if self_[l] == -1 and c1[l] == 1}
     done: list[str] = []
-    while not hits:
-        if not ready:
+    if not hits:
+        for label, touched in _forced_contractions(store, labels):
+            done.append(label)
+            hits.update(l for l in touched if l in contacts and self_[l] == -1)
+            if hits:
+                break
+        else:
             raise StructureError("blowdown replay stuck: no (-1)-class left")
-        nxt = min(ready, key=order.__getitem__)
-        touched = edges[nxt]
-        _contract(store, nxt)
-        del order[nxt]
-        ready.discard(nxt)
-        done.append(nxt)
-        for l in touched:
-            if l in order and self_[l] == -1:
-                if l in contacts:
-                    hits.add(l)
-                if c1[l] == 1:
-                    ready.add(l)
-                    continue
-            ready.discard(l)
-    hit = min(hits, key=order.__getitem__)
+    hit = min(hits, key=chain_labels.index)
     work = IntersectionLattice._sparse(*store)
     k = work.pair(eprime, hit)
     if k >= 1:

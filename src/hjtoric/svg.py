@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .blowup import McDuffSequence, mcduff_sequence
+from .blowup import mcduff_sequence
 from .errors import DomainError
 from .lattice2d import Polygon, Wedge, wedge_polygon
 
@@ -29,11 +29,12 @@ def _fmt(x) -> str:
 class _Canvas:
     """Collects SVG elements in lattice coordinates, rendering at the end."""
 
-    def __init__(self, xmax: float, ymax: float, scale: int = 40, margin: float = 0.75):
+    margin = 0.75  # lattice units of blank border on every side
+
+    def __init__(self, xmax: float, ymax: float, scale: int = 40):
         if scale < 1:
             raise DomainError(f"scale must be at least 1, got {scale}")
         self.scale = scale
-        self.margin = margin
         self.xmax = xmax
         self.ymax = ymax
         self.parts: list[str] = []
@@ -79,11 +80,7 @@ def cut_diagram_svg(p: int, q: int, scale: int = 40) -> str:
     Draws the two quadrant edges and every cut chord at multiplicity size,
     ending in the hypotenuse from (0, q) to (p, 0).
     """
-    return _cut_diagram(mcduff_sequence(q, p), scale)
-
-
-def _cut_diagram(seq: McDuffSequence, scale: int) -> str:
-    p, q = seq.p, seq.q
+    seq = mcduff_sequence(q, p)
     canvas = _Canvas(p + 1, q + 1, scale)
     canvas.grid()
     canvas.line((0, 0), (0, q + 1))

@@ -128,10 +128,6 @@ class TestFultonConfig:
         with pytest.raises(DomainError):
             fulton_config(4, 7)
 
-    def test_orbifold_point_unsupported(self):
-        with pytest.raises(NotImplementedError):
-            fulton_config(5, 2, at_order=3)
-
 
 class TestMcDuffSequence:
     def test_four_seven(self):

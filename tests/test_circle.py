@@ -22,8 +22,8 @@ from hjtoric.circle import (
     validate,
 )
 from hjtoric.blowup import fulton_config
-from hjtoric.errors import DomainError, StructureError
-from hjtoric.homology import IntersectionLattice, lattice_from_parts
+from hjtoric.errors import DomainError, StructureError, ValidationError
+from hjtoric.homology import IntersectionLattice, empty_lattice, lattice_from_parts
 from hjtoric.resolution import resolve_cyclic
 
 
@@ -164,6 +164,29 @@ class TestValidate:
         assert validate(data).outcome == "error"
 
 
+INVALID = {
+    "unmatched-weights": [FixedPointDatum(Fraction(0), +1, 2, 1),
+                          FixedPointDatum(Fraction(1, 2), -1, 3, 1)],
+    "repeated-level-one-sign": [FixedPointDatum(Fraction(0), +1, 2, 1),
+                                FixedPointDatum(Fraction(0), +1, 3, 1)],
+    "one-sign": [FixedPointDatum(Fraction(0), +1, 2, 1),
+                 FixedPointDatum(Fraction(1, 2), +1, 3, 1)],
+}
+
+
+@pytest.mark.parametrize("start", [initial_state, lambda data: run_loop(data, 3)],
+                         ids=["initial_state", "run_loop"])
+@pytest.mark.parametrize("name", INVALID)
+def test_invalid_data_raise_validation_error(start, name):
+    """The one validation of a run raises a DomainError that carries the
+    report's errors, with the errors joined as its message."""
+    errors = validate(INVALID[name]).errors
+    with pytest.raises(ValidationError) as err:
+        start(INVALID[name])
+    assert isinstance(err.value, DomainError)
+    assert err.value.errors == errors and str(err.value) == "; ".join(errors)
+
+
 class TestCover:
     def test_two_levels(self):
         cov = build_cover(pair_21(), Fraction(1, 8))
@@ -189,6 +212,19 @@ class TestCover:
         cov = build_cover(pair_21(), Fraction(1, 8))
         for x in (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(99, 100)):
             assert len(cov.membership(x)) >= 1
+
+    @pytest.mark.parametrize("name", ["unmatched-weights", "one-sign"])
+    def test_needs_only_distinct_levels(self, name):
+        """The cover reads the levels alone, so data that fail ``validate``
+        on their weights or signs still get one."""
+        assert not validate(INVALID[name]).ok
+        assert build_cover(INVALID[name], Fraction(1, 8)) == build_cover(pair_21(), Fraction(1, 8))
+
+    @pytest.mark.parametrize("levels,reason", [([], "empty"), ([Fraction(0)] * 2, "distinct")],
+                             ids=["empty", "repeated"])
+    def test_rejects_empty_and_repeated_levels(self, levels, reason):
+        with pytest.raises(DomainError, match=reason):
+            build_cover([FixedPointDatum(l, +1, 2, 1) for l in levels], Fraction(1, 8))
 
     def test_four_levels_relations(self):
         data = [
@@ -616,6 +652,21 @@ def test_installs_equal_a_prefixed_fulton_config():
                 assert inst.config == want, (p, q)
                 assert inst.lattice == want.lattice(), (p, q)
                 assert inst.lattice.to_json() == want.lattice().to_json(), (p, q)
+
+
+def test_lattice_of_many_instances_equals_the_pairwise_fold():
+    """``lattice`` sums the live instances in one pass; at 256 of them it
+    equals folding ``direct_sum`` over them pairwise, in install order."""
+    st = initial_state(pair_74(), base=Fraction(3, 4))
+    for i in range(256):
+        st = circle._install(st, 0, st.pos, None, f"T{i}", False)
+    lats = [inst.lattice for inst in st.instances]
+    fold = empty_lattice()
+    for lat in lats:
+        fold = fold.direct_sum(lat)
+    assert len(lats) == 256 and st.lattice == fold and st.lattice.classes == fold.classes
+    with pytest.raises(DomainError):
+        empty_lattice().direct_sum(*lats, lats[0])
 
 
 def three_pairs():

@@ -154,7 +154,7 @@ class TestSimulate:
         ]
 
     def test_validates_once(self, capsys, tmp_path, monkeypatch):
-        """The cover and the run reuse the pairs of the one validation."""
+        """The run validates once and the cover needs no validation."""
         calls, validate = [], circle.validate
 
         def counting(data):
@@ -162,7 +162,7 @@ class TestSimulate:
             return validate(data)
 
         monkeypatch.setattr(circle, "validate", counting)
-        monkeypatch.setattr(cli, "validate", counting)
+        monkeypatch.setattr(cli, "validate", counting, raising=False)
         f = tmp_path / "sim.json"
         f.write_text(json.dumps(self.input_obj()))
         code, obj = run_json(capsys, "simulate", str(f))
@@ -188,6 +188,19 @@ class TestSimulate:
         code, out = run_cli(capsys, "simulate", str(f))
         assert code == 2
         assert "errors" in json.loads(out)
+
+    @pytest.mark.parametrize("eps", ["1/8", "1/2"])
+    def test_validation_errors_with_eps(self, capsys, tmp_path, eps):
+        """An unbalanced pairing prints only its errors, also when eps is
+        too large for a cover (1/2): the cover comes after the run."""
+        f = tmp_path / "sim.json"
+        obj = self.input_obj(eps=eps)
+        obj["fixed_points"][1]["p"] = 3
+        f.write_text(json.dumps(obj))
+        code, out = run_cli(capsys, "simulate", str(f))
+        assert code == 2
+        assert json.loads(out) == {
+            "errors": ["unmatched weights (2, 1): blowups and blowdowns do not balance"]}
 
     def test_output_file(self, capsys, tmp_path):
         f = tmp_path / "sim.json"
