@@ -29,11 +29,12 @@ order for both ``blowup.weighted_blowdown`` and ``chain_contact_replay``.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import compress
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -265,7 +266,7 @@ class IntersectionLattice:
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
-    if not isinstance(values, list) or any(type(x) is not int for x in values):
+    if not isinstance(values, list) or not {int}.issuperset(map(type, values)):
         raise DomainError(f"{what} must be a list of integers, got {values!r}")
     return tuple(values)
 
@@ -330,63 +331,69 @@ def lattice_from_parts(
 def signature(form) -> tuple[int, int, int]:
     """Counts ``(b_plus, b_minus, b_zero)`` of a symmetric form.
 
-    ``form`` is a lattice, or a list of rows of integers or Fractions read
-    through the public constructor (so its shape and symmetry are checked).
-    Computed by symmetric (congruence) elimination over exact rationals on
-    the sparse form, always at a class of least remaining degree: a nonzero
-    diagonal entry is a 1x1 pivot; a zero one whose class meets another is
-    a 2x2 hyperbolic pivot with that class (determinant -m^2 < 0, so one
-    plus and one minus); a class meeting nothing counts by the sign of its
-    diagonal.  A pivot of degree k updates O(k^2) entries.  On a forest,
-    every plumbing graph included, each pivot is a leaf or an isolated class,
-    so nothing fills in and a lattice costs O(n log n) (on a chain this is
-    the continued fraction).  A list of rows is first read in Theta(n^2).
-    The triple is a congruence invariant, hence independent of basis.
+    ``form`` is a lattice, or a list of rows of ints or Fractions read
+    through the public constructor (so its shape and symmetry are checked)
+    after scaling by the lcm of the denominators, which keeps the inertia;
+    any other entry is a DomainError.  Computed by symmetric (congruence)
+    elimination on class indices, each entry an int pair ``(num, den > 0)``
+    in lowest terms, at a class of least remaining degree (ties to basis
+    order): a nonzero diagonal entry is a 1x1 pivot; a zero one whose class
+    meets another is a 2x2 hyperbolic pivot with that class (determinant
+    -m^2 < 0, so one plus and one minus); a class meeting nothing counts by
+    the sign of its diagonal.  A pivot of degree k updates O(k^2) entries.
+    On a forest, every plumbing graph included, each pivot is an isolated
+    class or a leaf, which updates one diagonal pair, so nothing fills in
+    and a lattice costs O(n log n) for the heap (on a chain this is the
+    continued fraction).  A list of rows is first read in Theta(n^2).  The
+    triple is a congruence invariant, hence independent of basis.
     """
     if not isinstance(form, IntersectionLattice):
-        form = IntersectionLattice(range(len(form)), form, [0] * len(form))
-    diag = dict(form._self)
-    edges = {l: dict(row) for l, row in form._edges.items()}
-    b_plus = b_minus = b_zero = 0
-    rank = {v: k for k, v in enumerate(diag)}  # tie-break: basis order
-    heap = [(len(row), rank[v], v) for v, row in edges.items()]
-    heapq.heapify(heap)
+        form = IntersectionLattice(range(len(form)), _integer_rows(form), [0] * len(form))
+    pos = form._positions()
+    diag = [(form._self[l], 1) for l in form._classes]
+    edges = [{} for _ in diag]
+    for row, l in zip(edges, form._classes):
+        for m, x in form._edges[l].items():
+            row[pos[m]] = (x, 1)
+    b_plus = b_minus = 0  # b_zero: the classes counted by neither
+    heap = [(len(row), v) for v, row in enumerate(edges)]  # tie-break: basis order
+    heapify(heap)
 
-    def add(i, j, x):  # M[i][j] += x
-        if i == j:
-            diag[i] += x
-        else:
-            _add(edges[i], j, x)
-            _add(edges[j], i, x)
+    def sub(k, l, n, d):  # M[k][l] -= n/d
+        if k == l:
+            diag[k] = _minus(diag[k], n, d)
+        elif n:
+            x = _minus(edges[k].get(l, (0, 1)), n, d)
+            if x[0]:
+                edges[k][l] = edges[l][k] = x
+            else:
+                del edges[k][l], edges[l][k]
 
     while heap:
-        deg, _, v = heapq.heappop(heap)
-        if v not in diag or len(edges[v]) != deg:
+        deg, v = heappop(heap)
+        a = edges[v]
+        if a is None or len(a) != deg:
             continue  # a stale entry: v is gone or its degree changed
-        d = diag.pop(v)
-        a = edges.pop(v)
+        edges[v] = None
+        dn, dd = diag[v]
         for k in a:
             del edges[k][v]
+        if dn > 0:
+            b_plus += 1
+        elif dn < 0:
+            b_minus += 1
         if not a:
-            if d > 0:
-                b_plus += 1
-            elif d < 0:
-                b_minus += 1
-            else:
-                b_zero += 1
             continue
-        if d:
+        if dn:
             # M[k][l] -= a_k a_l / d over the neighbours of v
-            if d > 0:
-                b_plus += 1
+            if deg == 1:  # a leaf: only its neighbour's diagonal changes
+                (k, (kn, kd)), = a.items()
+                diag[k] = _minus(diag[k], kn * kn * dd, kd * kd * dn)
             else:
-                b_minus += 1
-            d = Fraction(d)
-            items = list(a.items())
-            for idx, (k, ak) in enumerate(items):
-                f = ak / d
-                for l, al in items[idx:]:
-                    add(k, l, -f * al)
+                items = list(a.items())
+                for idx, (k, (kn, kd)) in enumerate(items):
+                    for l, (ln, ld) in items[idx:]:
+                        sub(k, l, kn * ln * dd, kd * ld * dn)
             touched = a
         else:
             # pivot on the block [[0, m], [m, dw]] of v and a neighbour w;
@@ -395,23 +402,39 @@ def signature(form) -> tuple[int, int, int]:
             # nothing changes when v is a leaf
             b_plus += 1
             b_minus += 1
-            w = min(a, key=lambda u: (len(edges[u]), rank[u]))
-            m = Fraction(a.pop(w))
-            c = edges.pop(w)
+            w = min(a, key=lambda u: (len(edges[u]), u))
+            mn, md = a.pop(w)
+            c, edges[w] = edges[w], None
             for k in c:
                 del edges[k][w]
-            t = diag.pop(w) / (2 * m)
+            wn, wd = diag[w]
             ct = dict(c)
-            for k, ak in a.items():
-                ct[k] = ct.get(k, 0) - t * ak
-            for k, ak in a.items():
-                for l, cl in ct.items():
-                    x = ak * cl / m
-                    add(k, l, -2 * x if k == l else -x)
+            for k, (an, ad) in a.items():
+                ct[k] = _minus(ct.get(k, (0, 1)), wn * md * an, wd * 2 * mn * ad)
+            for k, (an, ad) in a.items():
+                for l, (cn, cd) in ct.items():
+                    sub(k, l, (2 if k == l else 1) * an * cn * md, ad * cd * mn)
             touched = ct
         for k in touched:
-            heapq.heappush(heap, (len(edges[k]), rank[k], k))
-    return (b_plus, b_minus, b_zero)
+            heappush(heap, (len(edges[k]), k))
+    return (b_plus, b_minus, len(diag) - b_plus - b_minus)
+
+
+def _minus(x, n, d):
+    """``x - n/d`` in lowest terms, for a pair ``x`` and ``d != 0``."""
+    n, d = x[0] * d - n * x[1], x[1] * d
+    g = gcd(n, d) if d > 0 else -gcd(n, d)
+    return n // g, d // g
+
+
+def _integer_rows(rows):
+    """``rows`` of ints and Fractions times the lcm of their denominators."""
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if type(x) is not int and type(x) is not Fraction:
+                raise DomainError(f"form entry ({i}, {j}) must be an int or a Fraction, got {x!r}")
+    scale = lcm(*{x.denominator for row in rows for x in row})
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
 def _add(row: dict, key, x) -> None:
@@ -585,12 +608,13 @@ def chain_contact_replay(lat: IntersectionLattice, eprime: str, config) -> Chain
         raise DomainError("E' must be distinct from the configuration's class")
     if not lat.is_exceptional(eprime):
         raise DomainError(f"{eprime!r} is not an exceptional class")
-    if lat.pair(eprime, etilde) != 0:
-        k = lat.pair(eprime, etilde)
-        if k >= 1:
-            exceptional_pair_criterion(lat, eprime, etilde)
+    k = lat.pair(eprime, etilde)
+    if k != 0:  # a pair of exceptional classes for either sign of k
+        if not lat.is_exceptional(etilde):
+            raise DomainError(f"{etilde!r} is not an exceptional class")
         return ChainContactReplay(
-            True, etilde, (), (eprime, etilde), (-1, -1), k,
+            True, etilde, (), (eprime, etilde),
+            (lat.self_intersection(eprime), lat.self_intersection(etilde)), k,
             lat.c1_of(eprime) + lat.c1_of(etilde),
         )
     contacts = {l for l in chain_labels if lat.pair(eprime, l) != 0}

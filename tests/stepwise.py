@@ -70,10 +70,13 @@ def chain_contact_replay(lat: IntersectionLattice, eprime: str, config) -> Chain
         raise DomainError(f"{eprime!r} is not an exceptional class")
     if lat.pair(eprime, etilde) != 0:
         k = lat.pair(eprime, etilde)
+        if not lat.is_exceptional(etilde):
+            raise DomainError(f"{etilde!r} is not an exceptional class")
         if k >= 1:
             exceptional_pair_criterion(lat, eprime, etilde)
         return ChainContactReplay(
-            True, etilde, (), (eprime, etilde), (-1, -1), k,
+            True, etilde, (), (eprime, etilde),
+            (lat.self_intersection(eprime), lat.self_intersection(etilde)), k,
             lat.c1_of(eprime) + lat.c1_of(etilde),
         )
     contacts = [l for l in chain_labels if lat.pair(eprime, l) != 0]

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense
+import fraction_signature
 import stepwise
+from hjtoric import homology
 from hjtoric.blowup import fulton_config
 from hjtoric.errors import DomainError
 from hjtoric.homology import (
@@ -231,6 +233,25 @@ class TestCriteria:
         assert replay.triggered and replay.via == cfg.exceptional_label
         assert replay.contractions == ()
 
+    def test_contact_direct_reads_etilde(self):
+        """E' meeting E~ with pairing -1: both self-intersections come from
+        the lattice, and an E~ shifted to -2 is no exceptional class."""
+        cfg = fulton_config(7, 4)
+        etilde = cfg.exceptional_label
+        lat = add_class(cfg.lattice(), "E'", -1, {etilde: -1})
+        replay = chain_contact_replay(lat, "E'", cfg)
+        assert replay.triggered and replay.via == etilde and replay.pair_product == -1
+        assert replay.pair_self_intersections == (-1, -1) and replay.c1_sum == 2
+        rows = [list(row) for row in cfg.lattice().pairing]
+        i = cfg.lattice().index(etilde)
+        rows[i][i] = -2
+        shifted = IntersectionLattice(cfg.lattice().classes, rows, cfg.lattice().c1)
+        for k in (-1, 1):
+            lat = add_class(shifted, "E'", -1, {etilde: k})
+            with pytest.raises(DomainError, match=f"{etilde!r} is not an exceptional class"):
+                chain_contact_replay(lat, "E'", cfg)
+            assert stepwise.outcome(stepwise.chain_contact_replay, lat, "E'", cfg) is DomainError
+
     def test_contact_orthogonal_false(self):
         cfg = fulton_config(7, 4)
         lat = add_class(cfg.lattice(), "E'", -1, {})
@@ -295,21 +316,36 @@ class TestCriteria:
 
 
 @st.composite
-def symmetric_forms(draw, max_n=9):
+def symmetric_forms(draw, max_n=9, wide=False):
     """Small symmetric integer forms: sparse or dense, sometimes with an
     all-zero diagonal, hyperbolic blocks, or classes that are sums of others
-    (corank > 0), in shuffled basis order."""
+    (corank > 0), in shuffled basis order.  ``wide`` forms also draw entries
+    up to 10^6 in size and may carry a zero-diagonal cycle, so no class is a
+    leaf and the first pivot is 2x2 at a class of degree 2."""
     n = draw(st.integers(0, max_n))
     entry = st.sampled_from(draw(st.sampled_from([(0, 0, 0, 1), (0, 1, -1, 2, -2)])))
+    diagonal = st.integers(-3, 3)
+    if wide:
+        entry = st.one_of(entry, st.integers(-10**6, 10**6))
+        diagonal = st.one_of(diagonal, st.integers(-10**6, 10**6))
     zero_diag = draw(st.booleans())
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = 0 if zero_diag else draw(st.integers(-3, 3))
+        rows[i][i] = 0 if zero_diag else draw(diagonal)
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = draw(entry)
     for _ in range(draw(st.integers(0, 2))):
         k = len(rows)
-        if draw(st.booleans()):  # a hyperbolic block
+        if wide and draw(st.booleans()):  # a cycle with a zero diagonal
+            m = draw(st.integers(3, 5))
+            for row in rows:
+                row += [0] * m
+            rows += [[0] * (k + m) for _ in range(m)]
+            for i in range(m):
+                x = draw(entry.filter(bool))
+                a, b = k + i, k + (i + 1) % m
+                rows[a][b] = rows[b][a] = x
+        elif draw(st.booleans()):  # a hyperbolic block
             for row in rows:
                 row += [0, 0]
             rows += [[0] * k + [0, 1], [0] * k + [1, 0]]
@@ -339,6 +375,79 @@ def test_signature_matches_dense_oracle(rows):
     assert signature(rows) == expected
     assert signature(as_lattice(rows)) == expected
     assert sum(expected) == len(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_forms(max_n=8, wide=True))
+def test_signature_matches_fraction_oracle(rows):
+    """The int routine against the Fraction one it replaced and the dense
+    one, on forms with cycles and dense blocks (fill-in, 2x2 pivots at a
+    class that is no leaf) and entries up to 10^6 in size."""
+    expected = dense.signature(rows)
+    assert fraction_signature.signature(as_lattice(rows)) == expected
+    assert signature(as_lattice(rows)) == expected
+    assert signature(rows) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_forms(max_n=7), st.data())
+def test_fraction_rows_are_scaled_to_ints(rows, data):
+    """Dividing each class by a positive integer is a congruence, so the
+    Fraction form has the int form's inertia; signature clears the
+    denominators and agrees with both oracles."""
+    dens = [data.draw(st.integers(1, 12)) for _ in rows]
+    fracs = [[Fraction(x, dens[i] * dens[j]) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    assert signature(fracs) == signature(rows) == dense.signature(fracs)
+    assert signature(fracs) == fraction_signature.signature(fracs)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1", None, 2j], ids=repr)
+def test_other_row_entries_raise(bad):
+    with pytest.raises(DomainError, match=r"form entry \(0, 1\) must be an int or a Fraction"):
+        signature([[0, bad], [bad, -1]])
+    with pytest.raises(DomainError, match=r"form entry \(0, 0\)"):
+        signature([[bad, 0], [0, -1]])
+
+
+def test_dense_form_entries_stay_small():
+    """A seeded dense 60x60 form in [-5, 5], so every pivot fills in: each
+    entry is kept in lowest terms, so the run stays well inside 5 s (the
+    Fraction oracle takes about half a second, while scaling classes to
+    clear denominators without reducing grows the entries exponentially)."""
+    rng = random.Random(60)
+    rows = [[0] * 60 for _ in range(60)]
+    for i in range(60):
+        for j in range(i, 60):
+            rows[i][j] = rows[j][i] = rng.randint(-5, 5)
+    t0 = time.perf_counter()
+    got = signature(rows)
+    elapsed = time.perf_counter() - t0
+    assert got == fraction_signature.signature(rows) and sum(got) == 60
+    assert elapsed < 5, f"{elapsed:.2f} s"
+
+
+def test_lattice_signature_does_no_fraction_arithmetic(monkeypatch):
+    lat = fulton_config(255, 1).lattice()
+    expected = fraction_signature.signature(lat)
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction arithmetic in signature")
+
+    monkeypatch.setattr(homology, "Fraction", no_fraction)
+    assert signature(lat) == expected
+    assert signature([[0, 1], [1, 0]]) == (1, 1, 0)
+
+
+def test_from_json_rejects_non_integers_with_the_same_messages():
+    for obj, message in [
+        ({"pairing": [[1.5, 0], [0, -1]]}, "each pairing row must be a list of integers, got [1.5, 0]"),
+        ({"pairing": [[True, 0], [0, -1]]}, "each pairing row must be a list of integers, got [True, 0]"),
+        ({"pairing": [0]}, "each pairing row must be a list of integers, got 0"),
+        ({"pairing": [[-2]], "c1": [0.5]}, "c1 must be a list of integers, got [0.5]"),
+    ]:
+        with pytest.raises(DomainError) as exc:
+            IntersectionLattice.from_json(obj)
+        assert str(exc.value) == message
 
 
 @pytest.fixture(scope="module")
