@@ -115,31 +115,23 @@ def fulton_config(
     p: int,
     q: int,
     size: Fraction | int = 1,
-    label_prefix: str = "",
 ) -> BlowupConfig:
     """Resolved lattice of the (p, q)-weighted blowup via the vertex route.
 
     The order-p corner resolves by the expansion of p/(p - q) and the
     order-q corner by the expansion of q/k with k = q - p mod q (empty for
     q = 1); E~ meets the last class of each expansion, so the stored chains
-    are the reversed expansions.  A ``label_prefix`` goes through
-    :meth:`BlowupConfig.prefixed`.
+    are the reversed expansions.  :meth:`BlowupConfig.prefixed` relabels a
+    config.
     """
     _require_weights(p, q)
     size = Fraction(size)
     if size <= 0:
         raise DomainError(f"size must be positive, got {size}")
-    if p == 1:
-        terms_p: tuple[int, ...] = ()
-    else:
-        terms_p = hj_expand(p, p - q).terms
-    if q == 1:
-        terms_q: tuple[int, ...] = ()
-    else:
-        terms_q = hj_expand(q, (q - p) % q).terms
-    cfg = BlowupConfig(p, q, size, chain_from_terms(reversed(terms_p), prefix="Zp"),
-                       chain_from_terms(reversed(terms_q), prefix="Zq"), "E~")
-    return cfg.prefixed(label_prefix) if label_prefix else cfg
+    terms_p = hj_expand(p, p - q).terms
+    terms_q = hj_expand(q, (q - p) % q).terms
+    return BlowupConfig(p, q, size, chain_from_terms(reversed(terms_p), prefix="Zp"),
+                        chain_from_terms(reversed(terms_q), prefix="Zq"), "E~")
 
 
 @dataclass(frozen=True)
@@ -165,14 +157,14 @@ class McDuffSequence:
     def __len__(self) -> int:
         return len(self.multiplicities)
 
-    def lattice(self, label_prefix: str = "") -> IntersectionLattice:
+    def lattice(self) -> IntersectionLattice:
         """One class e_i per cut: a blowup at the classes of its flanking
         cuts (the axes carry no class).  The blowups edit one fresh store,
         so the n cuts cost O(n) in total."""
         store: tuple[dict, dict, dict] = ({}, {}, {})
         for i, flank in enumerate(self.flanks):
-            touched = [f"{label_prefix}e{j + 1}" for j in flank if j is not None]
-            _blow_up(store, touched, f"{label_prefix}e{i + 1}")
+            touched = [f"e{j + 1}" for j in flank if j is not None]
+            _blow_up(store, touched, f"e{i + 1}")
         return IntersectionLattice._sparse(*store)
 
     def chords(self, unit: Fraction | int = 1) -> list[tuple[Vec, Point, Point]]:
@@ -243,9 +235,9 @@ def mcduff_sequence(q: int, p: int) -> McDuffSequence:
     return McDuffSequence(p, q, tuple(multiplicities), tuple(labels), tuple(flanks))
 
 
-def mcduff_lattice(q: int, p: int, label_prefix: str = "") -> IntersectionLattice:
+def mcduff_lattice(q: int, p: int) -> IntersectionLattice:
     """Intersection lattice of the cut replay, one class per cut."""
-    return mcduff_sequence(q, p).lattice(label_prefix)
+    return mcduff_sequence(q, p).lattice()
 
 
 def cut_chords(q: int, p: int, unit: Fraction | int = 1) -> list[tuple[Vec, Point, Point]]:

@@ -216,7 +216,7 @@ class GeneralizedCover:
     @staticmethod
     def arc_contains(arc: tuple[Fraction, Fraction], x: Fraction) -> bool:
         a, b = arc
-        return 0 < arc_distance(a, x) < arc_distance(a, b) if a != b else False
+        return 0 < arc_distance(a, x) < arc_distance(a, b)
 
     def membership(self, x: Fraction) -> tuple[str, ...]:
         return tuple(n for n, arc in self.arcs().items() if self.arc_contains(arc, x))
@@ -253,16 +253,20 @@ def build_cover(data, eps) -> GeneralizedCover:
     some point would lie in three sets.  The violation message reports the
     supremum of admissible radii.
     """
-    levels = tuple(sorted(d.level for d in data))
+    levels, gaps = _level_gaps(data)
     if not levels:
         raise DomainError("cannot cover the circle from an empty level set")
+    if len(levels) == 1:
+        # the arc of a lone level is the whole circle, which no (start, end)
+        # pair with start == end can stand for
+        raise DomainError("a cover needs at least two levels, got one")
     if len(set(levels)) != len(levels):
         raise DomainError("critical levels must be distinct")
     eps = Fraction(eps)
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
     n = len(levels)
-    min_gap = min(arc_distance(levels[i], levels[(i + 1) % n]) for i in range(n))
+    min_gap = min(gaps)
     if eps >= min_gap / 2:
         raise DomainError(
             f"eps = {eps} too large: must be strictly below half the minimal "
@@ -273,7 +277,7 @@ def build_cover(data, eps) -> GeneralizedCover:
     relations = [(f"I{i + 1}", f"U{i + 1}") for i in range(n)]
     relations += [(f"I{i + 1}", f"U{i}") for i in range(1, n)]
     relations.append(("I1", f"U{n}"))
-    return GeneralizedCover(levels, eps, u_arcs, i_arcs, tuple(relations))
+    return GeneralizedCover(tuple(levels), eps, u_arcs, i_arcs, tuple(relations))
 
 
 # -- reduced-space state -------------------------------------------------------
@@ -397,26 +401,26 @@ class ReducedSpaceState:
         return next((inst for inst in self.instances if inst.tracked), None)
 
 
-def default_base(data) -> Fraction:
-    """Midpoint of the longest critical-free arc (first such arc on ties)."""
+def _level_gaps(data) -> tuple[list[Fraction], list[Fraction]]:
+    """The levels in order and the arc from each to the next.  A lone
+    level's arc is the whole circle; a repeated level has a zero gap."""
     levels = sorted(d.level for d in data)
     n = len(levels)
-    best_i, best_len = 0, Fraction(-1)
-    for i in range(n):
-        length = arc_distance(levels[i], levels[(i + 1) % n]) if n > 1 else ONE
-        if length > best_len:
-            best_i, best_len = i, length
-    return _mod1(levels[best_i] + best_len / 2)
+    if n == 1:
+        return levels, [ONE]
+    return levels, [arc_distance(levels[i], levels[(i + 1) % n]) for i in range(n)]
+
+
+def default_base(data) -> Fraction:
+    """Midpoint of the longest critical-free arc (first such arc on ties)."""
+    levels, gaps = _level_gaps(data)
+    i = max(range(len(gaps)), key=gaps.__getitem__)
+    return _mod1(levels[i] + gaps[i] / 2)
 
 
 def default_delta(data) -> Fraction:
     """Chain-class area: 1/1000 of the minimal level gap."""
-    levels = sorted(d.level for d in data)
-    n = len(levels)
-    if n <= 1:
-        return Fraction(1, 1000)
-    min_gap = min(arc_distance(levels[i], levels[(i + 1) % n]) for i in range(n))
-    return min_gap / 1000
+    return min(_level_gaps(data)[1], default=ONE) / 1000
 
 
 def _install(state: ReducedSpaceState, pair_idx: int, created: int, dies: int | None,

@@ -45,8 +45,9 @@ class IntersectionLattice:
     """Labeled classes with a symmetric integer pairing and c1 labels.
 
     ``IntersectionLattice(classes, pairing, c1)`` reads a dense square
-    pairing matrix and checks it: distinct labels, a square shape, one c1 per
-    class and symmetry.  It is the entry point for outside input
+    pairing matrix and checks it: distinct labels, int entries and c1 labels
+    (a bool, a float or a Fraction is a DomainError), a square shape, one c1
+    per class and symmetry.  It is the entry point for outside input
     (``from_json``, tests).  The functions of this module build the sparse
     store directly and skip the O(n^2) checks, which hold by construction.
 
@@ -67,11 +68,14 @@ class IntersectionLattice:
         n = len(classes)
         if len(set(classes)) != n:
             raise DomainError("class labels must be distinct")
-        if len(pairing) != n or any(len(row) != n for row in pairing):
+        rows = tuple(_integers(row, "each pairing row") for row in pairing)
+        if any(len(row) != len(rows) for row in rows):
+            raise DomainError("pairing matrix must be square")
+        if len(rows) != n:
             raise DomainError("pairing matrix shape does not match class count")
+        c1 = _integers(c1, "c1")
         if len(c1) != n:
             raise DomainError("c1 labels do not match class count")
-        rows = tuple(tuple(row) for row in pairing)
         if rows != tuple(zip(*rows)):
             i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
                         if rows[i][j] != rows[j][i])
@@ -84,7 +88,7 @@ class IntersectionLattice:
              for i, l in enumerate(classes)},
         )
         self._pairing = rows
-        self._c1_view = tuple(c1)
+        self._c1_view = c1
 
     def _init(self, classes, self_, c1, edges) -> None:
         self._classes = classes
@@ -251,22 +255,23 @@ class IntersectionLattice:
                 raise DomainError(f"malformed JSON input: {exc}") from None
         if not isinstance(obj, dict) or not isinstance(obj.get("pairing"), list):
             raise DomainError('a lattice is an object with a "pairing" matrix')
-        rows = tuple(_integers(row, "each pairing row") for row in obj["pairing"])
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise DomainError("pairing matrix must be square")
+        n = len(obj["pairing"])
         classes = obj.get("classes") or [f"C{i + 1}" for i in range(n)]
         if not isinstance(classes, list) or any(type(l) is not str for l in classes):
             raise DomainError(f"classes must be a list of strings, got {classes!r}")
         c1 = obj.get("c1")
+        lat = IntersectionLattice(classes, obj["pairing"], [0] * n if c1 is None else c1)
         if c1 is None:
-            # adjunction default for sphere classes
-            c1 = [2 + rows[i][i] for i in range(n)]
-        return IntersectionLattice(tuple(classes), rows, _integers(c1, "c1"))
+            # adjunction default for sphere classes, read from the checked rows
+            return IntersectionLattice._sparse(
+                lat._self, {l: 2 + s for l, s in lat._self.items()}, lat._edges)
+        return lat
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
-    if not isinstance(values, list) or not {int}.issuperset(map(type, values)):
+    """``values`` as a tuple, after checking that it is a list (or a tuple)
+    of ints; a bool, a float or a Fraction is a DomainError."""
+    if not isinstance(values, (list, tuple)) or not {int}.issuperset(map(type, values)):
         raise DomainError(f"{what} must be a list of integers, got {values!r}")
     return tuple(values)
 

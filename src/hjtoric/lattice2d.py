@@ -31,15 +31,9 @@ def det2(u: Vec, v: Vec) -> int:
 
 def primitive(v) -> Vec:
     """Primitive integer representative of a (possibly rational) direction."""
-    x, y = v
-    if not (type(x) is int and type(y) is int):
-        if type(x) is Fraction and type(y) is Fraction \
-                and x.denominator == 1 and y.denominator == 1:
-            x, y = x.numerator, y.numerator
-        else:
-            fx, fy = Fraction(x), Fraction(y)
-            scale = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
-            x, y = int(fx * scale), int(fy * scale)
+    fx, fy = Fraction(v[0]), Fraction(v[1])
+    scale = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
+    x, y = int(fx * scale), int(fy * scale)
     if x == 0 and y == 0:
         raise DomainError("zero vector has no primitive representative")
     g = gcd(x, y)
@@ -47,8 +41,6 @@ def primitive(v) -> Vec:
 
 
 def _point(p) -> Point:
-    if type(p) is tuple and type(p[0]) is Fraction and type(p[1]) is Fraction:
-        return p
     return (Fraction(p[0]), Fraction(p[1]))
 
 
@@ -149,10 +141,7 @@ def is_smooth_vertex(w: Wedge) -> bool:
     """Whether the two conormals span the full lattice (determinant +-1)."""
     if len(w.conormals) != 2:
         raise DomainError("smoothness test needs a two-conormal wedge")
-    d = det2(*w.conormals)
-    if d == 0:
-        raise DomainError("parallel conormals do not bound a vertex")
-    return abs(d) == 1
+    return abs(det2(*w.conormals)) == 1
 
 
 def standard_wedge(r: int, k: int) -> Wedge:
@@ -172,10 +161,7 @@ def _normalization_for(u: Vec, v: Vec) -> tuple[tuple[tuple[int, int], tuple[int
     _, x, y = ext_gcd(u[0], u[1])
     row2 = (x, y)
     e = row2[0] * v[0] + row2[1] * v[1]
-    if r == 1:
-        k = 0
-    else:
-        k = (-e) % r
+    k = (-e) % r
     t = (-k - e) // r
     row2 = (row2[0] + t * row1[0], row2[1] + t * row1[1])
     return ((row1, row2), r, k)
@@ -189,26 +175,21 @@ def normalize_vertex(w: Wedge) -> tuple[UnimodularAffineMap, Wedge]:
     k = 0).  The returned map sends the input wedge onto the returned
     standard wedge, apex at the origin.  Both conormal orderings are tried
     and the one with the smaller residue wins (they give k and its inverse
-    mod r); an input already in standard form returns the identity.
+    mod r); an input already in standard form gets the identity map.
     """
     if len(w.conormals) != 2:
         raise DomainError("normalization needs a two-conormal wedge")
     u, v = w.conormals
-    if det2(u, v) == 0:
-        raise DomainError("parallel conormals do not bound a vertex")
     candidates = []
     for a, b in ((u, v), (v, u)):
         matrix, r, k = _normalization_for(a, b)
         candidates.append((k, matrix, r))
     candidates.sort(key=lambda c: c[0])
     k, matrix, r = candidates[0]
-    target = standard_wedge(r, k)
-    if w.conormals == target.conormals and w.apex == target.apex:
-        return (UnimodularAffineMap.identity(), w)
     lin = UnimodularAffineMap(matrix)
     moved = lin.point(w.apex)
     full = UnimodularAffineMap(matrix, (-moved[0], -moved[1]))
-    return (full, target)
+    return (full, standard_wedge(r, k))
 
 
 # -- polygons ----------------------------------------------------------------
@@ -308,8 +289,6 @@ def wedge_polygon(w: Wedge) -> Polygon:
     if len(w.conormals) != 2:
         raise DomainError("only two-conormal wedges convert to polygons")
     na, nb = w.conormals
-    if det2(na, nb) == 0:
-        raise DomainError("parallel conormals do not bound a wedge")
 
     def edge_ray(n: Vec, other: Vec) -> Vec:
         d = direction_of_conormal(n)
@@ -353,10 +332,7 @@ def corner_cut(poly, vertex: int, size) -> Polygon:
     u = poly.edge_direction(ein)
     u = (-u[0], -u[1])  # away from the vertex along the incoming edge
     wdir = poly.edge_direction(eout)
-    d = det2(u, wdir)
-    if d == 0:
-        raise DomainError(f"vertex {vertex} has parallel edges")
-    if abs(d) != 1:
+    if abs(det2(u, wdir)) != 1:  # parallel edges (determinant 0) included
         raise DomainError(f"vertex {vertex} is not smooth; refusing to cut")
     for e, length in ((ein, poly.edge_lattice_length(ein)), (eout, poly.edge_lattice_length(eout))):
         if length is not None and size >= length:

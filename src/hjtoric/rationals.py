@@ -26,12 +26,7 @@ def parse_rational(value) -> Fraction:
     raise DomainError(f"not an exact rational: {value!r}")
 
 
-def rational_str(x: Fraction | int) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def rational_json(x: Fraction | int):
     """Ints stay ints; everything else becomes an "n/d" string."""
     x = Fraction(x)
-    return x.numerator if x.denominator == 1 else rational_str(x)
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

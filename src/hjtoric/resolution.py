@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError
-from .hj import ext_gcd, hj_expand, mod_inverse
+from .hj import ext_gcd, hj_expand
 from .homology import IntersectionLattice, lattice_from_parts
 
 
@@ -41,11 +41,7 @@ class CyclicSingularity:
 
     def canonical(self) -> "CyclicSingularity":
         """The equivalent type (1, q*p^{-1} mod r); order 1 maps to (1, 0)."""
-        r = self.order
-        if r == 1:
-            return CyclicSingularity(1, 1, 0)
-        qc = (self.q * mod_inverse(self.p, r)) % r
-        return CyclicSingularity(r, 1, qc)
+        return CyclicSingularity(self.order, 1, resolution_params(self)[1])
 
 
 @dataclass(frozen=True)
@@ -100,11 +96,10 @@ def chain_from_terms(terms, prefix: str = "Z") -> Chain:
 def resolution_params(s: CyclicSingularity) -> tuple[int, int]:
     """The pair (alpha, k) with alpha*p + beta*r = 1 and k = q*alpha mod r.
 
-    For a smooth point both are 0 (no resolution data).
+    For a smooth point both are 0 (no resolution data): ``ext_gcd(p, 1)``
+    gives alpha = 0.
     """
     r = s.order
-    if r == 1:
-        return (0, 0)
     _, alpha, _ = ext_gcd(s.p, r)
     return (alpha, (s.q * alpha) % r)
 
@@ -116,11 +111,8 @@ def resolve_cyclic(s: CyclicSingularity) -> Chain:
     self-intersections are the negated terms of the expansion of r/k.  A
     smooth point (r = 1) resolves to the empty chain.
     """
-    r = s.order
-    if r == 1:
-        return Chain((), ())
     _, k = resolution_params(s)
-    return chain_from_terms(hj_expand(r, k).terms)
+    return chain_from_terms(hj_expand(s.order, k).terms)
 
 
 def type_equivalent(s1: CyclicSingularity, s2: CyclicSingularity, oriented: bool = False) -> bool:
@@ -133,8 +125,6 @@ def type_equivalent(s1: CyclicSingularity, s2: CyclicSingularity, oriented: bool
     if s1.order != s2.order:
         return False
     r = s1.order
-    if r == 1:
-        return True
     q1 = s1.canonical().q
     q2 = s2.canonical().q
     if (q2 - q1) % r == 0 or (q1 * q2 - 1) % r == 0:
@@ -147,20 +137,15 @@ def type_equivalent(s1: CyclicSingularity, s2: CyclicSingularity, oriented: bool
 def same_resolution(s1: CyclicSingularity, s2: CyclicSingularity) -> bool:
     """Whether two singularities produce the same chain (up to reversal).
 
-    Equivalent to k1 = k2 or k1*k2 = 1 (mod r) for the residues k_i of the two
-    resolutions, since reversing the expansion of r/k yields the expansion of
-    r/k' with kk' = 1 mod r.  Orders are compared first; unequal orders can
-    never share a chain (the order is the chain's determinant) but are checked
-    explicitly to fail loudly on corrupted inputs.
+    This is oriented type equivalence, ``type_equivalent(s1, s2,
+    oriented=True)``: k1 = k2 or k1*k2 = 1 (mod r) for the residues k_i of
+    the two resolutions, since reversing the expansion of r/k yields the
+    expansion of r/k' with kk' = 1 mod r.  Unequal orders never share a chain
+    (the order is the chain's determinant).  The tests check it against its
+    independent oracle, ``chains_equal_up_to_reversal`` on the two resolved
+    chains.
     """
-    if s1.order != s2.order:
-        return False
-    r = s1.order
-    if r == 1:
-        return True
-    _, k1 = resolution_params(s1)
-    _, k2 = resolution_params(s2)
-    return k1 == k2 or (k1 * k2) % r == 1
+    return type_equivalent(s1, s2, oriented=True)
 
 
 def chains_equal_up_to_reversal(c1: Chain, c2: Chain) -> bool:

@@ -19,6 +19,7 @@ _STYLE = (
     ".cut { stroke: #c22; stroke-width: 1.5; } "
     ".label { fill: #c22; }"
 )
+_RAY_REACH = 3  # lattice units drawn of each boundary ray of an open polygon
 
 
 def _fmt(x) -> str:
@@ -93,8 +94,8 @@ def cut_diagram_svg(p: int, q: int, scale: int = 40) -> str:
     return canvas.render()
 
 
-def polygon_svg(shape: Polygon | Wedge, scale: int = 40, ray_reach: int = 3) -> str:
-    """A polygon or wedge; boundary rays are drawn ``ray_reach`` units long."""
+def polygon_svg(shape: Polygon | Wedge, scale: int = 40) -> str:
+    """A polygon or wedge; boundary rays are drawn three lattice units long."""
     poly = wedge_polygon(shape) if isinstance(shape, Wedge) else shape
     pts = list(poly.vertices)
     segs: list[tuple] = []
@@ -104,10 +105,10 @@ def polygon_svg(shape: Polygon | Wedge, scale: int = 40, ray_reach: int = 3) -> 
     else:
         first, last = pts[0], pts[-1]
         rin, rout = poly.ray_in, poly.ray_out
-        segs.append(((first[0] + ray_reach * rin[0], first[1] + ray_reach * rin[1]), first))
+        segs.append(((first[0] + _RAY_REACH * rin[0], first[1] + _RAY_REACH * rin[1]), first))
         for i in range(len(pts) - 1):
             segs.append((pts[i], pts[i + 1]))
-        segs.append((last, (last[0] + ray_reach * rout[0], last[1] + ray_reach * rout[1])))
+        segs.append((last, (last[0] + _RAY_REACH * rout[0], last[1] + _RAY_REACH * rout[1])))
     xs = [float(x) for seg in segs for x, _ in seg]
     ys = [float(y) for seg in segs for _, y in seg]
     canvas = _Canvas(max(xs + [1.0]), max(ys + [1.0]), scale)

@@ -16,8 +16,9 @@ from hjtoric.homology import IntersectionLattice
 def signature(form) -> tuple[int, int, int]:
     """Counts ``(b_plus, b_minus, b_zero)`` of a symmetric form.
 
-    ``form`` is a lattice, or a list of rows of integers or Fractions read
-    through the public constructor (so its shape and symmetry are checked).
+    ``form`` is a lattice, or a square symmetric list of rows of integers or
+    Fractions, read into the same store keyed by row index (the lattice
+    constructor takes integer entries only).
     Computed by symmetric (congruence) elimination over exact rationals on
     the sparse form, always at a class of least remaining degree: a nonzero
     diagonal entry is a 1x1 pivot; a zero one whose class meets another is
@@ -29,10 +30,13 @@ def signature(form) -> tuple[int, int, int]:
     the continued fraction).  A list of rows is first read in Theta(n^2).
     The triple is a congruence invariant, hence independent of basis.
     """
-    if not isinstance(form, IntersectionLattice):
-        form = IntersectionLattice(range(len(form)), form, [0] * len(form))
-    diag = dict(form._self)
-    edges = {l: dict(row) for l, row in form._edges.items()}
+    if isinstance(form, IntersectionLattice):
+        diag = dict(form._self)
+        edges = {l: dict(row) for l, row in form._edges.items()}
+    else:
+        diag = {i: row[i] for i, row in enumerate(form)}
+        edges = {i: {j: x for j, x in enumerate(row) if x and j != i}
+                 for i, row in enumerate(form)}
     b_plus = b_minus = b_zero = 0
     rank = {v: k for k, v in enumerate(diag)}  # tie-break: basis order
     heap = [(len(row), rank[v], v) for v, row in edges.items()]

@@ -79,7 +79,7 @@ def _install(state, pair_idx, created_at, dies_at, uid, tracked):
     plus, _ = state.pairs[pair_idx]
     p, q = state.data[plus].weights
     size = Fraction(1) if dies_at is None else (dies_at - created_at) / (2 * p * q)
-    cfg = fulton_config(p, q, size=size, label_prefix=f"{uid}.")
+    cfg = fulton_config(p, q, size=size).prefixed(f"{uid}.")
     books = list(state.books)
     if p > 1:
         books.append((uid, CyclicSingularity(p, 1, (p - q) % p)))

@@ -321,7 +321,7 @@ def test_constructions_match_stepwise_oracles(p):
             continue
         seq = mcduff_sequence(q, p)
         for prefix in ("", "B7."):
-            lat, ref = seq.lattice(prefix), stepwise.mcduff_lattice(seq, prefix)
+            lat, ref = seq.lattice().prefixed(prefix), stepwise.mcduff_lattice(seq, prefix)
             assert lat == ref and lat.to_json() == ref.to_json(), (p, q)
         cfg = fulton_config(p, q)
         for lat in (cfg.lattice(), with_neighbours(cfg)):

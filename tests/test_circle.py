@@ -17,6 +17,7 @@ from hjtoric.circle import (
     build_cover,
     cross_level,
     default_base,
+    default_delta,
     initial_state,
     run_loop,
     validate,
@@ -220,8 +221,9 @@ class TestCover:
         assert not validate(INVALID[name]).ok
         assert build_cover(INVALID[name], Fraction(1, 8)) == build_cover(pair_21(), Fraction(1, 8))
 
-    @pytest.mark.parametrize("levels,reason", [([], "empty"), ([Fraction(0)] * 2, "distinct")],
-                             ids=["empty", "repeated"])
+    @pytest.mark.parametrize("levels,reason", [([], "empty"), ([Fraction(0)] * 2, "distinct"),
+                                               ([Fraction(1, 3)], "at least two levels")],
+                             ids=["empty", "repeated", "lone"])
     def test_rejects_empty_and_repeated_levels(self, levels, reason):
         with pytest.raises(DomainError, match=reason):
             build_cover([FixedPointDatum(l, +1, 2, 1) for l in levels], Fraction(1, 8))
@@ -449,6 +451,16 @@ class TestInvariants:
         ]
         assert default_base(data) == Fraction(3, 8)
 
+    def test_defaults_for_a_lone_and_a_repeated_level(self):
+        """A lone level's arc is the whole circle; a repeated level keeps
+        its zero gap."""
+        lone = [FixedPointDatum(Fraction(1, 4), +1, 2, 1)]
+        assert default_base(lone) == Fraction(3, 4)
+        assert default_delta(lone) == Fraction(1, 1000)
+        repeated = [FixedPointDatum(l, +1, 2, 1) for l in (Fraction(0), Fraction(0), Fraction(1, 2))]
+        assert default_base(repeated) == Fraction(1, 4)
+        assert default_delta(repeated) == 0
+
 
 # -- the per-instance state against the global-lattice oracle ----------------
 
@@ -648,7 +660,7 @@ def test_installs_equal_a_prefixed_fulton_config():
             st = circle._install(st, 0, den, 11 * den // 8, "B9", False)
             st = circle._install(st, 0, den, None, "T", True)
             for inst, size in zip(st.instances, (Fraction(3, 16 * p * q), 1)):
-                want = fulton_config(p, q, size, label_prefix=f"{inst.uid}.")
+                want = fulton_config(p, q, size).prefixed(f"{inst.uid}.")
                 assert inst.config == want, (p, q)
                 assert inst.lattice == want.lattice(), (p, q)
                 assert inst.lattice.to_json() == want.lattice().to_json(), (p, q)

@@ -1,3 +1,4 @@
+import time
 from math import gcd
 
 import pytest
@@ -85,6 +86,12 @@ class TestExpand:
             hj_expand(5, 0)
         with pytest.raises(DomainError):
             hj_expand(1, 1)
+
+    def test_residue_above_numerator_is_rejected_before_the_loop(self):
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            hj_expand(5, 10**12)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestEval:

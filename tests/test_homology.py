@@ -438,6 +438,16 @@ def test_lattice_signature_does_no_fraction_arithmetic(monkeypatch):
     assert signature([[0, 1], [1, 0]]) == (1, 1, 0)
 
 
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), True], ids=["float", "fraction", "bool"])
+def test_constructor_rejects_non_integers(bad):
+    """A non-int pairing entry or c1 label is a DomainError up front, not a
+    TypeError from ``signature`` later."""
+    with pytest.raises(DomainError, match="each pairing row must be a list of integers"):
+        IntersectionLattice(["A", "B"], [[bad, 1], [1, 0]], [0, 0])
+    with pytest.raises(DomainError, match="c1 must be a list of integers"):
+        IntersectionLattice(["A", "B"], [[0, 1], [1, 0]], [bad, 0])
+
+
 def test_from_json_rejects_non_integers_with_the_same_messages():
     for obj, message in [
         ({"pairing": [[1.5, 0], [0, -1]]}, "each pairing row must be a list of integers, got [1.5, 0]"),

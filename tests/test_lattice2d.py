@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +107,16 @@ class TestNormalizeVertex:
         m, std = normalize_vertex(standard_wedge(7, 3))
         assert m == UnimodularAffineMap.identity()
         assert std == standard_wedge(7, 3)
+
+    def test_every_standard_wedge_is_fixed(self):
+        """Each standard wedge (0, 1), (r, -k) with k at most its inverse mod
+        r (k = 0 for r = 1) normalizes to itself by the identity."""
+        for r in range(1, 80):
+            for k in range(r):
+                if gcd(k, r) != 1 or (r > 1 and k > pow(k, -1, r)):
+                    continue
+                assert normalize_vertex(standard_wedge(r, k)) == (
+                    UnimodularAffineMap.identity(), standard_wedge(r, k)), (r, k)
 
     def test_weighted_corner_7_4(self):
         m, std = normalize_vertex(Wedge((0, 0), ((-1, 0), (-4, -7))))

@@ -124,15 +124,35 @@ class TestSameResolution:
         assert resolve_cyclic(s2).self_intersections == (-3, -2, -2)
 
     def test_agrees_with_chain_comparison(self):
-        for r in range(2, 30):
-            chains = {q: resolve_cyclic(CyclicSingularity(r, 1, q)) for q in coprime_residues(r)}
-            for q1, c1 in chains.items():
-                for q2, c2 in chains.items():
-                    expected = chains_equal_up_to_reversal(c1, c2)
+        """Against the chains themselves, for every type (p, q) with p and q
+        units mod r, r = 1 (the unit 0) included.  Each type meets every
+        type whose p is the next unit; as q2 runs over the units, so does
+        that type's residue, so every pair of residues is compared."""
+        for r in range(1, 30):
+            units = [u for u in range(r) if gcd(u, r) == 1]
+            chains = {(p, q): resolve_cyclic(CyclicSingularity(r, p, q))
+                      for p in units for q in units}
+            for (p1, q1), c1 in chains.items():
+                p2 = units[(units.index(p1) + 1) % len(units)]
+                for q2 in units:
+                    expected = chains_equal_up_to_reversal(c1, chains[p2, q2])
                     got = same_resolution(
-                        CyclicSingularity(r, 1, q1), CyclicSingularity(r, 1, q2)
+                        CyclicSingularity(r, p1, q1), CyclicSingularity(r, p2, q2)
                     )
-                    assert got == expected, (r, q1, q2)
+                    assert got == expected, (r, p1, q1, p2, q2)
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (7, 3), (0, 0), (-2, 5)])
+def test_order_one_is_smooth(p, q):
+    """A point of order 1 is smooth whatever its type: no resolution data,
+    the empty chain, canonical type (1, 0), equivalent to every order-1 point."""
+    s = CyclicSingularity(1, p, q)
+    assert s.canonical() == CyclicSingularity(1, 1, 0)
+    assert resolution_params(s) == (0, 0)
+    assert resolve_cyclic(s) == Chain((), ())
+    other = CyclicSingularity(1, 3, 4)
+    assert type_equivalent(s, other) and type_equivalent(s, other, oriented=True)
+    assert same_resolution(s, other)
 
 
 class TestChain:
