@@ -41,13 +41,15 @@ from math import gcd
 
 from .errors import DomainError, StructureError
 from .hj import hj_expand
-from .homology import (IntersectionLattice, _blow_up, _contract, _forced_contractions,
-                       lattice_from_parts)
+from .homology import IntersectionLattice, _blow_up, _contract, _forced_contractions
 from .lattice2d import Point, Vec, det2
+from .rationals import parse_rational
 from .resolution import Chain, chain_from_terms
 
 
 def _require_weights(p: int, q: int) -> None:
+    if type(p) is not int or type(q) is not int:  # rejects bool, float and str
+        raise DomainError(f"weights must be integers, got ({p!r}, {q!r})")
     if p < 1 or q < 1:
         raise DomainError(f"weights must be positive, got ({p}, {q})")
     if gcd(p, q) != 1:
@@ -81,18 +83,19 @@ class BlowupConfig:
         return (self.exceptional_label,) + self.chain_labels
 
     def lattice(self) -> IntersectionLattice:
-        labels = self.class_labels
-        selfs = {self.exceptional_label: -1}
-        pairs: dict[tuple[str, str], int] = {}
+        """E~ at -1 joined to the first class of each chain, c1 by adjunction;
+        built as a sparse store, since every simulator blowdown pays for it."""
+        e = self.exceptional_label
+        selfs, edges = {e: -1}, {e: {}}
         for chain in (self.chain_p, self.chain_q):
-            ls = chain.labels
-            for i, s in enumerate(chain.self_intersections):
-                selfs[ls[i]] = s
-                if i + 1 < len(ls):
-                    pairs[(ls[i], ls[i + 1])] = 1
-            if ls:
-                pairs[(self.exceptional_label, ls[0])] = 1
-        return lattice_from_parts(labels, pairs, selfs)
+            prev = e
+            for label, s in zip(chain.labels, chain.self_intersections):
+                selfs[label], edges[label] = s, {prev: 1}
+                edges[prev][label] = 1
+                prev = label
+        if len(selfs) != len(self.class_labels):
+            raise DomainError("class labels must be distinct")
+        return IntersectionLattice._sparse(selfs, {l: 2 + s for l, s in selfs.items()}, edges)
 
     def prefixed(self, prefix: str) -> "BlowupConfig":
         """The same config with ``prefix`` put before every class label."""
@@ -114,18 +117,18 @@ class BlowupConfig:
 def fulton_config(
     p: int,
     q: int,
-    size: Fraction | int = 1,
+    size: Fraction | int | str = 1,
 ) -> BlowupConfig:
     """Resolved lattice of the (p, q)-weighted blowup via the vertex route.
 
     The order-p corner resolves by the expansion of p/(p - q) and the
     order-q corner by the expansion of q/k with k = q - p mod q (empty for
     q = 1); E~ meets the last class of each expansion, so the stored chains
-    are the reversed expansions.  :meth:`BlowupConfig.prefixed` relabels a
-    config.
+    are the reversed expansions.  ``size`` is read by ``parse_rational``;
+    :meth:`BlowupConfig.prefixed` relabels a config.
     """
     _require_weights(p, q)
-    size = Fraction(size)
+    size = parse_rational(size)
     if size <= 0:
         raise DomainError(f"size must be positive, got {size}")
     terms_p = hj_expand(p, p - q).terms
@@ -167,14 +170,13 @@ class McDuffSequence:
             _blow_up(store, touched, f"e{i + 1}")
         return IntersectionLattice._sparse(*store)
 
-    def chords(self, unit: Fraction | int = 1) -> list[tuple[Vec, Point, Point]]:
+    def chords(self) -> list[tuple[Vec, Point, Point]]:
         """(label, start, end) per cut, cut i sized by multiplicity i.
 
         Cut i sits where the lines of its flanks meet, u.x = c_u and
         d.x = c_d with det(u, d) = 1, and runs from the up flank to the down
-        flank; its own line is (u + d).x = c_u + c_d + size.
+        flank; its own line is (u + d).x = c_u + c_d + m_i.
         """
-        unit = Fraction(unit)
         levels: list[Fraction] = []
         chords: list[tuple[Vec, Point, Point]] = []
         labels = self.cut_directions
@@ -182,9 +184,8 @@ class McDuffSequence:
             (ux, uy), cu = ((1, 0), Fraction(0)) if up is None else (labels[up], levels[up])
             (dx, dy), cd = ((0, 1), Fraction(0)) if down is None else (labels[down], levels[down])
             vx, vy = cu * dy - cd * uy, ux * cd - dx * cu  # the cut vertex
-            s = m * unit
-            chords.append((label, (vx - s * uy, vy + s * ux), (vx + s * dy, vy - s * dx)))
-            levels.append(cu + cd + s)
+            chords.append((label, (vx - m * uy, vy + m * ux), (vx + m * dy, vy - m * dx)))
+            levels.append(cu + cd + m)
         return chords
 
 
@@ -240,15 +241,15 @@ def mcduff_lattice(q: int, p: int) -> IntersectionLattice:
     return mcduff_sequence(q, p).lattice()
 
 
-def cut_chords(q: int, p: int, unit: Fraction | int = 1) -> list[tuple[Vec, Point, Point]]:
+def cut_chords(q: int, p: int) -> list[tuple[Vec, Point, Point]]:
     """Exact chord geometry of the cut cascade, cut i sized by multiplicity i.
 
     Returns (label, start, end) per cut, in cut order.  With these sizes
     intermediate edges shrink to points and the last chord is the hypotenuse
-    from (0, q*unit) to (p*unit, 0), the boundary of the excised corner; this
-    is the picture usually drawn for the resolution diagram.
+    from (0, q) to (p, 0), the boundary of the excised corner; this is the
+    picture usually drawn for the resolution diagram.
     """
-    return mcduff_sequence(q, p).chords(unit)
+    return mcduff_sequence(q, p).chords()
 
 
 def _path_profile(lat: IntersectionLattice) -> list[tuple[int, int]] | None:

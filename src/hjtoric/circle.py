@@ -27,20 +27,21 @@ instance itself instead; it then dies at its matched level and the run
 reports TRACKED_CLASS_DESTROYED.
 
 Configurations never interact, so the state is the set of live instances,
-each with its own small lattice, and the bookkeeping lattice is their direct
-sum, assembled only for output: a crossing costs the same at any loop count.
+each a relabelled config whose lattices are summed only for output: a
+crossing costs the same at any loop count.
 
 A run splits what it fixes from what it steps.  ``initial_state`` validates
 the data once (``ValidationError`` lists every failure) and builds one
 frozen ``RunContext`` per run: the data, base and delta, each pair's
-resolved template, and the run's grid, the lcm D of the base and level
+resolved config, and the run's grid, the lcm D of the base and level
 denominators.  Every position the run reaches is a multiple of 1/D,
 so a step value, ``ReducedSpaceState``, holds the context, an integer
 position numerator over D, the live instances and an install counter.  A
 crossing is then one lookup of its datum, an integer check of its position
 and the blowup or blowdown itself; Fractions are built only for areas, the
 ledger and the output, so every result stays exact.  The interval cover,
-``build_cover``, needs only the levels.
+``build_cover``, needs only the levels.  Each input is checked by the
+function that reads it: rationals by ``parse_rational``, integers as ints.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from math import lcm
 from .blowup import BlowupConfig, _require_weights, fulton_config, weighted_blowdown
 from .errors import DomainError, StructureError, ValidationError
 from .homology import IntersectionLattice, empty_lattice
-from .rationals import rational_json
+from .rationals import parse_rational, rational_json
 from .resolution import CyclicSingularity
 
 log = logging.getLogger(__name__)
@@ -76,6 +77,7 @@ class FixedPointDatum:
 
     ``match`` optionally names the index of the partner datum of opposite
     sign and equal weights; either all data carry matches or none do.
+    ``level`` is read by ``parse_rational``; the other fields must be ints.
     """
 
     level: Fraction
@@ -85,12 +87,14 @@ class FixedPointDatum:
     match: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "level", Fraction(self.level))
+        object.__setattr__(self, "level", parse_rational(self.level))
         if not (0 <= self.level < 1):
             raise DomainError(f"level must lie in [0, 1), got {self.level}")
-        if self.sign not in (1, -1):
-            raise DomainError(f"sign must be +1 or -1, got {self.sign}")
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise DomainError(f"sign must be +1 or -1, got {self.sign!r}")
         _require_weights(self.p, self.q)
+        if self.match is not None and type(self.match) is not int:
+            raise DomainError(f"match must be an integer, got {self.match!r}")
         # a run looks up its datum at every crossing; hashing the Fraction
         # level each time would cost more than the rest of the lookup
         object.__setattr__(self, "_hash", hash((self.level, self.sign, self.p, self.q, self.match)))
@@ -249,9 +253,9 @@ def build_cover(data, eps) -> GeneralizedCover:
     """Cover by gap intervals U_i = (l_i, l_{i+1}) and I_i = (l_i - eps, l_i + eps).
 
     Needs only the levels, which must be non-empty and distinct.  Requires
-    eps strictly below half the minimal level gap; at or above that bound
-    some point would lie in three sets.  The violation message reports the
-    supremum of admissible radii.
+    eps, read by ``parse_rational``, strictly below half the minimal level
+    gap; at or above that bound some point would lie in three sets.  The
+    violation message reports the supremum of admissible radii.
     """
     levels, gaps = _level_gaps(data)
     if not levels:
@@ -262,7 +266,7 @@ def build_cover(data, eps) -> GeneralizedCover:
         raise DomainError("a cover needs at least two levels, got one")
     if len(set(levels)) != len(levels):
         raise DomainError("critical levels must be distinct")
-    eps = Fraction(eps)
+    eps = parse_rational(eps)
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
     n = len(levels)
@@ -295,8 +299,8 @@ class RunContext:
     so every position the run reaches, every level and every life arc is an
     integer numerator over it.  ``levels`` maps each datum to its pair index
     and its level numerator; ``arcs`` holds each pair's life arc as a
-    numerator.  ``templates`` holds each pair's config and lattice, resolved
-    at its tent size (arc / (2*p*q)) with unprefixed labels.
+    numerator.  ``templates`` holds each pair's config, resolved at its
+    tent size (arc / (2*p*q)) with unprefixed labels.
     """
 
     data: tuple[FixedPointDatum, ...]
@@ -305,12 +309,12 @@ class RunContext:
     den: int
     arcs: tuple[int, ...]
     levels: dict[FixedPointDatum, tuple[int, int]] = field(repr=False, compare=False)
-    templates: tuple[tuple[BlowupConfig, IntersectionLattice], ...] = field(repr=False)
+    templates: tuple[BlowupConfig, ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
 class Instance:
-    """A live blowup configuration with its own resolved lattice.
+    """A live blowup configuration; its lattice is the config's own.
 
     ``created`` and ``dies`` are cumulative coordinates as numerators over
     ``den``: its blowup and its matched blowdown, ``dies`` None for the
@@ -320,11 +324,14 @@ class Instance:
     uid: str
     pair: int
     config: BlowupConfig
-    lattice: IntersectionLattice
     den: int
     created: int
     dies: int | None
     tracked: bool = False
+
+    @property
+    def lattice(self) -> IntersectionLattice:
+        return self.config.lattice()
 
     @property
     def created_at(self) -> Fraction:
@@ -425,18 +432,16 @@ def default_delta(data) -> Fraction:
 
 def _install(state: ReducedSpaceState, pair_idx: int, created: int, dies: int | None,
              uid: str, tracked: bool) -> ReducedSpaceState:
-    """Add an instance of the pair's template, its labels prefixed ``uid.``.
+    """Add an instance of the pair's config, its labels prefixed ``uid.``.
 
     A matched instance keeps the template's tent size; the transported copy
     (``dies`` None) has size 1.
     """
     ctx = state.context
-    cfg, lat = ctx.templates[pair_idx]
+    cfg = ctx.templates[pair_idx]
     if dies is None:
         cfg = replace(cfg, size=ONE)
-    prefix = f"{uid}."
-    inst = Instance(uid, pair_idx, cfg.prefixed(prefix), lat.prefixed(prefix),
-                    ctx.den, created, dies, tracked)
+    inst = Instance(uid, pair_idx, cfg.prefixed(f"{uid}."), ctx.den, created, dies, tracked)
     return ReducedSpaceState(ctx, state.pos, state.instances + (inst,), state.counter + 1)
 
 
@@ -446,21 +451,22 @@ def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
     Every matched pair whose counterclockwise life arc contains the base
     level contributes one live configuration, so the state is consistent
     with the periodic dynamics from the very first crossing.  The run's
-    context, with each pair's config and lattice resolved once at the
-    pair's tent size (arc / (2*p*q), the peak area of its exceptional
-    class), is built here; every install relabels that template.  Data that
-    fail ``validate`` raise a ``ValidationError`` carrying its errors.
+    context, with each pair's config resolved once at the pair's tent size
+    (arc / (2*p*q), the peak area of its exceptional class), is built here;
+    every install relabels that config.  ``base`` and ``delta`` are parsed
+    first; data that fail ``validate`` raise a ``ValidationError``.
     """
     data = tuple(data)
+    base, delta = (None if x is None else parse_rational(x) for x in (base, delta))
     report = validate(data)
     if not report.ok:
         raise ValidationError(report.errors)
     if report.outcome == "no_obstruction":
         raise DomainError("cannot build a state from an empty fixed-point set")
-    base = default_base(data) if base is None else _mod1(Fraction(base))
+    base = default_base(data) if base is None else _mod1(base)
     if any(d.level == base for d in data):
         raise DomainError(f"base level {base} must be a regular level")
-    delta = default_delta(data) if delta is None else Fraction(delta)
+    delta = default_delta(data) if delta is None else delta
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta}")
     den = lcm(base.denominator, *(d.level.denominator for d in data))
@@ -469,8 +475,7 @@ def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
     templates = []
     for (plus, _), arc in zip(report.pairs, arcs):
         p, q = data[plus].weights
-        cfg = fulton_config(p, q, size=Fraction(arc, 2 * p * q * den))
-        templates.append((cfg, cfg.lattice()))
+        templates.append(fulton_config(p, q, size=Fraction(arc, 2 * p * q * den)))
     ctx = RunContext(data, base, delta, den, arcs,
                      {data[i]: (k, levels[i]) for k, pair in enumerate(report.pairs) for i in pair},
                      tuple(templates))
@@ -529,9 +534,7 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum, *,
         )
     if victim.tracked:
         raise TrackedClassDestroyed(victim.uid)
-    left = weighted_blowdown(victim.lattice, victim.config)
-    if len(left):
-        raise StructureError(f"blowdown of {victim.uid} left classes {left.classes}")
+    weighted_blowdown(victim.lattice, victim.config)
     log.debug("blowdown %s at position %d/%d", victim.uid, pos, ctx.den)
     return ReducedSpaceState(ctx, pos, instances[:i] + instances[i + 1:], state.counter)
 
@@ -546,7 +549,7 @@ def area(state: ReducedSpaceState, label: str, lam: Fraction) -> Fraction:
     no longer part of the state.
     """
     lam = Fraction(lam)
-    inst = next((inst for inst in state.instances if label in inst.lattice.classes), None)
+    inst = next((inst for inst in state.instances if label in inst.config.class_labels), None)
     if inst is None:
         raise DomainError(f"no class {label!r} is live")
     created, dies = inst.created_at, inst.dies_at
@@ -596,13 +599,19 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
     first loop).  An empty fixed-point set reports NO_OBSTRUCTION; loops
     exhausted without contradiction report INCONCLUSIVE.
 
-    The data are validated once, by ``initial_state``; loop n crosses each
-    level n - 1 loops after its first-loop position on the run's grid,
-    computed once.
+    The options are checked first, so a malformed one raises DomainError
+    also for empty data.  The data are validated once, by ``initial_state``;
+    loop n crosses each level n - 1 loops after its first-loop position on
+    the run's grid, computed once.
     """
+    if bound is not None and (type(bound) is not int or bound < 0):
+        raise DomainError(f"bound must be None or an integer >= 0, got {bound!r}")
+    if type(tracked_independent) is not bool:
+        raise DomainError(f"tracked_independent must be a bool, got {tracked_independent!r}")
+    if type(loops) is not int or loops < 1:
+        raise DomainError(f"loops must be an integer >= 1, got {loops!r}")
+    base, delta = (None if x is None else parse_rational(x) for x in (base, delta))
     data = tuple(data)
-    if loops < 1:
-        raise DomainError(f"loops must be >= 1, got {loops}")
     if not data:
         return RunResult(
             "NO_OBSTRUCTION", (), None, empty_lattice(), None, None, bound,

@@ -2,8 +2,9 @@
 
 Subcommands: resolve, blowup, equiv, signature, simulate, hj.  Numeric
 flags that are rational-valued accept exact "n/d" strings; output is JSON
-(or SVG for diagrams).  Exit codes: 0 success, 2 domain/validation error,
-1 internal inconsistency.  Set HJTORIC_LOG=debug for verbose logging; any
+(or SVG for diagrams); the public API they are passed to checks every
+value.  Exit codes: 0 success, 2 domain/validation error, 1 internal
+inconsistency.  Set HJTORIC_LOG=debug for verbose logging; any
 value other than a level name (debug, info, warning, error, critical, in
 any case) exits 2.
 """
@@ -21,7 +22,7 @@ from .circle import FixedPointDatum, build_cover, run_loop
 from .errors import DomainError, StructureError, ValidationError
 from .hj import hj_expand, hj_reverse
 from .homology import IntersectionLattice, signature
-from .rationals import parse_rational, rational_json
+from .rationals import rational_json
 from .resolution import (
     CyclicSingularity,
     resolution_params,
@@ -67,8 +68,7 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_blowup(args) -> int:
-    size = parse_rational(args.size)
-    cfg = fulton_config(args.p, args.q, size=size)
+    cfg = fulton_config(args.p, args.q, size=args.size)
     seq = mcduff_sequence(args.q, args.p)
     vertex, replayed = cfg.lattice(), seq.lattice()
     ok = lattices_isomorphic_as_chains(vertex, replayed)
@@ -81,7 +81,7 @@ def cmd_blowup(args) -> int:
     payload = cfg.to_json()
     payload.update(
         {
-            "size": rational_json(size),
+            "size": rational_json(cfg.size),
             "mcduff": list(seq.multiplicities),
             "cuts": [list(c) for c in seq.cut_directions],
             "cross_check": ok,
@@ -124,17 +124,10 @@ def cmd_signature(args) -> int:
     return 0
 
 
-def _integer(value, what: str) -> int:
-    if type(value) is not int:  # rejects bool, float and str
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _parse_simulation_input(raw: str) -> tuple[list[FixedPointDatum], dict]:
-    """The fixed points and the ``run_loop`` options of a simulation input.
-
-    Every field is checked here, so a malformed input is a DomainError
-    before any work starts.
+    """The fixed points and the options (``run_loop``'s and eps) of a
+    simulation input.  Only the JSON shape is checked here; the values are
+    checked by ``FixedPointDatum``, ``run_loop`` and ``build_cover``.
     """
     try:
         obj = json.loads(raw)
@@ -149,31 +142,18 @@ def _parse_simulation_input(raw: str) -> tuple[list[FixedPointDatum], dict]:
         missing = [key for key in ("level", "sign", "p", "q") if key not in fp]
         if missing:
             raise DomainError(f"fixed point {i} lacks {', '.join(missing)}")
-        sign, p, q = (_integer(fp[key], f"fixed point {i}: {key}") for key in ("sign", "p", "q"))
-        match = fp.get("match")
-        if match is not None:
-            _integer(match, f"fixed point {i}: match")
-        data.append(FixedPointDatum(parse_rational(fp["level"]), sign, p, q, match))
-    bound = obj.get("bound")
-    if bound is not None and _integer(bound, "bound") < 0:
-        raise DomainError(f"bound must be >= 0, got {bound}")
-    tracked = obj.get("tracked_independent", True)
-    if type(tracked) is not bool:
-        raise DomainError(f"tracked_independent must be true or false, got {tracked!r}")
-    options = {
-        "loops": _integer(obj.get("loops", 5), "loops"),
-        "bound": bound,
-        "tracked_independent": tracked,
-    }
-    for key in ("eps", "base", "delta"):
-        options[key] = parse_rational(obj[key]) if key in obj else None
-    return data, options
+        try:
+            data.append(FixedPointDatum(fp["level"], fp["sign"], fp["p"], fp["q"], fp.get("match")))
+        except DomainError as exc:
+            raise DomainError(f"fixed point {i}: {exc}") from exc
+    keys = ("bound", "tracked_independent", "eps", "base", "delta")
+    return data, {"loops": obj.get("loops", 5), **{key: obj[key] for key in keys if key in obj}}
 
 
 def cmd_simulate(args) -> int:
     raw = _read_input(args.input)
     data, options = _parse_simulation_input(raw)
-    eps = options.pop("eps")
+    eps = options.pop("eps", None)
     try:
         result = run_loop(data, **options)  # validates the data, once
     except ValidationError as exc:

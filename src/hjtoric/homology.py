@@ -222,15 +222,6 @@ class IntersectionLattice:
             {l: {m: v for m, v in self._edges[l].items() if m not in drop} for l in keep},
         )
 
-    def prefixed(self, prefix: str) -> "IntersectionLattice":
-        """The same lattice with ``prefix`` put before every label."""
-        return IntersectionLattice._sparse(
-            {prefix + l: v for l, v in self._self.items()},
-            {prefix + l: v for l, v in self._c1.items()},
-            {prefix + l: {prefix + m: v for m, v in row.items()}
-             for l, row in self._edges.items()},
-        )
-
     # -- JSON --------------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -311,8 +302,7 @@ def lattice_from_parts(
     pairs: dict[tuple[str, str], int],
     self_intersections: dict[str, int],
 ) -> IntersectionLattice:
-    """Build a lattice from sparse data; c1 set by adjunction.  A pair
-    ``(a, a)`` sets the self-intersection of ``a``."""
+    """Build a lattice from sparse data; c1 set by adjunction."""
     classes = tuple(labels)
     self_ = dict.fromkeys(classes, 0)
     if len(self_) != len(classes):
@@ -324,8 +314,8 @@ def lattice_from_parts(
     edges: dict[str, dict[str, int]] = {l: {} for l in classes}
     for (a, b), v in pairs.items():
         if a == b:
-            self_[a] = v
-        elif v:
+            raise DomainError(f"pair ({a!r}, {a!r}) is a self-intersection, not a pairing")
+        if v:
             edges[a][b] = edges[b][a] = v
     return IntersectionLattice._sparse(self_, {l: 2 + s for l, s in self_.items()}, edges)
 

@@ -23,12 +23,12 @@ from hjtoric.homology import (
 )
 
 
-def mcduff_lattice(seq: McDuffSequence, label_prefix: str = "") -> IntersectionLattice:
+def mcduff_lattice(seq: McDuffSequence) -> IntersectionLattice:
     """One ``blow_up_at`` per cut, at the classes of its flanking cuts."""
     lat = empty_lattice()
     for i, flank in enumerate(seq.flanks):
-        touched = [f"{label_prefix}e{j + 1}" for j in flank if j is not None]
-        lat = blow_up_at(lat, touched, f"{label_prefix}e{i + 1}")
+        touched = [f"e{j + 1}" for j in flank if j is not None]
+        lat = blow_up_at(lat, touched, f"e{i + 1}")
     return lat
 
 

@@ -24,8 +24,8 @@ from hjtoric.circle import (
 )
 from hjtoric.blowup import fulton_config
 from hjtoric.errors import DomainError, StructureError, ValidationError
-from hjtoric.homology import IntersectionLattice, empty_lattice, lattice_from_parts
-from hjtoric.resolution import resolve_cyclic
+from hjtoric.homology import IntersectionLattice, empty_lattice
+from hjtoric.resolution import Chain, resolve_cyclic
 
 
 def pair_21():
@@ -78,14 +78,20 @@ def canonical_components(lat):
 
 class TestDatum:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            FixedPointDatum(Fraction(3, 2), 1, 2, 1)
-        with pytest.raises(DomainError):
-            FixedPointDatum(Fraction(0), 2, 2, 1)
-        with pytest.raises(DomainError):
-            FixedPointDatum(Fraction(0), 1, 4, 2)
-        with pytest.raises(DomainError):
-            FixedPointDatum(Fraction(0), 1, 4, 7)
+        for fields, reason in [
+            ((Fraction(3, 2), 1, 2, 1), "level"),
+            ((Fraction(0), 2, 2, 1), "sign"),
+            ((Fraction(0), 1, 4, 2), "coprime"),
+            ((Fraction(0), 1, 4, 7), "p > q"),
+            ((0, True, 2, 1), "sign"),
+            ((0, 1, 2, 1, 1.0), "match"),
+            ((0, 1, 2.0, 1), "weights must be integers"),
+            ((0, 1, True, True), "weights must be integers"),
+            ((0.1, 1, 2, 1), "exact rational"),
+            (("1e-3", 1, 2, 1), "exponent"),
+        ]:
+            with pytest.raises(DomainError, match=reason):
+                FixedPointDatum(*fields)
 
 
 class TestValidate:
@@ -188,6 +194,35 @@ def test_invalid_data_raise_validation_error(start, name):
     assert err.value.errors == errors and str(err.value) == "; ".join(errors)
 
 
+@pytest.mark.parametrize("start", [initial_state, lambda data, **kw: run_loop(data, 3, **kw)],
+                         ids=["initial_state", "run_loop"])
+@pytest.mark.parametrize("options,reason", [
+    ({"base": 0.25}, "exact rational"),
+    ({"base": "1e-3"}, "exponent"),
+    ({"delta": 0.5}, "exact rational"),
+], ids=["float-base", "exponent-base", "float-delta"])
+def test_inexact_base_and_delta_are_rejected(start, options, reason):
+    with pytest.raises(DomainError, match=reason):
+        start(pair_21(), **options)
+
+
+@pytest.mark.parametrize("data", [pair_21(), []], ids=["pair", "empty"])
+@pytest.mark.parametrize("args,options,reason", [
+    ((5,), {"bound": -1}, "bound"),
+    ((5,), {"bound": 1.5}, "bound"),
+    ((5,), {"bound": True}, "bound"),
+    ((2.5,), {}, "loops"),
+    ((True,), {}, "loops"),
+    ((5,), {"tracked_independent": 1}, "tracked_independent"),
+    ((5,), {"base": True}, "exact rational"),
+], ids=["negative-bound", "float-bound", "bool-bound", "float-loops", "bool-loops",
+        "int-tracked", "bool-base"])
+def test_run_loop_checks_its_options_first(data, args, options, reason):
+    """Before any data are read, so also for an empty fixed-point set."""
+    with pytest.raises(DomainError, match=reason):
+        run_loop(data, *args, **options)
+
+
 class TestCover:
     def test_two_levels(self):
         cov = build_cover(pair_21(), Fraction(1, 8))
@@ -227,6 +262,13 @@ class TestCover:
     def test_rejects_empty_and_repeated_levels(self, levels, reason):
         with pytest.raises(DomainError, match=reason):
             build_cover([FixedPointDatum(l, +1, 2, 1) for l in levels], Fraction(1, 8))
+
+    @pytest.mark.parametrize("eps,reason", [(True, "exact rational"), (0.125, "exact rational"),
+                                            ("1e-3", "exponent")],
+                             ids=["bool", "float", "exponent"])
+    def test_rejects_inexact_eps(self, eps, reason):
+        with pytest.raises(DomainError, match=reason):
+            build_cover(pair_21(), eps)
 
     def test_four_levels_relations(self):
         data = [
@@ -277,16 +319,18 @@ class TestCrossLevel:
             cross_level(st.at(Fraction(3, 2)), data[1])
 
     def test_blowdown_checks_the_victims_own_lattice(self):
+        """The victim's lattice is its config's; a config with an extra
+        chain class or a deeper one stalls its own blowdown."""
         data = pair_74()
         st = initial_state(data, base=Fraction(3, 4))
         st = cross_level(st.at(Fraction(1)), data[0])
         inst = st.instances[-1]
-        extra = lattice_from_parts(("X",), {}, {"X": -2})
-        label = inst.config.exceptional_label
-        bent = lattice_from_parts(inst.lattice.classes, {}, {label: -2})
-        for lattice in (inst.lattice.direct_sum(extra), bent):
-            broken = replace(st, instances=(replace(inst, lattice=lattice),))
-            with pytest.raises(StructureError):
+        cfg = inst.config
+        longer = Chain(cfg.chain_q.self_intersections + (-2,), cfg.chain_q.labels + ("B2.Zx",))
+        deeper = Chain(tuple(s - 1 for s in cfg.chain_p.self_intersections), cfg.chain_p.labels)
+        for config in (replace(cfg, chain_q=longer), replace(cfg, chain_p=deeper)):
+            broken = replace(st, instances=(replace(inst, config=config),))
+            with pytest.raises(StructureError, match="stalled"):
                 cross_level(broken.at(Fraction(3, 2)), data[1])
 
     def test_only_counterclockwise(self):
@@ -709,9 +753,9 @@ def test_installs_and_blowdowns_leave_other_lattices_unchanged():
     data = three_pairs()
     st = initial_state(data, base=Fraction(7, 8))
     snap = lambda lat: IntersectionLattice.from_json(lat.to_json())
-    templates = [snap(lat) for _, lat in st.context.templates]
+    templates = [snap(cfg.lattice()) for cfg in st.context.templates]
     for level, datum in sorted((d.level, d) for d in data):
         live = [(inst.lattice, snap(inst.lattice)) for inst in st.instances]
         st = cross_level(st.at(1 + level), datum, track="copy" if level == 0 else None)
         assert all(lat == before for lat, before in live)
-    assert [lat for _, lat in st.context.templates] == templates
+    assert [cfg.lattice() for cfg in st.context.templates] == templates

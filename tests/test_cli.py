@@ -325,6 +325,14 @@ def test_exponent_notation_exits_2_at_once(capsys, monkeypatch, argv, obj):
     assert "exponent notation" in captured.err
 
 
+def test_a_fixed_point_error_names_the_point(capsys, monkeypatch):
+    obj = _two_points()
+    obj["fixed_points"][1]["level"] = "3/2"
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj)))
+    assert main(["simulate", "-"]) == 2
+    assert capsys.readouterr().err == "error: fixed point 1: level must lie in [0, 1), got 3/2\n"
+
+
 def test_bound_zero_and_null_are_accepted(capsys, monkeypatch):
     for bound in (0, None):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_two_points(bound=bound))))

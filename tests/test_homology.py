@@ -310,6 +310,8 @@ class TestCriteria:
         twice = replace(cfg, chain_q=replace(cfg.chain_q, labels=cfg.chain_p.labels[:1]))
         with pytest.raises(DomainError, match="distinct"):
             chain_contact_replay(lat, "E'", twice)
+        with pytest.raises(DomainError, match="distinct"):
+            twice.lattice()
 
 
 # -- the sparse routines against the dense oracles in tests/dense.py ----------
@@ -446,6 +448,12 @@ def test_constructor_rejects_non_integers(bad):
         IntersectionLattice(["A", "B"], [[bad, 1], [1, 0]], [0, 0])
     with pytest.raises(DomainError, match="c1 must be a list of integers"):
         IntersectionLattice(["A", "B"], [[0, 1], [1, 0]], [bad, 0])
+
+
+def test_lattice_from_parts_rejects_a_self_pair():
+    """A self-intersection has its own dict; a pair (a, a) is not one."""
+    with pytest.raises(DomainError, match="self-intersection"):
+        lattice_from_parts(["A", "B"], {("A", "A"): -3, ("A", "B"): 1}, {"B": -2})
 
 
 def test_from_json_rejects_non_integers_with_the_same_messages():
