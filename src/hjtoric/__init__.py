@@ -7,7 +7,6 @@ from .homology import (
     IntersectionLattice,
     blow_down,
     blow_up_at,
-    chain_contact_criterion,
     chain_contact_replay,
     empty_lattice,
     exceptional_pair_criterion,
@@ -19,18 +18,6 @@ from .resolution import (
     resolve_cyclic,
     same_resolution,
     type_equivalent,
-)
-from .lattice2d import (
-    Polygon,
-    UnimodularAffineMap,
-    Wedge,
-    apply_map,
-    corner_cut,
-    is_smooth_vertex,
-    local_model_wedge,
-    normalize_vertex,
-    phi_embed,
-    quadrant,
 )
 from .blowup import (
     BlowupConfig,

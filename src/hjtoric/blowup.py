@@ -42,9 +42,15 @@ from math import gcd
 from .errors import DomainError, StructureError
 from .hj import hj_expand
 from .homology import IntersectionLattice, _blow_up, _contract, _forced_contractions
-from .lattice2d import Point, Vec, det2
 from .rationals import parse_rational
 from .resolution import Chain, chain_from_terms
+
+Vec = tuple[int, int]
+Point = tuple[Fraction, Fraction]
+
+
+def det2(u: Vec, v: Vec) -> int:
+    return u[0] * v[1] - u[1] * v[0]
 
 
 def _require_weights(p: int, q: int) -> None:

@@ -212,32 +212,6 @@ class GeneralizedCover:
     i_arcs: tuple[tuple[Fraction, Fraction], ...]
     relations: tuple[tuple[str, str], ...]
 
-    def arcs(self) -> dict[str, tuple[Fraction, Fraction]]:
-        named = {f"U{i + 1}": arc for i, arc in enumerate(self.u_arcs)}
-        named.update({f"I{i + 1}": arc for i, arc in enumerate(self.i_arcs)})
-        return named
-
-    @staticmethod
-    def arc_contains(arc: tuple[Fraction, Fraction], x: Fraction) -> bool:
-        a, b = arc
-        return 0 < arc_distance(a, x) < arc_distance(a, b)
-
-    def membership(self, x: Fraction) -> tuple[str, ...]:
-        return tuple(n for n, arc in self.arcs().items() if self.arc_contains(arc, x))
-
-    def max_overlap(self) -> int:
-        """Exact maximum number of cover sets through a single point.
-
-        Membership is constant on the open intervals between consecutive arc
-        endpoints, so checking every endpoint and every midpoint between
-        consecutive endpoints decides the maximum exactly.
-        """
-        cuts = sorted({_mod1(e) for arc in self.arcs().values() for e in arc})
-        candidates = list(cuts)
-        for a, b in zip(cuts, cuts[1:] + [cuts[0] + 1]):
-            candidates.append(_mod1(Fraction(a + b, 2)))
-        return max(len(self.membership(x)) for x in candidates)
-
     def to_json(self) -> dict:
         pair = lambda arc: [rational_json(_mod1(arc[0])), rational_json(_mod1(arc[1]))]
         return {
@@ -394,8 +368,8 @@ class ReducedSpaceState:
 
     def at(self, position) -> "ReducedSpaceState":
         """The same state at a later position, which must lie on the run's
-        grid of multiples of 1/``context.den``."""
-        position = Fraction(position)
+        grid of multiples of 1/``context.den``; read by ``parse_rational``."""
+        position = parse_rational(position)
         if position < self.position:
             raise DomainError("the simulator only moves counterclockwise")
         pos = position * self.context.den
@@ -546,9 +520,9 @@ def area(state: ReducedSpaceState, label: str, lam: Fraction) -> Fraction:
     their life arc (slope +1/(p*q) from creation, -1/(p*q) into the matched
     blowdown); the transported tracked class grows at +1/(p*q) without
     bound; chain classes sit at the constant delta.  A blown-down class is
-    no longer part of the state.
+    no longer part of the state.  ``lam`` is read by ``parse_rational``.
     """
-    lam = Fraction(lam)
+    lam = parse_rational(lam)
     inst = next((inst for inst in state.instances if label in inst.config.class_labels), None)
     if inst is None:
         raise DomainError(f"no class {label!r} is live")

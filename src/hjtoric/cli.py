@@ -160,7 +160,7 @@ def cmd_simulate(args) -> int:
         _emit_json({"errors": list(exc.errors)}, args.out)
         return 2
     payload = {}
-    if data and eps is not None:  # after the run, so validation errors come first
+    if eps is not None:  # after the run, so validation errors come first
         payload["cover"] = build_cover(data, eps).to_json()
     payload.update(result.to_json())
     _emit_json(payload, args.out)

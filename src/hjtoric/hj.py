@@ -89,9 +89,6 @@ class HJExpansion:
         if hj_eval(self.terms) != (m, k):
             raise DomainError(f"terms {list(self.terms)} do not evaluate to {m}/{k}")
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
 
 def hj_eval(terms: Sequence[int] | Iterable[int]) -> tuple[int, int]:
     """Evaluate ``a_1 - 1/(a_2 - ...)`` exactly, returning ``(m, k)``.

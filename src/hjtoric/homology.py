@@ -572,7 +572,8 @@ def exceptional_pair_criterion(lat: IntersectionLattice, e1: str, e2: str) -> bo
 
 @dataclass(frozen=True)
 class ChainContactReplay:
-    """Outcome of the blowdown replay behind :func:`chain_contact_criterion`."""
+    """Outcome of :func:`chain_contact_replay`; ``triggered`` is the verdict
+    of the contact criterion."""
 
     triggered: bool
     via: str | None  # class whose contact fired the criterion
@@ -644,8 +645,3 @@ def chain_contact_replay(lat: IntersectionLattice, eprime: str, config) -> Chain
         k, work.c1_of(eprime) + work.c1_of(hit),
     )
 
-
-def chain_contact_criterion(lat: IntersectionLattice, eprime: str, config) -> bool:
-    """True iff E' pairs nonzero with the configuration's exceptional class
-    or with any of its chain classes (detected through the blowdown replay)."""
-    return chain_contact_replay(lat, eprime, config).triggered

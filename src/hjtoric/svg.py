@@ -1,4 +1,4 @@
-"""Minimal SVG emission for lattice polygons and blowup cut diagrams.
+"""Minimal SVG emission for the cut diagram of a weighted blowup.
 
 Lattice points sit at integer coordinates scaled by a uniform factor; the
 y axis is flipped so diagrams read in the usual mathematical orientation.
@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from .blowup import mcduff_sequence
 from .errors import DomainError
-from .lattice2d import Polygon, Wedge, wedge_polygon
 
 _STYLE = (
     "text { font: 11px sans-serif; } "
@@ -19,7 +18,6 @@ _STYLE = (
     ".cut { stroke: #c22; stroke-width: 1.5; } "
     ".label { fill: #c22; }"
 )
-_RAY_REACH = 3  # lattice units drawn of each boundary ray of an open polygon
 
 
 def _fmt(x) -> str:
@@ -93,26 +91,3 @@ def cut_diagram_svg(p: int, q: int, scale: int = 40) -> str:
     canvas.text((p - 1, q + Fraction(1, 2)), f"({p},{q})-weighted blowup cuts", cls="label")
     return canvas.render()
 
-
-def polygon_svg(shape: Polygon | Wedge, scale: int = 40) -> str:
-    """A polygon or wedge; boundary rays are drawn three lattice units long."""
-    poly = wedge_polygon(shape) if isinstance(shape, Wedge) else shape
-    pts = list(poly.vertices)
-    segs: list[tuple] = []
-    if poly.closed:
-        for i in range(len(pts)):
-            segs.append((pts[i], pts[(i + 1) % len(pts)]))
-    else:
-        first, last = pts[0], pts[-1]
-        rin, rout = poly.ray_in, poly.ray_out
-        segs.append(((first[0] + _RAY_REACH * rin[0], first[1] + _RAY_REACH * rin[1]), first))
-        for i in range(len(pts) - 1):
-            segs.append((pts[i], pts[i + 1]))
-        segs.append((last, (last[0] + _RAY_REACH * rout[0], last[1] + _RAY_REACH * rout[1])))
-    xs = [float(x) for seg in segs for x, _ in seg]
-    ys = [float(y) for seg in segs for _, y in seg]
-    canvas = _Canvas(max(xs + [1.0]), max(ys + [1.0]), scale)
-    canvas.grid()
-    for a, b in segs:
-        canvas.line(a, b)
-    return canvas.render()

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from math import gcd
@@ -6,6 +7,7 @@ import pytest
 
 import hjtoric.blowup
 import stepwise
+from geometry import Polygon, corner_cut, det2, quadrant
 from hjtoric.blowup import (
     BlowupConfig,
     cross_check,
@@ -27,7 +29,6 @@ from hjtoric.homology import (
     lattice_from_parts,
     signature,
 )
-from hjtoric.lattice2d import corner_cut, quadrant
 from hjtoric.resolution import Chain
 
 
@@ -83,6 +84,46 @@ def test_mediant_replay_matches_polygon_replay(p):
         labels, lat = polygon_replay(q, p)
         assert mcduff_sequence(q, p).cut_directions == labels, (p, q)
         assert mcduff_lattice(q, p).to_json() == lat.to_json(), (p, q)
+
+
+class TestCornerCut:
+    """The oracle's geometry: conormals, lengths and refusals of a cut."""
+
+    def test_standard_cut_conormal(self):
+        poly = corner_cut(quadrant(), 0, Fraction(1, 2))
+        assert poly.conormals() == ((-1, 0), (-1, -1), (0, -1))
+        assert poly.edge_lattice_length(1) == Fraction(1, 2)
+
+    def test_cut_again_near_horizontal(self):
+        poly = corner_cut(quadrant(), 0, Fraction(1, 2))
+        poly = corner_cut(poly, 1, Fraction(1, 8))
+        assert poly.conormals() == ((-1, 0), (-1, -1), (-1, -2), (0, -1))
+
+    def test_edge_count_and_smoothness(self):
+        poly = quadrant()
+        rng = random.Random(3)
+        for _ in range(6):
+            i = rng.randrange(len(poly.vertices))
+            before = poly.edge_count
+            try:
+                poly = corner_cut(poly, i, Fraction(1, 64))
+            except DomainError:
+                continue  # non-smooth vertex: allowed to refuse
+            assert poly.edge_count == before + 1
+            for v in range(len(poly.vertices)):
+                assert abs(det2(poly.conormal(v), poly.conormal(v + 1))) == 1
+
+    def test_rejects_nonsmooth(self):
+        corner = Polygon(((0, 0),), (1, 2), (1, 0))  # a corner of order 2
+        with pytest.raises(DomainError, match="not smooth"):
+            corner_cut(corner, 0, Fraction(1, 4))
+
+    def test_rejects_oversized(self):
+        poly = corner_cut(quadrant(), 0, Fraction(1, 2))
+        with pytest.raises(DomainError):
+            corner_cut(poly, 0, Fraction(1, 2))  # consumes the new edge
+        with pytest.raises(DomainError):
+            corner_cut(poly, 0, Fraction(2, 3))
 
 
 class TestFultonConfig:

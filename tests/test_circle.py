@@ -223,6 +223,36 @@ def test_run_loop_checks_its_options_first(data, args, options, reason):
         run_loop(data, *args, **options)
 
 
+def cover_arcs(cov):
+    """The cover's sets by name, U1, U2, ... then I1, I2, ..."""
+    named = {f"U{i + 1}": arc for i, arc in enumerate(cov.u_arcs)}
+    named.update({f"I{i + 1}": arc for i, arc in enumerate(cov.i_arcs)})
+    return named
+
+
+def arc_contains(arc, x):
+    a, b = arc
+    return 0 < arc_distance(a, x) < arc_distance(a, b)
+
+
+def membership(cov, x):
+    return tuple(n for n, arc in cover_arcs(cov).items() if arc_contains(arc, x))
+
+
+def max_overlap(cov):
+    """Exact maximum number of cover sets through a single point.
+
+    Membership is constant on the open intervals between consecutive arc
+    endpoints, so checking every endpoint and every midpoint between
+    consecutive endpoints decides the maximum exactly.
+    """
+    cuts = sorted({e % 1 for arc in cover_arcs(cov).values() for e in arc})
+    candidates = list(cuts)
+    for a, b in zip(cuts, cuts[1:] + [cuts[0] + 1]):
+        candidates.append((a + b) / 2 % 1)
+    return max(len(membership(cov, x)) for x in candidates)
+
+
 class TestCover:
     def test_two_levels(self):
         cov = build_cover(pair_21(), Fraction(1, 8))
@@ -242,12 +272,12 @@ class TestCover:
 
     def test_max_overlap_two(self):
         for eps in (Fraction(1, 8), Fraction(1, 100), Fraction(24, 100)):
-            assert build_cover(pair_21(), eps).max_overlap() == 2
+            assert max_overlap(build_cover(pair_21(), eps)) == 2
 
     def test_covers_everything(self):
         cov = build_cover(pair_21(), Fraction(1, 8))
         for x in (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(99, 100)):
-            assert len(cov.membership(x)) >= 1
+            assert len(membership(cov, x)) >= 1
 
     @pytest.mark.parametrize("name", ["unmatched-weights", "one-sign"])
     def test_needs_only_distinct_levels(self, name):
@@ -281,7 +311,7 @@ class TestCover:
         assert len(cov.u_arcs) == len(cov.i_arcs) == 4
         assert ("I1", "U4") in cov.relations
         assert ("I3", "U2") in cov.relations
-        assert cov.max_overlap() == 2
+        assert max_overlap(cov) == 2
 
 
 class TestCrossLevel:
@@ -386,6 +416,9 @@ class TestArea:
         label = st.instances[-1].config.exceptional_label
         with pytest.raises(DomainError):
             area(st, label, Fraction(1, 2))  # before creation
+        for lam in (1.1, True):  # inside the class's life, but not exact
+            with pytest.raises(DomainError, match="exact rational"):
+                area(st, label, lam)
 
 
 class TestRunLoop:
@@ -577,7 +610,8 @@ def test_run_loop_on_a_large_grid_matches_global_lattice_oracle(seed):
 def test_at_moves_along_the_runs_grid():
     """``at`` keeps the instances and counter and moves to any later position
     on the grid of multiples of 1/D, D the lcm of the base and level
-    denominators; an earlier position or one off the grid is a DomainError."""
+    denominators; an earlier position, one off the grid or an inexact one is
+    a DomainError."""
     data = [FixedPointDatum(Fraction(1, 3), +1, 7, 4),
             FixedPointDatum(Fraction(3, 4), -1, 7, 4)]
     st = initial_state(data, base=Fraction(1, 10))
@@ -592,6 +626,9 @@ def test_at_moves_along_the_runs_grid():
         assert moved.lattice == st.lattice and moved.books == st.books
     with pytest.raises(DomainError, match="counterclockwise"):
         st.at(Fraction(1, 4))
+    for x in (1.5, True):  # on the grid, but not exact
+        with pytest.raises(DomainError, match="exact rational"):
+            st.at(x)
     for x in (Fraction(1, 2) + Fraction(1, 7), Fraction(241, 120),
               Fraction(2 * 10 ** 30 * den + 1, 2 * den)):
         with pytest.raises(DomainError, match="grid"):

@@ -259,11 +259,13 @@ def _point_without(key):
     _two_points(tracked_independent="false"),
     _two_points(eps=True),
     _two_points(base=True),
+    {"fixed_points": [], "eps": True},
+    {"fixed_points": [], "eps": "1/8"},
 ], ids=[
     "fixed-points-not-list", "fixed-point-not-object", "no-level", "no-sign",
     "no-p", "no-q", "float-p", "bool-q", "str-sign", "bool-level", "str-match",
     "bool-loops", "float-loops", "str-bound", "bool-bound", "negative-bound",
-    "str-tracked", "bool-eps", "bool-base",
+    "str-tracked", "bool-eps", "bool-base", "no-points-bool-eps", "no-points-eps",
 ])
 def test_malformed_simulation_exits_2(capsys, monkeypatch, obj):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj)))

@@ -19,7 +19,6 @@ from hjtoric.homology import (
     add_class,
     blow_down,
     blow_up_at,
-    chain_contact_criterion,
     chain_contact_replay,
     empty_lattice,
     exceptional_pair_criterion,
@@ -255,7 +254,7 @@ class TestCriteria:
     def test_contact_orthogonal_false(self):
         cfg = fulton_config(7, 4)
         lat = add_class(cfg.lattice(), "E'", -1, {})
-        assert not chain_contact_criterion(lat, "E'", cfg)
+        assert not chain_contact_replay(lat, "E'", cfg).triggered
 
     def test_contact_through_chain(self):
         cfg = fulton_config(7, 4)

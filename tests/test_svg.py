@@ -1,11 +1,8 @@
-from fractions import Fraction
-
 import pytest
 
 from hjtoric import svg
 from hjtoric.errors import DomainError
-from hjtoric.lattice2d import Polygon, Wedge, corner_cut, quadrant
-from hjtoric.svg import cut_diagram_svg, polygon_svg
+from hjtoric.svg import cut_diagram_svg
 
 
 def test_cut_diagram_contains_all_labels():
@@ -25,24 +22,6 @@ def test_cut_diagram_scale():
         cut_diagram_svg(2, 1, scale=0)
 
 
-def test_polygon_svg_open_chain():
-    poly = corner_cut(quadrant(), 0, Fraction(1))
-    doc = polygon_svg(poly)
-    assert doc.startswith("<svg")
-    assert doc.count("<line") == 3
-
-
-def test_polygon_svg_closed():
-    square = Polygon(((0, 0), (2, 0), (2, 2), (0, 2)))
-    doc = polygon_svg(square)
-    assert doc.count("<line") == 4
-
-
-def test_polygon_svg_wedge():
-    doc = polygon_svg(Wedge((0, 0), ((-1, 0), (0, -1))))
-    assert doc.count("<line") == 2
-
-
 def per_point_grid(canvas):
     """The grid with both coordinates formatted at every point."""
     for i in range(int(canvas.xmax) + 1):
@@ -58,9 +37,7 @@ def per_point_grid(canvas):
     lambda: cut_diagram_svg(7, 4),
     lambda: cut_diagram_svg(120, 1, scale=10),
     lambda: cut_diagram_svg(89, 55, scale=7),
-    lambda: polygon_svg(corner_cut(quadrant(), 0, Fraction(5, 3))),
-    lambda: polygon_svg(Polygon(((0, 0), (Fraction(7, 3), 0), (2, Fraction(9, 4)), (0, 2)))),
-], ids=["119-118", "7-4", "120-1", "89-55", "open", "closed"])
+], ids=["119-118", "7-4", "120-1", "89-55"])
 def test_grid_matches_per_point_formatting(draw, monkeypatch):
     doc = draw()
     monkeypatch.setattr(svg._Canvas, "grid", per_point_grid)
