@@ -1,6 +1,8 @@
 """hjtoric: exact combinatorics of cyclic quotient resolutions, weighted
 blowups and the circle of reduced spaces of a symplectic circle action."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import DomainError, EvaluationError, StructureError, ValidationError
 from .hj import HJExpansion, ext_gcd, hj_eval, hj_expand, hj_reverse, mod_inverse
 from .homology import (
@@ -42,5 +44,6 @@ from .circle import (
     validate,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

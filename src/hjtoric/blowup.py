@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError, StructureError
+from .errors import DomainError, StructureError, require_ints
 from .hj import hj_expand
 from .homology import IntersectionLattice, _blow_up, _contract, _forced_contractions
 from .rationals import parse_rational
@@ -54,8 +54,7 @@ def det2(u: Vec, v: Vec) -> int:
 
 
 def _require_weights(p: int, q: int) -> None:
-    if type(p) is not int or type(q) is not int:  # rejects bool, float and str
-        raise DomainError(f"weights must be integers, got ({p!r}, {q!r})")
+    require_ints((p, q), "weights must be integers")
     if p < 1 or q < 1:
         raise DomainError(f"weights must be positive, got ({p}, {q})")
     if gcd(p, q) != 1:

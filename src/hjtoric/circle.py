@@ -33,26 +33,28 @@ crossing costs the same at any loop count.
 A run splits what it fixes from what it steps.  ``initial_state`` validates
 the data once (``ValidationError`` lists every failure) and builds one
 frozen ``RunContext`` per run: the data, base and delta, each pair's
-resolved config, and the run's grid, the lcm D of the base and level
+config, resolved once, and the run's grid, the lcm D of the base and level
 denominators.  Every position the run reaches is a multiple of 1/D,
 so a step value, ``ReducedSpaceState``, holds the context, an integer
-position numerator over D, the live instances and an install counter.  A
-crossing is then one lookup of its datum, an integer check of its position
-and the blowup or blowdown itself; Fractions are built only for areas, the
-ledger and the output, so every result stays exact.  The interval cover,
-``build_cover``, needs only the levels.  Each input is checked by the
-function that reads it: rationals by ``parse_rational``, integers as ints.
+position numerator over D, the live instances and an install counter; an
+instance keeps its blowup and blowdown positions as numerators over D, and
+``area`` reads its tent from them.  A crossing is then one lookup of its
+datum, an integer check of its position and the blowup or blowdown itself;
+Fractions are built only for areas, the ledger and the output, so every
+result stays exact.  The interval cover, ``build_cover``, needs only the
+levels.  Each input is checked by the function that reads it: rationals by
+``parse_rational``, integers by ``require_int``.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 from .blowup import BlowupConfig, _require_weights, fulton_config, weighted_blowdown
-from .errors import DomainError, StructureError, ValidationError
+from .errors import DomainError, StructureError, ValidationError, require_int
 from .homology import IntersectionLattice, empty_lattice
 from .rationals import parse_rational, rational_json
 from .resolution import CyclicSingularity
@@ -90,11 +92,11 @@ class FixedPointDatum:
         object.__setattr__(self, "level", parse_rational(self.level))
         if not (0 <= self.level < 1):
             raise DomainError(f"level must lie in [0, 1), got {self.level}")
-        if type(self.sign) is not int or self.sign not in (1, -1):
+        if require_int(self.sign, "sign must be an integer") not in (1, -1):
             raise DomainError(f"sign must be +1 or -1, got {self.sign!r}")
         _require_weights(self.p, self.q)
-        if self.match is not None and type(self.match) is not int:
-            raise DomainError(f"match must be an integer, got {self.match!r}")
+        if self.match is not None:
+            require_int(self.match, "match must be an integer")
         # a run looks up its datum at every crossing; hashing the Fraction
         # level each time would cost more than the rest of the lookup
         object.__setattr__(self, "_hash", hash((self.level, self.sign, self.p, self.q, self.match)))
@@ -105,17 +107,6 @@ class FixedPointDatum:
     @property
     def weights(self) -> tuple[int, int]:
         return (self.p, self.q)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    outcome: str  # "ok" | "no_obstruction" | "error"
-    errors: tuple[str, ...]
-    pairs: tuple[tuple[int, int], ...]  # (plus index, minus index)
-
-    @property
-    def ok(self) -> bool:
-        return self.outcome in ("ok", "no_obstruction")
 
 
 def _derive_pairs(data: tuple[FixedPointDatum, ...], errors: list[str]) -> tuple[tuple[int, int], ...]:
@@ -169,15 +160,17 @@ def _derive_pairs(data: tuple[FixedPointDatum, ...], errors: list[str]) -> tuple
     return tuple(sorted(pairs))
 
 
-def validate(data) -> ValidationReport:
-    """Check distinctness of levels and derive the blowup/blowdown pairing.
+def validate(data) -> tuple[tuple[int, int], ...]:
+    """The blowup/blowdown pairing of ``data``: sorted (plus index, minus
+    index) pairs, or () for an empty fixed-point set.
 
-    An empty fixed-point set is the separate 'no obstruction' outcome, not
-    an error.
+    Levels must be distinct, both signs must occur and every blowup must
+    pair with a blowdown of equal weights; data that fail raise one
+    ``ValidationError`` listing every reason.
     """
     data = tuple(data)
     if not data:
-        return ValidationReport("no_obstruction", (), ())
+        return ()
     errors: list[str] = []
     levels = [d.level for d in data]
     if len(set(levels)) != len(levels):
@@ -189,8 +182,8 @@ def validate(data) -> ValidationReport:
     if not errors:
         pairs = _derive_pairs(data, errors)
     if errors:
-        return ValidationReport("error", tuple(errors), ())
-    return ValidationReport("ok", (), pairs)
+        raise ValidationError(tuple(errors))
+    return pairs
 
 
 # -- the interval cover -------------------------------------------------------
@@ -273,8 +266,8 @@ class RunContext:
     so every position the run reaches, every level and every life arc is an
     integer numerator over it.  ``levels`` maps each datum to its pair index
     and its level numerator; ``arcs`` holds each pair's life arc as a
-    numerator.  ``templates`` holds each pair's config, resolved at its
-    tent size (arc / (2*p*q)) with unprefixed labels.
+    numerator.  ``templates`` holds each pair's config as ``fulton_config``
+    returns it, with unprefixed labels.
     """
 
     data: tuple[FixedPointDatum, ...]
@@ -291,14 +284,14 @@ class Instance:
     """A live blowup configuration; its lattice is the config's own.
 
     ``created`` and ``dies`` are cumulative coordinates as numerators over
-    ``den``: its blowup and its matched blowdown, ``dies`` None for the
-    transported tracked copy, which no blowdown touches.
+    the run's grid ``RunContext.den``: its blowup and its matched blowdown,
+    ``dies`` None for the transported tracked copy, which no blowdown
+    touches.
     """
 
     uid: str
     pair: int
     config: BlowupConfig
-    den: int
     created: int
     dies: int | None
     tracked: bool = False
@@ -306,14 +299,6 @@ class Instance:
     @property
     def lattice(self) -> IntersectionLattice:
         return self.config.lattice()
-
-    @property
-    def created_at(self) -> Fraction:
-        return Fraction(self.created, self.den)
-
-    @property
-    def dies_at(self) -> Fraction | None:
-        return None if self.dies is None else Fraction(self.dies, self.den)
 
 
 @dataclass(frozen=True)
@@ -406,16 +391,10 @@ def default_delta(data) -> Fraction:
 
 def _install(state: ReducedSpaceState, pair_idx: int, created: int, dies: int | None,
              uid: str, tracked: bool) -> ReducedSpaceState:
-    """Add an instance of the pair's config, its labels prefixed ``uid.``.
-
-    A matched instance keeps the template's tent size; the transported copy
-    (``dies`` None) has size 1.
-    """
+    """Add an instance of the pair's config, its labels prefixed ``uid.``."""
     ctx = state.context
-    cfg = ctx.templates[pair_idx]
-    if dies is None:
-        cfg = replace(cfg, size=ONE)
-    inst = Instance(uid, pair_idx, cfg.prefixed(f"{uid}."), ctx.den, created, dies, tracked)
+    cfg = ctx.templates[pair_idx].prefixed(f"{uid}.")
+    inst = Instance(uid, pair_idx, cfg, created, dies, tracked)
     return ReducedSpaceState(ctx, state.pos, state.instances + (inst,), state.counter + 1)
 
 
@@ -425,18 +404,15 @@ def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
     Every matched pair whose counterclockwise life arc contains the base
     level contributes one live configuration, so the state is consistent
     with the periodic dynamics from the very first crossing.  The run's
-    context, with each pair's config resolved once at the pair's tent size
-    (arc / (2*p*q), the peak area of its exceptional class), is built here;
-    every install relabels that config.  ``base`` and ``delta`` are parsed
-    first; data that fail ``validate`` raise a ``ValidationError``.
+    context, with each pair's config resolved once, is built here; every
+    install relabels that config.  ``base`` and ``delta`` are parsed first;
+    data that fail ``validate`` raise its ``ValidationError``.
     """
     data = tuple(data)
     base, delta = (None if x is None else parse_rational(x) for x in (base, delta))
-    report = validate(data)
-    if not report.ok:
-        raise ValidationError(report.errors)
-    if report.outcome == "no_obstruction":
+    if not data:
         raise DomainError("cannot build a state from an empty fixed-point set")
+    pairs = validate(data)
     base = default_base(data) if base is None else _mod1(base)
     if any(d.level == base for d in data):
         raise DomainError(f"base level {base} must be a regular level")
@@ -445,17 +421,13 @@ def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
         raise DomainError(f"delta must be positive, got {delta}")
     den = lcm(base.denominator, *(d.level.denominator for d in data))
     levels = [d.level.numerator * (den // d.level.denominator) for d in data]
-    arcs = tuple((levels[minus] - levels[plus]) % den for plus, minus in report.pairs)
-    templates = []
-    for (plus, _), arc in zip(report.pairs, arcs):
-        p, q = data[plus].weights
-        templates.append(fulton_config(p, q, size=Fraction(arc, 2 * p * q * den)))
+    arcs = tuple((levels[minus] - levels[plus]) % den for plus, minus in pairs)
     ctx = RunContext(data, base, delta, den, arcs,
-                     {data[i]: (k, levels[i]) for k, pair in enumerate(report.pairs) for i in pair},
-                     tuple(templates))
+                     {data[i]: (k, levels[i]) for k, pair in enumerate(pairs) for i in pair},
+                     tuple(fulton_config(*data[plus].weights) for plus, _ in pairs))
     start = base.numerator * (den // base.denominator)
     state = ReducedSpaceState(ctx, start)
-    for pair_idx, (plus, _) in enumerate(report.pairs):
+    for pair_idx, (plus, _) in enumerate(pairs):
         back = (start - levels[plus]) % den
         if 0 < back < arcs[pair_idx]:
             state = _install(state, pair_idx, start - back, start - back + arcs[pair_idx],
@@ -526,16 +498,15 @@ def area(state: ReducedSpaceState, label: str, lam: Fraction) -> Fraction:
     inst = next((inst for inst in state.instances if label in inst.config.class_labels), None)
     if inst is None:
         raise DomainError(f"no class {label!r} is live")
-    created, dies = inst.created_at, inst.dies_at
-    t = lam - created
-    if t < 0 or (dies is not None and lam > dies):
+    den = state.context.den
+    t = lam * den - inst.created  # the class's age, in units of 1/den
+    if t < 0 or (inst.dies is not None and t > inst.dies - inst.created):
         raise DomainError(f"class {label!r} not present at {lam}")
     if label != inst.config.exceptional_label:
         return state.delta
-    pq = inst.config.p * inst.config.q
-    if dies is None:
-        return t / pq
-    return min(t, dies - created - t) / pq
+    if inst.dies is not None:
+        t = min(t, inst.dies - inst.created - t)
+    return t / (inst.config.p * inst.config.q * den)
 
 
 @dataclass(frozen=True)
@@ -578,12 +549,11 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
     loop n crosses each level n - 1 loops after its first-loop position on
     the run's grid, computed once.
     """
-    if bound is not None and (type(bound) is not int or bound < 0):
-        raise DomainError(f"bound must be None or an integer >= 0, got {bound!r}")
+    if bound is not None:
+        require_int(bound, "bound must be None or an integer >= 0", 0)
     if type(tracked_independent) is not bool:
         raise DomainError(f"tracked_independent must be a bool, got {tracked_independent!r}")
-    if type(loops) is not int or loops < 1:
-        raise DomainError(f"loops must be an integer >= 1, got {loops!r}")
+    require_int(loops, "loops must be an integer >= 1", 1)
     base, delta = (None if x is None else parse_rational(x) for x in (base, delta))
     data = tuple(data)
     if not data:

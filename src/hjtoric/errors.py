@@ -1,9 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one integer rule.
 
 DomainError covers bad inputs (precondition violations); StructureError
 covers internal inconsistencies discovered mid-computation, e.g. a blowdown
 sequence whose next class never reaches self-intersection -1.  The CLI maps
 DomainError to exit code 2 and StructureError to exit code 1.
+
+Every integer input is checked by ``require_int`` or ``require_ints``: its
+type must be exactly ``int``, so a bool, a float, a Fraction or a string is
+refused, never coerced.  Both raise ``DomainError(f"{rule}, got {value!r}")``
+with the caller's ``rule``, the requirement in words.
 """
 
 
@@ -25,3 +30,19 @@ class EvaluationError(DomainError):
 
 class StructureError(RuntimeError):
     """A data structure is internally inconsistent (corrupted config/state)."""
+
+
+def require_int(value, rule: str, least: int | None = None) -> int:
+    """``value`` itself if it is an int, and at least ``least`` when that
+    is given; otherwise a DomainError."""
+    if type(value) is not int or (least is not None and value < least):
+        raise DomainError(f"{rule}, got {value!r}")
+    return value
+
+
+def require_ints(values, rule: str) -> tuple[int, ...]:
+    """``values`` as a tuple if it is a list or a tuple of ints; otherwise
+    a DomainError.  The type test runs at C speed."""
+    if not isinstance(values, (list, tuple)) or not {int}.issuperset(map(type, values)):
+        raise DomainError(f"{rule}, got {values!r}")
+    return tuple(values)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, require_int, require_ints
 
 UNIT = (1, 0)  # value of the empty expansion; a 1/0-free stand-in for "m = 1"
 
@@ -33,6 +33,7 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     which makes the pair unique and the output deterministic.  For ``b == 0``
     the result is ``(|a|, sign(a), 0)``.
     """
+    require_ints((a, b), "ext_gcd needs integers")
     if a == 0 and b == 0:
         raise DomainError("ext_gcd(0, 0) is undefined")
     if b == 0:
@@ -54,9 +55,8 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 def mod_inverse(a: int, m: int) -> int:
     """Inverse of ``a`` modulo ``m`` in ``[1, m - 1]``; requires ``m >= 2``."""
-    if m < 2:
-        raise DomainError(f"modulus must be >= 2, got {m}")
-    a %= m
+    require_int(m, "modulus must be an integer >= 2", 2)
+    a = require_int(a, "the residue to invert must be an integer") % m
     g, x, _ = ext_gcd(a, m)
     if g != 1:
         raise DomainError(f"{a} is not invertible mod {m} (gcd = {g})")
@@ -76,6 +76,8 @@ class HJExpansion:
 
     def __post_init__(self):
         m, k = self.numerator, self.residue
+        require_ints((m, k), "numerator and residue must be integers")
+        require_ints(self.terms, "terms must be a list of integers")
         if m < 1:
             raise DomainError(f"numerator must be positive, got {m}")
         if m == 1:
@@ -100,7 +102,7 @@ def hj_eval(terms: Sequence[int] | Iterable[int]) -> tuple[int, int]:
     another term) raises EvaluationError.
     """
     num, den = 1, 0
-    for a in reversed(list(terms)):
+    for a in reversed(require_ints(tuple(terms), "terms must be a list of integers")):
         if num == 0:
             raise EvaluationError("intermediate zero denominator in evaluation")
         num, den = a * num - den, num
@@ -122,6 +124,7 @@ def hj_expand(m: int, k: int) -> HJExpansion:
     the loop runs about k/m times, so without it ``hj_expand(5, 10**12)``
     would loop 2 * 10**11 times before the dataclass saw the bad residue.
     """
+    require_ints((m, k), "m and k must be integers")
     if m < 1:
         raise DomainError(f"numerator must be positive, got {m}")
     if m == 1:

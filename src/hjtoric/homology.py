@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from math import gcd, lcm
+from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError, StructureError
+from .errors import DomainError, StructureError, require_int, require_ints
 
 
 class IntersectionLattice:
@@ -68,12 +67,13 @@ class IntersectionLattice:
         n = len(classes)
         if len(set(classes)) != n:
             raise DomainError("class labels must be distinct")
-        rows = tuple(_integers(row, "each pairing row") for row in pairing)
+        rows = tuple(require_ints(row, "each pairing row must be a list of integers")
+                     for row in pairing)
         if any(len(row) != len(rows) for row in rows):
             raise DomainError("pairing matrix must be square")
         if len(rows) != n:
             raise DomainError("pairing matrix shape does not match class count")
-        c1 = _integers(c1, "c1")
+        c1 = require_ints(c1, "c1 must be a list of integers")
         if len(c1) != n:
             raise DomainError("c1 labels do not match class count")
         if rows != tuple(zip(*rows)):
@@ -259,14 +259,6 @@ class IntersectionLattice:
         return lat
 
 
-def _integers(values, what: str) -> tuple[int, ...]:
-    """``values`` as a tuple, after checking that it is a list (or a tuple)
-    of ints; a bool, a float or a Fraction is a DomainError."""
-    if not isinstance(values, (list, tuple)) or not {int}.issuperset(map(type, values)):
-        raise DomainError(f"{what} must be a list of integers, got {values!r}")
-    return tuple(values)
-
-
 def empty_lattice() -> IntersectionLattice:
     return IntersectionLattice._sparse({}, {}, {})
 
@@ -280,9 +272,13 @@ def add_class(
 ) -> IntersectionLattice:
     """Adjoin one labeled class with prescribed pairings (default c1 by
     adjunction).  Useful for synthetic configurations in tests and models."""
+    require_int(self_intersection, "self-intersection must be an integer")
+    if c1 is not None:
+        require_int(c1, "c1 must be an integer")
+    pairings = pairings or {}
+    require_ints(list(pairings.values()), "pairings must be integers")
     if label in lat._self:
         raise DomainError(f"label {label!r} already present")
-    pairings = pairings or {}
     for other in pairings:
         lat._check(other)
     row = {other: v for other, v in pairings.items() if v}
@@ -303,6 +299,8 @@ def lattice_from_parts(
     self_intersections: dict[str, int],
 ) -> IntersectionLattice:
     """Build a lattice from sparse data; c1 set by adjunction."""
+    require_ints([*pairs.values(), *self_intersections.values()],
+                 "pairings and self-intersections must be integers")
     classes = tuple(labels)
     self_ = dict.fromkeys(classes, 0)
     if len(self_) != len(classes):
@@ -326,24 +324,24 @@ def lattice_from_parts(
 def signature(form) -> tuple[int, int, int]:
     """Counts ``(b_plus, b_minus, b_zero)`` of a symmetric form.
 
-    ``form`` is a lattice, or a list of rows of ints or Fractions read
-    through the public constructor (so its shape and symmetry are checked)
-    after scaling by the lcm of the denominators, which keeps the inertia;
-    any other entry is a DomainError.  Computed by symmetric (congruence)
-    elimination on class indices, each entry an int pair ``(num, den > 0)``
-    in lowest terms, at a class of least remaining degree (ties to basis
-    order): a nonzero diagonal entry is a 1x1 pivot; a zero one whose class
-    meets another is a 2x2 hyperbolic pivot with that class (determinant
-    -m^2 < 0, so one plus and one minus); a class meeting nothing counts by
-    the sign of its diagonal.  A pivot of degree k updates O(k^2) entries.
-    On a forest, every plumbing graph included, each pivot is an isolated
-    class or a leaf, which updates one diagonal pair, so nothing fills in
-    and a lattice costs O(n log n) for the heap (on a chain this is the
-    continued fraction).  A list of rows is first read in Theta(n^2).  The
-    triple is a congruence invariant, hence independent of basis.
+    ``form`` is a lattice, or a list of rows of ints read by the public
+    constructor, which checks the entries, the shape and the symmetry; any
+    other entry, a Fraction included, is a DomainError.  Computed by
+    symmetric (congruence) elimination on class indices, each entry an int
+    pair ``(num, den > 0)`` in lowest terms, at a class of least remaining
+    degree (ties to basis order): a nonzero diagonal entry is a 1x1 pivot;
+    a zero one whose class meets another is a 2x2 hyperbolic pivot with
+    that class (determinant -m^2 < 0, so one plus and one minus); a class
+    meeting nothing counts by the sign of its diagonal.  A pivot of degree
+    k updates O(k^2) entries.  On a forest, every plumbing graph included,
+    each pivot is an isolated class or a leaf, which updates one diagonal
+    pair, so nothing fills in and a lattice costs O(n log n) for the heap
+    (on a chain this is the continued fraction).  A list of rows is first
+    read in Theta(n^2).  The triple is a congruence invariant, hence
+    independent of basis.
     """
     if not isinstance(form, IntersectionLattice):
-        form = IntersectionLattice(range(len(form)), _integer_rows(form), [0] * len(form))
+        form = IntersectionLattice(range(len(form)), form, [0] * len(form))
     pos = form._positions()
     diag = [(form._self[l], 1) for l in form._classes]
     edges = [{} for _ in diag]
@@ -420,16 +418,6 @@ def _minus(x, n, d):
     n, d = x[0] * d - n * x[1], x[1] * d
     g = gcd(n, d) if d > 0 else -gcd(n, d)
     return n // g, d // g
-
-
-def _integer_rows(rows):
-    """``rows`` of ints and Fractions times the lcm of their denominators."""
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if type(x) is not int and type(x) is not Fraction:
-                raise DomainError(f"form entry ({i}, {j}) must be an int or a Fraction, got {x!r}")
-    scale = lcm(*{x.denominator for row in rows for x in row})
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
 def _add(row: dict, key, x) -> None:

@@ -10,14 +10,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError
+from .errors import DomainError, require_ints
 from .hj import ext_gcd
 from .rationals import parse_rational
 
 
 def _require_weights(p: int, q: int, r: int) -> None:
-    if any(type(w) is not int for w in (p, q, r)):  # rejects bool, float and str
-        raise DomainError(f"weights must be integers, got ({p!r}, {q!r}, {r!r})")
+    require_ints((p, q, r), "weights must be integers")
     if min(p, q, r) < 1:
         raise DomainError(f"weights must be positive, got ({p}, {q}, {r})")
     for a, b in ((p, r), (q, r), (p, q)):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 
 def parse_rational(value) -> Fraction:
@@ -14,16 +14,14 @@ def parse_rational(value) -> Fraction:
     gigabytes; a string's value is never much larger than the string."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
     if isinstance(value, str):
         if "e" in value.lower():
             raise DomainError(f"exponent notation is not accepted: {value!r}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"not an exact rational: {value!r}") from exc
-    raise DomainError(f"not an exact rational: {value!r}")
+            raise DomainError(f"not an exact rational, got {value!r}") from exc
+    return Fraction(require_int(value, "not an exact rational"))
 
 
 def rational_json(x: Fraction | int):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DomainError
+from .errors import DomainError, require_ints
 from .hj import ext_gcd, hj_expand
 from .homology import IntersectionLattice, lattice_from_parts
 
@@ -27,6 +27,7 @@ class CyclicSingularity:
     q: int
 
     def __post_init__(self):
+        require_ints((self.order, self.p, self.q), "order and type must be integers")
         r = self.order
         if r < 1:
             raise DomainError(f"order must be >= 1, got {r}")
@@ -52,6 +53,7 @@ class Chain:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        require_ints(self.self_intersections, "chain self-intersections must be integers")
         if any(s > -2 for s in self.self_intersections):
             raise DomainError(
                 f"chain self-intersections must be <= -2, got {self.self_intersections}"

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .blowup import mcduff_sequence
-from .errors import DomainError
+from .errors import require_int
 
 _STYLE = (
     "text { font: 11px sans-serif; } "
@@ -31,9 +31,7 @@ class _Canvas:
     margin = 0.75  # lattice units of blank border on every side
 
     def __init__(self, xmax: float, ymax: float, scale: int = 40):
-        if scale < 1:
-            raise DomainError(f"scale must be at least 1, got {scale}")
-        self.scale = scale
+        self.scale = require_int(scale, "scale must be an integer >= 1", 1)
         self.xmax = xmax
         self.ymax = ymax
         self.parts: list[str] = []

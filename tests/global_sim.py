@@ -102,21 +102,19 @@ def _install(state, pair_idx, created_at, dies_at, uid, tracked):
 
 def initial_state(data, *, base=None, delta=None) -> GlobalState:
     data = tuple(data)
-    report = validate(data)
-    if not report.ok:
-        raise DomainError("; ".join(report.errors))
-    if report.outcome == "no_obstruction":
+    if not data:
         raise DomainError("cannot build a state from an empty fixed-point set")
+    pairs = validate(data)
     base = default_base(data) if base is None else Fraction(base) % 1
     if any(d.level == base for d in data):
         raise DomainError(f"base level {base} must be a regular level")
     delta = default_delta(data) if delta is None else Fraction(delta)
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta}")
-    state = GlobalState(data, report.pairs, base, base, delta, empty_lattice())
-    for pair_idx, (plus, _) in enumerate(report.pairs):
+    state = GlobalState(data, pairs, base, base, delta, empty_lattice())
+    for pair_idx, (plus, _) in enumerate(pairs):
         back = arc_distance(data[plus].level, base)
-        length = _pair_arc(data, report.pairs[pair_idx])
+        length = _pair_arc(data, pairs[pair_idx])
         if 0 < back < length:
             state = _install(state, pair_idx, base - back, base - back + length,
                              f"B{state.counter + 1}", False)

@@ -96,44 +96,40 @@ class TestDatum:
 
 class TestValidate:
     def test_empty_is_no_obstruction(self):
-        rep = validate([])
-        assert rep.outcome == "no_obstruction" and rep.ok
+        assert validate([]) == ()
 
     def test_matched_pair(self):
-        rep = validate(pair_21())
-        assert rep.outcome == "ok"
-        assert rep.pairs == ((0, 1),)
+        assert validate(pair_21()) == ((0, 1),)
 
     def test_unmatched_weights(self):
-        rep = validate(
-            [
-                FixedPointDatum(Fraction(0), +1, 2, 1),
-                FixedPointDatum(Fraction(1, 2), -1, 3, 1),
-            ]
-        )
-        assert rep.outcome == "error"
-        assert any("unmatched weights" in e for e in rep.errors)
+        with pytest.raises(ValidationError) as err:
+            validate(
+                [
+                    FixedPointDatum(Fraction(0), +1, 2, 1),
+                    FixedPointDatum(Fraction(1, 2), -1, 3, 1),
+                ]
+            )
+        assert any("unmatched weights" in e for e in err.value.errors)
 
     def test_duplicate_levels(self):
-        rep = validate(
-            [
-                FixedPointDatum(Fraction(0), +1, 2, 1),
-                FixedPointDatum(Fraction(0), -1, 2, 1),
-            ]
-        )
-        assert rep.outcome == "error"
+        with pytest.raises(ValidationError):
+            validate(
+                [
+                    FixedPointDatum(Fraction(0), +1, 2, 1),
+                    FixedPointDatum(Fraction(0), -1, 2, 1),
+                ]
+            )
 
     def test_single_sign(self):
-        rep = validate([FixedPointDatum(Fraction(0), +1, 2, 1)])
-        assert rep.outcome == "error"
+        with pytest.raises(ValidationError):
+            validate([FixedPointDatum(Fraction(0), +1, 2, 1)])
 
     def test_fifo_wraps_around(self):
         data = [
             FixedPointDatum(Fraction(1, 4), -1, 2, 1),
             FixedPointDatum(Fraction(3, 4), +1, 2, 1),
         ]
-        rep = validate(data)
-        assert rep.pairs == ((1, 0),)
+        assert validate(data) == ((1, 0),)
 
     def test_fifo_two_pairs_same_weights(self):
         data = [
@@ -142,8 +138,7 @@ class TestValidate:
             FixedPointDatum(Fraction(1, 2), -1, 2, 1),
             FixedPointDatum(Fraction(3, 4), -1, 2, 1),
         ]
-        rep = validate(data)
-        assert rep.pairs == ((0, 2), (1, 3))
+        assert validate(data) == ((0, 2), (1, 3))
 
     def test_explicit_matching(self):
         data = [
@@ -152,23 +147,23 @@ class TestValidate:
             FixedPointDatum(Fraction(1, 2), -1, 2, 1, match=0),
             FixedPointDatum(Fraction(3, 4), -1, 2, 1, match=1),
         ]
-        rep = validate(data)
-        assert rep.pairs == ((0, 2), (1, 3))
+        assert validate(data) == ((0, 2), (1, 3))
 
     def test_explicit_matching_inconsistent(self):
         data = [
             FixedPointDatum(Fraction(0), +1, 2, 1, match=1),
             FixedPointDatum(Fraction(1, 2), -1, 3, 1, match=0),
         ]
-        rep = validate(data)
-        assert rep.outcome == "error"
+        with pytest.raises(ValidationError):
+            validate(data)
 
     def test_partial_matching_rejected(self):
         data = [
             FixedPointDatum(Fraction(0), +1, 2, 1, match=1),
             FixedPointDatum(Fraction(1, 2), -1, 2, 1),
         ]
-        assert validate(data).outcome == "error"
+        with pytest.raises(ValidationError):
+            validate(data)
 
 
 INVALID = {
@@ -185,12 +180,14 @@ INVALID = {
                          ids=["initial_state", "run_loop"])
 @pytest.mark.parametrize("name", INVALID)
 def test_invalid_data_raise_validation_error(start, name):
-    """The one validation of a run raises a DomainError that carries the
-    report's errors, with the errors joined as its message."""
-    errors = validate(INVALID[name]).errors
+    """The one validation of a run raises the DomainError that ``validate``
+    raises, which carries every reason, joined as its message."""
+    with pytest.raises(ValidationError) as want:
+        validate(INVALID[name])
+    errors = want.value.errors
     with pytest.raises(ValidationError) as err:
         start(INVALID[name])
-    assert isinstance(err.value, DomainError)
+    assert isinstance(err.value, DomainError) and errors
     assert err.value.errors == errors and str(err.value) == "; ".join(errors)
 
 
@@ -283,7 +280,8 @@ class TestCover:
     def test_needs_only_distinct_levels(self, name):
         """The cover reads the levels alone, so data that fail ``validate``
         on their weights or signs still get one."""
-        assert not validate(INVALID[name]).ok
+        with pytest.raises(ValidationError):
+            validate(INVALID[name])
         assert build_cover(INVALID[name], Fraction(1, 8)) == build_cover(pair_21(), Fraction(1, 8))
 
     @pytest.mark.parametrize("levels,reason", [([], "empty"), ([Fraction(0)] * 2, "distinct"),
@@ -399,7 +397,7 @@ class TestArea:
     def test_tent_vanishes_at_death(self):
         st, _ = self.setup_state()
         inst = st.instances[-1]
-        assert area(st, inst.config.exceptional_label, inst.dies_at) == 0
+        assert area(st, inst.config.exceptional_label, Fraction(inst.dies, st.context.den)) == 0
 
     def test_chain_area_constant(self):
         data = pair_74()
@@ -692,7 +690,7 @@ def closed_form(data, loops, bound, base, tracked_independent):
     base, plus the copy.  Marked instead of copied, the class is a tent over
     its pair's arc and dies at the matched blowdown, d + arc past the base.
     """
-    pairs = validate(data).pairs
+    pairs = validate(data)
     base = default_base(data) if base is None else base
     arc = {plus: arc_distance(data[plus].level, data[minus].level) for plus, minus in pairs}
     first = min(arc, key=lambda plus: arc_distance(base, data[plus].level))
@@ -740,8 +738,8 @@ def test_installs_equal_a_prefixed_fulton_config():
             den = st.context.den  # created at 1, dying at 11/8
             st = circle._install(st, 0, den, 11 * den // 8, "B9", False)
             st = circle._install(st, 0, den, None, "T", True)
-            for inst, size in zip(st.instances, (Fraction(3, 16 * p * q), 1)):
-                want = fulton_config(p, q, size).prefixed(f"{inst.uid}.")
+            for inst in st.instances:
+                want = fulton_config(p, q).prefixed(f"{inst.uid}.")
                 assert inst.config == want, (p, q)
                 assert inst.lattice == want.lattice(), (p, q)
                 assert inst.lattice.to_json() == want.lattice().to_json(), (p, q)

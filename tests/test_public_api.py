@@ -1,0 +1,182 @@
+"""The public boundary: what ``hjtoric.__all__`` lists, and that every
+integer or rational argument it takes refuses an inexact value with a
+DomainError, never a TypeError, an AttributeError or a result."""
+
+import inspect
+from fractions import Fraction
+
+import pytest
+
+import hjtoric
+from hjtoric import (
+    Chain,
+    CyclicSingularity,
+    FixedPointDatum,
+    HJExpansion,
+    IntersectionLattice,
+    area,
+    blow_down,
+    blow_up_at,
+    build_cover,
+    chain_contact_replay,
+    cross_check,
+    cross_level,
+    cut_chords,
+    empty_lattice,
+    exceptional_pair_criterion,
+    ext_gcd,
+    fulton_config,
+    hj_eval,
+    hj_expand,
+    hj_reverse,
+    initial_state,
+    mcduff_lattice,
+    mcduff_sequence,
+    mod_inverse,
+    resolve_cyclic,
+    run_loop,
+    same_resolution,
+    signature,
+    type_equivalent,
+    validate,
+    weighted_blowdown,
+)
+from hjtoric.errors import DomainError
+from hjtoric.homology import add_class, lattice_from_parts
+from hjtoric.svg import cut_diagram_svg
+
+
+def pair():
+    return [FixedPointDatum(0, 1, 2, 1), FixedPointDatum("1/2", -1, 2, 1)]
+
+
+def two_exceptional():
+    return lattice_from_parts(["a", "b"], {("a", "b"): 1}, {"a": -1, "b": -1})
+
+
+def recipe(call, *values, none_ok=()):
+    """``call(*values)`` is a valid call; ``values`` are its integer and
+    rational arguments, and ``none_ok`` indexes those documented to
+    default to None."""
+    return call, values, frozenset(none_ok)
+
+
+# One valid call per public callable, then the integer-taking functions
+# outside ``__all__``, keyed by module and name.
+RECIPES = {
+    "Chain": recipe(lambda a, b: Chain((a, b), ("Z1", "Z2")), -2, -3),
+    "CyclicSingularity": recipe(CyclicSingularity, 5, 1, 2),
+    "FixedPointDatum": recipe(FixedPointDatum, "1/2", 1, 2, 1, 0, none_ok=(4,)),
+    "HJExpansion": recipe(lambda m, k, a, b, c: HJExpansion(m, k, (a, b, c)), 7, 3, 3, 2, 2),
+    "IntersectionLattice": recipe(
+        lambda s, m, t, c, d: IntersectionLattice(["a", "b"], [[s, m], [m, t]], [c, d]),
+        -1, 1, -2, 1, 0),
+    "area": recipe(lambda lam: area(initial_state(pair()), "B1.E~", lam), "1/4"),
+    "blow_down": recipe(lambda: blow_down(two_exceptional(), "a")),
+    "blow_up_at": recipe(lambda: blow_up_at(two_exceptional(), ["a", "b"], "e")),
+    "build_cover": recipe(lambda eps: build_cover(pair(), eps), "1/8"),
+    "chain_contact_replay": recipe(lambda: chain_contact_replay(
+        add_class(fulton_config(2, 1).lattice(), "E'", -1), "E'", fulton_config(2, 1))),
+    "cross_check": recipe(cross_check, 7, 4),
+    "cross_level": recipe(lambda: cross_level(initial_state(pair()).at(1), pair()[0])),
+    "cut_chords": recipe(cut_chords, 4, 7),
+    "empty_lattice": recipe(empty_lattice),
+    "exceptional_pair_criterion": recipe(
+        lambda: exceptional_pair_criterion(two_exceptional(), "a", "b")),
+    "ext_gcd": recipe(ext_gcd, 7, 2),
+    "fulton_config": recipe(fulton_config, 7, 4, "1/2"),
+    "hj_eval": recipe(lambda a, b, c: hj_eval([a, b, c]), 3, 2, 2),
+    "hj_expand": recipe(hj_expand, 7, 3),
+    "hj_reverse": recipe(lambda: hj_reverse(hj_expand(7, 3))),
+    "initial_state": recipe(lambda base, delta: initial_state(pair(), base=base, delta=delta),
+                            "1/4", "1/1000", none_ok=(0, 1)),
+    "mcduff_lattice": recipe(mcduff_lattice, 4, 7),
+    "mcduff_sequence": recipe(mcduff_sequence, 4, 7),
+    "mod_inverse": recipe(mod_inverse, 3, 7),
+    "resolve_cyclic": recipe(lambda: resolve_cyclic(CyclicSingularity(5, 1, 2))),
+    "run_loop": recipe(lambda loops, bound, base, delta: run_loop(
+        pair(), loops, bound, base=base, delta=delta), 2, 3, "1/4", "1/1000", none_ok=(1, 2, 3)),
+    "same_resolution": recipe(
+        lambda: same_resolution(CyclicSingularity(7, 1, 3), CyclicSingularity(7, 1, 5))),
+    "signature": recipe(lambda s, m, t: signature([[s, m], [m, t]]), 0, 1, 0),
+    "type_equivalent": recipe(
+        lambda: type_equivalent(CyclicSingularity(7, 1, 2), CyclicSingularity(7, 1, 3))),
+    "validate": recipe(lambda: validate(pair())),
+    "weighted_blowdown": recipe(
+        lambda: weighted_blowdown(fulton_config(7, 4).lattice(), fulton_config(7, 4))),
+    # outside __all__
+    "homology.add_class": recipe(
+        lambda s, m, c: add_class(two_exceptional(), "x", s, {"a": m}, c), -2, 1, 0,
+        none_ok=(2,)),
+    "homology.lattice_from_parts": recipe(
+        lambda m, s: lattice_from_parts(["a", "b"], {("a", "b"): m}, {"a": s}), 1, -2),
+    "svg.cut_diagram_svg": recipe(cut_diagram_svg, 7, 4, 10),
+}
+
+EXEMPT = {
+    "DomainError": "an exception type",
+    "EvaluationError": "an exception type",
+    "StructureError": "an exception type",
+    "ValidationError": "an exception type; validate builds it from checked data",
+    "BlowupConfig": "an output record of fulton_config, which checks the weights and size",
+    "GeneralizedCover": "an output record of build_cover, which checks the levels and eps",
+    "McDuffSequence": "an output record of mcduff_sequence, which checks the weights",
+    "ReducedSpaceState": "an output record of initial_state, which checks the data and options",
+    "RunResult": "an output record of run_loop, which checks the data and options",
+}
+
+BAD = (1.5, 3.0, True, "1e-3", [1], None)
+
+
+def test_all_lists_classes_and_functions_only():
+    kinds = (inspect.isclass, inspect.isfunction)
+    assert hjtoric.__all__ and not [name for name in hjtoric.__all__
+                                    if not any(kind(getattr(hjtoric, name)) for kind in kinds)]
+
+
+def test_every_public_name_has_a_recipe_or_an_exemption():
+    public = set(hjtoric.__all__)
+    recipes = {name for name in RECIPES if "." not in name}
+    assert not public - recipes - EXEMPT.keys(), "name with neither a recipe nor an exemption"
+    assert not (recipes | EXEMPT.keys()) - public, "recipe or exemption for a name not in __all__"
+    assert not recipes & EXEMPT.keys()
+
+
+@pytest.mark.parametrize("name", RECIPES)
+def test_inexact_integers_and_rationals_are_domain_errors(name):
+    """The valid call succeeds; the same call with any one of its integer or
+    rational arguments replaced by a float, a bool, an exponent string, a
+    list or None (where None is not the default) raises DomainError."""
+    call, values, none_ok = RECIPES[name]
+    call(*values)
+    for i in range(len(values)):
+        for bad in BAD:
+            if bad is None and i in none_ok:
+                continue
+            args = values[:i] + (bad,) + values[i + 1:]
+            with pytest.raises(DomainError):
+                call(*args)
+
+
+# Each of these was accepted, or raised a TypeError, before every integer
+# input went through the one rule in ``errors``.
+ONCE_ACCEPTED = {
+    "ext_gcd-float": lambda: ext_gcd(7.5, 2),
+    "mod_inverse-float": lambda: mod_inverse(3.0, 7),
+    "hj_expand-bool": lambda: hj_expand(7, True),
+    "hj_expand-float": lambda: hj_expand(7, 3.0),
+    "hj_eval-float": lambda: hj_eval([2.5, 2]),
+    "HJExpansion-bool": lambda: HJExpansion(7, True, (7,)),
+    "CyclicSingularity-float": lambda: CyclicSingularity(5, 3.0, 2),
+    "Chain-float": lambda: Chain((-2.5,), ("a",)),
+    "add_class-float": lambda: add_class(empty_lattice(), "x", -1.5),
+    "lattice_from_parts-float": lambda: lattice_from_parts(["a"], {}, {"a": 0.5}),
+    "signature-fraction": lambda: signature([[Fraction(1, 2)]]),
+    "cut_diagram_svg-float-scale": lambda: cut_diagram_svg(7, 4, 2.5),
+}
+
+
+@pytest.mark.parametrize("call", ONCE_ACCEPTED.values(), ids=ONCE_ACCEPTED.keys())
+def test_once_accepted_inputs_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
