@@ -1,49 +1,38 @@
 """hjtoric: exact combinatorics of cyclic quotient resolutions, weighted
-blowups and the circle of reduced spaces of a symplectic circle action."""
+blowups and the circle of reduced spaces of a symplectic circle action.
 
-from types import ModuleType as _ModuleType
+``import hjtoric`` loads none of the package's modules.  Each public name
+is imported from its module on first access and then kept here, so later
+accesses are plain attribute reads (PEP 562, module ``__getattr__``).
+"""
 
-from .errors import DomainError, EvaluationError, StructureError, ValidationError
-from .hj import HJExpansion, ext_gcd, hj_eval, hj_expand, hj_reverse, mod_inverse
-from .homology import (
-    IntersectionLattice,
-    blow_down,
-    blow_up_at,
-    chain_contact_replay,
-    empty_lattice,
-    exceptional_pair_criterion,
-    signature,
-)
-from .resolution import (
-    Chain,
-    CyclicSingularity,
-    resolve_cyclic,
-    same_resolution,
-    type_equivalent,
-)
-from .blowup import (
-    BlowupConfig,
-    McDuffSequence,
-    cross_check,
-    cut_chords,
-    fulton_config,
-    mcduff_lattice,
-    mcduff_sequence,
-    weighted_blowdown,
-)
-from .circle import (
-    FixedPointDatum,
-    GeneralizedCover,
-    ReducedSpaceState,
-    RunResult,
-    area,
-    build_cover,
-    cross_level,
-    initial_state,
-    run_loop,
-    validate,
-)
+from importlib import import_module as _import_module
 
-__all__ = [name for name, value in sorted(globals().items())
-           if not name.startswith("_") and not isinstance(value, _ModuleType)]
+_HOMES = {
+    "errors": ("DomainError", "EvaluationError", "StructureError", "ValidationError"),
+    "hj": ("HJExpansion", "ext_gcd", "hj_eval", "hj_expand", "hj_reverse", "mod_inverse"),
+    "homology": ("IntersectionLattice", "blow_down", "blow_up_at", "chain_contact_replay",
+                 "empty_lattice", "exceptional_pair_criterion", "signature"),
+    "resolution": ("Chain", "CyclicSingularity", "resolve_cyclic", "same_resolution",
+                   "type_equivalent"),
+    "blowup": ("BlowupConfig", "McDuffSequence", "cross_check", "cut_chords", "fulton_config",
+               "mcduff_lattice", "mcduff_sequence", "weighted_blowdown"),
+    "circle": ("FixedPointDatum", "GeneralizedCover", "ReducedSpaceState", "RunResult", "area",
+               "build_cover", "cross_level", "initial_state", "run_loop", "validate"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -109,6 +109,14 @@ class FixedPointDatum:
         return (self.p, self.q)
 
 
+def _fixed_points(data) -> tuple[FixedPointDatum, ...]:
+    """``data`` as a tuple if it is a list or a tuple of ``FixedPointDatum``;
+    otherwise a DomainError."""
+    if not isinstance(data, (list, tuple)) or not {FixedPointDatum}.issuperset(map(type, data)):
+        raise DomainError(f"fixed points must be a list of FixedPointDatum, got {data!r}")
+    return tuple(data)
+
+
 def _derive_pairs(data: tuple[FixedPointDatum, ...], errors: list[str]) -> tuple[tuple[int, int], ...]:
     given = [i for i, d in enumerate(data) if d.match is not None]
     if given and len(given) != len(data):
@@ -166,9 +174,10 @@ def validate(data) -> tuple[tuple[int, int], ...]:
 
     Levels must be distinct, both signs must occur and every blowup must
     pair with a blowdown of equal weights; data that fail raise one
-    ``ValidationError`` listing every reason.
+    ``ValidationError`` listing every reason; data that are not a list of
+    ``FixedPointDatum`` raise DomainError.
     """
-    data = tuple(data)
+    data = _fixed_points(data)
     if not data:
         return ()
     errors: list[str] = []
@@ -224,7 +233,7 @@ def build_cover(data, eps) -> GeneralizedCover:
     gap; at or above that bound some point would lie in three sets.  The
     violation message reports the supremum of admissible radii.
     """
-    levels, gaps = _level_gaps(data)
+    levels, gaps = _level_gaps(_fixed_points(data))
     if not levels:
         raise DomainError("cannot cover the circle from an empty level set")
     if len(levels) == 1:
@@ -408,11 +417,11 @@ def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
     install relabels that config.  ``base`` and ``delta`` are parsed first;
     data that fail ``validate`` raise its ``ValidationError``.
     """
-    data = tuple(data)
     base, delta = (None if x is None else parse_rational(x) for x in (base, delta))
+    pairs = validate(data)
+    data = tuple(data)
     if not data:
         raise DomainError("cannot build a state from an empty fixed-point set")
-    pairs = validate(data)
     base = default_base(data) if base is None else _mod1(base)
     if any(d.level == base for d in data):
         raise DomainError(f"base level {base} must be a regular level")
@@ -555,7 +564,7 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
         raise DomainError(f"tracked_independent must be a bool, got {tracked_independent!r}")
     require_int(loops, "loops must be an integer >= 1", 1)
     base, delta = (None if x is None else parse_rational(x) for x in (base, delta))
-    data = tuple(data)
+    data = _fixed_points(data)
     if not data:
         return RunResult(
             "NO_OBSTRUCTION", (), None, empty_lattice(), None, None, bound,

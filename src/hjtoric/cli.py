@@ -7,32 +7,21 @@ value.  Exit codes: 0 success, 2 domain/validation error, 1 internal
 inconsistency.  Set HJTORIC_LOG=debug for verbose logging; any
 value other than a level name (debug, info, warning, error, critical, in
 any case) exits 2.
+
+Each subcommand imports only the modules it runs, inside its ``cmd_*``
+function, so ``hj`` loads neither the simulator nor the blowup code, and a
+usage error loads no math module.  ``logging`` is imported only when
+HJTORIC_LOG is set.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 
-from .blowup import fulton_config, lattices_isomorphic_as_chains, mcduff_sequence
-from .circle import FixedPointDatum, build_cover, run_loop
 from .errors import DomainError, StructureError, ValidationError
-from .hj import hj_expand, hj_reverse
-from .homology import IntersectionLattice, signature
-from .rationals import rational_json
-from .resolution import (
-    CyclicSingularity,
-    resolution_params,
-    resolve_cyclic,
-    same_resolution,
-    type_equivalent,
-)
-from .svg import cut_diagram_svg
-
-log = logging.getLogger(__name__)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -50,6 +39,8 @@ def _emit_json(obj, out: str | None) -> None:
 
 
 def cmd_resolve(args) -> int:
+    from .resolution import CyclicSingularity, resolution_params, resolve_cyclic
+
     s = CyclicSingularity(args.r, args.p, args.q)
     chain = resolve_cyclic(s)
     alpha, k = resolution_params(s)
@@ -68,13 +59,21 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_blowup(args) -> int:
+    from .blowup import fulton_config, lattices_isomorphic_as_chains, mcduff_sequence
+    from .rationals import rational_json
+    from .svg import cut_diagram_svg
+
     cfg = fulton_config(args.p, args.q, size=args.size)
     seq = mcduff_sequence(args.q, args.p)
     vertex, replayed = cfg.lattice(), seq.lattice()
     ok = lattices_isomorphic_as_chains(vertex, replayed)
     if not ok:
-        log.error("cross_check(%d, %d) failed: the %d replayed classes do not match the %d "
-                  "vertex-route classes", args.p, args.q, len(replayed), len(vertex))
+        import logging
+
+        logging.basicConfig()  # a no-op when main configured logging
+        logging.getLogger(__name__).error(
+            "cross_check(%d, %d) failed: the %d replayed classes do not match the %d "
+            "vertex-route classes", args.p, args.q, len(replayed), len(vertex))
     if args.format == "svg":
         _emit(cut_diagram_svg(args.p, args.q, args.scale), args.out)
         return 0 if ok else 1
@@ -92,6 +91,8 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    from .resolution import CyclicSingularity, same_resolution, type_equivalent
+
     s1 = CyclicSingularity(args.r, 1, args.q1)
     s2 = CyclicSingularity(args.r, 1, args.q2)
     payload = {
@@ -117,6 +118,8 @@ def _read_input(path: str) -> str:
 
 
 def cmd_signature(args) -> int:
+    from .homology import IntersectionLattice, signature
+
     raw = _read_input(args.input)
     lat = IntersectionLattice.from_json(raw)
     b_plus, b_minus, b_zero = signature(lat)
@@ -124,7 +127,7 @@ def cmd_signature(args) -> int:
     return 0
 
 
-def _parse_simulation_input(raw: str) -> tuple[list[FixedPointDatum], dict]:
+def _parse_simulation_input(raw: str) -> tuple[list, dict]:
     """The fixed points and the options (``run_loop``'s and eps) of a
     simulation input.  Only the JSON shape is checked here; the values are
     checked by ``FixedPointDatum``, ``run_loop`` and ``build_cover``.
@@ -135,6 +138,8 @@ def _parse_simulation_input(raw: str) -> tuple[list[FixedPointDatum], dict]:
         raise DomainError(f"malformed JSON input: {exc}") from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("fixed_points"), list):
         raise DomainError('input must be an object with a "fixed_points" list')
+    from .circle import FixedPointDatum
+
     data = []
     for i, fp in enumerate(obj["fixed_points"]):
         if not isinstance(fp, dict):
@@ -153,6 +158,8 @@ def _parse_simulation_input(raw: str) -> tuple[list[FixedPointDatum], dict]:
 def cmd_simulate(args) -> int:
     raw = _read_input(args.input)
     data, options = _parse_simulation_input(raw)
+    from .circle import build_cover, run_loop
+
     eps = options.pop("eps", None)
     try:
         result = run_loop(data, **options)  # validates the data, once
@@ -168,6 +175,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_hj(args) -> int:
+    from .hj import hj_expand, hj_reverse
+
     e = hj_expand(args.m, args.k)
     rev = hj_reverse(e)
     payload = {
@@ -236,12 +245,15 @@ LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("HJTORIC_LOG", "warning")
-    if level.lower() not in LOG_LEVELS:
-        print(f"error: HJTORIC_LOG must be one of {', '.join(LOG_LEVELS)}, got {level!r}",
-              file=sys.stderr)
-        return 2
-    logging.basicConfig(level=level.upper())
+    level = os.environ.get("HJTORIC_LOG")
+    if level is not None:
+        if level.lower() not in LOG_LEVELS:
+            print(f"error: HJTORIC_LOG must be one of {', '.join(LOG_LEVELS)}, got {level!r}",
+                  file=sys.stderr)
+            return 2
+        import logging
+
+        logging.basicConfig(level=level.upper())
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

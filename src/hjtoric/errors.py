@@ -7,8 +7,10 @@ DomainError to exit code 2 and StructureError to exit code 1.
 
 Every integer input is checked by ``require_int`` or ``require_ints``: its
 type must be exactly ``int``, so a bool, a float, a Fraction or a string is
-refused, never coerced.  Both raise ``DomainError(f"{rule}, got {value!r}")``
-with the caller's ``rule``, the requirement in words.
+refused, never coerced.  A sequence input is checked by ``require_list``:
+it must be a list or a tuple, so None, a number, a set or a dict is
+refused.  All three raise ``DomainError(f"{rule}, got {value!r}")`` with
+the caller's ``rule``, the requirement in words.
 """
 
 
@@ -44,5 +46,13 @@ def require_ints(values, rule: str) -> tuple[int, ...]:
     """``values`` as a tuple if it is a list or a tuple of ints; otherwise
     a DomainError.  The type test runs at C speed."""
     if not isinstance(values, (list, tuple)) or not {int}.issuperset(map(type, values)):
+        raise DomainError(f"{rule}, got {values!r}")
+    return tuple(values)
+
+
+def require_list(values, rule: str) -> tuple:
+    """``values`` as a tuple if it is a list or a tuple; otherwise a
+    DomainError."""
+    if not isinstance(values, (list, tuple)):
         raise DomainError(f"{rule}, got {values!r}")
     return tuple(values)

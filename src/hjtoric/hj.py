@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, EvaluationError, require_int, require_ints
 
@@ -92,9 +92,20 @@ class HJExpansion:
             raise DomainError(f"terms {list(self.terms)} do not evaluate to {m}/{k}")
 
 
-def hj_eval(terms: Sequence[int] | Iterable[int]) -> tuple[int, int]:
+def _expansion(m: int, k: int, terms: tuple[int, ...]) -> HJExpansion:
+    """The expansion of checked m/k whose ``terms`` were computed from it,
+    so ``HJExpansion``'s checks hold by construction and are not run again."""
+    e = object.__new__(HJExpansion)
+    object.__setattr__(e, "numerator", m)
+    object.__setattr__(e, "residue", k)
+    object.__setattr__(e, "terms", terms)
+    return e
+
+
+def hj_eval(terms: Sequence[int]) -> tuple[int, int]:
     """Evaluate ``a_1 - 1/(a_2 - ...)`` exactly, returning ``(m, k)``.
 
+    ``terms`` is a list or a tuple of ints; anything else is a DomainError.
     The result is in lowest terms with ``k >= 0``; the empty list evaluates to
     the sentinel pair ``UNIT == (1, 0)`` (the smooth case).  Terms >= 1 are
     accepted so the function can serve as an independent oracle, but an
@@ -102,7 +113,7 @@ def hj_eval(terms: Sequence[int] | Iterable[int]) -> tuple[int, int]:
     another term) raises EvaluationError.
     """
     num, den = 1, 0
-    for a in reversed(require_ints(tuple(terms), "terms must be a list of integers")):
+    for a in reversed(require_ints(terms, "terms must be a list of integers")):
         if num == 0:
             raise EvaluationError("intermediate zero denominator in evaluation")
         num, den = a * num - den, num
@@ -122,7 +133,9 @@ def hj_expand(m: int, k: int) -> HJExpansion:
     (with ``k = 0``) yields the empty expansion.  The range check runs before
     the loop on purpose and does not duplicate ``HJExpansion``'s: for k > m
     the loop runs about k/m times, so without it ``hj_expand(5, 10**12)``
-    would loop 2 * 10**11 times before the dataclass saw the bad residue.
+    would loop 2 * 10**11 times.  Having checked m and k and computed the
+    terms from them, it builds the result without ``HJExpansion``'s checks,
+    which would repeat these and evaluate the terms again.
     """
     require_ints((m, k), "m and k must be integers")
     if m < 1:
@@ -130,7 +143,7 @@ def hj_expand(m: int, k: int) -> HJExpansion:
     if m == 1:
         if k != 0:
             raise DomainError(f"m = 1 requires k = 0, got k = {k}")
-        return HJExpansion(1, 0, ())
+        return _expansion(1, 0, ())
     if not (1 <= k < m):
         raise DomainError(f"residue must satisfy 1 <= k < m, got k = {k}, m = {m}")
     if gcd(m, k) != 1:
@@ -141,7 +154,7 @@ def hj_expand(m: int, k: int) -> HJExpansion:
         a = -(-m0 // k0)  # ceil(m0 / k0)
         terms.append(a)
         m0, k0 = k0, a * k0 - m0
-    return HJExpansion(m, k, tuple(terms))
+    return _expansion(m, k, tuple(terms))
 
 
 def hj_reverse(e: HJExpansion) -> HJExpansion:
@@ -149,9 +162,10 @@ def hj_reverse(e: HJExpansion) -> HJExpansion:
 
     Reversing the term list of the expansion of m/k produces the (still
     valid, all terms >= 2) expansion of m/k' where k' is the inverse of k
-    modulo m.  The empty expansion reverses to itself.
+    modulo m, so the result needs no check.  The empty expansion reverses
+    to itself.
     """
     if not e.terms:
         return e
     m = e.numerator
-    return HJExpansion(m, mod_inverse(e.residue, m), tuple(reversed(e.terms)))
+    return _expansion(m, mod_inverse(e.residue, m), e.terms[::-1])

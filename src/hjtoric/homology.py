@@ -37,16 +37,17 @@ from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError, StructureError, require_int, require_ints
+from .errors import DomainError, StructureError, require_int, require_ints, require_list
 
 
 class IntersectionLattice:
     """Labeled classes with a symmetric integer pairing and c1 labels.
 
     ``IntersectionLattice(classes, pairing, c1)`` reads a dense square
-    pairing matrix and checks it: distinct labels, int entries and c1 labels
-    (a bool, a float or a Fraction is a DomainError), a square shape, one c1
-    per class and symmetry.  It is the entry point for outside input
+    pairing matrix and checks it: lists (or tuples) of distinct labels, of
+    rows and of c1 labels, int entries and c1 labels (a bool, a float or a
+    Fraction is a DomainError), a square shape, one c1 per class and
+    symmetry.  It is the entry point for outside input
     (``from_json``, tests).  The functions of this module build the sparse
     store directly and skip the O(n^2) checks, which hold by construction.
 
@@ -63,12 +64,12 @@ class IntersectionLattice:
     __slots__ = ("_classes", "_self", "_c1", "_edges", "_index", "_pairing", "_c1_view")
 
     def __init__(self, classes, pairing, c1):
-        classes = tuple(classes)
+        classes = require_list(classes, "class labels must be a list")
         n = len(classes)
         if len(set(classes)) != n:
             raise DomainError("class labels must be distinct")
         rows = tuple(require_ints(row, "each pairing row must be a list of integers")
-                     for row in pairing)
+                     for row in require_list(pairing, "a pairing must be a list of rows"))
         if any(len(row) != len(rows) for row in rows):
             raise DomainError("pairing matrix must be square")
         if len(rows) != n:
@@ -270,12 +271,15 @@ def add_class(
     pairings: dict[str, int] | None = None,
     c1: int | None = None,
 ) -> IntersectionLattice:
-    """Adjoin one labeled class with prescribed pairings (default c1 by
-    adjunction).  Useful for synthetic configurations in tests and models."""
+    """Adjoin one labeled class with prescribed pairings, a dict label ->
+    int (default c1 by adjunction).  Useful for synthetic configurations in
+    tests and models."""
     require_int(self_intersection, "self-intersection must be an integer")
     if c1 is not None:
         require_int(c1, "c1 must be an integer")
-    pairings = pairings or {}
+    if pairings is None:
+        pairings = {}
+    _require_dict(pairings, "pairings must be a dict label -> integer")
     require_ints(list(pairings.values()), "pairings must be integers")
     if label in lat._self:
         raise DomainError(f"label {label!r} already present")
@@ -298,10 +302,14 @@ def lattice_from_parts(
     pairs: dict[tuple[str, str], int],
     self_intersections: dict[str, int],
 ) -> IntersectionLattice:
-    """Build a lattice from sparse data; c1 set by adjunction."""
+    """Build a lattice from sparse data, a list of labels and dicts
+    (label, label) -> pairing and label -> self-intersection; c1 set by
+    adjunction."""
+    classes = require_list(labels, "labels must be a list")
+    _require_dict(pairs, "pairs must be a dict (label, label) -> integer")
+    _require_dict(self_intersections, "self-intersections must be a dict label -> integer")
     require_ints([*pairs.values(), *self_intersections.values()],
                  "pairings and self-intersections must be integers")
-    classes = tuple(labels)
     self_ = dict.fromkeys(classes, 0)
     if len(self_) != len(classes):
         raise DomainError("class labels must be distinct")
@@ -318,6 +326,11 @@ def lattice_from_parts(
     return IntersectionLattice._sparse(self_, {l: 2 + s for l, s in self_.items()}, edges)
 
 
+def _require_dict(value, rule: str) -> None:
+    if not isinstance(value, dict):
+        raise DomainError(f"{rule}, got {value!r}")
+
+
 # -- signature --------------------------------------------------------------
 
 
@@ -326,7 +339,7 @@ def signature(form) -> tuple[int, int, int]:
 
     ``form`` is a lattice, or a list of rows of ints read by the public
     constructor, which checks the entries, the shape and the symmetry; any
-    other entry, a Fraction included, is a DomainError.  Computed by
+    other form or entry, a Fraction included, is a DomainError.  Computed by
     symmetric (congruence) elimination on class indices, each entry an int
     pair ``(num, den > 0)`` in lowest terms, at a class of least remaining
     degree (ties to basis order): a nonzero diagonal entry is a 1x1 pivot;
@@ -341,7 +354,8 @@ def signature(form) -> tuple[int, int, int]:
     independent of basis.
     """
     if not isinstance(form, IntersectionLattice):
-        form = IntersectionLattice(range(len(form)), form, [0] * len(form))
+        rows = require_list(form, "a form must be a lattice or a list of integer rows")
+        form = IntersectionLattice(tuple(range(len(rows))), rows, (0,) * len(rows))
     pos = form._positions()
     diag = [(form._self[l], 1) for l in form._classes]
     edges = [{} for _ in diag]
@@ -457,6 +471,7 @@ def blow_up_at(
     touched classes through the point lose one mutual intersection.  One
     copy of the store, then O(len(touched)^2) for the blowup itself.
     """
+    touched = require_list(touched, "touched classes must be a list of labels")
     store = lat._store()
     _blow_up(store, touched, label)
     return IntersectionLattice._sparse(*store)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DomainError, require_ints
+from .errors import DomainError, require_ints, require_list
 from .hj import ext_gcd, hj_expand
 from .homology import IntersectionLattice, lattice_from_parts
 
@@ -58,6 +58,7 @@ class Chain:
             raise DomainError(
                 f"chain self-intersections must be <= -2, got {self.self_intersections}"
             )
+        require_list(self.labels, "chain labels must be a list")
         if len(self.labels) != len(self.self_intersections):
             raise DomainError("labels and self-intersections differ in length")
         if len(set(self.labels)) != len(self.labels):

@@ -1,10 +1,13 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -352,6 +355,72 @@ class TestHj:
 
     def test_bad_residue(self, capsys):
         assert main(["hj", "--m", "6", "--k", "3"]) == 2
+
+
+MATH_MODULES = {f"hjtoric.{m}" for m in (
+    "blowup", "circle", "hj", "homology", "lattice2d", "rationals", "resolution", "svg")}
+
+# runs ``python -m hjtoric.cli`` with the arguments after -c, then writes the
+# exit code and the modules the command loaded as the last line of stderr
+_LOADED = """\
+import json, runpy, sys
+before = set(sys.modules)
+try:
+    runpy.run_module("hjtoric.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    sys.stderr.write("\\n" + json.dumps([exc.code, sorted(set(sys.modules) - before)]))
+"""
+
+
+def loaded_by(*argv, stdin: str = "") -> tuple[int, set[str]]:
+    """Exit code of ``hjtoric <argv>`` run by a new interpreter, and the
+    modules it loaded beyond those loaded at start-up."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("HJTORIC_LOG", None)
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env, input=stdin,
+                          capture_output=True, text=True, timeout=60)
+    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    return code, set(loaded)
+
+
+def test_hj_loads_only_its_module():
+    code, loaded = loaded_by("hj", "--m", "7", "--k", "3")
+    assert code == 0
+    assert "hjtoric.hj" in loaded
+    assert not {"hjtoric.circle", "hjtoric.blowup", "logging"} & loaded
+
+
+def test_usage_error_loads_no_math_module():
+    code, loaded = loaded_by("blowup", "--p", "7")
+    assert code == 2
+    assert "hjtoric.errors" in loaded and not MATH_MODULES & loaded
+
+
+def test_simulate_loads_the_simulator_only_for_well_formed_json():
+    code, loaded = loaded_by("simulate", "-", stdin='{"fixed_points": [')
+    assert code == 2 and not MATH_MODULES & loaded
+    code, loaded = loaded_by("simulate", "-", stdin=json.dumps(_two_points(bound=3)))
+    assert code == 0 and "hjtoric.circle" in loaded
+
+
+@pytest.mark.parametrize("log", [None, "debug"])
+def test_failed_cross_check_logs_one_error_line(log):
+    """The error branch of ``blowup`` keeps its stderr format whether or not
+    HJTORIC_LOG configured logging first."""
+    code = ("import sys\n"
+            "import hjtoric.blowup\n"
+            "hjtoric.blowup.lattices_isomorphic_as_chains = lambda a, b: False\n"
+            "from hjtoric.cli import main\n"
+            "sys.exit(main(['blowup', '--p', '7', '--q', '4']))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("HJTORIC_LOG", None)
+    if log:
+        env["HJTORIC_LOG"] = log
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1 and json.loads(proc.stdout)["cross_check"] is False
+    assert proc.stderr == ("ERROR:hjtoric.cli:cross_check(7, 4) failed: the 5 replayed classes "
+                           "do not match the 5 vertex-route classes\n")
 
 
 def test_log_env_var(capsys, monkeypatch):

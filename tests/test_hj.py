@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hjtoric.errors import DomainError, EvaluationError
-from hjtoric.hj import UNIT, ext_gcd, hj_eval, hj_expand, hj_reverse, mod_inverse
+from hjtoric.hj import UNIT, HJExpansion, ext_gcd, hj_eval, hj_expand, hj_reverse, mod_inverse
 
 
 class TestExtGcd:
@@ -149,6 +149,15 @@ def test_round_trip_small_range():
         e = hj_expand(m, k)
         assert all(a >= 2 for a in e.terms)
         assert hj_eval(e.terms) == (m, k)
+
+
+def test_public_constructor_accepts_what_expand_and_reverse_build():
+    """hj_expand and hj_reverse skip HJExpansion's checks; the constructor,
+    which runs them all, is the oracle that they hold."""
+    for m, k in [(1, 0), *coprime_pairs(60)]:
+        for e in (hj_expand(m, k), hj_reverse(hj_expand(m, k))):
+            assert type(e) is HJExpansion
+            assert HJExpansion(e.numerator, e.residue, e.terms) == e
 
 
 def test_reversal_duality_small_range():

@@ -1,9 +1,14 @@
-"""The public boundary: what ``hjtoric.__all__`` lists, and that every
-integer or rational argument it takes refuses an inexact value with a
-DomainError, never a TypeError, an AttributeError or a result."""
+"""The public boundary: what ``hjtoric.__all__`` lists, that the package
+imports each name only on first use, and that every integer, rational or
+container argument it takes refuses a malformed value with a DomainError,
+never a TypeError, an AttributeError or a result."""
 
 import inspect
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +132,63 @@ EXEMPT = {
 
 BAD = (1.5, 3.0, True, "1e-3", [1], None)
 
+PUBLIC = [
+    "BlowupConfig", "Chain", "CyclicSingularity", "DomainError", "EvaluationError",
+    "FixedPointDatum", "GeneralizedCover", "HJExpansion", "IntersectionLattice",
+    "McDuffSequence", "ReducedSpaceState", "RunResult", "StructureError", "ValidationError",
+    "area", "blow_down", "blow_up_at", "build_cover", "chain_contact_replay", "cross_check",
+    "cross_level", "cut_chords", "empty_lattice", "exceptional_pair_criterion", "ext_gcd",
+    "fulton_config", "hj_eval", "hj_expand", "hj_reverse", "initial_state", "mcduff_lattice",
+    "mcduff_sequence", "mod_inverse", "resolve_cyclic", "run_loop", "same_resolution",
+    "signature", "type_equivalent", "validate", "weighted_blowdown",
+]
+
+
+def fresh_python(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports
+    this package from where the tests do."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hjtoric.__file__).parents[1]))
+    env.pop("HJTORIC_LOG", None)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_all_lists_the_public_names():
+    assert hjtoric.__all__ == PUBLIC
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_each_name_is_the_object_of_its_home_module(name):
+    value = getattr(hjtoric, name)
+    assert value.__module__.startswith("hjtoric.")
+    assert getattr(sys.modules[value.__module__], name) is value
+    namespace = {}
+    exec(f"from hjtoric import {name}", namespace)
+    assert namespace[name] is value
+
+
+def test_dir_lists_every_public_name_and_unknown_names_raise():
+    assert set(PUBLIC) <= set(dir(hjtoric))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hjtoric.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from hjtoric import no_such_name", {})
+
+
+def test_import_loads_no_module_and_each_name_loads_its_own():
+    out = fresh_python(
+        "import sys\n"
+        "import hjtoric\n"
+        "print(sorted(m for m in sys.modules if m.startswith('hjtoric.')))\n"
+        "from hjtoric import hj_expand\n"
+        "print(sorted(m for m in sys.modules if m.startswith('hjtoric.')))\n"
+        f"from hjtoric import {', '.join(PUBLIC)}\n"
+        "names = {n: globals()[n] for n in hjtoric.__all__}\n"
+        "print(all(getattr(sys.modules[v.__module__], n) is v for n, v in names.items()))\n")
+    assert out.splitlines() == ["[]", "['hjtoric.errors', 'hjtoric.hj']", "True"]
+
 
 def test_all_lists_classes_and_functions_only():
     kinds = (inspect.isclass, inspect.isfunction)
@@ -155,6 +217,50 @@ def test_inexact_integers_and_rationals_are_domain_errors(name):
                 continue
             args = values[:i] + (bad,) + values[i + 1:]
             with pytest.raises(DomainError):
+                call(*args)
+
+
+# One valid call per callable that takes a list or a dict, with those
+# arguments only, keyed as RECIPES is.
+CONTAINER_RECIPES = {
+    "Chain": recipe(lambda labels: Chain((-2, -3), labels), ("Z1", "Z2")),
+    "IntersectionLattice": recipe(lambda classes, rows: IntersectionLattice(classes, rows, (1, 0)),
+                                  ("a", "b"), ((-1, 1), (1, -2))),
+    "blow_up_at": recipe(lambda touched: blow_up_at(two_exceptional(), touched, "e"), ("a", "b")),
+    "build_cover": recipe(lambda data: build_cover(data, "1/8"), pair()),
+    "hj_eval": recipe(hj_eval, (3, 2, 2)),
+    "initial_state": recipe(initial_state, pair()),
+    "run_loop": recipe(lambda data: run_loop(data, 2), pair()),
+    "signature": recipe(signature, ((0, 1), (1, 0))),
+    "validate": recipe(validate, pair()),
+    # outside __all__
+    "homology.add_class": recipe(lambda pairings: add_class(two_exceptional(), "x", -1, pairings),
+                                 {"a": 1}, none_ok=(0,)),
+    "homology.lattice_from_parts": recipe(lattice_from_parts,
+                                          ("a", "b"), {("a", "b"): 1}, {"a": -2}),
+}
+
+
+def other_container(value):
+    """The same entries in the other kind of container: a dict's values as
+    a list, a list's entries as the keys of a dict."""
+    return list(value.values()) if isinstance(value, dict) else dict.fromkeys(value)
+
+
+@pytest.mark.parametrize("name", CONTAINER_RECIPES)
+def test_malformed_containers_are_domain_errors(name):
+    """The valid call succeeds; the same call with any one of its list or
+    dict arguments replaced by None (where None is not the default), an
+    int or the other kind of container raises a DomainError naming the
+    container it wants."""
+    call, values, none_ok = CONTAINER_RECIPES[name]
+    call(*values)
+    for i, value in enumerate(values):
+        for bad in (None, 5, other_container(value)):
+            if bad is None and i in none_ok:
+                continue
+            args = values[:i] + (bad,) + values[i + 1:]
+            with pytest.raises(DomainError, match=r"\b(list|dict)\b"):
                 call(*args)
 
 
