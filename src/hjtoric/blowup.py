@@ -39,9 +39,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError, StructureError, require_ints
+from .errors import DomainError, StructureError, require_ints, require_object
 from .hj import hj_expand
-from .homology import IntersectionLattice, _blow_up, _contract, _forced_contractions
+from .homology import IntersectionLattice, _blow_up, _contract, _forced_contractions, _lattice
 from .rationals import parse_rational
 from .resolution import Chain, chain_from_terms
 
@@ -88,8 +88,16 @@ class BlowupConfig:
         return (self.exceptional_label,) + self.chain_labels
 
     def lattice(self) -> IntersectionLattice:
-        """E~ at -1 joined to the first class of each chain, c1 by adjunction;
-        built as a sparse store, since every simulator blowdown pays for it."""
+        """E~ at -1 joined to the first class of each chain, c1 by adjunction.
+
+        Built once per config, as a sparse store, and returned as the same
+        immutable value afterwards, since every simulator blowdown reads it.
+        The memo is no field: it takes no part in equality, hash or repr,
+        and a ``dataclasses.replace`` copy builds its own."""
+        try:
+            return self.__dict__["_lattice"]
+        except KeyError:
+            pass
         e = self.exceptional_label
         selfs, edges = {e: -1}, {e: {}}
         for chain in (self.chain_p, self.chain_q):
@@ -100,7 +108,9 @@ class BlowupConfig:
                 prev = label
         if len(selfs) != len(self.class_labels):
             raise DomainError("class labels must be distinct")
-        return IntersectionLattice._sparse(selfs, {l: 2 + s for l, s in selfs.items()}, edges)
+        lat = IntersectionLattice._sparse(selfs, {l: 2 + s for l, s in selfs.items()}, edges)
+        object.__setattr__(self, "_lattice", lat)
+        return lat
 
     def prefixed(self, prefix: str) -> "BlowupConfig":
         """The same config with ``prefix`` put before every class label."""
@@ -307,6 +317,8 @@ def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> Interse
     means the configuration was corrupted.  The contractions edit one copy
     of ``lat``'s store, so the whole blowdown costs O(n) beyond that copy.
     """
+    _lattice(lat)
+    require_object(config, BlowupConfig, "config must be a BlowupConfig")
     for label in config.class_labels:
         lat.self_intersection(label)  # presence check, raises DomainError
     etilde = config.exceptional_label

@@ -27,8 +27,11 @@ instance itself instead; it then dies at its matched level and the run
 reports TRACKED_CLASS_DESTROYED.
 
 Configurations never interact, so the state is the set of live instances,
-each a relabelled config whose lattices are summed only for output: a
-crossing costs the same at any loop count.
+each its pair's config, shared with every other instance of the pair, and a
+uid.  Labels are prefixed ``uid.`` only where they leave the run: in an
+instance's lattice (so in the state's and the result's), in ``area`` and in
+the tracked label.  A crossing costs the same at any loop count, and a
+blowdown reads the config's lattice, built once per run.
 
 A run splits what it fixes from what it steps.  ``initial_state`` validates
 the data once (``ValidationError`` lists every failure) and builds one
@@ -54,7 +57,7 @@ from fractions import Fraction
 from math import lcm
 
 from .blowup import BlowupConfig, _require_weights, fulton_config, weighted_blowdown
-from .errors import DomainError, StructureError, ValidationError, require_int
+from .errors import DomainError, StructureError, ValidationError, require_int, require_object
 from .homology import IntersectionLattice, empty_lattice
 from .rationals import parse_rational, rational_json
 from .resolution import CyclicSingularity
@@ -276,7 +279,8 @@ class RunContext:
     integer numerator over it.  ``levels`` maps each datum to its pair index
     and its level numerator; ``arcs`` holds each pair's life arc as a
     numerator.  ``templates`` holds each pair's config as ``fulton_config``
-    returns it, with unprefixed labels.
+    returns it, with unprefixed labels; every instance of the pair holds
+    that same object.
     """
 
     data: tuple[FixedPointDatum, ...]
@@ -290,8 +294,11 @@ class RunContext:
 
 @dataclass(frozen=True)
 class Instance:
-    """A live blowup configuration; its lattice is the config's own.
+    """A live blowup configuration: its pair's config, shared with the
+    run's context, under the label prefix ``uid.``.
 
+    ``config`` keeps the unprefixed labels; ``lattice`` is the config's
+    lattice with every label prefixed, built on each read for output.
     ``created`` and ``dies`` are cumulative coordinates as numerators over
     the run's grid ``RunContext.den``: its blowup and its matched blowdown,
     ``dies`` None for the transported tracked copy, which no blowdown
@@ -307,7 +314,7 @@ class Instance:
 
     @property
     def lattice(self) -> IntersectionLattice:
-        return self.config.lattice()
+        return self.config.prefixed(f"{self.uid}.").lattice()
 
 
 @dataclass(frozen=True)
@@ -400,10 +407,9 @@ def default_delta(data) -> Fraction:
 
 def _install(state: ReducedSpaceState, pair_idx: int, created: int, dies: int | None,
              uid: str, tracked: bool) -> ReducedSpaceState:
-    """Add an instance of the pair's config, its labels prefixed ``uid.``."""
+    """Add an instance of the pair's config: the context's own, unrelabelled."""
     ctx = state.context
-    cfg = ctx.templates[pair_idx].prefixed(f"{uid}.")
-    inst = Instance(uid, pair_idx, cfg, created, dies, tracked)
+    inst = Instance(uid, pair_idx, ctx.templates[pair_idx], created, dies, tracked)
     return ReducedSpaceState(ctx, state.pos, state.instances + (inst,), state.counter + 1)
 
 
@@ -414,7 +420,7 @@ def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
     level contributes one live configuration, so the state is consistent
     with the periodic dynamics from the very first crossing.  The run's
     context, with each pair's config resolved once, is built here; every
-    install relabels that config.  ``base`` and ``delta`` are parsed first;
+    install shares that config.  ``base`` and ``delta`` are parsed first;
     data that fail ``validate`` raise its ``ValidationError``.
     """
     base, delta = (None if x is None else parse_rational(x) for x in (base, delta))
@@ -460,7 +466,7 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum, *,
     blowdown will touch), "mark" flags the dynamic instance itself as the
     tracked one.
     """
-    ctx = state.context
+    ctx = require_object(state, ReducedSpaceState, "state must be a ReducedSpaceState").context
     found = ctx.levels.get(datum)
     if found is None:
         raise DomainError("datum is not part of this state's fixed-point data")
@@ -489,7 +495,7 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum, *,
         )
     if victim.tracked:
         raise TrackedClassDestroyed(victim.uid)
-    weighted_blowdown(victim.lattice, victim.config)
+    weighted_blowdown(victim.config.lattice(), victim.config)
     log.debug("blowdown %s at position %d/%d", victim.uid, pos, ctx.den)
     return ReducedSpaceState(ctx, pos, instances[:i] + instances[i + 1:], state.counter)
 
@@ -501,17 +507,21 @@ def area(state: ReducedSpaceState, label: str, lam: Fraction) -> Fraction:
     their life arc (slope +1/(p*q) from creation, -1/(p*q) into the matched
     blowdown); the transported tracked class grows at +1/(p*q) without
     bound; chain classes sit at the constant delta.  A blown-down class is
-    no longer part of the state.  ``lam`` is read by ``parse_rational``.
+    no longer part of the state.  ``label`` is an instance's uid, a dot
+    and a label of its config; ``lam`` is read by ``parse_rational``.
     """
+    require_object(state, ReducedSpaceState, "state must be a ReducedSpaceState")
     lam = parse_rational(lam)
-    inst = next((inst for inst in state.instances if label in inst.config.class_labels), None)
+    uid, _, local = require_object(label, str, "label must be a string").partition(".")
+    inst = next((inst for inst in state.instances
+                 if inst.uid == uid and local in inst.config.class_labels), None)
     if inst is None:
         raise DomainError(f"no class {label!r} is live")
     den = state.context.den
     t = lam * den - inst.created  # the class's age, in units of 1/den
     if t < 0 or (inst.dies is not None and t > inst.dies - inst.created):
         raise DomainError(f"class {label!r} not present at {lam}")
-    if label != inst.config.exceptional_label:
+    if local != inst.config.exceptional_label:
         return state.delta
     if inst.dies is not None:
         t = min(t, inst.dies - inst.created - t)
@@ -598,7 +608,8 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
                     "to model its transported copy",
                 )
             if track is not None:
-                tracked_label = state.tracked_instance().config.exceptional_label
+                tracked = state.tracked_instance()
+                tracked_label = f"{tracked.uid}.{tracked.config.exceptional_label}"
         state = ReducedSpaceState(ctx, start + loop * den, state.instances, state.counter)
         ledger.append(area(state, tracked_label, state.position))
         distinct.add(ledger[-1])

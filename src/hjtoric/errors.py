@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one integer rule.
+"""Exception types shared across the package, and the input rules.
 
 DomainError covers bad inputs (precondition violations); StructureError
 covers internal inconsistencies discovered mid-computation, e.g. a blowdown
@@ -9,8 +9,11 @@ Every integer input is checked by ``require_int`` or ``require_ints``: its
 type must be exactly ``int``, so a bool, a float, a Fraction or a string is
 refused, never coerced.  A sequence input is checked by ``require_list``:
 it must be a list or a tuple, so None, a number, a set or a dict is
-refused.  All three raise ``DomainError(f"{rule}, got {value!r}")`` with
-the caller's ``rule``, the requirement in words.
+refused.  A package object (a lattice, a config, a singularity, an
+expansion, a state) is checked by ``require_object``: one ``isinstance``
+test, so None, a number or another kind of object is refused.  All four
+raise ``DomainError(f"{rule}, got {value!r}")`` with the caller's
+``rule``, the requirement in words.
 """
 
 
@@ -56,3 +59,11 @@ def require_list(values, rule: str) -> tuple:
     if not isinstance(values, (list, tuple)):
         raise DomainError(f"{rule}, got {values!r}")
     return tuple(values)
+
+
+def require_object(value, kind: type, rule: str):
+    """``value`` itself if it is an instance of ``kind``; otherwise a
+    DomainError."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{rule}, got {value!r}")
+    return value

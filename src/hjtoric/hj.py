@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .errors import DomainError, EvaluationError, require_int, require_ints
+from .errors import DomainError, EvaluationError, require_int, require_ints, require_object
 
 UNIT = (1, 0)  # value of the empty expansion; a 1/0-free stand-in for "m = 1"
 
@@ -165,6 +165,7 @@ def hj_reverse(e: HJExpansion) -> HJExpansion:
     modulo m, so the result needs no check.  The empty expansion reverses
     to itself.
     """
+    require_object(e, HJExpansion, "e must be an HJExpansion")
     if not e.terms:
         return e
     m = e.numerator

@@ -37,7 +37,8 @@ from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError, StructureError, require_int, require_ints, require_list
+from .errors import (DomainError, StructureError, require_int, require_ints, require_list,
+                     require_object)
 
 
 class IntersectionLattice:
@@ -281,7 +282,7 @@ def add_class(
         pairings = {}
     _require_dict(pairings, "pairings must be a dict label -> integer")
     require_ints(list(pairings.values()), "pairings must be integers")
-    if label in lat._self:
+    if label in _lattice(lat)._self:
         raise DomainError(f"label {label!r} already present")
     for other in pairings:
         lat._check(other)
@@ -324,6 +325,11 @@ def lattice_from_parts(
         if v:
             edges[a][b] = edges[b][a] = v
     return IntersectionLattice._sparse(self_, {l: 2 + s for l, s in self_.items()}, edges)
+
+
+def _lattice(lat) -> IntersectionLattice:
+    """``lat`` itself if it is a lattice; otherwise a DomainError."""
+    return require_object(lat, IntersectionLattice, "lat must be an IntersectionLattice")
 
 
 def _require_dict(value, rule: str) -> None:
@@ -455,7 +461,7 @@ def blow_down(lat: IntersectionLattice, label: str) -> IntersectionLattice:
     making contraction inverse to blowing up a transverse configuration.
     One copy of the store, then O(deg(e)^2) for the contraction itself.
     """
-    store = lat._store()
+    store = _lattice(lat)._store()
     _contract(store, label)
     return IntersectionLattice._sparse(*store)
 
@@ -472,7 +478,7 @@ def blow_up_at(
     copy of the store, then O(len(touched)^2) for the blowup itself.
     """
     touched = require_list(touched, "touched classes must be a list of labels")
-    store = lat._store()
+    store = _lattice(lat)._store()
     _blow_up(store, touched, label)
     return IntersectionLattice._sparse(*store)
 
@@ -559,6 +565,7 @@ def exceptional_pair_criterion(lat: IntersectionLattice, e1: str, e2: str) -> bo
     sphere in the class E1 + E2 with c1 = 2, which forces b2+ = 1; the c1 sum
     is asserted whenever the criterion fires.
     """
+    _lattice(lat)
     for e in (e1, e2):
         if not lat.is_exceptional(e):
             raise DomainError(f"{e!r} is not an exceptional class")
@@ -601,6 +608,7 @@ def chain_contact_replay(lat: IntersectionLattice, eprime: str, config) -> Chain
 
     ``config`` needs attributes ``exceptional_label`` and ``chain_labels``.
     """
+    _lattice(lat)
     etilde = config.exceptional_label
     chain_labels = tuple(config.chain_labels)
     if eprime == etilde:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DomainError, require_ints, require_list
+from .errors import DomainError, require_ints, require_list, require_object
 from .hj import ext_gcd, hj_expand
 from .homology import IntersectionLattice, lattice_from_parts
 
@@ -114,6 +114,7 @@ def resolve_cyclic(s: CyclicSingularity) -> Chain:
     self-intersections are the negated terms of the expansion of r/k.  A
     smooth point (r = 1) resolves to the empty chain.
     """
+    require_object(s, CyclicSingularity, "s must be a CyclicSingularity")
     _, k = resolution_params(s)
     return chain_from_terms(hj_expand(s.order, k).terms)
 
@@ -125,6 +126,8 @@ def type_equivalent(s1: CyclicSingularity, s2: CyclicSingularity, oriented: bool
     equivalent iff q' = +-q or qq' = +-1 (mod r); under orientation-preserving
     maps only the + alternatives q' = q or qq' = 1 (mod r) survive.
     """
+    for s in (s1, s2):
+        require_object(s, CyclicSingularity, "s1 and s2 must be CyclicSingularity")
     if s1.order != s2.order:
         return False
     r = s1.order

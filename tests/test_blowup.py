@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -162,6 +163,26 @@ class TestFultonConfig:
             assert signature(lat) == (0, len(lat), 0)
             minus_ones = [l for l in lat.classes if lat.self_intersection(l) == -1]
             assert minus_ones == ["E~"]
+
+    def test_lattice_is_built_once_per_config(self):
+        """``lattice`` returns one value per config, which a blowdown of it
+        leaves unchanged.  The memo is no field, so equality, hash and repr
+        ignore it, and a ``replace`` copy builds the lattice of its own
+        chains."""
+        cfg, fresh = fulton_config(7, 4), fulton_config(7, 4)
+        lat = cfg.lattice()
+        before = snapshot(lat)
+        assert cfg.lattice() is lat
+        weighted_blowdown(lat, cfg)
+        assert cfg.lattice() is lat and lat == before
+        assert (cfg == fresh, hash(cfg), repr(cfg)) == (True, hash(fresh), repr(fresh))
+        assert replace(cfg).lattice() is not lat and replace(cfg).lattice() == lat
+        deeper = replace(cfg, chain_p=Chain(
+            tuple(s - 1 for s in cfg.chain_p.self_intersections), cfg.chain_p.labels))
+        assert deeper.lattice() is deeper.lattice()
+        assert deeper.lattice().self_intersection("Zp1") == lat.self_intersection("Zp1") - 1
+        with pytest.raises(StructureError, match="stalled"):
+            weighted_blowdown(deeper.lattice(), deeper)
 
     def test_rejects_bad_weights(self):
         for args, reason in [((4, 2), "coprime"), ((4, 7), "p > q"),

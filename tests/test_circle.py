@@ -42,6 +42,12 @@ def pair_74():
     ]
 
 
+def labelled(inst):
+    """``inst``'s config under the labels its classes carry outside the
+    run, each prefixed with the instance's uid."""
+    return inst.config.prefixed(f"{inst.uid}.")
+
+
 def canonical_components(lat):
     """Multiset of connected components as normalized (self, c1) profiles."""
     n = len(lat)
@@ -348,13 +354,15 @@ class TestCrossLevel:
 
     def test_blowdown_checks_the_victims_own_lattice(self):
         """The victim's lattice is its config's; a config with an extra
-        chain class or a deeper one stalls its own blowdown."""
+        chain class or a deeper one stalls its own blowdown, though the
+        template it was copied from has built its lattice already."""
         data = pair_74()
         st = initial_state(data, base=Fraction(3, 4))
         st = cross_level(st.at(Fraction(1)), data[0])
         inst = st.instances[-1]
         cfg = inst.config
-        longer = Chain(cfg.chain_q.self_intersections + (-2,), cfg.chain_q.labels + ("B2.Zx",))
+        assert cfg is st.context.templates[inst.pair] and cfg.lattice() is cfg.lattice()
+        longer = Chain(cfg.chain_q.self_intersections + (-2,), cfg.chain_q.labels + ("Zx",))
         deeper = Chain(tuple(s - 1 for s in cfg.chain_p.self_intersections), cfg.chain_p.labels)
         for config in (replace(cfg, chain_q=longer), replace(cfg, chain_p=deeper)):
             broken = replace(st, instances=(replace(inst, config=config),))
@@ -390,28 +398,33 @@ class TestArea:
 
     def test_exceptional_grows_at_slope(self):
         st, _ = self.setup_state()
-        label = st.instances[-1].config.exceptional_label
+        label = labelled(st.instances[-1]).exceptional_label
         assert area(st, label, Fraction(1)) == 0
         assert area(st, label, Fraction(5, 4)) == Fraction(1, 8)
 
     def test_tent_vanishes_at_death(self):
         st, _ = self.setup_state()
         inst = st.instances[-1]
-        assert area(st, inst.config.exceptional_label, Fraction(inst.dies, st.context.den)) == 0
+        assert area(st, labelled(inst).exceptional_label, Fraction(inst.dies, st.context.den)) == 0
 
     def test_chain_area_constant(self):
         data = pair_74()
         st = initial_state(data, base=Fraction(3, 4))
         st = cross_level(st.at(Fraction(1)), data[0])
-        label = st.instances[-1].config.chain_labels[0]
+        label = labelled(st.instances[-1]).chain_labels[0]
         assert area(st, label, Fraction(1)) == st.delta
         assert area(st, label, Fraction(5, 4)) == st.delta
 
     def test_absent_class(self):
         st, _ = self.setup_state()
-        with pytest.raises(DomainError):
-            area(st, "nope", Fraction(1))
-        label = st.instances[-1].config.exceptional_label
+        for absent in ("nope", "E~", "B9.E~", "B1.Zq1", "B1."):
+            with pytest.raises(DomainError, match="no class"):
+                area(st, absent, Fraction(1))
+        for wrong in (None, 5):
+            with pytest.raises(DomainError, match="string"):
+                area(st, wrong, Fraction(1))
+        label = labelled(st.instances[-1]).exceptional_label
+        assert label == "B1.E~" and area(st, label, Fraction(1)) == 0
         with pytest.raises(DomainError):
             area(st, label, Fraction(1, 2))  # before creation
         for lam in (1.1, True):  # inside the class's life, but not exact
@@ -505,11 +518,11 @@ class TestInvariants:
         st = cross_level(st.at(Fraction(5, 4)), data[1])
         assert len(st.books) >= 4
         for uid, sing in st.books:
-            inst = next(i for i in st.instances if i.uid == uid)
+            cfg = labelled(next(i for i in st.instances if i.uid == uid))
             chain = (
-                inst.config.chain_p
-                if sing.order == inst.config.p
-                else inst.config.chain_q
+                cfg.chain_p
+                if sing.order == cfg.p
+                else cfg.chain_q
             )
             expect = resolve_cyclic(sing).self_intersections
             stored = tuple(
@@ -726,8 +739,9 @@ def test_run_loop_matches_closed_form(action, loops, bound, tracked):
 
 
 def test_installs_equal_a_prefixed_fulton_config():
-    """An installed instance is the pair's template relabelled, which must
-    equal resolving the config afresh with the instance's label prefix."""
+    """An installed instance holds the pair's template itself, and its
+    lattice, the template's under the instance's label prefix, must equal
+    resolving the config afresh with that prefix."""
     for p in range(1, 41):
         for q in range(1, p + 1):
             if gcd(p, q) != 1 or p == q != 1:
@@ -740,9 +754,24 @@ def test_installs_equal_a_prefixed_fulton_config():
             st = circle._install(st, 0, den, None, "T", True)
             for inst in st.instances:
                 want = fulton_config(p, q).prefixed(f"{inst.uid}.")
-                assert inst.config == want, (p, q)
+                assert inst.config is st.context.templates[0], (p, q)
+                assert labelled(inst) == want, (p, q)
                 assert inst.lattice == want.lattice(), (p, q)
                 assert inst.lattice.to_json() == want.lattice().to_json(), (p, q)
+
+
+def test_every_install_shares_its_pairs_template():
+    """Primed, crossed and tracked installs all hold their pair's config
+    itself, so a run builds each template's lattice once."""
+    states = list(crossings(circle, three_pairs(), 2))
+    templates = states[0].context.templates
+    lattices = [cfg.lattice() for cfg in templates]
+    assert states[0].instances and any(inst.tracked for inst in states[-1].instances)
+    for st in states:
+        assert st.context.templates is templates
+        for inst in st.instances:
+            assert inst.config is templates[inst.pair]
+    assert all(cfg.lattice() is lat for cfg, lat in zip(templates, lattices))
 
 
 def test_lattice_of_many_instances_equals_the_pairwise_fold():

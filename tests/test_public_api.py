@@ -1,7 +1,7 @@
 """The public boundary: what ``hjtoric.__all__`` lists, that the package
-imports each name only on first use, and that every integer, rational or
-container argument it takes refuses a malformed value with a DomainError,
-never a TypeError, an AttributeError or a result."""
+imports each name only on first use, and that every integer, rational,
+container or package-object argument it takes refuses a malformed value
+with a DomainError, never a TypeError, an AttributeError or a result."""
 
 import inspect
 import os
@@ -261,6 +261,51 @@ def test_malformed_containers_are_domain_errors(name):
                 continue
             args = values[:i] + (bad,) + values[i + 1:]
             with pytest.raises(DomainError, match=r"\b(list|dict)\b"):
+                call(*args)
+
+
+# One valid call per callable that takes a package object (a lattice, a
+# config, a singularity, an expansion or a state), with those arguments
+# only, keyed as RECIPES is.
+OBJECT_RECIPES = {
+    "area": recipe(lambda state: area(state, "B1.E~", "1/4"), initial_state(pair())),
+    "blow_down": recipe(lambda lat: blow_down(lat, "a"), two_exceptional()),
+    "blow_up_at": recipe(lambda lat: blow_up_at(lat, ["a", "b"], "e"), two_exceptional()),
+    "chain_contact_replay": recipe(
+        lambda lat: chain_contact_replay(lat, "E'", fulton_config(2, 1)),
+        add_class(fulton_config(2, 1).lattice(), "E'", -1)),
+    "cross_level": recipe(lambda state: cross_level(state, pair()[0]), initial_state(pair()).at(1)),
+    "exceptional_pair_criterion": recipe(
+        lambda lat: exceptional_pair_criterion(lat, "a", "b"), two_exceptional()),
+    "hj_reverse": recipe(hj_reverse, hj_expand(7, 3)),
+    "resolve_cyclic": recipe(resolve_cyclic, CyclicSingularity(5, 1, 2)),
+    "same_resolution": recipe(same_resolution, CyclicSingularity(7, 1, 3),
+                              CyclicSingularity(7, 1, 5)),
+    "type_equivalent": recipe(type_equivalent, CyclicSingularity(7, 1, 2),
+                              CyclicSingularity(7, 1, 3)),
+    "weighted_blowdown": recipe(weighted_blowdown, fulton_config(7, 4).lattice(),
+                                fulton_config(7, 4)),
+    # outside __all__
+    "homology.add_class": recipe(lambda lat: add_class(lat, "x", -1), two_exceptional()),
+}
+
+
+def other_object(value):
+    """A package object of another kind than ``value``."""
+    return hj_expand(7, 3) if isinstance(value, IntersectionLattice) else empty_lattice()
+
+
+@pytest.mark.parametrize("name", OBJECT_RECIPES)
+def test_malformed_objects_are_domain_errors(name):
+    """The valid call succeeds; the same call with any one of its package
+    objects replaced by None, an int or an object of another kind raises a
+    DomainError naming the kind it wants."""
+    call, values, _ = OBJECT_RECIPES[name]
+    call(*values)
+    for i, value in enumerate(values):
+        for bad in (None, 5, other_object(value)):
+            args = values[:i] + (bad,) + values[i + 1:]
+            with pytest.raises(DomainError, match=type(value).__name__):
                 call(*args)
 
 
