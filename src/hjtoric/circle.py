@@ -13,7 +13,7 @@ its blowdown level; the area of its exceptional class rises from zero at
 slope 1/(p*q), then falls back to zero at the blowdown level (a tent over
 the arc), while resolution-chain classes keep a small constant area.
 
-On top of the periodic dynamics the simulator tracks the exceptional class
+On top of the periodic dynamics ``run_loop`` tracks the exceptional class
 born at the first +1 level after the base point: its transported copy is
 kept as a separate direct summand of the bookkeeping lattice and its area
 grows at slope 1/(p*q) forever (blowdown levels destroy the matched dynamic
@@ -266,10 +266,6 @@ def build_cover(data, eps) -> GeneralizedCover:
 # -- reduced-space state -------------------------------------------------------
 
 
-class TrackedClassDestroyed(Exception):
-    """Raised when the blowdown victim is the tracked class itself."""
-
-
 @dataclass(frozen=True)
 class RunContext:
     """What a run fixes once, in ``initial_state``: shared by all its states.
@@ -301,8 +297,8 @@ class Instance:
     lattice with every label prefixed, built on each read for output.
     ``created`` and ``dies`` are cumulative coordinates as numerators over
     the run's grid ``RunContext.den``: its blowup and its matched blowdown,
-    ``dies`` None for the transported tracked copy, which no blowdown
-    touches.
+    ``dies`` None for the transported tracked copy ``T``, which no blowdown
+    touches.  Which instance is tracked is ``run_loop``'s to know.
     """
 
     uid: str
@@ -310,7 +306,6 @@ class Instance:
     config: BlowupConfig
     created: int
     dies: int | None
-    tracked: bool = False
 
     @property
     def lattice(self) -> IntersectionLattice:
@@ -379,9 +374,6 @@ class ReducedSpaceState:
                               f"multiples of 1/{self.context.den}")
         return ReducedSpaceState(self.context, pos.numerator, self.instances, self.counter)
 
-    def tracked_instance(self) -> Instance | None:
-        return next((inst for inst in self.instances if inst.tracked), None)
-
 
 def _level_gaps(data) -> tuple[list[Fraction], list[Fraction]]:
     """The levels in order and the arc from each to the next.  A lone
@@ -406,10 +398,12 @@ def default_delta(data) -> Fraction:
 
 
 def _install(state: ReducedSpaceState, pair_idx: int, created: int, dies: int | None,
-             uid: str, tracked: bool) -> ReducedSpaceState:
+             uid: str) -> ReducedSpaceState:
     """Add an instance of the pair's config: the context's own, unrelabelled."""
     ctx = state.context
-    inst = Instance(uid, pair_idx, ctx.templates[pair_idx], created, dies, tracked)
+    cfg = ctx.templates[pair_idx]
+    inst = Instance(uid, pair_idx, cfg, created, dies)
+    log.debug("blowup %s at position %d/%d: weights (%d, %d)", uid, created, ctx.den, cfg.p, cfg.q)
     return ReducedSpaceState(ctx, state.pos, state.instances + (inst,), state.counter + 1)
 
 
@@ -446,12 +440,11 @@ def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
         back = (start - levels[plus]) % den
         if 0 < back < arcs[pair_idx]:
             state = _install(state, pair_idx, start - back, start - back + arcs[pair_idx],
-                             uid=f"B{state.counter + 1}", tracked=False)
+                             f"B{state.counter + 1}")
     return state
 
 
-def cross_level(state: ReducedSpaceState, datum: FixedPointDatum, *,
-                track: str | None = None) -> ReducedSpaceState:
+def cross_level(state: ReducedSpaceState, datum: FixedPointDatum) -> ReducedSpaceState:
     """Cross one critical level counterclockwise.
 
     A +1 level installs the resolved (p, q)-weighted blowup as a new
@@ -460,13 +453,10 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum, *,
     absent when the order is 1).  A -1 level identifies the matched
     instance whose exceptional area vanishes at this level and removes it
     by weighted blowdown of its own lattice, which must leave nothing.
-
-    ``track`` applies to +1 crossings: "copy" additionally installs the
-    transported copy of the new class (an independent summand that no
-    blowdown will touch), "mark" flags the dynamic instance itself as the
-    tracked one.
+    Every crossing is the same step: tracking a class is ``run_loop``'s.
     """
     ctx = require_object(state, ReducedSpaceState, "state must be a ReducedSpaceState").context
+    require_object(datum, FixedPointDatum, "datum must be a FixedPointDatum")
     found = ctx.levels.get(datum)
     if found is None:
         raise DomainError("datum is not part of this state's fixed-point data")
@@ -477,13 +467,7 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum, *,
             f"state position {state.position} is not at level {datum.level}"
         )
     if datum.sign == 1:
-        uid = f"B{state.counter + 1}"
-        state = _install(state, pair_idx, pos, pos + ctx.arcs[pair_idx], uid,
-                         tracked=(track == "mark"))
-        if track == "copy":
-            state = _install(state, pair_idx, pos, None, "T", tracked=True)
-        log.debug("blowup %s at position %d/%d: weights %s", uid, pos, ctx.den, datum.weights)
-        return state
+        return _install(state, pair_idx, pos, pos + ctx.arcs[pair_idx], f"B{state.counter + 1}")
     instances = state.instances
     for i, victim in enumerate(instances):
         if victim.pair == pair_idx and victim.dies == pos:
@@ -493,8 +477,6 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum, *,
             f"model inconsistency: no matched class with vanishing area at "
             f"level {datum.level} (position {state.position})"
         )
-    if victim.tracked:
-        raise TrackedClassDestroyed(victim.uid)
     weighted_blowdown(victim.config.lattice(), victim.config)
     log.debug("blowdown %s at position %d/%d", victim.uid, pos, ctx.den)
     return ReducedSpaceState(ctx, pos, instances[:i] + instances[i + 1:], state.counter)
@@ -563,6 +545,10 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
     first loop).  An empty fixed-point set reports NO_OBSTRUCTION; loops
     exhausted without contradiction report INCONCLUSIVE.
 
+    The tracked class is the run's alone: the copy ``T`` it installs at
+    the first +1 crossing or, with ``tracked_independent=False``, that
+    crossing's own instance, whose -1 level then ends the run.
+
     The options are checked first, so a malformed one raises DomainError
     also for empty data.  The data are validated once, by ``initial_state``;
     loop n crosses each level n - 1 loops after its first-loop position on
@@ -570,8 +556,7 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
     """
     if bound is not None:
         require_int(bound, "bound must be None or an integer >= 0", 0)
-    if type(tracked_independent) is not bool:
-        raise DomainError(f"tracked_independent must be a bool, got {tracked_independent!r}")
+    require_object(tracked_independent, bool, "tracked_independent must be a bool")
     require_int(loops, "loops must be an integer >= 1", 1)
     base, delta = (None if x is None else parse_rational(x) for x in (base, delta))
     data = _fixed_points(data)
@@ -587,19 +572,16 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
                        key=lambda crossing: crossing[0])
     ledger: list[Fraction] = []
     distinct: set[Fraction] = set()
+    tracked: Instance | None = None
     tracked_label: str | None = None
     bound_val = bound
     for loop in range(1, loops + 1):
         shift = (loop - 1) * den
         for pos, datum in crossings:
-            track = None
-            if tracked_label is None and datum.sign == 1:
-                track = "copy" if tracked_independent else "mark"
-            try:
-                state = cross_level(
-                    ReducedSpaceState(ctx, pos + shift, state.instances, state.counter),
-                    datum, track=track)
-            except TrackedClassDestroyed:
+            pos += shift
+            # levels are distinct and an arc is shorter than a loop, so only
+            # the tracked instance's own -1 level reaches its death position
+            if tracked is not None and pos == tracked.dies:
                 return RunResult(
                     "TRACKED_CLASS_DESTROYED", tuple(ledger), None,
                     state.lattice, state.base, tracked_label, bound_val,
@@ -607,8 +589,11 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
                     "to this blowdown; rerun with an independent tracked class "
                     "to model its transported copy",
                 )
-            if track is not None:
-                tracked = state.tracked_instance()
+            state = cross_level(ReducedSpaceState(ctx, pos, state.instances, state.counter), datum)
+            if tracked is None and datum.sign == 1:
+                if tracked_independent:
+                    state = _install(state, state.instances[-1].pair, pos, None, "T")
+                tracked = state.instances[-1]
                 tracked_label = f"{tracked.uid}.{tracked.config.exceptional_label}"
         state = ReducedSpaceState(ctx, start + loop * den, state.instances, state.counter)
         ledger.append(area(state, tracked_label, state.position))

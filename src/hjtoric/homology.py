@@ -206,6 +206,7 @@ class IntersectionLattice:
         """The orthogonal sum of this lattice and ``others``, each merged once."""
         self_, c1, edges = dict(self._self), dict(self._c1), dict(self._edges)
         for other in others:
+            require_object(other, IntersectionLattice, "summands must be IntersectionLattices")
             self_.update(other._self)
             c1.update(other._c1)
             edges.update(other._edges)
@@ -280,7 +281,7 @@ def add_class(
         require_int(c1, "c1 must be an integer")
     if pairings is None:
         pairings = {}
-    _require_dict(pairings, "pairings must be a dict label -> integer")
+    require_object(pairings, dict, "pairings must be a dict label -> integer")
     require_ints(list(pairings.values()), "pairings must be integers")
     if label in _lattice(lat)._self:
         raise DomainError(f"label {label!r} already present")
@@ -307,8 +308,8 @@ def lattice_from_parts(
     (label, label) -> pairing and label -> self-intersection; c1 set by
     adjunction."""
     classes = require_list(labels, "labels must be a list")
-    _require_dict(pairs, "pairs must be a dict (label, label) -> integer")
-    _require_dict(self_intersections, "self-intersections must be a dict label -> integer")
+    require_object(pairs, dict, "pairs must be a dict (label, label) -> integer")
+    require_object(self_intersections, dict, "self-intersections must be a dict label -> integer")
     require_ints([*pairs.values(), *self_intersections.values()],
                  "pairings and self-intersections must be integers")
     self_ = dict.fromkeys(classes, 0)
@@ -330,11 +331,6 @@ def lattice_from_parts(
 def _lattice(lat) -> IntersectionLattice:
     """``lat`` itself if it is a lattice; otherwise a DomainError."""
     return require_object(lat, IntersectionLattice, "lat must be an IntersectionLattice")
-
-
-def _require_dict(value, rule: str) -> None:
-    if not isinstance(value, dict):
-        raise DomainError(f"{rule}, got {value!r}")
 
 
 # -- signature --------------------------------------------------------------
@@ -606,9 +602,11 @@ def chain_contact_replay(lat: IntersectionLattice, eprime: str, config) -> Chain
     (everything contracted so far was disjoint from it) and the two classes
     form an intersecting exceptional pair.
 
-    ``config`` needs attributes ``exceptional_label`` and ``chain_labels``.
+    ``config`` is a ``BlowupConfig``.
     """
+    from .blowup import BlowupConfig  # here: blowup imports this module
     _lattice(lat)
+    require_object(config, BlowupConfig, "config must be a BlowupConfig")
     etilde = config.exceptional_label
     chain_labels = tuple(config.chain_labels)
     if eprime == etilde:

@@ -7,7 +7,10 @@ that whole lattice at every blowdown level; an area record per class ever
 installed, never pruned; books stored and filtered; the crossed datum found
 by a scan of the fixed-point tuple.  It shares the input conventions
 (``validate``, ``default_base``, ``default_delta``) and the result type with
-the package, but none of the stepping.
+the package, but none of the stepping, and it keeps its own tracking: a
+``track`` mode on ``cross_level``, a ``tracked`` flag per instance and its
+own ``TrackedClassDestroyed``, where the package's ``run_loop`` owns the
+tracked class.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from fractions import Fraction
 from hjtoric.blowup import fulton_config, weighted_blowdown
 from hjtoric.circle import (
     RunResult,
-    TrackedClassDestroyed,
     arc_distance,
     default_base,
     default_delta,
@@ -27,6 +29,10 @@ from hjtoric.circle import (
 from hjtoric.errors import DomainError, StructureError
 from hjtoric.homology import IntersectionLattice, empty_lattice
 from hjtoric.resolution import CyclicSingularity
+
+
+class TrackedClassDestroyed(Exception):
+    """Raised when the blowdown victim is the tracked class itself."""
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import logging
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -11,7 +12,6 @@ import global_sim
 from hjtoric import circle
 from hjtoric.circle import (
     FixedPointDatum,
-    TrackedClassDestroyed,
     arc_distance,
     area,
     build_cover,
@@ -382,13 +382,6 @@ class TestCrossLevel:
         with pytest.raises(DomainError):
             cross_level(st, data[1])
 
-    def test_tracked_mark_dies(self):
-        data = pair_21()
-        st = initial_state(data, base=Fraction(3, 4))
-        st = cross_level(st.at(Fraction(1)), data[0], track="mark")
-        with pytest.raises(TrackedClassDestroyed):
-            cross_level(st.at(Fraction(3, 2)), data[1])
-
 
 class TestArea:
     def setup_state(self):
@@ -463,6 +456,16 @@ class TestRunLoop:
     def test_strict_mode_reports_destruction(self):
         res = run_loop(pair_21(), loops=5, bound=3, tracked_independent=False)
         assert res.verdict == "TRACKED_CLASS_DESTROYED"
+
+    def test_tracked_mark_dies(self):
+        """The dynamic instance, tracked, ends the run at its own -1 level
+        without that crossing: its classes are still in the result."""
+        res = run_loop(pair_21(), loops=5, bound=3, base=Fraction(3, 4),
+                       tracked_independent=False)
+        assert (res.verdict, res.ledger, res.tracked_label) == (
+            "TRACKED_CLASS_DESTROYED", (), "B1.E~")
+        assert res.final_lattice.classes == tuple(
+            f"B1.{label}" for label in fulton_config(2, 1).class_labels)
 
     def test_inconclusive_when_loops_short(self):
         res = run_loop(pair_21(), loops=2, bound=5)
@@ -646,19 +649,30 @@ def test_at_moves_along_the_runs_grid():
             st.at(x)
 
 
+def with_tracked_copy(state):
+    """``state`` plus the transported copy T of its newest instance, as
+    run_loop installs it after the first +1 crossing."""
+    return circle._install(state, state.instances[-1].pair, state.pos, None, "T")
+
+
 def crossings(sim, data, loops):
-    """Every state of ``sim``'s stepping, as run_loop steps with a tracked copy."""
+    """Every state of ``sim``'s stepping, as run_loop steps with a tracked
+    copy; the oracle installs it through its own ``track`` mode."""
     state = sim.initial_state(data)
     order = sorted(data, key=lambda d: arc_distance(state.base, d.level))
     tracked = False
     yield state
     for loop in range(loops):
         for d in order:
-            track = None
-            if not tracked and d.sign == 1:
-                track, tracked = "copy", True
-            state = sim.cross_level(state.at(state.base + loop + arc_distance(state.base, d.level)),
-                                    d, track=track)
+            at = state.at(state.base + loop + arc_distance(state.base, d.level))
+            track = not tracked and d.sign == 1
+            if sim is circle:
+                state = circle.cross_level(at, d)
+                if track:
+                    state = with_tracked_copy(state)
+            else:
+                state = sim.cross_level(at, d, track="copy" if track else None)
+            tracked |= track
             yield state
 
 
@@ -750,8 +764,8 @@ def test_installs_equal_a_prefixed_fulton_config():
                     FixedPointDatum(Fraction(3, 8), -1, p, q)]
             st = initial_state(data, base=Fraction(1, 2))
             den = st.context.den  # created at 1, dying at 11/8
-            st = circle._install(st, 0, den, 11 * den // 8, "B9", False)
-            st = circle._install(st, 0, den, None, "T", True)
+            st = circle._install(st, 0, den, 11 * den // 8, "B9")
+            st = circle._install(st, 0, den, None, "T")
             for inst in st.instances:
                 want = fulton_config(p, q).prefixed(f"{inst.uid}.")
                 assert inst.config is st.context.templates[0], (p, q)
@@ -766,7 +780,7 @@ def test_every_install_shares_its_pairs_template():
     states = list(crossings(circle, three_pairs(), 2))
     templates = states[0].context.templates
     lattices = [cfg.lattice() for cfg in templates]
-    assert states[0].instances and any(inst.tracked for inst in states[-1].instances)
+    assert states[0].instances and any(inst.uid == "T" for inst in states[-1].instances)
     for st in states:
         assert st.context.templates is templates
         for inst in st.instances:
@@ -779,7 +793,7 @@ def test_lattice_of_many_instances_equals_the_pairwise_fold():
     equals folding ``direct_sum`` over them pairwise, in install order."""
     st = initial_state(pair_74(), base=Fraction(3, 4))
     for i in range(256):
-        st = circle._install(st, 0, st.pos, None, f"T{i}", False)
+        st = circle._install(st, 0, st.pos, None, f"T{i}")
     lats = [inst.lattice for inst in st.instances]
     fold = empty_lattice()
     for lat in lats:
@@ -820,6 +834,27 @@ def test_installs_and_blowdowns_leave_other_lattices_unchanged():
     templates = [snap(cfg.lattice()) for cfg in st.context.templates]
     for level, datum in sorted((d.level, d) for d in data):
         live = [(inst.lattice, snap(inst.lattice)) for inst in st.instances]
-        st = cross_level(st.at(1 + level), datum, track="copy" if level == 0 else None)
+        st = cross_level(st.at(1 + level), datum)
+        if level == 0:
+            st = with_tracked_copy(st)
         assert all(lat == before for lat, before in live)
     assert [cfg.lattice() for cfg in st.context.templates] == templates
+
+
+def test_debug_trail_names_every_blowup(caplog):
+    """The README example: the primed B1, each crossed blowup and the
+    tracked copy T log a blowup line, so every uid of the final lattice has
+    one, and each blowdown logs its own line."""
+    data = [FixedPointDatum("0", 1, 2, 1), FixedPointDatum("1/2", -1, 2, 1)]
+    with caplog.at_level(logging.DEBUG, logger="hjtoric.circle"):
+        res = run_loop(data, 5, 3)
+    trail = [record.getMessage() for record in caplog.records]
+    assert trail[:4] == [
+        "blowup B1 at position 0/4: weights (2, 1)",
+        "blowdown B1 at position 2/4",
+        "blowup B2 at position 4/4: weights (2, 1)",
+        "blowup T at position 4/4: weights (2, 1)",
+    ]
+    uids = {label.partition(".")[0] for label in res.final_lattice.classes}
+    assert uids == {"T", "B6"}
+    assert all(any(line.startswith(f"blowup {uid} at") for line in trail) for uid in uids)

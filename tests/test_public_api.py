@@ -272,9 +272,9 @@ OBJECT_RECIPES = {
     "blow_down": recipe(lambda lat: blow_down(lat, "a"), two_exceptional()),
     "blow_up_at": recipe(lambda lat: blow_up_at(lat, ["a", "b"], "e"), two_exceptional()),
     "chain_contact_replay": recipe(
-        lambda lat: chain_contact_replay(lat, "E'", fulton_config(2, 1)),
-        add_class(fulton_config(2, 1).lattice(), "E'", -1)),
-    "cross_level": recipe(lambda state: cross_level(state, pair()[0]), initial_state(pair()).at(1)),
+        lambda lat, config: chain_contact_replay(lat, "E'", config),
+        add_class(fulton_config(2, 1).lattice(), "E'", -1), fulton_config(2, 1)),
+    "cross_level": recipe(cross_level, initial_state(pair()).at(1), pair()[0]),
     "exceptional_pair_criterion": recipe(
         lambda lat: exceptional_pair_criterion(lat, "a", "b"), two_exceptional()),
     "hj_reverse": recipe(hj_reverse, hj_expand(7, 3)),
@@ -287,6 +287,8 @@ OBJECT_RECIPES = {
                                 fulton_config(7, 4)),
     # outside __all__
     "homology.add_class": recipe(lambda lat: add_class(lat, "x", -1), two_exceptional()),
+    "IntersectionLattice.direct_sum": recipe(lambda lat: empty_lattice().direct_sum(lat),
+                                             two_exceptional()),
 }
 
 
