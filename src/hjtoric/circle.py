@@ -37,12 +37,14 @@ A run splits what it fixes from what it steps.  ``initial_state`` validates
 the data once (``ValidationError`` lists every failure) and builds one
 frozen ``RunContext`` per run: the data, base and delta, each pair's
 config, resolved once, and the run's grid, the lcm D of the base and level
-denominators.  Every position the run reaches is a multiple of 1/D,
-so a step value, ``ReducedSpaceState``, holds the context, an integer
-position numerator over D, the live instances and an install counter; an
-instance keeps its blowup and blowdown positions as numerators over D, and
-``area`` reads its tent from them.  A crossing is then one lookup of its
-datum, an integer check of its position and the blowup or blowdown itself;
+denominators.  Every position is an integer numerator over D, and so are
+an instance's blowup and blowdown positions, from which ``area`` reads its
+tent.  What a run steps is a live map, a dict of instances in install order
+keyed by ``(pair, dies)`` (T under ``(pair, None)``), and one kernel,
+``_step``, crosses a level on it in place: ``_install`` at a +1 level, a pop
+by key and a blowdown at a -1 level.  ``initial_state`` primes through
+``_install``; ``cross_level`` steps a copy of a state's instances; ``run_loop``
+steps one map and builds a ``ReducedSpaceState`` only where one is read.
 Fractions are built only for areas, the ledger and the output, so every
 result stays exact.  The interval cover, ``build_cover``, needs only the
 levels.  Each input is checked by the function that reads it: rationals by
@@ -100,12 +102,6 @@ class FixedPointDatum:
         _require_weights(self.p, self.q)
         if self.match is not None:
             require_int(self.match, "match must be an integer")
-        # a run looks up its datum at every crossing; hashing the Fraction
-        # level each time would cost more than the rest of the lookup
-        object.__setattr__(self, "_hash", hash((self.level, self.sign, self.p, self.q, self.match)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def weights(self) -> tuple[int, int]:
@@ -314,34 +310,22 @@ class Instance:
 
 @dataclass(frozen=True)
 class ReducedSpaceState:
-    """One step of a run: its context, its position and the live instances.
+    """A frozen view of a run's live map at one position.
 
-    The run's fixed data sit in the shared ``context``; a state adds only
-    ``pos``, the position as an integer numerator over ``context.den``, the
-    live ``instances`` in install order and the install ``counter``.  The
-    position is a cumulative counterclockwise coordinate (it increases by 1
-    per loop; its value mod 1 is the circle level).  ``position`` reads it
-    as an exact Fraction; ``lattice`` (the instances' direct sum in install
-    order) and ``books`` (their orbifold points) are derived on demand.
-    Transition functions return fresh states and never write to their input.
+    The run's fixed data, base and delta sit in the shared ``context``; a
+    state adds ``pos``, the position as an integer numerator over
+    ``context.den``, the live map's ``instances`` in install order and the
+    install ``counter``.  The position is a cumulative counterclockwise
+    coordinate (it increases by 1 per loop; its value mod 1 is the circle
+    level).  ``position`` reads it as an exact Fraction; ``lattice`` (the
+    instances' direct sum in install order) and ``books`` (their orbifold
+    points) are derived on demand.  The kernel steps a map, never a state.
     """
 
     context: RunContext
     pos: int
     instances: tuple[Instance, ...] = ()
     counter: int = 0
-
-    @property
-    def data(self) -> tuple[FixedPointDatum, ...]:
-        return self.context.data
-
-    @property
-    def base(self) -> Fraction:
-        return self.context.base
-
-    @property
-    def delta(self) -> Fraction:
-        return self.context.delta
 
     @property
     def position(self) -> Fraction:
@@ -397,14 +381,15 @@ def default_delta(data) -> Fraction:
     return min(_level_gaps(data)[1], default=ONE) / 1000
 
 
-def _install(state: ReducedSpaceState, pair_idx: int, created: int, dies: int | None,
-             uid: str) -> ReducedSpaceState:
-    """Add an instance of the pair's config: the context's own, unrelabelled."""
-    ctx = state.context
+def _install(ctx: RunContext, live: dict, pair_idx: int, created: int, dies: int | None,
+             uid: str) -> None:
+    """Add an instance of the pair's config, the context's own, unrelabelled,
+    to the live map; a live ``(pair_idx, dies)`` key is a DomainError."""
+    if (pair_idx, dies) in live:
+        raise DomainError(f"pair {pair_idx} already has a live instance dying at {dies}/{ctx.den}")
     cfg = ctx.templates[pair_idx]
-    inst = Instance(uid, pair_idx, cfg, created, dies)
+    live[pair_idx, dies] = Instance(uid, pair_idx, cfg, created, dies)
     log.debug("blowup %s at position %d/%d: weights (%d, %d)", uid, created, ctx.den, cfg.p, cfg.q)
-    return ReducedSpaceState(ctx, state.pos, state.instances + (inst,), state.counter + 1)
 
 
 def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
@@ -435,13 +420,33 @@ def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
                      {data[i]: (k, levels[i]) for k, pair in enumerate(pairs) for i in pair},
                      tuple(fulton_config(*data[plus].weights) for plus, _ in pairs))
     start = base.numerator * (den // base.denominator)
-    state = ReducedSpaceState(ctx, start)
+    live = {}
     for pair_idx, (plus, _) in enumerate(pairs):
         back = (start - levels[plus]) % den
         if 0 < back < arcs[pair_idx]:
-            state = _install(state, pair_idx, start - back, start - back + arcs[pair_idx],
-                             f"B{state.counter + 1}")
-    return state
+            _install(ctx, live, pair_idx, start - back, start - back + arcs[pair_idx],
+                     f"B{len(live) + 1}")
+    return ReducedSpaceState(ctx, start, tuple(live.values()), len(live))
+
+
+def _step(ctx: RunContext, live: dict, pos: int, pair_idx: int, datum: FixedPointDatum,
+          counter: int) -> int:
+    """Cross ``datum``'s level, of pair ``pair_idx``, at ``pos`` on the live
+    map in place; returns the install counter.  A +1 level installs
+    ``B<counter + 1>``; a -1 level pops the instance keyed by its pair and
+    ``pos`` (none is a StructureError) and blows it down."""
+    if datum.sign == 1:
+        _install(ctx, live, pair_idx, pos, pos + ctx.arcs[pair_idx], f"B{counter + 1}")
+        return counter + 1
+    victim = live.pop((pair_idx, pos), None)
+    if victim is None:
+        raise StructureError(
+            f"model inconsistency: no matched class with vanishing area at "
+            f"level {datum.level} (position {Fraction(pos, ctx.den)})"
+        )
+    weighted_blowdown(victim.config.lattice(), victim.config)
+    log.debug("blowdown %s at position %d/%d", victim.uid, pos, ctx.den)
+    return counter
 
 
 def cross_level(state: ReducedSpaceState, datum: FixedPointDatum) -> ReducedSpaceState:
@@ -450,10 +455,11 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum) -> ReducedSpac
     A +1 level installs the resolved (p, q)-weighted blowup as a new
     instance: its chain classes and exceptional class, whose area starts at
     zero with slope 1/(p*q), and its two orbifold points (orders p and q,
-    absent when the order is 1).  A -1 level identifies the matched
-    instance whose exceptional area vanishes at this level and removes it
-    by weighted blowdown of its own lattice, which must leave nothing.
-    Every crossing is the same step: tracking a class is ``run_loop``'s.
+    absent when the order is 1).  A -1 level removes the matched instance
+    whose exceptional area vanishes at this level by weighted blowdown of
+    its own lattice, which must leave nothing.  The checks are here; the
+    step is the kernel ``_step`` on a copy of the state's instances, so the
+    input is never written.  Tracking a class is ``run_loop``'s.
     """
     ctx = require_object(state, ReducedSpaceState, "state must be a ReducedSpaceState").context
     require_object(datum, FixedPointDatum, "datum must be a FixedPointDatum")
@@ -461,25 +467,13 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum) -> ReducedSpac
     if found is None:
         raise DomainError("datum is not part of this state's fixed-point data")
     pair_idx, level = found
-    pos = state.pos
-    if (pos - level) % ctx.den:
+    if (state.pos - level) % ctx.den:
         raise DomainError(
             f"state position {state.position} is not at level {datum.level}"
         )
-    if datum.sign == 1:
-        return _install(state, pair_idx, pos, pos + ctx.arcs[pair_idx], f"B{state.counter + 1}")
-    instances = state.instances
-    for i, victim in enumerate(instances):
-        if victim.pair == pair_idx and victim.dies == pos:
-            break
-    else:
-        raise StructureError(
-            f"model inconsistency: no matched class with vanishing area at "
-            f"level {datum.level} (position {state.position})"
-        )
-    weighted_blowdown(victim.config.lattice(), victim.config)
-    log.debug("blowdown %s at position %d/%d", victim.uid, pos, ctx.den)
-    return ReducedSpaceState(ctx, pos, instances[:i] + instances[i + 1:], state.counter)
+    live = {(inst.pair, inst.dies): inst for inst in state.instances}
+    counter = _step(ctx, live, state.pos, pair_idx, datum, state.counter)
+    return ReducedSpaceState(ctx, state.pos, tuple(live.values()), counter)
 
 
 def area(state: ReducedSpaceState, label: str, lam: Fraction) -> Fraction:
@@ -504,7 +498,7 @@ def area(state: ReducedSpaceState, label: str, lam: Fraction) -> Fraction:
     if t < 0 or (inst.dies is not None and t > inst.dies - inst.created):
         raise DomainError(f"class {label!r} not present at {lam}")
     if local != inst.config.exceptional_label:
-        return state.delta
+        return state.context.delta
     if inst.dies is not None:
         t = min(t, inst.dies - inst.created - t)
     return t / (inst.config.p * inst.config.q * den)
@@ -551,8 +545,10 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
 
     The options are checked first, so a malformed one raises DomainError
     also for empty data.  The data are validated once, by ``initial_state``;
-    loop n crosses each level n - 1 loops after its first-loop position on
-    the run's grid, computed once.
+    each datum's pair and first-loop position are resolved once, and loop
+    n crosses each level n - 1 loops later.  The run steps one live map by
+    ``_step`` and builds a state once per loop, for the ledger and the
+    default bound, and at exit.
     """
     if bound is not None:
         require_int(bound, "bound must be None or an integer >= 0", 0)
@@ -566,9 +562,10 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
             "no fixed points: the ledger argument needs a non-empty fixed-point set",
         )
     state = initial_state(data, base=base, delta=delta)
-    ctx, start = state.context, state.pos
-    den = ctx.den
-    crossings = sorted(((start + (ctx.levels[d][1] - start) % den, d) for d in data),
+    ctx, start, counter = state.context, state.pos, state.counter
+    live = {(inst.pair, inst.dies): inst for inst in state.instances}
+    crossings = sorted(((start + (level - start) % ctx.den, pair_idx, d)
+                        for d in data for pair_idx, level in [ctx.levels[d]]),
                        key=lambda crossing: crossing[0])
     ledger: list[Fraction] = []
     distinct: set[Fraction] = set()
@@ -576,26 +573,28 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
     tracked_label: str | None = None
     bound_val = bound
     for loop in range(1, loops + 1):
-        shift = (loop - 1) * den
-        for pos, datum in crossings:
+        shift = (loop - 1) * ctx.den
+        for pos, pair_idx, datum in crossings:
             pos += shift
             # levels are distinct and an arc is shorter than a loop, so only
             # the tracked instance's own -1 level reaches its death position
             if tracked is not None and pos == tracked.dies:
                 return RunResult(
                     "TRACKED_CLASS_DESTROYED", tuple(ledger), None,
-                    state.lattice, state.base, tracked_label, bound_val,
+                    ReducedSpaceState(ctx, pos, tuple(live.values()), counter).lattice,
+                    ctx.base, tracked_label, bound_val,
                     "the pairing sends the tracked class's own creation level "
                     "to this blowdown; rerun with an independent tracked class "
                     "to model its transported copy",
                 )
-            state = cross_level(ReducedSpaceState(ctx, pos, state.instances, state.counter), datum)
+            counter = _step(ctx, live, pos, pair_idx, datum, counter)
             if tracked is None and datum.sign == 1:
                 if tracked_independent:
-                    state = _install(state, state.instances[-1].pair, pos, None, "T")
-                tracked = state.instances[-1]
+                    _install(ctx, live, pair_idx, pos, None, "T")
+                    counter += 1
+                tracked = next(reversed(live.values()))
                 tracked_label = f"{tracked.uid}.{tracked.config.exceptional_label}"
-        state = ReducedSpaceState(ctx, start + loop * den, state.instances, state.counter)
+        state = ReducedSpaceState(ctx, start + loop * ctx.den, tuple(live.values()), counter)
         ledger.append(area(state, tracked_label, state.position))
         distinct.add(ledger[-1])
         if bound_val is None:
@@ -604,7 +603,7 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
         if len(distinct) > bound_val:
             return RunResult(
                 "HAMILTONIAN", tuple(ledger), loop, state.lattice,
-                state.base, tracked_label, bound_val,
+                ctx.base, tracked_label, bound_val,
                 f"contradiction at loop {loop}: the tracked class's area "
                 f"ledger holds {len(distinct)} distinct values, but a "
                 f"closed reduced space with b2+ > 1 carries at most "
@@ -613,7 +612,7 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
             )
     return RunResult(
         "INCONCLUSIVE", tuple(ledger), None, state.lattice,
-        state.base, tracked_label, bound_val,
+        ctx.base, tracked_label, bound_val,
         f"no contradiction within {loops} loops (bound {bound_val}); "
         "increase the loop budget",
     )

@@ -250,7 +250,7 @@ class IntersectionLattice:
         if not isinstance(obj, dict) or not isinstance(obj.get("pairing"), list):
             raise DomainError('a lattice is an object with a "pairing" matrix')
         n = len(obj["pairing"])
-        classes = obj.get("classes") or [f"C{i + 1}" for i in range(n)]
+        classes = [f"C{i + 1}" for i in range(n)] if obj.get("classes") is None else obj["classes"]
         if not isinstance(classes, list) or any(type(l) is not str for l in classes):
             raise DomainError(f"classes must be a list of strings, got {classes!r}")
         c1 = obj.get("c1")

@@ -12,6 +12,7 @@ import global_sim
 from hjtoric import circle
 from hjtoric.circle import (
     FixedPointDatum,
+    ReducedSpaceState,
     arc_distance,
     area,
     build_cover,
@@ -405,8 +406,8 @@ class TestArea:
         st = initial_state(data, base=Fraction(3, 4))
         st = cross_level(st.at(Fraction(1)), data[0])
         label = labelled(st.instances[-1]).chain_labels[0]
-        assert area(st, label, Fraction(1)) == st.delta
-        assert area(st, label, Fraction(5, 4)) == st.delta
+        assert area(st, label, Fraction(1)) == st.context.delta
+        assert area(st, label, Fraction(5, 4)) == st.context.delta
 
     def test_absent_class(self):
         st, _ = self.setup_state()
@@ -649,22 +650,32 @@ def test_at_moves_along_the_runs_grid():
             st.at(x)
 
 
+def install(state, pair_idx, created, dies, uid):
+    """``state`` plus an instance of the pair's config, installed by the
+    run's own ``_install`` on a live map of the state's instances."""
+    live = {(inst.pair, inst.dies): inst for inst in state.instances}
+    circle._install(state.context, live, pair_idx, created, dies, uid)
+    return ReducedSpaceState(state.context, state.pos, tuple(live.values()), state.counter + 1)
+
+
 def with_tracked_copy(state):
     """``state`` plus the transported copy T of its newest instance, as
     run_loop installs it after the first +1 crossing."""
-    return circle._install(state, state.instances[-1].pair, state.pos, None, "T")
+    return install(state, state.instances[-1].pair, state.pos, None, "T")
 
 
 def crossings(sim, data, loops):
     """Every state of ``sim``'s stepping, as run_loop steps with a tracked
-    copy; the oracle installs it through its own ``track`` mode."""
+    copy; the oracle installs it through its own ``track`` mode.  Both
+    sims prime at the default base."""
+    base = default_base(data)
     state = sim.initial_state(data)
-    order = sorted(data, key=lambda d: arc_distance(state.base, d.level))
+    order = sorted(data, key=lambda d: arc_distance(base, d.level))
     tracked = False
     yield state
     for loop in range(loops):
         for d in order:
-            at = state.at(state.base + loop + arc_distance(state.base, d.level))
+            at = state.at(base + loop + arc_distance(base, d.level))
             track = not tracked and d.sign == 1
             if sim is circle:
                 state = circle.cross_level(at, d)
@@ -764,8 +775,8 @@ def test_installs_equal_a_prefixed_fulton_config():
                     FixedPointDatum(Fraction(3, 8), -1, p, q)]
             st = initial_state(data, base=Fraction(1, 2))
             den = st.context.den  # created at 1, dying at 11/8
-            st = circle._install(st, 0, den, 11 * den // 8, "B9")
-            st = circle._install(st, 0, den, None, "T")
+            st = install(st, 0, den, 11 * den // 8, "B9")
+            st = install(st, 0, den, None, "T")
             for inst in st.instances:
                 want = fulton_config(p, q).prefixed(f"{inst.uid}.")
                 assert inst.config is st.context.templates[0], (p, q)
@@ -790,10 +801,11 @@ def test_every_install_shares_its_pairs_template():
 
 def test_lattice_of_many_instances_equals_the_pairwise_fold():
     """``lattice`` sums the live instances in one pass; at 256 of them it
-    equals folding ``direct_sum`` over them pairwise, in install order."""
+    equals folding ``direct_sum`` over them pairwise, in install order.
+    The copies share one pair, so each dies at its own position."""
     st = initial_state(pair_74(), base=Fraction(3, 4))
     for i in range(256):
-        st = circle._install(st, 0, st.pos, None, f"T{i}")
+        st = install(st, 0, st.pos, st.pos + 1 + i, f"T{i}")
     lats = [inst.lattice for inst in st.instances]
     fold = empty_lattice()
     for lat in lats:
@@ -825,6 +837,51 @@ def test_configs_are_resolved_once_per_pair_and_run(monkeypatch):
     res = run_loop(three_pairs(), 50, 1000)
     assert res.verdict == "INCONCLUSIVE" and len(res.ledger) == 50
     assert len(calls) <= 3 + 1
+
+
+def test_a_repeated_blowup_crossing_is_refused():
+    """Crossing one +1 level twice at one position would give two instances
+    one life arc, and one blowdown would leave the other live past its own
+    death: the second install of a live ``(pair, dies)`` key is refused, T's
+    included, and the input state is left as it was."""
+    data = pair_74()
+    st = cross_level(initial_state(data, base=Fraction(3, 4)).at(Fraction(1)), data[0])
+    with pytest.raises(DomainError, match="already has a live instance"):
+        cross_level(st, data[0])
+    tracked = with_tracked_copy(st)
+    with pytest.raises(DomainError, match="already has a live instance"):
+        with_tracked_copy(tracked)
+    assert [inst.uid for inst in st.instances] == ["B1"]
+    assert [inst.uid for inst in tracked.instances] == ["B1", "T"]
+
+
+def nested_pairs(k):
+    """k (7, 4) pairs, every blowup level before every blowdown level, so
+    all k instances are live at once."""
+    return ([FixedPointDatum(Fraction(i, 2 * k + 1), +1, 7, 4) for i in range(k)]
+            + [FixedPointDatum(Fraction(k + i, 2 * k + 1), -1, 7, 4) for i in range(k)])
+
+
+@pytest.mark.parametrize("data", [three_pairs(), nested_pairs(24)], ids=["3-pairs", "24-pairs"])
+@pytest.mark.parametrize("loops, bound, tracked", [
+    (1, None, True), (9, 1000, True), (9, 3, True), (9, 1000, False),
+])
+def test_run_loop_builds_a_state_per_loop_not_per_crossing(monkeypatch, data, loops, bound,
+                                                           tracked):
+    """The run steps one live map: a run of L loops builds at most L + 2
+    states (the primed one, one per loop and one at exit), whatever its
+    crossing count."""
+    built = []
+
+    class Counting(ReducedSpaceState):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    want = run_loop(data, loops, bound, tracked_independent=tracked)
+    monkeypatch.setattr(circle, "ReducedSpaceState", Counting)
+    got = run_loop(data, loops, bound, tracked_independent=tracked)
+    assert got == want and len(built) <= loops + 2
 
 
 def test_installs_and_blowdowns_leave_other_lattices_unchanged():

@@ -123,10 +123,28 @@ class TestSignature:
         '{"pairing": [[0,1],[1]]}',
         '{"pairing": [[0]], "classes": [["A"]]}',
         '{"pairing": [[0]], "classes": "A"}',
-    ], ids=["float", "bool", "float-c1", "truncated-json", "ragged", "list-label", "str-classes"])
+        '{"pairing": [[1]], "classes": 0}',
+        '{"pairing": [[1]], "classes": ""}',
+        '{"pairing": [[1]], "classes": false}',
+        '{"pairing": [[1]], "classes": {}}',
+        '{"pairing": [[1]], "classes": []}',
+    ], ids=["float", "bool", "float-c1", "truncated-json", "ragged", "list-label", "str-classes",
+            "zero-classes", "empty-str-classes", "false-classes", "dict-classes",
+            "empty-list-classes"])
     def test_malformed_lattice_exits_2(self, capsys, monkeypatch, text):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert run_cli(capsys, "signature", "-") == (2, "")
+
+    @pytest.mark.parametrize("text, want", [
+        ('{"pairing": [[0, 1], [1, 0]], "classes": null}', (1, 1, 0)),
+        ('{"pairing": [], "classes": []}', (0, 0, 0)),
+    ], ids=["null-classes", "empty-lattice"])
+    def test_null_or_empty_classes_read(self, capsys, monkeypatch, text, want):
+        """Only an absent or null ``classes`` takes the default labels; an
+        empty list is valid beside an empty pairing."""
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, obj = run_json(capsys, "signature", "-")
+        assert code == 0 and (obj["b_plus"], obj["b_minus"], obj["b_zero"]) == want
 
 
 class TestSimulate:
