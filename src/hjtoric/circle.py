@@ -69,13 +69,9 @@ log = logging.getLogger(__name__)
 ONE = Fraction(1)
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
 def arc_distance(a: Fraction, b: Fraction) -> Fraction:
     """Counterclockwise distance from a to b on the unit circle, in [0, 1)."""
-    return _mod1(b - a)
+    return (b - a) % 1
 
 
 @dataclass(frozen=True)
@@ -214,7 +210,7 @@ class GeneralizedCover:
     relations: tuple[tuple[str, str], ...]
 
     def to_json(self) -> dict:
-        pair = lambda arc: [rational_json(_mod1(arc[0])), rational_json(_mod1(arc[1]))]
+        pair = lambda arc: [rational_json(arc[0] % 1), rational_json(arc[1] % 1)]
         return {
             "levels": [rational_json(l) for l in self.levels],
             "eps": rational_json(self.eps),
@@ -373,7 +369,7 @@ def default_base(data) -> Fraction:
     """Midpoint of the longest critical-free arc (first such arc on ties)."""
     levels, gaps = _level_gaps(data)
     i = max(range(len(gaps)), key=gaps.__getitem__)
-    return _mod1(levels[i] + gaps[i] / 2)
+    return (levels[i] + gaps[i] / 2) % 1
 
 
 def default_delta(data) -> Fraction:
@@ -407,7 +403,7 @@ def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
     data = tuple(data)
     if not data:
         raise DomainError("cannot build a state from an empty fixed-point set")
-    base = default_base(data) if base is None else _mod1(base)
+    base = default_base(data) if base is None else base % 1
     if any(d.level == base for d in data):
         raise DomainError(f"base level {base} must be a regular level")
     delta = default_delta(data) if delta is None else delta
@@ -472,6 +468,8 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum) -> ReducedSpac
             f"state position {state.position} is not at level {datum.level}"
         )
     live = {(inst.pair, inst.dies): inst for inst in state.instances}
+    if len(live) < len(state.instances):
+        raise DomainError("two of the state's instances share a pair and a death position")
     counter = _step(ctx, live, state.pos, pair_idx, datum, state.counter)
     return ReducedSpaceState(ctx, state.pos, tuple(live.values()), counter)
 

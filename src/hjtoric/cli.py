@@ -134,7 +134,7 @@ def _parse_simulation_input(raw: str) -> tuple[list, dict]:
     """
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, too deep, >4300 digits
         raise DomainError(f"malformed JSON input: {exc}") from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("fixed_points"), list):
         raise DomainError('input must be an object with a "fixed_points" list')
@@ -198,46 +198,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("resolve", help="resolve an order-r type-(p,q) quotient point")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_resolve)
+    def command(name, func, help, *int_flags):
+        p = sub.add_parser(name, help=help)
+        for flag in int_flags:
+            p.add_argument(f"--{flag}", type=int, required=True)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("blowup", help="resolve a (p,q)-weighted blowup both ways")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    command("resolve", cmd_resolve, "resolve an order-r type-(p,q) quotient point", "r", "p", "q")
+    p = command("blowup", cmd_blowup, "resolve a (p,q)-weighted blowup both ways", "p", "q")
     p.add_argument("--size", default="1", help='blowup size, exact rational "n/d"')
     p.add_argument("--format", choices=("json", "svg"), default="json")
     p.add_argument("--scale", type=int, default=40, help="svg units per lattice step")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_blowup)
-
-    p = sub.add_parser("equiv", help="compare two order-r types (1,q1), (1,q2)")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--q1", type=int, required=True)
-    p.add_argument("--q2", type=int, required=True)
+    p = command("equiv", cmd_equiv, "compare two order-r types (1,q1), (1,q2)", "r", "q1", "q2")
     p.add_argument("--oriented", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_equiv)
-
-    p = sub.add_parser("signature", help="signature (b+, b-, b0) of a lattice JSON file")
+    p = command("signature", cmd_signature, "signature (b+, b-, b0) of a lattice JSON file")
     p.add_argument("input", help='lattice JSON path, or "-" for stdin')
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_signature)
-
-    p = sub.add_parser("simulate", help="run the reduced-space circle simulation")
+    p = command("simulate", cmd_simulate, "run the reduced-space circle simulation")
     p.add_argument("input", help='simulation JSON path, or "-" for stdin')
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("hj", help="negative continued fraction of m/k")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_hj)
-
+    command("hj", cmd_hj, "negative continued fraction of m/k", "m", "k")
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 

@@ -38,29 +38,20 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
         raise DomainError("ext_gcd(0, 0) is undefined")
     if b == 0:
         return (abs(a), 1 if a > 0 else -1, 0)
-    old_r, r = a, b
-    old_x, x = 1, 0
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_x, x = x, old_x - quot * x
-    g, xg = old_r, old_x
-    if g < 0:
-        g, xg = -g, -xg
+    g = gcd(a, b)
     m = abs(b) // g
-    xg %= m
-    y = (g - a * xg) // b
-    return (g, xg, y)
+    x = pow(a // g, -1, m) if m > 1 else 0
+    return (g, x, (g - a * x) // b)
 
 
 def mod_inverse(a: int, m: int) -> int:
     """Inverse of ``a`` modulo ``m`` in ``[1, m - 1]``; requires ``m >= 2``."""
     require_int(m, "modulus must be an integer >= 2", 2)
     a = require_int(a, "the residue to invert must be an integer") % m
-    g, x, _ = ext_gcd(a, m)
+    g = gcd(a, m)
     if g != 1:
         raise DomainError(f"{a} is not invertible mod {m} (gcd = {g})")
-    return x % m
+    return pow(a, -1, m)
 
 
 @dataclass(frozen=True)
@@ -106,7 +97,9 @@ def hj_eval(terms: Sequence[int]) -> tuple[int, int]:
     """Evaluate ``a_1 - 1/(a_2 - ...)`` exactly, returning ``(m, k)``.
 
     ``terms`` is a list or a tuple of ints; anything else is a DomainError.
-    The result is in lowest terms with ``k >= 0``; the empty list evaluates to
+    The result is in lowest terms with ``k >= 0``: each step multiplies
+    (num, den) by [[a, -1], [1, 0]], which has determinant 1, so the walk
+    from the coprime pair (1, 0) stays coprime.  The empty list evaluates to
     the sentinel pair ``UNIT == (1, 0)`` (the smooth case).  Terms >= 1 are
     accepted so the function can serve as an independent oracle, but an
     intermediate zero denominator (a trailing tail evaluating to 0 followed by
@@ -117,10 +110,6 @@ def hj_eval(terms: Sequence[int]) -> tuple[int, int]:
         if num == 0:
             raise EvaluationError("intermediate zero denominator in evaluation")
         num, den = a * num - den, num
-    g = gcd(num, den)
-    if g > 1:
-        num //= g
-        den //= g
     if den < 0 or (den == 0 and num < 0):
         num, den = -num, -den
     return (num, den)

@@ -245,7 +245,7 @@ class IntersectionLattice:
         if isinstance(obj, str):
             try:
                 obj = json.loads(obj)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # bad JSON, too deep, >4300 digits
                 raise DomainError(f"malformed JSON input: {exc}") from None
         if not isinstance(obj, dict) or not isinstance(obj.get("pairing"), list):
             raise DomainError('a lattice is an object with a "pairing" matrix')

@@ -855,6 +855,19 @@ def test_a_repeated_blowup_crossing_is_refused():
     assert [inst.uid for inst in tracked.instances] == ["B1", "T"]
 
 
+def test_instances_sharing_a_key_are_refused():
+    """A hand-built state whose two instances share a pair and a death
+    position would lose one of them when the step keys them by
+    ``(pair, dies)``, and the blowdown at 3/2 would remove only the other:
+    ``cross_level`` refuses such a state instead."""
+    data = pair_74()
+    st = cross_level(initial_state(data, base=Fraction(3, 4)).at(Fraction(1)), data[0])
+    b1 = st.instances[0]
+    doubled = replace(st, instances=(b1, replace(b1, uid="B9")))
+    with pytest.raises(DomainError, match="share a pair and a death position"):
+        cross_level(doubled.at(Fraction(3, 2)), data[1])
+
+
 def nested_pairs(k):
     """k (7, 4) pairs, every blowup level before every blowdown level, so
     all k instances are live at once."""

@@ -19,6 +19,12 @@ from hjtoric.errors import DomainError
 from hjtoric.rationals import parse_rational
 
 
+# JSON that json.loads refuses with RecursionError and with ValueError (an
+# int literal over the 4300-digit limit of int("..."))
+_DEEP = "[" * 100_000
+_LONG_INT = "9" * 5000
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -128,9 +134,11 @@ class TestSignature:
         '{"pairing": [[1]], "classes": false}',
         '{"pairing": [[1]], "classes": {}}',
         '{"pairing": [[1]], "classes": []}',
+        _DEEP,
+        '{"pairing": [[%s]]}' % _LONG_INT,
     ], ids=["float", "bool", "float-c1", "truncated-json", "ragged", "list-label", "str-classes",
             "zero-classes", "empty-str-classes", "false-classes", "dict-classes",
-            "empty-list-classes"])
+            "empty-list-classes", "deep-nesting", "5000-digit-entry"])
     def test_malformed_lattice_exits_2(self, capsys, monkeypatch, text):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert run_cli(capsys, "signature", "-") == (2, "")
@@ -293,6 +301,21 @@ def test_malformed_simulation_exits_2(capsys, monkeypatch, obj):
     assert run_cli(capsys, "simulate", "-") == (2, "")
 
 
+_HOSTILE_SIMULATIONS = {
+    "deep-nesting": _DEEP,
+    "5000-digit-p": '{"fixed_points": [{"level": "0", "sign": 1, "p": %s, "q": 1}]}' % _LONG_INT,
+}
+
+
+@pytest.mark.parametrize("text", _HOSTILE_SIMULATIONS.values(), ids=_HOSTILE_SIMULATIONS.keys())
+def test_hostile_simulation_json_exits_2(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = main(["simulate", "-"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: malformed JSON input:")
+
+
 @pytest.mark.parametrize("command", ["signature", "simulate"])
 def test_directory_input_exits_2(capsys, tmp_path, command):
     code = main([command, str(tmp_path)])
@@ -415,8 +438,9 @@ def test_usage_error_loads_no_math_module():
 
 
 def test_simulate_loads_the_simulator_only_for_well_formed_json():
-    code, loaded = loaded_by("simulate", "-", stdin='{"fixed_points": [')
-    assert code == 2 and not MATH_MODULES & loaded
+    for text in ('{"fixed_points": [', *_HOSTILE_SIMULATIONS.values()):
+        code, loaded = loaded_by("simulate", "-", stdin=text)
+        assert code == 2 and not MATH_MODULES & loaded
     code, loaded = loaded_by("simulate", "-", stdin=json.dumps(_two_points(bound=3)))
     assert code == 0 and "hjtoric.circle" in loaded
 

@@ -29,7 +29,7 @@ class TestExtGcd:
         assert ext_gcd(7, 0) == (7, 1, 0)
         assert ext_gcd(-7, 0) == (7, -1, 0)
 
-    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+    @given(st.integers(-2**600, 2**600), st.integers(-2**600, 2**600))
     def test_bezout_postcondition(self, a, b):
         if a == 0 and b == 0:
             return
@@ -55,7 +55,7 @@ class TestModInverse:
         with pytest.raises(DomainError):
             mod_inverse(2, 1)
 
-    @given(st.integers(2, 5000), st.integers(1, 10**9))
+    @given(st.integers(2, 2**600), st.integers(-2**600, 2**600))
     def test_postcondition(self, m, a):
         if gcd(a, m) != 1:
             return
@@ -112,6 +112,16 @@ class TestEval:
         # tail [1, 1] evaluates to 0, so one more term divides by zero
         with pytest.raises(EvaluationError):
             hj_eval([3, 1, 1])
+
+    @given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6)), max_size=40))
+    def test_result_is_in_lowest_terms(self, terms):
+        """Each step multiplies (num, den) by a determinant-1 matrix, so the
+        pair stays coprime for any int terms, negative and 1 included."""
+        try:
+            m, k = hj_eval(terms)
+        except EvaluationError:
+            return
+        assert gcd(m, k) == 1 and k >= 0
 
 
 class TestReverse:

@@ -22,23 +22,14 @@ def test_cut_diagram_scale():
         cut_diagram_svg(2, 1, scale=0)
 
 
-def per_point_grid(canvas):
-    """The grid with both coordinates formatted at every point."""
-    for i in range(int(canvas.xmax) + 1):
-        for j in range(int(canvas.ymax) + 1):
-            cx, cy = canvas._pt(i, j)
-            canvas.parts.append(
-                f'<circle class="grid" cx="{svg._fmt(cx)}" cy="{svg._fmt(cy)}" r="1.6"/>'
-            )
-
-
-@pytest.mark.parametrize("draw", [
-    lambda: cut_diagram_svg(119, 118),
-    lambda: cut_diagram_svg(7, 4),
-    lambda: cut_diagram_svg(120, 1, scale=10),
-    lambda: cut_diagram_svg(89, 55, scale=7),
-], ids=["119-118", "7-4", "120-1", "89-55"])
-def test_grid_matches_per_point_formatting(draw, monkeypatch):
-    doc = draw()
-    monkeypatch.setattr(svg._Canvas, "grid", per_point_grid)
-    assert doc == draw()
+@pytest.mark.parametrize("p, q, scale", [(119, 118, 40), (7, 4, 40), (120, 1, 10), (89, 55, 7)],
+                         ids=["119-118", "7-4", "120-1", "89-55"])
+def test_grid_matches_per_point_formatting(p, q, scale):
+    """The grid, each column's x and each row's y formatted once, equals a
+    dot per lattice point with both coordinates formatted at that point."""
+    m = svg._MARGIN
+    want = [f'<circle class="grid" cx="{svg._fmt((i + m) * scale)}" '
+            f'cy="{svg._fmt((q + 1 + m - j) * scale)}" r="1.6"/>'
+            for i in range(p + 2) for j in range(q + 2)]
+    doc = cut_diagram_svg(p, q, scale)
+    assert [l.strip() for l in doc.splitlines() if l.lstrip().startswith("<circle")] == want
