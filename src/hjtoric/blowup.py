@@ -35,10 +35,10 @@ orientation carries the same data).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._value import Value
 from .errors import DomainError, StructureError, require_ints, require_object
 from .hj import hj_expand
 from .homology import IntersectionLattice, _blow_up, _contract, _forced_contractions, _lattice
@@ -63,8 +63,7 @@ def _require_weights(p: int, q: int) -> None:
         raise DomainError(f"weights need p > q (or p = q = 1), got ({p}, {q})")
 
 
-@dataclass(frozen=True)
-class BlowupConfig:
+class BlowupConfig(Value):
     """The resolved picture of a (p, q)-weighted blowup of a smooth point.
 
     ``chain_p`` resolves the order-p point, ``chain_q`` the order-q point;
@@ -90,10 +89,11 @@ class BlowupConfig:
     def lattice(self) -> IntersectionLattice:
         """E~ at -1 joined to the first class of each chain, c1 by adjunction.
 
-        Built once per config, as a sparse store, and returned as the same
+        Built on the first call, as a sparse store, and returned as the same
         immutable value afterwards, since every simulator blowdown reads it.
-        The memo is no field: it takes no part in equality, hash or repr,
-        and a ``dataclasses.replace`` copy builds its own."""
+        The memo is an instance attribute, not a field: it takes no part in
+        equality, hash or repr, and a ``dataclasses.replace`` copy builds
+        its own."""
         try:
             return self.__dict__["_lattice"]
         except KeyError:
@@ -152,8 +152,7 @@ def fulton_config(
                         chain_from_terms(reversed(terms_q), prefix="Zq"), "E~")
 
 
-@dataclass(frozen=True)
-class McDuffSequence:
+class McDuffSequence(Value):
     """The cut replay: multiplicities, labels and flanks of the ordinary cuts.
 
     ``multiplicities`` lists q_1 repeated a_1 times, q_2 repeated a_2 times,

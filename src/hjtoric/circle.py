@@ -54,10 +54,10 @@ levels.  Each input is checked by the function that reads it: rationals by
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
+from ._value import Value
 from .blowup import BlowupConfig, _require_weights, fulton_config, weighted_blowdown
 from .errors import DomainError, StructureError, ValidationError, require_int, require_object
 from .homology import IntersectionLattice, empty_lattice
@@ -74,8 +74,7 @@ def arc_distance(a: Fraction, b: Fraction) -> Fraction:
     return (b - a) % 1
 
 
-@dataclass(frozen=True)
-class FixedPointDatum:
+class FixedPointDatum(Value):
     """An isolated fixed point: circle level, weight sign and weights (p, q).
 
     ``match`` optionally names the index of the partner datum of opposite
@@ -193,8 +192,7 @@ def validate(data) -> tuple[tuple[int, int], ...]:
 # -- the interval cover -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneralizedCover:
+class GeneralizedCover(Value):
     """Open cover of the circle by level gaps U_i and level neighborhoods I_i.
 
     Arcs are stored as (start, end) with the arc running counterclockwise
@@ -258,8 +256,7 @@ def build_cover(data, eps) -> GeneralizedCover:
 # -- reduced-space state -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunContext:
+class RunContext(Value, hidden=("levels", "templates"), uncompared=("levels",)):
     """What a run fixes once, in ``initial_state``: shared by all its states.
 
     ``den`` is the run's grid: the lcm of the base and level denominators,
@@ -276,12 +273,11 @@ class RunContext:
     delta: Fraction
     den: int
     arcs: tuple[int, ...]
-    levels: dict[FixedPointDatum, tuple[int, int]] = field(repr=False, compare=False)
-    templates: tuple[BlowupConfig, ...] = field(repr=False)
+    levels: dict[FixedPointDatum, tuple[int, int]]
+    templates: tuple[BlowupConfig, ...]
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Value):
     """A live blowup configuration: its pair's config, shared with the
     run's context, under the label prefix ``uid.``.
 
@@ -304,8 +300,7 @@ class Instance:
         return self.config.prefixed(f"{self.uid}.").lattice()
 
 
-@dataclass(frozen=True)
-class ReducedSpaceState:
+class ReducedSpaceState(Value):
     """A frozen view of a run's live map at one position.
 
     The run's fixed data, base and delta sit in the shared ``context``; a
@@ -502,9 +497,16 @@ def area(state: ReducedSpaceState, label: str, lam: Fraction) -> Fraction:
     return t / (inst.config.p * inst.config.q * den)
 
 
-@dataclass(frozen=True)
-class RunResult:
-    verdict: str  # HAMILTONIAN | NO_OBSTRUCTION | INCONCLUSIVE | TRACKED_CLASS_DESTROYED
+class RunResult(Value):
+    """The outcome of ``run_loop``: the ``verdict`` (one of HAMILTONIAN,
+    NO_OBSTRUCTION, INCONCLUSIVE and TRACKED_CLASS_DESTROYED) and a
+    ``message`` that explains it; the tracked class's area at the base
+    level after each loop (``ledger``), the loop whose entry exceeded the
+    bound (``loop_of_contradiction``, else None); the lattice of the
+    instances live at exit; and the run's ``base``, ``tracked_label`` and
+    ``bound``, None where the run set none."""
+
+    verdict: str
     ledger: tuple[Fraction, ...]
     loop_of_contradiction: int | None
     final_lattice: IntersectionLattice

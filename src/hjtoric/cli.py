@@ -161,17 +161,24 @@ def cmd_simulate(args) -> int:
     from .circle import build_cover, run_loop
 
     eps = options.pop("eps", None)
+    # the input was read under Python's int <-> str digit limit; the run and
+    # its output lift it, since a ledger entry multiplies level denominators
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        result = run_loop(data, **options)  # validates the data, once
-    except ValidationError as exc:
-        _emit_json({"errors": list(exc.errors)}, args.out)
-        return 2
-    payload = {}
-    if eps is not None:  # after the run, so validation errors come first
-        payload["cover"] = build_cover(data, eps).to_json()
-    payload.update(result.to_json())
-    _emit_json(payload, args.out)
-    return 0
+        try:
+            result = run_loop(data, **options)  # validates the data, once
+        except ValidationError as exc:
+            _emit_json({"errors": list(exc.errors)}, args.out)
+            return 2
+        payload = {}
+        if eps is not None:  # after the run, so validation errors come first
+            payload["cover"] = build_cover(data, eps).to_json()
+        payload.update(result.to_json())
+        _emit_json(payload, args.out)
+        return 0
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def cmd_hj(args) -> int:

@@ -16,10 +16,10 @@ curves) with residue 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import gcd
-from typing import Sequence
 
+from ._value import Value
 from .errors import DomainError, EvaluationError, require_int, require_ints, require_object
 
 UNIT = (1, 0)  # value of the empty expansion; a 1/0-free stand-in for "m = 1"
@@ -54,8 +54,7 @@ def mod_inverse(a: int, m: int) -> int:
     return pow(a, -1, m)
 
 
-@dataclass(frozen=True)
-class HJExpansion:
+class HJExpansion(Value):
     """The negative continued fraction of m/k with all terms >= 2.
 
     ``numerator == 1`` iff ``terms`` is empty, in which case ``residue`` is 0.

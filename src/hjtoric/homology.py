@@ -30,13 +30,13 @@ order for both ``blowup.weighted_blowdown`` and ``chain_contact_replay``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
+from ._value import Value
 from .errors import (DomainError, StructureError, require_int, require_ints, require_list,
                      require_object)
 
@@ -576,8 +576,7 @@ def exceptional_pair_criterion(lat: IntersectionLattice, e1: str, e2: str) -> bo
     return False
 
 
-@dataclass(frozen=True)
-class ChainContactReplay:
+class ChainContactReplay(Value):
     """Outcome of :func:`chain_contact_replay`; ``triggered`` is the verdict
     of the contact criterion."""
 

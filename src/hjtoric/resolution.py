@@ -10,16 +10,15 @@ r/k, k = q * p^{-1} mod r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._value import Value
 from .errors import DomainError, require_ints, require_list, require_object
 from .hj import ext_gcd, hj_expand
 from .homology import IntersectionLattice, lattice_from_parts
 
 
-@dataclass(frozen=True)
-class CyclicSingularity:
+class CyclicSingularity(Value):
     """An isolated orbifold point of order ``order`` and type ``(p, q)``."""
 
     order: int
@@ -45,8 +44,7 @@ class CyclicSingularity:
         return CyclicSingularity(self.order, 1, resolution_params(self)[1])
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Value):
     """A chain of spheres Z1, ..., Zn with Zi.Zi <= -2 and Zi.Z(i+1) = 1."""
 
     self_intersections: tuple[int, ...]

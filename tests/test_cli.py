@@ -316,6 +316,31 @@ def test_hostile_simulation_json_exits_2(capsys, monkeypatch, text):
     assert captured.err.startswith("error: malformed JSON input:")
 
 
+def test_ledger_entries_over_the_digit_limit_are_written_in_full(capsys, monkeypatch):
+    """Levels a = 1/A and b = 1/B with 2501-digit A and B are valid input;
+    the ledger entries have denominators of about 5000 digits, over Python's
+    default int <-> str limit of 4300.  The run writes them in full and
+    restores the limit.  The base is the midpoint (1 + a + b)/2 of the long
+    arc and the tracked class is born at a, so loop n reads
+    (base - a + n - 1)/2, and a bound of 1 ends the run at loop 2."""
+    big_a, big_b = 10**2500 + 1, 10**2500 + 3
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"fixed_points": [
+        {"level": f"1/{big_a}", "sign": 1, "p": 2, "q": 1},
+        {"level": f"1/{big_b}", "sign": -1, "p": 2, "q": 1}], "loops": 2, "bound": 1})))
+    limit = sys.get_int_max_str_digits()
+    code, obj = run_json(capsys, "simulate", "-")
+    assert sys.get_int_max_str_digits() == limit
+    a, b = Fraction(1, big_a), Fraction(1, big_b)
+    born = (1 + a + b) / 2 - a
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [f"{x.numerator}/{x.denominator}" for x in (born / 2, (born + 1) / 2)]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, obj["verdict"], obj["loop_of_contradiction"]) == (0, "HAMILTONIAN", 2)
+    assert obj["ledger"] == want and min(map(len, want)) > 2 * limit
+
+
 @pytest.mark.parametrize("command", ["signature", "simulate"])
 def test_directory_input_exits_2(capsys, tmp_path, command):
     code = main([command, str(tmp_path)])
@@ -443,6 +468,34 @@ def test_simulate_loads_the_simulator_only_for_well_formed_json():
         assert code == 2 and not MATH_MODULES & loaded
     code, loaded = loaded_by("simulate", "-", stdin=json.dumps(_two_points(bound=3)))
     assert code == 0 and "hjtoric.circle" in loaded
+
+
+_HEAVY_IMPORTS = """\
+import sys
+sys.path.insert(0, sys.argv.pop(1))
+from hjtoric.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write("\\n" + repr([code, sorted({"dataclasses", "inspect", "typing"} & set(sys.modules))]))
+"""
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["hj", "--m", "7", "--k", "3"], ""),
+    (["resolve", "--r", "5", "--p", "3", "--q", "2"], ""),
+    (["blowup", "--p", "7", "--q", "4"], ""),
+    (["blowup", "--p", "7", "--q", "4", "--format", "svg"], ""),
+    (["equiv", "--r", "7", "--q1", "3", "--q2", "5", "--oriented"], ""),
+    (["signature", "-"], '{"pairing": [[0, 1], [1, 0]]}'),
+    (["simulate", "-"], json.dumps(_two_points(eps="1/8"))),
+], ids=["hj", "resolve", "blowup", "blowup-svg", "equiv", "signature", "simulate"])
+def test_no_subcommand_loads_dataclasses_inspect_or_typing(argv, stdin):
+    """Run bare (``-I -S``: no site hooks, which may preload modules), each
+    subcommand leaves ``dataclasses``, ``inspect`` and ``typing`` unloaded."""
+    env = {key: value for key, value in os.environ.items() if key != "HJTORIC_LOG"}
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _HEAVY_IMPORTS,
+                           str(Path(cli.__file__).parents[1]), *argv],
+                          env=env, input=stdin, capture_output=True, text=True, timeout=60)
+    assert proc.stderr.splitlines()[-1] == "[0, []]", proc.stderr
 
 
 @pytest.mark.parametrize("log", [None, "debug"])

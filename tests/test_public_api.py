@@ -187,7 +187,7 @@ def test_import_loads_no_module_and_each_name_loads_its_own():
         f"from hjtoric import {', '.join(PUBLIC)}\n"
         "names = {n: globals()[n] for n in hjtoric.__all__}\n"
         "print(all(getattr(sys.modules[v.__module__], n) is v for n, v in names.items()))\n")
-    assert out.splitlines() == ["[]", "['hjtoric.errors', 'hjtoric.hj']", "True"]
+    assert out.splitlines() == ["[]", "['hjtoric._value', 'hjtoric.errors', 'hjtoric.hj']", "True"]
 
 
 def test_all_lists_classes_and_functions_only():
