@@ -1,9 +1,8 @@
-"""``Value``, the base of the package's immutable values, replaces
+"""``Value``, the base of the package's immutable values, in place of
 ``@dataclass(frozen=True)``, whose import of ``inspect`` cost each command
 13 ms.  Fields are annotations; the class keywords ``hidden`` and
 ``uncompared`` keep fields out of the repr and of ``==`` and ``hash``; the
-``dataclasses`` functions read a frozen twin made on demand.
-"""
+``dataclasses`` functions read a frozen twin made on demand."""
 
 from operator import attrgetter
 
@@ -65,8 +64,14 @@ class Value:
     def __hash__(self):
         return hash(self._key(self))
 
+    def __replace__(self, **changes):  # copy.replace, from Python 3.13
+        from dataclasses import replace
+        return replace(self, **changes)
+
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        from dataclasses import FrozenInstanceError  # only on a refused write
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")

@@ -91,9 +91,8 @@ class BlowupConfig(Value):
 
         Built on the first call, as a sparse store, and returned as the same
         immutable value afterwards, since every simulator blowdown reads it.
-        The memo is an instance attribute, not a field: it takes no part in
-        equality, hash or repr, and a ``dataclasses.replace`` copy builds
-        its own."""
+        The memo, an instance attribute and no field, is not compared, hashed
+        or shown, and a ``dataclasses.replace`` copy builds its own."""
         try:
             return self.__dict__["_lattice"]
         except KeyError:

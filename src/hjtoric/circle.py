@@ -57,7 +57,7 @@ import logging
 from fractions import Fraction
 from math import lcm
 
-from ._value import Value
+from ._value import Value, _set
 from .blowup import BlowupConfig, _require_weights, fulton_config, weighted_blowdown
 from .errors import DomainError, StructureError, ValidationError, require_int, require_object
 from .homology import IntersectionLattice, empty_lattice
@@ -295,6 +295,13 @@ class Instance(Value):
     created: int
     dies: int | None
 
+    def __init__(self, uid, pair, config, created, dies):  # by hand: one per +1 crossing
+        _set(self, "uid", uid)
+        _set(self, "pair", pair)
+        _set(self, "config", config)
+        _set(self, "created", created)
+        _set(self, "dies", dies)
+
     @property
     def lattice(self) -> IntersectionLattice:
         return self.config.prefixed(f"{self.uid}.").lattice()
@@ -317,6 +324,12 @@ class ReducedSpaceState(Value):
     pos: int
     instances: tuple[Instance, ...] = ()
     counter: int = 0
+
+    def __init__(self, context, pos, instances=(), counter=0):  # by hand: one per loop
+        _set(self, "context", context)
+        _set(self, "pos", pos)
+        _set(self, "instances", instances)
+        _set(self, "counter", counter)
 
     @property
     def position(self) -> Fraction:
@@ -498,15 +511,12 @@ def area(state: ReducedSpaceState, label: str, lam: Fraction) -> Fraction:
 
 
 class RunResult(Value):
-    """The outcome of ``run_loop``: the ``verdict`` (one of HAMILTONIAN,
-    NO_OBSTRUCTION, INCONCLUSIVE and TRACKED_CLASS_DESTROYED) and a
-    ``message`` that explains it; the tracked class's area at the base
-    level after each loop (``ledger``), the loop whose entry exceeded the
-    bound (``loop_of_contradiction``, else None); the lattice of the
-    instances live at exit; and the run's ``base``, ``tracked_label`` and
-    ``bound``, None where the run set none."""
+    """What ``run_loop`` found: the ``verdict`` and a ``message`` on it,
+    the tracked class's area at the base level after each loop (``ledger``),
+    the loop whose entry broke the bound, the lattice live at exit, and the
+    run's ``base``, ``tracked_label`` and ``bound``, None where unset."""
 
-    verdict: str
+    verdict: str  # HAMILTONIAN | NO_OBSTRUCTION | INCONCLUSIVE | TRACKED_CLASS_DESTROYED
     ledger: tuple[Fraction, ...]
     loop_of_contradiction: int | None
     final_lattice: IntersectionLattice

@@ -129,8 +129,9 @@ def cmd_signature(args) -> int:
 
 def _parse_simulation_input(raw: str) -> tuple[list, dict]:
     """The fixed points and the options (``run_loop``'s and eps) of a
-    simulation input.  Only the JSON shape is checked here; the values are
-    checked by ``FixedPointDatum``, ``run_loop`` and ``build_cover``.
+    simulation input.  Only the JSON shape and the rationals are checked
+    here, under Python's int <-> str digit limit; the rest is checked by
+    ``FixedPointDatum``, ``run_loop`` and ``build_cover``.
     """
     try:
         obj = json.loads(raw)
@@ -138,7 +139,7 @@ def _parse_simulation_input(raw: str) -> tuple[list, dict]:
         raise DomainError(f"malformed JSON input: {exc}") from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("fixed_points"), list):
         raise DomainError('input must be an object with a "fixed_points" list')
-    from .circle import FixedPointDatum
+    from .circle import FixedPointDatum, parse_rational
 
     data = []
     for i, fp in enumerate(obj["fixed_points"]):
@@ -151,32 +152,27 @@ def _parse_simulation_input(raw: str) -> tuple[list, dict]:
             data.append(FixedPointDatum(fp["level"], fp["sign"], fp["p"], fp["q"], fp.get("match")))
         except DomainError as exc:
             raise DomainError(f"fixed point {i}: {exc}") from exc
-    keys = ("bound", "tracked_independent", "eps", "base", "delta")
-    return data, {"loops": obj.get("loops", 5), **{key: obj[key] for key in keys if key in obj}}
+    options = {key: obj[key] for key in ("bound", "tracked_independent") if key in obj}
+    options.update({key: parse_rational(obj[key]) for key in ("eps", "base", "delta")
+                    if obj.get(key) is not None})
+    return data, {"loops": obj.get("loops", 5), **options}
 
 
 def cmd_simulate(args) -> int:
-    raw = _read_input(args.input)
-    data, options = _parse_simulation_input(raw)
+    data, options = _parse_simulation_input(_read_input(args.input))
     from .circle import build_cover, run_loop
 
     eps = options.pop("eps", None)
-    # the input was read under Python's int <-> str digit limit; the run and
-    # its output lift it, since a ledger entry multiplies level denominators
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(0)  # the input is read; a ledger entry multiplies its denominators
     try:
-        try:
-            result = run_loop(data, **options)  # validates the data, once
-        except ValidationError as exc:
-            _emit_json({"errors": list(exc.errors)}, args.out)
-            return 2
-        payload = {}
-        if eps is not None:  # after the run, so validation errors come first
-            payload["cover"] = build_cover(data, eps).to_json()
-        payload.update(result.to_json())
-        _emit_json(payload, args.out)
+        result = run_loop(data, **options)  # validates the data, once
+        payload = {} if eps is None else {"cover": build_cover(data, eps).to_json()}
+        _emit_json({**payload, **result.to_json()}, args.out)
         return 0
+    except ValidationError as exc:  # only run_loop validates; build_cover sees valid data
+        _emit_json({"errors": list(exc.errors)}, args.out)
+        return 2
     finally:
         sys.set_int_max_str_digits(limit)
 

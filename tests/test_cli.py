@@ -316,6 +316,18 @@ def test_hostile_simulation_json_exits_2(capsys, monkeypatch, text):
     assert captured.err.startswith("error: malformed JSON input:")
 
 
+@pytest.mark.parametrize("key", ["base", "delta", "eps"])
+def test_5000_digit_rational_option_exits_2(capsys, monkeypatch, key):
+    """The rational options, like the levels, are read under Python's
+    int <-> str digit limit, which the run lifts only after reading them."""
+    text = json.dumps(_two_points(**{key: "1/" + _LONG_INT}))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = main(["simulate", "-"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: not an exact rational, got '1/999")
+
+
 def test_ledger_entries_over_the_digit_limit_are_written_in_full(capsys, monkeypatch):
     """Levels a = 1/A and b = 1/B with 2501-digit A and B are valid input;
     the ledger entries have denominators of about 5000 digits, over Python's

@@ -170,8 +170,28 @@ def test_writes_are_refused_as_by_the_twins(kind):
                 write(value)
             with pytest.raises(AttributeError) as theirs:
                 write(twin)
+            assert type(ours.value) is type(theirs.value) is dataclasses.FrozenInstanceError
             assert str(ours.value) == str(theirs.value)
     assert twin_of(value) == twin
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_copy_replace_agrees_with_dataclasses_replace(kind):
+    """``copy.replace`` (from Python 3.13) calls ``__replace__``, which the
+    twins have from their decorator; before 3.13 the method is called."""
+    replace = getattr(copy, "replace", lambda obj, **changes: obj.__replace__(**changes))
+    values = [v for v in VALUES if type(v).__name__ == kind]
+    for value, other in zip(values, values[1:] + values[:1]):
+        for name in type(value).__match_args__:
+            changes = {name: getattr(other, name)}
+            try:
+                want = dataclasses.replace(value, **changes)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    replace(value, **changes)
+                continue
+            got = replace(value, **changes)
+            assert type(got) is type(want) and got == want and repr(got) == repr(want)
 
 
 def test_keyword_and_default_arguments():
