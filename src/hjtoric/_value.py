@@ -1,8 +1,8 @@
 """``Value``, the base of the package's immutable values, in place of
 ``@dataclass(frozen=True)``, whose import of ``inspect`` cost each command
-13 ms.  Fields are annotations; the class keywords ``hidden`` and
-``uncompared`` keep fields out of the repr and of ``==`` and ``hash``; the
-``dataclasses`` functions read a frozen twin made on demand."""
+13 ms.  Fields are annotations, each shown in the repr and compared by
+``==`` and ``hash``; the ``dataclasses`` functions read a frozen twin made
+on demand."""
 
 from operator import attrgetter
 
@@ -15,8 +15,7 @@ class _FromTwin(str):
     def __get__(self, obj, cls):
         from dataclasses import MISSING, field, make_dataclass
         twin = make_dataclass(cls.__name__, [(n, cls._types[n], field(
-            default=cls._defaults.get(n, MISSING), repr=n in cls._shown,
-            compare=n not in cls._uncompared)) for n in cls.__match_args__], frozen=True)
+            default=cls._defaults.get(n, MISSING))) for n in cls.__match_args__], frozen=True)
         cls.__dataclass_fields__ = twin.__dataclass_fields__
         cls.__dataclass_params__ = twin.__dataclass_params__
         if cls.__repr__ is Value.__repr__:  # same text; pprint lays out only this one
@@ -25,20 +24,17 @@ class _FromTwin(str):
 
 
 class Value:
-    __match_args__ = _shown = ()
+    __match_args__ = ()
     _types = _defaults = {}
-    _hidden = _uncompared = frozenset()
     __post_init__ = lambda self: None  # where a subclass checks its fields
 
-    def __init_subclass__(cls, hidden=(), uncompared=(), **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = cls.__annotations__  # the class's own, from Python 3.10
         cls._types = {**cls._types, **own}
         cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
-        cls._hidden, cls._uncompared = cls._hidden.union(hidden), cls._uncompared.union(uncompared)
         cls.__match_args__ = names = tuple(cls._types)
-        cls._shown = tuple(n for n in names if n not in cls._hidden)
-        cls._key = attrgetter(*(n for n in names if n not in cls._uncompared))
+        cls._key = attrgetter(*names)
         for name in ("__dataclass_fields__", "__dataclass_params__"):
             setattr(cls, name, _FromTwin(name))
 
@@ -55,7 +51,7 @@ class Value:
         self.__post_init__()
 
     def __repr__(self):
-        fields = ", ".join([f"{n}={getattr(self, n)!r}" for n in self._shown])
+        fields = ", ".join([f"{n}={getattr(self, n)!r}" for n in self.__match_args__])
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):

@@ -35,16 +35,17 @@ blowdown reads the config's lattice, built once per run.
 
 A run splits what it fixes from what it steps.  ``initial_state`` validates
 the data once (``ValidationError`` lists every failure) and builds one
-frozen ``RunContext`` per run: the data, base and delta, each pair's
-config, resolved once, and the run's grid, the lcm D of the base and level
-denominators.  Every position is an integer numerator over D, and so are
-an instance's blowup and blowdown positions, from which ``area`` reads its
-tent.  What a run steps is a live map, a dict of instances in install order
-keyed by ``(pair, dies)`` (T under ``(pair, None)``), and one kernel,
-``_step``, crosses a level on it in place: ``_install`` at a +1 level, a pop
-by key and a blowdown at a -1 level.  ``initial_state`` primes through
-``_install``; ``cross_level`` steps a copy of a state's instances; ``run_loop``
-steps one map and builds a ``ReducedSpaceState`` only where one is read.
+frozen ``RunContext`` per run: the data, base and delta, each datum's pair,
+each pair's config, resolved once, and the run's grid, the lcm D of the
+base and level denominators.  Every position is an integer numerator over
+D, and so are an instance's blowup and blowdown positions, which give its
+area tent.  What a run steps is a live map, a dict of instances in install
+order keyed by ``(pair, dies)`` (T under ``(pair, None)``), and one kernel,
+``_step``, crosses a level on it in place: ``_install`` at a +1 level, a
+pop by key and a blowdown at a -1 level.  ``initial_state`` primes through
+``_install``; ``cross_level`` steps a copy of a state's instances;
+``run_loop`` steps one map from start to end and reads its ledger, bound
+and result off it, so a state is only the view the step API returns.
 Fractions are built only for areas, the ledger and the output, so every
 result stays exact.  The interval cover, ``build_cover``, needs only the
 levels.  Each input is checked by the function that reads it: rationals by
@@ -111,26 +112,21 @@ def _fixed_points(data) -> tuple[FixedPointDatum, ...]:
     return tuple(data)
 
 
-def _derive_pairs(data: tuple[FixedPointDatum, ...], errors: list[str]) -> tuple[tuple[int, int], ...]:
+def _derive_pairs(data: tuple[FixedPointDatum, ...]) -> tuple[tuple[int, int], ...]:
     given = [i for i, d in enumerate(data) if d.match is not None]
     if given and len(given) != len(data):
-        errors.append("explicit pairing must cover all fixed points or none")
-        return ()
+        raise ValidationError(("explicit pairing must cover all fixed points or none",))
     if given:
         pairs = set()
         for i in given:
             j = data[i].match
             if not (0 <= j < len(data)) or j == i:
-                errors.append(f"fixed point {i}: match index {j} out of range")
-                return ()
+                raise ValidationError((f"fixed point {i}: match index {j} out of range",))
             if data[j].match != i:
-                errors.append(f"fixed points {i} and {j} disagree about their match")
-                return ()
+                raise ValidationError((f"fixed points {i} and {j} disagree about their match",))
             if data[i].sign == data[j].sign or data[i].weights != data[j].weights:
-                errors.append(
-                    f"fixed points {i} and {j} are not an opposite-sign equal-weight pair"
-                )
-                return ()
+                raise ValidationError(
+                    (f"fixed points {i} and {j} are not an opposite-sign equal-weight pair",))
             pairs.add((i, j) if data[i].sign == 1 else (j, i))
         return tuple(sorted(pairs))
     # first-in-first-out among equal weights, counterclockwise from level 0,
@@ -152,13 +148,12 @@ def _derive_pairs(data: tuple[FixedPointDatum, ...], errors: list[str]) -> tuple
     for w, plus_left in queues.items():
         minus_left = deficits.get(w, [])
         if len(plus_left) != len(minus_left):
-            errors.append(f"unmatched weights {w}: blowups and blowdowns do not balance")
-            return ()
+            raise ValidationError(
+                (f"unmatched weights {w}: blowups and blowdowns do not balance",))
         pairs.extend(zip(plus_left, minus_left))
     for w, minus_left in deficits.items():
         if w not in queues and minus_left:
-            errors.append(f"unmatched weights {w}: blowdown with no blowup")
-            return ()
+            raise ValidationError((f"unmatched weights {w}: blowdown with no blowup",))
     return tuple(sorted(pairs))
 
 
@@ -175,18 +170,13 @@ def validate(data) -> tuple[tuple[int, int], ...]:
     if not data:
         return ()
     errors: list[str] = []
-    levels = [d.level for d in data]
-    if len(set(levels)) != len(levels):
+    if len({d.level for d in data}) < len(data):
         errors.append("critical levels must be distinct")
-    signs = {d.sign for d in data}
-    if signs != {1, -1}:
+    if {d.sign for d in data} != {1, -1}:
         errors.append("need at least one blowup (+1) and one blowdown (-1) level")
-    pairs: tuple[tuple[int, int], ...] = ()
-    if not errors:
-        pairs = _derive_pairs(data, errors)
     if errors:
         raise ValidationError(tuple(errors))
-    return pairs
+    return _derive_pairs(data)
 
 
 # -- the interval cover -------------------------------------------------------
@@ -256,14 +246,14 @@ def build_cover(data, eps) -> GeneralizedCover:
 # -- reduced-space state -------------------------------------------------------
 
 
-class RunContext(Value, hidden=("levels", "templates"), uncompared=("levels",)):
+class RunContext(Value):
     """What a run fixes once, in ``initial_state``: shared by all its states.
 
     ``den`` is the run's grid: the lcm of the base and level denominators,
     so every position the run reaches, every level and every life arc is an
-    integer numerator over it.  ``levels`` maps each datum to its pair index
-    and its level numerator; ``arcs`` holds each pair's life arc as a
-    numerator.  ``templates`` holds each pair's config as ``fulton_config``
+    integer numerator over it.  ``arcs`` holds each pair's life arc as a
+    numerator; ``pair_of`` holds each datum's pair index, in ``data``
+    order.  ``templates`` holds each pair's config as ``fulton_config``
     returns it, with unprefixed labels; every instance of the pair holds
     that same object.
     """
@@ -273,7 +263,7 @@ class RunContext(Value, hidden=("levels", "templates"), uncompared=("levels",)):
     delta: Fraction
     den: int
     arcs: tuple[int, ...]
-    levels: dict[FixedPointDatum, tuple[int, int]]
+    pair_of: tuple[int, ...]
     templates: tuple[BlowupConfig, ...]
 
 
@@ -324,12 +314,6 @@ class ReducedSpaceState(Value):
     pos: int
     instances: tuple[Instance, ...] = ()
     counter: int = 0
-
-    def __init__(self, context, pos, instances=(), counter=0):  # by hand: one per loop
-        _set(self, "context", context)
-        _set(self, "pos", pos)
-        _set(self, "instances", instances)
-        _set(self, "counter", counter)
 
     @property
     def position(self) -> Fraction:
@@ -421,7 +405,7 @@ def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
     levels = [d.level.numerator * (den // d.level.denominator) for d in data]
     arcs = tuple((levels[minus] - levels[plus]) % den for plus, minus in pairs)
     ctx = RunContext(data, base, delta, den, arcs,
-                     {data[i]: (k, levels[i]) for k, pair in enumerate(pairs) for i in pair},
+                     tuple(k for _, k in sorted((i, k) for k, p in enumerate(pairs) for i in p)),
                      tuple(fulton_config(*data[plus].weights) for plus, _ in pairs))
     start = base.numerator * (den // base.denominator)
     live = {}
@@ -467,18 +451,17 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum) -> ReducedSpac
     """
     ctx = require_object(state, ReducedSpaceState, "state must be a ReducedSpaceState").context
     require_object(datum, FixedPointDatum, "datum must be a FixedPointDatum")
-    found = ctx.levels.get(datum)
-    if found is None:
+    if datum not in ctx.data:
         raise DomainError("datum is not part of this state's fixed-point data")
-    pair_idx, level = found
-    if (state.pos - level) % ctx.den:
+    if (state.position - datum.level) % 1:
         raise DomainError(
             f"state position {state.position} is not at level {datum.level}"
         )
     live = {(inst.pair, inst.dies): inst for inst in state.instances}
     if len(live) < len(state.instances):
         raise DomainError("two of the state's instances share a pair and a death position")
-    counter = _step(ctx, live, state.pos, pair_idx, datum, state.counter)
+    counter = _step(ctx, live, state.pos, ctx.pair_of[ctx.data.index(datum)], datum,
+                    state.counter)
     return ReducedSpaceState(ctx, state.pos, tuple(live.values()), counter)
 
 
@@ -500,14 +483,21 @@ def area(state: ReducedSpaceState, label: str, lam: Fraction) -> Fraction:
     if inst is None:
         raise DomainError(f"no class {label!r} is live")
     den = state.context.den
-    t = lam * den - inst.created  # the class's age, in units of 1/den
-    if t < 0 or (inst.dies is not None and t > inst.dies - inst.created):
+    pos = lam * den
+    if pos < inst.created or (inst.dies is not None and pos > inst.dies):
         raise DomainError(f"class {label!r} not present at {lam}")
     if local != inst.config.exceptional_label:
         return state.context.delta
+    return _tent(inst, pos, den)
+
+
+def _tent(inst: Instance, pos, den: int) -> Fraction:
+    """The exceptional area of ``inst`` at position ``pos`` over ``den``: the
+    tent over its life arc, or the unbounded ramp of the tracked copy T."""
+    t = pos - inst.created
     if inst.dies is not None:
-        t = min(t, inst.dies - inst.created - t)
-    return t / (inst.config.p * inst.config.q * den)
+        t = min(t, inst.dies - pos)
+    return Fraction(t, inst.config.p * inst.config.q * den)
 
 
 class RunResult(Value):
@@ -557,8 +547,9 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
     also for empty data.  The data are validated once, by ``initial_state``;
     each datum's pair and first-loop position are resolved once, and loop
     n crosses each level n - 1 loops later.  The run steps one live map by
-    ``_step`` and builds a state once per loop, for the ledger and the
-    default bound, and at exit.
+    ``_step`` from start to end: a ledger entry is the tracked instance's tent,
+    the default bound counts the live configs' exceptional classes, and
+    ``finish`` makes the lattice and the tracked label once, at exit.
     """
     if bound is not None:
         require_int(bound, "bound must be None or an integer >= 0", 0)
@@ -572,57 +563,47 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
             "no fixed points: the ledger argument needs a non-empty fixed-point set",
         )
     state = initial_state(data, base=base, delta=delta)
-    ctx, start, counter = state.context, state.pos, state.counter
+    ctx, den, start, counter = state.context, state.context.den, state.pos, state.counter
     live = {(inst.pair, inst.dies): inst for inst in state.instances}
-    crossings = sorted(((start + (level - start) % ctx.den, pair_idx, d)
-                        for d in data for pair_idx, level in [ctx.levels[d]]),
-                       key=lambda crossing: crossing[0])
+    crossings = sorted((start + (d.level.numerator * (den // d.level.denominator) - start) % den,
+                        k, d) for d, k in zip(ctx.data, ctx.pair_of))  # distinct levels: no ties
     ledger: list[Fraction] = []
     distinct: set[Fraction] = set()
     tracked: Instance | None = None
-    tracked_label: str | None = None
     bound_val = bound
+
+    def finish(verdict: str, loop: int | None, message: str) -> RunResult:
+        lattice = empty_lattice().direct_sum(*(inst.lattice for inst in live.values()))
+        label = f"{tracked.uid}.{tracked.config.exceptional_label}"
+        return RunResult(verdict, tuple(ledger), loop, lattice, ctx.base, label, bound_val, message)
+
     for loop in range(1, loops + 1):
-        shift = (loop - 1) * ctx.den
+        shift = (loop - 1) * den
         for pos, pair_idx, datum in crossings:
             pos += shift
             # levels are distinct and an arc is shorter than a loop, so only
             # the tracked instance's own -1 level reaches its death position
             if tracked is not None and pos == tracked.dies:
-                return RunResult(
-                    "TRACKED_CLASS_DESTROYED", tuple(ledger), None,
-                    ReducedSpaceState(ctx, pos, tuple(live.values()), counter).lattice,
-                    ctx.base, tracked_label, bound_val,
-                    "the pairing sends the tracked class's own creation level "
-                    "to this blowdown; rerun with an independent tracked class "
-                    "to model its transported copy",
-                )
+                return finish("TRACKED_CLASS_DESTROYED", None,
+                              "the pairing sends the tracked class's own creation level to "
+                              "this blowdown; rerun with an independent tracked class to "
+                              "model its transported copy")
             counter = _step(ctx, live, pos, pair_idx, datum, counter)
             if tracked is None and datum.sign == 1:
                 if tracked_independent:
                     _install(ctx, live, pair_idx, pos, None, "T")
                     counter += 1
                 tracked = next(reversed(live.values()))
-                tracked_label = f"{tracked.uid}.{tracked.config.exceptional_label}"
-        state = ReducedSpaceState(ctx, start + loop * ctx.den, tuple(live.values()), counter)
-        ledger.append(area(state, tracked_label, state.position))
+        ledger.append(_tent(tracked, start + loop * den, den))
         distinct.add(ledger[-1])
         if bound_val is None:
-            bound_val = len(state.lattice.exceptional_classes())
+            bound_val = sum(len(i.config.lattice().exceptional_classes()) for i in live.values())
             log.debug("bound defaulted to %d exceptional classes", bound_val)
         if len(distinct) > bound_val:
-            return RunResult(
-                "HAMILTONIAN", tuple(ledger), loop, state.lattice,
-                ctx.base, tracked_label, bound_val,
-                f"contradiction at loop {loop}: the tracked class's area "
-                f"ledger holds {len(distinct)} distinct values, but a "
-                f"closed reduced space with b2+ > 1 carries at most "
-                f"{bound_val} exceptional classes, so the non-Hamiltonian "
-                "premise fails and the action must be Hamiltonian",
-            )
-    return RunResult(
-        "INCONCLUSIVE", tuple(ledger), None, state.lattice,
-        ctx.base, tracked_label, bound_val,
-        f"no contradiction within {loops} loops (bound {bound_val}); "
-        "increase the loop budget",
-    )
+            return finish("HAMILTONIAN", loop,
+                          f"contradiction at loop {loop}: the tracked class's area ledger holds "
+                          f"{len(distinct)} distinct values, but a closed reduced space with "
+                          f"b2+ > 1 carries at most {bound_val} exceptional classes, so the "
+                          "non-Hamiltonian premise fails and the action must be Hamiltonian")
+    return finish("INCONCLUSIVE", None, f"no contradiction within {loops} loops (bound "
+                  f"{bound_val}); increase the loop budget")

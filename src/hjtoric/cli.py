@@ -152,10 +152,11 @@ def _parse_simulation_input(raw: str) -> tuple[list, dict]:
             data.append(FixedPointDatum(fp["level"], fp["sign"], fp["p"], fp["q"], fp.get("match")))
         except DomainError as exc:
             raise DomainError(f"fixed point {i}: {exc}") from exc
-    options = {key: obj[key] for key in ("bound", "tracked_independent") if key in obj}
-    options.update({key: parse_rational(obj[key]) for key in ("eps", "base", "delta")
-                    if obj.get(key) is not None})
-    return data, {"loops": obj.get("loops", 5), **options}
+    rationals = ("eps", "base", "delta")
+    options = {key: obj[key] for key in ("loops", "bound", "tracked_independent", *rationals)
+               if obj.get(key) is not None}  # a null option takes its default
+    options.update({key: parse_rational(options[key]) for key in rationals if key in options})
+    return data, {"loops": 5, **options}
 
 
 def cmd_simulate(args) -> int:

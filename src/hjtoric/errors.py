@@ -7,13 +7,15 @@ DomainError to exit code 2 and StructureError to exit code 1.
 
 Every integer input is checked by ``require_int`` or ``require_ints``: its
 type must be exactly ``int``, so a bool, a float, a Fraction or a string is
-refused, never coerced.  A sequence input is checked by ``require_list``:
-it must be a list or a tuple, so None, a number, a set or a dict is
-refused.  A package object (a lattice, a config, a singularity, an
-expansion, a state) is checked by ``require_object``: one ``isinstance``
-test, so None, a number or another kind of object is refused.  All four
-raise ``DomainError(f"{rule}, got {value!r}")`` with the caller's
-``rule``, the requirement in words.
+refused, never coerced.  Class labels are checked by ``require_strs``: each
+must be exactly a ``str``, so every lattice's JSON reads back.  A sequence
+input is checked by ``require_list``: it must be a list or a tuple, so
+None, a number, a set or a dict is refused.  A package object (a lattice,
+a config, a singularity, an expansion, a state) is checked by
+``require_object``: one ``isinstance`` test, so None, a number or another
+kind of object is refused.  All five raise
+``DomainError(f"{rule}, got {value!r}")`` with the caller's ``rule``, the
+requirement in words.
 """
 
 
@@ -49,6 +51,14 @@ def require_ints(values, rule: str) -> tuple[int, ...]:
     """``values`` as a tuple if it is a list or a tuple of ints; otherwise
     a DomainError.  The type test runs at C speed."""
     if not isinstance(values, (list, tuple)) or not {int}.issuperset(map(type, values)):
+        raise DomainError(f"{rule}, got {values!r}")
+    return tuple(values)
+
+
+def require_strs(values, rule: str) -> tuple[str, ...]:
+    """``values`` as a tuple if it is a list or a tuple of strs; otherwise
+    a DomainError.  The type test runs at C speed."""
+    if not isinstance(values, (list, tuple)) or not {str}.issuperset(map(type, values)):
         raise DomainError(f"{rule}, got {values!r}")
     return tuple(values)
 

@@ -38,14 +38,14 @@ from types import MappingProxyType
 
 from ._value import Value
 from .errors import (DomainError, StructureError, require_int, require_ints, require_list,
-                     require_object)
+                     require_object, require_strs)
 
 
 class IntersectionLattice:
     """Labeled classes with a symmetric integer pairing and c1 labels.
 
     ``IntersectionLattice(classes, pairing, c1)`` reads a dense square
-    pairing matrix and checks it: lists (or tuples) of distinct labels, of
+    pairing matrix and checks it: lists (or tuples) of distinct str labels, of
     rows and of c1 labels, int entries and c1 labels (a bool, a float or a
     Fraction is a DomainError), a square shape, one c1 per class and
     symmetry.  It is the entry point for outside input
@@ -65,7 +65,7 @@ class IntersectionLattice:
     __slots__ = ("_classes", "_self", "_c1", "_edges", "_index", "_pairing", "_c1_view")
 
     def __init__(self, classes, pairing, c1):
-        classes = require_list(classes, "class labels must be a list")
+        classes = require_strs(classes, "class labels must be a list of strings")
         n = len(classes)
         if len(set(classes)) != n:
             raise DomainError("class labels must be distinct")
@@ -251,8 +251,6 @@ class IntersectionLattice:
             raise DomainError('a lattice is an object with a "pairing" matrix')
         n = len(obj["pairing"])
         classes = [f"C{i + 1}" for i in range(n)] if obj.get("classes") is None else obj["classes"]
-        if not isinstance(classes, list) or any(type(l) is not str for l in classes):
-            raise DomainError(f"classes must be a list of strings, got {classes!r}")
         c1 = obj.get("c1")
         lat = IntersectionLattice(classes, obj["pairing"], [0] * n if c1 is None else c1)
         if c1 is None:
@@ -276,6 +274,7 @@ def add_class(
     """Adjoin one labeled class with prescribed pairings, a dict label ->
     int (default c1 by adjunction).  Useful for synthetic configurations in
     tests and models."""
+    require_strs([label], "a class label must be a string")
     require_int(self_intersection, "self-intersection must be an integer")
     if c1 is not None:
         require_int(c1, "c1 must be an integer")
@@ -307,7 +306,7 @@ def lattice_from_parts(
     """Build a lattice from sparse data, a list of labels and dicts
     (label, label) -> pairing and label -> self-intersection; c1 set by
     adjunction."""
-    classes = require_list(labels, "labels must be a list")
+    classes = require_strs(labels, "labels must be a list of strings")
     require_object(pairs, dict, "pairs must be a dict (label, label) -> integer")
     require_object(self_intersections, dict, "self-intersections must be a dict label -> integer")
     require_ints([*pairs.values(), *self_intersections.values()],
@@ -357,7 +356,7 @@ def signature(form) -> tuple[int, int, int]:
     """
     if not isinstance(form, IntersectionLattice):
         rows = require_list(form, "a form must be a lattice or a list of integer rows")
-        form = IntersectionLattice(tuple(range(len(rows))), rows, (0,) * len(rows))
+        form = IntersectionLattice(tuple(map(str, range(len(rows)))), rows, (0,) * len(rows))
     pos = form._positions()
     diag = [(form._self[l], 1) for l in form._classes]
     edges = [{} for _ in diag]
@@ -474,6 +473,7 @@ def blow_up_at(
     copy of the store, then O(len(touched)^2) for the blowup itself.
     """
     touched = require_list(touched, "touched classes must be a list of labels")
+    require_strs([label], "a class label must be a string")
     store = _lattice(lat)._store()
     _blow_up(store, touched, label)
     return IntersectionLattice._sparse(*store)

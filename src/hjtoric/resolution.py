@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import gcd
 
 from ._value import Value
-from .errors import DomainError, require_ints, require_list, require_object
+from .errors import DomainError, require_ints, require_object, require_strs
 from .hj import ext_gcd, hj_expand
 from .homology import IntersectionLattice, lattice_from_parts
 
@@ -56,7 +56,7 @@ class Chain(Value):
             raise DomainError(
                 f"chain self-intersections must be <= -2, got {self.self_intersections}"
             )
-        require_list(self.labels, "chain labels must be a list")
+        require_strs(self.labels, "chain labels must be a list of strings")
         if len(self.labels) != len(self.self_intersections):
             raise DomainError("labels and self-intersections differ in length")
         if len(set(self.labels)) != len(self.labels):

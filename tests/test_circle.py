@@ -881,9 +881,9 @@ def nested_pairs(k):
 ])
 def test_run_loop_builds_a_state_per_loop_not_per_crossing(monkeypatch, data, loops, bound,
                                                            tracked):
-    """The run steps one live map: a run of L loops builds at most L + 2
-    states (the primed one, one per loop and one at exit), whatever its
-    crossing count."""
+    """Not even one state per loop: the run steps one live map from start to
+    end and reads its ledger, bound and result off it, so it builds at most
+    2 states whatever its loop and crossing counts."""
     built = []
 
     class Counting(ReducedSpaceState):
@@ -894,7 +894,39 @@ def test_run_loop_builds_a_state_per_loop_not_per_crossing(monkeypatch, data, lo
     want = run_loop(data, loops, bound, tracked_independent=tracked)
     monkeypatch.setattr(circle, "ReducedSpaceState", Counting)
     got = run_loop(data, loops, bound, tracked_independent=tracked)
-    assert got == want and len(built) <= loops + 2
+    assert got == want and len(built) <= 2
+
+
+@pytest.mark.parametrize("data, base", [(three_pairs(), None), (three_pairs(), Fraction(7, 8)),
+                                        (nested_pairs(3), Fraction(1, 3) + Fraction(1, 21))])
+def test_positions_stay_ints_through_the_step_api_and_run_loop(monkeypatch, data, base):
+    """Positions are integer numerators over the run's grid: ``pos``,
+    ``created`` and ``dies`` are ints (``dies`` None for T), never Fractions,
+    in the states of the step API and in every instance ``run_loop`` builds."""
+    def check(inst):
+        assert type(inst.created) is int and (inst.dies is None or type(inst.dies) is int)
+
+    st = initial_state(data, base=base)
+    base = st.context.base
+    for loop in range(2):
+        assert type(st.pos) is int
+        for inst in st.instances:
+            check(inst)
+        for d in sorted(data, key=lambda d: arc_distance(base, d.level)):
+            st = cross_level(st.at(base + loop + arc_distance(base, d.level)), d)
+    built = []
+
+    class Recording(circle.Instance):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(circle, "Instance", Recording)
+    for tracked in (True, False):
+        run_loop(data, 4, 1000, base=base, tracked_independent=tracked)
+    assert built and any(inst.dies is None for inst in built)
+    for inst in built:
+        check(inst)
 
 
 def test_installs_and_blowdowns_leave_other_lattices_unchanged():

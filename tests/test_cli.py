@@ -423,6 +423,18 @@ def test_bound_zero_and_null_are_accepted(capsys, monkeypatch):
         assert code == 0 and obj["verdict"] == "HAMILTONIAN"
 
 
+@pytest.mark.parametrize("key", ["loops", "bound", "tracked_independent", "eps", "base", "delta"])
+def test_a_null_option_prints_what_the_option_left_out_prints(capsys, monkeypatch, key):
+    """An optional field set to ``null`` takes its default, as the README
+    says: the exit code and stdout are those of the input without it."""
+    obj = _two_points(eps="1/8", base="1/4", delta="1/1000", tracked_independent=True)
+    runs = []
+    for case in ({k: v for k, v in obj.items() if k != key}, {**obj, key: None}):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(case)))
+        runs.append(run_cli(capsys, "simulate", "-"))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
 class TestHj:
     def test_expansion(self, capsys):
         code, obj = run_json(capsys, "hj", "--m", "7", "--k", "3")

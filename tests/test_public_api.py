@@ -312,7 +312,8 @@ def test_malformed_objects_are_domain_errors(name):
 
 
 # Each of these was accepted, or raised a TypeError, before every integer
-# input went through the one rule in ``errors``.
+# input and every class label went through its one rule in ``errors``.  A
+# label that is not a str built a lattice that ``from_json`` cannot read back.
 ONCE_ACCEPTED = {
     "ext_gcd-float": lambda: ext_gcd(7.5, 2),
     "mod_inverse-float": lambda: mod_inverse(3.0, 7),
@@ -326,6 +327,14 @@ ONCE_ACCEPTED = {
     "lattice_from_parts-float": lambda: lattice_from_parts(["a"], {}, {"a": 0.5}),
     "signature-fraction": lambda: signature([[Fraction(1, 2)]]),
     "cut_diagram_svg-float-scale": lambda: cut_diagram_svg(7, 4, 2.5),
+    "add_class-int-label": lambda: add_class(empty_lattice(), 5, -1),
+    "lattice_from_parts-int-label": lambda: lattice_from_parts([1], {}, {1: -1}),
+    "blow_up_at-int-label": lambda: blow_up_at(two_exceptional(), ["a"], 5),
+    "Chain-int-label": lambda: Chain((-2,), (1,)),
+    "Chain-bytes-label": lambda: Chain((-2,), (b"Z1",)),
+    "IntersectionLattice-int-label": lambda: IntersectionLattice([1], [[-1]], [1]),
+    "IntersectionLattice-none-label": lambda: IntersectionLattice(["a", None], [[-1, 0], [0, -1]],
+                                                                  [1, 1]),
 }
 
 
@@ -333,3 +342,4 @@ ONCE_ACCEPTED = {
 def test_once_accepted_inputs_are_domain_errors(call):
     with pytest.raises(DomainError):
         call()
+

@@ -38,8 +38,6 @@ def twin_of(value):
         return TWINS[type(value).__name__](*fields)
     if isinstance(value, tuple):
         return tuple(twin_of(v) for v in value)
-    if isinstance(value, dict):
-        return {twin_of(k): twin_of(v) for k, v in value.items()}
     return value
 
 

@@ -1,16 +1,16 @@
 """The package's twelve value types as frozen dataclasses, kept as an oracle.
 
-These are the field declarations the package's value types had when each
-was a ``@dataclass(frozen=True)``; they now derive from ``hjtoric._value.
-Value``.  A twin has the same name, fields, defaults and ``field`` flags,
-and no methods: ``tests/test_value.py`` copies a package value into its twin
-and checks that equality, hash, repr, ``dataclasses.replace``, ``fields``,
-``pprint``, pickling, copying, ``match`` and writes behave alike.
+These are the package's value types, which derive from ``hjtoric._value.
+Value``, declared with ``@dataclass(frozen=True)`` instead.  A twin has the
+same name, fields and defaults, and no methods: ``tests/test_value.py``
+copies a package value into its twin and checks that equality, hash, repr,
+``dataclasses.replace``, ``fields``, ``pprint``, pickling, copying,
+``match`` and writes behave alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,8 @@ class RunContext:
     delta: Fraction
     den: int
     arcs: tuple[int, ...]
-    levels: dict[FixedPointDatum, tuple[int, int]] = field(repr=False, compare=False)
-    templates: tuple[BlowupConfig, ...] = field(repr=False)
+    pair_of: tuple[int, ...]
+    templates: tuple[BlowupConfig, ...]
 
 
 @dataclass(frozen=True)
