@@ -112,7 +112,7 @@ class BlowupConfig(Value):
         return lat
 
     def prefixed(self, prefix: str) -> "BlowupConfig":
-        """The same config with ``prefix`` put before every class label."""
+        """The same config with ``prefix``, a str, put before every class label."""
         return BlowupConfig(self.p, self.q, self.size, self.chain_p.prefixed(prefix),
                             self.chain_q.prefixed(prefix), prefix + self.exceptional_label)
 
@@ -315,20 +315,19 @@ def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> Interse
     means the configuration was corrupted.  The contractions edit one copy
     of ``lat``'s store, so the whole blowdown costs O(n) beyond that copy.
     """
-    _lattice(lat)
+    selfs = _lattice(lat)._self
     require_object(config, BlowupConfig, "config must be a BlowupConfig")
-    for label in config.class_labels:
-        lat.self_intersection(label)  # presence check, raises DomainError
-    etilde = config.exceptional_label
-    if lat.self_intersection(etilde) != -1:
-        raise StructureError(
-            f"{etilde!r} has self-intersection {lat.self_intersection(etilde)}, not -1"
-        )
+    etilde, chain = config.exceptional_label, config.chain_labels
+    for label in (etilde, *chain):
+        if label not in selfs:
+            raise DomainError(f"no class labeled {label!r}")
+    if selfs[etilde] != -1:
+        raise StructureError(f"{etilde!r} has self-intersection {selfs[etilde]}, not -1")
     store = lat._store()
     _contract(store, etilde)
-    for _ in _forced_contractions(store, config.chain_labels):
+    for _ in _forced_contractions(store, chain):
         pass
-    remaining = [l for l in config.chain_labels if l in store[0]]
+    remaining = [l for l in chain if l in store[0]]
     if remaining:
         raise StructureError("blowdown stalled: no remaining config class at -1 "
                              f"(remaining: {remaining})")

@@ -27,29 +27,34 @@ instance itself instead; it then dies at its matched level and the run
 reports TRACKED_CLASS_DESTROYED.
 
 Configurations never interact, so the state is the set of live instances,
-each its pair's config, shared with every other instance of the pair, and a
-uid.  Labels are prefixed ``uid.`` only where they leave the run: in an
-instance's lattice (so in the state's and the result's), in ``area`` and in
-the tracked label.  A crossing costs the same at any loop count, and a
-blowdown reads the config's lattice, built once per run.
+each its pair's config, shared with every other instance of the pair and
+with every pair of equal weights, and a uid.  Labels are prefixed ``uid.``
+only where they leave the run: in an instance's lattice (so in the state's
+and the result's), in ``area`` and in the tracked label.  A crossing costs
+the same at any loop count, and a blowdown reads the config's lattice,
+built once per run.
 
-A run splits what it fixes from what it steps.  ``initial_state`` validates
-the data once (``ValidationError`` lists every failure) and builds one
-frozen ``RunContext`` per run: the data, base and delta, each datum's pair,
-each pair's config, resolved once, and the run's grid, the lcm D of the
-base and level denominators.  Every position is an integer numerator over
-D, and so are an instance's blowup and blowdown positions, which give its
-area tent.  What a run steps is a live map, a dict of instances in install
-order keyed by ``(pair, dies)`` (T under ``(pair, None)``), and one kernel,
-``_step``, crosses a level on it in place: ``_install`` at a +1 level, a
-pop by key and a blowdown at a -1 level.  ``initial_state`` primes through
-``_install``; ``cross_level`` steps a copy of a state's instances;
-``run_loop`` steps one map from start to end and reads its ledger, bound
-and result off it, so a state is only the view the step API returns.
-Fractions are built only for areas, the ledger and the output, so every
-result stays exact.  The interval cover, ``build_cover``, needs only the
-levels.  Each input is checked by the function that reads it: rationals by
-``parse_rational``, integers by ``require_int``.
+A run splits what it fixes from what it steps.  ``initial_state`` puts the
+levels on one integer grid, ``_grid`` (the lcm of their denominators, each
+level's numerator over it, their order and the gaps between them), once:
+it validates the data on it (``ValidationError`` lists every failure),
+reads the default base and delta off it and builds one frozen
+``RunContext`` per run: the data, base and delta, each datum's pair, each
+pair's config, resolved once per distinct weight pair, and the run's grid,
+the lcm D of the base and level denominators.  Every position is an
+integer numerator over D, and so are an instance's blowup and blowdown
+positions, which give its area tent.  What a run steps is a live map, a
+dict of instances in install order keyed by ``(pair, dies)`` (T under
+``(pair, None)``), and one kernel, ``_step``, crosses a level on it in
+place: ``_install`` at a +1 level, a pop by key and a blowdown at a -1
+level.  ``initial_state`` primes through ``_install``; ``cross_level``
+steps a copy of a state's instances; ``run_loop`` steps one map from start
+to end and reads its ledger, bound and result off it, so a state is only
+the view the step API returns.  Fractions are built only for the defaults,
+areas, the ledger and the output, so every result stays exact.  The
+interval cover, ``build_cover``, needs only the levels, which it reads off
+their grid too.  Each input is checked by the function that reads it:
+rationals by ``parse_rational``, integers by ``require_int``.
 """
 
 from __future__ import annotations
@@ -66,14 +71,6 @@ from .rationals import parse_rational, rational_json
 from .resolution import CyclicSingularity
 
 log = logging.getLogger(__name__)
-
-ONE = Fraction(1)
-
-
-def arc_distance(a: Fraction, b: Fraction) -> Fraction:
-    """Counterclockwise distance from a to b on the unit circle, in [0, 1)."""
-    return (b - a) % 1
-
 
 class FixedPointDatum(Value):
     """An isolated fixed point: circle level, weight sign and weights (p, q).
@@ -112,7 +109,28 @@ def _fixed_points(data) -> tuple[FixedPointDatum, ...]:
     return tuple(data)
 
 
-def _derive_pairs(data: tuple[FixedPointDatum, ...]) -> tuple[tuple[int, int], ...]:
+def validate(data) -> tuple[tuple[int, int], ...]:
+    """The blowup/blowdown pairing of ``data``: sorted (plus index, minus
+    index) pairs, or () for an empty fixed-point set.
+
+    Levels must be distinct, both signs must occur and every blowup must
+    pair with a blowdown of equal weights; data that fail raise one
+    ``ValidationError`` listing every reason; data that are not a list of
+    ``FixedPointDatum`` raise DomainError.
+    """
+    data = _fixed_points(data)
+    return _validate(data, _grid(data)) if data else ()
+
+
+def _validate(data: tuple[FixedPointDatum, ...], grid) -> tuple[tuple[int, int], ...]:
+    """``validate`` of non-empty ``data`` whose level grid is ``grid``."""
+    errors: list[str] = []
+    if 0 in grid[3]:
+        errors.append("critical levels must be distinct")
+    if {d.sign for d in data} != {1, -1}:
+        errors.append("need at least one blowup (+1) and one blowdown (-1) level")
+    if errors:
+        raise ValidationError(tuple(errors))
     given = [i for i, d in enumerate(data) if d.match is not None]
     if given and len(given) != len(data):
         raise ValidationError(("explicit pairing must cover all fixed points or none",))
@@ -129,13 +147,13 @@ def _derive_pairs(data: tuple[FixedPointDatum, ...]) -> tuple[tuple[int, int], .
                     (f"fixed points {i} and {j} are not an opposite-sign equal-weight pair",))
             pairs.add((i, j) if data[i].sign == 1 else (j, i))
         return tuple(sorted(pairs))
-    # first-in-first-out among equal weights, counterclockwise from level 0,
-    # with leftover blowups wrapping around to the leading blowdowns
-    order = sorted(range(len(data)), key=lambda i: data[i].level)
+    # first-in-first-out among equal weights, counterclockwise from level 0
+    # in the grid's order, with leftover blowups wrapping around to the
+    # leading blowdowns
     queues: dict[tuple[int, int], list[int]] = {}
     deficits: dict[tuple[int, int], list[int]] = {}
     pairs = []
-    for i in order:
+    for i in grid[2]:
         d = data[i]
         if d.sign == 1:
             queues.setdefault(d.weights, []).append(i)
@@ -155,28 +173,6 @@ def _derive_pairs(data: tuple[FixedPointDatum, ...]) -> tuple[tuple[int, int], .
         if w not in queues and minus_left:
             raise ValidationError((f"unmatched weights {w}: blowdown with no blowup",))
     return tuple(sorted(pairs))
-
-
-def validate(data) -> tuple[tuple[int, int], ...]:
-    """The blowup/blowdown pairing of ``data``: sorted (plus index, minus
-    index) pairs, or () for an empty fixed-point set.
-
-    Levels must be distinct, both signs must occur and every blowup must
-    pair with a blowdown of equal weights; data that fail raise one
-    ``ValidationError`` listing every reason; data that are not a list of
-    ``FixedPointDatum`` raise DomainError.
-    """
-    data = _fixed_points(data)
-    if not data:
-        return ()
-    errors: list[str] = []
-    if len({d.level for d in data}) < len(data):
-        errors.append("critical levels must be distinct")
-    if {d.sign for d in data} != {1, -1}:
-        errors.append("need at least one blowup (+1) and one blowdown (-1) level")
-    if errors:
-        raise ValidationError(tuple(errors))
-    return _derive_pairs(data)
 
 
 # -- the interval cover -------------------------------------------------------
@@ -216,24 +212,26 @@ def build_cover(data, eps) -> GeneralizedCover:
     gap; at or above that bound some point would lie in three sets.  The
     violation message reports the supremum of admissible radii.
     """
-    levels, gaps = _level_gaps(_fixed_points(data))
-    if not levels:
+    data = _fixed_points(data)
+    den, _, order, gaps = _grid(data)
+    if not data:
         raise DomainError("cannot cover the circle from an empty level set")
-    if len(levels) == 1:
+    if len(data) == 1:
         # the arc of a lone level is the whole circle, which no (start, end)
         # pair with start == end can stand for
         raise DomainError("a cover needs at least two levels, got one")
-    if len(set(levels)) != len(levels):
+    if 0 in gaps:
         raise DomainError("critical levels must be distinct")
     eps = parse_rational(eps)
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
+    levels = [data[i].level for i in order]
     n = len(levels)
-    min_gap = min(gaps)
-    if eps >= min_gap / 2:
+    half_gap = Fraction(min(gaps), 2 * den)
+    if eps >= half_gap:
         raise DomainError(
             f"eps = {eps} too large: must be strictly below half the minimal "
-            f"level gap, i.e. below {min_gap / 2}"
+            f"level gap, i.e. below {half_gap}"
         )
     u_arcs = tuple((levels[i], levels[(i + 1) % n]) for i in range(n))
     i_arcs = tuple((l - eps, l + eps) for l in levels)
@@ -254,8 +252,10 @@ class RunContext(Value):
     integer numerator over it.  ``arcs`` holds each pair's life arc as a
     numerator; ``pair_of`` holds each datum's pair index, in ``data``
     order.  ``templates`` holds each pair's config as ``fulton_config``
-    returns it, with unprefixed labels; every instance of the pair holds
-    that same object.
+    returns it, with unprefixed labels, resolved once per distinct weight
+    pair: pairs of equal weights hold one object, and every instance of a
+    pair holds its pair's.  A default ``base`` and ``delta`` are read off
+    the level grid (``_grid``) the data were validated on.
     """
 
     data: tuple[FixedPointDatum, ...]
@@ -347,26 +347,34 @@ class ReducedSpaceState(Value):
         return ReducedSpaceState(self.context, pos.numerator, self.instances, self.counter)
 
 
-def _level_gaps(data) -> tuple[list[Fraction], list[Fraction]]:
-    """The levels in order and the arc from each to the next.  A lone
-    level's arc is the whole circle; a repeated level has a zero gap."""
-    levels = sorted(d.level for d in data)
-    n = len(levels)
-    if n == 1:
-        return levels, [ONE]
-    return levels, [arc_distance(levels[i], levels[(i + 1) % n]) for i in range(n)]
+def _grid(data) -> tuple[int, list[int], list[int], list[int]]:
+    """The levels of ``data`` on one integer grid: D, the lcm of their
+    denominators; each level's numerator over D, in ``data`` order; the
+    indices of ``data`` by level (ties in ``data`` order); and the arc from
+    each level in that order to the next, over D.  A lone level's arc is D,
+    the whole circle; a repeated level has a zero gap."""
+    den = lcm(*(d.level.denominator for d in data))
+    keys = [d.level.numerator * (den // d.level.denominator) for d in data]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    nums = [keys[i] for i in order]
+    if len(nums) < 2:
+        return den, keys, order, [den] * len(nums)
+    return den, keys, order, [(b - a) % den for a, b in zip(nums, nums[1:] + nums[:1])]
 
 
-def default_base(data) -> Fraction:
-    """Midpoint of the longest critical-free arc (first such arc on ties)."""
-    levels, gaps = _level_gaps(data)
-    i = max(range(len(gaps)), key=gaps.__getitem__)
-    return (levels[i] + gaps[i] / 2) % 1
+def default_base(data, grid=None) -> Fraction:
+    """Midpoint of the longest critical-free arc (first such arc on ties),
+    read off the level grid of ``data`` (``_grid``), or ``grid`` if given."""
+    den, keys, order, gaps = grid or _grid(data)
+    i = gaps.index(max(gaps))
+    return Fraction((2 * keys[order[i]] + gaps[i]) % (2 * den), 2 * den)
 
 
-def default_delta(data) -> Fraction:
-    """Chain-class area: 1/1000 of the minimal level gap."""
-    return min(_level_gaps(data)[1], default=ONE) / 1000
+def default_delta(data, grid=None) -> Fraction:
+    """Chain-class area: 1/1000 of the minimal level gap (1/1000 for no
+    level), read off the level grid of ``data``, or ``grid`` if given."""
+    den, _, _, gaps = grid or _grid(data)
+    return Fraction(min(gaps, default=den), 1000 * den)
 
 
 def _install(ctx: RunContext, live: dict, pair_idx: int, created: int, dies: int | None,
@@ -386,28 +394,32 @@ def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
     Every matched pair whose counterclockwise life arc contains the base
     level contributes one live configuration, so the state is consistent
     with the periodic dynamics from the very first crossing.  The run's
-    context, with each pair's config resolved once, is built here; every
-    install shares that config.  ``base`` and ``delta`` are parsed first;
-    data that fail ``validate`` raise its ``ValidationError``.
+    context, with one config per distinct weight pair, is built here on the
+    data's level grid; every install shares its pair's config.  ``base``
+    and ``delta`` are parsed first; data that fail ``validate`` raise its
+    ``ValidationError``.
     """
     base, delta = (None if x is None else parse_rational(x) for x in (base, delta))
-    pairs = validate(data)
-    data = tuple(data)
+    data = _fixed_points(data)
     if not data:
         raise DomainError("cannot build a state from an empty fixed-point set")
-    base = default_base(data) if base is None else base % 1
-    if any(d.level == base for d in data):
+    grid = _grid(data)
+    pairs = _validate(data, grid)
+    base = default_base(data, grid) if base is None else base % 1
+    den = lcm(grid[0], base.denominator)
+    levels = [key * (den // grid[0]) for key in grid[1]]
+    start = base.numerator * (den // base.denominator)
+    if start in levels:
         raise DomainError(f"base level {base} must be a regular level")
-    delta = default_delta(data) if delta is None else delta
+    delta = default_delta(data, grid) if delta is None else delta
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta}")
-    den = lcm(base.denominator, *(d.level.denominator for d in data))
-    levels = [d.level.numerator * (den // d.level.denominator) for d in data]
     arcs = tuple((levels[minus] - levels[plus]) % den for plus, minus in pairs)
+    weights = [data[plus].weights for plus, _ in pairs]
+    configs = {w: fulton_config(*w) for w in dict.fromkeys(weights)}
     ctx = RunContext(data, base, delta, den, arcs,
                      tuple(k for _, k in sorted((i, k) for k, p in enumerate(pairs) for i in p)),
-                     tuple(fulton_config(*data[plus].weights) for plus, _ in pairs))
-    start = base.numerator * (den // base.denominator)
+                     tuple(map(configs.get, weights)))
     live = {}
     for pair_idx, (plus, _) in enumerate(pairs):
         back = (start - levels[plus]) % den

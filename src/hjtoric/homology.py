@@ -524,8 +524,11 @@ def _contract(store, label: str) -> None:
         row = dict(edges[a])
         del row[label]
         for b, mb in m.items():
-            if b != a:
-                _add(row, b, ma * mb)
+            if b != a:  # row[b] += ma * mb; rows hold nonzero entries only
+                if v := row.get(b, 0) + ma * mb:
+                    row[b] = v
+                else:
+                    del row[b]
         edges[a] = row
 
 
@@ -536,18 +539,19 @@ def _forced_contractions(store, labels: Sequence[str]):
     a contraction can change readiness, so the walk is O(n)."""
     self_, c1, edges = store
     order = {l: i for i, l in enumerate(labels)}
-    ready = {l for l in order if self_[l] == -1 and c1[l] == 1}
+    ready = [l for l in order if self_[l] == -1 and c1[l] == 1]  # usually one long
     while ready:
-        label = min(ready, key=order.__getitem__)
+        if len(ready) > 1:
+            ready.sort(key=order.__getitem__)
+        label = ready.pop(0)
         touched = edges[label]
         _contract(store, label)
         del order[label]
-        ready.discard(label)
         for l in touched:
+            if l in ready:
+                ready.remove(l)
             if l in order and self_[l] == -1 and c1[l] == 1:
-                ready.add(l)
-            else:
-                ready.discard(l)
+                ready.append(l)
         yield label, touched
 
 

@@ -66,9 +66,10 @@ class Chain(Value):
         return len(self.self_intersections)
 
     def prefixed(self, prefix: str) -> "Chain":
-        """The same chain with ``prefix`` put before every label.  A common
-        prefix keeps distinct labels distinct, so the checks of this chain
-        hold for the result and are not run again."""
+        """The same chain with ``prefix``, a str, put before every label.  A
+        common prefix keeps distinct labels distinct, so the checks of this
+        chain hold for the result and are not run again."""
+        require_strs((prefix,), "a label prefix must be a string")
         chain = object.__new__(Chain)
         object.__setattr__(chain, "self_intersections", self.self_intersections)
         object.__setattr__(chain, "labels", tuple([prefix + l for l in self.labels]))
@@ -126,6 +127,7 @@ def type_equivalent(s1: CyclicSingularity, s2: CyclicSingularity, oriented: bool
     """
     for s in (s1, s2):
         require_object(s, CyclicSingularity, "s1 and s2 must be CyclicSingularity")
+    require_object(oriented, bool, "oriented must be a bool")
     if s1.order != s2.order:
         return False
     r = s1.order

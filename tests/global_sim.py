@@ -5,11 +5,12 @@ own lattice: one bookkeeping lattice for the whole state, grown by
 ``direct_sum`` at every blowup level and shrunk by ``weighted_blowdown`` on
 that whole lattice at every blowdown level; an area record per class ever
 installed, never pruned; books stored and filtered; the crossed datum found
-by a scan of the fixed-point tuple.  It shares the input conventions
-(``validate``, ``default_base``, ``default_delta``) and the result type with
-the package, but none of the stepping, and it keeps its own tracking: a
-``track`` mode on ``cross_level``, a ``tracked`` flag per instance and its
-own ``TrackedClassDestroyed``, where the package's ``run_loop`` owns the
+by a scan of the fixed-point tuple.  It shares ``validate`` and the result
+type with the package, but none of the stepping; it takes the default base
+and delta from the Fraction oracle ``fraction_levels``, not from the
+package's level grid, and it keeps its own tracking: a ``track`` mode on
+``cross_level``, a ``tracked`` flag per instance and its own
+``TrackedClassDestroyed``, where the package's ``run_loop`` owns the
 tracked class.
 """
 
@@ -18,14 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from fraction_levels import arc_distance, default_base, default_delta
 from hjtoric.blowup import fulton_config, weighted_blowdown
-from hjtoric.circle import (
-    RunResult,
-    arc_distance,
-    default_base,
-    default_delta,
-    validate,
-)
+from hjtoric.circle import RunResult, validate
 from hjtoric.errors import DomainError, StructureError
 from hjtoric.homology import IntersectionLattice, empty_lattice
 from hjtoric.resolution import CyclicSingularity

@@ -306,6 +306,31 @@ class TestWeightedBlowdown:
         with pytest.raises(DomainError):
             weighted_blowdown(lat, cfg)
 
+    def test_error_paths_keep_their_types_and_messages(self):
+        """A missing class is named first in ``class_labels`` order, E~ off
+        -1 and a walk that stalls are StructureErrors, each with its own
+        message; the lattice is read before the config."""
+        cfg = fulton_config(7, 4)
+        lat = cfg.lattice()
+        deeper = replace(cfg, chain_p=Chain(
+            tuple(s - 1 for s in cfg.chain_p.self_intersections), cfg.chain_p.labels))
+        cases = [
+            (lat.without(["Zq1", "Zp2"]), cfg, DomainError, "no class labeled 'Zp2'"),
+            (lat.without(["Zq1", "E~"]), cfg, DomainError, "no class labeled 'E~'"),
+            (lat.without(["Zq1"]), cfg, DomainError, "no class labeled 'Zq1'"),
+            (blow_up_at(lat, ["E~"], "x"), cfg, StructureError,
+             "'E~' has self-intersection -2, not -1"),
+            (deeper.lattice(), deeper, StructureError,
+             "blowdown stalled: no remaining config class at -1 "
+             "(remaining: ['Zp1', 'Zp2', 'Zp3', 'Zq1'])"),
+            (None, None, DomainError, "lat must be an IntersectionLattice, got None"),
+            (lat, None, DomainError, "config must be a BlowupConfig, got None"),
+        ]
+        for lattice, config, kind, message in cases:
+            with pytest.raises(kind) as exc:
+                weighted_blowdown(lattice, config)
+            assert type(exc.value) is kind and str(exc.value) == message
+
 
 class TestCutChords:
     def test_endpoints_of_final_chord(self):

@@ -5,15 +5,16 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+import fraction_levels
 import global_sim
+from fraction_levels import arc_distance
 from hjtoric import circle
 from hjtoric.circle import (
     FixedPointDatum,
     ReducedSpaceState,
-    arc_distance,
     area,
     build_cover,
     cross_level,
@@ -23,7 +24,7 @@ from hjtoric.circle import (
     run_loop,
     validate,
 )
-from hjtoric.blowup import fulton_config
+from hjtoric.blowup import fulton_config, weighted_blowdown
 from hjtoric.errors import DomainError, StructureError, ValidationError
 from hjtoric.homology import IntersectionLattice, empty_lattice
 from hjtoric.resolution import Chain, resolve_cyclic
@@ -554,6 +555,73 @@ class TestInvariants:
         assert default_delta(repeated) == 0
 
 
+# -- the level grid against the Fraction oracle --------------------------------
+
+NEAR_1E50 = 10 ** 50
+
+
+def outcome(call, *args):
+    """``call(*args)``, or the type and message of the DomainError it raised."""
+    try:
+        return call(*args)
+    except DomainError as exc:
+        return type(exc), str(exc), getattr(exc, "errors", None)
+
+
+@hst.composite
+def level_sets(draw):
+    """(data, eps): up to eight levels over small denominators or ones near
+    10^50, some of them repeated, signs and weights at random and no
+    matches, so ``validate`` pairs them first-in-first-out or refuses them;
+    eps below or at half the minimal gap, or any positive rational."""
+    dens = draw(hst.lists(hst.integers(1, 60) | hst.integers(NEAR_1E50 - 99, NEAR_1E50 + 99),
+                          max_size=8))
+    levels = [Fraction(draw(hst.integers(0, d - 1)), d) for d in dens]
+    if levels:
+        levels += draw(hst.lists(hst.sampled_from(levels), max_size=2))
+    levels = draw(hst.permutations(levels))
+    data = [FixedPointDatum(l, draw(hst.sampled_from((1, -1))),
+                            *draw(hst.sampled_from(((2, 1), (3, 1)))))
+            for l in levels]
+    gaps = fraction_levels.level_gaps(data)[1]
+    half = min(gaps, default=Fraction(1)) / 2
+    eps = draw(hst.sampled_from((half, half / 3, half - Fraction(1, 10 ** 60)))
+               | hst.fractions(min_value=Fraction(1, 10 ** 6), max_value=1))
+    return data, eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=level_sets())
+@example(case=([], Fraction(1, 8)))
+@example(case=([FixedPointDatum(Fraction(1, 4), 1, 2, 1)], Fraction(1, 8)))
+@example(case=([FixedPointDatum(Fraction(1, 3), 1, 2, 1), FixedPointDatum(Fraction(1, 3), -1, 2, 1),
+                FixedPointDatum(Fraction(2, 3), -1, 2, 1)], Fraction(1, 8)))
+@example(case=([FixedPointDatum(Fraction(n, 8), s, 2, 1)
+                 for n, s in ((6, -1), (0, 1), (2, 1), (4, -1))], Fraction(1, 8)))
+@example(case=([FixedPointDatum(Fraction(NEAR_1E50 - 1, NEAR_1E50), 1, 2, 1),
+                FixedPointDatum(Fraction(1, NEAR_1E50 + 1), -1, 2, 1),
+                FixedPointDatum(Fraction(NEAR_1E50 // 2 + 1, NEAR_1E50 + 3), 1, 3, 1),
+                FixedPointDatum(Fraction(1, 2), -1, 3, 1)], Fraction(1, 10 ** 51)))
+def test_level_grid_matches_the_fraction_oracle(case):
+    """The grid's sorted levels and gaps, the default base and delta, the
+    cover (or its error) and the pairing (or its error) are what the
+    Fraction arithmetic gives, for a lone level, repeated levels, no level,
+    four equal gaps (the first wins the base) and denominators near 10^50."""
+    data, eps = case
+    den, keys, order, gaps = circle._grid(data)
+    levels, want_gaps = fraction_levels.level_gaps(data)
+    assert [Fraction(keys[i], den) for i in order] == levels
+    assert [Fraction(g, den) for g in gaps] == want_gaps
+    if data:
+        assert default_base(data) == fraction_levels.default_base(data)
+    assert default_delta(data) == fraction_levels.default_delta(data)
+    cover = outcome(build_cover, data, eps)
+    if isinstance(cover, circle.GeneralizedCover):
+        cover = (cover.levels, cover.u_arcs, cover.i_arcs)
+    assert cover == outcome(fraction_levels.cover_arcs, data, eps)
+    assert outcome(validate, data) == outcome(fraction_levels.fifo_pairs, data)
+
+
 # -- the per-instance state against the global-lattice oracle ----------------
 
 WEIGHTS = [(1, 1), (2, 1), (3, 1), (3, 2), (5, 2), (5, 3), (7, 4)]
@@ -837,6 +905,63 @@ def test_configs_are_resolved_once_per_pair_and_run(monkeypatch):
     res = run_loop(three_pairs(), 50, 1000)
     assert res.verdict == "INCONCLUSIVE" and len(res.ledger) == 50
     assert len(calls) <= 3 + 1
+
+
+def two_equal_weight_pairs():
+    """Two (3, 2) pairs and a (2, 1) pair; first-in-first-out pairs them as
+    (0, 3), (1, 4) and (2, 5)."""
+    return [FixedPointDatum(Fraction(l), s, p, q) for l, s, p, q in (
+        ("0", 1, 3, 2), ("1/6", 1, 3, 2), ("1/3", 1, 2, 1),
+        ("1/2", -1, 3, 2), ("5/7", -1, 3, 2), ("4/5", -1, 2, 1))]
+
+
+def test_equal_weight_pairs_share_one_config(monkeypatch):
+    """A run resolves one config per distinct weight pair, in pair order,
+    and pairs of equal weights hold that one object; the next run resolves
+    its own."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fulton_config(*args, **kwargs)
+
+    monkeypatch.setattr(circle, "fulton_config", counting)
+    st = initial_state(two_equal_weight_pairs())
+    templates = st.context.templates
+    assert calls == [(3, 2), (2, 1)]
+    assert templates[0] is templates[1] and templates[2] is not templates[0]
+    assert templates == (fulton_config(3, 2), fulton_config(3, 2), fulton_config(2, 1))
+    assert {inst.pair for inst in st.instances} == {1, 2}
+    for inst in st.instances:
+        assert inst.config is templates[inst.pair]
+    assert initial_state(two_equal_weight_pairs()).context.templates[0] is not templates[0]
+    assert calls[2:] == [(3, 2), (2, 1)]
+
+
+@pytest.mark.parametrize("tracked", [True, False])
+def test_every_blowdown_crossing_runs_weighted_blowdown(monkeypatch, tracked):
+    """Each -1 crossing blows its victim's config down: a run of L full
+    loops over m blowdown levels makes L * m calls, and an untracked run
+    makes one per blowdown level it crosses before the tracked class's own.
+    Each call gets the victim's config, its pair's template, so the equal
+    weights of the first two pairs make one object."""
+    calls = []
+
+    def counting(lat, config):
+        calls.append(config)
+        return weighted_blowdown(lat, config)
+
+    monkeypatch.setattr(circle, "weighted_blowdown", counting)
+    data = two_equal_weight_pairs()
+    res = run_loop(data, 7, 1000, base=Fraction(3, 8), tracked_independent=tracked)
+    if tracked:
+        assert res.verdict == "INCONCLUSIVE" and len(calls) == 7 * 3
+    else:
+        # from 3/8: the -1 levels 1/2, 5/7 and 4/5, then the tracked class,
+        # born at level 0, dies at 1/2 of the second loop
+        assert res.verdict == "TRACKED_CLASS_DESTROYED" and len(calls) == 3
+    assert [(cfg.p, cfg.q) for cfg in calls[:3]] == [(3, 2), (3, 2), (2, 1)]
+    assert calls[0] is calls[1] and len({id(cfg) for cfg in calls}) == 2
 
 
 def test_a_repeated_blowup_crossing_is_refused():

@@ -183,15 +183,21 @@ class TestSimulate:
         ]
 
     def test_validates_once(self, capsys, tmp_path, monkeypatch):
-        """The run validates once and the cover needs no validation."""
-        calls, validate = [], circle.validate
+        """The run validates once and the cover needs no validation.  The
+        run checks its data on the level grid it reads its defaults off, by
+        ``_validate``, which the public ``validate`` wraps."""
+        calls, kernel = [], circle._validate
 
-        def counting(data):
+        def counting(data, grid):
             calls.append(data)
-            return validate(data)
+            return kernel(data, grid)
 
-        monkeypatch.setattr(circle, "validate", counting)
-        monkeypatch.setattr(cli, "validate", counting, raising=False)
+        def public(data):
+            calls.append(data)
+            return circle.validate(data)
+
+        monkeypatch.setattr(circle, "_validate", counting)
+        monkeypatch.setattr(cli, "validate", public, raising=False)
         f = tmp_path / "sim.json"
         f.write_text(json.dumps(self.input_obj()))
         code, obj = run_json(capsys, "simulate", str(f))

@@ -265,8 +265,8 @@ def test_malformed_containers_are_domain_errors(name):
 
 
 # One valid call per callable that takes a package object (a lattice, a
-# config, a singularity, an expansion or a state), with those arguments
-# only, keyed as RECIPES is.
+# config, a singularity, an expansion or a state) or a bool flag, with
+# those arguments only, keyed as RECIPES is.
 OBJECT_RECIPES = {
     "area": recipe(lambda state: area(state, "B1.E~", "1/4"), initial_state(pair())),
     "blow_down": recipe(lambda lat: blow_down(lat, "a"), two_exceptional()),
@@ -282,7 +282,7 @@ OBJECT_RECIPES = {
     "same_resolution": recipe(same_resolution, CyclicSingularity(7, 1, 3),
                               CyclicSingularity(7, 1, 5)),
     "type_equivalent": recipe(type_equivalent, CyclicSingularity(7, 1, 2),
-                              CyclicSingularity(7, 1, 3)),
+                              CyclicSingularity(7, 1, 3), False),
     "weighted_blowdown": recipe(weighted_blowdown, fulton_config(7, 4).lattice(),
                                 fulton_config(7, 4)),
     # outside __all__
@@ -312,8 +312,9 @@ def test_malformed_objects_are_domain_errors(name):
 
 
 # Each of these was accepted, or raised a TypeError, before every integer
-# input and every class label went through its one rule in ``errors``.  A
-# label that is not a str built a lattice that ``from_json`` cannot read back.
+# input, every class label and prefix and every flag went through its one
+# rule in ``errors``.  A label that is not a str built a lattice that
+# ``from_json`` cannot read back.
 ONCE_ACCEPTED = {
     "ext_gcd-float": lambda: ext_gcd(7.5, 2),
     "mod_inverse-float": lambda: mod_inverse(3.0, 7),
@@ -335,6 +336,15 @@ ONCE_ACCEPTED = {
     "IntersectionLattice-int-label": lambda: IntersectionLattice([1], [[-1]], [1]),
     "IntersectionLattice-none-label": lambda: IntersectionLattice(["a", None], [[-1, 0], [0, -1]],
                                                                   [1, 1]),
+    "Chain.prefixed-int": lambda: Chain((-2,), ("a",)).prefixed(5),
+    "Chain.prefixed-bytes": lambda: Chain((-2,), ("a",)).prefixed(b"B1."),
+    "BlowupConfig.prefixed-none": lambda: fulton_config(7, 4).prefixed(None),
+    "type_equivalent-str-oriented": lambda: type_equivalent(
+        CyclicSingularity(7, 1, 2), CyclicSingularity(7, 1, 3), "yes"),
+    "type_equivalent-none-oriented": lambda: type_equivalent(
+        CyclicSingularity(7, 1, 2), CyclicSingularity(7, 1, 3), None),
+    "type_equivalent-int-oriented": lambda: type_equivalent(
+        CyclicSingularity(7, 1, 2), CyclicSingularity(7, 1, 3), 1),
 }
 
 
