@@ -48,9 +48,10 @@ class IntersectionLattice:
     pairing matrix and checks it: lists (or tuples) of distinct str labels, of
     rows and of c1 labels, int entries and c1 labels (a bool, a float or a
     Fraction is a DomainError), a square shape, one c1 per class and
-    symmetry.  It is the entry point for outside input
-    (``from_json``, tests).  The functions of this module build the sparse
-    store directly and skip the O(n^2) checks, which hold by construction.
+    symmetry.  It makes one C-speed type pass and one nonzero scan per row,
+    compares symmetry at the nonzeros only and keeps no dense copy.  It is
+    the entry point for outside input (``from_json``, tests); the other
+    functions here build the sparse store, which is valid by construction.
 
     The store is a self-intersection and a c1 per label, and an edge map
     ``label -> {neighbour: pairing}`` with nonzero entries only, each edge
@@ -69,8 +70,10 @@ class IntersectionLattice:
         n = len(classes)
         if len(set(classes)) != n:
             raise DomainError("class labels must be distinct")
-        rows = tuple(require_ints(row, "each pairing row must be a list of integers")
-                     for row in require_list(pairing, "a pairing must be a list of rows"))
+        rows = require_list(pairing, "a pairing must be a list of rows")
+        for row in rows:  # require_ints's test, without its tuple copy
+            if not isinstance(row, (list, tuple)) or not {int}.issuperset(map(type, row)):
+                raise DomainError(f"each pairing row must be a list of integers, got {row!r}")
         if any(len(row) != len(rows) for row in rows):
             raise DomainError("pairing matrix must be square")
         if len(rows) != n:
@@ -78,7 +81,10 @@ class IntersectionLattice:
         c1 = require_ints(c1, "c1 must be a list of integers")
         if len(c1) != n:
             raise DomainError("c1 labels do not match class count")
-        if rows != tuple(zip(*rows)):
+        cols = list(range(n))
+        nonzero = [list(compress(cols, row)) for row in rows]
+        # an asymmetric pair has a nonzero side, so comparing there is enough
+        if not all(rows[j][i] == row[j] for i, row, js in zip(cols, rows, nonzero) for j in js):
             i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
                         if rows[i][j] != rows[j][i])
             raise DomainError(f"pairing not symmetric at ({i}, {j})")
@@ -86,10 +92,9 @@ class IntersectionLattice:
             classes,
             {l: rows[i][i] for i, l in enumerate(classes)},
             dict(zip(classes, c1)),
-            {l: {classes[j]: rows[i][j] for j in compress(range(n), rows[i]) if j != i}
-             for i, l in enumerate(classes)},
+            {l: {classes[j]: row[j] for j in js if j != i}
+             for i, l, row, js in zip(cols, classes, rows, nonzero)},
         )
-        self._pairing = rows
         self._c1_view = c1
 
     def _init(self, classes, self_, c1, edges) -> None:
@@ -350,9 +355,9 @@ def signature(form) -> tuple[int, int, int]:
     k updates O(k^2) entries.  On a forest, every plumbing graph included,
     each pivot is an isolated class or a leaf, which updates one diagonal
     pair, so nothing fills in and a lattice costs O(n log n) for the heap
-    (on a chain this is the continued fraction).  A list of rows is first
-    read in Theta(n^2).  The triple is a congruence invariant, hence
-    independent of basis.
+    (on a chain this is the continued fraction).  A list of rows is read
+    first, at C speed and with no dense copy.  The triple is a congruence
+    invariant, hence independent of basis.
     """
     if not isinstance(form, IntersectionLattice):
         rows = require_list(form, "a form must be a lattice or a list of integer rows")

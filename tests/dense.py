@@ -5,12 +5,48 @@ stored as a dense n x n tuple: a congruence diagonalization over a dense
 ``Fraction`` copy, and blowups, blowdowns and direct sums that rebuild the
 whole matrix.  They read and build lattices only through the public
 constructor and the ``pairing``/``c1`` views, so they share no code with the
-routines they check.
+routines they check.  ``read_rows`` is the constructor's dense read as it
+was then, tuple copies and a transposed copy, and builds its lattice with
+the private ``_sparse``: it is the oracle for the nonzero scan that replaced
+that read.
 """
 
 from fractions import Fraction
+from itertools import compress
 
+from hjtoric.errors import DomainError, require_ints, require_list, require_strs
 from hjtoric.homology import IntersectionLattice
+
+
+def read_rows(classes, pairing, c1):
+    """The public constructor's read before it scanned only the nonzeros:
+    every row copied to a tuple, symmetry tested against the transposed
+    copy.  Returns the lattice built from that store with the row and c1
+    copies, which the constructor kept as its ``pairing`` and ``c1`` views."""
+    classes = require_strs(classes, "class labels must be a list of strings")
+    n = len(classes)
+    if len(set(classes)) != n:
+        raise DomainError("class labels must be distinct")
+    rows = tuple(require_ints(row, "each pairing row must be a list of integers")
+                 for row in require_list(pairing, "a pairing must be a list of rows"))
+    if any(len(row) != len(rows) for row in rows):
+        raise DomainError("pairing matrix must be square")
+    if len(rows) != n:
+        raise DomainError("pairing matrix shape does not match class count")
+    c1 = require_ints(c1, "c1 must be a list of integers")
+    if len(c1) != n:
+        raise DomainError("c1 labels do not match class count")
+    if rows != tuple(zip(*rows)):
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                    if rows[i][j] != rows[j][i])
+        raise DomainError(f"pairing not symmetric at ({i}, {j})")
+    lat = IntersectionLattice._sparse(
+        {l: rows[i][i] for i, l in enumerate(classes)},
+        dict(zip(classes, c1)),
+        {l: {classes[j]: rows[i][j] for j in compress(range(n), rows[i]) if j != i}
+         for i, l in enumerate(classes)},
+    )
+    return lat, rows, c1
 
 
 def signature(form) -> tuple[int, int, int]:

@@ -1,6 +1,8 @@
 import random
 import time
 from dataclasses import replace
+from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 from math import gcd
 
@@ -434,6 +436,116 @@ def test_constructor_rejects_non_integers(bad):
         IntersectionLattice(["A", "B"], [[bad, 1], [1, 0]], [0, 0])
     with pytest.raises(DomainError, match="c1 must be a list of integers"):
         IntersectionLattice(["A", "B"], [[0, 1], [1, 0]], [bad, 0])
+
+
+class Zero(IntEnum):
+    ZERO = 0
+
+
+@pytest.mark.parametrize("zero", [False, 0.0, -0.0, Fraction(0), Decimal(0), Zero.ZERO],
+                         ids=repr)
+def test_zero_valued_non_integers_raise(zero):
+    """A non-int that equals 0 is refused by its type, on either side of a
+    pair, though the symmetry test compares only the nonzero entries."""
+    for rows, bad in [([[-1, zero], [zero, -1]], [-1, zero]),
+                      ([[-1, 0], [zero, -1]], [zero, -1]),
+                      ([[zero, 1], [1, -1]], [zero, 1])]:
+        message = f"each pairing row must be a list of integers, got {bad!r}"
+        for read in (lambda: IntersectionLattice(["A", "B"], rows, [1, 1]),
+                     lambda: signature(rows),
+                     lambda: IntersectionLattice.from_json({"pairing": rows})):
+            with pytest.raises(DomainError) as exc:
+                read()
+            assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("rows, at", [
+    ([[-2, 0, 1], [0, -2, 0], [0, 0, -2]], (0, 2)),
+    ([[-2, 0, 0], [0, -2, 0], [1, 0, -2]], (0, 2)),
+    ([[-2, 1, 0], [1, -2, 3], [0, 2, -2]], (1, 2)),
+    ([[-2, 0, 0], [0, -2, 0], [0, 5, -2]], (1, 2)),
+])
+def test_one_sided_asymmetry_is_named_at_its_first_pair(rows, at):
+    """An asymmetric pair with a zero side is seen from its nonzero side,
+    and the error names the first such pair in row-major order."""
+    with pytest.raises(DomainError) as exc:
+        signature(rows)
+    assert str(exc.value) == f"pairing not symmetric at {at}"
+
+
+def test_lattice_keeps_no_reference_to_the_input_rows():
+    rows = [[-2, 1, 0], [1, -2, 1], [0, 1, -2]]
+    c1 = [0, 0, 0]
+    seen = IntersectionLattice(["A", "B", "C"], rows, c1)
+    assert seen.pairing == ((-2, 1, 0), (1, -2, 1), (0, 1, -2))
+    lats = [seen, IntersectionLattice(["A", "B", "C"], rows, c1),
+            IntersectionLattice.from_json({"pairing": rows, "c1": c1})]
+    rows[0][0] = 5
+    rows[0][1] = rows[1][0] = 0
+    rows[2].append(7)
+    rows.append([1, 1, 1])
+    c1[0] = 9
+    for lat in lats:
+        assert lat.pairing == ((-2, 1, 0), (1, -2, 1), (0, 1, -2)) and lat.c1 == (0, 0, 0)
+        assert signature(lat) == (0, 3, 0)
+
+
+NOT_INTS = [0.0, -0.0, False, True, Fraction(0), None, "0"]
+NOT_ROWS = [lambda row: None, lambda row: 0, str, set, dict.fromkeys, iter]
+
+
+@st.composite
+def mutated_forms(draw):
+    """``(classes, rows, c1)`` from a drawn symmetric form, lists or tuples,
+    with up to two mutations: one entry set to another int or 0 on one side
+    only, a row made ragged, an entry swapped for a non-int (zero-valued
+    ones included), a row made a non-list, or c1 given a non-int or a
+    wrong length.  Two mutations make the order of the checks show."""
+    rows = draw(symmetric_forms(max_n=6))
+    n = len(rows)
+    c1 = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        kind = draw(st.sampled_from(["asymmetric", "ragged", "entry", "row", "c1"]))
+        i, j = draw(index), draw(index)
+        entry = isinstance(rows[i], list) and j < len(rows[i])
+        if kind == "asymmetric" and entry:
+            rows[i][j] = draw(st.sampled_from([0, 0, 1, -1, 3]))
+        elif kind == "ragged" and isinstance(rows[i], list):
+            if rows[i] and draw(st.booleans()):
+                rows[i].pop()
+            else:
+                rows[i].append(draw(st.integers(-1, 1)))
+        elif kind == "entry" and entry:
+            rows[i][j] = draw(st.sampled_from(NOT_INTS))
+        elif kind == "row" and isinstance(rows[i], list):
+            rows[i] = draw(st.sampled_from(NOT_ROWS))(rows[i])
+        elif kind == "c1":
+            if draw(st.booleans()):
+                c1[i] = draw(st.sampled_from(NOT_INTS))
+            else:
+                c1.append(0)
+    if draw(st.booleans()):
+        rows = tuple(tuple(row) if isinstance(row, list) else row for row in rows)
+    return tuple(f"C{i}" for i in range(n)), rows, c1
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_forms())
+def test_constructor_matches_the_dense_read_oracle(form):
+    """The nonzero scan reads every input as the tuple copy and transpose
+    test it replaced: equal lattices and views, or the same DomainError."""
+    classes, rows, c1 = form
+    try:
+        lat, pairing, c1_view = dense.read_rows(classes, rows, c1)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            IntersectionLattice(classes, rows, c1)
+        assert str(got.value) == str(exc)
+        return
+    got = IntersectionLattice(classes, rows, c1)
+    assert got == lat and got.classes == lat.classes
+    assert got.pairing == pairing and got.c1 == c1_view
 
 
 def test_lattice_from_parts_rejects_a_self_pair():
