@@ -17,7 +17,7 @@ _HOMES = {
                    "type_equivalent"),
     "blowup": ("BlowupConfig", "McDuffSequence", "cross_check", "cut_chords", "fulton_config",
                "mcduff_lattice", "mcduff_sequence", "weighted_blowdown"),
-    "circle": ("FixedPointDatum", "GeneralizedCover", "ReducedSpaceState", "RunResult", "area",
+    "circle": ("FixedPointDatum", "GeneralizedCover", "ReducedSpaceState", "RunResult",
                "build_cover", "cross_level", "initial_state", "run_loop", "validate"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -11,7 +11,7 @@ Every +1 level is paired with a -1 level of equal weights, either explicitly
 configuration is alive on the counterclockwise arc from its blowup level to
 its blowdown level; the area of its exceptional class rises from zero at
 slope 1/(p*q), then falls back to zero at the blowdown level (a tent over
-the arc), while resolution-chain classes keep a small constant area.
+the arc).
 
 On top of the periodic dynamics ``run_loop`` tracks the exceptional class
 born at the first +1 level after the base point: its transported copy is
@@ -30,7 +30,7 @@ Configurations never interact, so the state is the set of live instances,
 each its pair's config, shared with every other instance of the pair and
 with every pair of equal weights, and a uid.  Labels are prefixed ``uid.``
 only where they leave the run: in an instance's lattice (so in the state's
-and the result's), in ``area`` and in the tracked label.  A crossing costs
+and the result's) and in the tracked label.  A crossing costs
 the same at any loop count, and a blowdown reads the config's lattice,
 built once per run.
 
@@ -38,10 +38,10 @@ A run splits what it fixes from what it steps.  ``initial_state`` puts the
 levels on one integer grid, ``_grid`` (the lcm of their denominators, each
 level's numerator over it, their order and the gaps between them), once:
 it validates the data on it (``ValidationError`` lists every failure),
-reads the default base and delta off it and builds one frozen
-``RunContext`` per run: the data, base and delta, each datum's pair, each
-pair's config, resolved once per distinct weight pair, and the run's grid,
-the lcm D of the base and level denominators.  Every position is an
+reads the default base off it and builds one frozen ``RunContext`` per
+run: the data and base, each datum's pair, each pair's config, resolved
+once per distinct weight pair, and the run's grid, the lcm D of the base
+and level denominators.  Every position is an
 integer numerator over D, and so are an instance's blowup and blowdown
 positions, which give its area tent.  What a run steps is a live map, a
 dict of instances in install order keyed by ``(pair, dies)`` (T under
@@ -50,8 +50,8 @@ place: ``_install`` at a +1 level, a pop by key and a blowdown at a -1
 level.  ``initial_state`` primes through ``_install``; ``cross_level``
 steps a copy of a state's instances; ``run_loop`` steps one map from start
 to end and reads its ledger, bound and result off it, so a state is only
-the view the step API returns.  Fractions are built only for the defaults,
-areas, the ledger and the output, so every result stays exact.  The
+the view the step API returns.  Fractions are built only for the default
+base, the ledger and the output, so every result stays exact.  The
 interval cover, ``build_cover``, needs only the levels, which it reads off
 their grid too.  Each input is checked by the function that reads it:
 rationals by ``parse_rational``, integers by ``require_int``.
@@ -254,13 +254,12 @@ class RunContext(Value):
     order.  ``templates`` holds each pair's config as ``fulton_config``
     returns it, with unprefixed labels, resolved once per distinct weight
     pair: pairs of equal weights hold one object, and every instance of a
-    pair holds its pair's.  A default ``base`` and ``delta`` are read off
-    the level grid (``_grid``) the data were validated on.
+    pair holds its pair's.  A default ``base`` is read off the level grid
+    (``_grid``) the data were validated on.
     """
 
     data: tuple[FixedPointDatum, ...]
     base: Fraction
-    delta: Fraction
     den: int
     arcs: tuple[int, ...]
     pair_of: tuple[int, ...]
@@ -300,7 +299,7 @@ class Instance(Value):
 class ReducedSpaceState(Value):
     """A frozen view of a run's live map at one position.
 
-    The run's fixed data, base and delta sit in the shared ``context``; a
+    The run's fixed data and base sit in the shared ``context``; a
     state adds ``pos``, the position as an integer numerator over
     ``context.den``, the live map's ``instances`` in install order and the
     install ``counter``.  The position is a cumulative counterclockwise
@@ -362,19 +361,12 @@ def _grid(data) -> tuple[int, list[int], list[int], list[int]]:
     return den, keys, order, [(b - a) % den for a, b in zip(nums, nums[1:] + nums[:1])]
 
 
-def default_base(data, grid=None) -> Fraction:
+def default_base(grid) -> Fraction:
     """Midpoint of the longest critical-free arc (first such arc on ties),
-    read off the level grid of ``data`` (``_grid``), or ``grid`` if given."""
-    den, keys, order, gaps = grid or _grid(data)
+    read off a non-empty level grid (``_grid``)."""
+    den, keys, order, gaps = grid
     i = gaps.index(max(gaps))
     return Fraction((2 * keys[order[i]] + gaps[i]) % (2 * den), 2 * den)
-
-
-def default_delta(data, grid=None) -> Fraction:
-    """Chain-class area: 1/1000 of the minimal level gap (1/1000 for no
-    level), read off the level grid of ``data``, or ``grid`` if given."""
-    den, _, _, gaps = grid or _grid(data)
-    return Fraction(min(gaps, default=den), 1000 * den)
 
 
 def _install(ctx: RunContext, live: dict, pair_idx: int, created: int, dies: int | None,
@@ -388,7 +380,7 @@ def _install(ctx: RunContext, live: dict, pair_idx: int, created: int, dies: int
     log.debug("blowup %s at position %d/%d: weights (%d, %d)", uid, created, ctx.den, cfg.p, cfg.q)
 
 
-def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
+def initial_state(data, *, base=None) -> ReducedSpaceState:
     """The primed state at the base level.
 
     Every matched pair whose counterclockwise life arc contains the base
@@ -396,28 +388,25 @@ def initial_state(data, *, base=None, delta=None) -> ReducedSpaceState:
     with the periodic dynamics from the very first crossing.  The run's
     context, with one config per distinct weight pair, is built here on the
     data's level grid; every install shares its pair's config.  ``base``
-    and ``delta`` are parsed first; data that fail ``validate`` raise its
+    is parsed first; data that fail ``validate`` raise its
     ``ValidationError``.
     """
-    base, delta = (None if x is None else parse_rational(x) for x in (base, delta))
+    base = None if base is None else parse_rational(base)
     data = _fixed_points(data)
     if not data:
         raise DomainError("cannot build a state from an empty fixed-point set")
     grid = _grid(data)
     pairs = _validate(data, grid)
-    base = default_base(data, grid) if base is None else base % 1
+    base = default_base(grid) if base is None else base % 1
     den = lcm(grid[0], base.denominator)
     levels = [key * (den // grid[0]) for key in grid[1]]
     start = base.numerator * (den // base.denominator)
     if start in levels:
         raise DomainError(f"base level {base} must be a regular level")
-    delta = default_delta(data, grid) if delta is None else delta
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta}")
     arcs = tuple((levels[minus] - levels[plus]) % den for plus, minus in pairs)
     weights = [data[plus].weights for plus, _ in pairs]
     configs = {w: fulton_config(*w) for w in dict.fromkeys(weights)}
-    ctx = RunContext(data, base, delta, den, arcs,
+    ctx = RunContext(data, base, den, arcs,
                      tuple(k for _, k in sorted((i, k) for k, p in enumerate(pairs) for i in p)),
                      tuple(map(configs.get, weights)))
     live = {}
@@ -477,32 +466,6 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum) -> ReducedSpac
     return ReducedSpaceState(ctx, state.pos, tuple(live.values()), counter)
 
 
-def area(state: ReducedSpaceState, label: str, lam: Fraction) -> Fraction:
-    """Exact area of a live class at cumulative coordinate lam.
-
-    Exceptional classes of matched configurations follow the tent over
-    their life arc (slope +1/(p*q) from creation, -1/(p*q) into the matched
-    blowdown); the transported tracked class grows at +1/(p*q) without
-    bound; chain classes sit at the constant delta.  A blown-down class is
-    no longer part of the state.  ``label`` is an instance's uid, a dot
-    and a label of its config; ``lam`` is read by ``parse_rational``.
-    """
-    require_object(state, ReducedSpaceState, "state must be a ReducedSpaceState")
-    lam = parse_rational(lam)
-    uid, _, local = require_object(label, str, "label must be a string").partition(".")
-    inst = next((inst for inst in state.instances
-                 if inst.uid == uid and local in inst.config.class_labels), None)
-    if inst is None:
-        raise DomainError(f"no class {label!r} is live")
-    den = state.context.den
-    pos = lam * den
-    if pos < inst.created or (inst.dies is not None and pos > inst.dies):
-        raise DomainError(f"class {label!r} not present at {lam}")
-    if local != inst.config.exceptional_label:
-        return state.context.delta
-    return _tent(inst, pos, den)
-
-
 def _tent(inst: Instance, pos, den: int) -> Fraction:
     """The exceptional area of ``inst`` at position ``pos`` over ``den``: the
     tent over its life arc, or the unbounded ramp of the tracked copy T."""
@@ -541,7 +504,7 @@ class RunResult(Value):
 
 
 def run_loop(data, loops: int, bound: int | None = None, *, base=None,
-             delta=None, tracked_independent: bool = True) -> RunResult:
+             tracked_independent: bool = True) -> RunResult:
     """Evolve counterclockwise for full loops and watch the tracked ledger.
 
     The ledger records the tracked class's area at the base level after
@@ -567,14 +530,14 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
         require_int(bound, "bound must be None or an integer >= 0", 0)
     require_object(tracked_independent, bool, "tracked_independent must be a bool")
     require_int(loops, "loops must be an integer >= 1", 1)
-    base, delta = (None if x is None else parse_rational(x) for x in (base, delta))
+    base = None if base is None else parse_rational(base)
     data = _fixed_points(data)
     if not data:
         return RunResult(
             "NO_OBSTRUCTION", (), None, empty_lattice(), None, None, bound,
             "no fixed points: the ledger argument needs a non-empty fixed-point set",
         )
-    state = initial_state(data, base=base, delta=delta)
+    state = initial_state(data, base=base)
     ctx, den, start, counter = state.context, state.context.den, state.pos, state.counter
     live = {(inst.pair, inst.dies): inst for inst in state.instances}
     crossings = sorted((start + (d.level.numerator * (den // d.level.denominator) - start) % den,

@@ -131,7 +131,8 @@ def _parse_simulation_input(raw: str) -> tuple[list, dict]:
     """The fixed points and the options (``run_loop``'s and eps) of a
     simulation input.  Only the JSON shape and the rationals are checked
     here, under Python's int <-> str digit limit; the rest is checked by
-    ``FixedPointDatum``, ``run_loop`` and ``build_cover``.
+    ``FixedPointDatum``, ``run_loop`` and ``build_cover``.  Keys the schema
+    does not list are ignored.
     """
     try:
         obj = json.loads(raw)
@@ -152,7 +153,7 @@ def _parse_simulation_input(raw: str) -> tuple[list, dict]:
             data.append(FixedPointDatum(fp["level"], fp["sign"], fp["p"], fp["q"], fp.get("match")))
         except DomainError as exc:
             raise DomainError(f"fixed point {i}: {exc}") from exc
-    rationals = ("eps", "base", "delta")
+    rationals = ("eps", "base")
     options = {key: obj[key] for key in ("loops", "bound", "tracked_independent", *rationals)
                if obj.get(key) is not None}  # a null option takes its default
     options.update({key: parse_rational(options[key]) for key in rationals if key in options})

@@ -30,7 +30,7 @@ order for both ``blowup.weighted_blowdown`` and ``chain_contact_replay``.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd
@@ -170,14 +170,9 @@ class IntersectionLattice:
             self._index = {l: i for i, l in enumerate(self._classes)}
         return self._index
 
-    def index(self, label: str) -> int:
-        try:
-            return self._positions()[label]
-        except KeyError:
-            raise DomainError(f"no class labeled {label!r}") from None
-
     def _check(self, label: str) -> None:
-        if label not in self._self:
+        # the type test first: an unhashable label cannot be looked up
+        if type(label) is not str or label not in self._self:
             raise DomainError(f"no class labeled {label!r}")
 
     def neighbours(self, label: str) -> Mapping[str, int]:
@@ -218,17 +213,6 @@ class IntersectionLattice:
         if len(self_) != len(self) + sum(map(len, others)):
             raise DomainError("class labels must be distinct")
         return IntersectionLattice._sparse(self_, c1, edges)
-
-    def without(self, labels: Iterable[str]) -> "IntersectionLattice":
-        drop = set(labels)
-        for l in drop:
-            self._check(l)
-        keep = tuple(l for l in self._classes if l not in drop)
-        return IntersectionLattice._sparse(
-            {l: self._self[l] for l in keep},
-            {l: self._c1[l] for l in keep},
-            {l: {m: v for m, v in self._edges[l].items() if m not in drop} for l in keep},
-        )
 
     # -- JSON --------------------------------------------------------------
 
@@ -316,6 +300,9 @@ def lattice_from_parts(
     require_object(self_intersections, dict, "self-intersections must be a dict label -> integer")
     require_ints([*pairs.values(), *self_intersections.values()],
                  "pairings and self-intersections must be integers")
+    for key in pairs:
+        if len(require_strs(key, "a pair must be a tuple of two labels")) != 2:
+            raise DomainError(f"a pair must be a tuple of two labels, got {key!r}")
     self_ = dict.fromkeys(classes, 0)
     if len(self_) != len(classes):
         raise DomainError("class labels must be distinct")
@@ -461,6 +448,7 @@ def blow_down(lat: IntersectionLattice, label: str) -> IntersectionLattice:
     making contraction inverse to blowing up a transverse configuration.
     One copy of the store, then O(deg(e)^2) for the contraction itself.
     """
+    require_strs([label], "a class label must be a string")
     store = _lattice(lat)._store()
     _contract(store, label)
     return IntersectionLattice._sparse(*store)
@@ -477,7 +465,7 @@ def blow_up_at(
     touched classes through the point lose one mutual intersection.  One
     copy of the store, then O(len(touched)^2) for the blowup itself.
     """
-    touched = require_list(touched, "touched classes must be a list of labels")
+    touched = require_strs(touched, "touched classes must be a list of labels")
     require_strs([label], "a class label must be a string")
     store = _lattice(lat)._store()
     _blow_up(store, touched, label)

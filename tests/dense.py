@@ -103,7 +103,7 @@ def direct_sum(a: IntersectionLattice, b: IntersectionLattice) -> IntersectionLa
 
 def blow_down(lat: IntersectionLattice, label: str) -> IntersectionLattice:
     """Contract (-1)-class ``label``: C.D grows by (C.e)(D.e), c1(C) by C.e."""
-    i = lat.index(label)
+    i = lat.classes.index(label)
     assert lat.pairing[i][i] == -1 and lat.c1[i] == 1
     keep = [j for j in range(len(lat)) if j != i]
     m = [lat.pairing[j][i] for j in range(len(lat))]
@@ -115,7 +115,7 @@ def blow_down(lat: IntersectionLattice, label: str) -> IntersectionLattice:
 def blow_up_at(lat: IntersectionLattice, touched, label: str) -> IntersectionLattice:
     """Blow up a point on the ``touched`` classes, transversally once each."""
     n = len(lat)
-    idx = [lat.index(t) for t in touched]
+    idx = [lat.classes.index(t) for t in touched]
     rows = [list(r) + [0] for r in lat.pairing]
     rows.append([0] * n + [-1])
     c1 = list(lat.c1) + [1]

@@ -2,10 +2,10 @@
 
 This is how ``hjtoric.circle`` read its levels before it put them on one
 integer grid (``circle._grid``): the levels sorted as Fractions, each gap a
-Fraction arc, the default base and delta computed from those, the cover's
+Fraction arc, the default base computed from those, the cover's
 radius bound compared in Fractions, and the first-in-first-out pairing
 walked in Fraction order with the distinct-level check on a set of
-Fractions.  ``global_sim`` takes its default base and delta from here, so
+Fractions.  ``global_sim`` takes its default base from here, so
 that oracle shares none of the grid with the package.
 """
 
@@ -37,11 +37,6 @@ def default_base(data) -> Fraction:
     levels, gaps = level_gaps(data)
     i = max(range(len(gaps)), key=gaps.__getitem__)
     return (levels[i] + gaps[i] / 2) % 1
-
-
-def default_delta(data) -> Fraction:
-    """Chain-class area: 1/1000 of the minimal level gap."""
-    return min(level_gaps(data)[1], default=ONE) / 1000
 
 
 def cover_arcs(data, eps: Fraction):

@@ -3,11 +3,11 @@
 This is how ``hjtoric.circle`` stepped before each live instance carried its
 own lattice: one bookkeeping lattice for the whole state, grown by
 ``direct_sum`` at every blowup level and shrunk by ``weighted_blowdown`` on
-that whole lattice at every blowdown level; an area record per class ever
-installed, never pruned; books stored and filtered; the crossed datum found
-by a scan of the fixed-point tuple.  It shares ``validate`` and the result
-type with the package, but none of the stepping; it takes the default base
-and delta from the Fraction oracle ``fraction_levels``, not from the
+that whole lattice at every blowdown level; an area record per exceptional
+class ever installed, never pruned; books stored and filtered; the crossed
+datum found by a scan of the fixed-point tuple.  It shares ``validate`` and
+the result type with the package, but none of the stepping; it takes the
+default base from the Fraction oracle ``fraction_levels``, not from the
 package's level grid, and it keeps its own tracking: a ``track`` mode on
 ``cross_level``, a ``tracked`` flag per instance and its own
 ``TrackedClassDestroyed``, where the package's ``run_loop`` owns the
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from fraction_levels import arc_distance, default_base, default_delta
+from fraction_levels import arc_distance, default_base
 from hjtoric.blowup import fulton_config, weighted_blowdown
 from hjtoric.circle import RunResult, validate
 from hjtoric.errors import DomainError, StructureError
@@ -33,11 +33,10 @@ class TrackedClassDestroyed(Exception):
 
 @dataclass(frozen=True)
 class AreaTrack:
-    kind: str  # "tent" | "ray" | "const"
+    kind: str  # "tent" | "ray"
     start: Fraction
     end: Fraction | None
     rate_pq: int = 1
-    value: Fraction = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,6 @@ class GlobalState:
     pairs: tuple
     base: Fraction
     position: Fraction
-    delta: Fraction
     lattice: IntersectionLattice
     instances: tuple = ()
     books: tuple = ()
@@ -90,8 +88,6 @@ def _install(state, pair_idx, created_at, dies_at, uid, tracked):
     areas = dict(state.areas)
     kind = "ray" if dies_at is None else "tent"
     areas[cfg.exceptional_label] = AreaTrack(kind, created_at, dies_at, p * q)
-    for label in cfg.chain_labels:
-        areas[label] = AreaTrack("const", created_at, dies_at, 1, state.delta)
     return replace(
         state,
         lattice=state.lattice.direct_sum(cfg.lattice()),
@@ -102,7 +98,7 @@ def _install(state, pair_idx, created_at, dies_at, uid, tracked):
     )
 
 
-def initial_state(data, *, base=None, delta=None) -> GlobalState:
+def initial_state(data, *, base=None) -> GlobalState:
     data = tuple(data)
     if not data:
         raise DomainError("cannot build a state from an empty fixed-point set")
@@ -110,10 +106,7 @@ def initial_state(data, *, base=None, delta=None) -> GlobalState:
     base = default_base(data) if base is None else Fraction(base) % 1
     if any(d.level == base for d in data):
         raise DomainError(f"base level {base} must be a regular level")
-    delta = default_delta(data) if delta is None else Fraction(delta)
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta}")
-    state = GlobalState(data, pairs, base, base, delta, empty_lattice())
+    state = GlobalState(data, pairs, base, base, empty_lattice())
     for pair_idx, (plus, _) in enumerate(pairs):
         back = arc_distance(data[plus].level, base)
         length = _pair_arc(data, pairs[pair_idx])
@@ -163,15 +156,12 @@ def area(state, label, lam) -> Fraction:
     t = lam - rec.start
     if t < 0 or (rec.end is not None and lam > rec.end):
         raise DomainError(f"class {label!r} not present at {lam}")
-    if rec.kind == "const":
-        return rec.value
     if rec.kind == "ray":
         return t / rec.rate_pq
     return min(t, rec.end - rec.start - t) / rec.rate_pq
 
 
-def run_loop(data, loops, bound=None, *, base=None, delta=None,
-             tracked_independent=True) -> RunResult:
+def run_loop(data, loops, bound=None, *, base=None, tracked_independent=True) -> RunResult:
     """The verdict, ledger, contradiction loop and final lattice; the
     messages are not reproduced."""
     data = tuple(data)
@@ -179,7 +169,7 @@ def run_loop(data, loops, bound=None, *, base=None, delta=None,
         raise DomainError(f"loops must be >= 1, got {loops}")
     if not data:
         return RunResult("NO_OBSTRUCTION", (), None, empty_lattice(), None, None, bound)
-    state = initial_state(data, base=base, delta=delta)
+    state = initial_state(data, base=base)
     order = sorted(range(len(data)), key=lambda i: arc_distance(state.base, data[i].level))
     ledger: list[Fraction] = []
     tracked_label = None

@@ -15,11 +15,9 @@ from hjtoric import circle
 from hjtoric.circle import (
     FixedPointDatum,
     ReducedSpaceState,
-    area,
     build_cover,
     cross_level,
     default_base,
-    default_delta,
     initial_state,
     run_loop,
     validate,
@@ -204,8 +202,7 @@ def test_invalid_data_raise_validation_error(start, name):
 @pytest.mark.parametrize("options,reason", [
     ({"base": 0.25}, "exact rational"),
     ({"base": "1e-3"}, "exponent"),
-    ({"delta": 0.5}, "exact rational"),
-], ids=["float-base", "exponent-base", "float-delta"])
+], ids=["float-base", "exponent-base"])
 def test_inexact_base_and_delta_are_rejected(start, options, reason):
     with pytest.raises(DomainError, match=reason):
         start(pair_21(), **options)
@@ -386,45 +383,24 @@ class TestCrossLevel:
 
 
 class TestArea:
+    """The exceptional area the ledger reads, ``circle._tent``."""
+
     def setup_state(self):
         data = pair_21()
         st = initial_state(data, base=Fraction(3, 4))
-        return cross_level(st.at(Fraction(1)), data[0]), st
+        return cross_level(st.at(Fraction(1)), data[0])
 
     def test_exceptional_grows_at_slope(self):
-        st, _ = self.setup_state()
-        label = labelled(st.instances[-1]).exceptional_label
-        assert area(st, label, Fraction(1)) == 0
-        assert area(st, label, Fraction(5, 4)) == Fraction(1, 8)
+        st = self.setup_state()
+        inst, den = st.instances[-1], st.context.den
+        assert inst.uid == "B1"
+        assert circle._tent(inst, st.pos, den) == 0
+        assert circle._tent(inst, st.at(Fraction(5, 4)).pos, den) == Fraction(1, 8)
 
     def test_tent_vanishes_at_death(self):
-        st, _ = self.setup_state()
+        st = self.setup_state()
         inst = st.instances[-1]
-        assert area(st, labelled(inst).exceptional_label, Fraction(inst.dies, st.context.den)) == 0
-
-    def test_chain_area_constant(self):
-        data = pair_74()
-        st = initial_state(data, base=Fraction(3, 4))
-        st = cross_level(st.at(Fraction(1)), data[0])
-        label = labelled(st.instances[-1]).chain_labels[0]
-        assert area(st, label, Fraction(1)) == st.context.delta
-        assert area(st, label, Fraction(5, 4)) == st.context.delta
-
-    def test_absent_class(self):
-        st, _ = self.setup_state()
-        for absent in ("nope", "E~", "B9.E~", "B1.Zq1", "B1."):
-            with pytest.raises(DomainError, match="no class"):
-                area(st, absent, Fraction(1))
-        for wrong in (None, 5):
-            with pytest.raises(DomainError, match="string"):
-                area(st, wrong, Fraction(1))
-        label = labelled(st.instances[-1]).exceptional_label
-        assert label == "B1.E~" and area(st, label, Fraction(1)) == 0
-        with pytest.raises(DomainError):
-            area(st, label, Fraction(1, 2))  # before creation
-        for lam in (1.1, True):  # inside the class's life, but not exact
-            with pytest.raises(DomainError, match="exact rational"):
-                area(st, label, lam)
+        assert circle._tent(inst, inst.dies, st.context.den) == 0
 
 
 class TestRunLoop:
@@ -542,17 +518,15 @@ class TestInvariants:
             FixedPointDatum(Fraction(0), +1, 2, 1),
             FixedPointDatum(Fraction(3, 4), -1, 2, 1),
         ]
-        assert default_base(data) == Fraction(3, 8)
+        assert default_base(circle._grid(data)) == Fraction(3, 8)
 
     def test_defaults_for_a_lone_and_a_repeated_level(self):
         """A lone level's arc is the whole circle; a repeated level keeps
         its zero gap."""
         lone = [FixedPointDatum(Fraction(1, 4), +1, 2, 1)]
-        assert default_base(lone) == Fraction(3, 4)
-        assert default_delta(lone) == Fraction(1, 1000)
+        assert default_base(circle._grid(lone)) == Fraction(3, 4)
         repeated = [FixedPointDatum(l, +1, 2, 1) for l in (Fraction(0), Fraction(0), Fraction(1, 2))]
-        assert default_base(repeated) == Fraction(1, 4)
-        assert default_delta(repeated) == 0
+        assert default_base(circle._grid(repeated)) == Fraction(1, 4)
 
 
 # -- the level grid against the Fraction oracle --------------------------------
@@ -603,7 +577,7 @@ def level_sets(draw):
                 FixedPointDatum(Fraction(NEAR_1E50 // 2 + 1, NEAR_1E50 + 3), 1, 3, 1),
                 FixedPointDatum(Fraction(1, 2), -1, 3, 1)], Fraction(1, 10 ** 51)))
 def test_level_grid_matches_the_fraction_oracle(case):
-    """The grid's sorted levels and gaps, the default base and delta, the
+    """The grid's sorted levels and gaps, the default base, the
     cover (or its error) and the pairing (or its error) are what the
     Fraction arithmetic gives, for a lone level, repeated levels, no level,
     four equal gaps (the first wins the base) and denominators near 10^50."""
@@ -613,8 +587,7 @@ def test_level_grid_matches_the_fraction_oracle(case):
     assert [Fraction(keys[i], den) for i in order] == levels
     assert [Fraction(g, den) for g in gaps] == want_gaps
     if data:
-        assert default_base(data) == fraction_levels.default_base(data)
-    assert default_delta(data) == fraction_levels.default_delta(data)
+        assert default_base((den, keys, order, gaps)) == fraction_levels.default_base(data)
     cover = outcome(build_cover, data, eps)
     if isinstance(cover, circle.GeneralizedCover):
         cover = (cover.levels, cover.u_arcs, cover.i_arcs)
@@ -736,7 +709,7 @@ def crossings(sim, data, loops):
     """Every state of ``sim``'s stepping, as run_loop steps with a tracked
     copy; the oracle installs it through its own ``track`` mode.  Both
     sims prime at the default base."""
-    base = default_base(data)
+    base = default_base(circle._grid(data))
     state = sim.initial_state(data)
     order = sorted(data, key=lambda d: arc_distance(base, d.level))
     tracked = False
@@ -767,8 +740,10 @@ def test_each_crossing_matches_global_lattice_oracle(action):
         assert got.position == want.position
         assert got.lattice.to_json() == want.lattice.to_json()
         assert got.books == want.books
-        for label in got.lattice.classes:
-            assert area(got, label, got.position) == global_sim.area(want, label, want.position)
+        for inst in got.instances:
+            label = labelled(inst).exceptional_label
+            assert circle._tent(inst, got.pos, got.context.den) == global_sim.area(
+                want, label, want.position)
 
 
 def test_state_does_not_grow_with_loops():
@@ -797,7 +772,7 @@ def closed_form(data, loops, bound, base, tracked_independent):
     its pair's arc and dies at the matched blowdown, d + arc past the base.
     """
     pairs = validate(data)
-    base = default_base(data) if base is None else base
+    base = default_base(circle._grid(data)) if base is None else base
     arc = {plus: arc_distance(data[plus].level, data[minus].level) for plus, minus in pairs}
     first = min(arc, key=lambda plus: arc_distance(base, data[plus].level))
     d = arc_distance(base, data[first].level)

@@ -322,7 +322,7 @@ def test_hostile_simulation_json_exits_2(capsys, monkeypatch, text):
     assert captured.err.startswith("error: malformed JSON input:")
 
 
-@pytest.mark.parametrize("key", ["base", "delta", "eps"])
+@pytest.mark.parametrize("key", ["base", "eps"])
 def test_5000_digit_rational_option_exits_2(capsys, monkeypatch, key):
     """The rational options, like the levels, are read under Python's
     int <-> str digit limit, which the run lifts only after reading them."""
@@ -402,8 +402,7 @@ def _huge_level():
     (("simulate", "-"), _huge_level()),
     (("simulate", "-"), _two_points(eps=_HUGE)),
     (("simulate", "-"), _two_points(base=_HUGE)),
-    (("simulate", "-"), _two_points(delta=_HUGE)),
-], ids=["size", "level", "eps", "base", "delta"])
+], ids=["size", "level", "eps", "base"])
 def test_exponent_notation_exits_2_at_once(capsys, monkeypatch, argv, obj):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj)))
     t0 = time.perf_counter()
@@ -436,6 +435,20 @@ def test_a_null_option_prints_what_the_option_left_out_prints(capsys, monkeypatc
     obj = _two_points(eps="1/8", base="1/4", delta="1/1000", tracked_independent=True)
     runs = []
     for case in ({k: v for k, v in obj.items() if k != key}, {**obj, key: None}):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(case)))
+        runs.append(run_cli(capsys, "simulate", "-"))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
+@pytest.mark.parametrize("extra", [{"delta": "1/1000"}, {"delta": "7/3"}, {"delta": "-1"},
+                                   {"delta": "1e-99999999"}, {"delta": None}, {"foo": [1.5]}],
+                         ids=["delta", "delta-over-1", "negative-delta", "exponent-delta",
+                              "null-delta", "unknown-key"])
+def test_keys_outside_the_schema_are_ignored(capsys, monkeypatch, extra):
+    """A key the schema does not list, ``delta`` included, changes neither
+    the exit code nor a byte of stdout."""
+    runs = []
+    for case in (_two_points(eps="1/8"), _two_points(eps="1/8", **extra)):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(case)))
         runs.append(run_cli(capsys, "simulate", "-"))
     assert runs[0] == runs[1] and runs[0][0] == 0
@@ -655,8 +668,7 @@ _SIMULATION = st.fixed_dictionaries(
               "bound": _mostly(st.integers(-1, 6) | st.none(), _NUMBER),
               "tracked_independent": _mostly(st.booleans(), _NUMBER),
               "eps": _mostly(st.sampled_from(["1/100", "1/16", "1/4"]), _NUMBER),
-              "base": _mostly(st.sampled_from(["1/16", "9/16"]), _NUMBER),
-              "delta": _mostly(st.sampled_from(["1/1000", "1"]), _NUMBER)},
+              "base": _mostly(st.sampled_from(["1/16", "9/16"]), _NUMBER)},
 )
 
 

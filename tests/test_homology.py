@@ -244,7 +244,7 @@ class TestCriteria:
         assert replay.triggered and replay.via == etilde and replay.pair_product == -1
         assert replay.pair_self_intersections == (-1, -1) and replay.c1_sum == 2
         rows = [list(row) for row in cfg.lattice().pairing]
-        i = cfg.lattice().index(etilde)
+        i = cfg.lattice().classes.index(etilde)
         rows[i][i] = -2
         shifted = IntersectionLattice(cfg.lattice().classes, rows, cfg.lattice().c1)
         for k in (-1, 1):

@@ -1,10 +1,12 @@
 """The public boundary: what ``hjtoric.__all__`` lists, that the package
 imports each name only on first use, and that every integer, rational,
-container or package-object argument it takes refuses a malformed value
-with a DomainError, never a TypeError, an AttributeError or a result."""
+label, container or package-object argument it takes refuses a malformed
+value with a DomainError, never a TypeError, an AttributeError or a
+result."""
 
 import inspect
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,7 +21,6 @@ from hjtoric import (
     FixedPointDatum,
     HJExpansion,
     IntersectionLattice,
-    area,
     blow_down,
     blow_up_at,
     build_cover,
@@ -76,7 +77,6 @@ RECIPES = {
     "IntersectionLattice": recipe(
         lambda s, m, t, c, d: IntersectionLattice(["a", "b"], [[s, m], [m, t]], [c, d]),
         -1, 1, -2, 1, 0),
-    "area": recipe(lambda lam: area(initial_state(pair()), "B1.E~", lam), "1/4"),
     "blow_down": recipe(lambda: blow_down(two_exceptional(), "a")),
     "blow_up_at": recipe(lambda: blow_up_at(two_exceptional(), ["a", "b"], "e")),
     "build_cover": recipe(lambda eps: build_cover(pair(), eps), "1/8"),
@@ -93,14 +93,13 @@ RECIPES = {
     "hj_eval": recipe(lambda a, b, c: hj_eval([a, b, c]), 3, 2, 2),
     "hj_expand": recipe(hj_expand, 7, 3),
     "hj_reverse": recipe(lambda: hj_reverse(hj_expand(7, 3))),
-    "initial_state": recipe(lambda base, delta: initial_state(pair(), base=base, delta=delta),
-                            "1/4", "1/1000", none_ok=(0, 1)),
+    "initial_state": recipe(lambda base: initial_state(pair(), base=base), "1/4", none_ok=(0,)),
     "mcduff_lattice": recipe(mcduff_lattice, 4, 7),
     "mcduff_sequence": recipe(mcduff_sequence, 4, 7),
     "mod_inverse": recipe(mod_inverse, 3, 7),
     "resolve_cyclic": recipe(lambda: resolve_cyclic(CyclicSingularity(5, 1, 2))),
-    "run_loop": recipe(lambda loops, bound, base, delta: run_loop(
-        pair(), loops, bound, base=base, delta=delta), 2, 3, "1/4", "1/1000", none_ok=(1, 2, 3)),
+    "run_loop": recipe(lambda loops, bound, base: run_loop(pair(), loops, bound, base=base),
+                       2, 3, "1/4", none_ok=(1, 2)),
     "same_resolution": recipe(
         lambda: same_resolution(CyclicSingularity(7, 1, 3), CyclicSingularity(7, 1, 5))),
     "signature": recipe(lambda s, m, t: signature([[s, m], [m, t]]), 0, 1, 0),
@@ -136,7 +135,7 @@ PUBLIC = [
     "BlowupConfig", "Chain", "CyclicSingularity", "DomainError", "EvaluationError",
     "FixedPointDatum", "GeneralizedCover", "HJExpansion", "IntersectionLattice",
     "McDuffSequence", "ReducedSpaceState", "RunResult", "StructureError", "ValidationError",
-    "area", "blow_down", "blow_up_at", "build_cover", "chain_contact_replay", "cross_check",
+    "blow_down", "blow_up_at", "build_cover", "chain_contact_replay", "cross_check",
     "cross_level", "cut_chords", "empty_lattice", "exceptional_pair_criterion", "ext_gcd",
     "fulton_config", "hj_eval", "hj_expand", "hj_reverse", "initial_state", "mcduff_lattice",
     "mcduff_sequence", "mod_inverse", "resolve_cyclic", "run_loop", "same_resolution",
@@ -268,7 +267,6 @@ def test_malformed_containers_are_domain_errors(name):
 # config, a singularity, an expansion or a state) or a bool flag, with
 # those arguments only, keyed as RECIPES is.
 OBJECT_RECIPES = {
-    "area": recipe(lambda state: area(state, "B1.E~", "1/4"), initial_state(pair())),
     "blow_down": recipe(lambda lat: blow_down(lat, "a"), two_exceptional()),
     "blow_up_at": recipe(lambda lat: blow_up_at(lat, ["a", "b"], "e"), two_exceptional()),
     "chain_contact_replay": recipe(
@@ -353,3 +351,40 @@ def test_once_accepted_inputs_are_domain_errors(call):
     with pytest.raises(DomainError):
         call()
 
+
+
+# One call per public function or method that looks a class label up, with
+# that label as its argument.  An unhashable label raised a TypeError.
+LABEL_LOOKUPS = {
+    "IntersectionLattice.neighbours": lambda label: two_exceptional().neighbours(label),
+    "IntersectionLattice.pair-first": lambda label: two_exceptional().pair(label, "a"),
+    "IntersectionLattice.pair-second": lambda label: two_exceptional().pair("a", label),
+    "IntersectionLattice.self_intersection":
+        lambda label: two_exceptional().self_intersection(label),
+    "IntersectionLattice.c1_of": lambda label: two_exceptional().c1_of(label),
+    "IntersectionLattice.is_exceptional": lambda label: two_exceptional().is_exceptional(label),
+    "blow_down": lambda label: blow_down(two_exceptional(), label),
+    "blow_up_at": lambda label: blow_up_at(two_exceptional(), ["a", label], "e"),
+    "exceptional_pair_criterion-first":
+        lambda label: exceptional_pair_criterion(two_exceptional(), label, "b"),
+    "exceptional_pair_criterion-second":
+        lambda label: exceptional_pair_criterion(two_exceptional(), "a", label),
+    "chain_contact_replay": lambda label: chain_contact_replay(
+        add_class(fulton_config(2, 1).lattice(), "E'", -1), label, fulton_config(2, 1)),
+}
+
+
+@pytest.mark.parametrize("call", LABEL_LOOKUPS.values(), ids=LABEL_LOOKUPS.keys())
+def test_label_lookups_refuse_labels_that_are_not_strs(call):
+    for bad in (5, ["E~"], {}):
+        with pytest.raises(DomainError):
+            call(bad)
+
+
+@pytest.mark.parametrize("key", [5, "ab", ("a",), ("a", "b", "c")],
+                         ids=["int", "str", "one-label", "three-labels"])
+def test_lattice_from_parts_refuses_a_pair_key_that_is_not_two_labels(key):
+    """A str key was read as its letters, and the others raised a
+    TypeError or a bare unpacking ValueError."""
+    with pytest.raises(DomainError, match=re.escape(repr(key))):
+        lattice_from_parts(["a", "b", "c"], {key: 1}, {})

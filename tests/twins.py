@@ -85,7 +85,6 @@ class GeneralizedCover:
 class RunContext:
     data: tuple[FixedPointDatum, ...]
     base: Fraction
-    delta: Fraction
     den: int
     arcs: tuple[int, ...]
     pair_of: tuple[int, ...]
