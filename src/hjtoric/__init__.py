@@ -16,9 +16,9 @@ _HOMES = {
     "resolution": ("Chain", "CyclicSingularity", "resolve_cyclic", "same_resolution",
                    "type_equivalent"),
     "blowup": ("BlowupConfig", "McDuffSequence", "cross_check", "cut_chords", "fulton_config",
-               "mcduff_lattice", "mcduff_sequence", "weighted_blowdown"),
+               "mcduff_sequence", "weighted_blowdown"),
     "circle": ("FixedPointDatum", "GeneralizedCover", "ReducedSpaceState", "RunResult",
-               "build_cover", "cross_level", "initial_state", "run_loop", "validate"),
+               "build_cover", "cross_level", "initial_state", "run_loop"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

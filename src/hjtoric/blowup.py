@@ -49,10 +49,6 @@ Vec = tuple[int, int]
 Point = tuple[Fraction, Fraction]
 
 
-def det2(u: Vec, v: Vec) -> int:
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def _require_weights(p: int, q: int) -> None:
     require_ints((p, q), "weights must be integers")
     if p < 1 or q < 1:
@@ -111,11 +107,6 @@ class BlowupConfig(Value):
         object.__setattr__(self, "_lattice", lat)
         return lat
 
-    def prefixed(self, prefix: str) -> "BlowupConfig":
-        """The same config with ``prefix``, a str, put before every class label."""
-        return BlowupConfig(self.p, self.q, self.size, self.chain_p.prefixed(prefix),
-                            self.chain_q.prefixed(prefix), prefix + self.exceptional_label)
-
     def to_json(self) -> dict:
         # chains are reported from the axis end (the continued-fraction
         # reading order); the lattice block carries the actual wiring
@@ -138,8 +129,7 @@ def fulton_config(
     The order-p corner resolves by the expansion of p/(p - q) and the
     order-q corner by the expansion of q/k with k = q - p mod q (empty for
     q = 1); E~ meets the last class of each expansion, so the stored chains
-    are the reversed expansions.  ``size`` is read by ``parse_rational``;
-    :meth:`BlowupConfig.prefixed` relabels a config.
+    are the reversed expansions.  ``size`` is read by ``parse_rational``.
     """
     _require_weights(p, q)
     size = parse_rational(size)
@@ -235,7 +225,7 @@ def mcduff_sequence(q: int, p: int) -> McDuffSequence:
     u, d = (1, 0), (0, 1)
     for block, (a, value) in enumerate(zip(blocks, values)):
         for _ in range(a):
-            if det2(u, d) != 1:
+            if u[0] * d[1] - u[1] * d[0] != 1:
                 raise StructureError(f"cut {len(labels) + 1} sits at a non-smooth corner {u}, {d}")
             multiplicities.append(value)
             labels.append((u[0] + d[0], u[1] + d[1]))
@@ -247,11 +237,6 @@ def mcduff_sequence(q: int, p: int) -> McDuffSequence:
     if labels[-1] != (q, p):
         raise StructureError(f"cut replay ended at {labels[-1]}, expected {(q, p)}")
     return McDuffSequence(p, q, tuple(multiplicities), tuple(labels), tuple(flanks))
-
-
-def mcduff_lattice(q: int, p: int) -> IntersectionLattice:
-    """Intersection lattice of the cut replay, one class per cut."""
-    return mcduff_sequence(q, p).lattice()
 
 
 def cut_chords(q: int, p: int) -> list[tuple[Vec, Point, Point]]:
@@ -302,7 +287,8 @@ def cross_check(p: int, q: int) -> bool:
     has exactly |chain_p| + |chain_q| + 1 cuts).  A False return means an
     internal inconsistency, not a bad input.
     """
-    return lattices_isomorphic_as_chains(fulton_config(p, q).lattice(), mcduff_lattice(q, p))
+    return lattices_isomorphic_as_chains(fulton_config(p, q).lattice(),
+                                          mcduff_sequence(q, p).lattice())
 
 
 def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> IntersectionLattice:

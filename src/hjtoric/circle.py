@@ -29,25 +29,24 @@ reports TRACKED_CLASS_DESTROYED.
 Configurations never interact, so the state is the set of live instances,
 each its pair's config, shared with every other instance of the pair and
 with every pair of equal weights, and a uid.  Labels are prefixed ``uid.``
-only where they leave the run: in an instance's lattice (so in the state's
-and the result's) and in the tracked label.  A crossing costs
-the same at any loop count, and a blowdown reads the config's lattice,
-built once per run.
+only where they leave the run: in an instance's lattice (so in the
+result's) and in the tracked label.  A crossing costs the same at any
+loop count, and a blowdown reads the config's lattice, built once per run.
 
 A run splits what it fixes from what it steps.  ``initial_state`` puts the
 levels on one integer grid, ``_grid`` (the lcm of their denominators, each
 level's numerator over it, their order and the gaps between them), once:
-it validates the data on it (``ValidationError`` lists every failure),
-reads the default base off it and builds one frozen ``RunContext`` per
-run: the data and base, each datum's pair, each pair's config, resolved
-once per distinct weight pair, and the run's grid, the lcm D of the base
-and level denominators.  Every position is an
-integer numerator over D, and so are an instance's blowup and blowdown
-positions, which give its area tent.  What a run steps is a live map, a
-dict of instances in install order keyed by ``(pair, dies)`` (T under
-``(pair, None)``), and one kernel, ``_step``, crosses a level on it in
-place: ``_install`` at a +1 level, a pop by key and a blowdown at a -1
-level.  ``initial_state`` primes through ``_install``; ``cross_level``
+it pairs and validates the data on it by ``_validate`` (one
+``ValidationError`` lists every failure), reads the default base off it
+and builds one frozen ``RunContext`` per run: the data and base, each
+datum's pair, each pair's config, resolved once per distinct weight pair,
+and the run's grid, the lcm D of the base and level denominators.  Every
+position is an integer numerator over D, and so are an instance's blowup
+and blowdown positions, which give its area tent.  What a run steps is a
+live map, a dict of instances in install order keyed by ``(pair, dies)``
+(T under ``(pair, None)``), and one kernel, ``_step``, crosses a level on
+it in place: ``_install`` at a +1 level, a pop by key and a blowdown at a
+-1 level.  ``initial_state`` primes through ``_install``; ``cross_level``
 steps a copy of a state's instances; ``run_loop`` steps one map from start
 to end and reads its ledger, bound and result off it, so a state is only
 the view the step API returns.  Fractions are built only for the default
@@ -66,9 +65,8 @@ from math import lcm
 from ._value import Value, _set
 from .blowup import BlowupConfig, _require_weights, fulton_config, weighted_blowdown
 from .errors import DomainError, StructureError, ValidationError, require_int, require_object
-from .homology import IntersectionLattice, empty_lattice
+from .homology import IntersectionLattice, _with_prefix, empty_lattice
 from .rationals import parse_rational, rational_json
-from .resolution import CyclicSingularity
 
 log = logging.getLogger(__name__)
 
@@ -109,21 +107,14 @@ def _fixed_points(data) -> tuple[FixedPointDatum, ...]:
     return tuple(data)
 
 
-def validate(data) -> tuple[tuple[int, int], ...]:
-    """The blowup/blowdown pairing of ``data``: sorted (plus index, minus
-    index) pairs, or () for an empty fixed-point set.
+def _validate(data: tuple[FixedPointDatum, ...], grid) -> tuple[tuple[int, int], ...]:
+    """The blowup/blowdown pairing of non-empty ``data`` whose level grid is
+    ``grid``: sorted (plus index, minus index) pairs.
 
     Levels must be distinct, both signs must occur and every blowup must
     pair with a blowdown of equal weights; data that fail raise one
-    ``ValidationError`` listing every reason; data that are not a list of
-    ``FixedPointDatum`` raise DomainError.
+    ``ValidationError`` listing every reason.
     """
-    data = _fixed_points(data)
-    return _validate(data, _grid(data)) if data else ()
-
-
-def _validate(data: tuple[FixedPointDatum, ...], grid) -> tuple[tuple[int, int], ...]:
-    """``validate`` of non-empty ``data`` whose level grid is ``grid``."""
     errors: list[str] = []
     if 0 in grid[3]:
         errors.append("critical levels must be distinct")
@@ -271,7 +262,8 @@ class Instance(Value):
     run's context, under the label prefix ``uid.``.
 
     ``config`` keeps the unprefixed labels; ``lattice`` is the config's
-    lattice with every label prefixed, built on each read for output.
+    lattice with every label prefixed (``homology._with_prefix``), built on
+    each read for output.
     ``created`` and ``dies`` are cumulative coordinates as numerators over
     the run's grid ``RunContext.den``: its blowup and its matched blowdown,
     ``dies`` None for the transported tracked copy ``T``, which no blowdown
@@ -293,7 +285,7 @@ class Instance(Value):
 
     @property
     def lattice(self) -> IntersectionLattice:
-        return self.config.prefixed(f"{self.uid}.").lattice()
+        return _with_prefix(self.config.lattice(), f"{self.uid}.")
 
 
 class ReducedSpaceState(Value):
@@ -304,9 +296,10 @@ class ReducedSpaceState(Value):
     ``context.den``, the live map's ``instances`` in install order and the
     install ``counter``.  The position is a cumulative counterclockwise
     coordinate (it increases by 1 per loop; its value mod 1 is the circle
-    level).  ``position`` reads it as an exact Fraction; ``lattice`` (the
-    instances' direct sum in install order) and ``books`` (their orbifold
-    points) are derived on demand.  The kernel steps a map, never a state.
+    level).  ``position`` reads it as an exact Fraction.  Each instance
+    carries its own lattice and its config's weights (its orbifold points
+    have orders ``config.p`` and ``config.q``).  The kernel steps a map,
+    never a state.
     """
 
     context: RunContext
@@ -317,21 +310,6 @@ class ReducedSpaceState(Value):
     @property
     def position(self) -> Fraction:
         return Fraction(self.pos, self.context.den)
-
-    @property
-    def lattice(self) -> IntersectionLattice:
-        return empty_lattice().direct_sum(*(inst.lattice for inst in self.instances))
-
-    @property
-    def books(self) -> tuple[tuple[str, CyclicSingularity], ...]:
-        """(uid, point) for the order-p and order-q points of each live
-        instance; a point of order 1 is smooth and absent."""
-        books = []
-        for inst in self.instances:
-            p, q = inst.config.p, inst.config.q
-            books += [(inst.uid, CyclicSingularity(n, 1, (n - m) % n))
-                      for n, m in ((p, q), (q, p)) if n > 1]
-        return tuple(books)
 
     def at(self, position) -> "ReducedSpaceState":
         """The same state at a later position, which must lie on the run's
@@ -388,7 +366,7 @@ def initial_state(data, *, base=None) -> ReducedSpaceState:
     with the periodic dynamics from the very first crossing.  The run's
     context, with one config per distinct weight pair, is built here on the
     data's level grid; every install shares its pair's config.  ``base``
-    is parsed first; data that fail ``validate`` raise its
+    is parsed first; data that fail ``_validate`` raise its
     ``ValidationError``.
     """
     base = None if base is None else parse_rational(base)

@@ -10,8 +10,9 @@ any case) exits 2.
 
 Each subcommand imports only the modules it runs, inside its ``cmd_*``
 function, so ``hj`` loads neither the simulator nor the blowup code, and a
-usage error loads no math module.  ``logging`` is imported only when
-HJTORIC_LOG is set.
+usage error loads no math module.  ``simulate`` loads ``logging`` with the
+simulator, which logs its debug trail through it; every other subcommand
+imports it only when HJTORIC_LOG is set or a cross-check fails.
 """
 
 from __future__ import annotations

@@ -319,6 +319,16 @@ def lattice_from_parts(
     return IntersectionLattice._sparse(self_, {l: 2 + s for l, s in self_.items()}, edges)
 
 
+def _with_prefix(lat: IntersectionLattice, prefix: str) -> IntersectionLattice:
+    """``lat`` with ``prefix`` put before every label, in the same basis
+    order.  A common prefix keeps distinct labels distinct, so the result
+    is valid by construction."""
+    return IntersectionLattice._sparse(
+        {prefix + l: s for l, s in lat._self.items()},
+        {prefix + l: c for l, c in lat._c1.items()},
+        {prefix + l: {prefix + m: v for m, v in row.items()} for l, row in lat._edges.items()})
+
+
 def _lattice(lat) -> IntersectionLattice:
     """``lat`` itself if it is a lattice; otherwise a DomainError."""
     return require_object(lat, IntersectionLattice, "lat must be an IntersectionLattice")
@@ -427,15 +437,6 @@ def _minus(x, n, d):
     return n // g, d // g
 
 
-def _add(row: dict, key, x) -> None:
-    """``row[key] += x`` in an edge-map row, which holds nonzero entries only."""
-    v = row.get(key, 0) + x
-    if v:
-        row[key] = v
-    else:
-        row.pop(key, None)
-
-
 # -- blowups / blowdowns -----------------------------------------------------
 
 
@@ -489,8 +490,11 @@ def _blow_up(store, touched: Sequence[str], label: str) -> None:
         c1[t] -= 1
         row = dict(edges[t])
         for u in touched:
-            if u != t:
-                _add(row, u, -1)
+            if u != t:  # row[u] -= 1; rows hold nonzero entries only
+                if v := row.get(u, 0) - 1:
+                    row[u] = v
+                else:
+                    del row[u]
         row[label] = 1
         edges[t] = row
     self_[label], c1[label], edges[label] = -1, 1, dict.fromkeys(touched, 1)

@@ -8,9 +8,10 @@ and a margin of 0.75 lattice units is left blank on every side.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf, isfinite
 
 from .blowup import mcduff_sequence
-from .errors import require_int
+from .errors import DomainError, require_int
 
 _STYLE = (
     "text { font: 11px sans-serif; } "
@@ -31,11 +32,19 @@ def cut_diagram_svg(p: int, q: int, scale: int = 40) -> str:
     """The cut cascade of the (p, q)-weighted blowup, chords labeled.
 
     Draws the two quadrant edges and every cut chord at multiplicity size,
-    ending in the hypotenuse from (0, q) to (p, 0).
+    ending in the hypotenuse from (0, q) to (p, 0).  A scale whose canvas
+    size is not a finite float is a DomainError.
     """
     seq = mcduff_sequence(q, p)
     scale = require_int(scale, "scale must be an integer >= 1", 1)
     xmax, ymax = p + 1, q + 1
+    try:  # every coordinate drawn lies between 0 and the canvas size
+        w, h = ((n + 2 * _MARGIN) * scale for n in (xmax, ymax))
+    except OverflowError:  # a scale beyond the float range
+        w = h = inf
+    if not (isfinite(w) and isfinite(h)):
+        raise DomainError(f"scale too large: the canvas of the ({p},{q}) diagram "
+                          "overflows a float")
 
     def x_at(x) -> str:
         return _fmt((float(x) + _MARGIN) * scale)
@@ -59,8 +68,7 @@ def cut_diagram_svg(p: int, q: int, scale: int = 40) -> str:
         parts += [line(a, b, cls="cut"),
                   text(mid[0] + Fraction(1, 8), mid[1] + Fraction(1, 8), f"({label[0]},{label[1]})")]
     parts.append(text(p - 1, q + Fraction(1, 2), f"({p},{q})-weighted blowup cuts"))
-    w = _fmt((xmax + 2 * _MARGIN) * scale)
-    h = _fmt((ymax + 2 * _MARGIN) * scale)
+    w, h = _fmt(w), _fmt(h)
     body = "\n  ".join(parts)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '

@@ -64,10 +64,10 @@ def cover_arcs(data, eps: Fraction):
 
 
 def fifo_pairs(data) -> tuple[tuple[int, int], ...]:
-    """``validate`` of data without ``match`` fields: the level and sign
-    checks, then first-in-first-out among equal weights counterclockwise
-    from level 0, leftover blowups wrapping around to the leading
-    blowdowns."""
+    """The pairing ``circle._validate`` gives data without ``match``
+    fields, () for no data: the level and sign checks, then
+    first-in-first-out among equal weights counterclockwise from level 0,
+    leftover blowups wrapping around to the leading blowdowns."""
     if not data:
         return ()
     errors: list[str] = []

@@ -4,14 +4,17 @@ This is how ``hjtoric.circle`` stepped before each live instance carried its
 own lattice: one bookkeeping lattice for the whole state, grown by
 ``direct_sum`` at every blowup level and shrunk by ``weighted_blowdown`` on
 that whole lattice at every blowdown level; an area record per exceptional
-class ever installed, never pruned; books stored and filtered; the crossed
-datum found by a scan of the fixed-point tuple.  It shares ``validate`` and
-the result type with the package, but none of the stepping; it takes the
-default base from the Fraction oracle ``fraction_levels``, not from the
-package's level grid, and it keeps its own tracking: a ``track`` mode on
-``cross_level``, a ``tracked`` flag per instance and its own
+class ever installed, never pruned; the crossed datum found by a scan of
+the fixed-point tuple.  It shares the result type and the unprefixed
+configs of ``fulton_config`` with the package, but none of the stepping
+and none of the pairing: it pairs the levels by their ``match`` fields or
+by the Fraction oracle ``fraction_levels.fifo_pairs``, takes the default
+base from ``fraction_levels`` too, not from the package's level grid,
+prefixes each config's labels through the public ``Chain`` and
+``BlowupConfig`` constructors, and keeps its own tracking: a ``track``
+mode on ``cross_level``, a ``tracked`` flag per instance and its own
 ``TrackedClassDestroyed``, where the package's ``run_loop`` owns the
-tracked class.
+tracked class.  It assumes valid data; the package's run checks them.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from fraction_levels import arc_distance, default_base
-from hjtoric.blowup import fulton_config, weighted_blowdown
-from hjtoric.circle import RunResult, validate
+from fraction_levels import arc_distance, default_base, fifo_pairs
+from hjtoric.blowup import BlowupConfig, fulton_config, weighted_blowdown
+from hjtoric.circle import RunResult
 from hjtoric.errors import DomainError, StructureError
 from hjtoric.homology import IntersectionLattice, empty_lattice
-from hjtoric.resolution import CyclicSingularity
+from hjtoric.resolution import Chain
 
 
 class TrackedClassDestroyed(Exception):
@@ -57,7 +60,6 @@ class GlobalState:
     position: Fraction
     lattice: IntersectionLattice
     instances: tuple = ()
-    books: tuple = ()
     areas: dict = field(default_factory=dict)
     counter: int = 0
 
@@ -75,23 +77,33 @@ def _pair_arc(data, pair) -> Fraction:
     return arc_distance(data[plus].level, data[minus].level)
 
 
+def pairs_of(data) -> tuple[tuple[int, int], ...]:
+    """Sorted (plus index, minus index) pairs: the ``match`` fields where
+    the data carry them (all or none do), first-in-first-out otherwise."""
+    if data and data[0].match is not None:
+        return tuple(sorted((i, d.match) for i, d in enumerate(data) if d.sign == 1))
+    return fifo_pairs(data)
+
+
+def prefixed(cfg: BlowupConfig, prefix: str) -> BlowupConfig:
+    """``cfg`` with ``prefix`` put before every class label."""
+    def chain(c):
+        return Chain(c.self_intersections, tuple(prefix + l for l in c.labels))
+    return BlowupConfig(cfg.p, cfg.q, cfg.size, chain(cfg.chain_p), chain(cfg.chain_q),
+                        prefix + cfg.exceptional_label)
+
+
 def _install(state, pair_idx, created_at, dies_at, uid, tracked):
     plus, _ = state.pairs[pair_idx]
     p, q = state.data[plus].weights
     size = Fraction(1) if dies_at is None else (dies_at - created_at) / (2 * p * q)
-    cfg = fulton_config(p, q, size=size).prefixed(f"{uid}.")
-    books = list(state.books)
-    if p > 1:
-        books.append((uid, CyclicSingularity(p, 1, (p - q) % p)))
-    if q > 1:
-        books.append((uid, CyclicSingularity(q, 1, (q - p) % q)))
+    cfg = prefixed(fulton_config(p, q, size=size), f"{uid}.")
     areas = dict(state.areas)
     kind = "ray" if dies_at is None else "tent"
     areas[cfg.exceptional_label] = AreaTrack(kind, created_at, dies_at, p * q)
     return replace(
         state,
         lattice=state.lattice.direct_sum(cfg.lattice()),
-        books=tuple(books),
         areas=areas,
         instances=state.instances + (Instance(uid, pair_idx, cfg, created_at, dies_at, tracked),),
         counter=state.counter + 1,
@@ -102,7 +114,7 @@ def initial_state(data, *, base=None) -> GlobalState:
     data = tuple(data)
     if not data:
         raise DomainError("cannot build a state from an empty fixed-point set")
-    pairs = validate(data)
+    pairs = pairs_of(data)
     base = default_base(data) if base is None else Fraction(base) % 1
     if any(d.level == base for d in data):
         raise DomainError(f"base level {base} must be a regular level")
@@ -143,7 +155,6 @@ def cross_level(state, datum, *, track=None) -> GlobalState:
     return replace(
         state,
         lattice=weighted_blowdown(state.lattice, victim.config),
-        books=tuple(b for b in state.books if b[0] != victim.uid),
         instances=tuple(inst for inst in state.instances if inst.uid != victim.uid),
     )
 

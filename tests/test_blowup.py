@@ -15,7 +15,6 @@ from hjtoric.blowup import (
     cut_chords,
     fulton_config,
     lattices_isomorphic_as_chains,
-    mcduff_lattice,
     mcduff_sequence,
     weighted_blowdown,
 )
@@ -84,7 +83,7 @@ def test_mediant_replay_matches_polygon_replay(p):
             continue
         labels, lat = polygon_replay(q, p)
         assert mcduff_sequence(q, p).cut_directions == labels, (p, q)
-        assert mcduff_lattice(q, p).to_json() == lat.to_json(), (p, q)
+        assert mcduff_sequence(q, p).lattice().to_json() == lat.to_json(), (p, q)
 
 
 class TestCornerCut:
@@ -258,7 +257,7 @@ class TestCrossCheck:
         assert len(mcduff_sequence(q, p)) == len(cfg.chain_p) + len(cfg.chain_q) + 1
 
     def test_replay_lattice_values(self):
-        lat = mcduff_lattice(4, 7)
+        lat = mcduff_sequence(4, 7).lattice()
         selfs = sorted(lat.pairing[i][i] for i in range(len(lat)))
         assert selfs == [-4, -3, -2, -2, -1]
 
@@ -365,7 +364,7 @@ class TestCutChords:
 def test_replay_contracts_back_to_empty_in_reverse_cut_order():
     from hjtoric.homology import blow_down
 
-    lat = mcduff_lattice(4, 7)
+    lat = mcduff_sequence(4, 7).lattice()
     for step in range(len(lat), 0, -1):
         label = f"e{step}"
         assert lat.self_intersection(label) == -1

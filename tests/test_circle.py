@@ -20,12 +20,11 @@ from hjtoric.circle import (
     default_base,
     initial_state,
     run_loop,
-    validate,
 )
 from hjtoric.blowup import fulton_config, weighted_blowdown
 from hjtoric.errors import DomainError, StructureError, ValidationError
 from hjtoric.homology import IntersectionLattice, empty_lattice
-from hjtoric.resolution import Chain, resolve_cyclic
+from hjtoric.resolution import Chain, CyclicSingularity, resolve_cyclic
 
 
 def pair_21():
@@ -42,10 +41,23 @@ def pair_74():
     ]
 
 
-def labelled(inst):
-    """``inst``'s config under the labels its classes carry outside the
-    run, each prefixed with the instance's uid."""
-    return inst.config.prefixed(f"{inst.uid}.")
+def pairs_of(data):
+    """The pairing of non-empty ``data`` that ``initial_state`` and
+    ``run_loop`` take from ``circle._validate``, or its ValidationError."""
+    data = tuple(data)
+    return circle._validate(data, circle._grid(data))
+
+
+def class_count(state):
+    """The number of classes live in ``state``, summed over its instances."""
+    return sum(len(inst.lattice) for inst in state.instances)
+
+
+def orbifold_orders(state):
+    """(uid, order) for each live instance's points of order p and q, a
+    point of order 1 being smooth and absent."""
+    return [(inst.uid, n) for inst in state.instances
+            for n in (inst.config.p, inst.config.q) if n > 1]
 
 
 def canonical_components(lat):
@@ -102,14 +114,18 @@ class TestDatum:
 
 class TestValidate:
     def test_empty_is_no_obstruction(self):
-        assert validate([]) == ()
+        """No fixed points need no pairing: the run reports NO_OBSTRUCTION
+        and a state cannot be primed."""
+        assert run_loop([], 1).verdict == "NO_OBSTRUCTION"
+        with pytest.raises(DomainError, match="empty"):
+            initial_state([])
 
     def test_matched_pair(self):
-        assert validate(pair_21()) == ((0, 1),)
+        assert pairs_of(pair_21()) == ((0, 1),)
 
     def test_unmatched_weights(self):
         with pytest.raises(ValidationError) as err:
-            validate(
+            pairs_of(
                 [
                     FixedPointDatum(Fraction(0), +1, 2, 1),
                     FixedPointDatum(Fraction(1, 2), -1, 3, 1),
@@ -119,7 +135,7 @@ class TestValidate:
 
     def test_duplicate_levels(self):
         with pytest.raises(ValidationError):
-            validate(
+            pairs_of(
                 [
                     FixedPointDatum(Fraction(0), +1, 2, 1),
                     FixedPointDatum(Fraction(0), -1, 2, 1),
@@ -128,14 +144,14 @@ class TestValidate:
 
     def test_single_sign(self):
         with pytest.raises(ValidationError):
-            validate([FixedPointDatum(Fraction(0), +1, 2, 1)])
+            pairs_of([FixedPointDatum(Fraction(0), +1, 2, 1)])
 
     def test_fifo_wraps_around(self):
         data = [
             FixedPointDatum(Fraction(1, 4), -1, 2, 1),
             FixedPointDatum(Fraction(3, 4), +1, 2, 1),
         ]
-        assert validate(data) == ((1, 0),)
+        assert pairs_of(data) == ((1, 0),)
 
     def test_fifo_two_pairs_same_weights(self):
         data = [
@@ -144,7 +160,7 @@ class TestValidate:
             FixedPointDatum(Fraction(1, 2), -1, 2, 1),
             FixedPointDatum(Fraction(3, 4), -1, 2, 1),
         ]
-        assert validate(data) == ((0, 2), (1, 3))
+        assert pairs_of(data) == ((0, 2), (1, 3))
 
     def test_explicit_matching(self):
         data = [
@@ -153,7 +169,7 @@ class TestValidate:
             FixedPointDatum(Fraction(1, 2), -1, 2, 1, match=0),
             FixedPointDatum(Fraction(3, 4), -1, 2, 1, match=1),
         ]
-        assert validate(data) == ((0, 2), (1, 3))
+        assert pairs_of(data) == ((0, 2), (1, 3))
 
     def test_explicit_matching_inconsistent(self):
         data = [
@@ -161,7 +177,7 @@ class TestValidate:
             FixedPointDatum(Fraction(1, 2), -1, 3, 1, match=0),
         ]
         with pytest.raises(ValidationError):
-            validate(data)
+            pairs_of(data)
 
     def test_partial_matching_rejected(self):
         data = [
@@ -169,7 +185,7 @@ class TestValidate:
             FixedPointDatum(Fraction(1, 2), -1, 2, 1),
         ]
         with pytest.raises(ValidationError):
-            validate(data)
+            pairs_of(data)
 
 
 INVALID = {
@@ -186,10 +202,11 @@ INVALID = {
                          ids=["initial_state", "run_loop"])
 @pytest.mark.parametrize("name", INVALID)
 def test_invalid_data_raise_validation_error(start, name):
-    """The one validation of a run raises the DomainError that ``validate``
-    raises, which carries every reason, joined as its message."""
+    """The one validation of a run raises the DomainError that
+    ``_validate`` raises, which carries every reason, joined as its
+    message."""
     with pytest.raises(ValidationError) as want:
-        validate(INVALID[name])
+        pairs_of(INVALID[name])
     errors = want.value.errors
     with pytest.raises(ValidationError) as err:
         start(INVALID[name])
@@ -283,10 +300,10 @@ class TestCover:
 
     @pytest.mark.parametrize("name", ["unmatched-weights", "one-sign"])
     def test_needs_only_distinct_levels(self, name):
-        """The cover reads the levels alone, so data that fail ``validate``
+        """The cover reads the levels alone, so data that fail ``_validate``
         on their weights or signs still get one."""
         with pytest.raises(ValidationError):
-            validate(INVALID[name])
+            pairs_of(INVALID[name])
         assert build_cover(INVALID[name], Fraction(1, 8)) == build_cover(pair_21(), Fraction(1, 8))
 
     @pytest.mark.parametrize("levels,reason", [([], "empty"), ([Fraction(0)] * 2, "distinct"),
@@ -325,23 +342,22 @@ class TestCrossLevel:
         ]
         st = initial_state(data, base=Fraction(3, 4))
         st = cross_level(st.at(Fraction(1)), data[0])
-        assert len(st.lattice) == 1
-        assert st.books == ()
+        assert class_count(st) == 1
+        assert orbifold_orders(st) == []
 
     def test_weighted_blowup_adds_chains_and_books(self):
         data = pair_74()
         st = initial_state(data, base=Fraction(3, 4))
         st = cross_level(st.at(Fraction(1)), data[0])
-        assert len(st.lattice) == 5
-        assert sorted(b[1].order for b in st.books) == [4, 7]
+        assert class_count(st) == 5
+        assert orbifold_orders(st) == [("B1", 7), ("B1", 4)]
 
     def test_blowdown_removes_matched_config(self):
         data = pair_74()
         st = initial_state(data, base=Fraction(3, 4))
         st = cross_level(st.at(Fraction(1)), data[0])
         st = cross_level(st.at(Fraction(3, 2)), data[1])
-        assert len(st.lattice) == 0
-        assert st.books == ()
+        assert st.instances == ()
 
     def test_blowdown_without_candidate_fails(self):
         data = pair_74()
@@ -471,9 +487,12 @@ class TestRunLoop:
 
 class TestInvariants:
     def loop_lattices(self, data, loops):
-        """The lattice at the end of each loop of run_loop's stepping."""
+        """The class count and the components of the live instances'
+        lattices at the end of each loop of run_loop's stepping."""
         ends = list(crossings(circle, data, loops))[len(data)::len(data)]
-        return [(st.lattice, canonical_components(st.lattice)) for st in ends]
+        return [(class_count(st), sorted(c for inst in st.instances
+                                         for c in canonical_components(inst.lattice)))
+                for st in ends]
 
     def test_loop_to_loop_isomorphism_type(self):
         for data in (pair_21(), pair_74()):
@@ -484,7 +503,7 @@ class TestInvariants:
     def test_class_count_conserved_between_levels(self):
         data = pair_74()
         snaps = self.loop_lattices(data, 3)
-        counts = {len(lat) for lat, _ in snaps}
+        counts = {count for count, _ in snaps}
         assert len(counts) == 1
 
     def test_books_chains_embedded(self):
@@ -497,21 +516,18 @@ class TestInvariants:
         st = initial_state(data, base=Fraction(7, 8))
         st = cross_level(st.at(Fraction(1)), data[0])
         st = cross_level(st.at(Fraction(5, 4)), data[1])
-        assert len(st.books) >= 4
-        for uid, sing in st.books:
-            cfg = labelled(next(i for i in st.instances if i.uid == uid))
-            chain = (
-                cfg.chain_p
-                if sing.order == cfg.p
-                else cfg.chain_q
-            )
-            expect = resolve_cyclic(sing).self_intersections
-            stored = tuple(
-                st.lattice.self_intersection(l) for l in chain.labels
-            )
-            assert stored == tuple(reversed(expect)) or stored == expect
-            for a, b in zip(chain.labels, chain.labels[1:]):
-                assert st.lattice.pair(a, b) == 1
+        assert len(orbifold_orders(st)) >= 4
+        for inst in st.instances:
+            cfg, lat = inst.config, inst.lattice
+            for n, m, chain in ((cfg.p, cfg.q, cfg.chain_p), (cfg.q, cfg.p, cfg.chain_q)):
+                if n == 1:
+                    continue
+                labels = [f"{inst.uid}.{l}" for l in chain.labels]
+                expect = resolve_cyclic(CyclicSingularity(n, 1, (n - m) % n)).self_intersections
+                stored = tuple(lat.self_intersection(l) for l in labels)
+                assert stored == tuple(reversed(expect)) or stored == expect
+                for a, b in zip(labels, labels[1:]):
+                    assert lat.pair(a, b) == 1
 
     def test_default_base_picks_longest_gap(self):
         data = [
@@ -546,7 +562,7 @@ def outcome(call, *args):
 def level_sets(draw):
     """(data, eps): up to eight levels over small denominators or ones near
     10^50, some of them repeated, signs and weights at random and no
-    matches, so ``validate`` pairs them first-in-first-out or refuses them;
+    matches, so ``_validate`` pairs them first-in-first-out or refuses them;
     eps below or at half the minimal gap, or any positive rational."""
     dens = draw(hst.lists(hst.integers(1, 60) | hst.integers(NEAR_1E50 - 99, NEAR_1E50 + 99),
                           max_size=8))
@@ -586,13 +602,13 @@ def test_level_grid_matches_the_fraction_oracle(case):
     levels, want_gaps = fraction_levels.level_gaps(data)
     assert [Fraction(keys[i], den) for i in order] == levels
     assert [Fraction(g, den) for g in gaps] == want_gaps
-    if data:
-        assert default_base((den, keys, order, gaps)) == fraction_levels.default_base(data)
     cover = outcome(build_cover, data, eps)
     if isinstance(cover, circle.GeneralizedCover):
         cover = (cover.levels, cover.u_arcs, cover.i_arcs)
     assert cover == outcome(fraction_levels.cover_arcs, data, eps)
-    assert outcome(validate, data) == outcome(fraction_levels.fifo_pairs, data)
+    if data:  # a run of no data reports NO_OBSTRUCTION before any base or pairing
+        assert default_base((den, keys, order, gaps)) == fraction_levels.default_base(data)
+        assert outcome(pairs_of, data) == outcome(fraction_levels.fifo_pairs, data)
 
 
 # -- the per-instance state against the global-lattice oracle ----------------
@@ -679,7 +695,6 @@ def test_at_moves_along_the_runs_grid():
         assert moved.position == x and isinstance(moved.position, Fraction)
         assert (moved.context, moved.instances, moved.counter) == (
             st.context, st.instances, st.counter)
-        assert moved.lattice == st.lattice and moved.books == st.books
     with pytest.raises(DomainError, match="counterclockwise"):
         st.at(Fraction(1, 4))
     for x in (1.5, True):  # on the grid, but not exact
@@ -738,10 +753,12 @@ def test_each_crossing_matches_global_lattice_oracle(action):
             assert (before[0].pos, before[0].instances, before[0].counter) == before[1]
         before = got, (got.pos, got.instances, got.counter)
         assert got.position == want.position
-        assert got.lattice.to_json() == want.lattice.to_json()
-        assert got.books == want.books
+        assert [(i.uid, i.config.p, i.config.q) for i in got.instances] == [
+            (i.uid, i.config.p, i.config.q) for i in want.instances]
+        lattices = [inst.lattice for inst in got.instances]
+        assert want.lattice.to_json() == empty_lattice().direct_sum(*lattices).to_json()
         for inst in got.instances:
-            label = labelled(inst).exceptional_label
+            label = f"{inst.uid}.{inst.config.exceptional_label}"
             assert circle._tent(inst, got.pos, got.context.den) == global_sim.area(
                 want, label, want.position)
 
@@ -757,7 +774,7 @@ def test_state_does_not_grow_with_loops():
     per_loop = len(data)
     after_10, after_100 = states[10 * per_loop], states[100 * per_loop]
     assert len(after_100.instances) == len(after_10.instances)
-    assert len(after_100.lattice) == len(after_10.lattice)
+    assert class_count(after_100) == class_count(after_10)
 
 
 def closed_form(data, loops, bound, base, tracked_independent):
@@ -771,7 +788,7 @@ def closed_form(data, loops, bound, base, tracked_independent):
     base, plus the copy.  Marked instead of copied, the class is a tent over
     its pair's arc and dies at the matched blowdown, d + arc past the base.
     """
-    pairs = validate(data)
+    pairs = pairs_of(data)
     base = default_base(circle._grid(data)) if base is None else base
     arc = {plus: arc_distance(data[plus].level, data[minus].level) for plus, minus in pairs}
     first = min(arc, key=lambda plus: arc_distance(base, data[plus].level))
@@ -809,7 +826,8 @@ def test_run_loop_matches_closed_form(action, loops, bound, tracked):
 def test_installs_equal_a_prefixed_fulton_config():
     """An installed instance holds the pair's template itself, and its
     lattice, the template's under the instance's label prefix, must equal
-    resolving the config afresh with that prefix."""
+    the lattice of a config resolved afresh and prefixed through the public
+    constructors, and the dense relabel of the template's lattice."""
     for p in range(1, 41):
         for q in range(1, p + 1):
             if gcd(p, q) != 1 or p == q != 1:
@@ -821,11 +839,13 @@ def test_installs_equal_a_prefixed_fulton_config():
             st = install(st, 0, den, 11 * den // 8, "B9")
             st = install(st, 0, den, None, "T")
             for inst in st.instances:
-                want = fulton_config(p, q).prefixed(f"{inst.uid}.")
+                prefix = f"{inst.uid}."
+                want = global_sim.prefixed(fulton_config(p, q), prefix).lattice()
+                lat = inst.config.lattice()
+                dense = IntersectionLattice([prefix + l for l in lat.classes], lat.pairing, lat.c1)
                 assert inst.config is st.context.templates[0], (p, q)
-                assert labelled(inst) == want, (p, q)
-                assert inst.lattice == want.lattice(), (p, q)
-                assert inst.lattice.to_json() == want.lattice().to_json(), (p, q)
+                assert inst.lattice == want == dense, (p, q)
+                assert inst.lattice.to_json() == want.to_json(), (p, q)
 
 
 def test_every_install_shares_its_pairs_template():
@@ -843,9 +863,10 @@ def test_every_install_shares_its_pairs_template():
 
 
 def test_lattice_of_many_instances_equals_the_pairwise_fold():
-    """``lattice`` sums the live instances in one pass; at 256 of them it
-    equals folding ``direct_sum`` over them pairwise, in install order.
-    The copies share one pair, so each dies at its own position."""
+    """``direct_sum`` sums the live instances' lattices in one pass, as the
+    result's lattice is built; at 256 of them it equals folding it over them
+    pairwise, in install order.  The copies share one pair, so each dies at
+    its own position."""
     st = initial_state(pair_74(), base=Fraction(3, 4))
     for i in range(256):
         st = install(st, 0, st.pos, st.pos + 1 + i, f"T{i}")
@@ -853,7 +874,8 @@ def test_lattice_of_many_instances_equals_the_pairwise_fold():
     fold = empty_lattice()
     for lat in lats:
         fold = fold.direct_sum(lat)
-    assert len(lats) == 256 and st.lattice == fold and st.lattice.classes == fold.classes
+    total = empty_lattice().direct_sum(*lats)
+    assert len(lats) == 256 and total == fold and total.classes == fold.classes
     with pytest.raises(DomainError):
         empty_lattice().direct_sum(*lats, lats[0])
 

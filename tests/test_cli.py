@@ -75,6 +75,17 @@ class TestBlowup:
         assert run_cli(capsys, "blowup", "--p", "7", "--q", "4", "--format", "svg",
                        "--scale", "0") == (2, "")
 
+    @pytest.mark.parametrize("zeros", [308, 400])
+    def test_svg_scale_beyond_a_float_canvas_exits_2(self, capsys, zeros):
+        """A canvas of 9.5e308 units is an infinite float and one of 9.5e400
+        units overflows the conversion to float: both are refused with a
+        one-line error, where they printed ``width="inf"`` or a traceback."""
+        code = main(["blowup", "--p", "7", "--q", "4", "--format", "svg",
+                     "--scale", "1" + "0" * zeros])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: scale too large") and err.count("\n") == 1
+
     def test_rational_size(self, capsys):
         code, obj = run_json(capsys, "blowup", "--p", "2", "--q", "1", "--size", "3/7")
         assert code == 0 and obj["size"] == "3/7"
@@ -185,19 +196,14 @@ class TestSimulate:
     def test_validates_once(self, capsys, tmp_path, monkeypatch):
         """The run validates once and the cover needs no validation.  The
         run checks its data on the level grid it reads its defaults off, by
-        ``_validate``, which the public ``validate`` wraps."""
+        ``_validate``."""
         calls, kernel = [], circle._validate
 
         def counting(data, grid):
             calls.append(data)
             return kernel(data, grid)
 
-        def public(data):
-            calls.append(data)
-            return circle.validate(data)
-
         monkeypatch.setattr(circle, "_validate", counting)
-        monkeypatch.setattr(cli, "validate", public, raising=False)
         f = tmp_path / "sim.json"
         f.write_text(json.dumps(self.input_obj()))
         code, obj = run_json(capsys, "simulate", str(f))
@@ -497,6 +503,22 @@ def test_hj_loads_only_its_module():
     assert code == 0
     assert "hjtoric.hj" in loaded
     assert not {"hjtoric.circle", "hjtoric.blowup", "logging"} & loaded
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["resolve", "--r", "5", "--p", "3", "--q", "2"], ""),
+    (["blowup", "--p", "7", "--q", "4"], ""),
+    (["blowup", "--p", "7", "--q", "4", "--format", "svg"], ""),
+    (["equiv", "--r", "7", "--q1", "3", "--q2", "5", "--oriented"], ""),
+    (["signature", "-"], '{"pairing": [[0, 1], [1, 0]]}'),
+    (["simulate", "-"], json.dumps(_two_points(bound=3))),
+], ids=["resolve", "blowup", "blowup-svg", "equiv", "signature", "simulate"])
+def test_only_simulate_loads_logging_unasked(argv, stdin):
+    """With HJTORIC_LOG unset, only the simulator, which logs its debug
+    trail, imports ``logging``; the other subcommands load none, as ``hj``
+    loads none."""
+    code, loaded = loaded_by(*argv, stdin=stdin)
+    assert code == 0 and ("logging" in loaded) == (argv[0] == "simulate")
 
 
 def test_usage_error_loads_no_math_module():

@@ -36,7 +36,6 @@ from hjtoric import (
     hj_expand,
     hj_reverse,
     initial_state,
-    mcduff_lattice,
     mcduff_sequence,
     mod_inverse,
     resolve_cyclic,
@@ -44,7 +43,6 @@ from hjtoric import (
     same_resolution,
     signature,
     type_equivalent,
-    validate,
     weighted_blowdown,
 )
 from hjtoric.errors import DomainError
@@ -94,7 +92,6 @@ RECIPES = {
     "hj_expand": recipe(hj_expand, 7, 3),
     "hj_reverse": recipe(lambda: hj_reverse(hj_expand(7, 3))),
     "initial_state": recipe(lambda base: initial_state(pair(), base=base), "1/4", none_ok=(0,)),
-    "mcduff_lattice": recipe(mcduff_lattice, 4, 7),
     "mcduff_sequence": recipe(mcduff_sequence, 4, 7),
     "mod_inverse": recipe(mod_inverse, 3, 7),
     "resolve_cyclic": recipe(lambda: resolve_cyclic(CyclicSingularity(5, 1, 2))),
@@ -105,7 +102,6 @@ RECIPES = {
     "signature": recipe(lambda s, m, t: signature([[s, m], [m, t]]), 0, 1, 0),
     "type_equivalent": recipe(
         lambda: type_equivalent(CyclicSingularity(7, 1, 2), CyclicSingularity(7, 1, 3))),
-    "validate": recipe(lambda: validate(pair())),
     "weighted_blowdown": recipe(
         lambda: weighted_blowdown(fulton_config(7, 4).lattice(), fulton_config(7, 4))),
     # outside __all__
@@ -121,7 +117,7 @@ EXEMPT = {
     "DomainError": "an exception type",
     "EvaluationError": "an exception type",
     "StructureError": "an exception type",
-    "ValidationError": "an exception type; validate builds it from checked data",
+    "ValidationError": "an exception type; the run builds it from checked data",
     "BlowupConfig": "an output record of fulton_config, which checks the weights and size",
     "GeneralizedCover": "an output record of build_cover, which checks the levels and eps",
     "McDuffSequence": "an output record of mcduff_sequence, which checks the weights",
@@ -137,9 +133,9 @@ PUBLIC = [
     "McDuffSequence", "ReducedSpaceState", "RunResult", "StructureError", "ValidationError",
     "blow_down", "blow_up_at", "build_cover", "chain_contact_replay", "cross_check",
     "cross_level", "cut_chords", "empty_lattice", "exceptional_pair_criterion", "ext_gcd",
-    "fulton_config", "hj_eval", "hj_expand", "hj_reverse", "initial_state", "mcduff_lattice",
+    "fulton_config", "hj_eval", "hj_expand", "hj_reverse", "initial_state",
     "mcduff_sequence", "mod_inverse", "resolve_cyclic", "run_loop", "same_resolution",
-    "signature", "type_equivalent", "validate", "weighted_blowdown",
+    "signature", "type_equivalent", "weighted_blowdown",
 ]
 
 
@@ -231,7 +227,6 @@ CONTAINER_RECIPES = {
     "initial_state": recipe(initial_state, pair()),
     "run_loop": recipe(lambda data: run_loop(data, 2), pair()),
     "signature": recipe(signature, ((0, 1), (1, 0))),
-    "validate": recipe(validate, pair()),
     # outside __all__
     "homology.add_class": recipe(lambda pairings: add_class(two_exceptional(), "x", -1, pairings),
                                  {"a": 1}, none_ok=(0,)),
@@ -310,7 +305,7 @@ def test_malformed_objects_are_domain_errors(name):
 
 
 # Each of these was accepted, or raised a TypeError, before every integer
-# input, every class label and prefix and every flag went through its one
+# input, every class label and every flag went through its one
 # rule in ``errors``.  A label that is not a str built a lattice that
 # ``from_json`` cannot read back.
 ONCE_ACCEPTED = {
@@ -334,9 +329,6 @@ ONCE_ACCEPTED = {
     "IntersectionLattice-int-label": lambda: IntersectionLattice([1], [[-1]], [1]),
     "IntersectionLattice-none-label": lambda: IntersectionLattice(["a", None], [[-1, 0], [0, -1]],
                                                                   [1, 1]),
-    "Chain.prefixed-int": lambda: Chain((-2,), ("a",)).prefixed(5),
-    "Chain.prefixed-bytes": lambda: Chain((-2,), ("a",)).prefixed(b"B1."),
-    "BlowupConfig.prefixed-none": lambda: fulton_config(7, 4).prefixed(None),
     "type_equivalent-str-oriented": lambda: type_equivalent(
         CyclicSingularity(7, 1, 2), CyclicSingularity(7, 1, 3), "yes"),
     "type_equivalent-none-oriented": lambda: type_equivalent(

@@ -22,6 +22,22 @@ def test_cut_diagram_scale():
         cut_diagram_svg(2, 1, scale=0)
 
 
+@pytest.mark.parametrize("scale", [10 ** 308, 10 ** 400, 2 ** 1024],
+                         ids=["inf-canvas", "beyond-float", "float-max-plus"])
+def test_scale_whose_canvas_is_not_a_finite_float_is_a_domain_error(scale):
+    """A 10^308 scale made ``width="inf"``, which no SVG reader takes, and a
+    scale past the float range raised OverflowError."""
+    with pytest.raises(DomainError, match="scale too large"):
+        cut_diagram_svg(7, 4, scale)
+
+
+def test_largest_finite_canvas_is_drawn():
+    """The last scale below the overflow still draws, every coordinate a
+    finite number."""
+    doc = cut_diagram_svg(7, 4, 10 ** 307)
+    assert "inf" not in doc and 'width="9499999999' in doc
+
+
 @pytest.mark.parametrize("p, q, scale", [(119, 118, 40), (7, 4, 40), (120, 1, 10), (89, 55, 7)],
                          ids=["119-118", "7-4", "120-1", "89-55"])
 def test_grid_matches_per_point_formatting(p, q, scale):
