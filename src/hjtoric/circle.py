@@ -46,13 +46,15 @@ and blowdown positions, which give its area tent.  What a run steps is a
 live map, a dict of instances in install order keyed by ``(pair, dies)``
 (T under ``(pair, None)``), and one kernel, ``_step``, crosses a level on
 it in place: ``_install`` at a +1 level, a pop by key and a blowdown at a
--1 level.  ``initial_state`` primes through ``_install``; ``cross_level``
-steps a copy of a state's instances; ``run_loop`` steps one map from start
-to end and reads its ledger, bound and result off it, so a state is only
-the view the step API returns.  Fractions are built only for the default
-base, the ledger and the output, so every result stays exact.  The
-interval cover, ``build_cover``, needs only the levels, which it reads off
-their grid too.  Each input is checked by the function that reads it:
+-1 level.  A level fixes where it is crossed: ``_next`` finds its first
+position after a given one.  ``initial_state`` primes through
+``_install``; ``cross_level`` steps a copy of a state's instances at
+``_next``; ``run_loop`` reads its first loop off ``_next``, steps one map
+from start to end and reads its ledger, bound and result off it, so a
+state is only the view the step API returns.  Fractions are built only for
+the default base, the ledger and the output, so every result stays exact.
+The interval cover, ``build_cover``, needs only the levels, which it reads
+off their grid too.  Each input is checked by the function that reads it:
 rationals by ``parse_rational``, integers by ``require_int``.
 """
 
@@ -295,8 +297,8 @@ class ReducedSpaceState(Value):
     state adds ``pos``, the position as an integer numerator over
     ``context.den``, the live map's ``instances`` in install order and the
     install ``counter``.  The position is a cumulative counterclockwise
-    coordinate (it increases by 1 per loop; its value mod 1 is the circle
-    level).  ``position`` reads it as an exact Fraction.  Each instance
+    coordinate, ``Fraction(pos, context.den)`` (it increases by 1 per loop;
+    mod 1 it is the circle level); ``cross_level`` moves it.  Each instance
     carries its own lattice and its config's weights (its orbifold points
     have orders ``config.p`` and ``config.q``).  The kernel steps a map,
     never a state.
@@ -306,22 +308,6 @@ class ReducedSpaceState(Value):
     pos: int
     instances: tuple[Instance, ...] = ()
     counter: int = 0
-
-    @property
-    def position(self) -> Fraction:
-        return Fraction(self.pos, self.context.den)
-
-    def at(self, position) -> "ReducedSpaceState":
-        """The same state at a later position, which must lie on the run's
-        grid of multiples of 1/``context.den``; read by ``parse_rational``."""
-        position = parse_rational(position)
-        if position < self.position:
-            raise DomainError("the simulator only moves counterclockwise")
-        pos = position * self.context.den
-        if pos.denominator != 1:
-            raise DomainError(f"position {position} is off this run's grid of "
-                              f"multiples of 1/{self.context.den}")
-        return ReducedSpaceState(self.context, pos.numerator, self.instances, self.counter)
 
 
 def _grid(data) -> tuple[int, list[int], list[int], list[int]]:
@@ -396,6 +382,12 @@ def initial_state(data, *, base=None) -> ReducedSpaceState:
     return ReducedSpaceState(ctx, start, tuple(live.values()), len(live))
 
 
+def _next(ctx: RunContext, pos: int, datum: FixedPointDatum) -> int:
+    """``datum``'s first position strictly after ``pos``, both over ``ctx.den``."""
+    level = datum.level.numerator * (ctx.den // datum.level.denominator)
+    return pos + 1 + (level - pos - 1) % ctx.den
+
+
 def _step(ctx: RunContext, live: dict, pos: int, pair_idx: int, datum: FixedPointDatum,
           counter: int) -> int:
     """Cross ``datum``'s level, of pair ``pair_idx``, at ``pos`` on the live
@@ -417,7 +409,8 @@ def _step(ctx: RunContext, live: dict, pos: int, pair_idx: int, datum: FixedPoin
 
 
 def cross_level(state: ReducedSpaceState, datum: FixedPointDatum) -> ReducedSpaceState:
-    """Cross one critical level counterclockwise.
+    """Cross ``datum``'s level counterclockwise at its first position
+    strictly after the state's (``_next``): a second crossing lands a loop on.
 
     A +1 level installs the resolved (p, q)-weighted blowup as a new
     instance: its chain classes and exceptional class, whose area starts at
@@ -432,16 +425,12 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum) -> ReducedSpac
     require_object(datum, FixedPointDatum, "datum must be a FixedPointDatum")
     if datum not in ctx.data:
         raise DomainError("datum is not part of this state's fixed-point data")
-    if (state.position - datum.level) % 1:
-        raise DomainError(
-            f"state position {state.position} is not at level {datum.level}"
-        )
     live = {(inst.pair, inst.dies): inst for inst in state.instances}
     if len(live) < len(state.instances):
         raise DomainError("two of the state's instances share a pair and a death position")
-    counter = _step(ctx, live, state.pos, ctx.pair_of[ctx.data.index(datum)], datum,
-                    state.counter)
-    return ReducedSpaceState(ctx, state.pos, tuple(live.values()), counter)
+    pos = _next(ctx, state.pos, datum)
+    counter = _step(ctx, live, pos, ctx.pair_of[ctx.data.index(datum)], datum, state.counter)
+    return ReducedSpaceState(ctx, pos, tuple(live.values()), counter)
 
 
 def _tent(inst: Instance, pos, den: int) -> Fraction:
@@ -518,8 +507,8 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
     state = initial_state(data, base=base)
     ctx, den, start, counter = state.context, state.context.den, state.pos, state.counter
     live = {(inst.pair, inst.dies): inst for inst in state.instances}
-    crossings = sorted((start + (d.level.numerator * (den // d.level.denominator) - start) % den,
-                        k, d) for d, k in zip(ctx.data, ctx.pair_of))  # distinct levels: no ties
+    # distinct levels: no ties
+    crossings = sorted((_next(ctx, start, d), k, d) for d, k in zip(ctx.data, ctx.pair_of))
     ledger: list[Fraction] = []
     distinct: set[Fraction] = set()
     tracked: Instance | None = None

@@ -60,21 +60,20 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_blowup(args) -> int:
-    from .blowup import fulton_config, lattices_isomorphic_as_chains, mcduff_sequence
+    from .blowup import cross_check, fulton_config, mcduff_sequence
     from .rationals import rational_json
     from .svg import cut_diagram_svg
 
     cfg = fulton_config(args.p, args.q, size=args.size)
     seq = mcduff_sequence(args.q, args.p)
-    vertex, replayed = cfg.lattice(), seq.lattice()
-    ok = lattices_isomorphic_as_chains(vertex, replayed)
+    ok = cross_check(args.p, args.q)
     if not ok:
         import logging
 
         logging.basicConfig()  # a no-op when main configured logging
         logging.getLogger(__name__).error(
             "cross_check(%d, %d) failed: the %d replayed classes do not match the %d "
-            "vertex-route classes", args.p, args.q, len(replayed), len(vertex))
+            "vertex-route classes", args.p, args.q, len(seq), len(cfg.class_labels))
     if args.format == "svg":
         _emit(cut_diagram_svg(args.p, args.q, args.scale), args.out)
         return 0 if ok else 1

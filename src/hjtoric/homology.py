@@ -63,7 +63,7 @@ class IntersectionLattice:
     their classes, in order, their pairings and their c1 labels agree.
     """
 
-    __slots__ = ("_classes", "_self", "_c1", "_edges", "_index", "_pairing", "_c1_view")
+    __slots__ = ("_classes", "_self", "_c1", "_edges", "_pairing", "_c1_view")
 
     def __init__(self, classes, pairing, c1):
         classes = require_strs(classes, "class labels must be a list of strings")
@@ -102,7 +102,7 @@ class IntersectionLattice:
         self._self = self_
         self._c1 = c1
         self._edges = edges
-        self._index = self._pairing = self._c1_view = None
+        self._pairing = self._c1_view = None
 
     @classmethod
     def _sparse(cls, self_, c1, edges) -> "IntersectionLattice":
@@ -144,7 +144,7 @@ class IntersectionLattice:
         """The dense pairing matrix in basis order (built on first use)."""
         if self._pairing is None:
             n = len(self._classes)
-            pos = self._positions()
+            pos = {l: i for i, l in enumerate(self._classes)}
             rows = []
             for i, l in enumerate(self._classes):
                 row = [0] * n
@@ -164,11 +164,6 @@ class IntersectionLattice:
 
     def __len__(self) -> int:
         return len(self._classes)
-
-    def _positions(self) -> dict[str, int]:
-        if self._index is None:
-            self._index = {l: i for i, l in enumerate(self._classes)}
-        return self._index
 
     def _check(self, label: str) -> None:
         # the type test first: an unhashable label cannot be looked up
@@ -294,7 +289,7 @@ def lattice_from_parts(
 ) -> IntersectionLattice:
     """Build a lattice from sparse data, a list of labels and dicts
     (label, label) -> pairing and label -> self-intersection; c1 set by
-    adjunction."""
+    adjunction.  A pair given in both orders is a DomainError."""
     classes = require_strs(labels, "labels must be a list of strings")
     require_object(pairs, dict, "pairs must be a dict (label, label) -> integer")
     require_object(self_intersections, dict, "self-intersections must be a dict label -> integer")
@@ -314,6 +309,8 @@ def lattice_from_parts(
     for (a, b), v in pairs.items():
         if a == b:
             raise DomainError(f"pair ({a!r}, {a!r}) is a self-intersection, not a pairing")
+        if (b, a) in pairs:
+            raise DomainError(f"pair ({a!r}, {b!r}) is given in both orders")
         if v:
             edges[a][b] = edges[b][a] = v
     return IntersectionLattice._sparse(self_, {l: 2 + s for l, s in self_.items()}, edges)
@@ -359,7 +356,7 @@ def signature(form) -> tuple[int, int, int]:
     if not isinstance(form, IntersectionLattice):
         rows = require_list(form, "a form must be a lattice or a list of integer rows")
         form = IntersectionLattice(tuple(map(str, range(len(rows)))), rows, (0,) * len(rows))
-    pos = form._positions()
+    pos = {l: i for i, l in enumerate(form._classes)}
     diag = [(form._self[l], 1) for l in form._classes]
     edges = [{} for _ in diag]
     for row, l in zip(edges, form._classes):

@@ -341,31 +341,31 @@ class TestCrossLevel:
             FixedPointDatum(Fraction(1, 2), -1, 1, 1),
         ]
         st = initial_state(data, base=Fraction(3, 4))
-        st = cross_level(st.at(Fraction(1)), data[0])
+        st = cross_level(st, data[0])
         assert class_count(st) == 1
         assert orbifold_orders(st) == []
 
     def test_weighted_blowup_adds_chains_and_books(self):
         data = pair_74()
         st = initial_state(data, base=Fraction(3, 4))
-        st = cross_level(st.at(Fraction(1)), data[0])
+        st = cross_level(st, data[0])
         assert class_count(st) == 5
         assert orbifold_orders(st) == [("B1", 7), ("B1", 4)]
 
     def test_blowdown_removes_matched_config(self):
         data = pair_74()
         st = initial_state(data, base=Fraction(3, 4))
-        st = cross_level(st.at(Fraction(1)), data[0])
-        st = cross_level(st.at(Fraction(3, 2)), data[1])
+        st = cross_level(st, data[0])
+        st = cross_level(st, data[1])
         assert st.instances == ()
 
     def test_blowdown_without_candidate_fails(self):
         data = pair_74()
         st = initial_state(data, base=Fraction(1, 4))
         # the primed instance dies at 1/2; jumping to 3/2 leaves nothing
-        st = cross_level(st.at(Fraction(1, 2)), data[1])
+        st = cross_level(st, data[1])
         with pytest.raises(StructureError):
-            cross_level(st.at(Fraction(3, 2)), data[1])
+            cross_level(st, data[1])
 
     def test_blowdown_checks_the_victims_own_lattice(self):
         """The victim's lattice is its config's; a config with an extra
@@ -373,7 +373,7 @@ class TestCrossLevel:
         template it was copied from has built its lattice already."""
         data = pair_74()
         st = initial_state(data, base=Fraction(3, 4))
-        st = cross_level(st.at(Fraction(1)), data[0])
+        st = cross_level(st, data[0])
         inst = st.instances[-1]
         cfg = inst.config
         assert cfg is st.context.templates[inst.pair] and cfg.lattice() is cfg.lattice()
@@ -382,20 +382,7 @@ class TestCrossLevel:
         for config in (replace(cfg, chain_q=longer), replace(cfg, chain_p=deeper)):
             broken = replace(st, instances=(replace(inst, config=config),))
             with pytest.raises(StructureError, match="stalled"):
-                cross_level(broken.at(Fraction(3, 2)), data[1])
-
-    def test_only_counterclockwise(self):
-        data = pair_21()
-        st = initial_state(data, base=Fraction(1, 4))
-        st = cross_level(st.at(Fraction(1, 2)), data[1])
-        with pytest.raises(DomainError):
-            st.at(Fraction(1, 4))
-
-    def test_wrong_position(self):
-        data = pair_21()
-        st = initial_state(data, base=Fraction(1, 4))
-        with pytest.raises(DomainError):
-            cross_level(st, data[1])
+                cross_level(broken, data[1])
 
 
 class TestArea:
@@ -404,14 +391,14 @@ class TestArea:
     def setup_state(self):
         data = pair_21()
         st = initial_state(data, base=Fraction(3, 4))
-        return cross_level(st.at(Fraction(1)), data[0])
+        return cross_level(st, data[0])
 
     def test_exceptional_grows_at_slope(self):
         st = self.setup_state()
         inst, den = st.instances[-1], st.context.den
         assert inst.uid == "B1"
         assert circle._tent(inst, st.pos, den) == 0
-        assert circle._tent(inst, st.at(Fraction(5, 4)).pos, den) == Fraction(1, 8)
+        assert circle._tent(inst, st.pos + den // 4, den) == Fraction(1, 8)
 
     def test_tent_vanishes_at_death(self):
         st = self.setup_state()
@@ -514,8 +501,8 @@ class TestInvariants:
             FixedPointDatum(Fraction(3, 4), -1, 3, 2),
         ]
         st = initial_state(data, base=Fraction(7, 8))
-        st = cross_level(st.at(Fraction(1)), data[0])
-        st = cross_level(st.at(Fraction(5, 4)), data[1])
+        st = cross_level(st, data[0])
+        st = cross_level(st, data[1])
         assert len(orbifold_orders(st)) >= 4
         for inst in st.instances:
             cfg, lat = inst.config, inst.lattice
@@ -679,33 +666,6 @@ def test_run_loop_on_a_large_grid_matches_global_lattice_oracle(seed):
         assert got.final_lattice.to_json() == want.final_lattice.to_json()
 
 
-def test_at_moves_along_the_runs_grid():
-    """``at`` keeps the instances and counter and moves to any later position
-    on the grid of multiples of 1/D, D the lcm of the base and level
-    denominators; an earlier position, one off the grid or an inexact one is
-    a DomainError."""
-    data = [FixedPointDatum(Fraction(1, 3), +1, 7, 4),
-            FixedPointDatum(Fraction(3, 4), -1, 7, 4)]
-    st = initial_state(data, base=Fraction(1, 10))
-    den = st.context.den
-    assert den == 60
-    st = cross_level(st.at(Fraction(1, 3)), data[0])
-    for x in (Fraction(1, 3), Fraction(2, 5), Fraction(7, 12), 1, Fraction(301, 60), 10 ** 30):
-        moved = st.at(x)
-        assert moved.position == x and isinstance(moved.position, Fraction)
-        assert (moved.context, moved.instances, moved.counter) == (
-            st.context, st.instances, st.counter)
-    with pytest.raises(DomainError, match="counterclockwise"):
-        st.at(Fraction(1, 4))
-    for x in (1.5, True):  # on the grid, but not exact
-        with pytest.raises(DomainError, match="exact rational"):
-            st.at(x)
-    for x in (Fraction(1, 2) + Fraction(1, 7), Fraction(241, 120),
-              Fraction(2 * 10 ** 30 * den + 1, 2 * den)):
-        with pytest.raises(DomainError, match="grid"):
-            st.at(x)
-
-
 def install(state, pair_idx, created, dies, uid):
     """``state`` plus an instance of the pair's config, installed by the
     run's own ``_install`` on a live map of the state's instances."""
@@ -723,7 +683,8 @@ def with_tracked_copy(state):
 def crossings(sim, data, loops):
     """Every state of ``sim``'s stepping, as run_loop steps with a tracked
     copy; the oracle installs it through its own ``track`` mode.  Both
-    sims prime at the default base."""
+    sims prime at the default base.  The package's ``cross_level`` finds
+    each crossing's position itself; the oracle is moved to it by hand."""
     base = default_base(circle._grid(data))
     state = sim.initial_state(data)
     order = sorted(data, key=lambda d: arc_distance(base, d.level))
@@ -731,13 +692,13 @@ def crossings(sim, data, loops):
     yield state
     for loop in range(loops):
         for d in order:
-            at = state.at(base + loop + arc_distance(base, d.level))
             track = not tracked and d.sign == 1
             if sim is circle:
-                state = circle.cross_level(at, d)
+                state = circle.cross_level(state, d)
                 if track:
                     state = with_tracked_copy(state)
             else:
+                at = state.at(base + loop + arc_distance(base, d.level))
                 state = sim.cross_level(at, d, track="copy" if track else None)
             tracked |= track
             yield state
@@ -752,7 +713,7 @@ def test_each_crossing_matches_global_lattice_oracle(action):
         if before is not None:  # cross_level never writes to its input
             assert (before[0].pos, before[0].instances, before[0].counter) == before[1]
         before = got, (got.pos, got.instances, got.counter)
-        assert got.position == want.position
+        assert Fraction(got.pos, got.context.den) == want.position
         assert [(i.uid, i.config.p, i.config.q) for i in got.instances] == [
             (i.uid, i.config.p, i.config.q) for i in want.instances]
         lattices = [inst.lattice for inst in got.instances]
@@ -962,14 +923,15 @@ def test_every_blowdown_crossing_runs_weighted_blowdown(monkeypatch, tracked):
 
 
 def test_a_repeated_blowup_crossing_is_refused():
-    """Crossing one +1 level twice at one position would give two instances
+    """Installing one +1 level twice at one position would give two instances
     one life arc, and one blowdown would leave the other live past its own
     death: the second install of a live ``(pair, dies)`` key is refused, T's
     included, and the input state is left as it was."""
     data = pair_74()
-    st = cross_level(initial_state(data, base=Fraction(3, 4)).at(Fraction(1)), data[0])
+    st = cross_level(initial_state(data, base=Fraction(3, 4)), data[0])
+    b1 = st.instances[0]
     with pytest.raises(DomainError, match="already has a live instance"):
-        cross_level(st, data[0])
+        install(st, b1.pair, b1.created, b1.dies, "B2")
     tracked = with_tracked_copy(st)
     with pytest.raises(DomainError, match="already has a live instance"):
         with_tracked_copy(tracked)
@@ -983,11 +945,11 @@ def test_instances_sharing_a_key_are_refused():
     ``(pair, dies)``, and the blowdown at 3/2 would remove only the other:
     ``cross_level`` refuses such a state instead."""
     data = pair_74()
-    st = cross_level(initial_state(data, base=Fraction(3, 4)).at(Fraction(1)), data[0])
+    st = cross_level(initial_state(data, base=Fraction(3, 4)), data[0])
     b1 = st.instances[0]
     doubled = replace(st, instances=(b1, replace(b1, uid="B9")))
     with pytest.raises(DomainError, match="share a pair and a death position"):
-        cross_level(doubled.at(Fraction(3, 2)), data[1])
+        cross_level(doubled, data[1])
 
 
 def nested_pairs(k):
@@ -1019,6 +981,32 @@ def test_run_loop_builds_a_state_per_loop_not_per_crossing(monkeypatch, data, lo
     assert got == want and len(built) <= 2
 
 
+@pytest.mark.parametrize("data, base", [
+    (three_pairs(), None), (three_pairs(), Fraction(7, 8)), (pair_21(), Fraction(1, 4)),
+    (two_equal_weight_pairs(), Fraction(3, 8)),
+    (nested_pairs(3), Fraction(1, 3) + Fraction(1, 21)),
+])
+def test_cross_level_lands_at_the_levels_next_position(data, base):
+    """``cross_level`` crosses a datum's level at its first position strictly
+    after the state's, worked out here in Fractions: each blowup from the
+    primed state, the same blowup again exactly ``context.den`` (one loop)
+    later, and every level in turn, in run order, over two loops."""
+    def after(x, level):
+        return x + (arc_distance(x, level) or 1)
+
+    st = initial_state(data, base=base)
+    den = st.context.den
+    for d in data:
+        if d.sign == 1:
+            once = cross_level(st, d)
+            assert Fraction(once.pos, den) == after(Fraction(st.pos, den), d.level)
+            assert cross_level(once, d).pos == once.pos + den
+    for d in sorted(data, key=lambda d: arc_distance(st.context.base, d.level)) * 2:
+        want = after(Fraction(st.pos, den), d.level)
+        st = cross_level(st, d)
+        assert Fraction(st.pos, den) == want
+
+
 @pytest.mark.parametrize("data, base", [(three_pairs(), None), (three_pairs(), Fraction(7, 8)),
                                         (nested_pairs(3), Fraction(1, 3) + Fraction(1, 21))])
 def test_positions_stay_ints_through_the_step_api_and_run_loop(monkeypatch, data, base):
@@ -1035,7 +1023,7 @@ def test_positions_stay_ints_through_the_step_api_and_run_loop(monkeypatch, data
         for inst in st.instances:
             check(inst)
         for d in sorted(data, key=lambda d: arc_distance(base, d.level)):
-            st = cross_level(st.at(base + loop + arc_distance(base, d.level)), d)
+            st = cross_level(st, d)
     built = []
 
     class Recording(circle.Instance):
@@ -1058,7 +1046,7 @@ def test_installs_and_blowdowns_leave_other_lattices_unchanged():
     templates = [snap(cfg.lattice()) for cfg in st.context.templates]
     for level, datum in sorted((d.level, d) for d in data):
         live = [(inst.lattice, snap(inst.lattice)) for inst in st.instances]
-        st = cross_level(st.at(1 + level), datum)
+        st = cross_level(st, datum)
         if level == 0:
             st = with_tracked_copy(st)
         assert all(lat == before for lat, before in live)

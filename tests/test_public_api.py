@@ -81,7 +81,7 @@ RECIPES = {
     "chain_contact_replay": recipe(lambda: chain_contact_replay(
         add_class(fulton_config(2, 1).lattice(), "E'", -1), "E'", fulton_config(2, 1))),
     "cross_check": recipe(cross_check, 7, 4),
-    "cross_level": recipe(lambda: cross_level(initial_state(pair()).at(1), pair()[0])),
+    "cross_level": recipe(lambda: cross_level(initial_state(pair()), pair()[0])),
     "cut_chords": recipe(cut_chords, 4, 7),
     "empty_lattice": recipe(empty_lattice),
     "exceptional_pair_criterion": recipe(
@@ -267,7 +267,7 @@ OBJECT_RECIPES = {
     "chain_contact_replay": recipe(
         lambda lat, config: chain_contact_replay(lat, "E'", config),
         add_class(fulton_config(2, 1).lattice(), "E'", -1), fulton_config(2, 1)),
-    "cross_level": recipe(cross_level, initial_state(pair()).at(1), pair()[0]),
+    "cross_level": recipe(cross_level, initial_state(pair()), pair()[0]),
     "exceptional_pair_criterion": recipe(
         lambda lat: exceptional_pair_criterion(lat, "a", "b"), two_exceptional()),
     "hj_reverse": recipe(hj_reverse, hj_expand(7, 3)),
@@ -380,3 +380,14 @@ def test_lattice_from_parts_refuses_a_pair_key_that_is_not_two_labels(key):
     TypeError or a bare unpacking ValueError."""
     with pytest.raises(DomainError, match=re.escape(repr(key))):
         lattice_from_parts(["a", "b", "c"], {key: 1}, {})
+
+
+@pytest.mark.parametrize("pairs", [{("a", "b"): 1, ("b", "a"): 2}, {("a", "b"): 1, ("b", "a"): 0},
+                                   {("b", "a"): 0, ("a", "b"): 1}],
+                         ids=["disagree", "zero-last", "zero-first"])
+def test_lattice_from_parts_refuses_a_pair_given_in_both_orders(pairs):
+    """The last key won, unless its entry was zero, so the pairing depended
+    on the order of the keys.  The error names the pair as first given."""
+    first = next(iter(pairs))
+    with pytest.raises(DomainError, match=re.escape(f"{first} is given in both orders")):
+        lattice_from_parts(["a", "b"], pairs, {})

@@ -67,7 +67,7 @@ def corpus() -> list:
                     lat = add_class(cfg.lattice(), "E'", -1, {via: 1})
                     values.append(chain_contact_replay(lat, "E'", cfg))
         state = initial_state(pair)  # at 1/4, with B1 alive from 0 to 1/2
-        crossed = cross_level(cross_level(state.at("1/2"), pair[1]).at(1), pair[0])
+        crossed = cross_level(cross_level(state, pair[1]), pair[0])
         values += [state, crossed, crossed.context, *crossed.instances]
         for points in (pair, nested):
             values += [initial_state(points).context, *initial_state(points).instances,
