@@ -24,8 +24,8 @@ intersection lattice:
 ``cross_check`` verifies that the two routes build isomorphic lattices; the
 sum of squared multiplicities always equals p*q (each multiplicity-m cut
 removes m^2 half-unit triangles of the p*q-area corner being excised).
-``weighted_blowdown`` undoes a config along the one forced-contraction walk,
-``homology._forced_contractions``, that ``chain_contact_replay`` also drives.
+``weighted_blowdown`` undoes a config along ``homology._forced_contractions``,
+the one contraction walk, which ``blow_down`` and the contact replay also run.
 
 Both chains of a config are stored with class index 1 adjacent to E~ (the
 expansions above read from the opposite, axis-adjacent end; reversing an
@@ -41,7 +41,8 @@ from math import gcd
 from ._value import Value
 from .errors import DomainError, StructureError, require_ints, require_object
 from .hj import hj_expand
-from .homology import IntersectionLattice, _blow_up, _contract, _forced_contractions, _lattice
+from .homology import (IntersectionLattice, _blow_up, _forced_contractions, _lattice,
+                       _require_exceptional)
 from .rationals import parse_rational
 from .resolution import Chain, chain_from_terms
 
@@ -80,7 +81,7 @@ class BlowupConfig(Value):
 
     @property
     def class_labels(self) -> tuple[str, ...]:
-        return (self.exceptional_label,) + self.chain_labels
+        return (self.exceptional_label, *self.chain_p.labels, *self.chain_q.labels)
 
     def lattice(self) -> IntersectionLattice:
         """E~ at -1 joined to the first class of each chain, c1 by adjunction.
@@ -251,29 +252,32 @@ def cut_chords(q: int, p: int) -> list[tuple[Vec, Point, Point]]:
 
 
 def _path_profile(lat: IntersectionLattice) -> list[tuple[int, int]] | None:
-    """(self-intersection, c1) along the path, or None if not a path graph."""
-    if len(lat) == 0:
-        return []
-    adj = {l: lat.neighbours(l) for l in lat.classes}
-    if any(len(row) > 2 or any(v != 1 for v in row.values()) for row in adj.values()):
-        return None
-    ends = [l for l in lat.classes if len(adj[l]) == 1]
-    if len(lat) > 1 and len(ends) != 2:
-        return None
-    order = [ends[0] if ends else lat.classes[0]]
-    prev = None
-    while len(order) < len(lat):
-        nxts = [l for l in adj[order[-1]] if l != prev]
-        if len(nxts) != 1:
+    """(self-intersection, c1) along the path, or None if not a path graph:
+    one pass over the store checks the degrees and weights and finds the
+    ends, then one walk from an end must visit every class."""
+    edges, ends = lat._edges, []
+    for label, row in edges.items():
+        if len(row) > 2 or not {1}.issuperset(row.values()):
             return None
-        prev = order[-1]
-        order.append(nxts[0])
-    return [(lat.self_intersection(l), lat.c1_of(l)) for l in order]
+        if len(row) == 1:
+            ends.append(label)
+    if len(edges) > 1 and len(ends) != 2:
+        return None
+    path, prev = ends[:1] or list(edges), None  # a lone class is its own path
+    while len(path) < len(edges):
+        for nxt in edges[path[-1]]:
+            if nxt != prev:
+                break
+        else:
+            return None  # the other end, with classes left off the path
+        prev = path[-1]
+        path.append(nxt)
+    return [(lat._self[l], lat._c1[l]) for l in path]
 
 
 def lattices_isomorphic_as_chains(a: IntersectionLattice, b: IntersectionLattice) -> bool:
     """Permutation isomorphism test for path-shaped lattices."""
-    pa, pb = _path_profile(a), _path_profile(b)
+    pa, pb = _path_profile(_lattice(a)), _path_profile(_lattice(b))
     if pa is None or pb is None:
         return False
     return pa == pb or pa == list(reversed(pb))
@@ -298,23 +302,22 @@ def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> Interse
     self-intersection -1 at each stage (the reverse of the cut replay), and
     contracting in that forced order empties the configuration in
     |chain_p| + |chain_q| + 1 steps.  Any stage without a (-1) config class
-    means the configuration was corrupted.  The contractions edit one copy
-    of ``lat``'s store, so the whole blowdown costs O(n) beyond that copy.
+    means the configuration was corrupted.  One walk edits one copy of
+    ``lat``'s store, so the whole blowdown costs O(n) beyond that copy.
     """
     selfs = _lattice(lat)._self
     require_object(config, BlowupConfig, "config must be a BlowupConfig")
-    etilde, chain = config.exceptional_label, config.chain_labels
-    for label in (etilde, *chain):
+    labels = config.class_labels
+    for label in labels:
         if label not in selfs:
             raise DomainError(f"no class labeled {label!r}")
+    etilde = labels[0]
     if selfs[etilde] != -1:
         raise StructureError(f"{etilde!r} has self-intersection {selfs[etilde]}, not -1")
     store = lat._store()
-    _contract(store, etilde)
-    for _ in _forced_contractions(store, chain):
-        pass
-    remaining = [l for l in chain if l in store[0]]
-    if remaining:
+    if remaining := _forced_contractions(store, labels):
+        if etilde in remaining:  # E~ leads the walk: it is left only if its c1 is not 1
+            _require_exceptional(lat, etilde)
         raise StructureError("blowdown stalled: no remaining config class at -1 "
-                             f"(remaining: {remaining})")
+                             f"(remaining: {list(remaining)})")
     return IntersectionLattice._sparse(*store)

@@ -18,13 +18,13 @@ built on demand, for JSON output and for callers that want rows.
 Public operations never mutate: each returns a fresh lattice value, so values
 can be shared freely across threads.  ``blow_up_at`` and ``blow_down`` copy
 the store once and edit the copy with the private kernels ``_blow_up`` and
-``_contract``; a construction of n steps (a cut replay, a weighted blowdown)
-copies once and runs the kernels n times on its own store, O(n) in total.
-A kernel copies an edge-map row before writing to it, so rows shared with
-other lattices are never written.
-
-One walk, ``_forced_contractions``, contracts a configuration in its forced
-order for both ``blowup.weighted_blowdown`` and ``chain_contact_replay``.
+``_forced_contractions``; a construction of n steps (a cut replay, a weighted
+blowdown) copies once and runs a kernel on its own store, O(n) in total.  A
+kernel copies an edge-map row before writing to it, so rows shared with
+other lattices are never written.  ``_forced_contractions`` is one plain loop
+and the only copy of the contraction arithmetic: ``blow_down`` runs it on one
+label, ``blowup.weighted_blowdown`` on a configuration and
+``chain_contact_replay`` on one until a class that E' meets is at -1.
 """
 
 from __future__ import annotations
@@ -447,8 +447,9 @@ def blow_down(lat: IntersectionLattice, label: str) -> IntersectionLattice:
     One copy of the store, then O(deg(e)^2) for the contraction itself.
     """
     require_strs([label], "a class label must be a string")
-    store = _lattice(lat)._store()
-    _contract(store, label)
+    _require_exceptional(_lattice(lat), label)
+    store = lat._store()
+    _forced_contractions(store, (label,))
     return IntersectionLattice._sparse(*store)
 
 
@@ -497,56 +498,60 @@ def _blow_up(store, touched: Sequence[str], label: str) -> None:
     self_[label], c1[label], edges[label] = -1, 1, dict.fromkeys(touched, 1)
 
 
-def _contract(store, label: str) -> None:
-    """The kernel of :func:`blow_down`: edit ``store`` (owned by the caller)
-    in place, with the same checks.  Rows are replaced by edited copies,
-    never written."""
-    self_, c1, edges = store
-    if label not in self_:
-        raise DomainError(f"no class labeled {label!r}")
-    s, c = self_[label], c1[label]
+def _require_exceptional(lat: IntersectionLattice, label: str) -> None:
+    """A DomainError unless ``label`` is a (-1)-class of ``lat`` with c1 = 1."""
+    lat._check(label)
+    s, c = lat._self[label], lat._c1[label]
     if s != -1 or c != 1:
         raise DomainError(
             f"cannot contract {label!r}: needs self-intersection -1 and c1 = 1, "
             f"has {s} and c1 = {c}"
         )
-    del self_[label], c1[label]
-    m = edges.pop(label)
-    for a, ma in m.items():
-        self_[a] += ma * ma
-        c1[a] += ma
-        row = dict(edges[a])
-        del row[label]
-        for b, mb in m.items():
-            if b != a:  # row[b] += ma * mb; rows hold nonzero entries only
-                if v := row.get(b, 0) + ma * mb:
-                    row[b] = v
-                else:
-                    del row[b]
-        edges[a] = row
 
 
-def _forced_contractions(store, labels: Sequence[str]):
-    """Contract ``labels`` in ``store`` in their forced order, one (-1)-class
-    with c1 = 1 at a time (ties to the earliest label), yielding each with
-    the classes it met; the walk ends when none is left.  Only neighbours of
-    a contraction can change readiness, so the walk is O(n)."""
+def _forced_contractions(store, labels: Sequence[str], stop=None) -> dict[str, int]:
+    """Contract ``labels`` in ``store`` (owned by the caller) in their forced
+    order, one (-1)-class with c1 = 1 at a time (ties to the earliest label),
+    as :func:`blow_down` does, until none is ready or ``stop(label, met)`` is
+    true for the class just contracted and the row of the classes it met.
+    Returns the labels left, with their indices.  One pass over the met
+    classes edits them (rows by copy) and updates their readiness; only they
+    can change it, so the walk is O(n)."""
     self_, c1, edges = store
-    order = {l: i for i, l in enumerate(labels)}
-    ready = [l for l in order if self_[l] == -1 and c1[l] == 1]  # usually one long
+    order, ready = {}, []  # ready: usually one long
+    for i, l in enumerate(labels):
+        if l not in order and self_[l] == -1 and c1[l] == 1:
+            ready.append(l)
+        order[l] = i
     while ready:
         if len(ready) > 1:
             ready.sort(key=order.__getitem__)
         label = ready.pop(0)
-        touched = edges[label]
-        _contract(store, label)
-        del order[label]
-        for l in touched:
-            if l in ready:
-                ready.remove(l)
-            if l in order and self_[l] == -1 and c1[l] == 1:
-                ready.append(l)
-        yield label, touched
+        del order[label], self_[label], c1[label]
+        met = edges.pop(label)
+        pairs = met.items()
+        for a, ma in pairs:
+            s = self_[a] = self_[a] + ma * ma
+            c = c1[a] = c1[a] + ma
+            row = edges[a] = dict(edges[a])
+            del row[label]
+            for b, mb in pairs:  # row[b] += ma * mb; rows hold nonzero entries only
+                if b == a:
+                    continue
+                if b not in row:
+                    row[b] = ma * mb
+                elif v := row[b] + ma * mb:
+                    row[b] = v
+                else:
+                    del row[b]
+            # a's self-intersection grew: if it is ready now, it was not before
+            if s == -1 and c == 1 and a in order:
+                ready.append(a)
+            elif a in ready:
+                ready.remove(a)
+        if stop is not None and stop(label, met):
+            break
+    return order
 
 
 # -- b2+ = 1 criteria --------------------------------------------------------
@@ -632,13 +637,15 @@ def chain_contact_replay(lat: IntersectionLattice, eprime: str, config) -> Chain
     self_ = store[0]
     hits = {l for l in contacts if self_[l] == -1}
     done: list[str] = []
+
+    def stop(label, met):
+        done.append(label)
+        hits.update(l for l in met if l in contacts and self_[l] == -1)
+        return hits
+
     if not hits:
-        for label, touched in _forced_contractions(store, labels):
-            done.append(label)
-            hits.update(l for l in touched if l in contacts and self_[l] == -1)
-            if hits:
-                break
-        else:
+        _forced_contractions(store, labels, stop)
+        if not hits:
             raise StructureError("blowdown replay stuck: no (-1)-class left")
     hit = min(hits, key=chain_labels.index)
     work = IntersectionLattice._sparse(*store)

@@ -1,14 +1,16 @@
 """Step-by-step constructions, kept as oracles for the single-store ones.
 
-These are how ``hjtoric.blowup`` built a cut-replay lattice and ran a
-weighted blowdown, and how ``hjtoric.homology`` replayed the chain-contact
-criterion, before the constructions edited one private copy of the sparse
-store: one public ``blow_up_at`` or ``blow_down`` per class, each returning
-a fresh lattice.  They use only the public lattice operations and
+These are how ``hjtoric.blowup`` built a cut-replay lattice, ran a weighted
+blowdown and read a path lattice's profile, and how ``hjtoric.homology``
+replayed the chain-contact criterion, before the constructions edited one
+private copy of the sparse store: one public ``blow_up_at`` or
+``blow_down`` per class, each returning a fresh lattice, and one public
+query per class read.  They use only the public lattice operations and
 queries.  Those operations run the same kernels (``_blow_up``,
-``_contract``), so these oracles check what the constructions add: one
-shared store, the forced contraction order and the checks around it.  The
-kernels themselves are checked against the dense routines in ``dense.py``.
+``_forced_contractions``), so these oracles check what the constructions
+add: one shared store, the forced contraction order and the checks around
+it.  The kernels themselves are checked against the dense routines in
+``dense.py``.
 """
 
 from hjtoric.blowup import BlowupConfig, McDuffSequence
@@ -39,13 +41,15 @@ def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> Interse
         lat.self_intersection(label)
     etilde = config.exceptional_label
     if lat.self_intersection(etilde) != -1:
-        raise StructureError(f"{etilde!r} is not at -1")
+        raise StructureError(
+            f"{etilde!r} has self-intersection {lat.self_intersection(etilde)}, not -1")
     current = blow_down(lat, etilde)
     remaining = {l: i for i, l in enumerate(config.chain_labels)}
     ready = {l for l in remaining if _contractible(current, l)}
     while remaining:
         if not ready:
-            raise StructureError(f"blowdown stalled (remaining: {list(remaining)})")
+            raise StructureError("blowdown stalled: no remaining config class at -1 "
+                                 f"(remaining: {list(remaining)})")
         label = min(ready, key=remaining.__getitem__)
         touched = current.neighbours(label)
         current = blow_down(current, label)
@@ -112,14 +116,38 @@ def chain_contact_replay(lat: IntersectionLattice, eprime: str, config) -> Chain
         done.append(nxt)
 
 
+def path_profile(lat: IntersectionLattice) -> list[tuple[int, int]] | None:
+    """(self-intersection, c1) along the path, or None if not a path graph.
+
+    ``blowup._path_profile`` as it was, through the public accessors."""
+    if len(lat) == 0:
+        return []
+    adj = {l: lat.neighbours(l) for l in lat.classes}
+    if any(len(row) > 2 or any(v != 1 for v in row.values()) for row in adj.values()):
+        return None
+    ends = [l for l in lat.classes if len(adj[l]) == 1]
+    if len(lat) > 1 and len(ends) != 2:
+        return None
+    order = [ends[0] if ends else lat.classes[0]]
+    prev = None
+    while len(order) < len(lat):
+        nxts = [l for l in adj[order[-1]] if l != prev]
+        if len(nxts) != 1:
+            return None
+        prev = order[-1]
+        order.append(nxts[0])
+    return [(lat.self_intersection(l), lat.c1_of(l)) for l in order]
+
+
 def _contractible(lat: IntersectionLattice, label: str) -> bool:
     return lat.self_intersection(label) == -1 and lat.c1_of(label) == 1
 
 
 def outcome(fn, *args):
-    """The value ``fn(*args)`` returns, or the type of the package error it
-    raises, so that two routes can be compared on bad input too."""
+    """The value ``fn(*args)`` returns, or the type and message of the
+    package error it raises, so that two routes can be compared on bad input
+    too."""
     try:
         return fn(*args)
     except (DomainError, StructureError) as exc:
-        return type(exc)
+        return type(exc), str(exc)

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hjtoric.blowup
 import stepwise
@@ -261,6 +263,21 @@ class TestCrossCheck:
         selfs = sorted(lat.pairing[i][i] for i in range(len(lat)))
         assert selfs == [-4, -3, -2, -2, -1]
 
+    def test_every_pair_up_to_sixty(self):
+        """The routes agree for every coprime p > q with p <= 60, and the
+        store-reading path profile of each route's lattice is the oracle's."""
+        for p, q in coprime_pairs(60):
+            assert cross_check(p, q), (p, q)
+            for lat in (fulton_config(p, q).lattice(), mcduff_sequence(q, p).lattice()):
+                assert hjtoric.blowup._path_profile(lat) == stepwise.path_profile(lat), (p, q)
+
+    def test_isomorphism_test_refuses_non_lattices(self):
+        lat = fulton_config(7, 4).lattice()
+        for a, b, bad in (("x", "y", "'x'"), (lat, None, "None")):
+            with pytest.raises(DomainError) as exc:
+                lattices_isomorphic_as_chains(a, b)
+            assert str(exc.value) == f"lat must be an IntersectionLattice, got {bad}"
+
     def test_path_isomorphism_is_reversal_invariant(self):
         a = lattice_from_parts(["x", "y"], {("x", "y"): 1}, {"x": -2, "y": -3})
         b = lattice_from_parts(["u", "v"], {("u", "v"): 1}, {"u": -3, "v": -2})
@@ -270,6 +287,52 @@ class TestCrossCheck:
         a = lattice_from_parts(["x", "y"], {("x", "y"): 1}, {"x": -2, "y": -3})
         c = lattice_from_parts(["u", "v"], {("u", "v"): 1}, {"u": -2, "v": -2})
         assert not lattices_isomorphic_as_chains(a, c)
+
+
+@st.composite
+def graph_lattices(draw):
+    """A lattice whose graph is a path, or one of the near misses a path
+    profile must refuse: a cycle, a star, a path with one edge of weight 2
+    or -1, a path beside isolated classes or beside a cycle; or 0 or 1
+    classes.  Labels are shuffled against the graph, so a path need not run
+    in basis order; self-intersections and c1 labels are drawn freely."""
+    kind = draw(st.sampled_from(["path", "cycle", "star", "weighted", "isolated",
+                                 "path+cycle", "tiny"]))
+    least = {"tiny": 0, "cycle": 3, "star": 4, "path+cycle": 5}.get(kind, 2)
+    n = draw(st.integers(least, 1 if kind == "tiny" else 12))
+    path = [(i, i + 1, 1) for i in range(n - 1)]
+    if kind == "cycle":
+        edges = path + [(n - 1, 0, 1)]
+    elif kind == "star":
+        edges = [(0, i, 1) for i in range(1, n)]
+    elif kind == "weighted":
+        i = draw(st.integers(0, n - 2))
+        edges = path[:i] + [(i, i + 1, draw(st.sampled_from([2, -1])))] + path[i + 1:]
+    elif kind == "isolated":
+        edges = path[:draw(st.integers(0, n - 2))]
+    elif kind == "path+cycle":
+        cut = draw(st.integers(2, n - 3))  # classes 0..cut-1 a path, the rest a cycle
+        edges = path[:cut - 1] + path[cut:] + [(n - 1, cut, 1)]
+    else:
+        edges = path
+    where = draw(st.permutations(range(n)))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.integers(-4, 2))
+    for i, j, v in edges:
+        rows[where[i]][where[j]] = rows[where[j]][where[i]] = v
+    c1 = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return IntersectionLattice([f"v{i}" for i in range(n)], rows, c1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_lattices(), graph_lattices())
+def test_path_profile_matches_the_accessor_oracle(a, b):
+    want = stepwise.path_profile(a)
+    assert hjtoric.blowup._path_profile(a) == want
+    other = stepwise.path_profile(b)
+    agree = want is not None and other is not None and (want == other or want == other[::-1])
+    assert lattices_isomorphic_as_chains(a, b) == agree
 
 
 class TestWeightedBlowdown:
@@ -390,6 +453,10 @@ def test_thousand_class_replay_stays_fast():
 
 # -- the single-store constructions against their step-by-step oracles ------
 
+# classes outside every config: a -1 class with c1 = 1 and a class meeting it twice
+FOREIGN = add_class(lattice_from_parts(["A"], {}, {"A": -1}), "B", 3, {"A": 2})
+
+
 def with_neighbours(cfg):
     """The config's lattice with two outside classes that its blowdown
     pushes forward: X meets E~, Y meets the far end of chain_p twice."""
@@ -407,7 +474,8 @@ def test_constructions_match_stepwise_oracles(p):
         lat, ref = seq.lattice(), stepwise.mcduff_lattice(seq)
         assert lat == ref and lat.to_json() == ref.to_json(), (p, q)
         cfg = fulton_config(p, q)
-        for lat in (cfg.lattice(), with_neighbours(cfg)):
+        for lat in (cfg.lattice(), with_neighbours(cfg), FOREIGN.direct_sum(cfg.lattice()),
+                    cfg.lattice().direct_sum(FOREIGN)):
             down, ref = weighted_blowdown(lat, cfg), stepwise.weighted_blowdown(lat, cfg)
             assert down == ref and down.to_json() == ref.to_json(), (p, q)
 
@@ -441,6 +509,9 @@ def tampered(cfg):
     yield altered(lat, cfg.exceptional_label, c1_shift=1), cfg
     for label in cfg.chain_labels:
         yield altered(lat, label, self_shift=-1), cfg
+    if cfg.chain_labels:
+        yield without(lat, [cfg.chain_labels[-1]]), cfg
+        yield add_class(lat, "Y", -2, {cfg.chain_labels[-1]: 1}), cfg
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (7, 4), (11, 3), (13, 8), (40, 1), (41, 29)])
@@ -449,7 +520,7 @@ def test_tampered_configs_fail_like_the_oracle(p, q):
     for lat, cfg in tampered(fulton_config(p, q)):
         got = stepwise.outcome(weighted_blowdown, lat, cfg)
         assert got == stepwise.outcome(stepwise.weighted_blowdown, lat, cfg)
-        outcomes.add(got if isinstance(got, type) else "lattice")
+        outcomes.add(got[0] if isinstance(got, tuple) else "lattice")
     assert {DomainError, StructureError} <= outcomes
 
 
@@ -465,6 +536,44 @@ def test_contact_replay_on_tampered_configs_matches_the_oracle(p, q):
             lat_e = add_class(lat, "E'", -1, {label: 1})
             want = stepwise.outcome(stepwise.chain_contact_replay, lat_e, "E'", c)
             assert stepwise.outcome(chain_contact_replay, lat_e, "E'", c) == want, (p, q, label)
+
+
+def config_weights(p):
+    return [q for q in range(1, p + 1) if gcd(p, q) == 1 and not p == q != 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_walk_matches_the_stepwise_oracles(data):
+    """A config with p <= 60, its own lattice or a tampered one (E~ at -2
+    or with c1 = 2, a chain class one lower, missing, or lifted to a second
+    exceptional class, a foreign class on a chain class), alone or summed
+    with foreign classes: the blowdown and the contact replay with E' on
+    any class give the oracles' result, or raise the same error with the
+    same message."""
+    p = data.draw(st.integers(1, 60))
+    cfg = fulton_config(p, data.draw(st.sampled_from(config_weights(p))))
+    lifted = [(altered(cfg.lattice(), label, 1, 1), cfg) for label in cfg.chain_labels]
+    lat, c = data.draw(st.sampled_from([(cfg.lattice(), cfg), *tampered(cfg), *lifted]))
+    lat = data.draw(st.sampled_from([lat, FOREIGN.direct_sum(lat), lat.direct_sum(FOREIGN)]))
+    assert (stepwise.outcome(weighted_blowdown, lat, c)
+            == stepwise.outcome(stepwise.weighted_blowdown, lat, c))
+    label = data.draw(st.sampled_from(lat.classes))
+    lat_e = add_class(lat, "E'", -1, {label: data.draw(st.sampled_from([1, 2, -1]))})
+    assert (stepwise.outcome(chain_contact_replay, lat_e, "E'", c)
+            == stepwise.outcome(stepwise.chain_contact_replay, lat_e, "E'", c))
+
+
+@pytest.mark.parametrize("p,q", [(7, 4), (11, 3), (13, 8)])
+def test_a_repeated_config_label_walks_like_the_oracle(p, q):
+    """A config that names chain classes twice, on its lattice and with a
+    named class lifted to -1: the walk takes each class once, at the index
+    of its last mention, as the oracle does."""
+    cfg = fulton_config(p, q)
+    twice = replace(cfg, chain_q=replace(cfg.chain_q, labels=cfg.chain_p.labels[:len(cfg.chain_q)]))
+    for lat in (cfg.lattice(), *(altered(cfg.lattice(), l, 1, 1) for l in cfg.chain_labels)):
+        assert (stepwise.outcome(weighted_blowdown, lat, twice)
+                == stepwise.outcome(stepwise.weighted_blowdown, lat, twice))
 
 
 def snapshot(lat):

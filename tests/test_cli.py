@@ -63,6 +63,21 @@ class TestBlowup:
         assert obj["chain_q"] == [-4]
         assert obj["cross_check"] is True
 
+    def test_each_route_is_built_once(self, capsys, monkeypatch):
+        """The JSON output checks the routes on the config and the replay it
+        reports, so each constructor runs once."""
+        import hjtoric.blowup
+
+        calls = []
+        for name in ("fulton_config", "mcduff_sequence"):
+            def counted(*args, _fn=getattr(hjtoric.blowup, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(hjtoric.blowup, name, counted)
+        code, obj = run_json(capsys, "blowup", "--p", "7", "--q", "4")
+        assert code == 0 and obj["cross_check"] is True
+        assert sorted(calls) == ["fulton_config", "mcduff_sequence"]
+
     def test_svg(self, capsys):
         code, out = run_cli(capsys, "blowup", "--p", "2", "--q", "1", "--format", "svg")
         assert code == 0

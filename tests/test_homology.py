@@ -251,7 +251,8 @@ class TestCriteria:
             lat = add_class(shifted, "E'", -1, {etilde: k})
             with pytest.raises(DomainError, match=f"{etilde!r} is not an exceptional class"):
                 chain_contact_replay(lat, "E'", cfg)
-            assert stepwise.outcome(stepwise.chain_contact_replay, lat, "E'", cfg) is DomainError
+            assert stepwise.outcome(stepwise.chain_contact_replay, lat, "E'", cfg) == (
+                DomainError, f"{etilde!r} is not an exceptional class")
 
     def test_contact_orthogonal_false(self):
         cfg = fulton_config(7, 4)
