@@ -36,6 +36,7 @@ orientation carries the same data).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from ._value import Value
@@ -79,9 +80,13 @@ class BlowupConfig(Value):
     def chain_labels(self) -> tuple[str, ...]:
         return self.chain_p.labels + self.chain_q.labels
 
-    @property
+    @cached_property
     def class_labels(self) -> tuple[str, ...]:
-        return (self.exceptional_label, *self.chain_p.labels, *self.chain_q.labels)
+        """E~, then both chains: checked distinct on the first read, kept (no field)."""
+        labels = (self.exceptional_label, *self.chain_p.labels, *self.chain_q.labels)
+        if len(set(labels)) != len(labels):
+            raise DomainError("class labels must be distinct")
+        return labels
 
     def lattice(self) -> IntersectionLattice:
         """E~ at -1 joined to the first class of each chain, c1 by adjunction.
@@ -94,7 +99,7 @@ class BlowupConfig(Value):
             return self.__dict__["_lattice"]
         except KeyError:
             pass
-        e = self.exceptional_label
+        e = self.class_labels[0]  # the read checks that the labels are distinct
         selfs, edges = {e: -1}, {e: {}}
         for chain in (self.chain_p, self.chain_q):
             prev = e
@@ -102,8 +107,6 @@ class BlowupConfig(Value):
                 selfs[label], edges[label] = s, {prev: 1}
                 edges[prev][label] = 1
                 prev = label
-        if len(selfs) != len(self.class_labels):
-            raise DomainError("class labels must be distinct")
         lat = IntersectionLattice._sparse(selfs, {l: 2 + s for l, s in selfs.items()}, edges)
         object.__setattr__(self, "_lattice", lat)
         return lat

@@ -26,45 +26,47 @@ With ``tracked_independent=False`` the tracked class is the dynamic
 instance itself instead; it then dies at its matched level and the run
 reports TRACKED_CLASS_DESTROYED.
 
-Configurations never interact, so the state is the set of live instances,
-each its pair's config, shared with every other instance of the pair and
-with every pair of equal weights, and a uid.  Labels are prefixed ``uid.``
-only where they leave the run: in an instance's lattice (so in the
-result's) and in the tracked label.  A crossing costs the same at any
-loop count, and a blowdown reads the config's lattice, built once per run.
+Configurations never interact, so a live instance is a pair, a uid and
+two positions; its config is its pair's, shared by every instance of the
+pair, every pair of equal weights and, by a bounded cache, every run of
+the process, which builds its lattice once.  Labels are prefixed ``uid.``
+only where they leave the run: in an ``Instance``'s lattice (so the
+result's) and the tracked label.  A crossing costs the same in every loop.
 
 A run splits what it fixes from what it steps.  ``initial_state`` puts the
 levels on one integer grid, ``_grid`` (the lcm of their denominators, each
-level's numerator over it, their order and the gaps between them), once:
-it pairs and validates the data on it by ``_validate`` (one
-``ValidationError`` lists every failure), reads the default base off it
-and builds one frozen ``RunContext`` per run: the data and base, each
-datum's pair, each pair's config, resolved once per distinct weight pair,
-and the run's grid, the lcm D of the base and level denominators.  Every
-position is an integer numerator over D, and so are an instance's blowup
-and blowdown positions, which give its area tent.  What a run steps is a
-live map, a dict of instances in install order keyed by ``(pair, dies)``
-(T under ``(pair, None)``), and one kernel, ``_step``, crosses a level on
-it in place: ``_install`` at a +1 level, a pop by key and a blowdown at a
--1 level.  A level fixes where it is crossed: ``_next`` finds its first
-position after a given one.  ``initial_state`` primes through
-``_install``; ``cross_level`` steps a copy of a state's instances at
-``_next``; ``run_loop`` reads its first loop off ``_next``, steps one map
-from start to end and reads its ledger, bound and result off it, so a
-state is only the view the step API returns.  Fractions are built only for
-the default base, the ledger and the output, so every result stays exact.
-The interval cover, ``build_cover``, needs only the levels, which it reads
-off their grid too.  Each input is checked by the function that reads it:
-rationals by ``parse_rational``, integers by ``require_int``.
+level's numerator over it, their order and the gaps between them), once: it
+pairs and validates the data on it by ``_validate`` (one
+``ValidationError`` lists every failure), reads the default base off it and
+builds one frozen ``RunContext`` per run: the data and base, each datum's
+pair, each pair's config, resolved once per distinct weight pair, and the
+run's grid, the lcm D of the base and level denominators.  Every position
+is an integer numerator over D, and so are an instance's blowup and
+blowdown positions, which give its area tent.  What a run steps is a live
+map, a dict in install order from ``(pair, dies)`` (T under
+``(pair, None)``) to ``(uid, created)``, and one kernel, ``_step``, crosses
+a level on it in place: ``_install`` at a +1 level, a pop by key and a
+blowdown at a -1 level, logged only under debug.  A level fixes where it is
+crossed: ``_next`` finds its first position after a given one.
+``initial_state`` primes through ``_install``; ``cross_level`` steps a copy
+of a state's instances at ``_next``; ``run_loop`` reads its first loop off
+``_next``, steps one map from start to end and reads its ledger, bound and
+result off it, so a state is only the view the step API returns.  Fractions
+are built only for the default base, the ledger and the output, so every
+result stays exact.  The interval cover, ``build_cover``, needs only the
+levels, which it reads off their grid too.  Each input is checked by the
+function that reads it: rationals by ``parse_rational``, integers by
+``require_int``.
 """
 
 from __future__ import annotations
 
 import logging
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
-from ._value import Value, _set
+from ._value import Value
 from .blowup import BlowupConfig, _require_weights, fulton_config, weighted_blowdown
 from .errors import DomainError, StructureError, ValidationError, require_int, require_object
 from .homology import IntersectionLattice, _with_prefix, empty_lattice
@@ -246,9 +248,9 @@ class RunContext(Value):
     numerator; ``pair_of`` holds each datum's pair index, in ``data``
     order.  ``templates`` holds each pair's config as ``fulton_config``
     returns it, with unprefixed labels, resolved once per distinct weight
-    pair: pairs of equal weights hold one object, and every instance of a
-    pair holds its pair's.  A default ``base`` is read off the level grid
-    (``_grid``) the data were validated on.
+    pair by ``_config``, which keeps the process's last 256: equal weights,
+    in one run or a later one, hold one object, and every instance of a
+    pair holds its pair's.  A default ``base`` is read off the data's grid.
     """
 
     data: tuple[FixedPointDatum, ...]
@@ -260,8 +262,8 @@ class RunContext(Value):
 
 
 class Instance(Value):
-    """A live blowup configuration: its pair's config, shared with the
-    run's context, under the label prefix ``uid.``.
+    """A live blowup configuration as a state shows it: its pair's config,
+    shared with the run's context, under the label prefix ``uid.``.
 
     ``config`` keeps the unprefixed labels; ``lattice`` is the config's
     lattice with every label prefixed (``homology._with_prefix``), built on
@@ -277,13 +279,6 @@ class Instance(Value):
     config: BlowupConfig
     created: int
     dies: int | None
-
-    def __init__(self, uid, pair, config, created, dies):  # by hand: one per +1 crossing
-        _set(self, "uid", uid)
-        _set(self, "pair", pair)
-        _set(self, "config", config)
-        _set(self, "created", created)
-        _set(self, "dies", dies)
 
     @property
     def lattice(self) -> IntersectionLattice:
@@ -333,15 +328,27 @@ def default_base(grid) -> Fraction:
     return Fraction((2 * keys[order[i]] + gaps[i]) % (2 * den), 2 * den)
 
 
+# one immutable config per weight pair per process; fulton_config is read at each miss
+_config = lru_cache(maxsize=256)(lambda p, q: fulton_config(p, q))
+
+
 def _install(ctx: RunContext, live: dict, pair_idx: int, created: int, dies: int | None,
-             uid: str) -> None:
-    """Add an instance of the pair's config, the context's own, unrelabelled,
-    to the live map; a live ``(pair_idx, dies)`` key is a DomainError."""
+             uid: str, debug: bool) -> None:
+    """Add an instance of the pair to the live map, logged if ``debug``; a
+    live ``(pair_idx, dies)`` key is a DomainError."""
     if (pair_idx, dies) in live:
         raise DomainError(f"pair {pair_idx} already has a live instance dying at {dies}/{ctx.den}")
-    cfg = ctx.templates[pair_idx]
-    live[pair_idx, dies] = Instance(uid, pair_idx, cfg, created, dies)
-    log.debug("blowup %s at position %d/%d: weights (%d, %d)", uid, created, ctx.den, cfg.p, cfg.q)
+    live[pair_idx, dies] = uid, created
+    if debug:
+        cfg = ctx.templates[pair_idx]
+        log.debug("blowup %s at position %d/%d: weights (%d, %d)", uid, created, ctx.den,
+                  cfg.p, cfg.q)
+
+
+def _instances(ctx: RunContext, live: dict) -> tuple[Instance, ...]:
+    """The live map's entries as ``Instance`` values, in install order."""
+    return tuple(Instance(uid, pair, ctx.templates[pair], created, dies)
+                 for (pair, dies), (uid, created) in live.items())
 
 
 def initial_state(data, *, base=None) -> ReducedSpaceState:
@@ -350,15 +357,15 @@ def initial_state(data, *, base=None) -> ReducedSpaceState:
     Every matched pair whose counterclockwise life arc contains the base
     level contributes one live configuration, so the state is consistent
     with the periodic dynamics from the very first crossing.  The run's
-    context, with one config per distinct weight pair, is built here on the
-    data's level grid; every install shares its pair's config.  ``base``
-    is parsed first; data that fail ``_validate`` raise its
-    ``ValidationError``.
+    context, with one config per distinct weight pair (``_config``), is
+    built here on the data's level grid.  ``base`` is parsed first; data
+    that fail ``_validate`` raise its ``ValidationError``.
     """
     base = None if base is None else parse_rational(base)
     data = _fixed_points(data)
     if not data:
         raise DomainError("cannot build a state from an empty fixed-point set")
+    debug = log.isEnabledFor(logging.DEBUG)
     grid = _grid(data)
     pairs = _validate(data, grid)
     base = default_base(grid) if base is None else base % 1
@@ -369,7 +376,7 @@ def initial_state(data, *, base=None) -> ReducedSpaceState:
         raise DomainError(f"base level {base} must be a regular level")
     arcs = tuple((levels[minus] - levels[plus]) % den for plus, minus in pairs)
     weights = [data[plus].weights for plus, _ in pairs]
-    configs = {w: fulton_config(*w) for w in dict.fromkeys(weights)}
+    configs = {w: _config(*w) for w in dict.fromkeys(weights)}
     ctx = RunContext(data, base, den, arcs,
                      tuple(k for _, k in sorted((i, k) for k, p in enumerate(pairs) for i in p)),
                      tuple(map(configs.get, weights)))
@@ -378,8 +385,8 @@ def initial_state(data, *, base=None) -> ReducedSpaceState:
         back = (start - levels[plus]) % den
         if 0 < back < arcs[pair_idx]:
             _install(ctx, live, pair_idx, start - back, start - back + arcs[pair_idx],
-                     f"B{len(live) + 1}")
-    return ReducedSpaceState(ctx, start, tuple(live.values()), len(live))
+                     f"B{len(live) + 1}", debug)
+    return ReducedSpaceState(ctx, start, _instances(ctx, live), len(live))
 
 
 def _next(ctx: RunContext, pos: int, datum: FixedPointDatum) -> int:
@@ -389,13 +396,13 @@ def _next(ctx: RunContext, pos: int, datum: FixedPointDatum) -> int:
 
 
 def _step(ctx: RunContext, live: dict, pos: int, pair_idx: int, datum: FixedPointDatum,
-          counter: int) -> int:
+          counter: int, debug: bool) -> int:
     """Cross ``datum``'s level, of pair ``pair_idx``, at ``pos`` on the live
-    map in place; returns the install counter.  A +1 level installs
-    ``B<counter + 1>``; a -1 level pops the instance keyed by its pair and
-    ``pos`` (none is a StructureError) and blows it down."""
+    map in place, logged if ``debug``; returns the install counter.  A +1
+    level installs ``B<counter + 1>``; a -1 level pops the instance keyed by
+    its pair and ``pos`` (none is a StructureError) and blows it down."""
     if datum.sign == 1:
-        _install(ctx, live, pair_idx, pos, pos + ctx.arcs[pair_idx], f"B{counter + 1}")
+        _install(ctx, live, pair_idx, pos, pos + ctx.arcs[pair_idx], f"B{counter + 1}", debug)
         return counter + 1
     victim = live.pop((pair_idx, pos), None)
     if victim is None:
@@ -403,8 +410,10 @@ def _step(ctx: RunContext, live: dict, pos: int, pair_idx: int, datum: FixedPoin
             f"model inconsistency: no matched class with vanishing area at "
             f"level {datum.level} (position {Fraction(pos, ctx.den)})"
         )
-    weighted_blowdown(victim.config.lattice(), victim.config)
-    log.debug("blowdown %s at position %d/%d", victim.uid, pos, ctx.den)
+    cfg = ctx.templates[pair_idx]
+    weighted_blowdown(cfg.lattice(), cfg)
+    if debug:
+        log.debug("blowdown %s at position %d/%d", victim[0], pos, ctx.den)
     return counter
 
 
@@ -417,29 +426,34 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum) -> ReducedSpac
     zero with slope 1/(p*q), and its two orbifold points (orders p and q,
     absent when the order is 1).  A -1 level removes the matched instance
     whose exceptional area vanishes at this level by weighted blowdown of
-    its own lattice, which must leave nothing.  The checks are here; the
-    step is the kernel ``_step`` on a copy of the state's instances, so the
-    input is never written.  Tracking a class is ``run_loop``'s.
+    its own lattice, which must leave nothing.  The checks, that each
+    instance holds its pair's config among them, are here; the step is the
+    kernel ``_step`` on a copy of the state's instances, so the input is
+    never written.  Tracking a class is ``run_loop``'s.
     """
     ctx = require_object(state, ReducedSpaceState, "state must be a ReducedSpaceState").context
     require_object(datum, FixedPointDatum, "datum must be a FixedPointDatum")
     if datum not in ctx.data:
         raise DomainError("datum is not part of this state's fixed-point data")
-    live = {(inst.pair, inst.dies): inst for inst in state.instances}
+    configs = dict(enumerate(ctx.templates))
+    if any(inst.config != configs.get(inst.pair) for inst in state.instances):
+        raise DomainError("each of the state's instances must hold its pair's config")
+    live = {(inst.pair, inst.dies): (inst.uid, inst.created) for inst in state.instances}
     if len(live) < len(state.instances):
         raise DomainError("two of the state's instances share a pair and a death position")
     pos = _next(ctx, state.pos, datum)
-    counter = _step(ctx, live, pos, ctx.pair_of[ctx.data.index(datum)], datum, state.counter)
-    return ReducedSpaceState(ctx, pos, tuple(live.values()), counter)
+    counter = _step(ctx, live, pos, ctx.pair_of[ctx.data.index(datum)], datum, state.counter,
+                    log.isEnabledFor(logging.DEBUG))
+    return ReducedSpaceState(ctx, pos, _instances(ctx, live), counter)
 
 
-def _tent(inst: Instance, pos, den: int) -> Fraction:
-    """The exceptional area of ``inst`` at position ``pos`` over ``den``: the
-    tent over its life arc, or the unbounded ramp of the tracked copy T."""
-    t = pos - inst.created
-    if inst.dies is not None:
-        t = min(t, inst.dies - pos)
-    return Fraction(t, inst.config.p * inst.config.q * den)
+def _tent(pos: int, created: int, dies: int | None, pq: int, den: int) -> Fraction:
+    """The exceptional area at ``pos`` over ``den`` of a (p, q) instance, pq = p*q:
+    the tent over its life arc, or the ramp of the tracked copy T (``dies`` None)."""
+    t = pos - created
+    if dies is not None:
+        t = min(t, dies - pos)
+    return Fraction(t, pq * den)
 
 
 class RunResult(Value):
@@ -504,19 +518,20 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
             "NO_OBSTRUCTION", (), None, empty_lattice(), None, None, bound,
             "no fixed points: the ledger argument needs a non-empty fixed-point set",
         )
+    debug = log.isEnabledFor(logging.DEBUG)
     state = initial_state(data, base=base)
     ctx, den, start, counter = state.context, state.context.den, state.pos, state.counter
-    live = {(inst.pair, inst.dies): inst for inst in state.instances}
+    live = {(inst.pair, inst.dies): (inst.uid, inst.created) for inst in state.instances}
     # distinct levels: no ties
     crossings = sorted((_next(ctx, start, d), k, d) for d, k in zip(ctx.data, ctx.pair_of))
     ledger: list[Fraction] = []
     distinct: set[Fraction] = set()
-    tracked: Instance | None = None
+    cfg = dies = None  # the tracked class's config and death position (None for T)
     bound_val = bound
 
     def finish(verdict: str, loop: int | None, message: str) -> RunResult:
-        lattice = empty_lattice().direct_sum(*(inst.lattice for inst in live.values()))
-        label = f"{tracked.uid}.{tracked.config.exceptional_label}"
+        lattice = empty_lattice().direct_sum(*(inst.lattice for inst in _instances(ctx, live)))
+        label = f"{uid}.{cfg.exceptional_label}"
         return RunResult(verdict, tuple(ledger), loop, lattice, ctx.base, label, bound_val, message)
 
     for loop in range(1, loops + 1):
@@ -525,22 +540,24 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
             pos += shift
             # levels are distinct and an arc is shorter than a loop, so only
             # the tracked instance's own -1 level reaches its death position
-            if tracked is not None and pos == tracked.dies:
+            if pos == dies:
                 return finish("TRACKED_CLASS_DESTROYED", None,
                               "the pairing sends the tracked class's own creation level to "
                               "this blowdown; rerun with an independent tracked class to "
                               "model its transported copy")
-            counter = _step(ctx, live, pos, pair_idx, datum, counter)
-            if tracked is None and datum.sign == 1:
+            counter = _step(ctx, live, pos, pair_idx, datum, counter, debug)
+            if cfg is None and datum.sign == 1:
                 if tracked_independent:
-                    _install(ctx, live, pair_idx, pos, None, "T")
+                    _install(ctx, live, pair_idx, pos, None, "T", debug)
                     counter += 1
-                tracked = next(reversed(live.values()))
-        ledger.append(_tent(tracked, start + loop * den, den))
+                (_, dies), (uid, created) = next(reversed(live.items()))
+                cfg = ctx.templates[pair_idx]
+        ledger.append(_tent(start + loop * den, created, dies, cfg.p * cfg.q, den))
         distinct.add(ledger[-1])
         if bound_val is None:
-            bound_val = sum(len(i.config.lattice().exceptional_classes()) for i in live.values())
-            log.debug("bound defaulted to %d exceptional classes", bound_val)
+            bound_val = sum(len(ctx.templates[k].lattice().exceptional_classes()) for k, _ in live)
+            if debug:
+                log.debug("bound defaulted to %d exceptional classes", bound_val)
         if len(distinct) > bound_val:
             return finish("HAMILTONIAN", loop,
                           f"contradiction at loop {loop}: the tracked class's area ledger holds "

@@ -393,6 +393,33 @@ class TestWeightedBlowdown:
                 weighted_blowdown(lattice, config)
             assert type(exc.value) is kind and str(exc.value) == message
 
+    def test_a_config_naming_a_class_twice_is_refused(self):
+        """A label shared by both chains, or by E~ and a chain, is a
+        DomainError from ``class_labels``, so from ``weighted_blowdown`` and
+        ``lattice`` alike; the contact replay keeps its own message."""
+        cfg = fulton_config(7, 4)
+        lat = cfg.lattice()
+        for bad in (replace(cfg, chain_q=replace(cfg.chain_q, labels=("Zp1",))),
+                    replace(cfg, exceptional_label="Zq1")):
+            for call in (lambda: bad.class_labels, bad.lattice,
+                         lambda: weighted_blowdown(lat, bad)):
+                with pytest.raises(DomainError) as exc:
+                    call()
+                assert str(exc.value) == "class labels must be distinct"
+        bad = replace(cfg, chain_q=replace(cfg.chain_q, labels=("Zp1",)))
+        eprime = add_class(lat, "X", -1, {"Zp1": 1}, c1=1)
+        with pytest.raises(DomainError, match="^the configuration's class labels must be distinct$"):
+            chain_contact_replay(eprime, "X", bad)
+
+    def test_class_labels_are_kept_per_config(self):
+        """``class_labels`` is built once per config, not per read, and is no
+        field: a ``replace`` copy and an equal config build their own."""
+        cfg = fulton_config(7, 4)
+        labels = cfg.class_labels
+        assert labels == ("E~", "Zp1", "Zp2", "Zp3", "Zq1") and cfg.class_labels is labels
+        assert replace(cfg).class_labels is not labels and cfg == replace(cfg)
+        assert "class_labels" not in repr(cfg) and hash(cfg) == hash(fulton_config(7, 4))
+
 
 class TestCutChords:
     def test_endpoints_of_final_chord(self):

@@ -368,9 +368,12 @@ class TestCrossLevel:
             cross_level(st, data[1])
 
     def test_blowdown_checks_the_victims_own_lattice(self):
-        """The victim's lattice is its config's; a config with an extra
-        chain class or a deeper one stalls its own blowdown, though the
-        template it was copied from has built its lattice already."""
+        """The victim's lattice is its pair's config's, the context's
+        template; a template with an extra chain class or a deeper one
+        stalls its own blowdown, though the config it was copied from has
+        built its lattice already.  An instance must hold its pair's
+        template: a state whose instance holds another config is refused,
+        not stepped with the template."""
         data = pair_74()
         st = initial_state(data, base=Fraction(3, 4))
         st = cross_level(st, data[0])
@@ -380,9 +383,23 @@ class TestCrossLevel:
         longer = Chain(cfg.chain_q.self_intersections + (-2,), cfg.chain_q.labels + ("Zx",))
         deeper = Chain(tuple(s - 1 for s in cfg.chain_p.self_intersections), cfg.chain_p.labels)
         for config in (replace(cfg, chain_q=longer), replace(cfg, chain_p=deeper)):
-            broken = replace(st, instances=(replace(inst, config=config),))
+            broken = replace(st, context=replace(st.context, templates=(config,)),
+                             instances=(replace(inst, config=config),))
             with pytest.raises(StructureError, match="stalled"):
                 cross_level(broken, data[1])
+            with pytest.raises(DomainError, match="must hold its pair's config"):
+                cross_level(replace(st, instances=(replace(inst, config=config),)), data[1])
+        for pair in (1, -1, "0"):
+            with pytest.raises(DomainError, match="must hold its pair's config"):
+                cross_level(replace(st, instances=(replace(inst, pair=pair),)), data[1])
+        # an equal config, resolved afresh, is its pair's
+        fresh = replace(st, instances=(replace(inst, config=fulton_config(7, 4)),))
+        assert cross_level(fresh, data[1]).instances == ()
+
+
+def tent(inst, pos, den):
+    """``circle._tent`` of an instance a state shows, at ``pos`` over ``den``."""
+    return circle._tent(pos, inst.created, inst.dies, inst.config.p * inst.config.q, den)
 
 
 class TestArea:
@@ -397,13 +414,15 @@ class TestArea:
         st = self.setup_state()
         inst, den = st.instances[-1], st.context.den
         assert inst.uid == "B1"
-        assert circle._tent(inst, st.pos, den) == 0
-        assert circle._tent(inst, st.pos + den // 4, den) == Fraction(1, 8)
+        assert tent(inst, st.pos, den) == 0
+        assert tent(inst, st.pos + den // 4, den) == Fraction(1, 8)
+        assert circle._tent(st.pos + den // 4, inst.created, inst.dies, 2, den) == Fraction(1, 8)
 
     def test_tent_vanishes_at_death(self):
         st = self.setup_state()
         inst = st.instances[-1]
-        assert circle._tent(inst, inst.dies, st.context.den) == 0
+        assert tent(inst, inst.dies, st.context.den) == 0
+        assert tent(inst, inst.dies - 1, st.context.den) > 0
 
 
 class TestRunLoop:
@@ -668,10 +687,13 @@ def test_run_loop_on_a_large_grid_matches_global_lattice_oracle(seed):
 
 def install(state, pair_idx, created, dies, uid):
     """``state`` plus an instance of the pair's config, installed by the
-    run's own ``_install`` on a live map of the state's instances."""
-    live = {(inst.pair, inst.dies): inst for inst in state.instances}
-    circle._install(state.context, live, pair_idx, created, dies, uid)
-    return ReducedSpaceState(state.context, state.pos, tuple(live.values()), state.counter + 1)
+    run's own ``_install`` on the live map of the state's instances, whose
+    entries are plain ``(uid, created)`` tuples until the state shows them."""
+    ctx = state.context
+    live = {(inst.pair, inst.dies): (inst.uid, inst.created) for inst in state.instances}
+    circle._install(ctx, live, pair_idx, created, dies, uid, False)
+    assert all(type(entry) is tuple for entry in live.values())
+    return ReducedSpaceState(ctx, state.pos, circle._instances(ctx, live), state.counter + 1)
 
 
 def with_tracked_copy(state):
@@ -720,7 +742,7 @@ def test_each_crossing_matches_global_lattice_oracle(action):
         assert want.lattice.to_json() == empty_lattice().direct_sum(*lattices).to_json()
         for inst in got.instances:
             label = f"{inst.uid}.{inst.config.exceptional_label}"
-            assert circle._tent(inst, got.pos, got.context.den) == global_sim.area(
+            assert tent(inst, got.pos, got.context.den) == global_sim.area(
                 want, label, want.position)
 
 
@@ -860,9 +882,10 @@ def test_configs_are_resolved_once_per_pair_and_run(monkeypatch):
         return fulton_config(*args, **kwargs)
 
     monkeypatch.setattr(circle, "fulton_config", counting)
+    circle._config.cache_clear()
     res = run_loop(three_pairs(), 50, 1000)
     assert res.verdict == "INCONCLUSIVE" and len(res.ledger) == 50
-    assert len(calls) <= 3 + 1
+    assert calls == [(7, 4), (3, 2), (1, 1)]
 
 
 def two_equal_weight_pairs():
@@ -875,8 +898,9 @@ def two_equal_weight_pairs():
 
 def test_equal_weight_pairs_share_one_config(monkeypatch):
     """A run resolves one config per distinct weight pair, in pair order,
-    and pairs of equal weights hold that one object; the next run resolves
-    its own."""
+    and pairs of equal weights hold that one object; the next run with the
+    same weights reuses it and resolves nothing, while the public
+    ``fulton_config`` still builds a new value on each call."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -884,6 +908,7 @@ def test_equal_weight_pairs_share_one_config(monkeypatch):
         return fulton_config(*args, **kwargs)
 
     monkeypatch.setattr(circle, "fulton_config", counting)
+    circle._config.cache_clear()
     st = initial_state(two_equal_weight_pairs())
     templates = st.context.templates
     assert calls == [(3, 2), (2, 1)]
@@ -892,8 +917,82 @@ def test_equal_weight_pairs_share_one_config(monkeypatch):
     assert {inst.pair for inst in st.instances} == {1, 2}
     for inst in st.instances:
         assert inst.config is templates[inst.pair]
-    assert initial_state(two_equal_weight_pairs()).context.templates[0] is not templates[0]
-    assert calls[2:] == [(3, 2), (2, 1)]
+    again = initial_state(two_equal_weight_pairs()).context.templates
+    assert all(a is b for a, b in zip(again, templates)) and calls == [(3, 2), (2, 1)]
+    assert fulton_config(3, 2) is not fulton_config(3, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(action=balanced_actions(), loops=hst.integers(1, 6),
+       bound=hst.none() | hst.integers(0, 6), tracked=hst.booleans())
+def test_config_cache_changes_no_result(action, loops, bound, tracked):
+    """Two runs on a warm config cache and one after clearing it give the
+    same output, and it is the global-lattice oracle's (which writes no
+    message)."""
+    data, base = action
+    run = lambda: run_loop(data, loops, bound, base=base, tracked_independent=tracked).to_json()
+    warm = [run(), run()]
+    circle._config.cache_clear()
+    cold = run()
+    want = global_sim.run_loop(data, loops, bound, base=base, tracked_independent=tracked)
+    assert warm[0] == warm[1] == cold
+    assert cold == {**want.to_json(), "message": cold["message"]}
+
+
+def test_a_run_past_the_cache_bound_matches_the_oracle():
+    """More distinct weight pairs than the cache keeps: the cache evicts the
+    run's first pair while the run resolves the rest, yet that pair's second
+    instance still shares the first's config, and the run still matches the
+    oracle.  Each pair lives on its own short arc, so few are live at once."""
+    bound = circle._config.cache_info().maxsize
+    weights = [(p, q) for p in range(1, 64) for q in range(1, p + 1)
+               if gcd(p, q) == 1 and (p > q or p == 1)][:bound + 1]
+    weights.append(weights[0])
+    k = len(weights)
+    data = [FixedPointDatum(Fraction(2 * i + sign, 2 * k + 1), 1 - 2 * sign, p, q)
+            for i, (p, q) in enumerate(weights) for sign in (0, 1)]
+    circle._config.cache_clear()
+    templates = initial_state(data).context.templates
+    assert len(set(map(id, templates))) == bound + 1 and templates[0] is templates[-1]
+    assert circle._config(*weights[0]) is not templates[0]  # evicted, so resolved afresh
+    for tracked in (True, False):
+        got = run_loop(data, 2, None, tracked_independent=tracked).to_json()
+        want = global_sim.run_loop(data, 2, None, tracked_independent=tracked).to_json()
+        assert got == {**want, "message": got["message"]}
+
+
+class CountingLog:
+    """A stand-in for ``circle.log`` at a given level that counts its
+    ``debug`` calls."""
+
+    def __init__(self, level):
+        self.level, self.calls = level, 0
+
+    def isEnabledFor(self, level):
+        return level >= self.level
+
+    def debug(self, *args):
+        self.calls += 1
+
+
+@pytest.mark.parametrize("tracked", [True, False])
+def test_no_logging_call_per_crossing_with_debug_off(monkeypatch, tracked):
+    """With debug logging off a 50-loop run, a run that defaults its bound
+    and the step API make no ``debug`` call at all; with it on, each install
+    and blowdown makes one, so a tracked run makes one per crossing at least."""
+    data = three_pairs()
+    for level in (logging.WARNING, logging.DEBUG):
+        monkeypatch.setattr(circle, "log", CountingLog(level))
+        res = run_loop(data, 50, 1000, tracked_independent=tracked)
+        assert len(res.ledger) == (50 if tracked else 1)
+        run_loop(data, 50, None, tracked_independent=tracked)
+        st = initial_state(data)
+        for d in data:
+            st = cross_level(st, d)
+        if level == logging.WARNING:
+            assert circle.log.calls == 0
+        else:
+            assert circle.log.calls >= (50 if tracked else 1) * len(data)
 
 
 @pytest.mark.parametrize("tracked", [True, False])
