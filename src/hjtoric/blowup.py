@@ -43,7 +43,7 @@ from ._value import Value
 from .errors import DomainError, StructureError, require_ints, require_object
 from .hj import hj_expand
 from .homology import (IntersectionLattice, _blow_up, _forced_contractions, _lattice,
-                       _require_exceptional)
+                       _require_exceptional, empty_lattice)
 from .rationals import parse_rational
 from .resolution import Chain, chain_from_terms
 
@@ -306,7 +306,8 @@ def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> Interse
     contracting in that forced order empties the configuration in
     |chain_p| + |chain_q| + 1 steps.  Any stage without a (-1) config class
     means the configuration was corrupted.  One walk edits one copy of
-    ``lat``'s store, so the whole blowdown costs O(n) beyond that copy.
+    ``lat``'s store, so the whole blowdown costs O(n) beyond that copy.  A
+    walk that leaves no class returns the shared ``empty_lattice()``.
     """
     selfs = _lattice(lat)._self
     require_object(config, BlowupConfig, "config must be a BlowupConfig")
@@ -323,4 +324,4 @@ def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> Interse
             _require_exceptional(lat, etilde)
         raise StructureError("blowdown stalled: no remaining config class at -1 "
                              f"(remaining: {list(remaining)})")
-    return IntersectionLattice._sparse(*store)
+    return IntersectionLattice._sparse(*store) if store[0] else empty_lattice()

@@ -51,12 +51,14 @@ crossed: ``_next`` finds its first position after a given one.
 ``initial_state`` primes through ``_install``; ``cross_level`` steps a copy
 of a state's instances at ``_next``; ``run_loop`` reads its first loop off
 ``_next``, steps one map from start to end and reads its ledger, bound and
-result off it, so a state is only the view the step API returns.  Fractions
-are built only for the default base, the ledger and the output, so every
-result stays exact.  The interval cover, ``build_cover``, needs only the
-levels, which it reads off their grid too.  Each input is checked by the
-function that reads it: rationals by ``parse_rational``, integers by
-``require_int``.
+result off it, so a state is only the view the step API returns.  A
+ledger entry is the tracked class's tent numerator (``_tent``) over p*q*D,
+one denominator for the whole run, so the ledger's distinct count is kept
+on those integers.  Fractions are built only for the default base and the
+output, the ledger's once at exit, so every result stays exact.  The
+interval cover, ``build_cover``, needs only the levels, which it reads off
+their grid too.  Each input is checked by the function that reads it:
+rationals by ``parse_rational``, integers by ``require_int``.
 """
 
 from __future__ import annotations
@@ -447,13 +449,11 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum) -> ReducedSpac
     return ReducedSpaceState(ctx, pos, _instances(ctx, live), counter)
 
 
-def _tent(pos: int, created: int, dies: int | None, pq: int, den: int) -> Fraction:
-    """The exceptional area at ``pos`` over ``den`` of a (p, q) instance, pq = p*q:
+def _tent(pos: int, created: int, dies: int | None) -> int:
+    """The exceptional area at ``pos`` of a (p, q) instance as a numerator over p*q*D:
     the tent over its life arc, or the ramp of the tracked copy T (``dies`` None)."""
     t = pos - created
-    if dies is not None:
-        t = min(t, dies - pos)
-    return Fraction(t, pq * den)
+    return t if dies is None else min(t, dies - pos)
 
 
 class RunResult(Value):
@@ -503,9 +503,10 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
     also for empty data.  The data are validated once, by ``initial_state``;
     each datum's pair and first-loop position are resolved once, and loop
     n crosses each level n - 1 loops later.  The run steps one live map by
-    ``_step`` from start to end: a ledger entry is the tracked instance's tent,
-    the default bound counts the live configs' exceptional classes, and
-    ``finish`` makes the lattice and the tracked label once, at exit.
+    ``_step`` from start to end: a ledger entry is the tracked instance's tent
+    numerator over p*q*D, the default bound counts the live configs'
+    exceptional classes, and ``finish`` makes the ledger's Fractions, the
+    lattice and the tracked label once, at exit.
     """
     if bound is not None:
         require_int(bound, "bound must be None or an integer >= 0", 0)
@@ -524,15 +525,17 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
     live = {(inst.pair, inst.dies): (inst.uid, inst.created) for inst in state.instances}
     # distinct levels: no ties
     crossings = sorted((_next(ctx, start, d), k, d) for d, k in zip(ctx.data, ctx.pair_of))
-    ledger: list[Fraction] = []
-    distinct: set[Fraction] = set()
+    ledger: list[int] = []  # tent numerators over the one denominator p*q*D
+    distinct: set[int] = set()
     cfg = dies = None  # the tracked class's config and death position (None for T)
     bound_val = bound
 
     def finish(verdict: str, loop: int | None, message: str) -> RunResult:
         lattice = empty_lattice().direct_sum(*(inst.lattice for inst in _instances(ctx, live)))
         label = f"{uid}.{cfg.exceptional_label}"
-        return RunResult(verdict, tuple(ledger), loop, lattice, ctx.base, label, bound_val, message)
+        pqd = cfg.p * cfg.q * den
+        return RunResult(verdict, tuple(Fraction(t, pqd) for t in ledger), loop, lattice, ctx.base,
+                         label, bound_val, message)
 
     for loop in range(1, loops + 1):
         shift = (loop - 1) * den
@@ -552,7 +555,7 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
                     counter += 1
                 (_, dies), (uid, created) = next(reversed(live.items()))
                 cfg = ctx.templates[pair_idx]
-        ledger.append(_tent(start + loop * den, created, dies, cfg.p * cfg.q, den))
+        ledger.append(_tent(start + loop * den, created, dies))
         distinct.add(ledger[-1])
         if bound_val is None:
             bound_val = sum(len(ctx.templates[k].lattice().exceptional_classes()) for k, _ in live)

@@ -15,16 +15,18 @@ Blowups, blowdowns and sums touch only the classes they change and are
 symmetric by construction; the dense ``pairing`` matrix is a read-only view
 built on demand, for JSON output and for callers that want rows.
 
-Public operations never mutate: each returns a fresh lattice value, so values
-can be shared freely across threads.  ``blow_up_at`` and ``blow_down`` copy
-the store once and edit the copy with the private kernels ``_blow_up`` and
-``_forced_contractions``; a construction of n steps (a cut replay, a weighted
-blowdown) copies once and runs a kernel on its own store, O(n) in total.  A
-kernel copies an edge-map row before writing to it, so rows shared with
-other lattices are never written.  ``_forced_contractions`` is one plain loop
-and the only copy of the contraction arithmetic: ``blow_down`` runs it on one
-label, ``blowup.weighted_blowdown`` on a configuration and
-``chain_contact_replay`` on one until a class that E' meets is at -1.
+Public operations never mutate, so values can be shared freely across
+threads: each returns a fresh lattice value, but a construction left with no
+class returns the one shared ``empty_lattice()``.  ``blow_up_at`` and
+``blow_down`` copy the store once and edit the copy with the private kernels
+``_blow_up`` and ``_forced_contractions``; a construction of n steps (a cut
+replay, a weighted blowdown) copies once and runs a kernel on its own store,
+O(n) in total.  A kernel copies an edge-map row before writing to it, so
+rows shared with other lattices are never written.  ``_forced_contractions``
+is one plain loop and the only copy of the contraction arithmetic:
+``blow_down`` runs it on one label, ``blowup.weighted_blowdown`` on a
+configuration and ``chain_contact_replay`` on one until a class that E'
+meets is at -1.
 """
 
 from __future__ import annotations
@@ -244,8 +246,12 @@ class IntersectionLattice:
         return lat
 
 
+_EMPTY = IntersectionLattice._sparse({}, {}, {})
+
+
 def empty_lattice() -> IntersectionLattice:
-    return IntersectionLattice._sparse({}, {}, {})
+    """The package's one empty lattice, shared: no operation writes a lattice."""
+    return _EMPTY
 
 
 def add_class(

@@ -20,6 +20,7 @@ from hjtoric.blowup import (
     mcduff_sequence,
     weighted_blowdown,
 )
+from hjtoric.circle import FixedPointDatum, run_loop
 from hjtoric.errors import DomainError, StructureError
 from hjtoric.homology import (
     IntersectionLattice,
@@ -338,16 +339,36 @@ def test_path_profile_matches_the_accessor_oracle(a, b):
 class TestWeightedBlowdown:
     @pytest.mark.parametrize("p,q", [(2, 1), (7, 4), (1, 1), (11, 3)])
     def test_blowdown_to_empty(self, p, q):
+        """A walk that leaves nothing returns the package's one empty lattice."""
         cfg = fulton_config(p, q)
-        assert len(weighted_blowdown(cfg.lattice(), cfg)) == 0
+        assert weighted_blowdown(cfg.lattice(), cfg) is empty_lattice()
+        assert len(empty_lattice()) == 0
 
     def test_round_trip_over_base(self):
+        """A walk that leaves classes returns a new lattice, the stepwise one."""
         base = lattice_from_parts(
             ["A", "B"], {("A", "B"): 2}, {"A": 3, "B": -5}
         )
         cfg = fulton_config(7, 4)
         total = base.direct_sum(cfg.lattice())
-        assert weighted_blowdown(total, cfg) == base
+        down = weighted_blowdown(total, cfg)
+        assert down == base == stepwise.weighted_blowdown(total, cfg)
+        assert down is not empty_lattice() and down is not base
+        assert down.to_json() == stepwise.weighted_blowdown(total, cfg).to_json()
+
+    def test_shared_empty_lattice_stays_empty(self):
+        """The empty lattice every emptied blowdown returns reads empty after a
+        100-loop run, which returns it at each -1 crossing, and after
+        ``direct_sum`` over it builds a new lattice."""
+        data = [FixedPointDatum("0", 1, 7, 4), FixedPointDatum("1/2", -1, 7, 4)]
+        empty = empty_lattice()
+        assert run_loop(data, 100, 1000).verdict == "INCONCLUSIVE"
+        cfg = fulton_config(7, 4)
+        total = empty.direct_sum(cfg.lattice(), FOREIGN)
+        assert total is not empty and total == cfg.lattice().direct_sum(FOREIGN)
+        assert empty_lattice() is empty is weighted_blowdown(cfg.lattice(), cfg)
+        assert (empty.classes, empty.pairing, empty.c1, len(empty)) == ((), (), (), 0)
+        assert empty.to_json() == {"classes": [], "pairing": [], "c1": []}
 
     def test_corrupted_config_detected(self):
         cfg = fulton_config(7, 4)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+import closed_form
 import fraction_levels
 import global_sim
 from fraction_levels import arc_distance
@@ -398,8 +399,10 @@ class TestCrossLevel:
 
 
 def tent(inst, pos, den):
-    """``circle._tent`` of an instance a state shows, at ``pos`` over ``den``."""
-    return circle._tent(pos, inst.created, inst.dies, inst.config.p * inst.config.q, den)
+    """``circle._tent`` of an instance a state shows, at ``pos`` over ``den``:
+    the integer tent divided by p*q*den."""
+    pqd = inst.config.p * inst.config.q * den
+    return Fraction(circle._tent(pos, inst.created, inst.dies), pqd)
 
 
 class TestArea:
@@ -416,7 +419,7 @@ class TestArea:
         assert inst.uid == "B1"
         assert tent(inst, st.pos, den) == 0
         assert tent(inst, st.pos + den // 4, den) == Fraction(1, 8)
-        assert circle._tent(st.pos + den // 4, inst.created, inst.dies, 2, den) == Fraction(1, 8)
+        assert circle._tent(st.pos + den // 4, inst.created, inst.dies) == den // 4
 
     def test_tent_vanishes_at_death(self):
         st = self.setup_state()
@@ -760,47 +763,66 @@ def test_state_does_not_grow_with_loops():
     assert class_count(after_100) == class_count(after_10)
 
 
-def closed_form(data, loops, bound, base, tracked_independent):
-    """Verdict, ledger, contradiction loop and bound from the tracked class alone.
+@settings(max_examples=500, deadline=None)
+@given(action=balanced_actions(), loops=hst.integers(1, 8),
+       bound=hst.none() | hst.integers(0, 8), tracked=hst.booleans())
+@example(action=([FixedPointDatum("1/2", 1, 3, 1), FixedPointDatum("3/4", -1, 3, 1)], 0),
+         loops=3, bound=1, tracked=True)
+def test_run_loop_matches_closed_form(action, loops, bound, tracked):
+    """Verdict, ledger, bound and contradiction loop are the closed form's
+    (``tests/closed_form.py``), over explicit and first-in-first-out
+    matches, given and default bases and bounds, and both tracked modes.
+    In the example the ledger 2/12, 6/12 (D = 4, pq = 3) reads 1/6, 1/2:
+    distinct values whose reduced numerators agree, so the contradiction
+    comes at loop 2 only if distinct values are counted over p*q*D."""
+    data, base = action
+    res = run_loop(data, loops, bound, base=base, tracked_independent=tracked)
+    assert (res.verdict, res.ledger, res.loop_of_contradiction, res.bound) == closed_form.run(
+        data, loops, bound, base, tracked)
 
-    The tracked class is born at the first +1 level after the base, a
-    distance d past it.  Its transported copy is a ray of slope 1/(pq), so
-    the ledger after loop i + 1 is ((1 - d) + i)/(pq): all distinct, and
-    the verdict comes at loop B + 1.  The default B counts the exceptional
-    classes at the end of loop 1: one per pair whose life arc contains the
-    base, plus the copy.  Marked instead of copied, the class is a tent over
-    its pair's arc and dies at the matched blowdown, d + arc past the base.
-    """
-    pairs = pairs_of(data)
-    base = default_base(circle._grid(data)) if base is None else base
-    arc = {plus: arc_distance(data[plus].level, data[minus].level) for plus, minus in pairs}
-    first = min(arc, key=lambda plus: arc_distance(base, data[plus].level))
-    d = arc_distance(base, data[first].level)
-    pq = data[first].p * data[first].q
-    live_at_base = sum(0 < arc_distance(data[plus].level, base) < arc[plus] for plus in arc)
-    if tracked_independent:
-        bound = live_at_base + 1 if bound is None else bound
-        ledger = tuple((1 - d + i) / pq for i in range(min(loops, bound + 1)))
-        if loops > bound:
-            return "HAMILTONIAN", ledger, bound + 1, bound
-        return "INCONCLUSIVE", ledger, None, bound
-    if d + arc[first] < 1:
-        return "TRACKED_CLASS_DESTROYED", (), None, bound
-    bound = live_at_base if bound is None else bound
-    ledger = (min(1 - d, d + arc[first] - 1) / pq,)
-    if bound < 1:
-        return "HAMILTONIAN", ledger, 1, bound
-    return "INCONCLUSIVE" if loops == 1 else "TRACKED_CLASS_DESTROYED", ledger, None, bound
+
+def nested_pairs(k):
+    """k (7, 4) pairs, every blowup level before every blowdown level, so
+    all k instances are live at once."""
+    return ([FixedPointDatum(Fraction(i, 2 * k + 1), +1, 7, 4) for i in range(k)]
+            + [FixedPointDatum(Fraction(k + i, 2 * k + 1), -1, 7, 4) for i in range(k)])
+
+
+def chained_pairs(k):
+    """k (7, 4) pairs matched explicitly, each dying just after the next is
+    born: pair i lives from 2i/(2k) to (2i + 3)/(2k), the last wrapping
+    around, so two are live at the default base 1/(4k)."""
+    data = [FixedPointDatum(Fraction(n, 2 * k), 1 - 2 * (n % 2), 7, 4) for n in range(2 * k)]
+    return [replace(datum, match=(n + 3) % (2 * k) if n % 2 == 0 else (n - 3) % (2 * k))
+            for n, datum in enumerate(data)]
+
+
+@pytest.mark.parametrize("data, loops, bound", [
+    (nested_pairs(4096), 2, None), (chained_pairs(4096), 2, None),
+    (nested_pairs(8), 10 ** 4, 10 ** 4),
+], ids=["nested-4096", "chained-4096", "nested-8-10000-loops"])
+def test_large_runs_match_closed_form(data, loops, bound):
+    """Sizes no stepping oracle reaches: 4096 pairs, all live at once or
+    chained, and 10^4 loops, whose ledger must hold 10^4 distinct values
+    under the bound 10^4 (one fewer loop than the contradiction needs)."""
+    for tracked in (True, False):
+        res = run_loop(data, loops, bound, tracked_independent=tracked)
+        assert (res.verdict, res.ledger, res.loop_of_contradiction, res.bound) == closed_form.run(
+            data, loops, bound, None, tracked)
 
 
 @settings(max_examples=200, deadline=None)
-@given(action=balanced_actions(), loops=hst.integers(1, 8),
-       bound=hst.none() | hst.integers(0, 8), tracked=hst.booleans())
-def test_run_loop_matches_closed_form(action, loops, bound, tracked):
-    data, base = action
-    res = run_loop(data, loops, bound, base=base, tracked_independent=tracked)
-    assert (res.verdict, res.ledger, res.loop_of_contradiction, res.bound) == closed_form(
-        data, loops, bound, base, tracked)
+@given(p=hst.integers(1, 400), q=hst.integers(1, 400))
+def test_a_config_lattice_has_one_exceptional_class(p, q):
+    """Why the default bound is L + 1 (``tests/closed_form.py``): every
+    ``fulton_config`` lattice has exactly one exceptional class, E~, since
+    each chain class sits at -2 or below (Hirzebruch-Jung terms are >= 2)."""
+    p, q = max(p, q), min(p, q)
+    if gcd(p, q) != 1 or p == q != 1:
+        return
+    cfg = fulton_config(p, q)
+    assert cfg.lattice().exceptional_classes() == (cfg.exceptional_label,)
+    assert all(s <= -2 for s in cfg.chain_p.self_intersections + cfg.chain_q.self_intersections)
 
 
 # -- per-run templates ---------------------------------------------------------
@@ -1049,13 +1071,6 @@ def test_instances_sharing_a_key_are_refused():
     doubled = replace(st, instances=(b1, replace(b1, uid="B9")))
     with pytest.raises(DomainError, match="share a pair and a death position"):
         cross_level(doubled, data[1])
-
-
-def nested_pairs(k):
-    """k (7, 4) pairs, every blowup level before every blowdown level, so
-    all k instances are live at once."""
-    return ([FixedPointDatum(Fraction(i, 2 * k + 1), +1, 7, 4) for i in range(k)]
-            + [FixedPointDatum(Fraction(k + i, 2 * k + 1), -1, 7, 4) for i in range(k)])
 
 
 @pytest.mark.parametrize("data", [three_pairs(), nested_pairs(24)], ids=["3-pairs", "24-pairs"])

@@ -115,6 +115,23 @@ class TestSignature:
                 assert signature(congruent(form, u)) == expected
 
 
+def test_the_empty_lattice_is_one_shared_value():
+    """``empty_lattice()`` returns one object, which a blowdown to nothing
+    and every caller share, so nothing built from it may change it: a
+    ``direct_sum`` over it, a blowup of it and a blowdown back to nothing
+    each leave it empty."""
+    empty = empty_lattice()
+    assert empty_lattice() is empty
+    cfg = fulton_config(7, 4)
+    total = empty.direct_sum(cfg.lattice())
+    assert total is not empty and total == cfg.lattice()
+    assert empty.direct_sum() == empty and empty.direct_sum() is not empty
+    up = blow_up(empty)
+    assert len(up) == 1 and blow_down(up, up.classes[0]) == empty
+    assert (empty.classes, empty.pairing, empty.c1, len(empty)) == ((), (), (), 0)
+    assert empty.to_json() == {"classes": [], "pairing": [], "c1": []}
+
+
 class TestBlowUpDown:
     def test_blow_up_empty(self):
         lat = blow_up(empty_lattice())
