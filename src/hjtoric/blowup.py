@@ -169,12 +169,13 @@ class McDuffSequence(Value):
 
     def lattice(self) -> IntersectionLattice:
         """One class e_i per cut: a blowup at the classes of its flanking
-        cuts (the axes carry no class).  The blowups edit one fresh store,
-        so the n cuts cost O(n) in total."""
+        cuts (the axes carry no class).  The labels are built once, and the
+        blowups edit the rows of one fresh store in place, so the n cuts
+        cost O(n) in total."""
         store: tuple[dict, dict, dict] = ({}, {}, {})
-        for i, flank in enumerate(self.flanks):
-            touched = [f"e{j + 1}" for j in flank if j is not None]
-            _blow_up(store, touched, f"e{i + 1}")
+        labels = [f"e{i + 1}" for i in range(len(self.flanks))]
+        for label, flank in zip(labels, self.flanks):
+            _blow_up(store, [labels[j] for j in flank if j is not None], label)
         return IntersectionLattice._sparse(*store)
 
     def chords(self) -> list[tuple[Vec, Point, Point]]:

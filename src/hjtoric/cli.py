@@ -62,7 +62,7 @@ def cmd_resolve(args) -> int:
 def cmd_blowup(args) -> int:
     from . import blowup
     from .rationals import rational_json
-    from .svg import cut_diagram_svg
+    from .svg import _cut_diagram
 
     cfg = blowup.fulton_config(args.p, args.q, size=args.size)
     seq = blowup.mcduff_sequence(args.q, args.p)
@@ -76,7 +76,7 @@ def cmd_blowup(args) -> int:
             "cross_check(%d, %d) failed: the %d replayed classes do not match the %d "
             "vertex-route classes", args.p, args.q, len(seq), len(cfg.class_labels))
     if args.format == "svg":
-        _emit(cut_diagram_svg(args.p, args.q, args.scale), args.out)
+        _emit(_cut_diagram(seq, args.scale), args.out)
         return 0 if ok else 1
     payload = cfg.to_json()
     payload.update(

@@ -21,12 +21,14 @@ class returns the one shared ``empty_lattice()``.  ``blow_up_at`` and
 ``blow_down`` copy the store once and edit the copy with the private kernels
 ``_blow_up`` and ``_forced_contractions``; a construction of n steps (a cut
 replay, a weighted blowdown) copies once and runs a kernel on its own store,
-O(n) in total.  A kernel copies an edge-map row before writing to it, so
-rows shared with other lattices are never written.  ``_forced_contractions``
-is one plain loop and the only copy of the contraction arithmetic:
-``blow_down`` runs it on one label, ``blowup.weighted_blowdown`` on a
-configuration and ``chain_contact_replay`` on one until a class that E'
-meets is at -1.
+O(n) in total.  Rows shared with other lattices are never written:
+``_forced_contractions`` copies an edge-map row before writing to it, and
+``_blow_up`` writes the touched rows in place, so ``blow_up_at`` copies
+those rows first and the cut replay runs it on a store of its own.
+``_forced_contractions`` is one plain loop and the only copy of the
+contraction arithmetic: ``blow_down`` runs it on one label,
+``blowup.weighted_blowdown`` on a configuration and ``chain_contact_replay``
+on one until a class that E' meets is at -1.
 """
 
 from __future__ import annotations
@@ -116,8 +118,8 @@ class IntersectionLattice:
 
     def _store(self) -> tuple[dict, dict, dict]:
         """A private copy of the store for the kernels to edit.  The edge
-        rows are still shared with this lattice; the kernels copy a row
-        before writing to it."""
+        rows are still shared with this lattice: a caller copies a row
+        before a kernel writes it in place."""
         return dict(self._self), dict(self._c1), dict(self._edges)
 
     # -- value semantics ----------------------------------------------------
@@ -346,29 +348,64 @@ def signature(form) -> tuple[int, int, int]:
     ``form`` is a lattice, or a list of rows of ints read by the public
     constructor, which checks the entries, the shape and the symmetry; any
     other form or entry, a Fraction included, is a DomainError.  Computed by
-    symmetric (congruence) elimination on class indices, each entry an int
-    pair ``(num, den > 0)`` in lowest terms, at a class of least remaining
-    degree (ties to basis order): a nonzero diagonal entry is a 1x1 pivot;
-    a zero one whose class meets another is a 2x2 hyperbolic pivot with
-    that class (determinant -m^2 < 0, so one plus and one minus); a class
-    meeting nothing counts by the sign of its diagonal.  A pivot of degree
-    k updates O(k^2) entries.  On a forest, every plumbing graph included,
-    each pivot is an isolated class or a leaf, which updates one diagonal
-    pair, so nothing fills in and a lattice costs O(n log n) for the heap
-    (on a chain this is the continued fraction).  A list of rows is read
+    symmetric (congruence) elimination, each diagonal entry an int pair
+    ``(num, den > 0)`` in lowest terms, in two phases.  First, leaves are
+    peeled on the read-only store from a stack seeded in basis order: a
+    class meeting nothing counts by the sign of its diagonal d; a leaf is a
+    1x1 pivot that subtracts m^2/d from its neighbour's diagonal if d != 0,
+    else a 2x2 hyperbolic pivot with its neighbour (determinant -m^2 < 0:
+    one plus and one minus) that changes no other entry.  No row is copied:
+    on a forest, every plumbing graph included, this is the whole
+    elimination, O(n) (on a chain, the continued fraction).  Only a cycle
+    core left over, with its diagonals and original edges, goes on to a
+    heap at a class of least remaining degree (ties to basis order), where
+    a pivot of degree k updates O(k^2) entries.  A list of rows is read
     first, at C speed and with no dense copy.  The triple is a congruence
-    invariant, hence independent of basis.
+    invariant, hence independent of basis and of the order of the pivots.
     """
     if not isinstance(form, IntersectionLattice):
         rows = require_list(form, "a form must be a lattice or a list of integer rows")
         form = IntersectionLattice(tuple(map(str, range(len(rows)))), rows, (0,) * len(rows))
-    pos = {l: i for i, l in enumerate(form._classes)}
-    diag = [(form._self[l], 1) for l in form._classes]
-    edges = [{} for _ in diag]
-    for row, l in zip(edges, form._classes):
-        for m, x in form._edges[l].items():
-            row[pos[m]] = (x, 1)
+    graph = form._edges
+    num = dict(form._self)  # the diagonals num/den of the classes left
+    den = dict.fromkeys(num, 1)
+    degree = dict(zip(graph, map(len, graph.values())))
     b_plus = b_minus = 0  # b_zero: the classes counted by neither
+    stack = [l for l in reversed(num) if degree[l] < 2]  # a class goes on once: now or at degree 1
+    while stack:
+        v = stack.pop()
+        if v not in num:
+            continue  # gone in a hyperbolic pair
+        dn = num.pop(v)
+        if dn > 0:
+            b_plus += 1
+        elif dn < 0:
+            b_minus += 1
+        for w, m in graph[v].items():
+            if w in num:
+                break
+        else:
+            continue  # v meets nothing left
+        if dn:  # num/den of w -= m^2 / (dn/den[v])
+            n, d = num[w] * dn - m * m * den[v] * den[w], den[w] * dn
+            g = gcd(n, d) if d > 0 else -gcd(n, d)
+            num[w], den[w] = n // g, d // g
+            drop = (w,)
+        else:
+            b_plus += 1
+            b_minus += 1
+            del num[w]
+            drop = graph[w]
+        for k in drop:
+            if k in num:
+                degree[k] -= 1
+                if degree[k] == 1:
+                    stack.append(k)
+    if not num:  # a forest: the peel was the whole elimination
+        return (b_plus, b_minus, len(form) - b_plus - b_minus)
+    pos = {l: i for i, l in enumerate(num)}
+    diag = [(n, den[l]) for l, n in num.items()]
+    edges = [{pos[m]: (x, 1) for m, x in graph[l].items() if m in pos} for l in num]
     heap = [(len(row), v) for v, row in enumerate(edges)]  # tie-break: basis order
     heapify(heap)
 
@@ -430,7 +467,7 @@ def signature(form) -> tuple[int, int, int]:
             touched = ct
         for k in touched:
             heappush(heap, (len(edges[k]), k))
-    return (b_plus, b_minus, len(diag) - b_plus - b_minus)
+    return (b_plus, b_minus, len(form) - b_plus - b_minus)
 
 
 def _minus(x, n, d):
@@ -473,6 +510,8 @@ def blow_up_at(
     touched = require_strs(touched, "touched classes must be a list of labels")
     require_strs([label], "a class label must be a string")
     store = _lattice(lat)._store()
+    edges = store[2]
+    edges.update({t: dict(edges[t]) for t in touched if t in edges})  # rows _blow_up writes
     _blow_up(store, touched, label)
     return IntersectionLattice._sparse(*store)
 
@@ -480,7 +519,7 @@ def blow_up_at(
 def _blow_up(store, touched: Sequence[str], label: str) -> None:
     """The kernel of :func:`blow_up_at`: edit ``store`` (self-intersections,
     c1 labels, edge map; owned by the caller) in place, with the same checks.
-    Rows are replaced by edited copies, never written."""
+    It writes the rows of the touched classes, which the caller owns too."""
     self_, c1, edges = store
     if label in self_:
         raise DomainError(f"label {label!r} already present")
@@ -492,7 +531,7 @@ def _blow_up(store, touched: Sequence[str], label: str) -> None:
     for t in touched:
         self_[t] -= 1
         c1[t] -= 1
-        row = dict(edges[t])
+        row = edges[t]
         for u in touched:
             if u != t:  # row[u] -= 1; rows hold nonzero entries only
                 if v := row.get(u, 0) - 1:
@@ -500,7 +539,6 @@ def _blow_up(store, touched: Sequence[str], label: str) -> None:
                 else:
                     del row[u]
         row[label] = 1
-        edges[t] = row
     self_[label], c1[label], edges[label] = -1, 1, dict.fromkeys(touched, 1)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import inf, isfinite
 
-from .blowup import mcduff_sequence
+from .blowup import McDuffSequence, mcduff_sequence
 from .errors import DomainError, require_int
 
 _STYLE = (
@@ -35,7 +35,12 @@ def cut_diagram_svg(p: int, q: int, scale: int = 40) -> str:
     ending in the hypotenuse from (0, q) to (p, 0).  A scale whose canvas
     size is not a finite float is a DomainError.
     """
-    seq = mcduff_sequence(q, p)
+    return _cut_diagram(mcduff_sequence(q, p), scale)  # the weights are checked first
+
+
+def _cut_diagram(seq: McDuffSequence, scale: int) -> str:
+    """The diagram of :func:`cut_diagram_svg`, drawn from a replay already built."""
+    p, q = seq.p, seq.q
     scale = require_int(scale, "scale must be an integer >= 1", 1)
     xmax, ymax = p + 1, q + 1
     try:  # every coordinate drawn lies between 0 and the canvas size

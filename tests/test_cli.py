@@ -65,17 +65,26 @@ class TestBlowup:
 
     def test_each_route_is_built_once(self, capsys, monkeypatch):
         """The JSON output checks the routes on the config and the replay it
-        reports, so each constructor runs once."""
+        reports, and the SVG output draws the replay it checked, so each
+        constructor runs once per run; the drawing is the one
+        ``cut_diagram_svg`` makes."""
         import hjtoric.blowup
+        import hjtoric.svg
 
+        svg = hjtoric.svg.cut_diagram_svg(7, 4)
         calls = []
-        for name in ("fulton_config", "mcduff_sequence"):
-            def counted(*args, _fn=getattr(hjtoric.blowup, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(hjtoric.blowup, name, counted)
+        for module in (hjtoric.blowup, hjtoric.svg):
+            for name in ("fulton_config", "mcduff_sequence"):
+                if hasattr(module, name):
+                    def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                        calls.append(_name)
+                        return _fn(*args, **kwargs)
+                    monkeypatch.setattr(module, name, counted)
         code, obj = run_json(capsys, "blowup", "--p", "7", "--q", "4")
         assert code == 0 and obj["cross_check"] is True
+        assert sorted(calls) == ["fulton_config", "mcduff_sequence"]
+        calls.clear()
+        assert run_cli(capsys, "blowup", "--p", "7", "--q", "4", "--format", "svg") == (0, svg)
         assert sorted(calls) == ["fulton_config", "mcduff_sequence"]
 
     def test_svg(self, capsys):

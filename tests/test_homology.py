@@ -446,6 +446,97 @@ def test_lattice_signature_does_no_fraction_arithmetic():
     assert signature([[0, 1], [1, 0]]) == (1, 1, 0)
 
 
+def block_sum(*blocks):
+    """The rows of the orthogonal sum of square blocks of rows."""
+    n = sum(map(len, blocks))
+    rows, k = [], 0
+    for block in blocks:
+        for row in block:
+            rows.append([0] * k + list(row) + [0] * (n - k - len(row)))
+        k += len(block)
+    return rows
+
+
+@st.composite
+def plumbing_forests(draw):
+    """Shuffled sums of plumbing blocks: chains, weighted-blowup configs,
+    hyperbolic planes and zero classes.  Sometimes a cycle is joined to
+    classes of the blocks, and zero-diagonal leaves hang on cycle classes;
+    such a leaf is a hyperbolic pair with its cycle class, which breaks the
+    cycle, so the core the heap gets is empty, a path or a cycle."""
+    blocks = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["chain", "config", "hyperbolic", "zero"]))
+        if kind == "chain":
+            diagonal = draw(st.lists(st.integers(-5, 2), min_size=1, max_size=6))
+            weight = draw(st.sampled_from([1, 1, -1, 2]))
+            blocks.append([[d if j == i else weight if abs(i - j) == 1 else 0
+                            for j in range(len(diagonal))] for i, d in enumerate(diagonal)])
+        elif kind == "config":
+            p = draw(st.integers(2, 12))
+            q = draw(st.integers(1, p - 1).filter(lambda q: gcd(p, q) == 1))
+            blocks.append(fulton_config(p, q).lattice().pairing)
+        else:
+            blocks.append([[0, 1], [1, 0]] if kind == "hyperbolic" else [[0]])
+    rows = block_sum(*blocks)
+    if draw(st.booleans()):
+        k, m = len(rows), draw(st.integers(3, 5))
+        cycle = [[0] * m for _ in range(m)]
+        for i in range(m):
+            cycle[i][i] = draw(st.integers(-3, 1))
+            x = draw(st.sampled_from([1, -1, 2]))
+            cycle[i][(i + 1) % m] = cycle[(i + 1) % m][i] = x
+        rows = block_sum(rows, cycle)
+        for i in range(k, k + m):  # join cycle classes to tree classes
+            if k and draw(st.booleans()):
+                j = draw(st.integers(0, k - 1))
+                rows[i][j] = rows[j][i] = draw(st.sampled_from([1, -1]))
+        for _ in range(draw(st.integers(0, 2))):  # zero leaves on the cycle
+            i = draw(st.integers(k, k + m - 1))
+            rows = block_sum(rows, [[0]])
+            rows[i][-1] = rows[-1][i] = draw(st.sampled_from([1, -2]))
+    perm = draw(st.permutations(range(len(rows))))
+    return [[rows[i][j] for j in perm] for i in perm]
+
+
+@settings(max_examples=200, deadline=None)
+@given(plumbing_forests())
+def test_peel_to_core_handoff_matches_the_oracles(rows):
+    """The leaf peel hands what it leaves, with its updated diagonals, to
+    the heap elimination; both phases together agree with the dense and
+    the Fraction oracles, on the lattice and on its rows."""
+    expected = dense.signature(rows)
+    assert fraction_signature.signature(rows) == expected
+    assert signature(as_lattice(rows)) == expected
+    assert signature(rows) == expected
+
+
+def test_a_forest_never_reaches_the_heap(monkeypatch):
+    """A forest is eliminated by the peel alone; a cycle core goes on to
+    the heap, and a zero leaf on a cycle class breaks the cycle."""
+    heaps = []
+
+    def counted(heap, _heapify=homology.heapify):
+        heaps.append(len(heap))
+        return _heapify(heap)
+
+    monkeypatch.setattr(homology, "heapify", counted)
+    forest = block_sum([[-2, 1, 0], [1, -3, 1], [0, 1, -2]], fulton_config(7, 4).lattice().pairing,
+                       [[0, 1], [1, 0]], [[0]])
+    assert signature(fulton_config(255, 1).lattice()) == (0, 255, 0)
+    assert signature(as_lattice(forest)) == signature(forest) == (1, 9, 1)
+    assert dense.signature(forest) == (1, 9, 1)
+    assert signature([[0, 1], [1, 0]]) == (1, 1, 0)
+    broken = [[-2, 1, 1, 0, 0], [1, -2, 1, 0, 1], [1, 1, -2, 1, 0], [0, 0, 1, 0, 0],
+              [0, 1, 0, 0, -2]]  # a triangle with a zero leaf and a tail
+    assert signature(broken) == dense.signature(broken) == (1, 4, 0)
+    assert heaps == []
+    cycle = [[0, 1, 0, 0, 1], [1, -2, 1, 0, 0], [0, 1, -2, 1, 0], [0, 0, 1, -2, 1],
+             [1, 0, 0, 1, -2]]
+    assert signature(cycle) == (1, 4, 0)
+    assert heaps == [5]
+
+
 @pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), True], ids=["float", "fraction", "bool"])
 def test_constructor_rejects_non_integers(bad):
     """A non-int pairing entry or c1 label is a DomainError up front, not a
