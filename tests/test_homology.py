@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from dataclasses import replace
@@ -655,6 +656,118 @@ def test_constructor_matches_the_dense_read_oracle(form):
     got = IntersectionLattice(classes, rows, c1)
     assert got == lat and got.classes == lat.classes
     assert got.pairing == pairing and got.c1 == c1_view
+
+
+JSON_ZEROS = ["0.0", "-0.0", "0e0", "false"]
+JSON_NON_INTS = ["true", "null", '"0"', "[]", "{}", "1.5"]
+
+
+@st.composite
+def mutated_texts(draw):
+    """Lattice JSON text over a drawn symmetric form, with up to two
+    mutations in JSON terms: an entry made a zero-valued non-int or another
+    non-int, an int set on one side of the diagonal only, or a row made
+    ragged.  Sometimes a class label holds ``false`` or an ignored key holds
+    a float: either sends the text to the type pass, so both reads show."""
+    rows = draw(symmetric_forms(max_n=6))
+    n = len(rows)
+    tokens = [[str(x) for x in row] for row in rows]
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        kind = draw(st.sampled_from(["zero", "non-int", "asymmetric", "ragged"]))
+        i, j = draw(index), draw(index)
+        if kind == "ragged":
+            if tokens[i] and draw(st.booleans()):
+                tokens[i].pop()
+            else:
+                tokens[i].append(draw(st.sampled_from(["0", "1"])))
+        elif j < len(tokens[i]):
+            choices = {"zero": JSON_ZEROS, "non-int": JSON_NON_INTS,
+                       "asymmetric": ["0", "1", "-1", "3"]}
+            tokens[i][j] = draw(st.sampled_from(choices[kind]))
+    fields = ['"pairing": [' + ", ".join(f"[{', '.join(row)}]" for row in tokens) + "]"]
+    if draw(st.booleans()):
+        labels = [f"C{i}" for i in range(n)]
+        if n and draw(st.booleans()):
+            labels[draw(index)] = draw(st.sampled_from(["false", "is false"]))
+        fields.append('"classes": ' + json.dumps(labels))
+    if draw(st.booleans()):
+        c1 = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        fields.append('"c1": ' + json.dumps(c1))
+    if draw(st.booleans()):
+        fields.append('"note": 0.5')
+    return "{" + ", ".join(draw(st.permutations(fields))) + "}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_texts())
+def test_text_read_matches_the_dense_read_oracle(text):
+    """``from_json`` on text, which skips the type pass when the text has no
+    float and no ``false``, reads as the dense oracle reads the decoded
+    object: equal lattices and views, or the same DomainError."""
+    obj = json.loads(text)
+    n = len(obj["pairing"])
+    classes = obj.get("classes", [f"C{i + 1}" for i in range(n)])
+    c1 = obj.get("c1", [0] * n)
+    try:
+        lat, pairing, c1_view = dense.read_rows(classes, obj["pairing"], c1)
+        if "c1" not in obj:  # the adjunction default
+            lat, pairing, c1_view = dense.read_rows(
+                classes, obj["pairing"], [2 + pairing[i][i] for i in range(n)])
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            IntersectionLattice.from_json(text)
+        assert str(got.value) == str(exc)
+        return
+    got = IntersectionLattice.from_json(text)
+    assert got == lat and got.classes == lat.classes
+    assert got.pairing == pairing and got.c1 == c1_view
+
+
+READS = {
+    "constructor": lambda rows: IntersectionLattice([f"C{i}" for i in range(len(rows))], rows,
+                                                    [0] * len(rows)),
+    "from_json(dict)": lambda rows: IntersectionLattice.from_json({"pairing": rows}),
+    "from_json(str)": lambda rows: IntersectionLattice.from_json(json.dumps({"pairing": rows})),
+    "signature(rows)": signature,
+}
+
+
+@pytest.mark.parametrize("read", READS.values(), ids=READS)
+def test_each_read_finds_one_sided_nonzeros_and_zero_valued_non_ints(read):
+    """A nonzero on one side of the diagonal only is found on either side,
+    and a zero-valued non-int, which ``row.count(0)`` counts as a zero,
+    meets the type pass on every read that can hold one."""
+    lower = [[-2, 0, 0], [0, -2, 0], [1, 0, -2]]
+    for rows in (lower, [list(row) for row in zip(*lower)]):
+        with pytest.raises(DomainError) as exc:
+            read(rows)
+        assert str(exc.value) == "pairing not symmetric at (0, 2)"
+    for zero in (0.0, -0.0, False):
+        for rows, bad in [([[-1, zero], [zero, -1]], [-1, zero]),
+                          ([[-1, 0], [zero, -1]], [zero, -1])]:
+            with pytest.raises(DomainError) as exc:
+                read(rows)
+            assert str(exc.value) == f"each pairing row must be a list of integers, got {bad!r}"
+
+
+class LoggedRow(list):
+    """A list whose own iterator is a generator, which cannot seek."""
+
+    def __iter__(self):
+        yield from list.__iter__(self)
+
+
+def test_rows_whose_own_iterator_cannot_seek_read_like_lists():
+    """The scan seeks through the list's or tuple's own iterator, so a row
+    class with another ``__iter__`` reads, and fails, like a plain row."""
+    rows = [[-2, 1, 0], [1, 0, 1], [0, 1, -2]]
+    plain = IntersectionLattice(["a", "b", "c"], rows, [0, 0, 0])
+    for wrap in (LoggedRow, tuple):
+        assert IntersectionLattice(["a", "b", "c"], [wrap(row) for row in rows], [0, 0, 0]) == plain
+    with pytest.raises(DomainError, match=r"pairing not symmetric at \(0, 2\)"):
+        IntersectionLattice(["a", "b", "c"], [LoggedRow(row) for row in
+                                              ([-2, 1, 0], [1, 0, 1], [3, 1, -2])], [0, 0, 0])
 
 
 def test_lattice_from_parts_rejects_a_self_pair():
