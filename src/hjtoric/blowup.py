@@ -41,7 +41,7 @@ from math import gcd
 
 from ._value import Value
 from .errors import DomainError, StructureError, require_ints, require_object
-from .hj import hj_expand
+from .hj import MAX_TERMS, hj_expand
 from .homology import (IntersectionLattice, _blow_up, _forced_contractions, _lattice,
                        _require_exceptional, empty_lattice)
 from .rationals import parse_rational
@@ -218,10 +218,14 @@ def mcduff_sequence(q: int, p: int) -> McDuffSequence:
     makes a_i cuts; in the first, third, ... block each new cut replaces the
     up flank of the next cut, in the second, fourth, ... the down flank.
     For (4, 7) this is multiplicities (4, 3, 1, 1, 1) and cuts (1, 1),
-    (1, 2), (2, 3), (3, 5), (4, 7).
+    (1, 2), (2, 3), (3, 5), (4, 7).  The cut count, the sum of the block
+    sizes, is at most p; a replay of more than ``hj.MAX_TERMS`` cuts is
+    refused before it starts.
     """
     _require_weights(p, q)
     blocks, values = _euclid_blocks(p, q)
+    if p > MAX_TERMS and (n := sum(blocks)) > MAX_TERMS:
+        raise DomainError(f"the cut replay of ({q}, {p}) has {n} cuts, more than {MAX_TERMS}")
     multiplicities: list[int] = []
     labels: list[Vec] = []
     flanks: list[tuple[int | None, int | None]] = []
@@ -310,12 +314,13 @@ def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> Interse
     ``lat``'s store, so the whole blowdown costs O(n) beyond that copy.  A
     walk that leaves no class returns the shared ``empty_lattice()``.
     """
-    selfs = _lattice(lat)._self
-    require_object(config, BlowupConfig, "config must be a BlowupConfig")
-    labels = config.class_labels
-    for label in labels:
-        if label not in selfs:
-            raise DomainError(f"no class labeled {label!r}")
+    if not (isinstance(lat, IntersectionLattice) and isinstance(config, BlowupConfig)):
+        _lattice(lat)
+        require_object(config, BlowupConfig, "config must be a BlowupConfig")
+    selfs, labels = lat._self, config.class_labels
+    if not all(map(selfs.__contains__, labels)):
+        missing = next(label for label in labels if label not in selfs)
+        raise DomainError(f"no class labeled {missing!r}")
     etilde = labels[0]
     if selfs[etilde] != -1:
         raise StructureError(f"{etilde!r} has self-intersection {selfs[etilde]}, not -1")

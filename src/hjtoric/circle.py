@@ -29,32 +29,31 @@ reports TRACKED_CLASS_DESTROYED.
 Configurations never interact, so a live instance is a pair, a uid and
 two positions; its config is its pair's, shared by every instance of the
 pair, every pair of equal weights and, by a bounded cache, every run of
-the process, which builds its lattice once.  Labels are prefixed ``uid.``
-only where they leave the run: in an ``Instance``'s lattice (so the
-result's) and the tracked label.  A crossing costs the same in every loop.
+the process, which builds its lattice once.  A uid is an install number
+until it leaves the run, as the label prefix ``B<n>`` (``T`` for the
+tracked copy).  A crossing costs the same in every loop.
 
-A run splits what it fixes from what it steps.  ``initial_state`` puts the
-levels on one integer grid, ``_grid`` (the lcm of their denominators, each
-level's numerator over it, their order and the gaps between them), once: it
-pairs and validates the data on it by ``_validate`` (one
-``ValidationError`` lists every failure), reads the default base off it and
-builds one frozen ``RunContext`` per run: the data and base, each datum's
-pair, each pair's config, resolved once per distinct weight pair, and the
-run's grid, the lcm D of the base and level denominators.  Every position
-is an integer numerator over D, and so are an instance's blowup and
-blowdown positions, which give its area tent.  What a run steps is a live
-map, a dict in install order from ``(pair, dies)`` (T under
-``(pair, None)``) to ``(uid, created)``, and one kernel, ``_step``, crosses
-a level on it in place: ``_install`` at a +1 level, a pop by key and a
-blowdown at a -1 level, logged only under debug.  A level fixes where it is
-crossed: ``_next`` finds its first position after a given one.
-``initial_state`` primes through ``_install``; ``cross_level`` steps a copy
-of a state's instances at ``_next``; ``run_loop`` reads its first loop off
-``_next``, steps one map from start to end and reads its ledger, bound and
-result off it, so a state is only the view the step API returns.  A
-ledger entry is the tracked class's tent numerator (``_tent``) over p*q*D,
-one denominator for the whole run, so the ledger's distinct count is kept
-on those integers.  Fractions are built only for the default base and the
+A run splits what it fixes from what it steps.  ``_prime`` puts the levels
+on one integer grid, ``_grid`` (the lcm of their denominators, each level's
+numerator over it, their order and the gaps between them), once: it pairs
+and validates the data on it by ``_validate`` (one ``ValidationError``
+lists every failure), reads the default base off it and builds one frozen
+``RunContext`` per run: the data and base, each datum's pair, each pair's
+config, resolved once per distinct weight pair, and the run's grid, the lcm
+D of the base and level denominators.  Every position is an integer
+numerator over D, and so are an instance's blowup and blowdown positions,
+which give its area tent.  What a run steps is a live map, a dict in
+install order from ``(pair, dies)`` (T under ``(pair, None)``) to
+``(uid, created)``, and one kernel, ``_cross``, crosses a run of table rows
+(``_row``) on it in place: an install at a +1 row, a pop by key and a
+blowdown at a -1 row, logged only if a loaded ``logging`` (never imported
+here) has the debug trail on.  ``_prime`` primes the map with it;
+``run_loop`` crosses its table, each level at its first position after the
+base (``_next``), once per loop and reads its result off the map;
+``initial_state`` and ``cross_level`` show the map as a state.  A ledger
+entry is the tracked class's tent numerator (``_tent``) over p*q*D, one
+denominator for the whole run, so the ledger's distinct count is kept on
+those integers.  Fractions are built only for the default base and the
 output, the ledger's once at exit, so every result stays exact.  The
 interval cover, ``build_cover``, needs only the levels, which it reads off
 their grid too.  Each input is checked by the function that reads it:
@@ -63,7 +62,7 @@ rationals by ``parse_rational``, integers by ``require_int``.
 
 from __future__ import annotations
 
-import logging
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -74,7 +73,6 @@ from .errors import DomainError, StructureError, ValidationError, require_int, r
 from .homology import IntersectionLattice, _with_prefix, empty_lattice
 from .rationals import parse_rational, rational_json
 
-log = logging.getLogger(__name__)
 
 class FixedPointDatum(Value):
     """An isolated fixed point: circle level, weight sign and weights (p, q).
@@ -242,7 +240,7 @@ def build_cover(data, eps) -> GeneralizedCover:
 
 
 class RunContext(Value):
-    """What a run fixes once, in ``initial_state``: shared by all its states.
+    """What a run fixes once, in ``_prime``: shared by all its states.
 
     ``den`` is the run's grid: the lcm of the base and level denominators,
     so every position the run reaches, every level and every life arc is an
@@ -334,40 +332,67 @@ def default_base(grid) -> Fraction:
 _config = lru_cache(maxsize=256)(lambda p, q: fulton_config(p, q))
 
 
-def _install(ctx: RunContext, live: dict, pair_idx: int, created: int, dies: int | None,
-             uid: str, debug: bool) -> None:
-    """Add an instance of the pair to the live map, logged if ``debug``; a
-    live ``(pair_idx, dies)`` key is a DomainError."""
-    if (pair_idx, dies) in live:
-        raise DomainError(f"pair {pair_idx} already has a live instance dying at {dies}/{ctx.den}")
-    live[pair_idx, dies] = uid, created
-    if debug:
-        cfg = ctx.templates[pair_idx]
-        log.debug("blowup %s at position %d/%d: weights (%d, %d)", uid, created, ctx.den,
-                  cfg.p, cfg.q)
+def _debug_log():
+    """The module's logger if a loaded ``logging`` has it on for DEBUG, else None."""
+    logging = sys.modules.get("logging")
+    log = logging and logging.getLogger(__name__)
+    return log if log and log.isEnabledFor(logging.DEBUG) else None
+
+
+def _name(uid, dies: int | None) -> str:
+    """A live entry's label prefix: ``B<uid>``, ``T`` if it never dies, or a state's name."""
+    return uid if type(uid) is str else "T" if dies is None else f"B{uid}"
+
+
+def _row(ctx: RunContext, i: int, pos: int) -> tuple:
+    """Datum ``i``'s crossing at ``pos``: (pos, pair, sign, life arc, config, its lattice)."""
+    pair = ctx.pair_of[i]
+    cfg = ctx.templates[pair]
+    return pos, pair, ctx.data[i].sign, ctx.arcs[pair], cfg, cfg.lattice()
+
+
+def _cross(ctx: RunContext, live: dict, rows, shift: int, counter: int, log) -> int:
+    """Cross ``rows`` in order, each ``shift`` after its position, on the live
+    map in place, logged to ``log`` unless None; returns the install counter.
+    A +1 row installs number ``counter + 1``, dying an arc later (never if the
+    arc is None, as T's; no pair's is 0), on a free key (else DomainError); a
+    -1 row pops its pair's entry dying there (else StructureError) and blows it down."""
+    den = ctx.den
+    for pos, pair, sign, arc, cfg, lat in rows:
+        pos += shift
+        if sign == 1:
+            dies = arc and pos + arc
+            if (pair, dies) in live:
+                raise DomainError(f"pair {pair} already has a live instance dying at {dies}/{den}")
+            counter += 1
+            live[pair, dies] = counter, pos
+            if log:
+                log.debug("blowup %s at position %d/%d: weights (%d, %d)", _name(counter, dies),
+                          pos, den, cfg.p, cfg.q)
+            continue
+        victim = live.pop((pair, pos), None)
+        if victim is None:
+            raise StructureError(
+                f"model inconsistency: no matched class with vanishing area at "
+                f"level {Fraction(pos % den, den)} (position {Fraction(pos, den)})"
+            )
+        weighted_blowdown(lat, cfg)
+        if log:
+            log.debug("blowdown %s at position %d/%d", _name(victim[0], pos), pos, den)
+    return counter
 
 
 def _instances(ctx: RunContext, live: dict) -> tuple[Instance, ...]:
     """The live map's entries as ``Instance`` values, in install order."""
-    return tuple(Instance(uid, pair, ctx.templates[pair], created, dies)
+    return tuple(Instance(_name(uid, dies), pair, ctx.templates[pair], created, dies)
                  for (pair, dies), (uid, created) in live.items())
 
 
-def initial_state(data, *, base=None) -> ReducedSpaceState:
-    """The primed state at the base level.
-
-    Every matched pair whose counterclockwise life arc contains the base
-    level contributes one live configuration, so the state is consistent
-    with the periodic dynamics from the very first crossing.  The run's
-    context, with one config per distinct weight pair (``_config``), is
-    built here on the data's level grid.  ``base`` is parsed first; data
-    that fail ``_validate`` raise its ``ValidationError``.
-    """
-    base = None if base is None else parse_rational(base)
-    data = _fixed_points(data)
-    if not data:
-        raise DomainError("cannot build a state from an empty fixed-point set")
-    debug = log.isEnabledFor(logging.DEBUG)
+def _prime(data: tuple[FixedPointDatum, ...], base: Fraction | None, log) -> tuple:
+    """``(ctx, start, live)``: the run's context, the base's position and the
+    live map primed there, for non-empty ``data`` and a parsed ``base`` (None:
+    the default).  Each pair whose life arc holds the base has its blowup
+    crossed a loop early.  Data that fail ``_validate`` raise its error."""
     grid = _grid(data)
     pairs = _validate(data, grid)
     base = default_base(grid) if base is None else base % 1
@@ -383,11 +408,20 @@ def initial_state(data, *, base=None) -> ReducedSpaceState:
                      tuple(k for _, k in sorted((i, k) for k, p in enumerate(pairs) for i in p)),
                      tuple(map(configs.get, weights)))
     live = {}
-    for pair_idx, (plus, _) in enumerate(pairs):
-        back = (start - levels[plus]) % den
-        if 0 < back < arcs[pair_idx]:
-            _install(ctx, live, pair_idx, start - back, start - back + arcs[pair_idx],
-                     f"B{len(live) + 1}", debug)
+    _cross(ctx, live, [_row(ctx, plus, start - back) for (plus, _), arc in zip(pairs, arcs)
+                       if 0 < (back := (start - levels[plus]) % den) < arc], 0, 0, log)
+    return ctx, start, live
+
+
+def initial_state(data, *, base=None) -> ReducedSpaceState:
+    """The primed state at the base level: ``_prime``'s live map shown.
+    ``base`` is parsed first; data that fail ``_validate`` raise its
+    ``ValidationError``."""
+    base = None if base is None else parse_rational(base)
+    data = _fixed_points(data)
+    if not data:
+        raise DomainError("cannot build a state from an empty fixed-point set")
+    ctx, start, live = _prime(data, base, _debug_log())
     return ReducedSpaceState(ctx, start, _instances(ctx, live), len(live))
 
 
@@ -395,28 +429,6 @@ def _next(ctx: RunContext, pos: int, datum: FixedPointDatum) -> int:
     """``datum``'s first position strictly after ``pos``, both over ``ctx.den``."""
     level = datum.level.numerator * (ctx.den // datum.level.denominator)
     return pos + 1 + (level - pos - 1) % ctx.den
-
-
-def _step(ctx: RunContext, live: dict, pos: int, pair_idx: int, datum: FixedPointDatum,
-          counter: int, debug: bool) -> int:
-    """Cross ``datum``'s level, of pair ``pair_idx``, at ``pos`` on the live
-    map in place, logged if ``debug``; returns the install counter.  A +1
-    level installs ``B<counter + 1>``; a -1 level pops the instance keyed by
-    its pair and ``pos`` (none is a StructureError) and blows it down."""
-    if datum.sign == 1:
-        _install(ctx, live, pair_idx, pos, pos + ctx.arcs[pair_idx], f"B{counter + 1}", debug)
-        return counter + 1
-    victim = live.pop((pair_idx, pos), None)
-    if victim is None:
-        raise StructureError(
-            f"model inconsistency: no matched class with vanishing area at "
-            f"level {datum.level} (position {Fraction(pos, ctx.den)})"
-        )
-    cfg = ctx.templates[pair_idx]
-    weighted_blowdown(cfg.lattice(), cfg)
-    if debug:
-        log.debug("blowdown %s at position %d/%d", victim[0], pos, ctx.den)
-    return counter
 
 
 def cross_level(state: ReducedSpaceState, datum: FixedPointDatum) -> ReducedSpaceState:
@@ -428,10 +440,9 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum) -> ReducedSpac
     zero with slope 1/(p*q), and its two orbifold points (orders p and q,
     absent when the order is 1).  A -1 level removes the matched instance
     whose exceptional area vanishes at this level by weighted blowdown of
-    its own lattice, which must leave nothing.  The checks, that each
-    instance holds its pair's config among them, are here; the step is the
-    kernel ``_step`` on a copy of the state's instances, so the input is
-    never written.  Tracking a class is ``run_loop``'s.
+    its own lattice, which must leave nothing.  The state's checks are
+    here; the step is ``_cross`` on a one-row table and a copy of the
+    state's map, so the input is never written.  Tracking is ``run_loop``'s.
     """
     ctx = require_object(state, ReducedSpaceState, "state must be a ReducedSpaceState").context
     require_object(datum, FixedPointDatum, "datum must be a FixedPointDatum")
@@ -444,8 +455,8 @@ def cross_level(state: ReducedSpaceState, datum: FixedPointDatum) -> ReducedSpac
     if len(live) < len(state.instances):
         raise DomainError("two of the state's instances share a pair and a death position")
     pos = _next(ctx, state.pos, datum)
-    counter = _step(ctx, live, pos, ctx.pair_of[ctx.data.index(datum)], datum, state.counter,
-                    log.isEnabledFor(logging.DEBUG))
+    counter = _cross(ctx, live, [_row(ctx, ctx.data.index(datum), pos)], 0, state.counter,
+                     _debug_log())
     return ReducedSpaceState(ctx, pos, _instances(ctx, live), counter)
 
 
@@ -500,13 +511,14 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
     crossing's own instance, whose -1 level then ends the run.
 
     The options are checked first, so a malformed one raises DomainError
-    also for empty data.  The data are validated once, by ``initial_state``;
-    each datum's pair and first-loop position are resolved once, and loop
-    n crosses each level n - 1 loops later.  The run steps one live map by
-    ``_step`` from start to end: a ledger entry is the tracked instance's tent
-    numerator over p*q*D, the default bound counts the live configs'
+    also for empty data.  The run steps ``_prime``'s live map from start to
+    end and builds no state and no ``Instance``: it crosses its table by
+    ``_cross`` once per loop, split at the first +1 row to install T and at
+    the untracked class's death.  A ledger entry is the tracked instance's
+    tent numerator over p*q*D, the default bound counts the live configs'
     exceptional classes, and ``finish`` makes the ledger's Fractions, the
-    lattice and the tracked label once, at exit.
+    lattice (a prefixed template lattice per live entry, one
+    ``direct_sum``) and the tracked label once, at exit.
     """
     if bound is not None:
         require_int(bound, "bound must be None or an integer >= 0", 0)
@@ -519,47 +531,44 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
             "NO_OBSTRUCTION", (), None, empty_lattice(), None, None, bound,
             "no fixed points: the ledger argument needs a non-empty fixed-point set",
         )
-    debug = log.isEnabledFor(logging.DEBUG)
-    state = initial_state(data, base=base)
-    ctx, den, start, counter = state.context, state.context.den, state.pos, state.counter
-    live = {(inst.pair, inst.dies): (inst.uid, inst.created) for inst in state.instances}
-    # distinct levels: no ties
-    crossings = sorted((_next(ctx, start, d), k, d) for d, k in zip(ctx.data, ctx.pair_of))
+    log = _debug_log()
+    ctx, start, live = _prime(data, base, log)
+    den = ctx.den
+    table = sorted(_row(ctx, i, _next(ctx, start, d)) for i, d in enumerate(ctx.data))
+    first = next(i for i, row in enumerate(table) if row[2] == 1)
+    created, pair, _, arc, cfg, lat = table[first]
+    t_row = [(created, pair, 1, None, cfg, lat)] if tracked_independent else []  # no arc: T
+    counter = _cross(ctx, live, table[:first + 1] + t_row, 0, len(live), log)
+    uid, dies = counter, None if tracked_independent else created + arc
     ledger: list[int] = []  # tent numerators over the one denominator p*q*D
     distinct: set[int] = set()
-    cfg = dies = None  # the tracked class's config and death position (None for T)
     bound_val = bound
 
     def finish(verdict: str, loop: int | None, message: str) -> RunResult:
-        lattice = empty_lattice().direct_sum(*(inst.lattice for inst in _instances(ctx, live)))
-        label = f"{uid}.{cfg.exceptional_label}"
+        lattice = empty_lattice().direct_sum(*(
+            _with_prefix(ctx.templates[k].lattice(), f"{_name(n, d)}.")
+            for (k, d), (n, _) in live.items()))
         pqd = cfg.p * cfg.q * den
         return RunResult(verdict, tuple(Fraction(t, pqd) for t in ledger), loop, lattice, ctx.base,
-                         label, bound_val, message)
+                         f"{_name(uid, dies)}.{cfg.exceptional_label}", bound_val, message)
 
+    rows = table[first + 1:]
     for loop in range(1, loops + 1):
         shift = (loop - 1) * den
-        for pos, pair_idx, datum in crossings:
-            pos += shift
-            # levels are distinct and an arc is shorter than a loop, so only
-            # the tracked instance's own -1 level reaches its death position
-            if pos == dies:
-                return finish("TRACKED_CLASS_DESTROYED", None,
-                              "the pairing sends the tracked class's own creation level to "
-                              "this blowdown; rerun with an independent tracked class to "
-                              "model its transported copy")
-            counter = _step(ctx, live, pos, pair_idx, datum, counter, debug)
-            if cfg is None and datum.sign == 1:
-                if tracked_independent:
-                    _install(ctx, live, pair_idx, pos, None, "T", debug)
-                    counter += 1
-                (_, dies), (uid, created) = next(reversed(live.items()))
-                cfg = ctx.templates[pair_idx]
+        if dies is not None and dies <= start + loop * den:  # at its own -1 row
+            end = [row[0] + shift for row in rows].index(dies)
+            _cross(ctx, live, rows[:end], shift, counter, log)
+            return finish("TRACKED_CLASS_DESTROYED", None,
+                          "the pairing sends the tracked class's own creation level to "
+                          "this blowdown; rerun with an independent tracked class to "
+                          "model its transported copy")
+        counter = _cross(ctx, live, rows, shift, counter, log)
+        rows = table
         ledger.append(_tent(start + loop * den, created, dies))
         distinct.add(ledger[-1])
         if bound_val is None:
             bound_val = sum(len(ctx.templates[k].lattice().exceptional_classes()) for k, _ in live)
-            if debug:
+            if log:
                 log.debug("bound defaulted to %d exceptional classes", bound_val)
         if len(distinct) > bound_val:
             return finish("HAMILTONIAN", loop,

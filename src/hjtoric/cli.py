@@ -10,9 +10,9 @@ any case) exits 2.
 
 Each subcommand imports only the modules it runs, inside its ``cmd_*``
 function, so ``hj`` loads neither the simulator nor the blowup code, and a
-usage error loads no math module.  ``simulate`` loads ``logging`` with the
-simulator, which logs its debug trail through it; every other subcommand
-imports it only when HJTORIC_LOG is set or a cross-check fails.
+usage error loads no math module.  No subcommand imports ``logging`` unless
+HJTORIC_LOG is set or a cross-check fails: the simulator logs its debug
+trail only through a ``logging`` that is already loaded.
 """
 
 from __future__ import annotations

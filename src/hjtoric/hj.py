@@ -23,6 +23,10 @@ from ._value import Value
 from .errors import DomainError, EvaluationError, require_int, require_ints, require_object
 
 UNIT = (1, 0)  # value of the empty expansion; a 1/0-free stand-in for "m = 1"
+# the most terms an expansion, or cuts a cut replay (``blowup.mcduff_sequence``),
+# may have: each is counted in O(log m) steps before it is built, and a longer
+# one is refused with a DomainError instead of filling memory
+MAX_TERMS = 10 ** 6
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -114,6 +118,19 @@ def hj_eval(terms: Sequence[int]) -> tuple[int, int]:
     return (num, den)
 
 
+def _term_count(m: int, k: int) -> int:
+    """The number of terms of the expansion of m/k (1 <= k < m, coprime), in
+    O(log m) steps: with [c1; c2, ...] the regular continued fraction of
+    m/k, each odd-position quotient counts 1 and each even-position one its
+    value less 1.  The count is at most m - 1."""
+    n, odd = 0, True
+    while k:
+        c, r = divmod(m, k)
+        n += 1 if odd else c - 1
+        m, k, odd = k, r, not odd
+    return n
+
+
 def hj_expand(m: int, k: int) -> HJExpansion:
     """The unique expansion of m/k with all terms >= 2.
 
@@ -121,7 +138,9 @@ def hj_expand(m: int, k: int) -> HJExpansion:
     (with ``k = 0``) yields the empty expansion.  The range check runs before
     the loop on purpose and does not duplicate ``HJExpansion``'s: for k > m
     the loop runs about k/m times, so without it ``hj_expand(5, 10**12)``
-    would loop 2 * 10**11 times.  Having checked m and k and computed the
+    would loop 2 * 10**11 times.  An expansion of more than ``MAX_TERMS``
+    terms is refused before the loop too; only m > ``MAX_TERMS`` can have
+    one.  Having checked m and k and computed the
     terms from them, it builds the result without ``HJExpansion``'s checks,
     which would repeat these and evaluate the terms again.
     """
@@ -136,6 +155,8 @@ def hj_expand(m: int, k: int) -> HJExpansion:
         raise DomainError(f"residue must satisfy 1 <= k < m, got k = {k}, m = {m}")
     if gcd(m, k) != 1:
         raise DomainError(f"gcd({m}, {k}) = {gcd(m, k)} != 1")
+    if m > MAX_TERMS and (n := _term_count(m, k)) > MAX_TERMS:
+        raise DomainError(f"the expansion of {m}/{k} has {n} terms, more than {MAX_TERMS}")
     m0, k0 = m, k
     terms = []
     while k0 > 0:

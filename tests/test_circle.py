@@ -688,21 +688,25 @@ def test_run_loop_on_a_large_grid_matches_global_lattice_oracle(seed):
         assert got.final_lattice.to_json() == want.final_lattice.to_json()
 
 
-def install(state, pair_idx, created, dies, uid):
-    """``state`` plus an instance of the pair's config, installed by the
-    run's own ``_install`` on the live map of the state's instances, whose
-    entries are plain ``(uid, created)`` tuples until the state shows them."""
+def install(state, pair_idx, created, dies):
+    """``state`` plus an instance of the pair's config born at ``created``
+    and dying at ``dies`` (None: a tracked copy T), installed as the run
+    installs one: by the kernel ``_cross`` on a one-row table, over the live
+    map of the state's instances, whose entries are plain ``(uid, created)``
+    tuples until the state shows them.  Its uid is the next install number."""
     ctx = state.context
     live = {(inst.pair, inst.dies): (inst.uid, inst.created) for inst in state.instances}
-    circle._install(ctx, live, pair_idx, created, dies, uid, False)
+    cfg = ctx.templates[pair_idx]
+    row = (created, pair_idx, 1, None if dies is None else dies - created, cfg, cfg.lattice())
+    counter = circle._cross(ctx, live, [row], 0, state.counter, None)
     assert all(type(entry) is tuple for entry in live.values())
-    return ReducedSpaceState(ctx, state.pos, circle._instances(ctx, live), state.counter + 1)
+    return ReducedSpaceState(ctx, state.pos, circle._instances(ctx, live), counter)
 
 
 def with_tracked_copy(state):
     """``state`` plus the transported copy T of its newest instance, as
     run_loop installs it after the first +1 crossing."""
-    return install(state, state.instances[-1].pair, state.pos, None, "T")
+    return install(state, state.instances[-1].pair, state.pos, None)
 
 
 def crossings(sim, data, loops):
@@ -841,8 +845,8 @@ def test_installs_equal_a_prefixed_fulton_config():
                     FixedPointDatum(Fraction(3, 8), -1, p, q)]
             st = initial_state(data, base=Fraction(1, 2))
             den = st.context.den  # created at 1, dying at 11/8
-            st = install(st, 0, den, 11 * den // 8, "B9")
-            st = install(st, 0, den, None, "T")
+            st = install(st, 0, den, 11 * den // 8)
+            st = install(st, 0, den, None)
             for inst in st.instances:
                 prefix = f"{inst.uid}."
                 want = global_sim.prefixed(fulton_config(p, q), prefix).lattice()
@@ -874,7 +878,7 @@ def test_lattice_of_many_instances_equals_the_pairwise_fold():
     its own position."""
     st = initial_state(pair_74(), base=Fraction(3, 4))
     for i in range(256):
-        st = install(st, 0, st.pos, st.pos + 1 + i, f"T{i}")
+        st = install(st, 0, st.pos, st.pos + 1 + i)
     lats = [inst.lattice for inst in st.instances]
     fold = empty_lattice()
     for lat in lats:
@@ -983,38 +987,30 @@ def test_a_run_past_the_cache_bound_matches_the_oracle():
         assert got == {**want, "message": got["message"]}
 
 
-class CountingLog:
-    """A stand-in for ``circle.log`` at a given level that counts its
-    ``debug`` calls."""
-
-    def __init__(self, level):
-        self.level, self.calls = level, 0
-
-    def isEnabledFor(self, level):
-        return level >= self.level
-
-    def debug(self, *args):
-        self.calls += 1
-
-
 @pytest.mark.parametrize("tracked", [True, False])
-def test_no_logging_call_per_crossing_with_debug_off(monkeypatch, tracked):
+def test_no_logging_call_per_crossing_with_debug_off(monkeypatch, caplog, tracked):
     """With debug logging off a 50-loop run, a run that defaults its bound
     and the step API make no ``debug`` call at all; with it on, each install
-    and blowdown makes one, so a tracked run makes one per crossing at least."""
+    and blowdown makes one, so a tracked run makes one per crossing at least.
+    The calls are counted on the ``hjtoric.circle`` logger itself, which a
+    run looks up afresh."""
     data = three_pairs()
+    calls = []
+    monkeypatch.setattr(logging.getLogger("hjtoric.circle"), "debug",
+                        lambda *args: calls.append(args))
     for level in (logging.WARNING, logging.DEBUG):
-        monkeypatch.setattr(circle, "log", CountingLog(level))
-        res = run_loop(data, 50, 1000, tracked_independent=tracked)
-        assert len(res.ledger) == (50 if tracked else 1)
-        run_loop(data, 50, None, tracked_independent=tracked)
-        st = initial_state(data)
-        for d in data:
-            st = cross_level(st, d)
+        calls.clear()
+        with caplog.at_level(level, logger="hjtoric.circle"):
+            res = run_loop(data, 50, 1000, tracked_independent=tracked)
+            assert len(res.ledger) == (50 if tracked else 1)
+            run_loop(data, 50, None, tracked_independent=tracked)
+            st = initial_state(data)
+            for d in data:
+                st = cross_level(st, d)
         if level == logging.WARNING:
-            assert circle.log.calls == 0
+            assert calls == []
         else:
-            assert circle.log.calls >= (50 if tracked else 1) * len(data)
+            assert len(calls) >= (50 if tracked else 1) * len(data)
 
 
 @pytest.mark.parametrize("tracked", [True, False])
@@ -1052,7 +1048,7 @@ def test_a_repeated_blowup_crossing_is_refused():
     st = cross_level(initial_state(data, base=Fraction(3, 4)), data[0])
     b1 = st.instances[0]
     with pytest.raises(DomainError, match="already has a live instance"):
-        install(st, b1.pair, b1.created, b1.dies, "B2")
+        install(st, b1.pair, b1.created, b1.dies)
     tracked = with_tracked_copy(st)
     with pytest.raises(DomainError, match="already has a live instance"):
         with_tracked_copy(tracked)
@@ -1126,31 +1122,95 @@ def test_cross_level_lands_at_the_levels_next_position(data, base):
 def test_positions_stay_ints_through_the_step_api_and_run_loop(monkeypatch, data, base):
     """Positions are integer numerators over the run's grid: ``pos``,
     ``created`` and ``dies`` are ints (``dies`` None for T), never Fractions,
-    in the states of the step API and in every instance ``run_loop`` builds."""
-    def check(inst):
-        assert type(inst.created) is int and (inst.dies is None or type(inst.dies) is int)
+    in the states of the step API, and in the live map ``run_loop`` steps,
+    read at each blowdown and at exit, whose uids are install numbers."""
+    def check(created, dies):
+        assert type(created) is int and (dies is None or type(dies) is int)
 
     st = initial_state(data, base=base)
     base = st.context.base
     for loop in range(2):
         assert type(st.pos) is int
         for inst in st.instances:
-            check(inst)
+            check(inst.created, inst.dies)
         for d in sorted(data, key=lambda d: arc_distance(base, d.level)):
             st = cross_level(st, d)
-    built = []
+    maps, seen = [], []
+    prime = circle._prime
 
-    class Recording(circle.Instance):
-        def __init__(self, *args):
-            built.append(self)
-            super().__init__(*args)
+    def recording_prime(*args):
+        ctx, start, live = prime(*args)
+        maps.append(live)
+        return ctx, start, live
 
-    monkeypatch.setattr(circle, "Instance", Recording)
+    def recording_blowdown(lat, config):
+        seen.extend(maps[-1].items())
+        return weighted_blowdown(lat, config)
+
+    monkeypatch.setattr(circle, "_prime", recording_prime)
+    monkeypatch.setattr(circle, "weighted_blowdown", recording_blowdown)
     for tracked in (True, False):
         run_loop(data, 4, 1000, base=base, tracked_independent=tracked)
-    assert built and any(inst.dies is None for inst in built)
-    for inst in built:
-        check(inst)
+    seen.extend(item for live in maps for item in live.items())
+    assert len(maps) == 2 and any(dies is None for (_, dies), _ in seen)
+    for (pair, dies), (uid, created) in seen:
+        assert type(pair) is type(uid) is int
+        check(created, dies)
+
+
+@pytest.mark.parametrize("data", [three_pairs(), nested_pairs(24), two_equal_weight_pairs()],
+                         ids=["3-pairs", "24-pairs", "equal-weights"])
+@pytest.mark.parametrize("bound", [1000, None])
+def test_run_loop_builds_no_state_and_blows_down_at_every_minus_crossing(monkeypatch, data,
+                                                                         bound):
+    """A run steps the kernel's live map and builds its result straight from
+    it: no ``Instance`` and no ``ReducedSpaceState``, while each of the L
+    loops still runs ``weighted_blowdown`` once per -1 level."""
+    built, calls = [], []
+
+    class CountingInstance(circle.Instance):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    class CountingState(ReducedSpaceState):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    def counting(lat, config):
+        calls.append(config)
+        return weighted_blowdown(lat, config)
+
+    monkeypatch.setattr(circle, "Instance", CountingInstance)
+    monkeypatch.setattr(circle, "ReducedSpaceState", CountingState)
+    monkeypatch.setattr(circle, "weighted_blowdown", counting)
+    res = run_loop(data, 9, bound)
+    assert res.verdict == ("INCONCLUSIVE" if bound else "HAMILTONIAN")
+    assert built == [] and len(calls) == len(res.ledger) * sum(d.sign == -1 for d in data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(action=balanced_actions())
+def test_step_api_leaves_the_kernels_live_entries(action):
+    """``initial_state`` and then ``cross_level`` on each datum over one loop,
+    in run order, leave the live entries (uid, pair, created, dies) and the
+    install counter that the kernel leaves on ``_prime``'s map after crossing
+    ``run_loop``'s one-loop table, the step API's uids being the kernel's
+    install numbers as labels."""
+    data, base = action
+    st = initial_state(data, base=base)
+    ctx, start, live = circle._prime(tuple(data), base, None)
+    assert (ctx, start) == (st.context, st.pos)
+    table = sorted(circle._row(ctx, i, circle._next(ctx, start, d))
+                   for i, d in enumerate(ctx.data))
+    counter = circle._cross(ctx, live, table, 0, len(live), None)
+    for d in sorted(data, key=lambda d: circle._next(ctx, start, d)):
+        st = cross_level(st, d)
+    assert st.pos == table[-1][0] and st.counter == counter
+    assert [(inst.uid, inst.pair, inst.created, inst.dies) for inst in st.instances] == [
+        (circle._name(uid, dies), pair, created, dies)
+        for (pair, dies), (uid, created) in live.items()]
 
 
 def test_installs_and_blowdowns_leave_other_lattices_unchanged():

@@ -1,12 +1,19 @@
+import os
+import re
+import subprocess
+import sys
 import time
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hjtoric
 from hjtoric.errors import DomainError, EvaluationError
-from hjtoric.hj import UNIT, HJExpansion, ext_gcd, hj_eval, hj_expand, hj_reverse, mod_inverse
+from hjtoric.hj import (MAX_TERMS, UNIT, HJExpansion, _term_count, ext_gcd, hj_eval, hj_expand,
+                        hj_reverse, mod_inverse)
 
 
 class TestExtGcd:
@@ -209,3 +216,72 @@ def test_uniqueness_by_exhaustive_search():
     for m, k in coprime_pairs(bound):
         found = by_value.get((m, k), [])
         assert found == [hj_expand(m, k).terms], (m, k, found)
+
+
+# -- the expansion cap ----------------------------------------------------------
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 5000), st.integers(1, 5000))
+def test_term_count_is_the_expansions_length(m, k):
+    """The O(log m) count read off the regular continued fraction equals the
+    length of the expansion it stands in for, and never exceeds m - 1."""
+    k = k % m or 1
+    if gcd(m, k) != 1:
+        return
+    n = _term_count(m, k)
+    assert n == len(hj_expand(m, k).terms) <= m - 1
+
+
+def test_term_count_of_the_longest_expansions():
+    """m/(m - 1) is the chain of m - 1 twos and m/1 a single term, at any size."""
+    for m in (2, 3, 10 ** 6, 10 ** 12, 10 ** 40):
+        assert _term_count(m, m - 1) == m - 1
+        assert _term_count(m, 1) == 1
+
+
+def test_the_cap_admits_max_terms_and_refuses_one_more():
+    assert len(hj_expand(MAX_TERMS + 1, MAX_TERMS).terms) == MAX_TERMS
+    with pytest.raises(DomainError, match=f"has {MAX_TERMS + 1} terms, more than {MAX_TERMS}"):
+        hj_expand(MAX_TERMS + 2, MAX_TERMS + 1)
+    # a huge numerator with a short expansion is still expanded
+    assert hj_expand(10 ** 12, 1).terms == (10 ** 12,)
+
+
+# each public way into an expansion or a cut replay of about 10^12 steps
+HUGE = {
+    "hj_expand": ("h.hj_expand(10**12, 10**12 - 1)", "expansion"),
+    "resolve_cyclic": ("h.resolve_cyclic(h.CyclicSingularity(10**12 + 1, 1, 10**12))",
+                       "expansion"),
+    "fulton_config": ("h.fulton_config(10**12, 1)", "expansion"),
+    "mcduff_sequence": ("h.mcduff_sequence(1, 10**12)", "cut replay"),
+    "cut_chords": ("h.cut_chords(1, 10**12)", "cut replay"),
+    "run_loop": ("h.run_loop(pair, 5)", "expansion"),
+    "initial_state": ("h.initial_state(pair)", "expansion"),
+}
+_CAPPED = """\
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+import hjtoric as h
+pair = [h.FixedPointDatum(0, 1, 10**12, 1), h.FixedPointDatum("1/2", -1, 10**12, 1)]
+t = time.perf_counter()
+try:
+    {call}
+except Exception as exc:
+    print(type(exc).__name__, time.perf_counter() - t, exc)
+"""
+
+
+@pytest.mark.parametrize("name", sorted(HUGE))
+def test_every_entry_point_refuses_a_huge_expansion_at_once(name):
+    """Each raises a DomainError within a fraction of a second, before its
+    loop.  The call runs in a new interpreter capped at 1 GiB of address
+    space, so a missing check ends there in a MemoryError, not by filling
+    the host's memory."""
+    call, what = HUGE[name]
+    env = dict(os.environ, PYTHONPATH=str(Path(hjtoric.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _CAPPED.format(call=call)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    kind, seconds, message = proc.stdout.split(" ", 2)
+    assert (proc.returncode, kind) == (0, "DomainError") and float(seconds) < 1.0
+    assert re.fullmatch(f"the {what} of .* more than {MAX_TERMS}\n", message)
