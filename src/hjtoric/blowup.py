@@ -24,8 +24,8 @@ intersection lattice:
 ``cross_check`` verifies that the two routes build isomorphic lattices; the
 sum of squared multiplicities always equals p*q (each multiplicity-m cut
 removes m^2 half-unit triangles of the p*q-area corner being excised).
-``weighted_blowdown`` undoes a config along ``homology._forced_contractions``,
-the one contraction walk, which ``blow_down`` and the contact replay also run.
+``weighted_blowdown`` walks a config's own classes along its path, else
+(or on an anomaly) along ``homology._forced_contractions``, the general walk.
 
 Both chains of a config are stored with class index 1 adjacent to E~ (the
 expansions above read from the opposite, axis-adjacent end; reversing an
@@ -303,6 +303,39 @@ def cross_check(p: int, q: int) -> bool:
                                           mcduff_sequence(q, p).lattice())
 
 
+def _path_walk(lat: IntersectionLattice, config: BlowupConfig) -> bool:
+    """Whether the forced walk empties ``lat``, of exactly the config's
+    classes, E~ at -1: False unless each has c1 = 2 + self and meets just its
+    neighbours on the path Zp_n..Zp_1, E~, Zq_1..Zq_m, once each.  A contraction
+    bumps both neighbours by (1, 1) and joins them, so each stack's top is
+    bumped once as it comes up: take the top at -1, p's first; past -1, a stall."""
+    self_, c1, edges, e = lat._self, lat._c1, lat._edges, config.exceptional_label
+    degrees, stacks = len(edges[e]), []
+    for chain in (config.chain_p.labels, config.chain_q.labels):
+        stack, prev = [], e
+        for label in chain:
+            s, row = self_[label], edges[label]
+            if c1[label] != s + 2 or row.get(prev) != 1:
+                return False
+            degrees += len(row)
+            stack.append(s + 1)
+            prev = label
+        stack.append(1)  # below an emptied chain: never at -1
+        stacks.append(stack)
+    if c1[e] != 1 or degrees != 2 * len(self_) - 2:  # a path edge each, and no other
+        return False
+    (p, q), i, j = stacks, 0, 0
+    top_p, top_q = p[0], q[0]  # E~ contracted
+    for _ in range(len(self_) - 1):
+        if top_p == -1:
+            i, top_p, top_q = i + 1, p[i + 1], top_q + 1
+        elif top_q == -1:
+            j, top_p, top_q = j + 1, top_p + 1, q[j + 1]
+        else:
+            return False
+    return True
+
+
 def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> IntersectionLattice:
     """Remove a blowup configuration by iterated (-1)-contractions.
 
@@ -310,9 +343,10 @@ def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> Interse
     self-intersection -1 at each stage (the reverse of the cut replay), and
     contracting in that forced order empties the configuration in
     |chain_p| + |chain_q| + 1 steps.  Any stage without a (-1) config class
-    means the configuration was corrupted.  One walk edits one copy of
-    ``lat``'s store, so the whole blowdown costs O(n) beyond that copy.  A
-    walk that leaves no class returns the shared ``empty_lattice()``.
+    means the configuration was corrupted.  ``_path_walk`` reads a lattice
+    of just the config's classes in O(n); else, or on an anomaly, one walk
+    edits a copy of ``lat``'s store, so the whole blowdown costs O(n) beyond
+    that copy.  A walk that leaves no class returns ``empty_lattice()``.
     """
     if not (isinstance(lat, IntersectionLattice) and isinstance(config, BlowupConfig)):
         _lattice(lat)
@@ -324,6 +358,8 @@ def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> Interse
     etilde = labels[0]
     if selfs[etilde] != -1:
         raise StructureError(f"{etilde!r} has self-intersection {selfs[etilde]}, not -1")
+    if len(selfs) == len(labels) and _path_walk(lat, config):
+        return empty_lattice()
     store = lat._store()
     if remaining := _forced_contractions(store, labels):
         if etilde in remaining:  # E~ leads the walk: it is left only if its c1 is not 1

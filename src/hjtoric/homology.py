@@ -25,10 +25,10 @@ O(n) in total.  Rows shared with other lattices are never written:
 ``_forced_contractions`` copies an edge-map row before writing to it, and
 ``_blow_up`` writes the touched rows in place, so ``blow_up_at`` copies
 those rows first and the cut replay runs it on a store of its own.
-``_forced_contractions`` is one plain loop and the only copy of the
-contraction arithmetic: ``blow_down`` runs it on one label,
-``blowup.weighted_blowdown`` on a configuration and ``chain_contact_replay``
-on one until a class that E' meets is at -1.
+``_forced_contractions`` is one plain loop, the general contraction walk:
+``blow_down`` runs it on one label, ``blowup.weighted_blowdown`` on a
+configuration its path walk (for that shape alone) does not empty and
+``chain_contact_replay`` on one until a class that E' meets is at -1.
 """
 
 from __future__ import annotations

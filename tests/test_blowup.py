@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hjtoric.blowup
+import hjtoric.circle
 import stepwise
 from geometry import Polygon, corner_cut, det2, quadrant
 from hjtoric.blowup import (
@@ -547,8 +548,27 @@ def without(lat, labels):
                                [lat.c1[i] for i in keep])
 
 
+def paired(lat, a, b, m):
+    """``lat`` with the pairing of classes ``a`` and ``b`` set to ``m``."""
+    rows = [list(row) for row in lat.pairing]
+    i, j = lat.classes.index(a), lat.classes.index(b)
+    rows[i][j] = rows[j][i] = m
+    return IntersectionLattice(lat.classes, rows, lat.c1)
+
+
+def swapped(lat, a, b):
+    """``lat`` with the labels ``a`` and ``b`` exchanged."""
+    classes = [b if l == a else a if l == b else l for l in lat.classes]
+    return IntersectionLattice(classes, lat.pairing, lat.c1)
+
+
 def tampered(cfg):
-    """(lattice, config) pairs that are not a config's own lattice."""
+    """(lattice, config) pairs that are not a config's own lattice.  The
+    blowdown's path walk reads each one that holds exactly the config's
+    classes; the anomalies only it reads are a chain class off the adjunction
+    rule by its c1, a path edge of weight 2 or missing, an edge that closes a
+    cycle, two adjacent chain labels swapped, and the first class of each
+    chain at -2 with c1 = 0, so that both are at -1 after E~ (a tie)."""
     lat = cfg.lattice()
     extra = Chain(cfg.chain_q.self_intersections + (-2,), cfg.chain_q.labels + ("Zx",))
     yield lat, BlowupConfig(cfg.p, cfg.q, cfg.size, cfg.chain_p, extra, cfg.exceptional_label)
@@ -560,6 +580,21 @@ def tampered(cfg):
     if cfg.chain_labels:
         yield without(lat, [cfg.chain_labels[-1]]), cfg
         yield add_class(lat, "Y", -2, {cfg.chain_labels[-1]: 1}), cfg
+        yield altered(lat, cfg.chain_labels[-1], c1_shift=1), cfg
+    path = (*reversed(cfg.chain_p.labels), cfg.exceptional_label, *cfg.chain_q.labels)
+    for a, b in dict.fromkeys([path[:2], path[-2:]]) if len(path) > 1 else ():
+        yield paired(lat, a, b, 2), cfg
+        yield paired(lat, a, b, 0), cfg
+    if cfg.chain_p and cfg.chain_q:
+        yield paired(lat, path[0], path[-1], 1), cfg
+        tie = lat
+        for chain in (cfg.chain_p, cfg.chain_q):
+            shift = -2 - chain.self_intersections[0]
+            tie = altered(tie, chain.labels[0], shift, shift)
+        yield tie, cfg
+    for chain in (cfg.chain_p, cfg.chain_q):
+        if len(chain) > 1:
+            yield swapped(lat, *chain.labels[:2]), cfg
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (7, 4), (11, 3), (13, 8), (40, 1), (41, 29)])
@@ -570,6 +605,44 @@ def test_tampered_configs_fail_like_the_oracle(p, q):
         assert got == stepwise.outcome(stepwise.weighted_blowdown, lat, cfg)
         outcomes.add(got[0] if isinstance(got, tuple) else "lattice")
     assert {DomainError, StructureError} <= outcomes
+
+
+def refuse_the_general_walk(monkeypatch):
+    """Make the general walk behind ``weighted_blowdown``'s path walk raise."""
+    def general_walk(*args):
+        raise AssertionError("the blowdown fell back to the general walk")
+
+    monkeypatch.setattr(hjtoric.blowup, "_forced_contractions", general_walk)
+
+
+def test_every_config_blows_down_along_its_path(monkeypatch):
+    """Each coprime config with p < 200, (1, 1) included, is emptied by the
+    path walk on its own lattice, never by the general walk."""
+    refuse_the_general_walk(monkeypatch)
+    for p in range(1, 200):
+        for q in config_weights(p):
+            cfg = fulton_config(p, q)
+            assert weighted_blowdown(cfg.lattice(), cfg) is empty_lattice(), (p, q)
+
+
+def test_simulator_blowdowns_take_the_path_walk(monkeypatch):
+    """A run over the circle-sim workload's seven weights, (55, 34) and
+    (255, 1), blows each victim down by the path walk alone: every -1 level
+    of five loops, one call each."""
+    refuse_the_general_walk(monkeypatch)
+    calls = []
+
+    def counting(lat, config):
+        calls.append((config.p, config.q))
+        return weighted_blowdown(lat, config)
+
+    monkeypatch.setattr(hjtoric.circle, "weighted_blowdown", counting)
+    weights = [(1, 1), (2, 1), (3, 1), (3, 2), (5, 2), (5, 3), (7, 4), (55, 34), (255, 1)]
+    k = len(weights)
+    data = [FixedPointDatum(Fraction(i, 2 * k) + Fraction(1, 2) * down, -1 if down else 1, p, q)
+            for i, (p, q) in enumerate(weights) for down in (0, 1)]
+    assert run_loop(data, 5, 1000).verdict == "INCONCLUSIVE"
+    assert sorted(calls) == sorted(weights * 5)
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (7, 4), (11, 3), (13, 8), (40, 1), (41, 29)])
@@ -595,7 +668,8 @@ def config_weights(p):
 def test_walk_matches_the_stepwise_oracles(data):
     """A config with p <= 60, its own lattice or a tampered one (E~ at -2
     or with c1 = 2, a chain class one lower, missing, or lifted to a second
-    exceptional class, a foreign class on a chain class), alone or summed
+    exceptional class, a foreign class on a chain class, and the anomalies
+    only the path walk reads, listed in ``tampered``), alone or summed
     with foreign classes: the blowdown and the contact replay with E' on
     any class give the oracles' result, or raise the same error with the
     same message."""
