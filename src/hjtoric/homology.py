@@ -13,7 +13,8 @@ sparse: the labels in basis order, a self-intersection and a c1 per label,
 and an edge map holding only the nonzero pairings of distinct classes.
 Blowups, blowdowns and sums touch only the classes they change and are
 symmetric by construction; the dense ``pairing`` matrix is a read-only view
-built on demand, for JSON output and for callers that want rows.
+built on demand, for JSON output and for callers that want rows.  A sparse
+pairing in JSON text as ``json.dumps`` writes it is read with no dense list.
 
 Public operations never mutate, so values can be shared freely across
 threads: each returns a fresh lattice value, but a construction left with no
@@ -34,9 +35,11 @@ configuration its path walk (for that shape alone) does not empty and
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Mapping, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import compress, islice
+from json.decoder import WHITESPACE, JSONDecoder, scanstring
 from math import gcd
 from types import MappingProxyType
 
@@ -76,6 +79,92 @@ def _scan(classes, rows, typed) -> tuple[dict, dict] | None:
     return self_, edges
 
 
+_GAP = {sep: re.compile(f"([0{sep}]*)([^,]*)").match for sep in (",", ", ")}  # zeros, a token
+_SPACE = WHITESPACE.match
+_VALUE = JSONDecoder().raw_decode
+
+
+def _text_rows(text, i) -> tuple[list, int]:
+    """The pairing at ``text[i]`` as ``{column: nonzero}`` rows and the index
+    past it, if ``json.dumps`` could have written it without ``indent``
+    (items split by "," or ", ") and it is sparse; otherwise a ValueError,
+    before any per-row work if the text is not so spaced or too dense.  A
+    run of zeros is skipped at C speed and compared with ``zeros``; a token
+    is taken only as ``str`` writes an int (not ``-0``, ``01``, ``+1``,
+    ``1_0``, " 1", non-ASCII digits)."""
+    if not text.startswith("[[", i) or (end := text.find("]]", i)) < 0:
+        raise ValueError("not a pairing as json.dumps writes one")
+    sep = ", " if text.startswith("], [", text.find("]", i)) else ","
+    rows = text[i + 2:end].split("]" + sep + "[")
+    n, w, gap = len(rows), len(sep) + 1, _GAP[sep]
+    if 20 * (n * n - text.count("0", i, end)) > n * n + 4096:  # 5% nonzero: json.loads is faster
+        raise ValueError("a dense pairing")
+    zeros = ("0" + sep) * n  # k zeros: k*w chars, or k*w - w + 1 at the row's end
+    out = []
+    for s in rows:
+        row, col, at, stop = {}, 0, 0, len(s)
+        while True:  # a run of zeros, then a nonzero token or the row's end
+            m = gap(s, at)
+            e, c = m.span(2)
+            if (e - at) % w != (e == stop) or s[at:e] != zeros[:e - at]:
+                raise ValueError("a run of zeros not as json.dumps writes one")
+            col -= (at - e) // w  # the run's zeros, rounded up
+            if e == stop:
+                break
+            v = row[col] = int(m[2])
+            if str(v) != m[2]:
+                raise ValueError("an int not as str writes it")
+            col += 1
+            if c == stop or not s.startswith(sep, c):
+                break
+            at = c + len(sep)
+        if col != n or c != stop:
+            raise ValueError("a row of another length")
+        out.append(row)
+    return out, end + 2
+
+
+def _past(text, i, char) -> int:
+    """The index past ``char``, after JSON whitespace from ``text[i]``; else a ValueError."""
+    i = _SPACE(text, i).end()
+    if not text.startswith(char, i):
+        raise ValueError(char)
+    return i + 1
+
+
+def _read_text(text: str) -> "IntersectionLattice | None":
+    """``from_json`` of text whose pairing ``_text_rows`` reads, walked as ``json.loads``
+    walks it (a repeated key: the last one counts); None on other text or an anomaly."""
+    try:
+        fields, i = {}, _past(text, 0, "{")
+        while True:
+            key, i = scanstring(text, _past(text, i, '"'))
+            read = _text_rows if key == "pairing" else _VALUE
+            fields[key], i = read(text, _SPACE(text, _past(text, i, ":")).end())
+            i = _SPACE(text, i).end()
+            if not text.startswith(",", i):
+                break
+            i += 1
+        if _SPACE(text, _past(text, i, "}")).end() != len(text) or "pairing" not in fields:
+            return None
+    except (ValueError, RecursionError):  # bad JSON, too deep, >4300 digits, not dumps text
+        return None
+    rows = fields["pairing"]
+    n = len(rows)
+    classes, c1 = fields.get("classes"), fields.get("c1")
+    classes = [f"C{i + 1}" for i in range(n)] if classes is None else classes
+    if type(classes) is not list or len(classes) != n or not {str}.issuperset(
+            map(type, classes)) or len(set(classes)) != n or c1 is not None and (
+            type(c1) is not list or len(c1) != n or not {int}.issuperset(map(type, c1))):
+        return None
+    self_ = {l: row.pop(i, 0) for i, l, row in zip(range(n), classes, rows)}
+    if any(rows[j].get(i) != v for i, row in enumerate(rows) for j, v in row.items()):
+        return None
+    edges = {l: {classes[j]: v for j, v in row.items()} for l, row in zip(classes, rows)}
+    c1 = {l: 2 + s for l, s in self_.items()} if c1 is None else dict(zip(classes, c1))
+    return IntersectionLattice._sparse(self_, c1, edges)
+
+
 class IntersectionLattice:
     """Labeled classes with a symmetric integer pairing and c1 labels.
 
@@ -91,8 +180,9 @@ class IntersectionLattice:
     type-tested), so the rows are square, symmetric and all ints, unless a
     zero-valued non-int (0.0, -0.0, False) is among the zeros: a type pass
     rules that out, except on JSON text with no float literal and no
-    ``false``.  On an anomaly the checks run in the order above.  It is the
-    entry point for outside input; the other
+    ``false``.  On an anomaly the checks run in the order above.  It and
+    ``from_json``, which reads JSON text as ``json.dumps`` writes it with no
+    dense list at all, are the entry points for outside input; the other
     functions here build the sparse store, which is valid by construction.
 
     The store is a self-intersection and a c1 per label, and an edge map
@@ -260,11 +350,18 @@ class IntersectionLattice:
     def from_json(obj: dict | str) -> "IntersectionLattice":
         """Read ``{"pairing": [[...]], "classes": [...], "c1": [...]}``.
 
-        ``classes`` and ``c1`` are optional.  Malformed JSON, a non-square
-        pairing, entries that are not integers (floats, booleans) and class
-        labels that are not strings raise DomainError.  Text with no float
-        and no ``false`` skips the type pass (no entry is 0.0, -0.0, False).
+        ``classes`` and ``c1`` are optional (absent or null: ``C1..Cn`` and
+        adjunction).  Malformed JSON, a non-square pairing, entries that are
+        not integers (floats, booleans) and class labels that are not
+        strings raise DomainError.  Text as ``json.dumps`` writes it without
+        ``indent``, with at most about 5% nonzero pairings, is read sparse,
+        only its nonzero tokens parsed; any other text, and any anomaly, goes
+        to ``json.loads`` and the constructor's checks and messages, with no
+        type pass if it has no float and no ``false`` (no entry is 0.0, -0.0,
+        False).
         """
+        if isinstance(obj, str) and (lat := _read_text(obj)) is not None:
+            return lat
         typed = [not isinstance(obj, str) or "false" in obj]  # grows by each float literal
         if isinstance(obj, str):
             try:

@@ -16,6 +16,7 @@ import fraction_signature
 import stepwise
 from hjtoric import homology
 from hjtoric.blowup import fulton_config
+from hjtoric.circle import FixedPointDatum, run_loop
 from hjtoric.errors import DomainError
 from hjtoric.homology import (
     IntersectionLattice,
@@ -722,6 +723,175 @@ def test_text_read_matches_the_dense_read_oracle(text):
     got = IntersectionLattice.from_json(text)
     assert got == lat and got.classes == lat.classes
     assert got.pairing == pairing and got.c1 == c1_view
+
+
+def from_json_oracle(text):
+    """What ``from_json(text)`` gave before the sparse text read:
+    ``json.loads``, then the dense oracle read of the decoded object.
+    Returns ``(lattice, pairing view, c1 view)``, or the DomainError message."""
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return f"malformed JSON input: {exc}"
+    if not isinstance(obj, dict) or not isinstance(obj.get("pairing"), list):
+        return 'a lattice is an object with a "pairing" matrix'
+    rows = obj["pairing"]
+    n = len(rows)
+    classes = [f"C{i + 1}" for i in range(n)] if obj.get("classes") is None else obj["classes"]
+    try:
+        lat, pairing, c1 = dense.read_rows(classes, rows, [0] * n if obj.get("c1") is None
+                                           else obj["c1"])
+        if obj.get("c1") is None:  # the adjunction default
+            lat, pairing, c1 = dense.read_rows(classes, rows, [2 + pairing[i][i] for i in range(n)])
+    except DomainError as exc:
+        return str(exc)
+    return lat, pairing, c1
+
+
+def assert_reads_like_the_oracle(text):
+    """Equal lattices, views and neighbour orders, or the same DomainError."""
+    want = from_json_oracle(text)
+    if isinstance(want, str):
+        with pytest.raises(DomainError) as got:
+            IntersectionLattice.from_json(text)
+        assert str(got.value) == want
+        return
+    lat, pairing, c1 = want
+    got = IntersectionLattice.from_json(text)
+    assert got == lat and got.classes == lat.classes and type(got.classes) is tuple
+    assert got.pairing == pairing and got.c1 == c1 and type(got.c1) is tuple
+    assert [list(got.neighbours(l)) for l in got.classes] == [
+        list(lat.neighbours(l)) for l in lat.classes]  # column order
+
+
+SPACINGS = {  # item and key separators, the brackets of a list
+    "compact": (",", ":", "[", "]"), "spaced": (", ", ": ", "[", "]"),
+    "indent=2": (",\n    ", ": ", "[\n    ", "\n  ]"), "newlines": (",\n", ":", "[", "]")}
+TOKENS = ["-0", "00", "000", "0000", "", "01", "+1", "1e0", "1.0", "1_0", " 1", "\u0661",
+          "9" * 4301]
+
+
+@st.composite
+def dumped_texts(draw):
+    """Lattice JSON text over a drawn symmetric form, written as ``json.dumps``
+    writes it (items split by "," or ", "), indented, or with other newlines,
+    which the sparse read leaves to the old one, with up to two text-level
+    changes: a pairing token that ``json.loads`` reads otherwise than the
+    sparse read would (``-0``, ``01``, a 4301-digit int, ...), one item of
+    a row split by the other separator, a second ``"pairing"`` key, data
+    after the object or a BOM before it, an empty pairing or one row nested
+    one level deeper.  A label may hold ``]]`` or
+    ``"pairing":``, or repeat another, and ``classes`` and ``c1`` may be null."""
+    rows = draw(symmetric_forms(max_n=6))
+    n = len(rows)
+    item, key, opening, closing = SPACINGS[draw(st.sampled_from(sorted(SPACINGS)))]
+
+    def dump(items):
+        return opening + item.join(items) + closing
+
+    tokens = [[str(x) for x in row] for row in rows]
+    changes = [draw(st.sampled_from(["token", "respace", "twice", "trail", "lead", "shape"]))
+               for _ in range(draw(st.integers(0, 2)))]
+    if "token" in changes and n:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        tokens[i][j] = draw(st.sampled_from(TOKENS))
+    lists = [dump(row) for row in tokens]
+    if "respace" in changes and n > 1:  # one item of a row split the other way
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(1, n - 1))
+        other = "," if item == ", " else ", "
+        lists[i] = dump([item.join(tokens[i][:j]) + other + item.join(tokens[i][j:])])
+    if "shape" in changes and n:
+        i = draw(st.integers(0, n - 1))
+        lists[i] = dump([lists[i]])
+    pairing = dump(lists)
+    if "shape" in changes and draw(st.booleans()):
+        pairing = draw(st.sampled_from(["[]", "[[]]"]))
+    fields = [f'"pairing"{key}{pairing}']
+    if "twice" in changes:
+        fields.append(f'"pairing"{key}' + dump(map(dump, ([str(x) for x in row] for row in
+                                                           draw(symmetric_forms(max_n=3))))))
+    if draw(st.booleans()):
+        labels = [f"C{i}" for i in range(n)]
+        if n and draw(st.booleans()):
+            labels[draw(st.integers(0, n - 1))] = draw(st.sampled_from(['a]]', '"pairing":', "C0"]))
+        fields.append(f'"classes"{key}' + draw(st.sampled_from([json.dumps(labels), "null"])))
+    if draw(st.booleans()):
+        c1 = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        fields.append(f'"c1"{key}' + draw(st.sampled_from([json.dumps(c1), "null"])))
+    head = draw(st.sampled_from(["\ufeff", " ", "\n"])) if "lead" in changes else ""
+    tail = draw(st.sampled_from([" ", "\n", " x", "}", ",", "{}", "[]"])) if "trail" in changes \
+        else ""
+    return head + "{" + item.join(draw(st.permutations(fields))) + "}" + tail
+
+
+@settings(max_examples=600, deadline=None)
+@given(dumped_texts())
+def test_dumped_text_reads_like_the_dense_read_oracle(text):
+    """The sparse read of text ``json.dumps`` writes, and the old read it
+    hands every other text to, read as ``json.loads`` and the dense oracle
+    do: equal lattices and views, or the same DomainError."""
+    assert_reads_like_the_oracle(text)
+
+
+@pytest.mark.parametrize("text", [
+    '{"pairing": [[-2,-0],[0,-2]]}', '{"pairing": [[1,0],[0,1]]} x', '\ufeff{"pairing": [[1]]}',
+    '{"pairing": []}', '{"pairing": [[]]}', '{"pairing": [[[-2],0],[0,-2]]}',
+    '{"pairing": [[1,2],[2,1]], "pairing": [[5]]}', '{"pairing": [[0, 1], [1, 0]],"c1": null}',
+    '{"classes": ["]]", "\\"pairing\\":"], "pairing": [[-1,1],[1,-1]]}',
+    '{"pairing": [[1, 0],[0, 1]]}', '{"pairing": [[1,0], [0,1]]}', '{"pairing": [[1 ,0],[0,1]]}',
+    '{"pairing": [[1,0,],[0,1]]}', '{"pairing": [[1,,0],[0,1]]}', '{"pairing": [[0,1],[2,0]]}',
+    '{"pairing": [[1,0],[0,1],]}', '{"pairing": [[1,0],[0,1]], }',
+    '{"pairing": [[1]], "c1": [1.0]}',
+    '{"pairing": [[\u0661]]}', '{"pairing": [[1]], "classes": [["a"]]}',
+    '{"pairing": [[00,,1],[0,0,0],[1,0,0]]}', '{"pairing": [[0, 1], [1,-2]]}',
+    '{"pairing": {"1]]}', '{"pairing": [ [1]]}', '{"pairing": [[1],[1] ]}',
+    '{"pairing"x[[1]]}', '{xpairing": [[1]]}', '{"pairing": [[1]]]', '{"pairing": [[1]],}',
+    pytest.param('{"note": ' + "[" * 100000 + ', "pairing": [[1]]}', id="deep"),
+])
+def test_hand_picked_texts_read_like_the_dense_read_oracle(text):
+    assert_reads_like_the_oracle(text)
+
+
+def test_dumped_lattices_take_the_sparse_read(monkeypatch):
+    """Every config lattice with p < 60 and a run's final lattice, written
+    by ``json.dumps`` with either item separator, read back with the dense
+    scan made to raise: the sparse read alone reads them.  Indented text
+    takes the dense scan, and reads the same."""
+    pairs = [("0", "1/2", 7, 4), ("1/8", "5/8", 3, 2), ("1/4", "3/4", 55, 34)]
+    data = [FixedPointDatum(l, s, p, q)
+            for up, down, p, q in pairs for l, s in ((up, 1), (down, -1))]
+    lattices = [run_loop(data, 6, 5).final_lattice, fulton_config(1, 1).lattice()]
+    lattices += [fulton_config(p, q).lattice() for p in range(2, 60) for q in range(1, p)
+                 if gcd(p, q) == 1]
+    assert len(lattices[0]) == 22
+
+    def dense_scan(*args):
+        raise AssertionError("the dense scan ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(homology, "_scan", dense_scan)
+        for lat in lattices:
+            for separators in ((",", ":"), (", ", ": ")):
+                text = json.dumps(lat.to_json(), separators=separators)
+                got = IntersectionLattice.from_json(text)
+                assert got == lat and got.classes == lat.classes and got.c1 == lat.c1
+        with pytest.raises(AssertionError, match="the dense scan ran"):
+            IntersectionLattice.from_json(json.dumps(lattices[0].to_json(), indent=2))
+    for lat in lattices:
+        assert IntersectionLattice.from_json(json.dumps(lat.to_json(), indent=2)) == lat
+
+
+def test_a_dense_pairing_is_left_to_json_loads():
+    """A pairing with more than about 5% nonzero entries is read faster by
+    ``json.loads`` than token by token, so the sparse read leaves it to the
+    old one; a plumbing graph of any size is sparse enough."""
+    dense_rows = [[1] * 40 for _ in range(40)]
+    chain = [[-2 if i == j else int(abs(i - j) == 1) for j in range(400)] for i in range(400)]
+    for rows, sparse in ((dense_rows, False), (chain, True)):
+        text = json.dumps({"pairing": rows}, separators=(",", ":"))
+        assert (homology._read_text(text) is not None) is sparse
+        assert IntersectionLattice.from_json(text) == IntersectionLattice(
+            [f"C{i + 1}" for i in range(len(rows))], rows, [2 + row[i] for i, row in enumerate(rows)])
 
 
 READS = {
