@@ -48,37 +48,6 @@ from .errors import (DomainError, StructureError, require_int, require_ints, req
                      require_object, require_strs)
 
 
-def _after(seq, i):
-    it = (list if isinstance(seq, list) else tuple).__iter__(seq)  # one that can seek
-    it.__setstate__(i)  # now over seq[i:], with no copy
-    return it
-
-
-def _scan(classes, rows, typed) -> tuple[dict, dict] | None:
-    """The store of n x n rows, type-tested if ``typed`` (see ``IntersectionLattice``), or None."""
-    n = len(rows)
-    cols, self_, edges = list(range(n)), {}, {}
-    below = [[] for _ in rows]  # below[i]: the j < i with rows[j][i] != 0
-    for i, l, row, js in zip(cols, classes, rows, below):
-        if not isinstance(row, (list, tuple)) or len(row) != n or type(row[i]) is not int or (
-                typed and not {int}.issuperset(map(type, row))):
-            return None
-        d = self_[l] = row[i]
-        edge = edges[l] = {}
-        for j in js:  # the mirrors of earlier rows' nonzeros
-            m = edge[classes[j]] = row[j]
-            if type(m) is not int or m != rows[j][i]:
-                return None
-        left = n - row.count(0) - len(js) - (d != 0)  # the nonzeros right of d
-        if left:
-            for j in islice(compress(_after(cols, i + 1), _after(row, i + 1)), left):
-                edge[classes[j]] = row[j]
-                below[j].append(i)
-            if len(edge) != len(js) + left or not {int}.issuperset(map(type, edge.values())):
-                return None
-    return self_, edges
-
-
 _GAP = {sep: re.compile(f"([0{sep}]*)([^,]*)").match for sep in (",", ", ")}  # zeros, a token
 _SPACE = WHITESPACE.match
 _VALUE = JSONDecoder().raw_decode
@@ -169,21 +138,17 @@ class IntersectionLattice:
     """Labeled classes with a symmetric integer pairing and c1 labels.
 
     ``IntersectionLattice(classes, pairing, c1)`` reads a dense square
-    pairing matrix and checks it: lists (or tuples) of distinct str labels, of
-    rows and of c1 labels, int entries and c1 labels (a bool, a float or a
-    Fraction is a DomainError), a square shape, one c1 per class and
-    symmetry.  It reads the rows in one half-triangle scan, with no dense
-    copy.  ``row.count(0)`` gives row i's nonzero count; left of the
-    diagonal, only the mirrors of earlier rows' nonzeros are read, and
-    ``compress`` finds the nonzeros right of it, stopping at the count.
-    That count balances only if every entry not equal to 0 was read (and
-    type-tested), so the rows are square, symmetric and all ints, unless a
-    zero-valued non-int (0.0, -0.0, False) is among the zeros: a type pass
-    rules that out, except on JSON text with no float literal and no
-    ``false``.  On an anomaly the checks run in the order above.  It and
-    ``from_json``, which reads JSON text as ``json.dumps`` writes it with no
-    dense list at all, are the entry points for outside input; the other
-    functions here build the sparse store, which is valid by construction.
+    pairing matrix and checks it, in this order: lists (or tuples) of
+    distinct str labels, of rows and of c1 labels, int entries and c1
+    labels (a bool, a float or a Fraction is a DomainError), a square shape,
+    one row and one c1 per class, and symmetry.  It makes one C-speed type pass per row;
+    ``compress`` then finds the row's nonzeros, stopping at the count that
+    ``row.count(0)`` gives, and symmetry is compared at the nonzeros only
+    (an asymmetric pair has a nonzero side), with no dense copy.  It is the
+    one dense read: ``signature`` reads a list of rows through it, and
+    ``from_json`` any object or text that the sparse text read refuses.
+    The other functions here build the sparse store, which is valid by
+    construction.
 
     The store is a self-intersection and a c1 per label, and an edge map
     ``label -> {neighbour: pairing}`` with nonzero entries only, each edge
@@ -198,31 +163,34 @@ class IntersectionLattice:
     __slots__ = ("_classes", "_self", "_c1", "_edges", "_pairing", "_c1_view")
 
     def __init__(self, classes, pairing, c1):
-        self._read(classes, pairing, c1, True)
-
-    def _read(self, classes, pairing, c1, typed) -> None:
         classes = require_strs(classes, "class labels must be a list of strings")
         n = len(classes)
         if len(set(classes)) != n:
             raise DomainError("class labels must be distinct")
         rows = require_list(pairing, "a pairing must be a list of rows")
-        store = len(rows) == n and _scan(classes, rows, typed)
-        if not store:  # an anomaly: the checks run in their documented order
-            for row in rows:  # require_ints's test, without its tuple copy
-                if not isinstance(row, (list, tuple)) or not {int}.issuperset(map(type, row)):
-                    raise DomainError(f"each pairing row must be a list of integers, got {row!r}")
-            if any(len(row) != len(rows) for row in rows):
-                raise DomainError("pairing matrix must be square")
-            if len(rows) != n:
-                raise DomainError("pairing matrix shape does not match class count")
+        for row in rows:  # require_ints's test, without its tuple copy
+            if not isinstance(row, (list, tuple)) or not {int}.issuperset(map(type, row)):
+                raise DomainError(f"each pairing row must be a list of integers, got {row!r}")
+        if any(len(row) != len(rows) for row in rows):
+            raise DomainError("pairing matrix must be square")
+        if len(rows) != n:
+            raise DomainError("pairing matrix shape does not match class count")
         c1 = require_ints(c1, "c1 must be a list of integers")
         if len(c1) != n:
             raise DomainError("c1 labels do not match class count")
-        if not store:  # the scan takes every square symmetric int matrix
-            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
-                        if rows[i][j] != rows[j][i])
+        cols = list(range(n))  # compress reads stored ints, with no int made per entry
+        nonzero = [list(islice(compress(cols, row), n - row.count(0))) for row in rows]
+        # an asymmetric pair has a nonzero side, so comparing there is enough
+        if not all(rows[j][i] == row[j] for i, row, js in zip(cols, rows, nonzero) for j in js):
+            i, j = next((i, j) for i in cols for j in range(i + 1, n) if rows[i][j] != rows[j][i])
             raise DomainError(f"pairing not symmetric at ({i}, {j})")
-        self._init(classes, store[0], dict(zip(classes, c1)), store[1])
+        self._init(
+            classes,
+            {l: row[i] for i, l, row in zip(cols, classes, rows)},
+            dict(zip(classes, c1)),
+            {l: {classes[j]: row[j] for j in js if j != i}
+             for i, l, row, js in zip(cols, classes, rows, nonzero)},
+        )
         self._c1_view = c1
 
     def _init(self, classes, self_, c1, edges) -> None:
@@ -355,17 +323,15 @@ class IntersectionLattice:
         not integers (floats, booleans) and class labels that are not
         strings raise DomainError.  Text as ``json.dumps`` writes it without
         ``indent``, with at most about 5% nonzero pairings, is read sparse,
-        only its nonzero tokens parsed; any other text, and any anomaly, goes
-        to ``json.loads`` and the constructor's checks and messages, with no
-        type pass if it has no float and no ``false`` (no entry is 0.0, -0.0,
-        False).
+        only its nonzero tokens parsed; an object, any other text and any
+        anomaly are decoded by ``json.loads`` and read by the constructor,
+        with its checks and messages.
         """
-        if isinstance(obj, str) and (lat := _read_text(obj)) is not None:
-            return lat
-        typed = [not isinstance(obj, str) or "false" in obj]  # grows by each float literal
         if isinstance(obj, str):
+            if (lat := _read_text(obj)) is not None:
+                return lat
             try:
-                obj = json.loads(obj, parse_float=lambda s: typed.append(s) or float(s))
+                obj = json.loads(obj)
             except (ValueError, RecursionError) as exc:  # bad JSON, too deep, >4300 digits
                 raise DomainError(f"malformed JSON input: {exc}") from None
         if not isinstance(obj, dict) or not isinstance(obj.get("pairing"), list):
@@ -373,8 +339,7 @@ class IntersectionLattice:
         n = len(obj["pairing"])
         classes = [f"C{i + 1}" for i in range(n)] if obj.get("classes") is None else obj["classes"]
         c1 = obj.get("c1")
-        lat = IntersectionLattice.__new__(IntersectionLattice)
-        lat._read(classes, obj["pairing"], [0] * n if c1 is None else c1, any(typed))
+        lat = IntersectionLattice(classes, obj["pairing"], [0] * n if c1 is None else c1)
         if c1 is None:  # adjunction default for sphere classes, read from the checked rows
             lat._c1, lat._c1_view = {l: 2 + s for l, s in lat._self.items()}, None
         return lat
@@ -492,8 +457,9 @@ def signature(form) -> tuple[int, int, int]:
     core left over, with its diagonals and original edges, goes on to a
     heap at a class of least remaining degree (ties to basis order), where
     a pivot of degree k updates O(k^2) entries.  A list of rows is read
-    first: a type pass and a half-triangle scan, no dense copy.  The triple
-    is a congruence invariant, independent of basis and of pivot order.
+    first by the constructor: a type pass and a nonzero scan per row, no
+    dense copy.  The triple is a congruence invariant, independent of basis
+    and of pivot order.
     """
     if not isinstance(form, IntersectionLattice):
         rows = require_list(form, "a form must be a lattice or a list of integer rows")

@@ -7,9 +7,8 @@ whole matrix.  They read and build lattices only through the public
 constructor and the ``pairing``/``c1`` views, so they share no code with the
 routines they check.  ``read_rows`` is the constructor's dense read as it
 was then, tuple copies and a transposed copy, and builds its lattice with
-the private ``_sparse``: it is the oracle for the half-triangle scan that
-replaced that read, with its type pass on objects and without it on JSON
-text that holds no float and no ``false``.
+the private ``_sparse``: it is the oracle for the type pass and nonzero
+scan that replaced that read, and for ``from_json`` on objects and text.
 """
 
 from fractions import Fraction

@@ -669,7 +669,7 @@ def mutated_texts(draw):
     mutations in JSON terms: an entry made a zero-valued non-int or another
     non-int, an int set on one side of the diagonal only, or a row made
     ragged.  Sometimes a class label holds ``false`` or an ignored key holds
-    a float: either sends the text to the type pass, so both reads show."""
+    a float: text outside the pairing must not change how its entries read."""
     rows = draw(symmetric_forms(max_n=6))
     n = len(rows)
     tokens = [[str(x) for x in row] for row in rows]
@@ -703,9 +703,10 @@ def mutated_texts(draw):
 @settings(max_examples=400, deadline=None)
 @given(mutated_texts())
 def test_text_read_matches_the_dense_read_oracle(text):
-    """``from_json`` on text, which skips the type pass when the text has no
-    float and no ``false``, reads as the dense oracle reads the decoded
-    object: equal lattices and views, or the same DomainError."""
+    """``from_json`` on text, by the sparse read or by ``json.loads`` and
+    the constructor's type pass and nonzero scan, reads as the dense oracle
+    reads the decoded object: equal lattices and views, or the same
+    DomainError."""
     obj = json.loads(text)
     n = len(obj["pairing"])
     classes = obj.get("classes", [f"C{i + 1}" for i in range(n)])
@@ -854,9 +855,9 @@ def test_hand_picked_texts_read_like_the_dense_read_oracle(text):
 
 def test_dumped_lattices_take_the_sparse_read(monkeypatch):
     """Every config lattice with p < 60 and a run's final lattice, written
-    by ``json.dumps`` with either item separator, read back with the dense
-    scan made to raise: the sparse read alone reads them.  Indented text
-    takes the dense scan, and reads the same."""
+    by ``json.dumps`` with either item separator, read back with the
+    constructor made to raise: the sparse read alone reads them.  Indented
+    text takes the constructor's dense read, and reads the same."""
     pairs = [("0", "1/2", 7, 4), ("1/8", "5/8", 3, 2), ("1/4", "3/4", 55, 34)]
     data = [FixedPointDatum(l, s, p, q)
             for up, down, p, q in pairs for l, s in ((up, 1), (down, -1))]
@@ -865,17 +866,17 @@ def test_dumped_lattices_take_the_sparse_read(monkeypatch):
                  if gcd(p, q) == 1]
     assert len(lattices[0]) == 22
 
-    def dense_scan(*args):
-        raise AssertionError("the dense scan ran")
+    def dense_read(*args):
+        raise AssertionError("the dense read ran")
 
     with monkeypatch.context() as patch:
-        patch.setattr(homology, "_scan", dense_scan)
+        patch.setattr(IntersectionLattice, "__init__", dense_read)
         for lat in lattices:
             for separators in ((",", ":"), (", ", ": ")):
                 text = json.dumps(lat.to_json(), separators=separators)
                 got = IntersectionLattice.from_json(text)
                 assert got == lat and got.classes == lat.classes and got.c1 == lat.c1
-        with pytest.raises(AssertionError, match="the dense scan ran"):
+        with pytest.raises(AssertionError, match="the dense read ran"):
             IntersectionLattice.from_json(json.dumps(lattices[0].to_json(), indent=2))
     for lat in lattices:
         assert IntersectionLattice.from_json(json.dumps(lat.to_json(), indent=2)) == lat
@@ -894,6 +895,44 @@ def test_a_dense_pairing_is_left_to_json_loads():
             [f"C{i + 1}" for i in range(len(rows))], rows, [2 + row[i] for i, row in enumerate(rows)])
 
 
+def test_there_is_one_dense_read(monkeypatch):
+    """The constructor is the one dense read: the constructor itself,
+    ``signature`` of rows, ``from_json`` of an object and of each text the
+    sparse read refuses (indented, too dense, a float in the pairing) run
+    it exactly once, and a dumped config lattice never runs it."""
+    calls = []
+    init = IntersectionLattice.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(IntersectionLattice, "__init__", counted)
+    rows = [[-2, 1, 0], [1, -2, 1], [0, 1, -2]]
+    dense_rows = [[1] * 40 for _ in range(40)]  # past the sparse read's density guard
+    reads = {
+        "constructor": lambda: IntersectionLattice(["a", "b", "c"], rows, [0, 0, 0]),
+        "signature(rows)": lambda: signature(rows),
+        "from_json(dict)": lambda: IntersectionLattice.from_json({"pairing": rows}),
+        "indented text": lambda: IntersectionLattice.from_json(
+            json.dumps({"pairing": rows}, indent=2)),
+        "dense compact text": lambda: IntersectionLattice.from_json(
+            json.dumps({"pairing": dense_rows}, separators=(",", ":"))),
+    }
+    for name, read in reads.items():
+        calls.clear()
+        read()
+        assert len(calls) == 1, name
+    calls.clear()
+    with pytest.raises(DomainError, match=r"got \[-2, 1.5\]"):
+        IntersectionLattice.from_json('{"pairing":[[-2,1.5],[1.5,-2]]}')
+    assert len(calls) == 1
+    calls.clear()
+    lat = fulton_config(7, 4).lattice()
+    assert IntersectionLattice.from_json(json.dumps(lat.to_json())) == lat
+    assert calls == []
+
+
 READS = {
     "constructor": lambda rows: IntersectionLattice([f"C{i}" for i in range(len(rows))], rows,
                                                     [0] * len(rows)),
@@ -906,8 +945,8 @@ READS = {
 @pytest.mark.parametrize("read", READS.values(), ids=READS)
 def test_each_read_finds_one_sided_nonzeros_and_zero_valued_non_ints(read):
     """A nonzero on one side of the diagonal only is found on either side,
-    and a zero-valued non-int, which ``row.count(0)`` counts as a zero,
-    meets the type pass on every read that can hold one."""
+    and a zero-valued non-int, which ``row.count(0)`` would count as a
+    zero, meets the constructor's type pass first, on every read."""
     lower = [[-2, 0, 0], [0, -2, 0], [1, 0, -2]]
     for rows in (lower, [list(row) for row in zip(*lower)]):
         with pytest.raises(DomainError) as exc:
@@ -922,15 +961,16 @@ def test_each_read_finds_one_sided_nonzeros_and_zero_valued_non_ints(read):
 
 
 class LoggedRow(list):
-    """A list whose own iterator is a generator, which cannot seek."""
+    """A list whose own iterator is a generator, not the list's."""
 
     def __iter__(self):
         yield from list.__iter__(self)
 
 
 def test_rows_whose_own_iterator_cannot_seek_read_like_lists():
-    """The scan seeks through the list's or tuple's own iterator, so a row
-    class with another ``__iter__`` reads, and fails, like a plain row."""
+    """A list or tuple subclass with its own ``__iter__`` is read by the
+    constructor's type pass and nonzero scan as a plain row: it reads, and
+    fails, like one."""
     rows = [[-2, 1, 0], [1, 0, 1], [0, 1, -2]]
     plain = IntersectionLattice(["a", "b", "c"], rows, [0, 0, 0])
     for wrap in (LoggedRow, tuple):
