@@ -88,17 +88,11 @@ class BlowupConfig(Value):
             raise DomainError("class labels must be distinct")
         return labels
 
-    def lattice(self) -> IntersectionLattice:
-        """E~ at -1 joined to the first class of each chain, c1 by adjunction.
-
-        Built on the first call, as a sparse store, and returned as the same
-        immutable value afterwards, since every simulator blowdown reads it.
-        The memo, an instance attribute and no field, is not compared, hashed
-        or shown, and a ``dataclasses.replace`` copy builds its own."""
-        try:
-            return self.__dict__["_lattice"]
-        except KeyError:
-            pass
+    @cached_property
+    def _lattice(self) -> IntersectionLattice:
+        """``lattice()``, built on the first read as a sparse store and kept
+        (no field), like ``class_labels``: not compared, hashed or shown,
+        and a ``dataclasses.replace`` copy builds its own."""
         e = self.class_labels[0]  # the read checks that the labels are distinct
         selfs, edges = {e: -1}, {e: {}}
         for chain in (self.chain_p, self.chain_q):
@@ -107,9 +101,13 @@ class BlowupConfig(Value):
                 selfs[label], edges[label] = s, {prev: 1}
                 edges[prev][label] = 1
                 prev = label
-        lat = IntersectionLattice._sparse(selfs, {l: 2 + s for l, s in selfs.items()}, edges)
-        object.__setattr__(self, "_lattice", lat)
-        return lat
+        return IntersectionLattice._sparse(selfs, {l: 2 + s for l, s in selfs.items()}, edges)
+
+    def lattice(self) -> IntersectionLattice:
+        """E~ at -1 joined to the first class of each chain, c1 by adjunction:
+        the same immutable value on every call, since every simulator
+        blowdown reads it."""
+        return self._lattice
 
     def to_json(self) -> dict:
         # chains are reported from the axis end (the continued-fraction

@@ -48,7 +48,7 @@ from .errors import (DomainError, StructureError, require_int, require_ints, req
                      require_object, require_strs)
 
 
-_GAP = {sep: re.compile(f"([0{sep}]*)([^,]*)").match for sep in (",", ", ")}  # zeros, a token
+_GAP = {s: re.compile(f"([0{s}]*)(-?[1-9][0-9]*|)").match for s in (",", ", ")}  # zeros, an int
 _SPACE = WHITESPACE.match
 _VALUE = JSONDecoder().raw_decode
 
@@ -59,8 +59,8 @@ def _text_rows(text, i) -> tuple[list, int]:
     (items split by "," or ", ") and it is sparse; otherwise a ValueError,
     before any per-row work if the text is not so spaced or too dense.  A
     run of zeros is skipped at C speed and compared with ``zeros``; a token
-    is taken only as ``str`` writes an int (not ``-0``, ``01``, ``+1``,
-    ``1_0``, " 1", non-ASCII digits)."""
+    matches only as ``str`` writes an int, else as "" for ``int`` to refuse
+    (not ``-0``, ``01``, ``+1``, ``1_0``, " 1", non-ASCII digits)."""
     if not text.startswith("[[", i) or (end := text.find("]]", i)) < 0:
         raise ValueError("not a pairing as json.dumps writes one")
     sep = ", " if text.startswith("], [", text.find("]", i)) else ","
@@ -80,9 +80,7 @@ def _text_rows(text, i) -> tuple[list, int]:
             col -= (at - e) // w  # the run's zeros, rounded up
             if e == stop:
                 break
-            v = row[col] = int(m[2])
-            if str(v) != m[2]:
-                raise ValueError("an int not as str writes it")
+            row[col] = int(m[2])
             col += 1
             if c == stop or not s.startswith(sep, c):
                 break
@@ -155,12 +153,12 @@ class IntersectionLattice:
     kept under both ends.  The three dicts keep their labels in basis order,
     so ``classes`` is the key order of the self-intersections.  ``pair``,
     ``self_intersection``, ``c1_of`` and ``neighbours`` are dict lookups.
-    ``pairing`` and ``c1`` are tuple views in basis order, each built at most
-    once per lattice.  Lattices are immutable values: two are equal when
-    their classes, in order, their pairings and their c1 labels agree.
+    ``pairing`` (built once) and ``c1`` (built per read) are tuple views in
+    basis order.  Lattices are immutable values: two are equal when their
+    classes, in order, their pairings and their c1 labels agree.
     """
 
-    __slots__ = ("_classes", "_self", "_c1", "_edges", "_pairing", "_c1_view")
+    __slots__ = ("_classes", "_self", "_c1", "_edges", "_pairing")
 
     def __init__(self, classes, pairing, c1):
         classes = require_strs(classes, "class labels must be a list of strings")
@@ -191,14 +189,13 @@ class IntersectionLattice:
             {l: {classes[j]: row[j] for j in js if j != i}
              for i, l, row, js in zip(cols, classes, rows, nonzero)},
         )
-        self._c1_view = c1
 
     def _init(self, classes, self_, c1, edges) -> None:
         self._classes = classes
         self._self = self_
         self._c1 = c1
         self._edges = edges
-        self._pairing = self._c1_view = None
+        self._pairing = None
 
     @classmethod
     def _sparse(cls, self_, c1, edges) -> "IntersectionLattice":
@@ -253,10 +250,8 @@ class IntersectionLattice:
 
     @property
     def c1(self) -> tuple[int, ...]:
-        """The c1 labels in basis order (built on first use)."""
-        if self._c1_view is None:
-            self._c1_view = tuple(map(self._c1.__getitem__, self._classes))
-        return self._c1_view
+        """The c1 labels in basis order, read from the store on each call."""
+        return tuple(map(self._c1.__getitem__, self._classes))
 
     def __len__(self) -> int:
         return len(self._classes)
@@ -341,7 +336,7 @@ class IntersectionLattice:
         c1 = obj.get("c1")
         lat = IntersectionLattice(classes, obj["pairing"], [0] * n if c1 is None else c1)
         if c1 is None:  # adjunction default for sphere classes, read from the checked rows
-            lat._c1, lat._c1_view = {l: 2 + s for l, s in lat._self.items()}, None
+            lat._c1 = {l: 2 + s for l, s in lat._self.items()}
         return lat
 
 
@@ -530,20 +525,14 @@ def signature(form) -> tuple[int, int, int]:
             b_plus += 1
         elif dn < 0:
             b_minus += 1
-        if not a:
-            continue
+        touched = a
         if dn:
             # M[k][l] -= a_k a_l / d over the neighbours of v
-            if deg == 1:  # a leaf: only its neighbour's diagonal changes
-                (k, (kn, kd)), = a.items()
-                diag[k] = _minus(diag[k], kn * kn * dd, kd * kd * dn)
-            else:
-                items = list(a.items())
-                for idx, (k, (kn, kd)) in enumerate(items):
-                    for l, (ln, ld) in items[idx:]:
-                        sub(k, l, kn * ln * dd, kd * ld * dn)
-            touched = a
-        else:
+            items = list(a.items())
+            for idx, (k, (kn, kd)) in enumerate(items):
+                for l, (ln, ld) in items[idx:]:
+                    sub(k, l, kn * ln * dd, kd * ld * dn)
+        elif a:
             # pivot on the block [[0, m], [m, dw]] of v and a neighbour w;
             # its Schur complement subtracts (a c~^T + c~ a^T) / m, where a
             # and c are the columns of v and w and c~ = c - dw/(2m) a, so
@@ -653,7 +642,7 @@ def _require_exceptional(lat: IntersectionLattice, label: str) -> None:
 
 def _forced_contractions(store, labels: Sequence[str], stop=None) -> dict[str, int]:
     """Contract ``labels`` in ``store`` (owned by the caller) in their forced
-    order, one (-1)-class with c1 = 1 at a time (ties to the earliest label),
+    order, one (-1)-class with c1 = 1 at a time (of several, the earliest label),
     as :func:`blow_down` does, until none is ready or ``stop(label, met)`` is
     true for the class just contracted and the row of the classes it met.
     Returns the labels left, with their indices.  One pass over the met
@@ -666,9 +655,8 @@ def _forced_contractions(store, labels: Sequence[str], stop=None) -> dict[str, i
             ready.append(l)
         order[l] = i
     while ready:
-        if len(ready) > 1:
-            ready.sort(key=order.__getitem__)
-        label = ready.pop(0)
+        label = min(ready, key=order.__getitem__)
+        ready.remove(label)
         del order[label], self_[label], c1[label]
         met = edges.pop(label)
         pairs = met.items()

@@ -539,6 +539,50 @@ def test_a_forest_never_reaches_the_heap(monkeypatch):
     assert heaps == [5]
 
 
+def cycle_with_tail(zero_at):
+    """A 4-cycle of -2s with one zero diagonal, and a 2-class tail on class 0."""
+    rows = block_sum([[-2 if j == i else 0 for j in range(4)] for i in range(4)],
+                     [[-2, 1], [1, -2]])
+    rows[zero_at][zero_at] = 0
+    for i in range(4):
+        rows[i][(i + 1) % 4] = rows[(i + 1) % 4][i] = 1
+    rows[0][4] = rows[4][0] = 1
+    return rows
+
+
+def diamond(b):
+    """A triangle 0, 1, 2 whose pivot at class 0 (diagonal 1) cancels the edge
+    1-2, and class 3 meeting 1 and 2: the elimination leaves the path 1-3-2,
+    two pendants, with class 1 at ``b - 1``."""
+    return [[1, 1, 1, 0], [1, b, 1, 1], [1, 1, -2, 1], [0, 1, 1, -3]]
+
+
+# a zero at class 1 is a 2x2 pivot that leaves no class of degree 1
+@pytest.mark.parametrize("rows", [cycle_with_tail(k) for k in (0, 2, 3)]
+                         + [diamond(b) for b in (-2, 1, 2)])
+def test_a_class_of_degree_one_made_in_the_heap_phase(rows, monkeypatch):
+    """The core the peel hands over has no class of degree 1, yet the heap
+    elimination makes some (its last edge, or a pendant once a fill edge
+    cancels); each is a pivot of the general loops, 1x1 on a nonzero
+    diagonal and 2x2 on a zero one, and the counts match both oracles."""
+    cores, pushed = [], []
+
+    def counted_heapify(heap, _heapify=homology.heapify):
+        cores.append(min(heap))
+        return _heapify(heap)
+
+    def counted_push(heap, item, _push=homology.heappush):
+        pushed.append(item[0])
+        return _push(heap, item)
+
+    monkeypatch.setattr(homology, "heapify", counted_heapify)
+    monkeypatch.setattr(homology, "heappush", counted_push)
+    expected = dense.signature(rows)
+    assert fraction_signature.signature(rows) == expected
+    assert signature(rows) == signature(as_lattice(rows)) == expected
+    assert cores and min(cores)[0] >= 2 and 1 in pushed
+
+
 @pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), True], ids=["float", "fraction", "bool"])
 def test_constructor_rejects_non_integers(bad):
     """A non-int pairing entry or c1 label is a DomainError up front, not a
@@ -768,7 +812,7 @@ def assert_reads_like_the_oracle(text):
 SPACINGS = {  # item and key separators, the brackets of a list
     "compact": (",", ":", "[", "]"), "spaced": (", ", ": ", "[", "]"),
     "indent=2": (",\n    ", ": ", "[\n    ", "\n  ]"), "newlines": (",\n", ":", "[", "]")}
-TOKENS = ["-0", "00", "000", "0000", "", "01", "+1", "1e0", "1.0", "1_0", " 1", "\u0661",
+TOKENS = ["-0", "00", "000", "0000", "", "01", "-01", "+1", "1e0", "1.0", "1_0", " 1", "\u0661",
           "9" * 4301]
 
 
@@ -835,7 +879,8 @@ def test_dumped_text_reads_like_the_dense_read_oracle(text):
 
 
 @pytest.mark.parametrize("text", [
-    '{"pairing": [[-2,-0],[0,-2]]}', '{"pairing": [[1,0],[0,1]]} x', '\ufeff{"pairing": [[1]]}',
+    '{"pairing": [[-2,-0],[0,-2]]}', '{"pairing": [[-2,-0],[-0,-2]]}',
+    '{"pairing": [[-2,-01],[-01,-2]]}', '{"pairing": [[1,0],[0,1]]} x', '\ufeff{"pairing": [[1]]}',
     '{"pairing": []}', '{"pairing": [[]]}', '{"pairing": [[[-2],0],[0,-2]]}',
     '{"pairing": [[1,2],[2,1]], "pairing": [[5]]}', '{"pairing": [[0, 1], [1, 0]],"c1": null}',
     '{"classes": ["]]", "\\"pairing\\":"], "pairing": [[-1,1],[1,-1]]}',
