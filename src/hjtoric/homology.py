@@ -14,7 +14,9 @@ and an edge map holding only the nonzero pairings of distinct classes.
 Blowups, blowdowns and sums touch only the classes they change and are
 symmetric by construction; the dense ``pairing`` matrix is a read-only view
 built on demand, for JSON output and for callers that want rows.  A sparse
-pairing in JSON text as ``json.dumps`` writes it is read with no dense list.
+pairing in JSON text as ``json.dumps`` writes it is read with no dense list:
+one C-speed split into zero gaps and nonzero tokens, one compare of the
+gaps with the zero matrix's text, and ``int`` on the tokens alone.
 
 Public operations never mutate, so values can be shared freely across
 threads: each returns a fresh lattice value, but a construction left with no
@@ -38,9 +40,10 @@ import json
 import re
 from collections.abc import Mapping, Sequence
 from heapq import heapify, heappop, heappush
-from itertools import compress, islice
+from itertools import accumulate, compress, count, islice, repeat
 from json.decoder import WHITESPACE, JSONDecoder, scanstring
 from math import gcd
+from operator import add
 from types import MappingProxyType
 
 from ._value import Value
@@ -48,47 +51,46 @@ from .errors import (DomainError, StructureError, require_int, require_ints, req
                      require_object, require_strs)
 
 
-_GAP = {s: re.compile(f"([0{s}]*)(-?[1-9][0-9]*|)").match for s in (",", ", ")}  # zeros, an int
+_MARK = bytes.maketrans(b"-123456789", b"x" * 10)  # so a nonzero token is x, then x or 0
+_TOKENS = re.compile(rb"(x[x0]*)").split  # the zero gaps, with the nonzero tokens between
 _SPACE = WHITESPACE.match
 _VALUE = JSONDecoder().raw_decode
 
 
-def _text_rows(text, i) -> tuple[list, int]:
-    """The pairing at ``text[i]`` as ``{column: nonzero}`` rows and the index
-    past it, if ``json.dumps`` could have written it without ``indent``
-    (items split by "," or ", ") and it is sparse; otherwise a ValueError,
-    before any per-row work if the text is not so spaced or too dense.  A
-    run of zeros is skipped at C speed and compared with ``zeros``; a token
-    matches only as ``str`` writes an int, else as "" for ``int`` to refuse
-    (not ``-0``, ``01``, ``+1``, ``1_0``, " 1", non-ASCII digits)."""
-    if not text.startswith("[[", i) or (end := text.find("]]", i)) < 0:
+def _text_cells(text, i) -> tuple[tuple[int, list], int]:
+    """The pairing at ``text[i]`` as ``(n, cells)``, its nonzeros ``(row,
+    column, value)`` in row-major order, and the index past it, if
+    ``json.dumps`` could have written it without ``indent`` (items split by
+    "," or ", ") and it is sparse; otherwise a ValueError.  n is the length
+    of the first row.  The rows, as ASCII bytes with ``-`` and ``1``-``9``
+    marked, are split once at C speed into zero gaps and nonzero tokens;
+    more tokens than about 5% of the cells is a dense pairing.  Then one
+    compare: the gaps joined by ``0`` must be the rows of the all-zero
+    n x n matrix, built by string multiplication.  And one more: the tokens
+    must read as ``str`` writes ints, none 0 (not ``-0``, ``01``, ``+1``,
+    ``1_0``, " 1", non-ASCII digits).  A token's cell is read off the gap
+    lengths before it."""
+    sep = ", " if text.startswith("], [", first := text.find("]", i)) else ","
+    n, w = text.count(sep, i, first) + 1, len(sep) + 1  # the first row's items; an item's width
+    # "]]" comes w*n*n + 2*n + 1 - w characters or more past "[[": if it is not there, the
+    # pairing is not n x n, and the zero matrix is not built
+    if not text.startswith("[[", i) or (end := text.find("]]", i + w * n * n + 2 * n + 1 - w)) < 0:
         raise ValueError("not a pairing as json.dumps writes one")
-    sep = ", " if text.startswith("], [", text.find("]", i)) else ","
-    rows = text[i + 2:end].split("]" + sep + "[")
-    n, w, gap = len(rows), len(sep) + 1, _GAP[sep]
-    if 20 * (n * n - text.count("0", i, end)) > n * n + 4096:  # 5% nonzero: json.loads is faster
+    parts = _TOKENS(text[i + 1:end + 1].encode("ascii").translate(_MARK))  # non-ASCII: ValueError
+    layout, lens = b"0".join(parts[::2]), list(map(len, parts))  # each token put back as one 0
+    del parts  # the gaps go before the zero matrix is built
+    if 20 * (len(lens) // 2) > n * n + 4096:  # tokens in over 5% of cells: json.loads is faster
         raise ValueError("a dense pairing")
-    zeros = ("0" + sep) * n  # k zeros: k*w chars, or k*w - w + 1 at the row's end
-    out = []
-    for s in rows:
-        row, col, at, stop = {}, 0, 0, len(s)
-        while True:  # a run of zeros, then a nonzero token or the row's end
-            m = gap(s, at)
-            e, c = m.span(2)
-            if (e - at) % w != (e == stop) or s[at:e] != zeros[:e - at]:
-                raise ValueError("a run of zeros not as json.dumps writes one")
-            col -= (at - e) // w  # the run's zeros, rounded up
-            if e == stop:
-                break
-            row[col] = int(m[2])
-            col += 1
-            if c == stop or not s.startswith(sep, c):
-                break
-            at = c + len(sep)
-        if col != n or c != stop:
-            raise ValueError("a row of another length")
-        out.append(row)
-    return out, end + 2
+    if layout != sep.encode().join([("[0" + (sep + "0") * (n - 1) + "]").encode()] * n):
+        raise ValueError("not the layout json.dumps writes")
+    ends = list(accumulate(lens, initial=i + 1))
+    tokens = list(map(text.__getitem__, map(slice, ends[1::2], ends[2::2])))
+    ints = list(map(int, tokens))  # a ValueError past 4300 digits
+    if ",".join(map(str, ints)) != ",".join(tokens):  # a token starts "-" or 1-9: none is "0"
+        raise ValueError("a token not as str writes an int")
+    # a token's index in the layout, r*(n*w + 2) + 1 + c*w (1 < w): its gaps, one 0 per token before
+    at = map(divmod, map(add, accumulate(lens[:-1:2]), count()), repeat(n * w + 2))
+    return (n, [(r, c // w, v) for (r, c), v in zip(at, ints)]), end + 2
 
 
 def _past(text, i, char) -> int:
@@ -100,13 +102,13 @@ def _past(text, i, char) -> int:
 
 
 def _read_text(text: str) -> "IntersectionLattice | None":
-    """``from_json`` of text whose pairing ``_text_rows`` reads, walked as ``json.loads``
+    """``from_json`` of text whose pairing ``_text_cells`` reads, walked as ``json.loads``
     walks it (a repeated key: the last one counts); None on other text or an anomaly."""
     try:
         fields, i = {}, _past(text, 0, "{")
         while True:
             key, i = scanstring(text, _past(text, i, '"'))
-            read = _text_rows if key == "pairing" else _VALUE
+            read = _text_cells if key == "pairing" else _VALUE
             fields[key], i = read(text, _SPACE(text, _past(text, i, ":")).end())
             i = _SPACE(text, i).end()
             if not text.startswith(",", i):
@@ -116,18 +118,21 @@ def _read_text(text: str) -> "IntersectionLattice | None":
             return None
     except (ValueError, RecursionError):  # bad JSON, too deep, >4300 digits, not dumps text
         return None
-    rows = fields["pairing"]
-    n = len(rows)
+    n, cells = fields["pairing"]
     classes, c1 = fields.get("classes"), fields.get("c1")
     classes = [f"C{i + 1}" for i in range(n)] if classes is None else classes
     if type(classes) is not list or len(classes) != n or not {str}.issuperset(
             map(type, classes)) or len(set(classes)) != n or c1 is not None and (
             type(c1) is not list or len(c1) != n or not {int}.issuperset(map(type, c1))):
         return None
-    self_ = {l: row.pop(i, 0) for i, l, row in zip(range(n), classes, rows)}
-    if any(rows[j].get(i) != v for i, row in enumerate(rows) for j, v in row.items()):
+    if set(cells) != {(c, r, v) for r, c, v in cells}:
         return None
-    edges = {l: {classes[j]: v for j, v in row.items()} for l, row in zip(classes, rows)}
+    self_, edges = dict.fromkeys(classes, 0), {l: {} for l in classes}
+    for r, c, v in cells:  # row-major: each row's neighbours in column order
+        if r == c:
+            self_[classes[r]] = v
+        else:
+            edges[classes[r]][classes[c]] = v
     c1 = {l: 2 + s for l, s in self_.items()} if c1 is None else dict(zip(classes, c1))
     return IntersectionLattice._sparse(self_, c1, edges)
 
@@ -317,8 +322,10 @@ class IntersectionLattice:
         adjunction).  Malformed JSON, a non-square pairing, entries that are
         not integers (floats, booleans) and class labels that are not
         strings raise DomainError.  Text as ``json.dumps`` writes it without
-        ``indent``, with at most about 5% nonzero pairings, is read sparse,
-        only its nonzero tokens parsed; an object, any other text and any
+        ``indent`` is read sparse: its pairing is split once at C speed at
+        the nonzero tokens, which at most about 5% of the cells may be, the
+        gaps between them are compared once with the zero matrix's text, and
+        only the tokens are parsed.  An object, any other text and any
         anomaly are decoded by ``json.loads`` and read by the constructor,
         with its checks and messages.
         """

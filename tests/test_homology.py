@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import dense
 import fraction_signature
+import row_walker
 import stepwise
 from hjtoric import homology
 from hjtoric.blowup import fulton_config
@@ -826,8 +827,9 @@ def dumped_texts(draw):
     a row split by the other separator, a second ``"pairing"`` key, data
     after the object or a BOM before it, an empty pairing or one row nested
     one level deeper.  A label may hold ``]]`` or
-    ``"pairing":``, or repeat another, and ``classes`` and ``c1`` may be null."""
-    rows = draw(symmetric_forms(max_n=6))
+    ``"pairing":``, or repeat another, and ``classes`` and ``c1`` may be null.
+    A ``wide`` form writes tokens with inner and trailing zeros (``-100``)."""
+    rows = draw(symmetric_forms(max_n=6, wide=draw(st.booleans())))
     n = len(rows)
     item, key, opening, closing = SPACINGS[draw(st.sampled_from(sorted(SPACINGS)))]
 
@@ -893,9 +895,72 @@ def test_dumped_text_reads_like_the_dense_read_oracle(text):
     '{"pairing": {"1]]}', '{"pairing": [ [1]]}', '{"pairing": [[1],[1] ]}',
     '{"pairing"x[[1]]}', '{xpairing": [[1]]}', '{"pairing": [[1]]]', '{"pairing": [[1]],}',
     pytest.param('{"note": ' + "[" * 100000 + ', "pairing": [[1]]}', id="deep"),
+    '{"pairing": [[-10,1],[1,-100]]}', '{"pairing": [[100]]}', '{"pairing": [[0]]}',
+    '{"pairing": [[0,-1000000],[-1000000,0]]}', '{"pairing": [[0, 0, 0], [0, 0, 0], [0, 0, 20]]}',
+    '{"pairing": [[0,0],[0,10]], "c1": [1, 2]}', '{"pairing": [[1,10],[10,-1]], "c1": [1, 20]}',
 ])
 def test_hand_picked_texts_read_like_the_dense_read_oracle(text):
     assert_reads_like_the_oracle(text)
+
+
+ENTRIES = [1, -1, 2, -2, 10, -10, 100, -100, 1000, -1000000, 10**20 + 1]
+
+
+@st.composite
+def pairing_texts(draw):
+    """The text of an n x n pairing, n up to 40, as ``json.dumps`` writes it
+    with either item separator and something after it.  A drawn share of
+    its cells, from none to all (past the density guard), holds entries,
+    often with inner and trailing zeros, symmetric or not.  Up to two
+    changes follow: a cell set to a ``TOKENS`` string, one item split by
+    the other separator, or a row made one item shorter or longer."""
+    n = draw(st.integers(1, 40))
+    rnd = random.Random(draw(st.integers(0, 2**32)))  # the cells, drawn at once
+    share = draw(st.sampled_from([0, 0.01, 0.03, 0.1, 1]))
+    entries = draw(st.sampled_from([ENTRIES, ENTRIES[:4]]))
+    rows = [[rnd.choice(entries) if rnd.random() < share else 0 for _ in range(n)]
+            for _ in range(n)]
+    if draw(st.booleans()):
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    item = draw(st.sampled_from([",", ", "]))
+    tokens = [[str(x) for x in row] for row in rows]
+    for change in draw(st.lists(st.sampled_from(["token", "respace", "ragged"]), max_size=2)):
+        i = draw(st.integers(0, n - 1))
+        if not tokens[i]:
+            continue
+        j = draw(st.integers(0, len(tokens[i]) - 1))
+        if change == "token":
+            tokens[i][j] = draw(st.sampled_from(TOKENS))
+        elif change == "respace" and j:
+            other = "," if item == ", " else ", "
+            tokens[i][j - 1:j + 1] = [tokens[i][j - 1] + other + tokens[i][j]]
+        elif change == "ragged":
+            tokens[i][j:j + 1] = draw(st.sampled_from([[], ["0", "0"], ["1", "0"]]))
+    pairing = "[" + item.join("[" + item.join(row) + "]" for row in tokens) + "]"
+    return pairing + draw(st.sampled_from(["", "}", ', "c1": null}', "]]", " [[1]]"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(pairing_texts())
+def test_the_split_read_matches_the_row_walker_cell_by_cell(text):
+    """The one split of a pairing and the per-row walker it replaced read
+    the same cells, in row-major order, and the same end, or both refuse.
+    The walker's density guard counted "0" characters, fewer than the
+    nonzeros when a token holds a zero; the read counts tokens, so that
+    guard is applied to what the walker read."""
+    try:
+        rows, end = row_walker.text_rows(text, 0)
+        want = (len(rows), [(r, c, v) for r, row in enumerate(rows) for c, v in row.items()], end)
+        if 20 * len(want[1]) > want[0] ** 2 + 4096:
+            want = None
+    except ValueError:
+        want = None
+    try:
+        (n, cells), end = homology._text_cells(text, 0)
+        got = (n, cells, end)
+    except ValueError:
+        got = None
+    assert got == want
 
 
 def test_dumped_lattices_take_the_sparse_read(monkeypatch):
@@ -928,12 +993,18 @@ def test_dumped_lattices_take_the_sparse_read(monkeypatch):
 
 
 def test_a_dense_pairing_is_left_to_json_loads():
-    """A pairing with more than about 5% nonzero entries is read faster by
-    ``json.loads`` than token by token, so the sparse read leaves it to the
-    old one; a plumbing graph of any size is sparse enough."""
+    """A pairing with more nonzero tokens than about 5% of its cells is read
+    faster by ``json.loads``, so the sparse read counts the tokens of its
+    one split, before any per-token work, and leaves such a pairing to the
+    old read; a plumbing graph of any size is sparse enough.  A band of 10s
+    is counted by its tokens, not by the "0" characters they hold."""
     dense_rows = [[1] * 40 for _ in range(40)]
     chain = [[-2 if i == j else int(abs(i - j) == 1) for j in range(400)] for i in range(400)]
-    for rows, sparse in ((dense_rows, False), (chain, True)):
+
+    def band(w):  # 10 within w of the diagonal: 268 tokens at w = 3, 340 at w = 4
+        return [[10 * (abs(i - j) <= w) for j in range(40)] for i in range(40)]
+
+    for rows, sparse in ((dense_rows, False), (chain, True), (band(3), True), (band(4), False)):
         text = json.dumps({"pairing": rows}, separators=(",", ":"))
         assert (homology._read_text(text) is not None) is sparse
         assert IntersectionLattice.from_json(text) == IntersectionLattice(
