@@ -1,8 +1,6 @@
 import io
 import json
 import re
-import os
-import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -14,7 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hjtoric import circle, cli
+import closed_form
+import dense
+import fresh
+from hjtoric import FixedPointDatum, circle
 from hjtoric.cli import main
 from hjtoric.errors import DomainError
 from hjtoric.rationals import parse_rational
@@ -24,6 +25,10 @@ from hjtoric.rationals import parse_rational
 # int literal over the 4300-digit limit of int("..."))
 _DEEP = "[" * 100_000
 _LONG_INT = "9" * 5000
+
+# compact, ", " and indented text: the first two take the sparse text read,
+# the third json.loads
+_SPACINGS = ({"separators": (",", ":")}, {}, {"indent": 2})
 
 
 def run_cli(capsys, *argv):
@@ -45,9 +50,10 @@ class TestResolve:
         assert obj["k"] == 4 and obj["alpha"] == 2
 
     def test_smooth(self, capsys):
-        code, obj = run_json(capsys, "resolve", "--r", "1", "--p", "1", "--q", "1")
-        assert code == 0
-        assert obj["chain"] == [] and "smooth" in obj["note"]
+        for p, q in (("1", "1"), ("3", "2")):
+            code, obj = run_json(capsys, "resolve", "--r", "1", "--p", p, "--q", q)
+            assert code == 0
+            assert obj["chain"] == [] and "smooth" in obj["note"]
 
     def test_gcd_violation_exits_2(self, capsys):
         code = main(["resolve", "--r", "4", "--p", "2", "--q", "1"])
@@ -87,6 +93,7 @@ class TestBlowup:
         calls.clear()
         assert run_cli(capsys, "blowup", "--p", "7", "--q", "4", "--format", "svg") == (0, svg)
         assert sorted(calls) == ["fulton_config", "mcduff_sequence"]
+        ET.fromstring(svg)
 
     def test_svg(self, capsys):
         code, out = run_cli(capsys, "blowup", "--p", "2", "--q", "1", "--format", "svg")
@@ -118,11 +125,10 @@ class TestBlowup:
 
 class TestEquiv:
     def test_inverse_pair(self, capsys):
-        code, obj = run_json(
-            capsys, "equiv", "--r", "5", "--q1", "2", "--q2", "3", "--oriented"
-        )
-        assert code == 0
-        assert obj["type_equivalent"] is True and obj["same_resolution"] is True
+        for r, q1, q2 in (("5", "2", "3"), ("7", "3", "5")):
+            code, obj = run_json(capsys, "equiv", "--r", r, "--q1", q1, "--q2", q2, "--oriented")
+            assert code == 0
+            assert obj["type_equivalent"] is True and obj["same_resolution"] is True
 
     def test_same_type(self, capsys):
         code, obj = run_json(capsys, "equiv", "--r", "7", "--q1", "2", "--q2", "2")
@@ -189,6 +195,60 @@ class TestSignature:
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code, obj = run_json(capsys, "signature", "-")
         assert code == 0 and (obj["b_plus"], obj["b_minus"], obj["b_zero"]) == want
+
+    @pytest.mark.parametrize("text, want", [
+        ('{"pairing": [[0,1,0,0,1],[1,-2,1,0,0],[0,1,-2,1,0],[0,0,1,-2,1],[1,0,0,1,-2]]}',
+         (1, 4, 0)),
+        ('{"pairing": [[-2,1,1,0,0],[1,-2,1,0,1],[1,1,-2,1,0],[0,0,1,0,0],[0,1,0,0,-2]]}',
+         (1, 4, 0)),
+        ('{"pairing": [[-10,1,0,0],[1,-100,1000,0],[0,1000,-10,1],[0,0,1,-100]]}', (1, 3, 0)),
+        ('{"pairing": [[0,1,0],[1,-2,1],[0,1,-2]], "classes": ["false", "b", "c"], "note": 0.5}',
+         (1, 2, 0)),
+    ], ids=["zero-diagonal-5-cycle", "triangle-with-zero-leaf", "inner-and-trailing-zeros",
+            "false-label-and-ignored-float"])
+    def test_each_text_form_reads_the_dense_oracles_signature(self, capsys, monkeypatch, text,
+                                                              want):
+        """A 5-cycle with a zero diagonal (a 2x2 pivot at a class of degree
+        2, then fill-in), a triangle a zero leaf breaks, entries with inner
+        and trailing zeros, and a class label "false" beside a float under an
+        ignored key: the text and its compact, ", " and indented forms each
+        read the signature of ``tests/dense.py``."""
+        obj = json.loads(text)
+        assert dense.signature(obj["pairing"]) == want
+        for form in (text, *(json.dumps(obj, **spacing) for spacing in _SPACINGS)):
+            monkeypatch.setattr("sys.stdin", io.StringIO(form))
+            code, sig = run_json(capsys, "signature", "-")
+            assert (code, (sig["b_plus"], sig["b_minus"], sig["b_zero"])) == (0, want)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"pairing": [[-2,-0,1],[0,-2,0],[0,0,-2]]}', "pairing not symmetric at (0, 2)"),
+        ('{"pairing": [[-2, -0, 1], [0, -2, 0], [0, 0, -2]]}', "pairing not symmetric at (0, 2)"),
+        (json.dumps({"pairing": [[-2], [0, -2, 0], [0, True, -2]]}, indent=2),
+         "each pairing row must be a list of integers, got [0, True, -2]"),
+    ], ids=["negative-zero-compact", "negative-zero-spaced", "indented-short-row-with-true"])
+    def test_a_malformed_pairing_exits_2_with_one_error_line(self, capsys, monkeypatch, text,
+                                                             message):
+        """An asymmetric pairing with a -0 entry, which the sparse read
+        leaves to json.loads, in compact and ", " text; and a true in a
+        row, which the type pass meets before the square test."""
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code = main(["signature", "-"])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661"])
+    def test_a_compact_token_json_loads_refuses_reads_as_in_indented_text(self, capsys,
+                                                                         monkeypatch, token):
+        """The message is the indented form's, but for the position that
+        json.loads names."""
+        errors = []
+        for spacing in ({"separators": (",", ":")}, {"indent": 2}):
+            text = json.dumps({"pairing": [[-2, 7], [7, -2]]}, **spacing).replace("7", token)
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code = main(["signature", "-"])
+            out, err = capsys.readouterr()
+            assert (code, out) == (2, "") and err.startswith("error: malformed JSON input: ")
+            errors.append(re.sub(r": line \d+ column \d+ \(char \d+\)$", "", err))
+        assert errors[0] == errors[1]
 
 
 class TestSimulate:
@@ -485,6 +545,37 @@ def test_keys_outside_the_schema_are_ignored(capsys, monkeypatch, extra):
     assert runs[0] == runs[1] and runs[0][0] == 0
 
 
+def test_two_runs_in_one_process_print_the_bytes_a_fresh_process_prints(capsys, monkeypatch):
+    """The second run reads the configs the first cached."""
+    text = json.dumps(_two_points(eps="1/8"))
+    proc = fresh.python("-m", "hjtoric.cli", "simulate", "-", stdin=text)
+    assert proc.returncode == 0
+    circle._config.cache_clear()
+    for _ in range(2):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run_cli(capsys, "simulate", "-") == (0, proc.stdout)
+
+
+@pytest.mark.parametrize("pairs, loops, bound, loop", [
+    ([("0", "1/2", 7, 4), ("1/8", "5/8", 3, 2), ("1/4", "3/4", 1, 1)], 200, 199, 200),
+    ([("0", "1/2", 255, 1), ("1/4", "3/4", 55, 34)], 30, 20, 21),
+], ids=["200-loop-ray", "255-and-10-class-paths"])
+def test_simulate_prints_the_closed_form_run(capsys, monkeypatch, pairs, loops, bound, loop):
+    """Verdict, ledger, contradiction loop and bound are those of
+    ``tests/closed_form.py``: a ledger on the ray of slope 1/(pq) that
+    ends HAMILTONIAN at loop 200 under the bound 199, and a run whose -1
+    crossings each walk a 255- or a 10-class path."""
+    points = [{"level": level, "sign": sign, "p": p, "q": q}
+              for up, down, p, q in pairs for level, sign in ((up, 1), (down, -1))]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        {"fixed_points": points, "loops": loops, "bound": bound})))
+    code, out = run_json(capsys, "simulate", "-")
+    want = closed_form.run([FixedPointDatum(**point) for point in points], loops, bound)
+    assert (want[0], want[2]) == ("HAMILTONIAN", loop)
+    assert (code, out["verdict"], tuple(map(Fraction, out["ledger"])),
+            out["loop_of_contradiction"], out["bound"]) == (0, *want)
+
+
 class TestHj:
     def test_expansion(self, capsys):
         code, obj = run_json(capsys, "hj", "--m", "7", "--k", "3")
@@ -518,10 +609,7 @@ runpy.run_module("hjtoric.cli", run_name="__main__", alter_sys=True)
 def test_an_expansion_over_the_cap_exits_2(argv, stdin):
     """Inputs whose expansion or cut replay would fill memory exit 2 with a
     one-line error naming the cap, before any loop runs."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    env.pop("HJTORIC_LOG", None)
-    proc = subprocess.run([sys.executable, "-c", _CAPPED, *argv], env=env, input=stdin,
-                          capture_output=True, text=True, timeout=60)
+    proc = fresh.python("-c", _CAPPED, *argv, stdin=stdin)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert re.fullmatch(r"error: the expansion of \d+/\d+ has \d+ terms, more than 1000000\n",
                         proc.stderr)
@@ -545,10 +633,7 @@ except SystemExit as exc:
 def loaded_by(*argv, stdin: str = "") -> tuple[int, set[str]]:
     """Exit code of ``hjtoric <argv>`` run by a new interpreter, and the
     modules it loaded beyond those loaded at start-up."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    env.pop("HJTORIC_LOG", None)
-    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env, input=stdin,
-                          capture_output=True, text=True, timeout=60)
+    proc = fresh.python("-c", _LOADED, *argv, stdin=stdin)
     code, loaded = json.loads(proc.stderr.splitlines()[-1])
     return code, set(loaded)
 
@@ -614,10 +699,7 @@ sys.stderr.write("\\n" + repr([code, sorted({"dataclasses", "inspect", "typing"}
 def test_no_subcommand_loads_dataclasses_inspect_or_typing(argv, stdin):
     """Run bare (``-I -S``: no site hooks, which may preload modules), each
     subcommand leaves ``dataclasses``, ``inspect`` and ``typing`` unloaded."""
-    env = {key: value for key, value in os.environ.items() if key != "HJTORIC_LOG"}
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _HEAVY_IMPORTS,
-                           str(Path(cli.__file__).parents[1]), *argv],
-                          env=env, input=stdin, capture_output=True, text=True, timeout=60)
+    proc = fresh.python("-I", "-S", "-c", _HEAVY_IMPORTS, fresh.PACKAGE_ROOT, *argv, stdin=stdin)
     assert proc.stderr.splitlines()[-1] == "[0, []]", proc.stderr
 
 
@@ -630,15 +712,34 @@ def test_failed_cross_check_logs_one_error_line(log):
             "hjtoric.blowup.lattices_isomorphic_as_chains = lambda a, b: False\n"
             "from hjtoric.cli import main\n"
             "sys.exit(main(['blowup', '--p', '7', '--q', '4']))\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    env.pop("HJTORIC_LOG", None)
-    if log:
-        env["HJTORIC_LOG"] = log
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+    proc = fresh.python("-c", code, log=log)
     assert proc.returncode == 1 and json.loads(proc.stdout)["cross_check"] is False
     assert proc.stderr == ("ERROR:hjtoric.cli:cross_check(7, 4) failed: the 5 replayed classes "
                            "do not match the 5 vertex-route classes\n")
+
+
+_SHARED_CONFIG = {"fixed_points": [
+    {"level": level, "sign": sign, "p": p, "q": q} for level, sign, p, q in (
+        ("0", 1, 3, 2), ("1/6", 1, 3, 2), ("1/3", 1, 2, 1),
+        ("1/2", -1, 3, 2), ("5/7", -1, 3, 2), ("4/5", -1, 2, 1))], "loops": 5}
+
+
+@pytest.mark.parametrize("obj, lines", [
+    (_two_points(eps="1/8"), ["blowup B1", "blowup B2", "blowup T", "blowdown B1"]),
+    (_SHARED_CONFIG, ["blowup B1 at position 70/420: weights (3, 2)",
+                      "blowup B3 at position 420/420: weights (3, 2)",
+                      "blowdown B1 at position 300/420", "blowdown B3 at position 630/420"]),
+], ids=["readme", "shared-config"])
+def test_the_debug_trail_names_each_instance_by_its_uid(obj, lines):
+    """B1, primed at the base level, logs its blowup before the first
+    crossing.  Two (3, 2) pairs share one config: with the default base
+    17/28 on the grid of 420ths, B1 (1/6 -> 5/7) is primed and B3 (0 ->
+    1/2) is installed at the first crossing of level 0; each is blown
+    down."""
+    proc = fresh.python("-m", "hjtoric.cli", "simulate", "-", stdin=json.dumps(obj), log="debug")
+    assert proc.returncode == 0
+    for line in lines:
+        assert line in proc.stderr
 
 
 def test_log_env_var(capsys, monkeypatch):
@@ -675,14 +776,18 @@ def test_hj_smooth_case(capsys):
 
 
 def test_blowup_lattice_feeds_signature(capsys, tmp_path):
-    """The lattice block of the blowup output round-trips into signature."""
-    code, obj = run_json(capsys, "blowup", "--p", "7", "--q", "5")
-    assert code == 0
+    """The lattice block of the blowup output round-trips into signature,
+    as compact, ", " and indented text.  The 255-class lattice is a tree,
+    so the leaf peel alone reads it."""
     f = tmp_path / "lat.json"
-    f.write_text(json.dumps(obj["lattice"]))
-    code, sig = run_json(capsys, "signature", str(f))
-    assert code == 0
-    assert (sig["b_plus"], sig["b_minus"], sig["b_zero"]) == (0, 5, 0)
+    for p, q, want in (("7", "5", (0, 5, 0)), ("255", "1", (0, 255, 0))):
+        code, obj = run_json(capsys, "blowup", "--p", p, "--q", q)
+        assert code == 0
+        for spacing in _SPACINGS:
+            f.write_text(json.dumps(obj["lattice"], **spacing))
+            code, sig = run_json(capsys, "signature", str(f))
+            assert code == 0
+            assert (sig["b_plus"], sig["b_minus"], sig["b_zero"]) == want
 
 
 def test_simulate_message_present(capsys, tmp_path):
@@ -698,6 +803,11 @@ def test_simulate_message_present(capsys, tmp_path):
     assert code == 0
     assert obj["verdict"] == "HAMILTONIAN"
     assert "b2+" in obj["message"]
+
+
+def test_the_example_script_exits_0():
+    proc = fresh.python(str(Path(__file__).parents[1] / "scripts" / "run_simulation.py"))
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- fuzz: random argv and stdin JSON, with integers bounded so no run is long

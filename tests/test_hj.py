@@ -1,16 +1,12 @@
-import os
 import re
-import subprocess
-import sys
 import time
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hjtoric
+import fresh
 from hjtoric.errors import DomainError, EvaluationError
 from hjtoric.hj import (MAX_TERMS, UNIT, HJExpansion, _term_count, ext_gcd, hj_eval, hj_expand,
                         hj_reverse, mod_inverse)
@@ -279,9 +275,7 @@ def test_every_entry_point_refuses_a_huge_expansion_at_once(name):
     space, so a missing check ends there in a MemoryError, not by filling
     the host's memory."""
     call, what = HUGE[name]
-    env = dict(os.environ, PYTHONPATH=str(Path(hjtoric.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", _CAPPED.format(call=call)], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = fresh.python("-c", _CAPPED.format(call=call))
     kind, seconds, message = proc.stdout.split(" ", 2)
     assert (proc.returncode, kind) == (0, "DomainError") and float(seconds) < 1.0
     assert re.fullmatch(f"the {what} of .* more than {MAX_TERMS}\n", message)

@@ -5,15 +5,13 @@ value with a DomainError, never a TypeError, an AttributeError or a
 result."""
 
 import inspect
-import os
 import re
-import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+import fresh
 import hjtoric
 from hjtoric import (
     Chain,
@@ -139,17 +137,6 @@ PUBLIC = [
 ]
 
 
-def fresh_python(code: str) -> str:
-    """Standard output of ``code`` run by a new interpreter that imports
-    this package from where the tests do."""
-    env = dict(os.environ, PYTHONPATH=str(Path(hjtoric.__file__).parents[1]))
-    env.pop("HJTORIC_LOG", None)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def test_all_lists_the_public_names():
     assert hjtoric.__all__ == PUBLIC
 
@@ -173,7 +160,8 @@ def test_dir_lists_every_public_name_and_unknown_names_raise():
 
 
 def test_import_loads_no_module_and_each_name_loads_its_own():
-    out = fresh_python(
+    proc = fresh.python(
+        "-c",
         "import sys\n"
         "import hjtoric\n"
         "print(sorted(m for m in sys.modules if m.startswith('hjtoric.')))\n"
@@ -182,7 +170,22 @@ def test_import_loads_no_module_and_each_name_loads_its_own():
         f"from hjtoric import {', '.join(PUBLIC)}\n"
         "names = {n: globals()[n] for n in hjtoric.__all__}\n"
         "print(all(getattr(sys.modules[v.__module__], n) is v for n, v in names.items()))\n")
-    assert out.splitlines() == ["[]", "['hjtoric._value', 'hjtoric.errors', 'hjtoric.hj']", "True"]
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]", "['hjtoric._value', 'hjtoric.errors', 'hjtoric.hj']", "True"]
+
+
+def test_every_module_and_name_loads_with_the_standard_library_only():
+    """``python -I -S`` puts no site-packages on the path, only the
+    package's directory, so a third-party import anywhere fails here."""
+    proc = fresh.python(
+        "-I", "-S", "-c",
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import hjtoric, hjtoric.cli, hjtoric.lattice2d, hjtoric.svg\n"
+        "[getattr(hjtoric, n) for n in hjtoric.__all__]\n",
+        fresh.PACKAGE_ROOT)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_all_lists_classes_and_functions_only():
