@@ -4,15 +4,15 @@ Subcommands: resolve, blowup, equiv, signature, simulate, hj.  Numeric
 flags that are rational-valued accept exact "n/d" strings; output is JSON
 (or SVG for diagrams); the public API they are passed to checks every
 value.  Exit codes: 0 success, 2 domain/validation error, 1 internal
-inconsistency.  Set HJTORIC_LOG=debug for verbose logging; any
-value other than a level name (debug, info, warning, error, critical, in
-any case) exits 2.
+inconsistency, such as a failed ``blowup`` cross-check (after its output).
+Set HJTORIC_LOG=debug for verbose logging; any value other than a level
+name (debug, info, warning, error, critical, in any case) exits 2.
 
 Each subcommand imports only the modules it runs, inside its ``cmd_*``
 function, so ``hj`` loads neither the simulator nor the blowup code, and a
-usage error loads no math module.  No subcommand imports ``logging`` unless
-HJTORIC_LOG is set or a cross-check fails: the simulator logs its debug
-trail only through a ``logging`` that is already loaded.
+usage error loads no math module.  Only HJTORIC_LOG loads ``logging``: the
+simulator logs its debug trail only through a ``logging`` that is already
+loaded.
 """
 
 from __future__ import annotations
@@ -68,27 +68,24 @@ def cmd_blowup(args) -> int:
     seq = blowup.mcduff_sequence(args.q, args.p)
     # cross_check's test, on the two routes already built
     ok = blowup.lattices_isomorphic_as_chains(cfg.lattice(), seq.lattice())
-    if not ok:
-        import logging
-
-        logging.basicConfig()  # a no-op when main configured logging
-        logging.getLogger(__name__).error(
-            "cross_check(%d, %d) failed: the %d replayed classes do not match the %d "
-            "vertex-route classes", args.p, args.q, len(seq), len(cfg.class_labels))
     if args.format == "svg":
         _emit(_cut_diagram(seq, args.scale), args.out)
-        return 0 if ok else 1
-    payload = cfg.to_json()
-    payload.update(
-        {
-            "size": rational_json(cfg.size),
-            "mcduff": list(seq.multiplicities),
-            "cuts": [list(c) for c in seq.cut_directions],
-            "cross_check": ok,
-        }
-    )
-    _emit_json(payload, args.out)
-    return 0 if ok else 1
+    else:
+        payload = cfg.to_json()
+        payload.update(
+            {
+                "size": rational_json(cfg.size),
+                "mcduff": list(seq.multiplicities),
+                "cuts": [list(c) for c in seq.cut_directions],
+                "cross_check": ok,
+            }
+        )
+        _emit_json(payload, args.out)
+    if not ok:  # reported after the output, which shows both routes
+        raise StructureError(
+            f"cross_check({args.p}, {args.q}) failed: the {len(seq)} replayed classes do not "
+            f"match the {len(cfg.class_labels)} vertex-route classes")
+    return 0
 
 
 def cmd_equiv(args) -> int:

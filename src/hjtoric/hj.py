@@ -61,7 +61,8 @@ def mod_inverse(a: int, m: int) -> int:
 class HJExpansion(Value):
     """The negative continued fraction of m/k with all terms >= 2.
 
-    ``numerator == 1`` iff ``terms`` is empty, in which case ``residue`` is 0.
+    Its one invariant: int fields, every term >= 2 and ``hj_eval(terms) ==
+    (m, k)``, which implies 1 <= k < m coprime, or m = 1, k = 0 and no terms.
     """
 
     numerator: int
@@ -72,14 +73,6 @@ class HJExpansion(Value):
         m, k = self.numerator, self.residue
         require_ints((m, k), "numerator and residue must be integers")
         require_ints(self.terms, "terms must be a list of integers")
-        if m < 1:
-            raise DomainError(f"numerator must be positive, got {m}")
-        if m == 1:
-            if k != 0 or self.terms:
-                raise DomainError("m = 1 must carry residue 0 and no terms")
-            return
-        if not (1 <= k < m) or gcd(m, k) != 1:
-            raise DomainError(f"residue {k} invalid for numerator {m}")
         if any(a < 2 for a in self.terms):
             raise DomainError(f"all terms must be >= 2, got {self.terms}")
         if hj_eval(self.terms) != (m, k):
@@ -136,13 +129,12 @@ def hj_expand(m: int, k: int) -> HJExpansion:
 
     Requires ``1 <= k < m`` and ``gcd(m, k) = 1``; the smooth case ``m = 1``
     (with ``k = 0``) yields the empty expansion.  The range check runs before
-    the loop on purpose and does not duplicate ``HJExpansion``'s: for k > m
-    the loop runs about k/m times, so without it ``hj_expand(5, 10**12)``
-    would loop 2 * 10**11 times.  An expansion of more than ``MAX_TERMS``
-    terms is refused before the loop too; only m > ``MAX_TERMS`` can have
-    one.  Having checked m and k and computed the
-    terms from them, it builds the result without ``HJExpansion``'s checks,
-    which would repeat these and evaluate the terms again.
+    the loop on purpose: for k > m the loop runs about k/m times, so without
+    it ``hj_expand(5, 10**12)`` would loop 2 * 10**11 times.  An expansion of
+    more than ``MAX_TERMS`` terms is refused before the loop too; only m >
+    ``MAX_TERMS`` can have one.  The terms are computed from checked m and k,
+    so the result is built without ``HJExpansion``'s check, which would
+    evaluate them again.
     """
     require_ints((m, k), "m and k must be integers")
     if m < 1:

@@ -503,15 +503,14 @@ def signature(form) -> tuple[int, int, int]:
                     stack.append(k)
     if not num:  # a forest: the peel was the whole elimination
         return (b_plus, b_minus, len(form) - b_plus - b_minus)
-    pos = {l: i for i, l in enumerate(num)}
-    diag = [(n, den[l]) for l, n in num.items()]
-    edges = [{pos[m]: (x, 1) for m, x in graph[l].items() if m in pos} for l in num]
-    heap = [(len(row), v) for v, row in enumerate(edges)]  # tie-break: basis order
+    rank = dict(zip(num, range(len(num))))  # the tie-break: basis order
+    edges = {l: {m: (x, 1) for m, x in graph[l].items() if m in num} for l in num}
+    heap = [(len(row), rank[l], l) for l, row in edges.items()]
     heapify(heap)
 
     def sub(k, l, n, d):  # M[k][l] -= n/d
         if k == l:
-            diag[k] = _minus(diag[k], n, d)
+            num[k], den[k] = _minus((num[k], den[k]), n, d)
         elif n:
             x = _minus(edges[k].get(l, (0, 1)), n, d)
             if x[0]:
@@ -520,12 +519,12 @@ def signature(form) -> tuple[int, int, int]:
                 del edges[k][l], edges[l][k]
 
     while heap:
-        deg, v = heappop(heap)
+        deg, _, v = heappop(heap)
         a = edges[v]
         if a is None or len(a) != deg:
             continue  # a stale entry: v is gone or its degree changed
         edges[v] = None
-        dn, dd = diag[v]
+        dn, dd = num[v], den[v]
         for k in a:
             del edges[k][v]
         if dn > 0:
@@ -546,12 +545,12 @@ def signature(form) -> tuple[int, int, int]:
             # nothing changes when v is a leaf
             b_plus += 1
             b_minus += 1
-            w = min(a, key=lambda u: (len(edges[u]), u))
+            w = min(a, key=lambda u: (len(edges[u]), rank[u]))
             mn, md = a.pop(w)
             c, edges[w] = edges[w], None
             for k in c:
                 del edges[k][w]
-            wn, wd = diag[w]
+            wn, wd = num[w], den[w]
             ct = dict(c)
             for k, (an, ad) in a.items():
                 ct[k] = _minus(ct.get(k, (0, 1)), wn * md * an, wd * 2 * mn * ad)
@@ -560,7 +559,7 @@ def signature(form) -> tuple[int, int, int]:
                     sub(k, l, (2 if k == l else 1) * an * cn * md, ad * cd * mn)
             touched = ct
         for k in touched:
-            heappush(heap, (len(edges[k]), k))
+            heappush(heap, (len(edges[k]), rank[k], k))
     return (b_plus, b_minus, len(form) - b_plus - b_minus)
 
 
@@ -627,13 +626,18 @@ def _blow_up(store, touched: Sequence[str], label: str) -> None:
         c1[t] -= 1
         row = edges[t]
         for u in touched:
-            if u != t:  # row[u] -= 1; rows hold nonzero entries only
-                if v := row.get(u, 0) - 1:
-                    row[u] = v
-                else:
-                    del row[u]
+            if u != t:
+                _bump(row, u, -1)
         row[label] = 1
     self_[label], c1[label], edges[label] = -1, 1, dict.fromkeys(touched, 1)
+
+
+def _bump(row: dict, key: str, x: int) -> None:
+    """``row[key] += x`` for ``x != 0``; an edge row holds nonzero entries only."""
+    if v := row.get(key, 0) + x:
+        row[key] = v
+    else:
+        del row[key]
 
 
 def _require_exceptional(lat: IntersectionLattice, label: str) -> None:
@@ -672,15 +676,9 @@ def _forced_contractions(store, labels: Sequence[str], stop=None) -> dict[str, i
             c = c1[a] = c1[a] + ma
             row = edges[a] = dict(edges[a])
             del row[label]
-            for b, mb in pairs:  # row[b] += ma * mb; rows hold nonzero entries only
-                if b == a:
-                    continue
-                if b not in row:
-                    row[b] = ma * mb
-                elif v := row[b] + ma * mb:
-                    row[b] = v
-                else:
-                    del row[b]
+            for b, mb in pairs:
+                if b != a:
+                    _bump(row, b, ma * mb)
             # a's self-intersection grew: if it is ready now, it was not before
             if s == -1 and c == 1 and a in order:
                 ready.append(a)
@@ -752,46 +750,39 @@ def chain_contact_replay(lat: IntersectionLattice, eprime: str, config) -> Chain
         raise DomainError("E' must be distinct from the configuration's class")
     if not lat.is_exceptional(eprime):
         raise DomainError(f"{eprime!r} is not an exceptional class")
+    hit, done, work = etilde, [], lat
     k = lat.pair(eprime, etilde)
-    if k != 0:  # a pair of exceptional classes for either sign of k
-        if not lat.is_exceptional(etilde):
-            raise DomainError(f"{etilde!r} is not an exceptional class")
-        return ChainContactReplay(
-            True, etilde, (), (eprime, etilde),
-            (lat.self_intersection(eprime), lat.self_intersection(etilde)), k,
-            lat.c1_of(eprime) + lat.c1_of(etilde),
-        )
-    contacts = {l for l in chain_labels if lat.pair(eprime, l) != 0}
-    if not contacts:
-        return ChainContactReplay(False, None, (), None, None, None, None)
-    # Everything contracted is disjoint from E' (a -1 class meeting E' ends
-    # the replay first), so the pairings of E' never change, and only the
-    # neighbours of a contracted class can join the hits.
-    labels = (etilde, *chain_labels)
-    if len(set(labels)) != len(labels):
-        raise DomainError("the configuration's class labels must be distinct")
-    store = lat._store()
-    self_ = store[0]
-    hits = {l for l in contacts if self_[l] == -1}
-    done: list[str] = []
+    if k == 0:
+        contacts = {l for l in chain_labels if lat.pair(eprime, l) != 0}
+        if not contacts:
+            return ChainContactReplay(False, None, (), None, None, None, None)
+        # Everything contracted is disjoint from E' (a -1 class meeting E' ends
+        # the replay first), so the pairings of E' never change, and only the
+        # neighbours of a contracted class can join the hits.
+        labels = (etilde, *chain_labels)
+        if len(set(labels)) != len(labels):
+            raise DomainError("the configuration's class labels must be distinct")
+        store = lat._store()
+        self_ = store[0]
+        hits = {l for l in contacts if self_[l] == -1}
 
-    def stop(label, met):
-        done.append(label)
-        hits.update(l for l in met if l in contacts and self_[l] == -1)
-        return hits
+        def stop(label, met):
+            done.append(label)
+            hits.update(l for l in met if l in contacts and self_[l] == -1)
+            return hits
 
-    if not hits:
-        _forced_contractions(store, labels, stop)
         if not hits:
-            raise StructureError("blowdown replay stuck: no (-1)-class left")
-    hit = min(hits, key=chain_labels.index)
-    work = IntersectionLattice._sparse(*store)
-    k = work.pair(eprime, hit)
-    if k >= 1:
-        exceptional_pair_criterion(work, eprime, hit)
-    return ChainContactReplay(
-        True, hit, tuple(done), (eprime, hit),
-        (work.self_intersection(eprime), work.self_intersection(hit)),
-        k, work.c1_of(eprime) + work.c1_of(hit),
-    )
+            _forced_contractions(store, labels, stop)
+            if not hits:
+                raise StructureError("blowdown replay stuck: no (-1)-class left")
+        hit = min(hits, key=chain_labels.index)
+        work = IntersectionLattice._sparse(*store)
+        k = work.pair(eprime, hit)
+        if k >= 1:
+            exceptional_pair_criterion(work, eprime, hit)
+    elif not lat.is_exceptional(etilde):  # E' meets E~: a pair for either sign of k
+        raise DomainError(f"{etilde!r} is not an exceptional class")
+    return ChainContactReplay(True, hit, tuple(done), (eprime, hit),
+                              (work.self_intersection(eprime), work.self_intersection(hit)),
+                              k, work.c1_of(eprime) + work.c1_of(hit))
 

@@ -121,8 +121,8 @@ def type_equivalent(s1: CyclicSingularity, s2: CyclicSingularity, oriented: bool
     if s1.order != s2.order:
         return False
     r = s1.order
-    q1 = s1.canonical().q
-    q2 = s2.canonical().q
+    _, q1 = resolution_params(s1)
+    _, q2 = resolution_params(s2)
     if (q2 - q1) % r == 0 or (q1 * q2 - 1) % r == 0:
         return True
     if oriented:

@@ -76,7 +76,7 @@ def _flags(name, **values):
 
 
 def _arith():
-    for m in range(1, 23):
+    for m in range(23):
         for k in range(m + 1):
             yield _flags("hj", m=m, k=k), None
     for r in range(1, 8):

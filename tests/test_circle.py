@@ -215,6 +215,29 @@ def test_invalid_data_raise_validation_error(start, name):
     assert err.value.errors == errors and str(err.value) == "; ".join(errors)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_loop([FixedPointDatum(0, +1, 2, 1, match=5),
+                       FixedPointDatum(Fraction(1, 2), -1, 2, 1, match=0)], 1),
+     "fixed point 0: match index 5 out of range"),
+    (lambda: run_loop([FixedPointDatum(0, +1, 2, 1, match=1),
+                       FixedPointDatum(Fraction(1, 4), -1, 2, 1, match=2),
+                       FixedPointDatum(Fraction(1, 2), -1, 2, 1, match=1)], 1),
+     "fixed points 0 and 1 disagree about their match"),
+    (lambda: run_loop([FixedPointDatum(0, +1, 2, 1), FixedPointDatum(Fraction(1, 4), -1, 2, 1),
+                       FixedPointDatum(Fraction(1, 2), -1, 3, 1)], 1),
+     "unmatched weights (3, 1): blowdown with no blowup"),
+    (lambda: build_cover(pair_21(), 0), "eps must be positive, got 0"),
+    (lambda: build_cover(pair_21(), Fraction(-1, 8)), "eps must be positive, got -1/8"),
+    (lambda: cross_level(initial_state(pair_21()), FixedPointDatum(Fraction(1, 3), +1, 2, 1)),
+     "datum is not part of this state's fixed-point data"),
+], ids=["match-out-of-range", "match-disagrees", "blowdown-without-blowup", "zero-eps",
+        "negative-eps", "foreign-datum"])
+def test_each_refusal_names_its_reason(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("start", [initial_state, lambda data, **kw: run_loop(data, 3, **kw)],
                          ids=["initial_state", "run_loop"])
 @pytest.mark.parametrize("options,reason", [

@@ -703,19 +703,34 @@ def test_no_subcommand_loads_dataclasses_inspect_or_typing(argv, stdin):
     assert proc.stderr.splitlines()[-1] == "[0, []]", proc.stderr
 
 
+_FAILED_CROSS_CHECK = """\
+import sys
+import hjtoric.blowup
+hjtoric.blowup.lattices_isomorphic_as_chains = lambda a, b: False
+from hjtoric.cli import main
+code = main(sys.argv[1:])
+sys.stdout.write("\\n" + repr("logging" in sys.modules))
+sys.exit(code)
+"""
+
+
 @pytest.mark.parametrize("log", [None, "debug"])
-def test_failed_cross_check_logs_one_error_line(log):
-    """The error branch of ``blowup`` keeps its stderr format whether or not
-    HJTORIC_LOG configured logging first."""
-    code = ("import sys\n"
-            "import hjtoric.blowup\n"
-            "hjtoric.blowup.lattices_isomorphic_as_chains = lambda a, b: False\n"
-            "from hjtoric.cli import main\n"
-            "sys.exit(main(['blowup', '--p', '7', '--q', '4']))\n")
-    proc = fresh.python("-c", code, log=log)
-    assert proc.returncode == 1 and json.loads(proc.stdout)["cross_check"] is False
-    assert proc.stderr == ("ERROR:hjtoric.cli:cross_check(7, 4) failed: the 5 replayed classes "
-                           "do not match the 5 vertex-route classes\n")
+def test_failed_cross_check_logs_one_error_line(log, capsys):
+    """A failed cross-check of ``blowup`` is an internal inconsistency: its
+    JSON or SVG is written as for a passed one, then one stderr line and
+    exit 1, whether or not HJTORIC_LOG configured logging first.  Only
+    HJTORIC_LOG loads ``logging``."""
+    for fmt in ("json", "svg"):
+        argv = ["blowup", "--p", "7", "--q", "4", "--format", fmt]
+        code, want = run_cli(capsys, *argv)
+        assert code == 0
+        proc = fresh.python("-c", _FAILED_CROSS_CHECK, *argv, log=log)
+        out, loaded = proc.stdout.rsplit("\n", 1)
+        assert proc.returncode == 1 and loaded == repr(log is not None)
+        assert out == want.replace('"cross_check": true', '"cross_check": false')
+        assert ('"cross_check": false' in out) == (fmt == "json")
+        assert proc.stderr == ("internal inconsistency: cross_check(7, 4) failed: the 5 replayed "
+                               "classes do not match the 5 vertex-route classes\n")
 
 
 _SHARED_CONFIG = {"fixed_points": [

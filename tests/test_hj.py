@@ -173,6 +173,29 @@ def test_public_constructor_accepts_what_expand_and_reverse_build():
             assert HJExpansion(e.numerator, e.residue, e.terms) == e
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((5, 2, (3, 1)), "all terms must be >= 2, got (3, 1)"),
+    ((0, 0, ()), "terms [] do not evaluate to 0/0"),
+    ((-5, 2, (3, 2)), "terms [3, 2] do not evaluate to -5/2"),
+    ((1, 1, ()), "terms [] do not evaluate to 1/1"),
+    ((1, 0, (2,)), "terms [2] do not evaluate to 1/0"),
+    ((5, 0, (3, 2)), "terms [3, 2] do not evaluate to 5/0"),
+    ((5, 5, (3, 2)), "terms [3, 2] do not evaluate to 5/5"),
+    ((5, -3, (3, 2)), "terms [3, 2] do not evaluate to 5/-3"),
+    ((6, 4, (2, 2)), "terms [2, 2] do not evaluate to 6/4"),
+    ((True, 0, ()), "numerator and residue must be integers, got (True, 0)"),
+    ((2, 1, (True,)), "terms must be a list of integers, got (True,)"),
+], ids=["term-1", "m-0", "m-negative", "m-1-k-1", "m-1-with-terms", "k-0", "k-m",
+        "k-negative", "gcd-2", "bool-numerator", "bool-term"])
+def test_the_constructor_refuses_all_that_breaks_its_invariant(fields, message):
+    """Int fields, terms >= 2 and ``hj_eval(terms) == (m, k)``: that one
+    invariant refuses m < 1, m = 1 with k != 0 or with terms, k outside
+    [1, m) and gcd(m, k) > 1."""
+    with pytest.raises(DomainError) as err:
+        HJExpansion(*fields)
+    assert str(err.value) == message
+
+
 def test_reversal_duality_small_range():
     for m, k in coprime_pairs(60):
         rev = hj_reverse(hj_expand(m, k))

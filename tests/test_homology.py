@@ -1102,6 +1102,43 @@ def test_lattice_from_parts_rejects_a_self_pair():
         lattice_from_parts(["A", "B"], {("A", "A"): -3, ("A", "B"): 1}, {"B": -2})
 
 
+def _two_classes():
+    return lattice_from_parts(["A", "B"], {("A", "B"): 1}, {"A": -1, "B": -2})
+
+
+def _replay_args(eprime):
+    """A (7, 4) config with a free (-1)-class E', and ``eprime`` as E'."""
+    cfg = fulton_config(7, 4)
+    return add_class(cfg.lattice(), "E'", -1), eprime, cfg
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: add_class(_two_classes(), "A", -1), "label 'A' already present"),
+    (lambda: lattice_from_parts(["A", "B", "A"], {}, {}), "class labels must be distinct"),
+    (lambda: lattice_from_parts(["A"], {("A", "C"): 1}, {}), "no class labeled 'C'"),
+    (lambda: blow_up_at(_two_classes(), ["A"], "B"), "label 'B' already present"),
+    (lambda: blow_up_at(_two_classes(), ["A", "C"], "E"), "no class labeled 'C'"),
+    (lambda: blow_up_at(_two_classes(), ["A", "B", "A"], "E"), "touched classes must be distinct"),
+    (lambda: exceptional_pair_criterion(_two_classes(), "A", "A"),
+     "criterion needs two distinct classes"),
+    (lambda: chain_contact_replay(*_replay_args("E~")),
+     "E' must be distinct from the configuration's class"),
+    (lambda: chain_contact_replay(*_replay_args("Zp1")), "'Zp1' is not an exceptional class"),
+], ids=["add-class-present", "parts-repeated", "parts-unknown", "blow-up-present",
+        "blow-up-unknown", "blow-up-repeated", "criterion-one-class", "replay-eprime-is-etilde",
+        "replay-eprime-not-exceptional"])
+def test_each_refusal_names_its_reason(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_a_lattice_equals_no_other_type():
+    lat = _two_classes()
+    assert lat.__eq__(0) is NotImplemented
+    assert not lat == 0 and lat != 0
+
+
 def test_from_json_rejects_non_integers_with_the_same_messages():
     for obj, message in [
         ({"pairing": [[1.5, 0], [0, -1]]}, "each pairing row must be a list of integers, got [1.5, 0]"),

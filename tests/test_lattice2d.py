@@ -56,3 +56,9 @@ class TestPhiEmbed:
         assert phi_embed(*VALID) == (Fraction(11, 20), 1, 2)
         with pytest.raises(DomainError):
             phi_embed(*args)
+
+    @pytest.mark.parametrize("weights", [(0, 1, 1), (2, -1, 1), (2, 1, 0)], ids=["p", "q", "r"])
+    def test_rejects_a_weight_below_one(self, weights):
+        with pytest.raises(DomainError) as err:
+            phi_embed(*weights, *VALID[3:])
+        assert str(err.value) == f"weights must be positive, got {weights}"

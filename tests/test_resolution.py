@@ -160,6 +160,11 @@ class TestChain:
         with pytest.raises(DomainError):
             Chain((-1,), ("Z1",))
 
+    def test_rejects_a_repeated_label(self):
+        with pytest.raises(DomainError) as err:
+            Chain((-2, -3), ("Z1", "Z1"))
+        assert str(err.value) == "chain labels must be distinct"
+
     def test_reversed_relabels(self):
         c = Chain((-2, -3), ("Z1", "Z2"))
         rev = c.reversed()
