@@ -11,11 +11,11 @@ intersection lattice:
   transform E~ of the exceptional curve with E~^2 = -1;
 
 * the multiplicity route realizes the same surface by a cascade of
-  ordinary corner cuts of the quadrant.  The Euclidean algorithm on (p, q)
-  gives the multiplicities and splits the cuts into blocks; each cut's
-  label is the Stern-Brocot mediant of the labels of the two edges flanking
-  its corner, starting from the axes (1, 0) and (0, 1), and the block
-  parity decides which flank the new cut replaces.  The labels end at
+  ordinary corner cuts of the quadrant.  The Euclidean algorithm on (p, q),
+  ``hj._euclid_blocks``, gives the multiplicities and splits the cuts into
+  blocks; each cut's label is the Stern-Brocot mediant of the labels of the
+  two edges flanking its corner, from the axes (1, 0) and (0, 1), and the
+  block parity decides which flank the new cut replaces.  The labels end at
   (q, p).  Every corner cut is smooth (its flanks have determinant 1) and
   is an ordinary blowup at the classes of its flanking cuts.  The replay is
   pure integer arithmetic (Graham-Knuth-Patashnik, *Concrete Mathematics*
@@ -24,8 +24,8 @@ intersection lattice:
 ``cross_check`` verifies that the two routes build isomorphic lattices; the
 sum of squared multiplicities always equals p*q (each multiplicity-m cut
 removes m^2 half-unit triangles of the p*q-area corner being excised).
-``weighted_blowdown`` walks a config's own classes along its path, else
-(or on an anomaly) along ``homology._forced_contractions``, the general walk.
+``weighted_blowdown`` walks a config's own classes along its path, else (or
+on an anomaly) to the end of ``homology._forced_contractions``, the general walk.
 
 Both chains of a config are stored with class index 1 adjacent to E~ (the
 expansions above read from the opposite, axis-adjacent end; reversing an
@@ -41,7 +41,7 @@ from math import gcd
 
 from ._value import Value
 from .errors import DomainError, StructureError, require_ints, require_object
-from .hj import MAX_TERMS, hj_expand
+from .hj import MAX_TERMS, _euclid_blocks, hj_expand
 from .homology import (IntersectionLattice, _blow_up, _forced_contractions, _lattice,
                        _require_exceptional, empty_lattice)
 from .rationals import parse_rational
@@ -195,30 +195,17 @@ class McDuffSequence(Value):
         return chords
 
 
-def _euclid_blocks(p: int, q: int) -> tuple[list[int], list[int]]:
-    """Block sizes a_i and values q_i of the multiplicity recursion."""
-    blocks: list[int] = []
-    values: list[int] = []
-    prev, cur = p, q
-    while cur > 0:
-        a, rem = divmod(prev, cur)
-        blocks.append(a)
-        values.append(cur)
-        prev, cur = cur, rem
-    return blocks, values
-
-
 def mcduff_sequence(q: int, p: int) -> McDuffSequence:
     """The cut replay for weights (q, p), p > q.
 
     Each cut's label is the mediant of its two flanking labels, starting
-    from the axes (1, 0) and (0, 1).  Block i of the Euclidean recursion
-    makes a_i cuts; in the first, third, ... block each new cut replaces the
-    up flank of the next cut, in the second, fourth, ... the down flank.
-    For (4, 7) this is multiplicities (4, 3, 1, 1, 1) and cuts (1, 1),
-    (1, 2), (2, 3), (3, 5), (4, 7).  The cut count, the sum of the block
-    sizes, is at most p; a replay of more than ``hj.MAX_TERMS`` cuts is
-    refused before it starts.
+    from the axes (1, 0) and (0, 1).  Block i of the Euclidean recursion,
+    ``hj._euclid_blocks``, makes a_i cuts; in the first, third, ... block
+    each new cut replaces the up flank of the next cut, in the second,
+    fourth, ... the down flank.  For (4, 7) this is multiplicities
+    (4, 3, 1, 1, 1) and cuts (1, 1), (1, 2), (2, 3), (3, 5), (4, 7).  The cut
+    count, the sum of the block sizes, is at most p; a replay of more than
+    ``hj.MAX_TERMS`` cuts is refused before it starts.
     """
     _require_weights(p, q)
     blocks, values = _euclid_blocks(p, q)
@@ -359,7 +346,9 @@ def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> Interse
     if len(selfs) == len(labels) and _path_walk(lat, config):
         return empty_lattice()
     store = lat._store()
-    if remaining := _forced_contractions(store, labels):
+    for _ in _forced_contractions(store, labels):
+        pass
+    if remaining := [label for label in labels if label in store[0]]:
         if etilde in remaining:  # E~ leads the walk: it is left only if its c1 is not 1
             _require_exceptional(lat, etilde)
         raise StructureError("blowdown stalled: no remaining config class at -1 "

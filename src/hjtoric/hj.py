@@ -24,8 +24,8 @@ from .errors import DomainError, EvaluationError, require_int, require_ints, req
 
 UNIT = (1, 0)  # value of the empty expansion; a 1/0-free stand-in for "m = 1"
 # the most terms an expansion, or cuts a cut replay (``blowup.mcduff_sequence``),
-# may have: each is counted in O(log m) steps before it is built, and a longer
-# one is refused with a DomainError instead of filling memory
+# may have: one Euclid walk, ``_euclid_blocks``, counts both in O(log m) steps
+# first, and a longer one is refused with a DomainError instead of filling memory
 MAX_TERMS = 10 ** 6
 
 
@@ -111,17 +111,24 @@ def hj_eval(terms: Sequence[int]) -> tuple[int, int]:
     return (num, den)
 
 
+def _euclid_blocks(p: int, q: int) -> tuple[list[int], list[int]]:
+    """The quotients a_i and divisors q_i of the Euclidean algorithm on (p, q),
+    q_0 = p, q_1 = q and q_{i-1} = a_i * q_i + q_{i+1} until the remainder is 0:
+    the block sizes and multiplicities of the cut replay, and the term count."""
+    blocks, values = [], []
+    while q:
+        blocks.append(p // q)
+        values.append(q)
+        p, q = q, p % q
+    return blocks, values
+
+
 def _term_count(m: int, k: int) -> int:
     """The number of terms of the expansion of m/k (1 <= k < m, coprime), in
     O(log m) steps: with [c1; c2, ...] the regular continued fraction of
     m/k, each odd-position quotient counts 1 and each even-position one its
     value less 1.  The count is at most m - 1."""
-    n, odd = 0, True
-    while k:
-        c, r = divmod(m, k)
-        n += 1 if odd else c - 1
-        m, k, odd = k, r, not odd
-    return n
+    return sum(c - 1 if i % 2 else 1 for i, c in enumerate(_euclid_blocks(m, k)[0]))
 
 
 def hj_expand(m: int, k: int) -> HJExpansion:

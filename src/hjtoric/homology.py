@@ -28,17 +28,17 @@ O(n) in total.  Rows shared with other lattices are never written:
 ``_forced_contractions`` copies an edge-map row before writing to it, and
 ``_blow_up`` writes the touched rows in place, so ``blow_up_at`` copies
 those rows first and the cut replay runs it on a store of its own.
-``_forced_contractions`` is one plain loop, the general contraction walk:
-``blow_down`` runs it on one label, ``blowup.weighted_blowdown`` on a
+``_forced_contractions``, the general contraction walk, is a generator its
+callers step: ``blow_down`` once, ``blowup.weighted_blowdown`` to the end on a
 configuration its path walk (for that shape alone) does not empty and
-``chain_contact_replay`` on one until a class that E' meets is at -1.
+``chain_contact_replay`` until a class that E' meets is at -1.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, compress, count, islice, repeat
 from json.decoder import WHITESPACE, JSONDecoder, scanstring
@@ -585,7 +585,7 @@ def blow_down(lat: IntersectionLattice, label: str) -> IntersectionLattice:
     require_strs([label], "a class label must be a string")
     _require_exceptional(_lattice(lat), label)
     store = lat._store()
-    _forced_contractions(store, (label,))
+    next(_forced_contractions(store, (label,)))
     return IntersectionLattice._sparse(*store)
 
 
@@ -651,12 +651,12 @@ def _require_exceptional(lat: IntersectionLattice, label: str) -> None:
         )
 
 
-def _forced_contractions(store, labels: Sequence[str], stop=None) -> dict[str, int]:
+def _forced_contractions(store, labels: Sequence[str]) -> Iterator[tuple[str, dict]]:
     """Contract ``labels`` in ``store`` (owned by the caller) in their forced
     order, one (-1)-class with c1 = 1 at a time (of several, the earliest label),
-    as :func:`blow_down` does, until none is ready or ``stop(label, met)`` is
-    true for the class just contracted and the row of the classes it met.
-    Returns the labels left, with their indices.  One pass over the met
+    as :func:`blow_down` does, until none is ready.  A generator: it yields
+    each class just contracted with the row of the classes it met, and a
+    caller that stops reading contracts nothing more.  One pass over the met
     classes edits them (rows by copy) and updates their readiness; only they
     can change it, so the walk is O(n)."""
     self_, c1, edges = store
@@ -684,9 +684,7 @@ def _forced_contractions(store, labels: Sequence[str], stop=None) -> dict[str, i
                 ready.append(a)
             elif a in ready:
                 ready.remove(a)
-        if stop is not None and stop(label, met):
-            break
-    return order
+        yield label, met
 
 
 # -- b2+ = 1 criteria --------------------------------------------------------
@@ -739,13 +737,12 @@ def chain_contact_replay(lat: IntersectionLattice, eprime: str, config) -> Chain
     (everything contracted so far was disjoint from it) and the two classes
     form an intersecting exceptional pair.
 
-    ``config`` is a ``BlowupConfig``.
+    ``config`` is a ``BlowupConfig``; one that names a class twice is refused.
     """
     from .blowup import BlowupConfig  # here: blowup imports this module
     _lattice(lat)
     require_object(config, BlowupConfig, "config must be a BlowupConfig")
-    etilde = config.exceptional_label
-    chain_labels = tuple(config.chain_labels)
+    etilde, *chain_labels = config.class_labels
     if eprime == etilde:
         raise DomainError("E' must be distinct from the configuration's class")
     if not lat.is_exceptional(eprime):
@@ -759,22 +756,16 @@ def chain_contact_replay(lat: IntersectionLattice, eprime: str, config) -> Chain
         # Everything contracted is disjoint from E' (a -1 class meeting E' ends
         # the replay first), so the pairings of E' never change, and only the
         # neighbours of a contracted class can join the hits.
-        labels = (etilde, *chain_labels)
-        if len(set(labels)) != len(labels):
-            raise DomainError("the configuration's class labels must be distinct")
         store = lat._store()
         self_ = store[0]
         hits = {l for l in contacts if self_[l] == -1}
-
-        def stop(label, met):
+        walk = _forced_contractions(store, config.class_labels)
+        while not hits:
+            label, met = next(walk, (None, None))
+            if label is None:
+                raise StructureError("blowdown replay stuck: no (-1)-class left")
             done.append(label)
             hits.update(l for l in met if l in contacts and self_[l] == -1)
-            return hits
-
-        if not hits:
-            _forced_contractions(store, labels, stop)
-            if not hits:
-                raise StructureError("blowdown replay stuck: no (-1)-class left")
         hit = min(hits, key=chain_labels.index)
         work = IntersectionLattice._sparse(*store)
         k = work.pair(eprime, hit)

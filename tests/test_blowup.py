@@ -2,6 +2,8 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -25,6 +27,7 @@ from hjtoric.circle import FixedPointDatum, run_loop
 from hjtoric.errors import DomainError, StructureError
 from hjtoric.homology import (
     IntersectionLattice,
+    _forced_contractions,
     add_class,
     blow_down,
     blow_up_at,
@@ -417,21 +420,20 @@ class TestWeightedBlowdown:
 
     def test_a_config_naming_a_class_twice_is_refused(self):
         """A label shared by both chains, or by E~ and a chain, is a
-        DomainError from ``class_labels``, so from ``weighted_blowdown`` and
-        ``lattice`` alike; the contact replay keeps its own message."""
+        DomainError from ``class_labels``, so from ``weighted_blowdown``,
+        ``lattice`` and the contact replay alike, with one message."""
         cfg = fulton_config(7, 4)
         lat = cfg.lattice()
+        # E' on a chain class, on E~ and on no class: each branch of the replay
+        with_eprime = [add_class(lat, "X", -1, row, c1=1) for row in ({"Zp1": 1}, {"E~": 1}, {})]
         for bad in (replace(cfg, chain_q=replace(cfg.chain_q, labels=("Zp1",))),
                     replace(cfg, exceptional_label="Zq1")):
-            for call in (lambda: bad.class_labels, bad.lattice,
-                         lambda: weighted_blowdown(lat, bad)):
+            calls = [lambda: bad.class_labels, bad.lattice, lambda: weighted_blowdown(lat, bad)]
+            calls += [partial(chain_contact_replay, lat_e, "X", bad) for lat_e in with_eprime]
+            for call in calls:
                 with pytest.raises(DomainError) as exc:
                     call()
                 assert str(exc.value) == "class labels must be distinct"
-        bad = replace(cfg, chain_q=replace(cfg.chain_q, labels=("Zp1",)))
-        eprime = add_class(lat, "X", -1, {"Zp1": 1}, c1=1)
-        with pytest.raises(DomainError, match="^the configuration's class labels must be distinct$"):
-            chain_contact_replay(eprime, "X", bad)
 
     def test_class_labels_are_kept_per_config(self):
         """``class_labels`` is built once per config, not per read, and is no
@@ -605,6 +607,42 @@ def test_tampered_configs_fail_like_the_oracle(p, q):
         assert got == stepwise.outcome(stepwise.weighted_blowdown, lat, cfg)
         outcomes.add(got[0] if isinstance(got, tuple) else "lattice")
     assert {DomainError, StructureError} <= outcomes
+
+
+def stepwise_contractions(lat, labels):
+    """(label, lattice) per ``blow_down`` in ``stepwise``'s order, which
+    contracts the earliest of ``labels`` that is exceptional, rescanned at
+    every step, until none is; the first pair is (None, ``lat``)."""
+    steps, left = [(None, lat)], list(labels)
+    while label := next((l for l in left if lat.is_exceptional(l)), None):
+        lat = blow_down(lat, label)
+        left.remove(label)
+        steps.append((label, lat))
+    return steps
+
+
+def test_the_general_walk_yields_the_stepwise_contractions():
+    """Stepped as a generator on (7, 4)'s lattice and on each tampered one
+    that holds the config's classes, the walk yields E~ first exactly when
+    E~ is exceptional, each class with the row of the classes it met, and
+    after k steps leaves the lattice k ``blow_down``s leave; a walk
+    abandoned there contracts nothing more."""
+    cfg = fulton_config(7, 4)
+    for lat, c in [(cfg.lattice(), cfg), *tampered(cfg)]:
+        labels = c.class_labels
+        if not set(labels) <= set(lat.classes):
+            continue
+        want = stepwise_contractions(lat, labels)
+        got = list(_forced_contractions(lat._store(), labels))
+        assert (got[:1] != [] and got[0][0] == "E~") == lat.is_exceptional("E~")
+        assert got == [(l, dict(before.neighbours(l))) for (_, before), (l, _) in zip(want, want[1:])]
+        for k, (_, after) in enumerate(want):
+            store = lat._store()
+            walk = _forced_contractions(store, labels)
+            assert len(list(islice(walk, k))) == k
+            assert IntersectionLattice._sparse(*store) == after
+            walk.close()
+            assert IntersectionLattice._sparse(*store) == after
 
 
 def refuse_the_general_walk(monkeypatch):

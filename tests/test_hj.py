@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fresh
+from hjtoric.blowup import mcduff_sequence
 from hjtoric.errors import DomainError, EvaluationError
-from hjtoric.hj import (MAX_TERMS, UNIT, HJExpansion, _term_count, ext_gcd, hj_eval, hj_expand,
-                        hj_reverse, mod_inverse)
+from hjtoric.hj import (MAX_TERMS, UNIT, HJExpansion, _euclid_blocks, _term_count, ext_gcd, hj_eval,
+                        hj_expand, hj_reverse, mod_inverse)
 
 
 class TestExtGcd:
@@ -244,12 +245,20 @@ def test_uniqueness_by_exhaustive_search():
 @given(st.integers(2, 5000), st.integers(1, 5000))
 def test_term_count_is_the_expansions_length(m, k):
     """The O(log m) count read off the regular continued fraction equals the
-    length of the expansion it stands in for, and never exceeds m - 1."""
+    length of the expansion it stands in for, and never exceeds m - 1.  The
+    Euclid walk behind it rebuilds (m, k) from its quotients and divisors,
+    and its quotients sum to the cut count of the replay of (k, m)."""
     k = k % m or 1
     if gcd(m, k) != 1:
         return
     n = _term_count(m, k)
     assert n == len(hj_expand(m, k).terms) <= m - 1
+    blocks, values = _euclid_blocks(m, k)
+    pair = (values[-1], 0)
+    for a, v in zip(reversed(blocks), reversed(values)):
+        assert pair[0] == v
+        pair = (a * v + pair[1], v)
+    assert pair == (m, k) and sum(blocks) == len(mcduff_sequence(k, m))
 
 
 def test_term_count_of_the_longest_expansions():
