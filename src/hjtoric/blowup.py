@@ -40,7 +40,7 @@ from functools import cached_property
 from math import gcd
 
 from ._value import Value
-from .errors import DomainError, StructureError, require_ints, require_object
+from .errors import DomainError, StructureError, require_object, require_seq
 from .hj import MAX_TERMS, _euclid_blocks, hj_expand
 from .homology import (IntersectionLattice, _blow_up, _forced_contractions, _lattice,
                        _require_exceptional, empty_lattice)
@@ -52,7 +52,7 @@ Point = tuple[Fraction, Fraction]
 
 
 def _require_weights(p: int, q: int) -> None:
-    require_ints((p, q), "weights must be integers")
+    require_seq((p, q), int, "weights must be integers")
     if p < 1 or q < 1:
         raise DomainError(f"weights must be positive, got ({p}, {q})")
     if gcd(p, q) != 1:

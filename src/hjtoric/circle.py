@@ -69,7 +69,8 @@ from math import lcm
 
 from ._value import Value
 from .blowup import BlowupConfig, _require_weights, fulton_config, weighted_blowdown
-from .errors import DomainError, StructureError, ValidationError, require_int, require_object
+from .errors import (DomainError, StructureError, ValidationError, require_int, require_object,
+                     require_seq)
 from .homology import IntersectionLattice, _with_prefix, empty_lattice
 from .rationals import parse_rational, rational_json
 
@@ -104,11 +105,7 @@ class FixedPointDatum(Value):
 
 
 def _fixed_points(data) -> tuple[FixedPointDatum, ...]:
-    """``data`` as a tuple if it is a list or a tuple of ``FixedPointDatum``;
-    otherwise a DomainError."""
-    if not isinstance(data, (list, tuple)) or not {FixedPointDatum}.issuperset(map(type, data)):
-        raise DomainError(f"fixed points must be a list of FixedPointDatum, got {data!r}")
-    return tuple(data)
+    return require_seq(data, FixedPointDatum, "fixed points must be a list of FixedPointDatum")
 
 
 def _validate(data: tuple[FixedPointDatum, ...], grid) -> tuple[tuple[int, int], ...]:

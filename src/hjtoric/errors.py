@@ -5,15 +5,15 @@ covers internal inconsistencies discovered mid-computation, e.g. a blowdown
 sequence whose next class never reaches self-intersection -1.  The CLI maps
 DomainError to exit code 2 and StructureError to exit code 1.
 
-Every integer input is checked by ``require_int`` or ``require_ints``: its
-type must be exactly ``int``, so a bool, a float, a Fraction or a string is
-refused, never coerced.  Class labels are checked by ``require_strs``: each
-must be exactly a ``str``, so every lattice's JSON reads back.  A sequence
-input is checked by ``require_list``: it must be a list or a tuple, so
-None, a number, a set or a dict is refused.  A package object (a lattice,
-a config, a singularity, an expansion, a state) is checked by
-``require_object``: one ``isinstance`` test, so None, a number or another
-kind of object is refused.  All five raise
+An integer input is checked by ``require_int``: its type must be exactly
+``int``, so a bool, a float, a Fraction or a string is refused, never
+coerced.  A sequence input is checked by ``require_seq``: it must be a list
+or a tuple, so None, a number, a set or a dict is refused, and when a
+``kind`` is given each item's type must be exactly that kind, so ints are
+never coerced and every class label (a ``str``) reads back from JSON.  A
+package object (a lattice, a config, a singularity, an expansion, a state)
+is checked by ``require_object``: one ``isinstance`` test, so None, a
+number or another kind of object is refused.  All three raise
 ``DomainError(f"{rule}, got {value!r}")`` with the caller's ``rule``, the
 requirement in words.
 """
@@ -47,26 +47,11 @@ def require_int(value, rule: str, least: int | None = None) -> int:
     return value
 
 
-def require_ints(values, rule: str) -> tuple[int, ...]:
-    """``values`` as a tuple if it is a list or a tuple of ints; otherwise
-    a DomainError.  The type test runs at C speed."""
-    if not isinstance(values, (list, tuple)) or not {int}.issuperset(map(type, values)):
-        raise DomainError(f"{rule}, got {values!r}")
-    return tuple(values)
-
-
-def require_strs(values, rule: str) -> tuple[str, ...]:
-    """``values`` as a tuple if it is a list or a tuple of strs; otherwise
-    a DomainError.  The type test runs at C speed."""
-    if not isinstance(values, (list, tuple)) or not {str}.issuperset(map(type, values)):
-        raise DomainError(f"{rule}, got {values!r}")
-    return tuple(values)
-
-
-def require_list(values, rule: str) -> tuple:
-    """``values`` as a tuple if it is a list or a tuple; otherwise a
-    DomainError."""
-    if not isinstance(values, (list, tuple)):
+def require_seq(values, kind: type | None, rule: str) -> tuple:
+    """``values`` as a tuple if it is a list or a tuple of items of type
+    exactly ``kind`` (None: any); otherwise a DomainError, at C speed."""
+    if not isinstance(values, (list, tuple)) or (
+            kind is not None and not {kind}.issuperset(map(type, values))):
         raise DomainError(f"{rule}, got {values!r}")
     return tuple(values)
 

@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from math import gcd
 
 from ._value import Value
-from .errors import DomainError, EvaluationError, require_int, require_ints, require_object
+from .errors import DomainError, EvaluationError, require_int, require_object, require_seq
 
 UNIT = (1, 0)  # value of the empty expansion; a 1/0-free stand-in for "m = 1"
 # the most terms an expansion, or cuts a cut replay (``blowup.mcduff_sequence``),
@@ -37,7 +37,7 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     which makes the pair unique and the output deterministic.  For ``b == 0``
     the result is ``(|a|, sign(a), 0)``.
     """
-    require_ints((a, b), "ext_gcd needs integers")
+    require_seq((a, b), int, "ext_gcd needs integers")
     if a == 0 and b == 0:
         raise DomainError("ext_gcd(0, 0) is undefined")
     if b == 0:
@@ -71,8 +71,8 @@ class HJExpansion(Value):
 
     def __post_init__(self):
         m, k = self.numerator, self.residue
-        require_ints((m, k), "numerator and residue must be integers")
-        require_ints(self.terms, "terms must be a list of integers")
+        require_seq((m, k), int, "numerator and residue must be integers")
+        require_seq(self.terms, int, "terms must be a list of integers")
         if any(a < 2 for a in self.terms):
             raise DomainError(f"all terms must be >= 2, got {self.terms}")
         if hj_eval(self.terms) != (m, k):
@@ -102,7 +102,7 @@ def hj_eval(terms: Sequence[int]) -> tuple[int, int]:
     another term) raises EvaluationError.
     """
     num, den = 1, 0
-    for a in reversed(require_ints(terms, "terms must be a list of integers")):
+    for a in reversed(require_seq(terms, int, "terms must be a list of integers")):
         if num == 0:
             raise EvaluationError("intermediate zero denominator in evaluation")
         num, den = a * num - den, num
@@ -143,7 +143,7 @@ def hj_expand(m: int, k: int) -> HJExpansion:
     so the result is built without ``HJExpansion``'s check, which would
     evaluate them again.
     """
-    require_ints((m, k), "m and k must be integers")
+    require_seq((m, k), int, "m and k must be integers")
     if m < 1:
         raise DomainError(f"numerator must be positive, got {m}")
     if m == 1:

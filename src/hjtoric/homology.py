@@ -47,8 +47,7 @@ from operator import add
 from types import MappingProxyType
 
 from ._value import Value
-from .errors import (DomainError, StructureError, require_int, require_ints, require_list,
-                     require_object, require_strs)
+from .errors import DomainError, StructureError, require_int, require_object, require_seq
 
 
 _MARK = bytes.maketrans(b"-123456789", b"x" * 10)  # so a nonzero token is x, then x or 0
@@ -158,27 +157,27 @@ class IntersectionLattice:
     kept under both ends.  The three dicts keep their labels in basis order,
     so ``classes`` is the key order of the self-intersections.  ``pair``,
     ``self_intersection``, ``c1_of`` and ``neighbours`` are dict lookups.
-    ``pairing`` (built once) and ``c1`` (built per read) are tuple views in
-    basis order.  Lattices are immutable values: two are equal when their
-    classes, in order, their pairings and their c1 labels agree.
+    ``pairing`` (built once), ``classes`` and ``c1`` (built on each read)
+    are tuple views in basis order.  Lattices are immutable values, equal
+    when their classes, in order, their pairings and their c1 labels agree.
     """
 
-    __slots__ = ("_classes", "_self", "_c1", "_edges", "_pairing")
+    __slots__ = ("_self", "_c1", "_edges", "_pairing")
 
     def __init__(self, classes, pairing, c1):
-        classes = require_strs(classes, "class labels must be a list of strings")
+        classes = require_seq(classes, str, "class labels must be a list of strings")
         n = len(classes)
         if len(set(classes)) != n:
             raise DomainError("class labels must be distinct")
-        rows = require_list(pairing, "a pairing must be a list of rows")
-        for row in rows:  # require_ints's test, without its tuple copy
+        rows = require_seq(pairing, None, "a pairing must be a list of rows")
+        for row in rows:  # require_seq's test for ints, without its tuple copy
             if not isinstance(row, (list, tuple)) or not {int}.issuperset(map(type, row)):
                 raise DomainError(f"each pairing row must be a list of integers, got {row!r}")
         if any(len(row) != len(rows) for row in rows):
             raise DomainError("pairing matrix must be square")
         if len(rows) != n:
             raise DomainError("pairing matrix shape does not match class count")
-        c1 = require_ints(c1, "c1 must be a list of integers")
+        c1 = require_seq(c1, int, "c1 must be a list of integers")
         if len(c1) != n:
             raise DomainError("c1 labels do not match class count")
         cols = list(range(n))  # compress reads stored ints, with no int made per entry
@@ -187,19 +186,10 @@ class IntersectionLattice:
         if not all(rows[j][i] == row[j] for i, row, js in zip(cols, rows, nonzero) for j in js):
             i, j = next((i, j) for i in cols for j in range(i + 1, n) if rows[i][j] != rows[j][i])
             raise DomainError(f"pairing not symmetric at ({i}, {j})")
-        self._init(
-            classes,
-            {l: row[i] for i, l, row in zip(cols, classes, rows)},
-            dict(zip(classes, c1)),
-            {l: {classes[j]: row[j] for j in js if j != i}
-             for i, l, row, js in zip(cols, classes, rows, nonzero)},
-        )
-
-    def _init(self, classes, self_, c1, edges) -> None:
-        self._classes = classes
-        self._self = self_
-        self._c1 = c1
-        self._edges = edges
+        self._self = {l: row[i] for i, l, row in zip(cols, classes, rows)}
+        self._c1 = dict(zip(classes, c1))
+        self._edges = {l: {classes[j]: row[j] for j in js if j != i}
+                       for i, l, row, js in zip(cols, classes, rows, nonzero)}
         self._pairing = None
 
     @classmethod
@@ -207,7 +197,7 @@ class IntersectionLattice:
         """A lattice from a sparse store that is symmetric by construction;
         the keys of ``self_`` are the labels in basis order."""
         lat = cls.__new__(cls)
-        lat._init(tuple(self_), self_, c1, edges)
+        lat._self, lat._c1, lat._edges, lat._pairing = self_, c1, edges, None
         return lat
 
     def _store(self) -> tuple[dict, dict, dict]:
@@ -221,32 +211,33 @@ class IntersectionLattice:
     def __eq__(self, other):
         if not isinstance(other, IntersectionLattice):
             return NotImplemented
-        return (self._classes == other._classes and self._self == other._self
+        return (self.classes == other.classes and self._self == other._self
                 and self._c1 == other._c1 and self._edges == other._edges)
 
     def __hash__(self) -> int:
-        return hash(self._classes)
+        return hash(self.classes)
 
     def __repr__(self) -> str:
-        return (f"IntersectionLattice(classes={self._classes!r}, "
+        return (f"IntersectionLattice(classes={self.classes!r}, "
                 f"pairing={self.pairing!r}, c1={self.c1!r})")
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def classes(self) -> tuple[str, ...]:
-        return self._classes
+        """The labels in basis order, read from the store on each call."""
+        return tuple(self._self)
 
     @property
     def pairing(self) -> tuple[tuple[int, ...], ...]:
         """The dense pairing matrix in basis order (built on first use)."""
         if self._pairing is None:
-            n = len(self._classes)
-            pos = {l: i for i, l in enumerate(self._classes)}
+            n = len(self._self)
+            pos = {l: i for i, l in enumerate(self._self)}
             rows = []
-            for i, l in enumerate(self._classes):
+            for i, (l, s) in enumerate(self._self.items()):
                 row = [0] * n
-                row[i] = self._self[l]
+                row[i] = s
                 for m, v in self._edges[l].items():
                     row[pos[m]] = v
                 rows.append(tuple(row))
@@ -256,10 +247,10 @@ class IntersectionLattice:
     @property
     def c1(self) -> tuple[int, ...]:
         """The c1 labels in basis order, read from the store on each call."""
-        return tuple(map(self._c1.__getitem__, self._classes))
+        return tuple(map(self._c1.__getitem__, self._self))
 
     def __len__(self) -> int:
-        return len(self._classes)
+        return len(self._self)
 
     def _check(self, label: str) -> None:
         # the type test first: an unhashable label cannot be looked up
@@ -289,7 +280,7 @@ class IntersectionLattice:
         return self.self_intersection(label) == -1 and self._c1[label] == 1
 
     def exceptional_classes(self) -> tuple[str, ...]:
-        return tuple(l for l in self._classes if self._self[l] == -1 and self._c1[l] == 1)
+        return tuple(l for l, s in self._self.items() if s == -1 and self._c1[l] == 1)
 
     # -- construction helpers ---------------------------------------------
 
@@ -309,7 +300,7 @@ class IntersectionLattice:
 
     def to_json(self) -> dict:
         return {
-            "classes": list(self._classes),
+            "classes": list(self._self),
             "pairing": [list(r) for r in self.pairing],
             "c1": list(self.c1),
         }
@@ -365,14 +356,14 @@ def add_class(
     """Adjoin one labeled class with prescribed pairings, a dict label ->
     int (default c1 by adjunction).  Useful for synthetic configurations in
     tests and models."""
-    require_strs([label], "a class label must be a string")
+    require_seq([label], str, "a class label must be a string")
     require_int(self_intersection, "self-intersection must be an integer")
     if c1 is not None:
         require_int(c1, "c1 must be an integer")
     if pairings is None:
         pairings = {}
     require_object(pairings, dict, "pairings must be a dict label -> integer")
-    require_ints(list(pairings.values()), "pairings must be integers")
+    require_seq(list(pairings.values()), int, "pairings must be integers")
     if label in _lattice(lat)._self:
         raise DomainError(f"label {label!r} already present")
     for other in pairings:
@@ -397,13 +388,13 @@ def lattice_from_parts(
     """Build a lattice from sparse data, a list of labels and dicts
     (label, label) -> pairing and label -> self-intersection; c1 set by
     adjunction.  A pair given in both orders is a DomainError."""
-    classes = require_strs(labels, "labels must be a list of strings")
+    classes = require_seq(labels, str, "labels must be a list of strings")
     require_object(pairs, dict, "pairs must be a dict (label, label) -> integer")
     require_object(self_intersections, dict, "self-intersections must be a dict label -> integer")
-    require_ints([*pairs.values(), *self_intersections.values()],
-                 "pairings and self-intersections must be integers")
+    require_seq([*pairs.values(), *self_intersections.values()], int,
+                "pairings and self-intersections must be integers")
     for key in pairs:
-        if len(require_strs(key, "a pair must be a tuple of two labels")) != 2:
+        if len(require_seq(key, str, "a pair must be a tuple of two labels")) != 2:
             raise DomainError(f"a pair must be a tuple of two labels, got {key!r}")
     self_ = dict.fromkeys(classes, 0)
     if len(self_) != len(classes):
@@ -464,7 +455,7 @@ def signature(form) -> tuple[int, int, int]:
     and of pivot order.
     """
     if not isinstance(form, IntersectionLattice):
-        rows = require_list(form, "a form must be a lattice or a list of integer rows")
+        rows = require_seq(form, None, "a form must be a lattice or a list of integer rows")
         form = IntersectionLattice(tuple(map(str, range(len(rows)))), rows, (0,) * len(rows))
     graph = form._edges
     num = dict(form._self)  # the diagonals num/den of the classes left
@@ -582,7 +573,7 @@ def blow_down(lat: IntersectionLattice, label: str) -> IntersectionLattice:
     making contraction inverse to blowing up a transverse configuration.
     One copy of the store, then O(deg(e)^2) for the contraction itself.
     """
-    require_strs([label], "a class label must be a string")
+    require_seq([label], str, "a class label must be a string")
     _require_exceptional(_lattice(lat), label)
     store = lat._store()
     next(_forced_contractions(store, (label,)))
@@ -600,8 +591,8 @@ def blow_up_at(
     touched classes through the point lose one mutual intersection.  One
     copy of the store, then O(len(touched)^2) for the blowup itself.
     """
-    touched = require_strs(touched, "touched classes must be a list of labels")
-    require_strs([label], "a class label must be a string")
+    touched = require_seq(touched, str, "touched classes must be a list of labels")
+    require_seq([label], str, "a class label must be a string")
     store = _lattice(lat)._store()
     edges = store[2]
     edges.update({t: dict(edges[t]) for t in touched if t in edges})  # rows _blow_up writes
@@ -694,8 +685,7 @@ def exceptional_pair_criterion(lat: IntersectionLattice, e1: str, e2: str) -> bo
     """True iff two exceptional classes meet (pairing >= 1).
 
     Two meeting (-1)-spheres can be smoothed at one intersection point into a
-    sphere in the class E1 + E2 with c1 = 2, which forces b2+ = 1; the c1 sum
-    is asserted whenever the criterion fires.
+    sphere in the class E1 + E2 with c1 = 2, which forces b2+ = 1.
     """
     _lattice(lat)
     for e in (e1, e2):
@@ -703,13 +693,7 @@ def exceptional_pair_criterion(lat: IntersectionLattice, e1: str, e2: str) -> bo
             raise DomainError(f"{e!r} is not an exceptional class")
     if e1 == e2:
         raise DomainError("criterion needs two distinct classes")
-    k = lat.pair(e1, e2)
-    if k >= 1:
-        c1_sum = lat.c1_of(e1) + lat.c1_of(e2)
-        if c1_sum != 2:
-            raise StructureError(f"exceptional pair with c1 sum {c1_sum} != 2")
-        return True
-    return False
+    return lat.pair(e1, e2) >= 1
 
 
 class ChainContactReplay(Value):

@@ -10,13 +10,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError, require_ints
+from .errors import DomainError, require_seq
 from .hj import ext_gcd
 from .rationals import parse_rational
 
 
 def _require_weights(p: int, q: int, r: int) -> None:
-    require_ints((p, q, r), "weights must be integers")
+    require_seq((p, q, r), int, "weights must be integers")
     if min(p, q, r) < 1:
         raise DomainError(f"weights must be positive, got ({p}, {q}, {r})")
     for a, b in ((p, r), (q, r), (p, q)):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import gcd
 
 from ._value import Value
-from .errors import DomainError, require_ints, require_object, require_strs
+from .errors import DomainError, require_object, require_seq
 from .hj import ext_gcd, hj_expand
 from .homology import IntersectionLattice, lattice_from_parts
 
@@ -26,7 +26,7 @@ class CyclicSingularity(Value):
     q: int
 
     def __post_init__(self):
-        require_ints((self.order, self.p, self.q), "order and type must be integers")
+        require_seq((self.order, self.p, self.q), int, "order and type must be integers")
         r = self.order
         if r < 1:
             raise DomainError(f"order must be >= 1, got {r}")
@@ -51,12 +51,12 @@ class Chain(Value):
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        require_ints(self.self_intersections, "chain self-intersections must be integers")
+        require_seq(self.self_intersections, int, "chain self-intersections must be integers")
         if any(s > -2 for s in self.self_intersections):
             raise DomainError(
                 f"chain self-intersections must be <= -2, got {self.self_intersections}"
             )
-        require_strs(self.labels, "chain labels must be a list of strings")
+        require_seq(self.labels, str, "chain labels must be a list of strings")
         if len(self.labels) != len(self.self_intersections):
             raise DomainError("labels and self-intersections differ in length")
         if len(set(self.labels)) != len(self.labels):

@@ -14,7 +14,7 @@ scan that replaced that read, and for ``from_json`` on objects and text.
 from fractions import Fraction
 from itertools import compress
 
-from hjtoric.errors import DomainError, require_ints, require_list, require_strs
+from hjtoric.errors import DomainError, require_seq
 from hjtoric.homology import IntersectionLattice
 
 
@@ -23,17 +23,17 @@ def read_rows(classes, pairing, c1):
     every row copied to a tuple, symmetry tested against the transposed
     copy.  Returns the lattice built from that store with the row and c1
     copies, which the constructor kept as its ``pairing`` and ``c1`` views."""
-    classes = require_strs(classes, "class labels must be a list of strings")
+    classes = require_seq(classes, str, "class labels must be a list of strings")
     n = len(classes)
     if len(set(classes)) != n:
         raise DomainError("class labels must be distinct")
-    rows = tuple(require_ints(row, "each pairing row must be a list of integers")
-                 for row in require_list(pairing, "a pairing must be a list of rows"))
+    rows = tuple(require_seq(row, int, "each pairing row must be a list of integers")
+                 for row in require_seq(pairing, None, "a pairing must be a list of rows"))
     if any(len(row) != len(rows) for row in rows):
         raise DomainError("pairing matrix must be square")
     if len(rows) != n:
         raise DomainError("pairing matrix shape does not match class count")
-    c1 = require_ints(c1, "c1 must be a list of integers")
+    c1 = require_seq(c1, int, "c1 must be a list of integers")
     if len(c1) != n:
         raise DomainError("c1 labels do not match class count")
     if rows != tuple(zip(*rows)):
@@ -47,6 +47,15 @@ def read_rows(classes, pairing, c1):
          for i, l in enumerate(classes)},
     )
     return lat, rows, c1
+
+
+def assert_one_basis_order(lat: IntersectionLattice) -> None:
+    """``classes``, the classes of ``to_json()`` and the rows of ``pairing``
+    and ``c1`` follow one basis order: each entry is read back by label."""
+    classes = lat.classes
+    assert lat.to_json()["classes"] == list(classes)
+    assert lat.pairing == tuple(tuple(lat.pair(a, b) for b in classes) for a in classes)
+    assert lat.c1 == tuple(map(lat.c1_of, classes))
 
 
 def signature(form) -> tuple[int, int, int]:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense
 import hjtoric.blowup
 import hjtoric.circle
 import stepwise
@@ -193,7 +194,8 @@ class TestFultonConfig:
     def test_rejects_bad_weights(self):
         for args, reason in [((4, 2), "coprime"), ((4, 7), "p > q"),
                              ((2.0, 1), "must be integers"), ((True, True), "must be integers"),
-                             ((2, 1, "1e-3"), "exponent"), ((2, 1, 0.5), "exact rational")]:
+                             ((2, 1, "1e-3"), "exponent"), ((2, 1, 0.5), "exact rational"),
+                             ((2, 1, "1_0"), "exact rational")]:
             with pytest.raises(DomainError, match=reason):
                 fulton_config(*args)
             if len(args) == 2:
@@ -720,6 +722,7 @@ def test_walk_matches_the_stepwise_oracles(data):
             == stepwise.outcome(stepwise.weighted_blowdown, lat, c))
     label = data.draw(st.sampled_from(lat.classes))
     lat_e = add_class(lat, "E'", -1, {label: data.draw(st.sampled_from([1, 2, -1]))})
+    dense.assert_one_basis_order(lat_e)
     assert (stepwise.outcome(chain_contact_replay, lat_e, "E'", c)
             == stepwise.outcome(stepwise.chain_contact_replay, lat_e, "E'", c))
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import closed_form
+import dense
 import fraction_levels
 import global_sim
 from fraction_levels import arc_distance
@@ -769,6 +770,8 @@ def test_each_crossing_matches_global_lattice_oracle(action):
         assert [(i.uid, i.config.p, i.config.q) for i in got.instances] == [
             (i.uid, i.config.p, i.config.q) for i in want.instances]
         lattices = [inst.lattice for inst in got.instances]
+        for lat in lattices:
+            dense.assert_one_basis_order(lat)
         assert want.lattice.to_json() == empty_lattice().direct_sum(*lattices).to_json()
         for inst in got.instances:
             label = f"{inst.uid}.{inst.config.exceptional_label}"
@@ -874,9 +877,10 @@ def test_installs_equal_a_prefixed_fulton_config():
                 prefix = f"{inst.uid}."
                 want = global_sim.prefixed(fulton_config(p, q), prefix).lattice()
                 lat = inst.config.lattice()
-                dense = IntersectionLattice([prefix + l for l in lat.classes], lat.pairing, lat.c1)
+                relabeled = IntersectionLattice([prefix + l for l in lat.classes], lat.pairing,
+                                                lat.c1)
                 assert inst.config is st.context.templates[0], (p, q)
-                assert inst.lattice == want == dense, (p, q)
+                assert inst.lattice == want == relabeled, (p, q)
                 assert inst.lattice.to_json() == want.to_json(), (p, q)
 
 

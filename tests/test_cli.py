@@ -479,6 +479,14 @@ def test_parse_rational_keeps_exact_forms():
         3, Fraction(-7, 2), 3, Fraction(3, 2)]
 
 
+@pytest.mark.parametrize("value", ["1_0/3", "1 / 2", "1/ 2", "1\t/2"])
+def test_parse_rational_refuses_forms_only_newer_pythons_read(value):
+    # Fraction reads underscores from Python 3.11 and spaces around "/" from 3.12
+    message = f"not an exact rational, got {value!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        parse_rational(value)
+
+
 _HUGE = "1e-99999999"  # 11 characters for a 332-million-bit denominator
 
 

@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+import dense
 from hjtoric.errors import DomainError
 from hjtoric.hj import hj_expand
 from hjtoric.homology import signature
@@ -77,6 +78,7 @@ class TestResolve:
         for r in range(2, 40):
             for q in coprime_residues(r):
                 lat = resolve_cyclic(CyclicSingularity(r, 1, q)).lattice()
+                dense.assert_one_basis_order(lat)
                 assert signature(lat) == (0, len(lat), 0)
 
 
