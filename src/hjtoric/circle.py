@@ -7,11 +7,11 @@ space) or (-p, -q, 1) (sign -1: crossing undoes one).  Levels are exact
 rationals and every quantity evolved here is exact.
 
 Every +1 level is paired with a -1 level of equal weights, either explicitly
-(the ``match`` field) or first-in-first-out among equal weights.  A pair's
-configuration is alive on the counterclockwise arc from its blowup level to
-its blowdown level; the area of its exceptional class rises from zero at
-slope 1/(p*q), then falls back to zero at the blowdown level (a tent over
-the arc).
+(the ``match`` field) or first-in-first-out among equal weights around the
+circle from level 0.  A pair's configuration is alive on the counterclockwise
+arc from its blowup level to its blowdown level; the area of its exceptional
+class rises from zero at slope 1/(p*q), then falls back to zero at the
+blowdown level (a tent over the arc).
 
 On top of the periodic dynamics ``run_loop`` tracks the exceptional class
 born at the first +1 level after the base point: its transported copy is
@@ -139,31 +139,29 @@ def _validate(data: tuple[FixedPointDatum, ...], grid) -> tuple[tuple[int, int],
                     (f"fixed points {i} and {j} are not an opposite-sign equal-weight pair",))
             pairs.add((i, j) if data[i].sign == 1 else (j, i))
         return tuple(sorted(pairs))
-    # first-in-first-out among equal weights, counterclockwise from level 0
-    # in the grid's order, with leftover blowups wrapping around to the
-    # leading blowdowns
+    # first-in-first-out among equal weights in the grid's order; a blowdown
+    # no blowup precedes takes the oldest one left over on the circle's next turn
     queues: dict[tuple[int, int], list[int]] = {}
-    deficits: dict[tuple[int, int], list[int]] = {}
-    pairs = []
+    waiting, unpaired, pairs = [], [], []
     for i in grid[2]:
         d = data[i]
         if d.sign == 1:
             queues.setdefault(d.weights, []).append(i)
+        elif q := queues.get(d.weights):
+            pairs.append((q.pop(0), i))
         else:
-            q = queues.get(d.weights)
-            if q:
-                pairs.append((q.pop(0), i))
-            else:
-                deficits.setdefault(d.weights, []).append(i)
-    for w, plus_left in queues.items():
-        minus_left = deficits.get(w, [])
-        if len(plus_left) != len(minus_left):
+            waiting.append(i)
+    for i in waiting:
+        if q := queues.get(data[i].weights):
+            pairs.append((q.pop(0), i))
+        else:
+            unpaired.append(data[i].weights)
+    for w in [*queues, *unpaired]:
+        if w not in queues:
+            raise ValidationError((f"unmatched weights {w}: blowdown with no blowup",))
+        if queues[w] or w in unpaired:
             raise ValidationError(
                 (f"unmatched weights {w}: blowups and blowdowns do not balance",))
-        pairs.extend(zip(plus_left, minus_left))
-    for w, minus_left in deficits.items():
-        if w not in queues and minus_left:
-            raise ValidationError((f"unmatched weights {w}: blowdown with no blowup",))
     return tuple(sorted(pairs))
 
 
@@ -175,8 +173,8 @@ class GeneralizedCover(Value):
 
     Arcs are stored as (start, end) with the arc running counterclockwise
     from start to end; all triple intersections are empty and the partial
-    order lists exactly the overlapping pairs: I_i < U_i, I_i < U_{i-1} and
-    I_1 < U_n (1-indexed, n = number of levels).
+    order lists exactly the overlapping pairs: I_i < U_i and I_i < U_{i-1}
+    (1-indexed, n = number of levels, indices mod n, so I_1 < U_n).
     """
 
     levels: tuple[Fraction, ...]
@@ -228,8 +226,7 @@ def build_cover(data, eps) -> GeneralizedCover:
     u_arcs = tuple((levels[i], levels[(i + 1) % n]) for i in range(n))
     i_arcs = tuple((l - eps, l + eps) for l in levels)
     relations = [(f"I{i + 1}", f"U{i + 1}") for i in range(n)]
-    relations += [(f"I{i + 1}", f"U{i}") for i in range(1, n)]
-    relations.append(("I1", f"U{n}"))
+    relations += [(f"I{i % n + 1}", f"U{i}") for i in range(1, n + 1)]
     return GeneralizedCover(tuple(levels), eps, u_arcs, i_arcs, tuple(relations))
 
 
@@ -539,7 +536,6 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
     uid, dies = counter, None if tracked_independent else created + arc
     ledger: list[int] = []  # tent numerators over the one denominator p*q*D
     distinct: set[int] = set()
-    bound_val = bound
 
     def finish(verdict: str, loop: int | None, message: str) -> RunResult:
         lattice = empty_lattice().direct_sum(*(
@@ -547,7 +543,7 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
             for (k, d), (n, _) in live.items()))
         pqd = cfg.p * cfg.q * den
         return RunResult(verdict, tuple(Fraction(t, pqd) for t in ledger), loop, lattice, ctx.base,
-                         f"{_name(uid, dies)}.{cfg.exceptional_label}", bound_val, message)
+                         f"{_name(uid, dies)}.{cfg.exceptional_label}", bound, message)
 
     rows = table[first + 1:]
     for loop in range(1, loops + 1):
@@ -563,15 +559,15 @@ def run_loop(data, loops: int, bound: int | None = None, *, base=None,
         rows = table
         ledger.append(_tent(start + loop * den, created, dies))
         distinct.add(ledger[-1])
-        if bound_val is None:
-            bound_val = sum(len(ctx.templates[k].lattice().exceptional_classes()) for k, _ in live)
+        if bound is None:
+            bound = sum(len(ctx.templates[k].lattice().exceptional_classes()) for k, _ in live)
             if log:
-                log.debug("bound defaulted to %d exceptional classes", bound_val)
-        if len(distinct) > bound_val:
+                log.debug("bound defaulted to %d exceptional classes", bound)
+        if len(distinct) > bound:
             return finish("HAMILTONIAN", loop,
                           f"contradiction at loop {loop}: the tracked class's area ledger holds "
                           f"{len(distinct)} distinct values, but a closed reduced space with "
-                          f"b2+ > 1 carries at most {bound_val} exceptional classes, so the "
+                          f"b2+ > 1 carries at most {bound} exceptional classes, so the "
                           "non-Hamiltonian premise fails and the action must be Hamiltonian")
     return finish("INCONCLUSIVE", None, f"no contradiction within {loops} loops (bound "
-                  f"{bound_val}); increase the loop budget")
+                  f"{bound}); increase the loop budget")

@@ -40,7 +40,7 @@ import json
 import re
 from collections.abc import Iterator, Mapping, Sequence
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from json.decoder import WHITESPACE, JSONDecoder, scanstring
 from math import gcd
 from operator import add
@@ -399,9 +399,9 @@ def lattice_from_parts(
     self_ = dict.fromkeys(classes, 0)
     if len(self_) != len(classes):
         raise DomainError("class labels must be distinct")
-    named = {l for pair in pairs for l in pair} | self_intersections.keys()
-    if not named <= self_.keys():
-        raise DomainError(f"no class labeled {next(iter(named - self_.keys()))!r}")
+    for l in chain(*pairs, self_intersections):
+        if l not in self_:
+            raise DomainError(f"no class labeled {l!r}")
     self_.update(self_intersections)
     edges: dict[str, dict[str, int]] = {l: {} for l in classes}
     for (a, b), v in pairs.items():

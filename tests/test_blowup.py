@@ -496,12 +496,12 @@ def test_thousand_class_replay_stays_fast():
     take well under a second; a store that rebuilds or rescans an n x n
     matrix per step makes them cubic, about a minute.
     """
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     assert cross_check(1000, 1)
     cfg = fulton_config(1000, 1)
     assert signature(cfg.lattice()) == (0, 1000, 0)
     assert len(weighted_blowdown(cfg.lattice(), cfg)) == 0
-    assert time.perf_counter() - t0 < 3.0
+    assert time.process_time() - t0 < 3.0
 
 
 # -- the single-store constructions against their step-by-step oracles ------

@@ -504,9 +504,9 @@ def _huge_level():
 ], ids=["size", "level", "eps", "base"])
 def test_exponent_notation_exits_2_at_once(capsys, monkeypatch, argv, obj):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj)))
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     code = main(list(argv))
-    assert time.perf_counter() - t0 < 1.0
+    assert time.process_time() - t0 < 1.0
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert "exponent notation" in captured.err
@@ -949,6 +949,6 @@ def _fuzz_main(case):
 
 
 def test_fuzz_main_exits_0_or_2_with_parseable_output():
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     _fuzz_main()
-    assert time.perf_counter() - t0 < 5.0
+    assert time.process_time() - t0 < 5.0

@@ -92,10 +92,10 @@ class TestExpand:
             hj_expand(1, 1)
 
     def test_residue_above_numerator_is_rejected_before_the_loop(self):
-        start = time.perf_counter()
+        start = time.process_time()
         with pytest.raises(DomainError):
             hj_expand(5, 10**12)
-        assert time.perf_counter() - start < 0.1
+        assert time.process_time() - start < 0.1
 
 
 class TestEval:
@@ -292,11 +292,11 @@ import resource, time
 resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 import hjtoric as h
 pair = [h.FixedPointDatum(0, 1, 10**12, 1), h.FixedPointDatum("1/2", -1, 10**12, 1)]
-t = time.perf_counter()
+t = time.process_time()
 try:
     {call}
 except Exception as exc:
-    print(type(exc).__name__, time.perf_counter() - t, exc)
+    print(type(exc).__name__, time.process_time() - t, exc)
 """
 
 

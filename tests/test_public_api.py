@@ -2,12 +2,15 @@
 imports each name only on first use, and that every integer, rational,
 label, container or package-object argument it takes refuses a malformed
 value with a DomainError, never a TypeError, an AttributeError or a
-result."""
+result; and that each package name the README cites exists."""
 
+import importlib
 import inspect
+import pkgutil
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -394,3 +397,35 @@ def test_lattice_from_parts_refuses_a_pair_given_in_both_orders(pairs):
     first = next(iter(pairs))
     with pytest.raises(DomainError, match=re.escape(f"{first} is given in both orders")):
         lattice_from_parts(["a", "b"], pairs, {})
+
+
+SUBMODULES = {m.name for m in pkgutil.iter_modules(hjtoric.__path__)}
+
+
+def _resolve(dotted):
+    """The object that ``dotted``, a name relative to ``hjtoric``, names."""
+    head, *rest = dotted.split(".")
+    obj = (importlib.import_module(f"hjtoric.{head}") if head in SUBMODULES
+           else getattr(hjtoric, head))
+    for name in rest:
+        obj = getattr(obj, name)
+    return obj
+
+
+def test_every_package_name_the_readme_cites_resolves():
+    """Each backticked ``hjtoric.<module>[.<name>...]``, ``<module>.<name>``
+    (a submodule of the package) or ``<Name>.<attribute>`` (a name in
+    ``hjtoric.__all__``) in the README imports and resolves, so a rename
+    cannot leave the README citing a name that is gone."""
+    heads = "|".join(sorted(SUBMODULES | set(hjtoric.__all__)))
+    cited = re.findall(rf"`(?:hjtoric\.)?((?:{heads})(?:\.\w+)+)`|`hjtoric\.(\w+)`",
+                       (Path(__file__).parents[1] / "README.md").read_text())
+    names = {dotted or module for dotted, module in cited}
+    assert len(names) > 20
+    unresolved = []
+    for dotted in sorted(names):
+        try:
+            _resolve(dotted)
+        except AttributeError:
+            unresolved.append(dotted)
+    assert unresolved == []
