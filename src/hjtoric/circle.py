@@ -36,8 +36,9 @@ tracked copy).  A crossing costs the same in every loop.
 A run splits what it fixes from what it steps.  ``_prime`` puts the levels
 on one integer grid, ``_grid`` (the lcm of their denominators, each level's
 numerator over it, their order and the gaps between them), once: it pairs
-and validates the data on it by ``_validate`` (one ``ValidationError``
-lists every failure), reads the default base off it and builds one frozen
+and validates the data on it by ``_validate`` (one ``ValidationError``:
+repeated levels and a single sign, whichever occur, else the first
+pairing failure), reads the default base off it and builds one frozen
 ``RunContext`` per run: the data and base, each datum's pair, each pair's
 config, resolved once per distinct weight pair, and the run's grid, the lcm
 D of the base and level denominators.  Every position is an integer
@@ -114,7 +115,11 @@ def _validate(data: tuple[FixedPointDatum, ...], grid) -> tuple[tuple[int, int],
 
     Levels must be distinct, both signs must occur and every blowup must
     pair with a blowdown of equal weights; data that fail raise one
-    ``ValidationError`` listing every reason.
+    ``ValidationError``.  It lists repeated levels and a single sign,
+    whichever occur; otherwise it names the first pairing failure in the
+    order checked: explicit matches all or none, then each match in data
+    order; first-in-first-out pairing, each weight in the grid order of its
+    first blowup, then the weights of unpaired blowdowns.
     """
     errors: list[str] = []
     if 0 in grid[3]:

@@ -24,7 +24,9 @@ class DomainError(ValueError):
 
 
 class ValidationError(DomainError):
-    """A fixed-point set failed validation; ``errors`` lists every reason."""
+    """A fixed-point set failed validation; ``errors`` lists its reasons:
+    repeated levels and a single sign, whichever occur, else the first
+    pairing failure."""
 
     def __init__(self, errors: tuple[str, ...]):
         super().__init__("; ".join(errors))

@@ -351,15 +351,12 @@ def add_class(
     label: str,
     self_intersection: int,
     pairings: dict[str, int] | None = None,
-    c1: int | None = None,
 ) -> IntersectionLattice:
     """Adjoin one labeled class with prescribed pairings, a dict label ->
-    int (default c1 by adjunction).  Useful for synthetic configurations in
+    int, and c1 by adjunction.  Useful for synthetic configurations in
     tests and models."""
     require_seq([label], str, "a class label must be a string")
     require_int(self_intersection, "self-intersection must be an integer")
-    if c1 is not None:
-        require_int(c1, "c1 must be an integer")
     if pairings is None:
         pairings = {}
     require_object(pairings, dict, "pairings must be a dict label -> integer")
@@ -375,7 +372,7 @@ def add_class(
     edges[label] = row
     return IntersectionLattice._sparse(
         {**lat._self, label: self_intersection},
-        {**lat._c1, label: (2 + self_intersection) if c1 is None else c1},
+        {**lat._c1, label: 2 + self_intersection},
         edges,
     )
 
@@ -446,13 +443,13 @@ def signature(form) -> tuple[int, int, int]:
     else a 2x2 hyperbolic pivot with its neighbour (determinant -m^2 < 0:
     one plus and one minus) that changes no other entry.  No row is copied:
     on a forest, every plumbing graph included, this is the whole
-    elimination, O(n) (on a chain, the continued fraction).  Only a cycle
-    core left over, with its diagonals and original edges, goes on to a
-    heap at a class of least remaining degree (ties to basis order), where
-    a pivot of degree k updates O(k^2) entries.  A list of rows is read
-    first by the constructor: a type pass and a nonzero scan per row, no
-    dense copy.  The triple is a congruence invariant, independent of basis
-    and of pivot order.
+    elimination, O(n) (on a chain, the continued fraction).  The cycle core
+    left over (empty on a forest), with its diagonals and original edges,
+    goes on to a heap at a class of least remaining degree (ties to basis
+    order), where a pivot of degree k updates O(k^2) entries.  A list of
+    rows is read first by the constructor: a type pass and a nonzero scan
+    per row, no dense copy.  The triple is a congruence invariant,
+    independent of basis and of pivot order.
     """
     if not isinstance(form, IntersectionLattice):
         rows = require_seq(form, None, "a form must be a lattice or a list of integer rows")
@@ -492,8 +489,6 @@ def signature(form) -> tuple[int, int, int]:
                 degree[k] -= 1
                 if degree[k] == 1:
                     stack.append(k)
-    if not num:  # a forest: the peel was the whole elimination
-        return (b_plus, b_minus, len(form) - b_plus - b_minus)
     rank = dict(zip(num, range(len(num))))  # the tie-break: basis order
     edges = {l: {m: (x, 1) for m, x in graph[l].items() if m in num} for l in num}
     heap = [(len(row), rank[l], l) for l, row in edges.items()]

@@ -427,7 +427,7 @@ class TestWeightedBlowdown:
         cfg = fulton_config(7, 4)
         lat = cfg.lattice()
         # E' on a chain class, on E~ and on no class: each branch of the replay
-        with_eprime = [add_class(lat, "X", -1, row, c1=1) for row in ({"Zp1": 1}, {"E~": 1}, {})]
+        with_eprime = [add_class(lat, "X", -1, row) for row in ({"Zp1": 1}, {"E~": 1}, {})]
         for bad in (replace(cfg, chain_q=replace(cfg.chain_q, labels=("Zp1",))),
                     replace(cfg, exceptional_label="Zq1")):
             calls = [lambda: bad.class_labels, bad.lattice, lambda: weighted_blowdown(lat, bad)]
@@ -576,7 +576,7 @@ def tampered(cfg):
     lat = cfg.lattice()
     extra = Chain(cfg.chain_q.self_intersections + (-2,), cfg.chain_q.labels + ("Zx",))
     yield lat, BlowupConfig(cfg.p, cfg.q, cfg.size, cfg.chain_p, extra, cfg.exceptional_label)
-    yield add_class(lat, "X", -1, {cfg.class_labels[-1]: 1}, c1=1), cfg
+    yield add_class(lat, "X", -1, {cfg.class_labels[-1]: 1}), cfg
     yield altered(lat, cfg.exceptional_label, self_shift=-1), cfg
     yield altered(lat, cfg.exceptional_label, c1_shift=1), cfg
     for label in cfg.chain_labels:

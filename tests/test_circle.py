@@ -205,7 +205,7 @@ INVALID = {
 @pytest.mark.parametrize("name", INVALID)
 def test_invalid_data_raise_validation_error(start, name):
     """The one validation of a run raises the DomainError that
-    ``_validate`` raises, which carries every reason, joined as its
+    ``_validate`` raises, which carries its reasons, joined as its
     message."""
     with pytest.raises(ValidationError) as want:
         pairs_of(INVALID[name])
@@ -237,6 +237,23 @@ def test_each_refusal_names_its_reason(call, message):
     with pytest.raises(DomainError) as err:
         call()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("data, errors", [
+    ([FixedPointDatum(0, +1, 2, 1), FixedPointDatum(Fraction(1, 4), +1, 3, 1),
+      FixedPointDatum(Fraction(1, 2), +1, 2, 1), FixedPointDatum(Fraction(3, 4), -1, 5, 1)],
+     ("unmatched weights (2, 1): blowups and blowdowns do not balance",)),
+    (INVALID["repeated-level-one-sign"],
+     ("critical levels must be distinct",
+      "need at least one blowup (+1) and one blowdown (-1) level")),
+], ids=["first-pairing-failure", "repeated-level-one-sign"])
+def test_a_refusal_lists_the_level_checks_together_and_one_pairing_failure(data, errors):
+    """Repeated levels and a single sign are listed together, in that order;
+    pairing stops at its first failure: unbalanced (2, 1), the first weight
+    in grid order, is named, and neither (3, 1) nor (5, 1) is."""
+    with pytest.raises(ValidationError) as err:
+        run_loop(data, 1)
+    assert err.value.errors == errors
 
 
 @pytest.mark.parametrize("start", [initial_state, lambda data, **kw: run_loop(data, 3, **kw)],
@@ -1103,8 +1120,8 @@ def test_instances_sharing_a_key_are_refused():
 def test_run_loop_builds_a_state_per_loop_not_per_crossing(monkeypatch, data, loops, bound,
                                                            tracked):
     """Not even one state per loop: the run steps one live map from start to
-    end and reads its ledger, bound and result off it, so it builds at most
-    2 states whatever its loop and crossing counts."""
+    end and reads its ledger, bound and result off it, so it builds no
+    state whatever its loop and crossing counts, bound and tracking."""
     built = []
 
     class Counting(ReducedSpaceState):
@@ -1115,7 +1132,7 @@ def test_run_loop_builds_a_state_per_loop_not_per_crossing(monkeypatch, data, lo
     want = run_loop(data, loops, bound, tracked_independent=tracked)
     monkeypatch.setattr(circle, "ReducedSpaceState", Counting)
     got = run_loop(data, loops, bound, tracked_independent=tracked)
-    assert got == want and len(built) <= 2
+    assert got == want and built == []
 
 
 @pytest.mark.parametrize("data, base", [
