@@ -14,9 +14,11 @@ and an edge map holding only the nonzero pairings of distinct classes.
 Blowups, blowdowns and sums touch only the classes they change and are
 symmetric by construction; the dense ``pairing`` matrix is a read-only view
 built on demand, for JSON output and for callers that want rows.  A sparse
-pairing in JSON text as ``json.dumps`` writes it is read with no dense list:
-one C-speed split into zero gaps and nonzero tokens, one compare of the
-gaps with the zero matrix's text, and ``int`` on the tokens alone.
+pairing in JSON text as ``json.dumps`` writes it, at the text's first ``[[``,
+is read with no dense list: one C-speed split into zero gaps and nonzero
+tokens, one compare of the gaps with the zero matrix's text, and ``int`` on
+the tokens alone; the rest of the text, with ``NaN`` in the pairing's place
+and no other ``NaN``, goes through ``json``'s decoder.
 
 Public operations never mutate, so values can be shared freely across
 threads: each returns a fresh lattice value, but a construction left with no
@@ -41,7 +43,6 @@ import re
 from collections.abc import Iterator, Mapping, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, compress, count, islice, repeat
-from json.decoder import WHITESPACE, JSONDecoder, scanstring
 from math import gcd
 from operator import add
 from types import MappingProxyType
@@ -52,8 +53,8 @@ from .errors import DomainError, StructureError, require_int, require_object, re
 
 _MARK = bytes.maketrans(b"-123456789", b"x" * 10)  # so a nonzero token is x, then x or 0
 _TOKENS = re.compile(rb"(x[x0]*)").split  # the zero gaps, with the nonzero tokens between
-_SPACE = WHITESPACE.match
-_VALUE = JSONDecoder().raw_decode
+_CUT = object()  # the pairing, cut out of the text and read back as its one NaN
+_DECODE = json.JSONDecoder(parse_constant=lambda c: _CUT if c == "NaN" else float(c)).decode
 
 
 def _text_cells(text, i) -> tuple[tuple[int, list], int]:
@@ -92,32 +93,19 @@ def _text_cells(text, i) -> tuple[tuple[int, list], int]:
     return (n, [(r, c // w, v) for (r, c), v in zip(at, ints)]), end + 2
 
 
-def _past(text, i, char) -> int:
-    """The index past ``char``, after JSON whitespace from ``text[i]``; else a ValueError."""
-    i = _SPACE(text, i).end()
-    if not text.startswith(char, i):
-        raise ValueError(char)
-    return i + 1
-
-
 def _read_text(text: str) -> "IntersectionLattice | None":
-    """``from_json`` of text whose pairing ``_text_cells`` reads, walked as ``json.loads``
-    walks it (a repeated key: the last one counts); None on other text or an anomaly."""
-    try:
-        fields, i = {}, _past(text, 0, "{")
-        while True:
-            key, i = scanstring(text, _past(text, i, '"'))
-            read = _text_cells if key == "pairing" else _VALUE
-            fields[key], i = read(text, _SPACE(text, _past(text, i, ":")).end())
-            i = _SPACE(text, i).end()
-            if not text.startswith(",", i):
-                break
-            i += 1
-        if _SPACE(text, _past(text, i, "}")).end() != len(text) or "pairing" not in fields:
-            return None
+    """``from_json`` of text cut at its first ``[[``: that pairing read by ``_text_cells``,
+    and the rest, with a ``NaN`` in its place and none elsewhere, decoded by ``json``; the
+    read counts if that ``NaN`` is the object's ``"pairing"`` (a repeated key: the last one
+    counts, as in ``json.loads``).  None on other text or an anomaly."""
+    try:  # no "[[" at all: find gives -1, which _text_cells refuses
+        (n, cells), end = _text_cells(text, i := text.find("[["))
+        head, tail = text[:i], text[end:]
+        fields = None if "NaN" in head or "NaN" in tail else _DECODE(head + "NaN" + tail)
     except (ValueError, RecursionError):  # bad JSON, too deep, >4300 digits, not dumps text
         return None
-    n, cells = fields["pairing"]
+    if type(fields) is not dict or fields.get("pairing") is not _CUT:
+        return None
     classes, c1 = fields.get("classes"), fields.get("c1")
     classes = [f"C{i + 1}" for i in range(n)] if classes is None else classes
     if type(classes) is not list or len(classes) != n or not {str}.issuperset(
@@ -313,10 +301,12 @@ class IntersectionLattice:
         adjunction).  Malformed JSON, a non-square pairing, entries that are
         not integers (floats, booleans) and class labels that are not
         strings raise DomainError.  Text as ``json.dumps`` writes it without
-        ``indent`` is read sparse: its pairing is split once at C speed at
-        the nonzero tokens, which at most about 5% of the cells may be, the
-        gaps between them are compared once with the zero matrix's text, and
-        only the tokens are parsed.  An object, any other text and any
+        ``indent`` is read sparse if its first ``[[`` is the pairing and it
+        holds no ``NaN``: the pairing is split once at C speed at the nonzero
+        tokens, which at most about 5% of the cells may be, the gaps between
+        them are compared once with the zero matrix's text, and only the
+        tokens are parsed; the rest, with ``NaN`` in the pairing's place,
+        goes through ``json``'s decoder.  An object, any other text and any
         anomaly are decoded by ``json.loads`` and read by the constructor,
         with its checks and messages.
         """

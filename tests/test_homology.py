@@ -828,9 +828,11 @@ def dumped_texts(draw):
     changes: a pairing token that ``json.loads`` reads otherwise than the
     sparse read would (``-0``, ``01``, a 4301-digit int, ...), one item of
     a row split by the other separator, a second ``"pairing"`` key, data
-    after the object or a BOM before it, an empty pairing or one row nested
-    one level deeper.  A label may hold ``]]`` or
-    ``"pairing":``, or repeat another, and ``classes`` and ``c1`` may be null.
+    after the object or a BOM before it, an empty or ``NaN`` pairing or one
+    row nested one level deeper.  A label may hold ``]]``, ``"pairing":``,
+    ``[[0]]`` or ``NaN``, or repeat another, ``classes`` and ``c1`` may be
+    null or ``Infinity``, and one more field may hold ``NaN``, ``Infinity``
+    or a list of lists.
     A ``wide`` form writes tokens with inner and trailing zeros (``-100``)."""
     rows = draw(symmetric_forms(max_n=6, wide=draw(st.booleans())))
     n = len(rows)
@@ -855,7 +857,7 @@ def dumped_texts(draw):
         lists[i] = dump([lists[i]])
     pairing = dump(lists)
     if "shape" in changes and draw(st.booleans()):
-        pairing = draw(st.sampled_from(["[]", "[[]]"]))
+        pairing = draw(st.sampled_from(["[]", "[[]]", "NaN"]))
     fields = [f'"pairing"{key}{pairing}']
     if "twice" in changes:
         fields.append(f'"pairing"{key}' + dump(map(dump, ([str(x) for x in row] for row in
@@ -863,11 +865,15 @@ def dumped_texts(draw):
     if draw(st.booleans()):
         labels = [f"C{i}" for i in range(n)]
         if n and draw(st.booleans()):
-            labels[draw(st.integers(0, n - 1))] = draw(st.sampled_from(['a]]', '"pairing":', "C0"]))
-        fields.append(f'"classes"{key}' + draw(st.sampled_from([json.dumps(labels), "null"])))
+            labels[draw(st.integers(0, n - 1))] = draw(
+                st.sampled_from(['a]]', '"pairing":', "C0", "[[0]]", "NaN"]))
+        fields.append(f'"classes"{key}' + draw(st.sampled_from([json.dumps(labels), "null",
+                                                                  "Infinity"])))
     if draw(st.booleans()):
         c1 = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-        fields.append(f'"c1"{key}' + draw(st.sampled_from([json.dumps(c1), "null"])))
+        fields.append(f'"c1"{key}' + draw(st.sampled_from([json.dumps(c1), "null", "Infinity"])))
+    if draw(st.booleans()):  # a NaN or Infinity beside the cut's NaN, or a [[ before the pairing
+        fields.append(draw(st.sampled_from(['"note": NaN', '"note": Infinity', '"x": [[0]]'])))
     head = draw(st.sampled_from(["\ufeff", " ", "\n"])) if "lead" in changes else ""
     tail = draw(st.sampled_from([" ", "\n", " x", "}", ",", "{}", "[]"])) if "trail" in changes \
         else ""
@@ -901,6 +907,11 @@ def test_dumped_text_reads_like_the_dense_read_oracle(text):
     '{"pairing": [[-10,1],[1,-100]]}', '{"pairing": [[100]]}', '{"pairing": [[0]]}',
     '{"pairing": [[0,-1000000],[-1000000,0]]}', '{"pairing": [[0, 0, 0], [0, 0, 0], [0, 0, 20]]}',
     '{"pairing": [[0,0],[0,10]], "c1": [1, 2]}', '{"pairing": [[1,10],[10,-1]], "c1": [1, 20]}',
+    '{"a": "[[0]]", "pairing": NaN}', '{"x": [[0]], "pairing": NaN}',
+    '{"x": "[[0]]", "pairing": Infinity}', '{"pairing": [[1]], "c1": Infinity}',
+    '{"classes": Infinity, "pairing": [[1]]}', '{"pairing": [[1]], "note": NaN}',
+    '{"classes": ["[[", "b"], "pairing": [[-1,1],[1,-1]]}', '{"pairing": 5, "pairing": [[1]]}',
+    '{"a": {"pairing": [[1]]}, "pairing": [[2]]}', '{"pair\\u0069ng": [[1]]}',
 ])
 def test_hand_picked_texts_read_like_the_dense_read_oracle(text):
     assert_reads_like_the_oracle(text)
@@ -1017,8 +1028,9 @@ def test_a_dense_pairing_is_left_to_json_loads():
 def test_there_is_one_dense_read(monkeypatch):
     """The constructor is the one dense read: the constructor itself,
     ``signature`` of rows, ``from_json`` of an object and of each text the
-    sparse read refuses (indented, too dense, a float in the pairing) run
-    it exactly once, and a dumped config lattice never runs it."""
+    sparse read refuses (indented, too dense, a float in the pairing, a
+    ``[[`` label before it, a ``NaN`` beside it) run it exactly once, and a
+    dumped config lattice never runs it."""
     calls = []
     init = IntersectionLattice.__init__
 
@@ -1029,6 +1041,10 @@ def test_there_is_one_dense_read(monkeypatch):
     monkeypatch.setattr(IntersectionLattice, "__init__", counted)
     rows = [[-2, 1, 0], [1, -2, 1], [0, 1, -2]]
     dense_rows = [[1] * 40 for _ in range(40)]  # past the sparse read's density guard
+
+    def dumped(classes):
+        return json.dumps({"classes": classes, "pairing": rows})
+
     reads = {
         "constructor": lambda: IntersectionLattice(["a", "b", "c"], rows, [0, 0, 0]),
         "signature(rows)": lambda: signature(rows),
@@ -1037,6 +1053,9 @@ def test_there_is_one_dense_read(monkeypatch):
             json.dumps({"pairing": rows}, indent=2)),
         "dense compact text": lambda: IntersectionLattice.from_json(
             json.dumps({"pairing": dense_rows}, separators=(",", ":"))),
+        "a [[ label": lambda: IntersectionLattice.from_json(dumped(["[[", "b", "c"])),
+        "a NaN field": lambda: IntersectionLattice.from_json(dumped(["a", "b", "c"])[:-1]
+                                                             + ', "note": NaN}'),
     }
     for name, read in reads.items():
         calls.clear()
