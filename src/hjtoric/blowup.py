@@ -101,12 +101,12 @@ class BlowupConfig(Value):
                 selfs[label], edges[label] = s, {prev: 1}
                 edges[prev][label] = 1
                 prev = label
-        return IntersectionLattice._sparse(selfs, {l: 2 + s for l, s in selfs.items()}, edges)
+        return IntersectionLattice._sparse(selfs, None, edges)
 
     def lattice(self) -> IntersectionLattice:
-        """E~ at -1 joined to the first class of each chain, c1 by adjunction:
-        the same immutable value on every call, since every simulator
-        blowdown reads it."""
+        """E~ at -1 joined to the first class of each chain, c1 by adjunction
+        (``IntersectionLattice._sparse`` fills it in): the same immutable
+        value on every call, since every simulator blowdown reads it."""
         return self._lattice
 
     def to_json(self) -> dict:

@@ -72,7 +72,8 @@ class HJExpansion(Value):
     def __post_init__(self):
         m, k = self.numerator, self.residue
         require_seq((m, k), int, "numerator and residue must be integers")
-        require_seq(self.terms, int, "terms must be a list of integers")
+        object.__setattr__(self, "terms", require_seq(
+            self.terms, int, "terms must be a list of integers"))  # a list kept as a tuple
         if any(a < 2 for a in self.terms):
             raise DomainError(f"all terms must be >= 2, got {self.terms}")
         if hj_eval(self.terms) != (m, k):

@@ -4,7 +4,9 @@ A lattice is a finite ordered basis of labeled classes, a symmetric integer
 pairing and an integer c1 label per class.  Embedded-sphere classes obey the
 adjunction rule ``c1 = 2 + self-intersection``, so a (-1)-class with c1 = 1
 is an exceptional class and an element of a resolution chain has
-``c1 = 2 - a`` for self-intersection ``-a``.
+``c1 = 2 - a`` for self-intersection ``-a``.  A store given no c1 takes
+it by that rule in ``IntersectionLattice._sparse``, and no lattice is
+written after it is built, but for its cached ``pairing`` view.
 
 Every lattice the package builds is a plumbing graph: a resolution chain,
 E~ joined to two chains, a direct sum of those, and their blowups and
@@ -120,8 +122,7 @@ def _read_text(text: str) -> "IntersectionLattice | None":
             self_[classes[r]] = v
         else:
             edges[classes[r]][classes[c]] = v
-    c1 = {l: 2 + s for l, s in self_.items()} if c1 is None else dict(zip(classes, c1))
-    return IntersectionLattice._sparse(self_, c1, edges)
+    return IntersectionLattice._sparse(self_, None if c1 is None else dict(zip(classes, c1)), edges)
 
 
 class IntersectionLattice:
@@ -183,9 +184,11 @@ class IntersectionLattice:
     @classmethod
     def _sparse(cls, self_, c1, edges) -> "IntersectionLattice":
         """A lattice from a sparse store that is symmetric by construction;
-        the keys of ``self_`` are the labels in basis order."""
+        the keys of ``self_`` are the labels in basis order.  ``c1=None``
+        takes c1 by adjunction, the one copy of that rule for a store."""
         lat = cls.__new__(cls)
-        lat._self, lat._c1, lat._edges, lat._pairing = self_, c1, edges, None
+        lat._self, lat._edges, lat._pairing = self_, edges, None
+        lat._c1 = {l: 2 + s for l, s in self_.items()} if c1 is None else c1
         return lat
 
     def _store(self) -> tuple[dict, dict, dict]:
@@ -298,7 +301,8 @@ class IntersectionLattice:
         """Read ``{"pairing": [[...]], "classes": [...], "c1": [...]}``.
 
         ``classes`` and ``c1`` are optional (absent or null: ``C1..Cn`` and
-        adjunction).  Malformed JSON, a non-square pairing, entries that are
+        adjunction, which ``_sparse`` fills in, so no built lattice is
+        written).  Malformed JSON, a non-square pairing, entries that are
         not integers (floats, booleans) and class labels that are not
         strings raise DomainError.  Text as ``json.dumps`` writes it without
         ``indent`` is read sparse if its first ``[[`` is the pairing and it
@@ -323,9 +327,7 @@ class IntersectionLattice:
         classes = [f"C{i + 1}" for i in range(n)] if obj.get("classes") is None else obj["classes"]
         c1 = obj.get("c1")
         lat = IntersectionLattice(classes, obj["pairing"], [0] * n if c1 is None else c1)
-        if c1 is None:  # adjunction default for sphere classes, read from the checked rows
-            lat._c1 = {l: 2 + s for l, s in lat._self.items()}
-        return lat
+        return lat if c1 is not None else IntersectionLattice._sparse(lat._self, None, lat._edges)
 
 
 _EMPTY = IntersectionLattice._sparse({}, {}, {})
@@ -373,8 +375,8 @@ def lattice_from_parts(
     self_intersections: dict[str, int],
 ) -> IntersectionLattice:
     """Build a lattice from sparse data, a list of labels and dicts
-    (label, label) -> pairing and label -> self-intersection; c1 set by
-    adjunction.  A pair given in both orders is a DomainError."""
+    (label, label) -> pairing and label -> self-intersection; ``_sparse``
+    sets c1 by adjunction.  A pair given in both orders is a DomainError."""
     classes = require_seq(labels, str, "labels must be a list of strings")
     require_object(pairs, dict, "pairs must be a dict (label, label) -> integer")
     require_object(self_intersections, dict, "self-intersections must be a dict label -> integer")
@@ -398,7 +400,7 @@ def lattice_from_parts(
             raise DomainError(f"pair ({a!r}, {b!r}) is given in both orders")
         if v:
             edges[a][b] = edges[b][a] = v
-    return IntersectionLattice._sparse(self_, {l: 2 + s for l, s in self_.items()}, edges)
+    return IntersectionLattice._sparse(self_, None, edges)
 
 
 def _with_prefix(lat: IntersectionLattice, prefix: str) -> IntersectionLattice:

@@ -51,12 +51,14 @@ class Chain(Value):
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        require_seq(self.self_intersections, int, "chain self-intersections must be integers")
+        object.__setattr__(self, "self_intersections", require_seq(  # a list kept as a tuple
+            self.self_intersections, int, "chain self-intersections must be integers"))
         if any(s > -2 for s in self.self_intersections):
             raise DomainError(
                 f"chain self-intersections must be <= -2, got {self.self_intersections}"
             )
-        require_seq(self.labels, str, "chain labels must be a list of strings")
+        object.__setattr__(self, "labels", require_seq(
+            self.labels, str, "chain labels must be a list of strings"))
         if len(self.labels) != len(self.self_intersections):
             raise DomainError("labels and self-intersections differ in length")
         if len(set(self.labels)) != len(self.labels):

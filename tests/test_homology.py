@@ -829,7 +829,8 @@ def dumped_texts(draw):
     sparse read would (``-0``, ``01``, a 4301-digit int, ...), one item of
     a row split by the other separator, a second ``"pairing"`` key, data
     after the object or a BOM before it, an empty or ``NaN`` pairing or one
-    row nested one level deeper.  A label may hold ``]]``, ``"pairing":``,
+    row nested one level deeper, or a ``NaN`` pairing beside another field
+    holding the drawn list of lists.  A label may hold ``]]``, ``"pairing":``,
     ``[[0]]`` or ``NaN``, or repeat another, ``classes`` and ``c1`` may be
     null or ``Infinity``, and one more field may hold ``NaN``, ``Infinity``
     or a list of lists.
@@ -842,8 +843,8 @@ def dumped_texts(draw):
         return opening + item.join(items) + closing
 
     tokens = [[str(x) for x in row] for row in rows]
-    changes = [draw(st.sampled_from(["token", "respace", "twice", "trail", "lead", "shape"]))
-               for _ in range(draw(st.integers(0, 2)))]
+    kinds = ["token", "respace", "twice", "trail", "lead", "shape", "cut"]
+    changes = [draw(st.sampled_from(kinds)) for _ in range(draw(st.integers(0, 2)))]
     if "token" in changes and n:
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         tokens[i][j] = draw(st.sampled_from(TOKENS))
@@ -859,6 +860,8 @@ def dumped_texts(draw):
     if "shape" in changes and draw(st.booleans()):
         pairing = draw(st.sampled_from(["[]", "[[]]", "NaN"]))
     fields = [f'"pairing"{key}{pairing}']
+    if "cut" in changes:  # the drawn pairing under another key, a NaN in its place
+        fields = [f'"pairing"{key}NaN', f'"x"{key}{pairing}']
     if "twice" in changes:
         fields.append(f'"pairing"{key}' + dump(map(dump, ([str(x) for x in row] for row in
                                                            draw(symmetric_forms(max_n=3))))))
@@ -1069,6 +1072,39 @@ def test_there_is_one_dense_read(monkeypatch):
     lat = fulton_config(7, 4).lattice()
     assert IntersectionLattice.from_json(json.dumps(lat.to_json())) == lat
     assert calls == []
+
+
+def test_each_slot_of_a_built_lattice_is_written_once(monkeypatch):
+    """No read writes a lattice after the constructor or ``_sparse`` has
+    built it: c1 by adjunction is filled in as the store becomes a lattice.
+    The lazy ``pairing`` cache is left aside."""
+    writes, kept = {}, []  # kept: no lattice is freed, so no id is reused
+
+    def counted(self, name, value):
+        if name != "_pairing" or value is None:
+            kept.append(self)
+            writes[id(self), name] = writes.get((id(self), name), 0) + 1
+        object.__setattr__(self, name, value)
+
+    monkeypatch.setattr(IntersectionLattice, "__setattr__", counted)
+    rows = [[-2, 1, 0], [1, -2, 1], [0, 1, -2]]
+    reads = {
+        "object with c1": lambda: IntersectionLattice.from_json({"pairing": rows, "c1": [0] * 3}),
+        "object without c1": lambda: IntersectionLattice.from_json({"pairing": rows}),
+        "compact text": lambda: IntersectionLattice.from_json(
+            json.dumps({"pairing": rows}, separators=(",", ":"))),
+        "indented text": lambda: IntersectionLattice.from_json(
+            json.dumps({"pairing": rows}, indent=2)),
+        "lattice_from_parts": lambda: lattice_from_parts(
+            ["a", "b", "c"], {("a", "b"): 1, ("b", "c"): 1}, {"a": -2, "b": -2, "c": -2}),
+        "fulton_config(7, 4).lattice()": lambda: fulton_config(7, 4).lattice(),
+    }
+    for name, read in reads.items():
+        writes.clear()
+        lat = read()
+        assert writes and set(writes.values()) == {1}, (name, writes)
+        assert lat.c1 == tuple(0 if name == "object with c1" else 2 + s
+                               for s in map(lat.self_intersection, lat.classes)), name
 
 
 READS = {

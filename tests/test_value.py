@@ -23,7 +23,7 @@ from hjtoric.circle import (FixedPointDatum, build_cover, cross_level, initial_s
 from hjtoric.errors import DomainError
 from hjtoric.hj import HJExpansion, hj_expand, hj_reverse
 from hjtoric.homology import add_class, chain_contact_replay
-from hjtoric.resolution import CyclicSingularity, chain_from_terms, resolve_cyclic
+from hjtoric.resolution import Chain, CyclicSingularity, chain_from_terms, resolve_cyclic
 
 TWINS = {name: getattr(twins, name) for name in (
     "HJExpansion", "CyclicSingularity", "Chain", "ChainContactReplay", "BlowupConfig",
@@ -199,3 +199,17 @@ def test_keyword_and_default_arguments():
                          (("1/2", -1, 2, 1), {"p": 2}), (("1/2", -1, 2, 1), {"size": 1})]:
         with pytest.raises(TypeError, match="FixedPointDatum"):
             FixedPointDatum(*args, **kwargs)
+
+
+@pytest.mark.parametrize("kind, fields", [
+    (HJExpansion, (7, 4, [2, 4])), (Chain, ([-2, -3], ["a", "b"]))])
+def test_checked_sequences_are_kept_as_the_tuples_their_checks_return(kind, fields):
+    """A list argument is stored as a tuple: the value equals and hashes as
+    the one built from tuples, and no field can be changed in place."""
+    from_lists = kind(*fields)
+    from_tuples = kind(*(tuple(f) if isinstance(f, list) else f for f in fields))
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    for value in (from_lists, from_tuples):
+        seqs = [getattr(value, n) for n, f in zip(kind.__match_args__, fields)
+                if isinstance(f, list)]
+        assert seqs and all(type(s) is tuple for s in seqs)
