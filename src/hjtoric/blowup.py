@@ -42,13 +42,13 @@ from math import gcd
 from ._value import Value
 from .errors import DomainError, StructureError, require_object, require_seq
 from .hj import MAX_TERMS, _euclid_blocks, hj_expand
-from .homology import (IntersectionLattice, _blow_up, _forced_contractions, _lattice,
+from .homology import (IntersectionLattice, _blow_up, _bump, _forced_contractions, _lattice,
                        _require_exceptional, empty_lattice)
 from .rationals import parse_rational
 from .resolution import Chain, chain_from_terms
 
 Vec = tuple[int, int]
-Point = tuple[Fraction, Fraction]
+Point = tuple[int, int]  # a chord end: every one is an integer point
 
 
 def _require_weights(p: int, q: int) -> None:
@@ -110,6 +110,9 @@ class BlowupConfig(Value):
         return self._lattice
 
     def to_json(self) -> dict:
+        return {**self._json(), "lattice": self.lattice().to_json()}
+
+    def _json(self) -> dict:  # the lattice as a value, which the CLI writes from its store
         # chains are reported from the axis end (the continued-fraction
         # reading order); the lattice block carries the actual wiring
         return {
@@ -117,7 +120,7 @@ class BlowupConfig(Value):
             "q": self.q,
             "chain_p": list(reversed(self.chain_p.self_intersections)),
             "chain_q": list(reversed(self.chain_q.self_intersections)),
-            "lattice": self.lattice().to_json(),
+            "lattice": self.lattice(),
         }
 
 
@@ -167,13 +170,36 @@ class McDuffSequence(Value):
 
     def lattice(self) -> IntersectionLattice:
         """One class e_i per cut: a blowup at the classes of its flanking
-        cuts (the axes carry no class).  The labels are built once, and the
-        blowups edit the rows of one fresh store in place, so the n cuts
-        cost O(n) in total."""
-        store: tuple[dict, dict, dict] = ({}, {}, {})
+        cuts (the axes carry no class), in one pass over ``flanks`` on one
+        fresh store: the cut's class, at -1 with c1 1, goes in between its
+        flanks, each flank drops by one, and the two are parted (an edge of 1
+        deleted, any other pairing lowered by one), so the n cuts cost O(n).
+        A flank that is not a pair of None or distinct earlier cuts runs
+        ``homology._blow_up`` per cut instead, with its result or its error."""
         labels = [f"e{i + 1}" for i in range(len(self.flanks))]
-        for label, flank in zip(labels, self.flanks):
-            _blow_up(store, [labels[j] for j in flank if j is not None], label)
+        self_, c1, edges = store = {}, {}, {}
+        try:
+            for label, (up, down) in zip(labels, self.flanks):
+                row = {}
+                if up is not None and down is not None:
+                    a, b = labels[up], labels[down]
+                    if a == b:
+                        raise ValueError("a repeated flank")
+                    ra, rb = edges[a], edges[b]
+                    if ra.get(b) == 1:
+                        del ra[b], rb[a]
+                    else:
+                        _bump(ra, b, -1)
+                        _bump(rb, a, -1)
+                for t in (labels[j] for j in (up, down) if j is not None):
+                    self_[t] -= 1
+                    c1[t] -= 1
+                    edges[t][label] = row[t] = 1
+                self_[label], c1[label], edges[label] = -1, 1, row
+        except (KeyError, IndexError, TypeError, ValueError):
+            store = ({}, {}, {})
+            for label, flank in zip(labels, self.flanks):
+                _blow_up(store, [labels[j] for j in flank if j is not None], label)
         return IntersectionLattice._sparse(*store)
 
     def chords(self) -> list[tuple[Vec, Point, Point]]:
@@ -181,14 +207,15 @@ class McDuffSequence(Value):
 
         Cut i sits where the lines of its flanks meet, u.x = c_u and
         d.x = c_d with det(u, d) = 1, and runs from the up flank to the down
-        flank; its own line is (u + d).x = c_u + c_d + m_i.
+        flank; its own line is (u + d).x = c_u + c_d + m_i.  Every level is
+        an integer, and so is every endpoint.
         """
-        levels: list[Fraction] = []
+        levels: list[int] = []
         chords: list[tuple[Vec, Point, Point]] = []
         labels = self.cut_directions
         for label, m, (up, down) in zip(labels, self.multiplicities, self.flanks):
-            (ux, uy), cu = ((1, 0), Fraction(0)) if up is None else (labels[up], levels[up])
-            (dx, dy), cd = ((0, 1), Fraction(0)) if down is None else (labels[down], levels[down])
+            (ux, uy), cu = ((1, 0), 0) if up is None else (labels[up], levels[up])
+            (dx, dy), cd = ((0, 1), 0) if down is None else (labels[down], levels[down])
             vx, vy = cu * dy - cd * uy, ux * cd - dx * cu  # the cut vertex
             chords.append((label, (vx - m * uy, vy + m * ux), (vx + m * dy, vy - m * dx)))
             levels.append(cu + cd + m)
@@ -236,10 +263,11 @@ def mcduff_sequence(q: int, p: int) -> McDuffSequence:
 def cut_chords(q: int, p: int) -> list[tuple[Vec, Point, Point]]:
     """Exact chord geometry of the cut cascade, cut i sized by multiplicity i.
 
-    Returns (label, start, end) per cut, in cut order.  With these sizes
-    intermediate edges shrink to points and the last chord is the hypotenuse
-    from (0, q) to (p, 0), the boundary of the excised corner; this is the
-    picture usually drawn for the resolution diagram.
+    Returns (label, start, end) per cut, in cut order, each end an integer
+    point.  With these sizes intermediate edges shrink to points and the
+    last chord is the hypotenuse from (0, q) to (p, 0), the boundary of the
+    excised corner; this is the picture usually drawn for the resolution
+    diagram.
     """
     return mcduff_sequence(q, p).chords()
 

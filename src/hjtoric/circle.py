@@ -482,12 +482,15 @@ class RunResult(Value):
     message: str = ""
 
     def to_json(self) -> dict:
+        return {**self._json(), "final_lattice": self.final_lattice.to_json()}
+
+    def _json(self) -> dict:  # the lattice as a value, which the CLI writes from its store
         return {
             "verdict": self.verdict,
             "message": self.message,
             "ledger": [rational_json(x) for x in self.ledger],
             "loop_of_contradiction": self.loop_of_contradiction,
-            "final_lattice": self.final_lattice.to_json(),
+            "final_lattice": self.final_lattice,
             "base": None if self.base is None else rational_json(self.base),
             "tracked": self.tracked_label,
             "bound": self.bound,

@@ -20,18 +20,22 @@ pairing in JSON text as ``json.dumps`` writes it, at the text's first ``[[``,
 is read with no dense list: one C-speed split into zero gaps and nonzero
 tokens, one compare of the gaps with the zero matrix's text, and ``int`` on
 the tokens alone; the rest of the text, with ``NaN`` in the pairing's place
-and no other ``NaN``, goes through ``json``'s decoder.
+and no other ``NaN``, goes through ``json``'s decoder.  The CLI writes a
+pairing the same way round: ``_pairing_text`` gives ``json.dumps(indent=2)``'s
+text from the store, one zero-row template sliced around each nonzero.
 
 Public operations never mutate, so values can be shared freely across
 threads: each returns a fresh lattice value, but a construction left with no
 class returns the one shared ``empty_lattice()``.  ``blow_up_at`` and
 ``blow_down`` copy the store once and edit the copy with the private kernels
-``_blow_up`` and ``_forced_contractions``; a construction of n steps (a cut
-replay, a weighted blowdown) copies once and runs a kernel on its own store,
-O(n) in total.  Rows shared with other lattices are never written:
-``_forced_contractions`` copies an edge-map row before writing to it, and
-``_blow_up`` writes the touched rows in place, so ``blow_up_at`` copies
-those rows first and the cut replay runs it on a store of its own.
+``_blow_up`` and ``_forced_contractions``; a weighted blowdown of n steps
+copies once and runs a kernel on its own store, O(n) in total.  The cut
+replay (``McDuffSequence.lattice``) runs no kernel: it puts each cut's class
+in between its flanks on a fresh store, and only a hand-built flank that is
+not a pair of distinct earlier cuts sends it to ``_blow_up`` per cut.  Rows
+shared with other lattices are never written: ``_forced_contractions``
+copies an edge-map row before writing to it, and ``_blow_up`` writes the
+touched rows in place, so ``blow_up_at`` copies those rows first.
 ``_forced_contractions``, the general contraction walk, is a generator its
 callers step: ``blow_down`` once, ``blowup.weighted_blowdown`` to the end on a
 configuration its path walk (for that shape alone) does not empty and
@@ -125,6 +129,50 @@ def _read_text(text: str) -> "IntersectionLattice | None":
     return IntersectionLattice._sparse(self_, None if c1 is None else dict(zip(classes, c1)), edges)
 
 
+def _pairing_text(lat: "IntersectionLattice", depth: int) -> str:
+    """``lat``'s pairing as ``json.dumps(..., indent=2)`` writes it ``depth`` levels
+    down, from the store: one zero-row template sliced around each row's entries."""
+    pad = "\n" + "  " * (depth + 2)  # an item's line break and indent
+    zero = pad[:-2] + "[" + ",".join([pad + "0"] * len(lat._self)) + pad[:-2] + "]"
+    rows, at = [], dict(zip(lat._self, count(2 * len(pad) - 1, len(pad) + 2)))  # column 0s
+    for l, s in lat._self.items():
+        row, k = [], 0
+        for j, v in sorted([(at[l], s), *((at[m], v) for m, v in lat._edges[l].items())]):
+            row += zero[k:j], str(v)
+            k = j + 1
+        rows.append("".join(row) + zero[k:])
+    return "[" + ",".join(rows) + pad[:-4] + "]" if rows else "[]"
+
+
+def _dense_store(classes, pairing, c1) -> tuple[dict, dict, dict]:
+    """The store of ``IntersectionLattice(classes, pairing, c1)``, after the
+    constructor's checks: the one dense read."""
+    classes = require_seq(classes, str, "class labels must be a list of strings")
+    n = len(classes)
+    if len(set(classes)) != n:
+        raise DomainError("class labels must be distinct")
+    rows = require_seq(pairing, None, "a pairing must be a list of rows")
+    for row in rows:  # require_seq's test for ints, without its tuple copy
+        if not isinstance(row, (list, tuple)) or not {int}.issuperset(map(type, row)):
+            raise DomainError(f"each pairing row must be a list of integers, got {row!r}")
+    if any(len(row) != len(rows) for row in rows):
+        raise DomainError("pairing matrix must be square")
+    if len(rows) != n:
+        raise DomainError("pairing matrix shape does not match class count")
+    c1 = require_seq(c1, int, "c1 must be a list of integers")
+    if len(c1) != n:
+        raise DomainError("c1 labels do not match class count")
+    cols = list(range(n))  # compress reads stored ints, with no int made per entry
+    nonzero = [list(islice(compress(cols, row), n - row.count(0))) for row in rows]
+    # an asymmetric pair has a nonzero side, so comparing there is enough
+    if not all(rows[j][i] == row[j] for i, row, js in zip(cols, rows, nonzero) for j in js):
+        i, j = next((i, j) for i in cols for j in range(i + 1, n) if rows[i][j] != rows[j][i])
+        raise DomainError(f"pairing not symmetric at ({i}, {j})")
+    return ({l: row[i] for i, l, row in zip(cols, classes, rows)}, dict(zip(classes, c1)),
+            {l: {classes[j]: row[j] for j in js if j != i}
+             for i, l, row, js in zip(cols, classes, rows, nonzero)})
+
+
 class IntersectionLattice:
     """Labeled classes with a symmetric integer pairing and c1 labels.
 
@@ -154,31 +202,7 @@ class IntersectionLattice:
     __slots__ = ("_self", "_c1", "_edges", "_pairing")
 
     def __init__(self, classes, pairing, c1):
-        classes = require_seq(classes, str, "class labels must be a list of strings")
-        n = len(classes)
-        if len(set(classes)) != n:
-            raise DomainError("class labels must be distinct")
-        rows = require_seq(pairing, None, "a pairing must be a list of rows")
-        for row in rows:  # require_seq's test for ints, without its tuple copy
-            if not isinstance(row, (list, tuple)) or not {int}.issuperset(map(type, row)):
-                raise DomainError(f"each pairing row must be a list of integers, got {row!r}")
-        if any(len(row) != len(rows) for row in rows):
-            raise DomainError("pairing matrix must be square")
-        if len(rows) != n:
-            raise DomainError("pairing matrix shape does not match class count")
-        c1 = require_seq(c1, int, "c1 must be a list of integers")
-        if len(c1) != n:
-            raise DomainError("c1 labels do not match class count")
-        cols = list(range(n))  # compress reads stored ints, with no int made per entry
-        nonzero = [list(islice(compress(cols, row), n - row.count(0))) for row in rows]
-        # an asymmetric pair has a nonzero side, so comparing there is enough
-        if not all(rows[j][i] == row[j] for i, row, js in zip(cols, rows, nonzero) for j in js):
-            i, j = next((i, j) for i in cols for j in range(i + 1, n) if rows[i][j] != rows[j][i])
-            raise DomainError(f"pairing not symmetric at ({i}, {j})")
-        self._self = {l: row[i] for i, l, row in zip(cols, classes, rows)}
-        self._c1 = dict(zip(classes, c1))
-        self._edges = {l: {classes[j]: row[j] for j in js if j != i}
-                       for i, l, row, js in zip(cols, classes, rows, nonzero)}
+        self._self, self._c1, self._edges = _dense_store(classes, pairing, c1)
         self._pairing = None
 
     @classmethod
@@ -311,8 +335,8 @@ class IntersectionLattice:
         them are compared once with the zero matrix's text, and only the
         tokens are parsed; the rest, with ``NaN`` in the pairing's place,
         goes through ``json``'s decoder.  An object, any other text and any
-        anomaly are decoded by ``json.loads`` and read by the constructor,
-        with its checks and messages.
+        anomaly are decoded by ``json.loads`` and read with the constructor's
+        checks and messages.  Each read builds one lattice value.
         """
         if isinstance(obj, str):
             if (lat := _read_text(obj)) is not None:
@@ -326,8 +350,8 @@ class IntersectionLattice:
         n = len(obj["pairing"])
         classes = [f"C{i + 1}" for i in range(n)] if obj.get("classes") is None else obj["classes"]
         c1 = obj.get("c1")
-        lat = IntersectionLattice(classes, obj["pairing"], [0] * n if c1 is None else c1)
-        return lat if c1 is not None else IntersectionLattice._sparse(lat._self, None, lat._edges)
+        self_, c1s, edges = _dense_store(classes, obj["pairing"], [0] * n if c1 is None else c1)
+        return IntersectionLattice._sparse(self_, None if c1 is None else c1s, edges)
 
 
 _EMPTY = IntersectionLattice._sparse({}, {}, {})

@@ -7,11 +7,11 @@ and a margin of 0.75 lattice units is left blank on every side.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import inf, isfinite
 
 from .blowup import McDuffSequence, mcduff_sequence
 from .errors import DomainError, require_int
+from .hj import MAX_TERMS
 
 _STYLE = (
     "text { font: 11px sans-serif; } "
@@ -33,7 +33,8 @@ def cut_diagram_svg(p: int, q: int, scale: int = 40) -> str:
 
     Draws the two quadrant edges and every cut chord at multiplicity size,
     ending in the hypotenuse from (0, q) to (p, 0).  A scale whose canvas
-    size is not a finite float is a DomainError.
+    size is not a finite float is a DomainError, and so is a grid of more
+    than ``hj.MAX_TERMS`` points, (p + 2)(q + 2).
     """
     return _cut_diagram(mcduff_sequence(q, p), scale)  # the weights are checked first
 
@@ -50,6 +51,8 @@ def _cut_diagram(seq: McDuffSequence, scale: int) -> str:
     if not (isfinite(w) and isfinite(h)):
         raise DomainError(f"scale too large: the canvas of the ({p},{q}) diagram "
                           "overflows a float")
+    if (points := (xmax + 1) * (ymax + 1)) > MAX_TERMS:
+        raise DomainError(f"the ({p},{q}) diagram has {points} grid points, more than {MAX_TERMS}")
 
     def x_at(x) -> str:
         return _fmt((float(x) + _MARGIN) * scale)
@@ -65,14 +68,14 @@ def _cut_diagram(seq: McDuffSequence, scale: int) -> str:
         return f'<text class="label" x="{x_at(x)}" y="{y_at(y)}">{s}</text>'
 
     ys = [y_at(j) for j in range(ymax + 1)]  # each row's y formatted once
-    parts = [f'<circle class="grid" cx="{x}" cy="{y}" r="1.6"/>'
-             for x in map(x_at, range(xmax + 1)) for y in ys]
+    parts = [f'<circle class="grid" cx="{x}" cy="'
+             + f'" r="1.6"/>\n  <circle class="grid" cx="{x}" cy="'.join(ys) + '" r="1.6"/>'
+             for x in map(x_at, range(xmax + 1))]  # a column of dots per x
     parts += [line((0, 0), (0, ymax)), line((0, 0), (xmax, 0))]
-    for label, a, b in seq.chords():
-        mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-        parts += [line(a, b, cls="cut"),
-                  text(mid[0] + Fraction(1, 8), mid[1] + Fraction(1, 8), f"({label[0]},{label[1]})")]
-    parts.append(text(p - 1, q + Fraction(1, 2), f"({p},{q})-weighted blowup cuts"))
+    for label, a, b in seq.chords():  # a label an eighth up and right of its chord's middle
+        mid = [(4 * (s + t) + 1) / 8 for s, t in zip(a, b)]  # one exact int-to-float division
+        parts += [line(a, b, cls="cut"), text(*mid, f"({label[0]},{label[1]})")]
+    parts.append(text(p - 1, q + 0.5, f"({p},{q})-weighted blowup cuts"))
     w, h = _fmt(w), _fmt(h)
     body = "\n  ".join(parts)
     return (

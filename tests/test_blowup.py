@@ -28,6 +28,7 @@ from hjtoric.circle import FixedPointDatum, run_loop
 from hjtoric.errors import DomainError, StructureError
 from hjtoric.homology import (
     IntersectionLattice,
+    _blow_up,
     _forced_contractions,
     add_class,
     blow_down,
@@ -476,6 +477,21 @@ class TestCutChords:
             ((0, 4), (5, 1)), ((0, 4), (7, 0)),
         ]
 
+    def test_chords_are_the_fraction_chords_in_ints(self):
+        """The chords, ints, equal the same recursion run on Fraction levels."""
+        for p, q in coprime_pairs(60):
+            seq = mcduff_sequence(q, p)
+            labels, levels, want = seq.cut_directions, [], []
+            for label, m, (up, down) in zip(labels, seq.multiplicities, seq.flanks):
+                (ux, uy), cu = ((1, 0), Fraction(0)) if up is None else (labels[up], levels[up])
+                (dx, dy), cd = ((0, 1), Fraction(0)) if down is None else (labels[down], levels[down])
+                vx, vy = cu * dy - cd * uy, ux * cd - dx * cu
+                want.append((label, (vx - m * uy, vy + m * ux), (vx + m * dy, vy - m * dx)))
+                levels.append(cu + cd + m)
+            got = seq.chords()
+            assert got == want, (p, q)
+            assert {type(x) for _, a, b in got for x in (*a, *b)} == {int}, (p, q)
+
 
 def test_replay_contracts_back_to_empty_in_reverse_cut_order():
     from hjtoric.homology import blow_down
@@ -531,6 +547,88 @@ def test_constructions_match_stepwise_oracles(p):
                     cfg.lattice().direct_sum(FOREIGN)):
             down, ref = weighted_blowdown(lat, cfg), stepwise.weighted_blowdown(lat, cfg)
             assert down == ref and down.to_json() == ref.to_json(), (p, q)
+
+
+def key_orders(lat):
+    """Each row's neighbours in key order, which ``to_json`` does not show."""
+    return [list(lat.neighbours(label)) for label in lat.classes]
+
+
+@pytest.mark.parametrize("p", range(1, 257))
+def test_long_replays_match_the_stepwise_oracle(p):
+    """The replays blowup-sweep times, q = 1, 2 (odd p) and p - 1 for every
+    p <= 256: the one-pass build equals a ``blow_up_at`` per cut."""
+    for q in {q for q in (1, 2, p - 1) if q == 1 or 1 < q < p and gcd(p, q) == 1}:
+        seq = mcduff_sequence(q, p)
+        lat, ref = seq.lattice(), stepwise.mcduff_lattice(seq)
+        assert lat == ref and lat.to_json() == ref.to_json(), (p, q)
+        assert key_orders(lat) == key_orders(ref), (p, q)
+
+
+def blow_up_per_cut(seq):
+    """``McDuffSequence.lattice`` as it was: ``_blow_up`` per cut on one store."""
+    store = ({}, {}, {})
+    labels = [f"e{i + 1}" for i in range(len(seq.flanks))]
+    for label, flank in zip(labels, seq.flanks):
+        _blow_up(store, [labels[j] for j in flank if j is not None], label)
+    return IntersectionLattice._sparse(*store)
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of any exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# hand-built flanks of the (7, 4) replay, with what the per-cut _blow_up
+# build gave for each: an error, or the pairing of the lattice it built
+FLANKS = {
+    "later": (((None, None), (0, None), (0, 3), (2, 1), (3, 1)),
+              (DomainError, "no class labeled 'e4'")),
+    "repeated": (((None, None), (0, None), (1, 1), (2, 1), (3, 1)),
+                 (DomainError, "touched classes must be distinct")),
+    "negative-repeat": (((None, None), (0, None), (1, -4), (2, 1), (3, 1)),
+                        (DomainError, "touched classes must be distinct")),
+    "negative-self": (((None, None), (0, None), (-3, None), (2, 1), (3, 1)),
+                      (DomainError, "no class labeled 'e3'")),
+    "own": (((None, None), (1, None), (0, 1), (2, 1), (3, 1)),
+            (DomainError, "no class labeled 'e2'")),
+    "str": (((None, None), ("0", None), (0, 1), (2, 1), (3, 1)),
+            (TypeError, "list indices must be integers or slices, not str")),
+    "float": (((None, None), (0.0, None), (0, 1), (2, 1), (3, 1)),
+              (TypeError, "list indices must be integers or slices, not float")),
+    "past-end": (((None, None), (9, None), (0, 1), (2, 1), (3, 1)),
+                 (IndexError, "list index out of range")),
+    "negative": (((None, None), (-5, None), (0, 1), (2, 1), (3, 1)),
+                 [[-3, 0, 1, 0, 0], [0, -4, 0, 0, 1], [1, 0, -2, 1, 0], [0, 0, 1, -2, 1],
+                  [0, 1, 0, 1, -1]]),
+    "one-entry": (((None, None), (0,), (0, 1), (2, 1), (3, 1)),
+                  [[-3, 0, 1, 0, 0], [0, -4, 0, 0, 1], [1, 0, -2, 1, 0], [0, 0, 1, -2, 1],
+                   [0, 1, 0, 1, -1]]),
+    "three-entry": (((None, None), (0, None), (0, 1, None), (2, 1, 0), (3, 1)),
+                    [[-4, -1, 0, 1, 0], [-1, -4, 0, 0, 1], [0, 0, -2, 1, 0], [1, 0, 1, -2, 1],
+                     [0, 1, 0, 1, -1]]),
+    "not-adjacent": (((None, None), (0, None), (1, None), (0, 2), (3, 1)),
+                     [[-3, 1, -1, 1, 0], [1, -3, 1, -1, 1], [-1, 1, -2, 1, 0], [1, -1, 1, -2, 1],
+                      [0, 1, 0, 1, -1]]),
+}
+
+
+@pytest.mark.parametrize("flanks, want", FLANKS.values(), ids=FLANKS)
+def test_hand_built_flanks_build_what_a_blowup_per_cut_builds(flanks, want):
+    """A flank that is not a pair of None or distinct earlier cuts gives the
+    result or the error of a ``_blow_up`` per cut, keys in the same order."""
+    base = mcduff_sequence(4, 7)
+    seq = replace(base, flanks=flanks)
+    got, ref = outcome(seq.lattice), outcome(blow_up_per_cut, seq)
+    if isinstance(want, tuple):
+        assert got == ref == want
+    else:
+        assert got == ref and got.to_json()["pairing"] == want
+        assert got.c1 == tuple(2 + s for s in map(got.self_intersection, got.classes))
+        assert key_orders(got) == key_orders(ref)
 
 
 def altered(lat, label, self_shift=0, c1_shift=0):

@@ -983,8 +983,9 @@ def test_the_split_read_matches_the_row_walker_cell_by_cell(text):
 def test_dumped_lattices_take_the_sparse_read(monkeypatch):
     """Every config lattice with p < 60 and a run's final lattice, written
     by ``json.dumps`` with either item separator, read back with the
-    constructor made to raise: the sparse read alone reads them.  Indented
-    text takes the constructor's dense read, and reads the same."""
+    constructor's dense read, ``homology._dense_store``, made to raise: the
+    sparse read alone reads them.  Indented text takes the dense read, and
+    reads the same."""
     pairs = [("0", "1/2", 7, 4), ("1/8", "5/8", 3, 2), ("1/4", "3/4", 55, 34)]
     data = [FixedPointDatum(l, s, p, q)
             for up, down, p, q in pairs for l, s in ((up, 1), (down, -1))]
@@ -997,7 +998,7 @@ def test_dumped_lattices_take_the_sparse_read(monkeypatch):
         raise AssertionError("the dense read ran")
 
     with monkeypatch.context() as patch:
-        patch.setattr(IntersectionLattice, "__init__", dense_read)
+        patch.setattr(homology, "_dense_store", dense_read)
         for lat in lattices:
             for separators in ((",", ":"), (", ", ": ")):
                 text = json.dumps(lat.to_json(), separators=separators)
@@ -1029,19 +1030,20 @@ def test_a_dense_pairing_is_left_to_json_loads():
 
 
 def test_there_is_one_dense_read(monkeypatch):
-    """The constructor is the one dense read: the constructor itself,
+    """The constructor's read is the one dense read: the constructor itself,
     ``signature`` of rows, ``from_json`` of an object and of each text the
     sparse read refuses (indented, too dense, a float in the pairing, a
     ``[[`` label before it, a ``NaN`` beside it) run it exactly once, and a
-    dumped config lattice never runs it."""
+    dumped config lattice never runs it.  The constructor's checks and store
+    build are ``homology._dense_store``, which ``from_json`` calls itself."""
     calls = []
-    init = IntersectionLattice.__init__
+    dense_store = homology._dense_store
 
-    def counted(self, *args):
+    def counted(*args):
         calls.append(args)
-        init(self, *args)
+        return dense_store(*args)
 
-    monkeypatch.setattr(IntersectionLattice, "__init__", counted)
+    monkeypatch.setattr(homology, "_dense_store", counted)
     rows = [[-2, 1, 0], [1, -2, 1], [0, 1, -2]]
     dense_rows = [[1] * 40 for _ in range(40)]  # past the sparse read's density guard
 
@@ -1076,8 +1078,9 @@ def test_there_is_one_dense_read(monkeypatch):
 
 def test_each_slot_of_a_built_lattice_is_written_once(monkeypatch):
     """No read writes a lattice after the constructor or ``_sparse`` has
-    built it: c1 by adjunction is filled in as the store becomes a lattice.
-    The lazy ``pairing`` cache is left aside."""
+    built it: c1 by adjunction is filled in as the store becomes a lattice,
+    and each read builds one lattice value.  The lazy ``pairing`` cache is
+    left aside."""
     writes, kept = {}, []  # kept: no lattice is freed, so no id is reused
 
     def counted(self, name, value):
@@ -1103,6 +1106,7 @@ def test_each_slot_of_a_built_lattice_is_written_once(monkeypatch):
         writes.clear()
         lat = read()
         assert writes and set(writes.values()) == {1}, (name, writes)
+        assert {obj for obj, _ in writes} == {id(lat)}, name  # one value built per read
         assert lat.c1 == tuple(0 if name == "object with c1" else 2 + s
                                for s in map(lat.self_intersection, lat.classes)), name
 
@@ -1318,3 +1322,36 @@ def test_constructor_checks_and_views():
             IntersectionLattice(classes, pairing, c1)
     with pytest.raises(AttributeError):
         lat.classes = ("X", "Y")
+
+
+@st.composite
+def written_lattices(draw):
+    """Lattices of 0 to 60 classes with few nonzeros: wide entries of either
+    sign and many digits, and diagonals that are often 0."""
+    n = draw(st.integers(0, 60))
+    wide = st.one_of(st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.one_of(st.just(0), wide))
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = rows[j][i] = draw(wide) if i != j else rows[i][i]
+    order = draw(st.permutations(range(n)))  # labels in a basis order not sorted by name
+    return IntersectionLattice([f"x{i}" for i in order], rows, [0] * n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(written_lattices(), st.integers(0, 3))
+def test_pairing_text_is_what_json_dumps_writes(lat, depth):
+    """``_pairing_text`` at each depth is the pairing as ``json.dumps(...,
+    indent=2)`` writes it ``depth`` levels down in a document, read from
+    the store; the dense view the oracle dumps is built after it."""
+    def nested(x):
+        for _ in range(depth):
+            x = {"x": x}
+        return x
+
+    text = homology._pairing_text(lat, depth)
+    assert lat._pairing is None
+    want = json.dumps(nested(lat.to_json()["pairing"]), indent=2)
+    assert json.dumps(nested(float("nan")), indent=2).replace("NaN", text) == want
