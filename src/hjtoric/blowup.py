@@ -42,7 +42,7 @@ from math import gcd
 from ._value import Value
 from .errors import DomainError, StructureError, require_object, require_seq
 from .hj import MAX_TERMS, _euclid_blocks, hj_expand
-from .homology import (IntersectionLattice, _blow_up, _bump, _forced_contractions, _lattice,
+from .homology import (IntersectionLattice, _bump, _forced_contractions, _lattice,
                        _require_exceptional, empty_lattice)
 from .rationals import parse_rational
 from .resolution import Chain, chain_from_terms
@@ -110,9 +110,6 @@ class BlowupConfig(Value):
         return self._lattice
 
     def to_json(self) -> dict:
-        return {**self._json(), "lattice": self.lattice().to_json()}
-
-    def _json(self) -> dict:  # the lattice as a value, which the CLI writes from its store
         # chains are reported from the axis end (the continued-fraction
         # reading order); the lattice block carries the actual wiring
         return {
@@ -120,7 +117,7 @@ class BlowupConfig(Value):
             "q": self.q,
             "chain_p": list(reversed(self.chain_p.self_intersections)),
             "chain_q": list(reversed(self.chain_q.self_intersections)),
-            "lattice": self.lattice(),
+            "lattice": self.lattice().to_json(),
         }
 
 
@@ -155,8 +152,8 @@ class McDuffSequence(Value):
     ``cut_directions`` are the corresponding cut labels (a, b), the negated
     outward conormal of each new edge; the last is always (q, p).
     ``flanks`` names, per cut, the earlier cuts on its up and down side
-    (None for the vertical and the horizontal axis); ``lattice`` and
-    ``chords`` are built from them.
+    (None for the vertical and the horizontal axis), a DomainError unless
+    distinct; ``lattice`` and ``chords`` are built from them.
     """
 
     p: int
@@ -164,6 +161,17 @@ class McDuffSequence(Value):
     multiplicities: tuple[int, ...]
     cut_directions: tuple[Vec, ...]
     flanks: tuple[tuple[int | None, int | None], ...]
+
+    def __post_init__(self):  # what lattice and chords index by, checked once
+        for i, flank in enumerate(self.flanks):
+            if type(flank) is tuple and len(flank) == 2:
+                up, down = flank
+                if ((up is None or type(up) is int and 0 <= up < i)
+                        and (down is None or type(down) is int and 0 <= down < i)
+                        and (up is None or up != down)):
+                    continue
+            raise DomainError(f"the flanks of cut {i + 1} must be a pair of None or "
+                              f"distinct earlier cuts, got {flank!r}")
 
     def __len__(self) -> int:
         return len(self.multiplicities)
@@ -173,42 +181,32 @@ class McDuffSequence(Value):
         cuts (the axes carry no class), in one pass over ``flanks`` on one
         fresh store: the cut's class, at -1 with c1 1, goes in between its
         flanks, each flank drops by one, and the two are parted (an edge of 1
-        deleted, any other pairing lowered by one), so the n cuts cost O(n).
-        A flank that is not a pair of None or distinct earlier cuts runs
-        ``homology._blow_up`` per cut instead, with its result or its error."""
+        deleted, any other pairing lowered by one), so the n cuts cost O(n)."""
         labels = [f"e{i + 1}" for i in range(len(self.flanks))]
-        self_, c1, edges = store = {}, {}, {}
-        try:
-            for label, (up, down) in zip(labels, self.flanks):
-                row = {}
-                if up is not None and down is not None:
-                    a, b = labels[up], labels[down]
-                    if a == b:
-                        raise ValueError("a repeated flank")
-                    ra, rb = edges[a], edges[b]
-                    if ra.get(b) == 1:
-                        del ra[b], rb[a]
-                    else:
-                        _bump(ra, b, -1)
-                        _bump(rb, a, -1)
-                for t in (labels[j] for j in (up, down) if j is not None):
-                    self_[t] -= 1
-                    c1[t] -= 1
-                    edges[t][label] = row[t] = 1
-                self_[label], c1[label], edges[label] = -1, 1, row
-        except (KeyError, IndexError, TypeError, ValueError):
-            store = ({}, {}, {})
-            for label, flank in zip(labels, self.flanks):
-                _blow_up(store, [labels[j] for j in flank if j is not None], label)
-        return IntersectionLattice._sparse(*store)
+        self_, c1, edges = {}, {}, {}
+        for label, (up, down) in zip(labels, self.flanks):
+            row = {}
+            if up is not None and down is not None:
+                a, b = labels[up], labels[down]
+                ra, rb = edges[a], edges[b]
+                if ra.get(b) == 1:
+                    del ra[b], rb[a]
+                else:
+                    _bump(ra, b, -1)
+                    _bump(rb, a, -1)
+            for t in (labels[j] for j in (up, down) if j is not None):
+                self_[t] -= 1
+                c1[t] -= 1
+                edges[t][label] = row[t] = 1
+            self_[label], c1[label], edges[label] = -1, 1, row
+        return IntersectionLattice._sparse(self_, c1, edges)
 
     def chords(self) -> list[tuple[Vec, Point, Point]]:
-        """(label, start, end) per cut, cut i sized by multiplicity i.
+        """(label, start, end) per cut, cut i sized by multiplicity i, in ints.
 
         Cut i sits where the lines of its flanks meet, u.x = c_u and
         d.x = c_d with det(u, d) = 1, and runs from the up flank to the down
-        flank; its own line is (u + d).x = c_u + c_d + m_i.  Every level is
-        an integer, and so is every endpoint.
+        flank; its own line is (u + d).x = c_u + c_d + m_i, all integers.
         """
         levels: list[int] = []
         chords: list[tuple[Vec, Point, Point]] = []
@@ -263,11 +261,10 @@ def mcduff_sequence(q: int, p: int) -> McDuffSequence:
 def cut_chords(q: int, p: int) -> list[tuple[Vec, Point, Point]]:
     """Exact chord geometry of the cut cascade, cut i sized by multiplicity i.
 
-    Returns (label, start, end) per cut, in cut order, each end an integer
-    point.  With these sizes intermediate edges shrink to points and the
-    last chord is the hypotenuse from (0, q) to (p, 0), the boundary of the
-    excised corner; this is the picture usually drawn for the resolution
-    diagram.
+    Returns (label, start, end) per cut, in cut order, with integer ends.
+    With these sizes intermediate edges shrink to points and the last chord
+    is the hypotenuse from (0, q) to (p, 0), the boundary of the excised
+    corner; this is the picture usually drawn for the resolution diagram.
     """
     return mcduff_sequence(q, p).chords()
 

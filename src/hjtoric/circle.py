@@ -482,15 +482,12 @@ class RunResult(Value):
     message: str = ""
 
     def to_json(self) -> dict:
-        return {**self._json(), "final_lattice": self.final_lattice.to_json()}
-
-    def _json(self) -> dict:  # the lattice as a value, which the CLI writes from its store
         return {
             "verdict": self.verdict,
             "message": self.message,
             "ledger": [rational_json(x) for x in self.ledger],
             "loop_of_contradiction": self.loop_of_contradiction,
-            "final_lattice": self.final_lattice,
+            "final_lattice": self.final_lattice.to_json(),
             "base": None if self.base is None else rational_json(self.base),
             "tracked": self.tracked_label,
             "bound": self.bound,

@@ -36,16 +36,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(obj, out: str | None) -> None:
-    """``json.dumps(obj, indent=2)``, a lattice value's pairing written from its store."""
-    key = next((k for k in ("lattice", "final_lattice") if k in obj), None)
-    if key is None:
-        return _emit(json.dumps(obj, indent=2), out)
-    from .homology import _pairing_text
-
-    lat = obj[key]  # no payload holds a float: only this placeholder is a NaN
-    view = {"classes": list(lat.classes), "pairing": float("nan"), "c1": list(lat.c1)}
-    head, _, tail = json.dumps({**obj, key: view}, indent=2).partition('"pairing": NaN')
-    _emit(f'{head}"pairing": {_pairing_text(lat, 2)}{tail}', out)
+    _emit(json.dumps(obj, indent=2), out)
 
 
 def cmd_resolve(args) -> int:
@@ -80,7 +71,7 @@ def cmd_blowup(args) -> int:
     if args.format == "svg":
         _emit(_cut_diagram(seq, args.scale), args.out)
     else:
-        payload = cfg._json()
+        payload = cfg.to_json()
         payload.update(
             {
                 "size": rational_json(cfg.size),
@@ -177,7 +168,7 @@ def cmd_simulate(args) -> int:
     try:
         result = run_loop(data, **options)  # validates the data, once
         payload = {} if eps is None else {"cover": build_cover(data, eps).to_json()}
-        _emit_json({**payload, **result._json()}, args.out)
+        _emit_json({**payload, **result.to_json()}, args.out)
         return 0
     except ValidationError as exc:  # only run_loop validates; build_cover sees valid data
         _emit_json({"errors": list(exc.errors)}, args.out)

@@ -20,9 +20,7 @@ pairing in JSON text as ``json.dumps`` writes it, at the text's first ``[[``,
 is read with no dense list: one C-speed split into zero gaps and nonzero
 tokens, one compare of the gaps with the zero matrix's text, and ``int`` on
 the tokens alone; the rest of the text, with ``NaN`` in the pairing's place
-and no other ``NaN``, goes through ``json``'s decoder.  The CLI writes a
-pairing the same way round: ``_pairing_text`` gives ``json.dumps(indent=2)``'s
-text from the store, one zero-row template sliced around each nonzero.
+and no other ``NaN``, goes through ``json``'s decoder.
 
 Public operations never mutate, so values can be shared freely across
 threads: each returns a fresh lattice value, but a construction left with no
@@ -31,11 +29,10 @@ class returns the one shared ``empty_lattice()``.  ``blow_up_at`` and
 ``_blow_up`` and ``_forced_contractions``; a weighted blowdown of n steps
 copies once and runs a kernel on its own store, O(n) in total.  The cut
 replay (``McDuffSequence.lattice``) runs no kernel: it puts each cut's class
-in between its flanks on a fresh store, and only a hand-built flank that is
-not a pair of distinct earlier cuts sends it to ``_blow_up`` per cut.  Rows
-shared with other lattices are never written: ``_forced_contractions``
-copies an edge-map row before writing to it, and ``_blow_up`` writes the
-touched rows in place, so ``blow_up_at`` copies those rows first.
+in between its flanks on a fresh store.  Rows shared with other lattices are
+never written: ``_forced_contractions`` copies an edge-map row before
+writing to it, and ``_blow_up`` writes the touched rows in place, so
+``blow_up_at`` copies those rows first.
 ``_forced_contractions``, the general contraction walk, is a generator its
 callers step: ``blow_down`` once, ``blowup.weighted_blowdown`` to the end on a
 configuration its path walk (for that shape alone) does not empty and
@@ -127,21 +124,6 @@ def _read_text(text: str) -> "IntersectionLattice | None":
         else:
             edges[classes[r]][classes[c]] = v
     return IntersectionLattice._sparse(self_, None if c1 is None else dict(zip(classes, c1)), edges)
-
-
-def _pairing_text(lat: "IntersectionLattice", depth: int) -> str:
-    """``lat``'s pairing as ``json.dumps(..., indent=2)`` writes it ``depth`` levels
-    down, from the store: one zero-row template sliced around each row's entries."""
-    pad = "\n" + "  " * (depth + 2)  # an item's line break and indent
-    zero = pad[:-2] + "[" + ",".join([pad + "0"] * len(lat._self)) + pad[:-2] + "]"
-    rows, at = [], dict(zip(lat._self, count(2 * len(pad) - 1, len(pad) + 2)))  # column 0s
-    for l, s in lat._self.items():
-        row, k = [], 0
-        for j, v in sorted([(at[l], s), *((at[m], v) for m, v in lat._edges[l].items())]):
-            row += zero[k:j], str(v)
-            k = j + 1
-        rows.append("".join(row) + zero[k:])
-    return "[" + ",".join(rows) + pad[:-4] + "]" if rows else "[]"
 
 
 def _dense_store(classes, pairing, c1) -> tuple[dict, dict, dict]:

@@ -67,9 +67,10 @@ def _cut_diagram(seq: McDuffSequence, scale: int) -> str:
     def text(x, y, s: str) -> str:
         return f'<text class="label" x="{x_at(x)}" y="{y_at(y)}">{s}</text>'
 
+    sep = "\n  "  # between two items of the body, so between two dots of a column too
     ys = [y_at(j) for j in range(ymax + 1)]  # each row's y formatted once
     parts = [f'<circle class="grid" cx="{x}" cy="'
-             + f'" r="1.6"/>\n  <circle class="grid" cx="{x}" cy="'.join(ys) + '" r="1.6"/>'
+             + f'" r="1.6"/>{sep}<circle class="grid" cx="{x}" cy="'.join(ys) + '" r="1.6"/>'
              for x in map(x_at, range(xmax + 1))]  # a column of dots per x
     parts += [line((0, 0), (0, ymax)), line((0, 0), (xmax, 0))]
     for label, a, b in seq.chords():  # a label an eighth up and right of its chord's middle
@@ -77,7 +78,7 @@ def _cut_diagram(seq: McDuffSequence, scale: int) -> str:
         parts += [line(a, b, cls="cut"), text(*mid, f"({label[0]},{label[1]})")]
     parts.append(text(p - 1, q + 0.5, f"({p},{q})-weighted blowup cuts"))
     w, h = _fmt(w), _fmt(h)
-    body = "\n  ".join(parts)
+    body = sep.join(parts)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
         f'height="{h}" viewBox="0 0 {w} {h}">\n'

@@ -17,6 +17,7 @@ import stepwise
 from geometry import Polygon, corner_cut, det2, quadrant
 from hjtoric.blowup import (
     BlowupConfig,
+    McDuffSequence,
     cross_check,
     cut_chords,
     fulton_config,
@@ -28,7 +29,6 @@ from hjtoric.circle import FixedPointDatum, run_loop
 from hjtoric.errors import DomainError, StructureError
 from hjtoric.homology import (
     IntersectionLattice,
-    _blow_up,
     _forced_contractions,
     add_class,
     blow_down,
@@ -565,70 +565,68 @@ def test_long_replays_match_the_stepwise_oracle(p):
         assert key_orders(lat) == key_orders(ref), (p, q)
 
 
-def blow_up_per_cut(seq):
-    """``McDuffSequence.lattice`` as it was: ``_blow_up`` per cut on one store."""
-    store = ({}, {}, {})
-    labels = [f"e{i + 1}" for i in range(len(seq.flanks))]
-    for label, flank in zip(labels, seq.flanks):
-        _blow_up(store, [labels[j] for j in flank if j is not None], label)
-    return IntersectionLattice._sparse(*store)
-
-
-def outcome(fn, *args):
-    """``fn(*args)``, or the type and message of any exception it raises."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-# hand-built flanks of the (7, 4) replay, with what the per-cut _blow_up
-# build gave for each: an error, or the pairing of the lattice it built
-FLANKS = {
-    "later": (((None, None), (0, None), (0, 3), (2, 1), (3, 1)),
-              (DomainError, "no class labeled 'e4'")),
-    "repeated": (((None, None), (0, None), (1, 1), (2, 1), (3, 1)),
-                 (DomainError, "touched classes must be distinct")),
-    "negative-repeat": (((None, None), (0, None), (1, -4), (2, 1), (3, 1)),
-                        (DomainError, "touched classes must be distinct")),
-    "negative-self": (((None, None), (0, None), (-3, None), (2, 1), (3, 1)),
-                      (DomainError, "no class labeled 'e3'")),
-    "own": (((None, None), (1, None), (0, 1), (2, 1), (3, 1)),
-            (DomainError, "no class labeled 'e2'")),
-    "str": (((None, None), ("0", None), (0, 1), (2, 1), (3, 1)),
-            (TypeError, "list indices must be integers or slices, not str")),
-    "float": (((None, None), (0.0, None), (0, 1), (2, 1), (3, 1)),
-              (TypeError, "list indices must be integers or slices, not float")),
-    "past-end": (((None, None), (9, None), (0, 1), (2, 1), (3, 1)),
-                 (IndexError, "list index out of range")),
-    "negative": (((None, None), (-5, None), (0, 1), (2, 1), (3, 1)),
-                 [[-3, 0, 1, 0, 0], [0, -4, 0, 0, 1], [1, 0, -2, 1, 0], [0, 0, 1, -2, 1],
-                  [0, 1, 0, 1, -1]]),
-    "one-entry": (((None, None), (0,), (0, 1), (2, 1), (3, 1)),
-                  [[-3, 0, 1, 0, 0], [0, -4, 0, 0, 1], [1, 0, -2, 1, 0], [0, 0, 1, -2, 1],
-                   [0, 1, 0, 1, -1]]),
-    "three-entry": (((None, None), (0, None), (0, 1, None), (2, 1, 0), (3, 1)),
-                    [[-4, -1, 0, 1, 0], [-1, -4, 0, 0, 1], [0, 0, -2, 1, 0], [1, 0, 1, -2, 1],
-                     [0, 1, 0, 1, -1]]),
-    "not-adjacent": (((None, None), (0, None), (1, None), (0, 2), (3, 1)),
-                     [[-3, 1, -1, 1, 0], [1, -3, 1, -1, 1], [-1, 1, -2, 1, 0], [1, -1, 1, -2, 1],
-                      [0, 1, 0, 1, -1]]),
+# hand-built flanks of the (7, 4) replay that are not a pair of None or
+# distinct earlier cuts, with the cut the check names
+BAD_FLANKS = {
+    "later": (((None, None), (0, None), (0, 3), (2, 1), (3, 1)), 3),
+    "repeated": (((None, None), (0, None), (1, 1), (2, 1), (3, 1)), 3),
+    "own": (((None, None), (1, None), (0, 1), (2, 1), (3, 1)), 2),
+    "own-down": (((None, None), (0, None), (0, 2), (2, 1), (3, 1)), 3),
+    "negative": (((None, None), (-5, None), (0, 1), (2, 1), (3, 1)), 2),
+    "past-end": (((None, None), (9, None), (0, 1), (2, 1), (3, 1)), 2),
+    "str": (((None, None), ("0", None), (0, 1), (2, 1), (3, 1)), 2),
+    "float": (((None, None), (0.0, None), (0, 1), (2, 1), (3, 1)), 2),
+    "bool": (((None, None), (0, None), (True, 0), (2, 1), (3, 1)), 3),
+    "one-entry": (((None, None), (0,), (0, 1), (2, 1), (3, 1)), 2),
+    "three-entry": (((None, None), (0, None), (0, 1, None), (2, 1), (3, 1)), 3),
+    "list": (((None, None), [0, None], (0, 1), (2, 1), (3, 1)), 2),
+    "not-a-pair": (((None, None), 0, (0, 1), (2, 1), (3, 1)), 2),
 }
 
 
-@pytest.mark.parametrize("flanks, want", FLANKS.values(), ids=FLANKS)
-def test_hand_built_flanks_build_what_a_blowup_per_cut_builds(flanks, want):
-    """A flank that is not a pair of None or distinct earlier cuts gives the
-    result or the error of a ``_blow_up`` per cut, keys in the same order."""
-    base = mcduff_sequence(4, 7)
-    seq = replace(base, flanks=flanks)
-    got, ref = outcome(seq.lattice), outcome(blow_up_per_cut, seq)
-    if isinstance(want, tuple):
-        assert got == ref == want
-    else:
-        assert got == ref and got.to_json()["pairing"] == want
-        assert got.c1 == tuple(2 + s for s in map(got.self_intersection, got.classes))
-        assert key_orders(got) == key_orders(ref)
+@pytest.mark.parametrize("flanks, cut", BAD_FLANKS.values(), ids=BAD_FLANKS)
+def test_hand_built_flanks_are_checked_when_built(flanks, cut):
+    """A flank that is not a pair of None or distinct earlier cuts is a
+    DomainError naming its cut, raised before any lattice is built."""
+    with pytest.raises(DomainError) as info:
+        replace(mcduff_sequence(4, 7), flanks=flanks)
+    assert str(info.value) == (f"the flanks of cut {cut} must be a pair of None or "
+                               f"distinct earlier cuts, got {flanks[cut - 1]!r}")
+
+
+def test_flanks_that_part_no_edge_of_1_build_the_stepwise_lattice():
+    """Cut 4 of these flanks lies between e1 and e3, which share no edge:
+    they are parted to -1, as one ``blow_up_at`` per cut does."""
+    seq = replace(mcduff_sequence(4, 7),
+                  flanks=((None, None), (0, None), (1, None), (0, 2), (3, 1)))
+    lat, ref = seq.lattice(), stepwise.mcduff_lattice(seq)
+    assert lat == ref and key_orders(lat) == key_orders(ref)
+    assert lat.to_json()["pairing"] == [[-3, 1, -1, 1, 0], [1, -3, 1, -1, 1], [-1, 1, -2, 1, 0],
+                                        [1, -1, 1, -2, 1], [0, 1, 0, 1, -1]]
+
+
+@st.composite
+def valid_flanks(draw):
+    """Up to 40 flanks, each a pair of None or distinct earlier cuts."""
+    flanks = []
+    for i in range(draw(st.integers(0, 40))):
+        side = st.one_of(st.none(), st.integers(0, i - 1)) if i else st.none()
+        up, down = draw(side), draw(side)
+        flanks.append((up, None if down == up else down))
+    return tuple(flanks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_flanks())
+def test_any_valid_flanks_build_the_stepwise_lattice(flanks):
+    """Flanks no replay makes, with edges above 1 and parted pairs at 0 or
+    below: the one-pass build equals a ``blow_up_at`` per cut, keys in the
+    same order."""
+    n = len(flanks)
+    seq = McDuffSequence(n + 1, 1, (1,) * n, ((1, 1),) * n, flanks)
+    lat, ref = seq.lattice(), stepwise.mcduff_lattice(seq)
+    assert lat == ref and lat.to_json() == ref.to_json()
+    assert key_orders(lat) == key_orders(ref)
 
 
 def altered(lat, label, self_shift=0, c1_shift=0):

@@ -15,11 +15,9 @@ from hypothesis import strategies as st
 import closed_form
 import dense
 import fresh
-from hjtoric import FixedPointDatum, circle, cli
-from hjtoric.blowup import fulton_config
+from hjtoric import FixedPointDatum, circle
 from hjtoric.cli import main
 from hjtoric.errors import DomainError
-from hjtoric.homology import IntersectionLattice
 from hjtoric.rationals import parse_rational
 
 
@@ -636,45 +634,6 @@ def test_a_diagram_grid_over_the_cap_exits_2(p, q, points):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (f"error: the ({p},{q}) diagram has {points} grid points, "
                            "more than 1000000\n")
-
-
-class TestLatticeOutput:
-    """Each lattice the CLI prints is written from the store: its pairing is
-    never read as the dense ``pairing`` view, and the bytes are
-    ``json.dumps(indent=2)``'s."""
-
-    def test_no_command_reads_the_dense_pairing(self, capsys, monkeypatch, tmp_path):
-        data = {"fixed_points": [{"level": l, "sign": s, "p": 7, "q": 4}
-                                 for l, s in (("0", 1), ("1/8", 1), ("5/8", -1), ("3/4", -1))],
-                "loops": 1, "base": "1/4", "eps": "1/100"}
-        path = tmp_path / "in.json"
-        path.write_text(json.dumps(data))
-        commands = [("blowup", "--p", "119", "--q", "118"), ("blowup", "--p", "1", "--q", "1"),
-                    ("simulate", str(path))]
-        want = [run_cli(capsys, *argv) for argv in commands]
-
-        def refused(self):
-            raise AssertionError("the dense pairing was read")
-
-        monkeypatch.setattr(IntersectionLattice, "pairing", property(refused))
-        for argv, (code, out) in zip(commands, want):
-            assert run_cli(capsys, *argv) == (code, out), argv
-            obj = json.loads(out)
-            lat = obj.get("lattice") or obj["final_lattice"]
-            assert len(lat["pairing"]) == len(lat["classes"]) > 0, argv
-
-    @pytest.mark.parametrize("note", ["NaN", '"pairing": NaN', "[[0]]"])
-    def test_a_string_like_the_placeholder_is_written_as_json_dumps_writes_it(self, capsys,
-                                                                              note):
-        """The pairing goes in at the placeholder, a key "pairing" with a
-        float NaN, which no string of the payload can spell."""
-        for key in ("lattice", "final_lattice"):
-            lat = fulton_config(7, 4).lattice()
-            cli._emit_json({"note": note, key: lat, "pairing": note}, None)
-            assert capsys.readouterr().out == json.dumps(
-                {"note": note, key: lat.to_json(), "pairing": note}, indent=2) + "\n"
-        cli._emit_json({"errors": [note]}, None)
-        assert capsys.readouterr().out == json.dumps({"errors": [note]}, indent=2) + "\n"
 
 
 MATH_MODULES = {f"hjtoric.{m}" for m in (

@@ -1322,36 +1322,3 @@ def test_constructor_checks_and_views():
             IntersectionLattice(classes, pairing, c1)
     with pytest.raises(AttributeError):
         lat.classes = ("X", "Y")
-
-
-@st.composite
-def written_lattices(draw):
-    """Lattices of 0 to 60 classes with few nonzeros: wide entries of either
-    sign and many digits, and diagonals that are often 0."""
-    n = draw(st.integers(0, 60))
-    wide = st.one_of(st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30))
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = draw(st.one_of(st.just(0), wide))
-    for _ in range(draw(st.integers(0, 2 * n))):
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        rows[i][j] = rows[j][i] = draw(wide) if i != j else rows[i][i]
-    order = draw(st.permutations(range(n)))  # labels in a basis order not sorted by name
-    return IntersectionLattice([f"x{i}" for i in order], rows, [0] * n)
-
-
-@settings(max_examples=300, deadline=None)
-@given(written_lattices(), st.integers(0, 3))
-def test_pairing_text_is_what_json_dumps_writes(lat, depth):
-    """``_pairing_text`` at each depth is the pairing as ``json.dumps(...,
-    indent=2)`` writes it ``depth`` levels down in a document, read from
-    the store; the dense view the oracle dumps is built after it."""
-    def nested(x):
-        for _ in range(depth):
-            x = {"x": x}
-        return x
-
-    text = homology._pairing_text(lat, depth)
-    assert lat._pairing is None
-    want = json.dumps(nested(lat.to_json()["pairing"]), indent=2)
-    assert json.dumps(nested(float("nan")), indent=2).replace("NaN", text) == want
