@@ -24,8 +24,8 @@ intersection lattice:
 ``cross_check`` verifies that the two routes build isomorphic lattices; the
 sum of squared multiplicities always equals p*q (each multiplicity-m cut
 removes m^2 half-unit triangles of the p*q-area corner being excised).
-``weighted_blowdown`` walks a config's own classes along its path, else (or
-on an anomaly) to the end of ``homology._forced_contractions``, the general walk.
+``weighted_blowdown`` walks a lattice of as many classes as the config along its
+path first, else (or on an anomaly) checks it and runs the general walk.
 
 Both chains of a config are stored with class index 1 adjacent to E~ (the
 expansions above read from the opposite, axis-adjacent end; reversing an
@@ -314,36 +314,48 @@ def cross_check(p: int, q: int) -> bool:
 
 
 def _path_walk(lat: IntersectionLattice, config: BlowupConfig) -> bool:
-    """Whether the forced walk empties ``lat``, of exactly the config's
-    classes, E~ at -1: False unless each has c1 = 2 + self and meets just its
-    neighbours on the path Zp_n..Zp_1, E~, Zq_1..Zq_m, once each.  A contraction
-    bumps both neighbours by (1, 1) and joins them, so each stack's top is
-    bumped once as it comes up: take the top at -1, p's first; past -1, a stall."""
+    """Whether the forced walk empties ``lat``, read in one pass: E~ a class
+    at -1 with c1 = 1, then each chain class as it comes to the top of its
+    chain, with c1 = 2 + self and an edge of 1 to its predecessor on the path
+    Zp_n..Zp_1, E~, Zq_1..Zq_m, and the degrees twice the path's edges (no
+    other edge).  A contraction bumps both neighbours by (1, 1) and joins
+    them: its chain's next class comes up bumped once, the other top is
+    bumped.  Take the top at -1, p's first; past -1, a stall."""
     self_, c1, edges, e = lat._self, lat._c1, lat._edges, config.exceptional_label
-    degrees, stacks = len(edges[e]), []
-    for chain in (config.chain_p.labels, config.chain_q.labels):
-        stack, prev = [], e
-        for label in chain:
-            s, row = self_[label], edges[label]
-            if c1[label] != s + 2 or row.get(prev) != 1:
-                return False
-            degrees += len(row)
-            stack.append(s + 1)
-            prev = label
-        stack.append(1)  # below an emptied chain: never at -1
-        stacks.append(stack)
-    if c1[e] != 1 or degrees != 2 * len(self_) - 2:  # a path edge each, and no other
+    if self_.get(e) != -1 or c1[e] != 1:
         return False
-    (p, q), i, j = stacks, 0, 0
-    top_p, top_q = p[0], q[0]  # E~ contracted
-    for _ in range(len(self_) - 1):
+    p, q = config.chain_p.labels, config.chain_q.labels
+    m, n = len(p), len(q)
+    degrees, i, j, up_p, up_q = len(edges[e]), 0, 0, True, True  # E~ contracted: both come up
+    while True:
+        if up_p:  # p's next class comes up; past its end, a top never at -1
+            if i < m:
+                label = p[i]
+                s = self_.get(label)
+                if (s is None or c1[label] != s + 2
+                        or (row := edges[label]).get(p[i - 1] if i else e) != 1):
+                    return False
+                degrees, top_p = degrees + len(row), s + 1
+            else:
+                top_p = 1
+            i += 1
+        if up_q:
+            if j < n:
+                label = q[j]
+                s = self_.get(label)
+                if (s is None or c1[label] != s + 2
+                        or (row := edges[label]).get(q[j - 1] if j else e) != 1):
+                    return False
+                degrees, top_q = degrees + len(row), s + 1
+            else:
+                top_q = 1
+            j += 1
         if top_p == -1:
-            i, top_p, top_q = i + 1, p[i + 1], top_q + 1
+            up_p, up_q, top_q = True, False, top_q + 1
         elif top_q == -1:
-            j, top_p, top_q = j + 1, top_p + 1, q[j + 1]
-        else:
-            return False
-    return True
+            up_p, up_q, top_p = False, True, top_p + 1
+        else:  # done if both chains emptied, with a path edge each and no other
+            return i > m and j > n and degrees == 2 * len(self_) - 2
 
 
 def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> IntersectionLattice:
@@ -353,23 +365,23 @@ def weighted_blowdown(lat: IntersectionLattice, config: BlowupConfig) -> Interse
     self-intersection -1 at each stage (the reverse of the cut replay), and
     contracting in that forced order empties the configuration in
     |chain_p| + |chain_q| + 1 steps.  Any stage without a (-1) config class
-    means the configuration was corrupted.  ``_path_walk`` reads a lattice
-    of just the config's classes in O(n); else, or on an anomaly, one walk
-    edits a copy of ``lat``'s store, so the whole blowdown costs O(n) beyond
-    that copy.  A walk that leaves no class returns ``empty_lattice()``.
+    means the configuration was corrupted.  ``_path_walk`` first reads a
+    lattice of as many classes as the config, in O(n); else the checks run
+    in order and one walk edits a copy of ``lat``'s store, O(n) beyond the
+    copy.  A walk that leaves no class returns ``empty_lattice()``.
     """
     if not (isinstance(lat, IntersectionLattice) and isinstance(config, BlowupConfig)):
         _lattice(lat)
         require_object(config, BlowupConfig, "config must be a BlowupConfig")
     selfs, labels = lat._self, config.class_labels
+    if len(selfs) == len(labels) and _path_walk(lat, config):
+        return empty_lattice()
     if not all(map(selfs.__contains__, labels)):
         missing = next(label for label in labels if label not in selfs)
         raise DomainError(f"no class labeled {missing!r}")
     etilde = labels[0]
     if selfs[etilde] != -1:
         raise StructureError(f"{etilde!r} has self-intersection {selfs[etilde]}, not -1")
-    if len(selfs) == len(labels) and _path_walk(lat, config):
-        return empty_lattice()
     store = lat._store()
     for _ in _forced_contractions(store, labels):
         pass

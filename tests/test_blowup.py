@@ -662,14 +662,30 @@ def swapped(lat, a, b):
     return IntersectionLattice(classes, lat.pairing, lat.c1)
 
 
+def renamed(lat, label):
+    """``lat`` with the class ``label`` relabeled by a foreign label."""
+    return IntersectionLattice(["W" if l == label else l for l in lat.classes], lat.pairing, lat.c1)
+
+
+def renamings(cfg):
+    """(lattice, missing label) pairs: the config's own lattice, of as many
+    classes as the config, with E~, or the first or last chain class,
+    relabeled by a foreign label."""
+    ends = dict.fromkeys([cfg.exceptional_label, *cfg.chain_labels[:1], *cfg.chain_labels[-1:]])
+    return [(renamed(cfg.lattice(), label), label) for label in ends]
+
+
 def tampered(cfg):
     """(lattice, config) pairs that are not a config's own lattice.  The
-    blowdown's path walk reads each one that holds exactly the config's
-    classes; the anomalies only it reads are a chain class off the adjunction
-    rule by its c1, a path edge of weight 2 or missing, an edge that closes a
-    cycle, two adjacent chain labels swapped, and the first class of each
-    chain at -2 with c1 = 0, so that both are at -1 after E~ (a tie)."""
+    blowdown's path walk reads each one of as many classes as the config
+    before any other check; the anomalies only it reads are a chain class
+    off the adjunction rule by its c1, a path edge of weight 2 or missing,
+    an edge that closes a cycle, two adjacent chain labels swapped, and the
+    first class of each chain at -2 with c1 = 0, so that both are at -1
+    after E~ (a tie); a class it reads may also be missing (``renamings``)."""
     lat = cfg.lattice()
+    for renaming, _ in renamings(cfg):
+        yield renaming, cfg
     extra = Chain(cfg.chain_q.self_intersections + (-2,), cfg.chain_q.labels + ("Zx",))
     yield lat, BlowupConfig(cfg.p, cfg.q, cfg.size, cfg.chain_p, extra, cfg.exceptional_label)
     yield add_class(lat, "X", -1, {cfg.class_labels[-1]: 1}), cfg
@@ -705,6 +721,20 @@ def test_tampered_configs_fail_like_the_oracle(p, q):
         assert got == stepwise.outcome(stepwise.weighted_blowdown, lat, cfg)
         outcomes.add(got[0] if isinstance(got, tuple) else "lattice")
     assert {DomainError, StructureError} <= outcomes
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (7, 4), (11, 3), (13, 8), (40, 1), (41, 29)])
+def test_a_renamed_class_is_missing_like_the_oracle(p, q):
+    """A lattice of exactly the config's class count that lacks E~, or the
+    first or last chain class, is refused as missing that class, as the
+    oracle refuses it: the path walk reads it first, and a class it cannot
+    find is an anomaly, never a KeyError."""
+    cfg = fulton_config(p, q)
+    for lat, label in renamings(cfg):
+        assert len(lat) == len(cfg.class_labels)
+        refused = (DomainError, f"no class labeled {label!r}")
+        assert stepwise.outcome(weighted_blowdown, lat, cfg) == refused
+        assert stepwise.outcome(stepwise.weighted_blowdown, lat, cfg) == refused
 
 
 def stepwise_contractions(lat, labels):
@@ -752,10 +782,11 @@ def refuse_the_general_walk(monkeypatch):
 
 
 def test_every_config_blows_down_along_its_path(monkeypatch):
-    """Each coprime config with p < 200, (1, 1) included, is emptied by the
-    path walk on its own lattice, never by the general walk."""
+    """Each coprime config with p <= 256, the blowup-sweep benchmark's
+    largest p, (1, 1) included, is emptied by the path walk on its own
+    lattice, never by the general walk."""
     refuse_the_general_walk(monkeypatch)
-    for p in range(1, 200):
+    for p in range(1, 257):
         for q in config_weights(p):
             cfg = fulton_config(p, q)
             assert weighted_blowdown(cfg.lattice(), cfg) is empty_lattice(), (p, q)
